@@ -14,10 +14,6 @@ U64 = np.uint64
 MAX_WIDTH = 64
 
 
-def usable(width: int) -> bool:
-    return width <= MAX_WIDTH
-
-
 def reduce_static(rows: list[np.ndarray], basis_rows, basis_pivots) -> None:
     """Reduce every batch row in place against a fixed pivot basis."""
     one = U64(1)
@@ -70,9 +66,3 @@ def eliminate_rows(static_rows: list[int]) -> tuple[list[int], list[int]]:
             piv_rows.append(r)
             piv_bits.append((r & -r).bit_length() - 1)
     return piv_rows, piv_bits
-
-
-def batch_rank_with_static(rows: list[np.ndarray], static_rows: list[int], static_pivots: list[int]) -> np.ndarray:
-    """Rank contributed by batch rows after reduction mod a static basis."""
-    reduce_static(rows, static_rows, static_pivots)
-    return batch_rank(rows)

@@ -190,10 +190,6 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, dict | None]:
     raise ConfigError(f"unknown system {kind!r}")
 
 
-def _system_config(args, system: QSystem) -> dict:
-    return system_to_desc(system)
-
-
 def _emit(report: dict, args) -> None:
     text = reports.write_report(report, getattr(args, "out", None))
     if not getattr(args, "out", None):
@@ -215,7 +211,7 @@ def _cmd_construct(args) -> int:
         result["admissible"] = is_admissible(p)
         result["strongly_admissible"] = is_strongly_admissible(p)
         result["feasible"] = admissibility_feasible(tower, args.m)
-    config = {"system": _system_config(args, system), "force": bool(args.force)}
+    config = {"system": system_to_desc(system), "force": bool(args.force)}
     report = reports.build_report(
         "construct", config, tower.descriptor(), result,
         {"fq_dim": system.t}, _timing(t0, args),
@@ -256,7 +252,7 @@ def _cmd_verify(args, evasive: bool) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     config = {
-        "system": _system_config(args, system),
+        "system": system_to_desc(system),
         "mode": args.mode,
         "budget": args.budget,
         "seed": args.seed,
@@ -294,7 +290,7 @@ def _cmd_weights(args) -> int:
             f.write(profile.to_csv())
     result = {"t": system.t, "k": system.ambient, "profile": profile.serialize()}
     config = {
-        "system": _system_config(args, system),
+        "system": system_to_desc(system),
         "mode": args.mode,
         "budget": args.budget,
         "seed": args.seed,
@@ -329,7 +325,7 @@ def _cmd_compare(args) -> int:
         "baseline_profile": baseline.serialize(),
     }
     config = {
-        "system": _system_config(args, system),
+        "system": system_to_desc(system),
         "s_list": s_list,
         "force": bool(args.force),
     }

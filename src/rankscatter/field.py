@@ -238,8 +238,8 @@ class FieldTower:
             if len(q_basis) != n:
                 raise ValueError(f"q_basis must have {n} elements")
         self.q_basis = q_basis
-        # Validates that q_basis really spans over F_q.
-        self._expansion_matrix()
+        # Building the expansion solver raises unless q_basis spans over F_q.
+        self._expand_solver
 
     # -- identity / serialization --
 
@@ -480,9 +480,6 @@ class FieldTower:
     @cached_property
     def _fast_expand(self) -> bool:
         return self.s == 1 and self.q_basis == tuple(self.p**j for j in range(self.n))
-
-    def _expansion_matrix(self):
-        return self._expand_solver
 
     @cached_property
     def _expand_solver(self):

@@ -360,10 +360,6 @@ class FqSubspace:
         return cls(tower, k, gens)
 
 
-def fq_dim(S: FqSubspace) -> int:
-    return S.dim
-
-
 def sum_dim(S: FqSubspace, T: FqSubspace) -> int:
     if S.tower != T.tower or S.k != T.k:
         raise ValueError("subspaces live in different ambient spaces")
@@ -455,10 +451,6 @@ def _subspace_from_assignment(tower, k, pivots, cells, a) -> SubspaceQn:
         a, v = divmod(a, tower.order)
         rows[i][c] = v
     return SubspaceQn(tower, k, tuple(tuple(r) for r in rows), tuple(pivots))
-
-
-def subspace_count(k: int, d: int, Q: int) -> int:
-    return gaussian_binomial(k, d, Q)
 
 
 def enumerate_subspaces(tower: FieldTower, k: int, d: int) -> Iterator[SubspaceQn]:

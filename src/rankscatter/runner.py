@@ -3,12 +3,13 @@
 A sweep is described by a JSON-safe dict and owns a unit index space
 [0, total_units).  Units are processed in fixed-size chunks; each chunk
 reports how many tuples/subspaces it actually checked, the first violation
-inside it (if any) and its max-weight record.  Merging is done in unit
-order, so the outcome is independent of worker count and of how a run was
-interrupted and resumed.
+inside it (if any) and its max-weight record.  One incremental prefix
+merges finished chunks in unit order, so the outcome is independent of
+worker count and of how a run was interrupted and resumed.
 
 Checkpoint files are append-only, newline-delimited JSON: a header line
-binding the sweep descriptor, then one line per completed chunk.
+binding the sweep descriptor, then one line per completed chunk.  A torn
+last line is dropped on resume and its chunk runs again.
 """
 
 from __future__ import annotations
@@ -68,7 +69,11 @@ def _run_chunk(desc_json: str, lo: int, hi: int) -> dict:
 
 
 def _merge_best(a: dict | None, b: dict | None) -> dict | None:
-    # max weight; ties broken toward the earlier key so merging is stable
+    """The one best-record rule: max weight, ties kept on the earlier record.
+
+    Both arguments must come in unit order (a before b), so the merge keeps
+    the first maximum and is stable across chunkings and worker counts.
+    """
     if a is None:
         return b
     if b is None:
@@ -90,19 +95,31 @@ class _Checkpoint:
             self._load()
 
     def _load(self):
-        with open(self.path) as f:
-            lines = [line for line in f.read().splitlines() if line.strip()]
-        if not lines:
-            return
-        head = json.loads(lines[0])
-        for key in ("desc_hash", "chunk_size", "total_units"):
-            if head.get(key) != self.header[key]:
-                raise ValueError(
-                    f"checkpoint {self.path} does not match this job ({key} differs)"
-                )
-        for line in lines[1:]:
-            rec = ChunkResult.from_json(json.loads(line))
-            self.done[rec.lo] = rec
+        with open(self.path, "rb") as f:
+            data = f.read()
+        # Records are appended whole lines at a time, so bytes after the last
+        # newline are a line torn by a kill mid-append: drop them and let that
+        # chunk run again.
+        whole, newline, torn = data.rpartition(b"\n")
+        lines = [(no, line) for no, line in enumerate(whole.split(b"\n"), 1) if line.strip()]
+        if lines:
+            head = self._parse(*lines[0], dict)
+            for key in ("desc_hash", "chunk_size", "total_units"):
+                if head.get(key) != self.header[key]:
+                    raise ValueError(
+                        f"checkpoint {self.path} does not match this job ({key} differs)"
+                    )
+            for no, line in lines[1:]:
+                rec = self._parse(no, line, ChunkResult.from_json)
+                self.done[rec.lo] = rec
+        if torn:
+            os.truncate(self.path, len(whole) + len(newline))
+
+    def _parse(self, no: int, line: bytes, build):
+        try:
+            return build(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"checkpoint {self.path} line {no} is malformed: {exc}") from None
 
     def open(self):
         if not self.path:
@@ -116,6 +133,55 @@ class _Checkpoint:
         if self.path:
             with open(self.path, "a") as f:
                 f.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+
+
+class _Prefix:
+    """Unit-order merge of the finished chunks, advanced incrementally.
+
+    It moves forward over the contiguous run of finished chunks from unit 0
+    and never rescans them.  It settles at the first violation, at the
+    budget cut, or when every chunk is merged.  `cap` is the lowest chunk
+    known to hold a violation, finished in order or not: later chunks
+    cannot move the first witness.
+    """
+
+    def __init__(self, chunks, done: dict, budget_units: int | None):
+        self.chunks = chunks
+        self.done = done
+        self.budget_units = budget_units
+        self.merged = 0
+        self.checked = 0
+        self.units_done = 0
+        self.best = None
+        self.viol = None
+        self.cut = False
+        self.cap = min((r.lo for r in done.values() if r.viol is not None), default=None)
+
+    @property
+    def settled(self) -> bool:
+        return self.viol is not None or self.cut or self.merged == len(self.chunks)
+
+    def add(self, rec: ChunkResult) -> bool:
+        """Take one newly finished chunk; True once the outcome is settled."""
+        if rec.viol is not None and (self.cap is None or rec.lo < self.cap):
+            self.cap = rec.lo
+        return self.advance()
+
+    def advance(self) -> bool:
+        while not self.settled:
+            lo, hi = self.chunks[self.merged]
+            rec = self.done.get(lo)
+            if rec is None:
+                break
+            self.merged += 1
+            self.checked += rec.checked
+            self.units_done = hi
+            self.best = _merge_best(self.best, rec.best)
+            if rec.viol is not None:
+                self.viol = rec.viol
+            elif self.budget_units is not None and self.checked >= self.budget_units:
+                self.cut = True
+        return self.settled
 
 
 def run_sweep(
@@ -138,103 +204,49 @@ def run_sweep(
     chunks = [(lo, min(lo + chunk_size, total_units)) for lo in range(0, total_units, chunk_size)]
     ckpt = _Checkpoint(checkpoint, desc, chunk_size, total_units)
     ckpt.open()
-
-    interrupted = False
+    prefix = _Prefix(chunks, ckpt.done, budget_units)
     try:
-        _execute(desc_json, chunks, ckpt, workers, budget_units, stop_after_units)
+        _execute(desc_json, chunks, ckpt, prefix, workers, stop_after_units)
     except Interrupted:
-        interrupted = True
-
-    # Merge in unit order.
-    checked = 0
-    units_done = 0
-    viol = None
-    best = None
-    complete = True
-    for lo, hi in chunks:
-        rec = ckpt.done.get(lo)
-        if rec is None:
-            complete = False
-            break
-        checked += rec.checked
-        units_done = hi
-        best = _merge_best(best, rec.best)
-        if rec.viol is not None:
-            viol = rec.viol
-            break
-        if budget_units is not None and checked >= budget_units:
-            return SweepOutcome(checked, None, best, True, True, units_done)
-    if viol is not None:
-        return SweepOutcome(checked, viol, best, True, False, units_done)
-    if interrupted or not complete:
-        return SweepOutcome(checked, None, best, False, False, units_done)
-    return SweepOutcome(checked, None, best, True, False, units_done)
+        pass
+    return SweepOutcome(
+        prefix.checked, prefix.viol, prefix.best, prefix.settled, prefix.cut, prefix.units_done
+    )
 
 
-def _execute(desc_json, chunks, ckpt, workers, budget_units, stop_after_units):
-    pending = [(lo, hi) for lo, hi in chunks if lo not in ckpt.done]
-
-    def should_stop() -> bool:
-        # Stop early once a violation is known and every earlier chunk is done,
-        # or once the budget is exhausted on a done-prefix.
-        checked = 0
-        for lo, hi in chunks:
-            rec = ckpt.done.get(lo)
-            if rec is None:
-                return False
-            checked += rec.checked
-            if rec.viol is not None:
-                return True
-            if budget_units is not None and checked >= budget_units:
-                return True
-        return True  # everything done
-
-    def hook_check():
-        if stop_after_units is None:
-            return
-        done_units = sum(r.hi - r.lo for r in ckpt.done.values())
-        if done_units >= stop_after_units:
-            raise Interrupted
-
-    if should_stop():
+def _execute(desc_json, chunks, ckpt, prefix, workers, stop_after_units):
+    if prefix.advance():
         return
+    pending = iter([(lo, hi) for lo, hi in chunks if lo not in ckpt.done])
+
+    def finish(rec: dict) -> bool:
+        rec = ChunkResult.from_json(rec)
+        ckpt.record(rec)
+        settled = prefix.add(rec)
+        if stop_after_units is not None:
+            if sum(r.hi - r.lo for r in ckpt.done.values()) >= stop_after_units:
+                raise Interrupted
+        return settled
+
     if workers <= 1:
         for lo, hi in pending:
-            rec = ChunkResult.from_json(_run_chunk(desc_json, lo, hi))
-            ckpt.record(rec)
-            hook_check()
-            if should_stop():
+            if finish(_run_chunk(desc_json, lo, hi)):
                 return
         return
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        inflight = {}
-        it = iter(pending)
+        inflight = set()
         stop = False
-
-        def viol_cap():
-            caps = [r.lo for r in ckpt.done.values() if r.viol is not None]
-            return min(caps) if caps else None
-
         while True:
-            cap = viol_cap()
             while not stop and len(inflight) < workers * 2:
-                nxt = next(it, None)
+                nxt = next(pending, None)
                 if nxt is None:
                     break
-                if cap is not None and nxt[0] > cap:
-                    continue  # later chunks cannot move the first witness
-                fut = pool.submit(_run_chunk, desc_json, nxt[0], nxt[1])
-                inflight[fut] = nxt
+                if prefix.cap is not None and nxt[0] > prefix.cap:
+                    continue
+                inflight.add(pool.submit(_run_chunk, desc_json, *nxt))
             if not inflight:
                 return
-            done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+            done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
             for fut in done:
-                inflight.pop(fut)
-                rec = ChunkResult.from_json(fut.result())
-                ckpt.record(rec)
-            hook_check()
-            if should_stop():
-                stop = True
-                if not inflight:
-                    return
+                stop = finish(fut.result()) or stop

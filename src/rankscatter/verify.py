@@ -1,6 +1,10 @@
 """Verifiers for h-scatteredness and (h, r)-evasiveness of F_q-subspaces.
 
-Three modes share one weight kernel:
+Every question asked of U is one scan over a stream of weights
+wt_U(H) = dim_Fq(U n H), taken in unit order.  h-scatteredness and
+(h, r)-evasiveness stop at the first weight above a bound; generalized
+weights keep the maximum, since d_r = t - max{wt_U(H) : dim H = k - r}.
+Three modes feed that scan:
 
 * exhaustive - every dim-h subspace of the ambient space, in the frozen
   Grassmannian order; a completed sweep is a proof.
@@ -14,12 +18,16 @@ Three modes share one weight kernel:
 * sampled - seeded random subspaces; can only produce a witness or report
   "inconclusive", never "holds".
 
+Each mode's `_weights` yields blocks of weights, either numpy arrays from
+the batched GF(2) kernel (q = 2, expanded width <= 64 bits) or one scalar
+weight at a time from `subspace_weight`, the oracle.  `_scan` alone applies
+the rules: weight -1 marks a skipped unit that is not counted, the first
+maximum is the chunk's best, and the first weight above the bound ends the
+chunk once the scalar oracle reproduces it on `subspace(key)`.  The
+engine is chosen once per sweep, in `_Context`.
+
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
-
-Batch engines (numpy, q = 2, expanded width <= 64 bits) and scalar engines
-produce identical verdicts, counts and first witnesses; tests cross-validate
-them on small instances.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from .linalg import (
     SubspaceQn,
     derive_seed,
     expand_vector,
-    gaussian_binomial,
     intersection_rows,
     make_rows,
     matrix_rank,
@@ -47,11 +54,12 @@ from .linalg import (
     _subspace_from_assignment,
 )
 from .construction import QSystem, system_from_desc, system_to_desc
-from .runner import ChunkResult, run_sweep
+from .runner import ChunkResult, _merge_best, run_sweep
 
 TABLE_BITS = 14          # target log2 size of per-block xor tables
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
+ENGINES = ("auto", "scalar")
 
 
 def scattered_dim_bound(r: int, n: int, h: int) -> int:
@@ -81,28 +89,52 @@ def _added_rank(sub: FqSubspace, rows) -> int:
     return added
 
 
-# --- weight context shared by the sweep engines ---
+# --- the one scan, and the context shared by the sweeps ---
+
+
+def _scan(sweep, lo: int, hi: int) -> ChunkResult:
+    """Fold the sweep's weight stream over units [lo, hi) into a chunk result.
+
+    `sweep._weights(lo, hi)` yields (head, start, wts) in unit order, where
+    wts[i] is the weight of the unit keyed [*head, start + i], or -1 for a
+    skipped unit that is not counted.
+    """
+    bound = sweep.bound
+    checked = 0
+    best = None
+    for head, start, wts in sweep._weights(lo, hi):
+        # ndarray methods, and a count only for blocks with skipped units:
+        # scalar engines send one weight per block, where call overhead is
+        # the whole cost
+        wts = np.asarray(wts, dtype=np.int64)
+        off = int(wts.argmax())
+        viol = bound is not None and wts.item(off) > bound
+        if viol:
+            wts = wts[: int((wts > bound).argmax()) + 1]
+            off = len(wts) - 1
+        skips = wts.item(wts.argmin()) < 0
+        checked += int(np.count_nonzero(wts >= 0)) if skips else len(wts)
+        top = {"key": [*head, start + off], "weight": wts.item(off)}
+        if top["weight"] >= 0:
+            best = _merge_best(best, top)
+        if viol:
+            if subspace_weight(sweep.ctx.U, sweep.subspace(top["key"])) != top["weight"]:
+                raise AssertionError(f"batch/scalar weight mismatch at unit key {top['key']}")
+            return ChunkResult(lo, hi, checked, top, best)
+    return ChunkResult(lo, hi, checked, None, best)
 
 
 class _Context:
-    def __init__(self, tower: FieldTower, system: QSystem):
+    def __init__(self, tower: FieldTower, system: QSystem, engine: str, dim: int):
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
         self.tower = tower
-        self.system = system
         self.U = system.subspace
         self.k = system.ambient
         self.n = tower.n
-        self.width = self.k * tower.n
-        self.q2 = tower.q == 2
-        self.batch_ok = self.q2 and self.width <= bitkernel.MAX_WIDTH
-
-    # scalar weights
-
-    def weight_of_subspace(self, H: SubspaceQn) -> int:
-        return subspace_weight(self.U, H)
-
-    def weight_of_span(self, vectors) -> tuple[int, SubspaceQn]:
-        H = SubspaceQn.from_vectors(self.tower, self.k, vectors)
-        return self.weight_of_subspace(H), H
+        # the batched GF(2) kernel where it applies, else the scalar oracle
+        fits = tower.q == 2 and self.k * self.n <= bitkernel.MAX_WIDTH
+        self.batch = engine == "auto" and dim > 0 and fits
 
     # reduced expansion tables, q = 2 only:
     # M[l][c][v] = (expansion of b_l * v, placed at coordinate c) reduced mod U
@@ -143,10 +175,9 @@ class ExhaustiveSweep:
     """Units are subspace indices in the frozen enumeration order."""
 
     def __init__(self, tower, system, dim: int, bound: int | None, engine: str):
-        self.ctx = _Context(tower, system)
+        self.ctx = _Context(tower, system, engine, dim)
         self.dim = dim
         self.bound = bound
-        self.engine = engine
         Q = tower.order
         self.blocks = []
         start = 0
@@ -156,42 +187,26 @@ class ExhaustiveSweep:
         self.total_units = start
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
-        use_batch = self.engine != "scalar" and self.ctx.batch_ok and self.dim > 0
-        checked = 0
-        viol = None
-        best = None
+        return _scan(self, lo, hi)
+
+    def subspace(self, key) -> SubspaceQn:
+        return subspace_at(self.ctx.tower, self.ctx.k, self.dim, key[0])
+
+    def _weights(self, lo, hi):
+        ctx = self.ctx
         for gstart, pivots, cells, count in self.blocks:
-            if viol is not None:
-                break
             blo = max(lo - gstart, 0)
             bhi = min(hi - gstart, count)
             if blo >= bhi:
                 continue
-            runner = self._block_batch if use_batch else self._block_scalar
-            c, v, b = runner(gstart, pivots, cells, count, blo, bhi)
-            checked += c
-            best = _keep_best(best, b)
-            viol = v
-        return ChunkResult(lo, hi, checked, viol, best)
+            if ctx.batch:
+                yield from self._batch_weights(gstart, pivots, cells, blo, bhi)
+            else:
+                for a in range(blo, bhi):
+                    H = _subspace_from_assignment(ctx.tower, ctx.k, pivots, cells, a)
+                    yield (), gstart + a, [subspace_weight(ctx.U, H)]
 
-    def _weight_at(self, pivots, cells, a) -> tuple[int, SubspaceQn]:
-        H = _subspace_from_assignment(self.ctx.tower, self.ctx.k, pivots, cells, a)
-        return self.ctx.weight_of_subspace(H), H
-
-    def _block_scalar(self, gstart, pivots, cells, count, blo, bhi):
-        checked = 0
-        viol = None
-        best = None
-        for a in range(blo, bhi):
-            w, _ = self._weight_at(pivots, cells, a)
-            checked += 1
-            best = _keep_best(best, {"key": [gstart + a], "weight": w})
-            if self.bound is not None and w > self.bound:
-                viol = {"key": [gstart + a], "weight": w}
-                break
-        return checked, viol, best
-
-    def _block_batch(self, gstart, pivots, cells, count, blo, bhi):
+    def _batch_weights(self, gstart, pivots, cells, blo, bhi):
         ctx = self.ctx
         n = ctx.n
         nfree = len(cells)
@@ -211,31 +226,12 @@ class ExhaustiveSweep:
                     deltas.append(m[l][cell_c][1 << b] if cell_i == i else 0)
                 tables.append(bitkernel.subset_xor_table(deltas))
         high_cells = cells[: nfree - low_cells]
-        checked = 0
-        viol = None
-        best = None
         for high in range(blo >> L, ((bhi - 1) >> L) + 1):
             sl_lo = max(blo - (high << L), 0)
             sl_hi = min(bhi - (high << L), size)
             bases = self._bases_for_high(pivots, high_cells, high, m)
             rows = [bases[r] ^ tables[r][sl_lo:sl_hi] for r in range(R)]
-            ranks = bitkernel.batch_rank(rows)
-            wts = R - ranks.astype(np.int64)
-            g0 = gstart + (high << L) + sl_lo
-            if self.bound is not None:
-                over = wts > self.bound
-                if over.any():
-                    off = int(np.argmax(over))
-                    w, _ = self._weight_at(pivots, cells, (high << L) + sl_lo + off)
-                    assert w == int(wts[off]), "batch/scalar weight mismatch"
-                    viol = {"key": [g0 + off], "weight": w}
-                    wts = wts[: off + 1]
-                    checked += off + 1
-                    best = _keep_best(best, _best_of(wts, g0))
-                    return checked, viol, best
-            checked += sl_hi - sl_lo
-            best = _keep_best(best, _best_of(wts, g0))
-        return checked, viol, best
+            yield (), gstart + (high << L) + sl_lo, R - bitkernel.batch_rank(rows).astype(np.int64)
 
     def _bases_for_high(self, pivots, high_cells, high, m):
         ctx = self.ctx
@@ -261,21 +257,6 @@ class ExhaustiveSweep:
         return bases
 
 
-def _keep_best(a, b):
-    if b is None:
-        return a
-    if a is None:
-        return b
-    return b if b["weight"] > a["weight"] else a
-
-
-def _best_of(wts, g0):
-    if len(wts) == 0:
-        return None
-    off = int(np.argmax(wts))
-    return {"key": [g0 + off], "weight": int(wts[off])}
-
-
 # --- witness-span sweep over tuples of U-vectors ---
 
 
@@ -288,10 +269,9 @@ class SpanSweep:
     """
 
     def __init__(self, tower, system, dmax: int, bound: int | None, engine: str):
-        self.ctx = _Context(tower, system)
+        self.ctx = _Context(tower, system, engine, dmax)
         self.dmax = dmax
         self.bound = bound
-        self.engine = engine
         t = tower
         self.NU = t.q**self.ctx.U.dim
         if self.NU > SPAN_TABLE_CAP and engine != "scalar":
@@ -347,163 +327,78 @@ class SpanSweep:
         return self._etabs
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
-        checked = 0
-        viol = None
-        best = None
-        u = lo
-        while u < hi and viol is None:
-            d = u // self.R + 1
-            pos = u % self.R
-            seg_hi = min(hi, (d - 1) * self.R + self.R)
-            use_batch = (
-                self.engine != "scalar" and self.ctx.batch_ok and self.NU <= SPAN_TABLE_CAP
-            )
-            if d == 1 and use_batch:
-                c, viol, b = self._phase1_batch(pos, seg_hi - (d - 1) * self.R)
-                u = seg_hi if viol is None else hi
+        return _scan(self, lo, hi)
+
+    def subspace(self, key) -> SubspaceQn:
+        vecs = [self.ctx.U.element(i) for i in key[1:]]
+        return SubspaceQn.from_vectors(self.ctx.tower, self.ctx.k, vecs)
+
+    def _weights(self, lo, hi):
+        R = self.R
+        for d in range(lo // R + 1, (hi - 1) // R + 2):
+            p_lo = max(lo - (d - 1) * R, 0)
+            p_hi = min(hi - (d - 1) * R, R)
+            if d == 1 and self.ctx.batch:
+                # q = 2: positions p_lo..p_hi-1 are the element indices p+1
+                red, _ = self._element_tables()
+                rows = [red[l][p_lo + 1 : p_hi + 1].copy() for l in range(self.ctx.n)]
+                yield (1,), p_lo + 1, self.ctx.n - bitkernel.batch_rank(rows).astype(np.int64)
             else:
-                c, viol, b = self._unit(d, pos, use_batch)
-                u += 1
-            checked += c
-            best = _keep_best(best, b)
-        return ChunkResult(lo, hi, checked, viol, best)
-
-    def _phase1_batch(self, pos_lo: int, pos_hi: int):
-        red, _ = self._element_tables()
-        n = self.ctx.n
-        i_lo, i_hi = self._first_index(pos_lo), self._first_index(pos_hi - 1) + 1
-        rows = [red[l][i_lo:i_hi].copy() for l in range(n)]
-        ranks = bitkernel.batch_rank(rows)
-        wts = n - ranks.astype(np.int64)
-        checked = pos_hi - pos_lo
-        best = None
-        off = int(np.argmax(wts))
-        best = {"key": [1, i_lo + off], "weight": int(wts[off])}
-        if self.bound is not None:
-            over = wts > self.bound
-            if over.any():
-                o = int(np.argmax(over))
-                w, _ = self._span_weight([i_lo + o])
-                assert w == int(wts[o])
-                wts = wts[: o + 1]
-                return o + 1, {"key": [1, i_lo + o], "weight": w}, _span_best(wts, i_lo, 1)
-        return checked, None, best
-
-    def _span_weight(self, indices) -> tuple[int, SubspaceQn]:
-        vecs = [self.ctx.U.element(i) for i in indices]
-        return self.ctx.weight_of_span(vecs)
-
-    def _unit(self, d: int, pos: int, use_batch: bool):
-        i1 = self._first_index(pos)
-        if d == 1:
-            w, _ = self._span_weight([i1])
-            best = {"key": [1, i1], "weight": w}
-            if self.bound is not None and w > self.bound:
-                return 1, best, best
-            return 1, None, best
-        if use_batch:
-            return self._unit_batch(d, i1)
-        return self._unit_scalar(d, i1)
+                tuples = self._batch_tuples if self.ctx.batch else self._scalar_tuples
+                for pos in range(p_lo, p_hi):
+                    yield from tuples(d, self._first_index(pos))
 
     # scalar tuple walk, any q
 
-    def _unit_scalar(self, d: int, i1: int):
+    def _scalar_tuples(self, d: int, i1: int):
         ctx = self.ctx
         U = ctx.U
-        checked = 0
-        viol = None
-        best = None
-        u1 = U.element(i1)
-        base_span = SubspaceQn.from_vectors(ctx.tower, ctx.k, [u1])
 
-        def walk(prefix_idx, prefix_span):
-            nonlocal checked, viol, best
-            depth = len(prefix_idx)
-            start = prefix_idx[-1] + 1
-            for j in range(start, self.NU):
-                if viol is not None:
-                    return
+        def walk(prefix, span):
+            if len(prefix) == d:
+                yield (d, *prefix[:-1]), prefix[-1], [subspace_weight(U, span)]
+                return
+            for j in range(prefix[-1] + 1, self.NU):
                 v = U.element(j)
-                if prefix_span.contains(v):
-                    continue
-                if depth + 1 == d:
-                    w, _ = self.ctx.weight_of_span([U.element(i) for i in prefix_idx] + [v])
-                    checked += 1
-                    rec = {"key": [d, *prefix_idx, j], "weight": w}
-                    best = _keep_best(best, rec)
-                    if self.bound is not None and w > self.bound:
-                        viol = rec
-                        return
-                else:
-                    span = SubspaceQn.from_vectors(
-                        ctx.tower, ctx.k, list(prefix_span.basis) + [v]
-                    )
-                    walk(prefix_idx + [j], span)
+                if not span.contains(v):
+                    grown = SubspaceQn.from_vectors(ctx.tower, ctx.k, list(span.basis) + [v])
+                    yield from walk(prefix + [j], grown)
 
-        walk([i1], base_span)
-        return checked, viol, best
+        yield from walk([i1], SubspaceQn.from_vectors(ctx.tower, ctx.k, [U.element(i1)]))
 
-    # batched tuple walk, q = 2
+    # batched tuple walk, q = 2, d >= 2: one batch per (d-1)-prefix
 
-    def _unit_batch(self, d: int, i1: int):
+    def _batch_tuples(self, d: int, i1: int):
         red, raw = self._element_tables()
-        ctx = self.ctx
-        n = ctx.n
-        checked = 0
-        viol = None
-        best = None
+        n = self.ctx.n
 
         def last_level(prefix):
-            nonlocal checked, viol, best
             start = prefix[-1] + 1
-            if start >= self.NU:
-                return
             pre_red = []
             pre_raw = []
             for i in prefix:
                 pre_red.extend(int(red[l][i]) for l in range(n))
                 pre_raw.extend(int(raw[l][i]) for l in range(n))
             prows, pbits = bitkernel.eliminate_rows(pre_red)
-            r_pre = len(prows)
             rows = [red[l][start:].copy() for l in range(n)]
             bitkernel.reduce_static(rows, prows, pbits)
-            ranks = bitkernel.batch_rank(rows)
-            wts = (d * n - r_pre) - ranks.astype(np.int64)
+            wts = (d * n - len(prows)) - bitkernel.batch_rank(rows).astype(np.int64)
             dep = self._dependent_mask(prefix, pre_raw, start)
-            wts = np.where(dep, np.int64(-1), wts)
-            n_dep = int(dep.sum())
-            if self.bound is not None:
-                over = wts > self.bound
-                if over.any():
-                    o = int(np.argmax(over))
-                    w, _ = self._span_weight(prefix + [start + o])
-                    assert w == int(wts[o])
-                    # count checked tuples up to and including the violation
-                    checked += int((~dep[: o + 1]).sum())
-                    best = _keep_best(best, _span_best(wts[: o + 1], start, d, prefix))
-                    viol = {"key": [d, *prefix, start + o], "weight": w}
-                    return
-            checked += (self.NU - start) - n_dep
-            best = _keep_best(best, _span_best(wts, start, d, prefix))
+            return np.where(dep, np.int64(-1), wts)
 
         def walk(prefix, prefix_raw_rows):
-            nonlocal viol
-            if viol is not None:
-                return
             if len(prefix) == d - 1:
-                last_level(prefix)
+                if prefix[-1] + 1 < self.NU:
+                    yield (d, *prefix), prefix[-1] + 1, last_level(prefix)
                 return
             prows, pbits = bitkernel.eliminate_rows(prefix_raw_rows)
             for j in range(prefix[-1] + 1, self.NU):
-                if viol is not None:
-                    return
                 jrows = [int(raw[l][j]) for l in range(n)]
                 if all(_reduce_scalar(r, prows, pbits) == 0 for r in jrows):
                     continue  # dependent prefix
-                walk(prefix + [j], prefix_raw_rows + jrows)
+                yield from walk(prefix + [j], prefix_raw_rows + jrows)
 
-        walk([i1], [int(raw[l][i1]) for l in range(n)])
-        return checked, viol, best
+        yield from walk([i1], [int(raw[l][i1]) for l in range(n)])
 
     def _dependent_mask(self, prefix, pre_raw, start):
         """Mask of elements u_j (j >= start) inside the extension span of the prefix."""
@@ -538,14 +433,6 @@ class SpanSweep:
         return added == 0
 
 
-def _span_best(wts, start, d, prefix=None):
-    if len(wts) == 0:
-        return None
-    off = int(np.argmax(wts))
-    key = [d, *(prefix or []), start + off] if prefix is not None else [d, start + off]
-    return {"key": key, "weight": int(wts[off])}
-
-
 def _reduce_scalar(row: int, prows, pbits) -> int:
     for pr, pb in zip(prows, pbits):
         if (row >> pb) & 1:
@@ -561,45 +448,33 @@ class SampledSweep:
     so chunks can run in any order and resumes are exact."""
 
     def __init__(self, tower, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
-        self.ctx = _Context(tower, system)
+        self.ctx = _Context(tower, system, engine, dim)
         self.dim = dim
         self.bound = bound
         self.seed = seed
-        self.engine = engine
         self.total_units = budget
 
-    def sample(self, i: int) -> SubspaceQn:
+    def run_units(self, lo: int, hi: int) -> ChunkResult:
+        return _scan(self, lo, hi)
+
+    def subspace(self, key) -> SubspaceQn:
         return sample_subspace(
-            self.ctx.tower, self.ctx.k, self.dim, derive_seed(self.seed, "sample", i)
+            self.ctx.tower, self.ctx.k, self.dim, derive_seed(self.seed, "sample", key[0])
         )
 
-    def run_units(self, lo: int, hi: int) -> ChunkResult:
-        use_batch = self.engine != "scalar" and self.ctx.batch_ok and self.dim > 0
-        if use_batch:
-            return self._run_batch(lo, hi)
-        checked = 0
-        viol = None
-        best = None
-        for i in range(lo, hi):
-            H = self.sample(i)
-            w = self.ctx.weight_of_subspace(H)
-            checked += 1
-            rec = {"key": [i], "weight": w}
-            best = _keep_best(best, rec)
-            if self.bound is not None and w > self.bound:
-                viol = rec
-                break
-        return ChunkResult(lo, hi, checked, viol, best)
-
-    def _run_batch(self, lo: int, hi: int) -> ChunkResult:
+    def _weights(self, lo, hi):
         ctx = self.ctx
+        if not ctx.batch:
+            for i in range(lo, hi):
+                yield (), i, [subspace_weight(ctx.U, self.subspace([i]))]
+            return
         n = ctx.n
         m_np = ctx.m_red_np()
         d = self.dim
         B = hi - lo
         vals = np.empty((B, d, ctx.k), dtype=np.int64)
         for off in range(B):
-            H = self.sample(lo + off)
+            H = self.subspace([lo + off])
             for j, row in enumerate(H.basis):
                 vals[off, j, :] = row
         rows = []
@@ -609,25 +484,7 @@ class SampledSweep:
                 for c in range(ctx.k):
                     acc ^= m_np[l][c][vals[:, j, c]]
                 rows.append(acc)
-        ranks = bitkernel.batch_rank(rows)
-        wts = d * n - ranks.astype(np.int64)
-        checked = B
-        viol = None
-        if self.bound is not None:
-            over = wts > self.bound
-            if over.any():
-                o = int(np.argmax(over))
-                H = self.sample(lo + o)
-                w = ctx.weight_of_subspace(H)
-                assert w == int(wts[o])
-                viol = {"key": [lo + o], "weight": w}
-                wts = wts[: o + 1]
-                checked = o + 1
-        best = None
-        if len(wts):
-            off = int(np.argmax(wts))
-            best = {"key": [lo + off], "weight": int(wts[off])}
-        return ChunkResult(lo, hi, checked, viol, best)
+        yield (), lo, d * n - bitkernel.batch_rank(rows).astype(np.int64)
 
 
 # --- sweep registry for worker processes ---
@@ -701,19 +558,11 @@ class Verdict:
         }
 
 
-def _build_witness(system: QSystem, sweep, mode: str, key, weight: int) -> Witness:
+def _build_witness(system: QSystem, sweep, key, weight: int) -> Witness:
     tower = system.tower
     U = system.subspace
-    if mode == "witness_span":
-        d = key[0]
-        vecs = [U.element(i) for i in key[1:]]
-        H = SubspaceQn.from_vectors(tower, system.ambient, vecs)
-    elif mode == "sampled":
-        H = sweep.sample(key[0])
-    else:
-        H = subspace_at(tower, system.ambient, sweep.dim, key[0])
-    w = subspace_weight(U, H)
-    if w != weight:
+    H = sweep.subspace(key)
+    if subspace_weight(U, H) != weight:
         raise AssertionError("witness does not re-verify")
     inter = intersection_rows(tower, U.width, U.fq_rows, subspace_fq_rows(tower, H))
     vectors = [unexpand_row(tower, r, system.ambient) for r in inter]
@@ -733,8 +582,6 @@ def _run_verification(
     chunk_size,
     stop_after_units=None,
 ):
-    if mode not in ("exhaustive", "witness_span", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     tower = system.tower
     desc = {
         "field": tower.descriptor(),
@@ -743,21 +590,17 @@ def _run_verification(
         "bound": bound,
     }
     if mode == "exhaustive":
-        desc["kind"] = "exhaustive"
-        desc["dim"] = dim
-        total = gaussian_binomial(system.ambient, dim, tower.order)
+        desc.update(kind="exhaustive", dim=dim)
     elif mode == "witness_span":
-        desc["kind"] = "span"
-        desc["dmax"] = dim
-        total = build_sweep(desc).total_units
-    else:
+        desc.update(kind="span", dmax=dim)
+    elif mode == "sampled":
         if budget is None:
             raise ValueError("sampled mode requires a budget")
-        desc["kind"] = "sampled"
-        desc["dim"] = dim
-        desc["seed"] = seed if seed is not None else 0
-        desc["budget"] = budget
-        total = budget
+        desc.update(kind="sampled", dim=dim, seed=seed if seed is not None else 0, budget=budget)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    sweep = build_sweep(desc)
+    total = sweep.total_units
     chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(total, 1))
     outcome = run_sweep(
         desc,
@@ -768,10 +611,9 @@ def _run_verification(
         budget_units=budget if mode != "sampled" else None,
         stop_after_units=stop_after_units,
     )
-    sweep = build_sweep(desc)
     witness = None
     if outcome.viol is not None:
-        witness = _build_witness(system, sweep, mode, outcome.viol["key"], outcome.viol["weight"])
+        witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
     return outcome, witness, desc
 
 

@@ -236,3 +236,27 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path):
         resumed.viol,
         resumed.best,
     )
+
+
+def test_cli_resumes_from_a_torn_checkpoint(tmp_path, capsys):
+    """A kill in mid-append tears the last checkpoint line; resume reruns that chunk."""
+    argv = [
+        "verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus",
+        "--h", "2", "--mode", "exhaustive", "--chunk-size", "20",
+    ]
+    straight = str(tmp_path / "straight.json")
+    assert main(argv + ["--out", straight]) == 0
+    ck = tmp_path / "ck.jsonl"
+    assert main(argv + ["--checkpoint", str(ck), "--out", str(tmp_path / "first.json")]) == 0
+    data = ck.read_bytes()
+    ck.write_bytes(data[: len(data) - 9])
+    resumed = str(tmp_path / "resumed.json")
+    assert main(argv + ["--checkpoint", str(ck), "--out", resumed]) == 0
+    assert reports.body_bytes(load(resumed)) == reports.body_bytes(load(straight))
+    # corruption before the last line is a configuration error naming the line
+    lines = ck.read_text().splitlines(keepends=True)
+    lines[5] = lines[5][:-9] + "\n"
+    ck.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(argv + ["--checkpoint", str(ck)]) == 3
+    assert f"checkpoint {ck} line 6 is malformed" in capsys.readouterr().err

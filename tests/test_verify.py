@@ -181,6 +181,11 @@ def test_engines_agree_on_sampled(F16):
     fast = verify_h_scattered(ps, 2, mode="sampled", budget=64, seed=9)
     slow = verify_h_scattered(ps, 2, mode="sampled", budget=64, seed=9, engine="scalar")
     assert (fast.status, fast.checked) == (slow.status, slow.checked)
+    # a violation: both engines cut at the same first witness
+    lc = line_control_subspace(F16, 2)
+    for engine in ("auto", "scalar"):
+        v = verify_h_scattered(lc, 1, mode="sampled", budget=500, seed=3, engine=engine)
+        assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 9, [8])
 
 
 def test_engines_agree_over_odd_characteristic():
@@ -311,3 +316,70 @@ def test_build_sweep_registry(F16):
     out = sweep.run_units(0, 273)
     assert out.checked == 273 and out.viol is None
     assert desc_hash(desc) == desc_hash(json.loads(json.dumps(desc)))
+
+
+
+@pytest.fixture
+def ps2_desc(F16):
+    return {
+        "kind": "exhaustive",
+        "field": F16.descriptor(),
+        "system": {"kind": "pseudoregulus", "h": 2},
+        "dim": 2,
+        "bound": 2,
+        "engine": "auto",
+    }
+
+
+def test_checkpoint_torn_final_line_is_dropped_and_rerun(tmp_path, ps2_desc):
+    straight = run_sweep(ps2_desc, 273, 20)
+    ck = tmp_path / "ck.jsonl"
+    run_sweep(ps2_desc, 273, 20, checkpoint=str(ck))
+    data = ck.read_bytes()
+    ck.write_bytes(data[: len(data) - 9])  # a kill in mid-append tears the last line
+    assert run_sweep(ps2_desc, 273, 20, checkpoint=str(ck)) == straight
+    # the torn tail was replaced by the rerun chunk's whole line
+    lines = ck.read_text().splitlines()
+    assert [json.loads(line)["lo"] for line in lines[1:]] == list(range(0, 273, 20))
+
+
+def test_checkpoint_torn_header_starts_over(tmp_path, ps2_desc):
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text('{"chunk_size": 20, "desc')
+    assert run_sweep(ps2_desc, 273, 20, checkpoint=str(ck)) == run_sweep(ps2_desc, 273, 20)
+
+
+def test_checkpoint_malformed_lines_name_the_line(tmp_path, ps2_desc):
+    ck = tmp_path / "ck.jsonl"
+    run_sweep(ps2_desc, 273, 20, checkpoint=str(ck))
+    lines = ck.read_text().splitlines(keepends=True)
+    for no, bad in ((3, lines[2][:-9] + "\n"), (4, '{"lo": 40}\n'), (1, "not json\n")):
+        broken = tmp_path / f"broken{no}.jsonl"
+        broken.write_text("".join(lines[: no - 1] + [bad] + lines[no:]))
+        with pytest.raises(ValueError, match=f"checkpoint {broken} line {no} is malformed"):
+            run_sweep(ps2_desc, 273, 20, checkpoint=str(broken))
+
+
+def test_unknown_engine_is_rejected(F16, ps2_desc):
+    ps = pseudoregulus_subspace(F16, 2)
+    for engine in ("batch", "Scalar", "numpy"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            verify_h_scattered(ps, 2, mode="exhaustive", engine=engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            build_sweep(dict(ps2_desc, engine=engine))
+
+
+def test_max_weight_search_keeps_the_earliest_maximum(F8):
+    # every engine, worker count and chunking reports the same first maximum
+    from rankscatter.construction import direct_sum
+
+    ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
+    expected = {1: (1, [64], 585), 2: (3, [0], 4745), 3: (4, [1], 585)}
+    for dim in (1, 2, 3):
+        results = [
+            max_weight_search(ds, dim, engine=engine, workers=workers, chunk_size=chunk)[:3]
+            for engine in ("auto", "scalar")
+            for workers in (1, 2)
+            for chunk in (1, None)
+        ]
+        assert all(r == expected[dim] for r in results), (dim, results)
