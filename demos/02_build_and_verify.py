@@ -5,13 +5,13 @@ Run with: python demos/02_build_and_verify.py
 
 from rankscatter import (
     ConstructionParams,
-    alpha_invariant,
     create_field,
     family_subspace,
-    is_admissible,
     line_control_subspace,
     pseudoregulus_subspace,
     scattered_dim_bound,
+    tuple_admissible,
+    tuple_invariant,
     verify_h_scattered,
 )
 
@@ -24,8 +24,8 @@ g = F.p
 #    power in F_16, so the tuple is admissible.
 # ---------------------------------------------------------------
 params = ConstructionParams(F, m=4, h=2, alphas=(g, 1, 1, 1))
-print("invariant:", F.element(alpha_invariant(params)))
-print("admissible:", is_admissible(params))
+print("invariant:", F.element(tuple_invariant(F, params.m, params.alphas)))
+print("admissible:", tuple_admissible(F, params.m, params.alphas))
 
 # ---------------------------------------------------------------
 # 2. Build the subspace.  It lives in F_16^12, has F_2-dimension

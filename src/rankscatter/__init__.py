@@ -24,16 +24,16 @@ from .construction import (
     ConstructionParams,
     QSystem,
     admissibility_feasible,
-    alpha_invariant,
-    cyclic_invariant,
+    cyclic_tuple_invariant,
     direct_sum,
     family_subspace,
     find_admissible,
-    is_admissible,
-    is_strongly_admissible,
     line_control_subspace,
     pseudoregulus_subspace,
     scan_admissible,
+    tuple_admissible,
+    tuple_invariant,
+    tuple_strongly_admissible,
 )
 from .verify import (
     Verdict,

@@ -3,7 +3,8 @@
 A batch is a list of R arrays of shape (B,): entry j of every array is one
 row of the j-th matrix in the batch, packed into at most 64 bits.  Pivots
 are lowest set bits, matching the scalar BitRows convention, so batch and
-scalar sweeps agree bit for bit.
+scalar sweeps agree bit for bit.  Everything here is batched; scalar row
+elimination is `linalg.BitRows`.
 """
 
 from __future__ import annotations
@@ -53,16 +54,3 @@ def subset_xor_table(deltas: list[int]) -> np.ndarray:
         t[half : 2 * half] = t[:half] ^ U64(d)
     return t
 
-
-def eliminate_rows(static_rows: list[int]) -> tuple[list[int], list[int]]:
-    """Forward-eliminate scalar rows; returns (pivot_rows, pivot_bits)."""
-    piv_rows: list[int] = []
-    piv_bits: list[int] = []
-    for r in static_rows:
-        for pr, pb in zip(piv_rows, piv_bits):
-            if (r >> pb) & 1:
-                r ^= pr
-        if r:
-            piv_rows.append(r)
-            piv_bits.append((r & -r).bit_length() - 1)
-    return piv_rows, piv_bits

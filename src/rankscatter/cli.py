@@ -29,12 +29,12 @@ from .construction import (
     admissibility_feasible,
     direct_sum,
     family_subspace,
-    is_admissible,
-    is_strongly_admissible,
     line_control_subspace,
     pseudoregulus_subspace,
     scan_admissible,
     system_to_desc,
+    tuple_admissible,
+    tuple_strongly_admissible,
 )
 from .field import FieldTower
 from .verify import verify_evasive, verify_h_scattered
@@ -172,7 +172,7 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, dict | None]:
                 "no admissible tuple exists for these (q, n, m); every theorem "
                 "instance is vacuous (pass --force to proceed anyway)"
             )
-        if not is_admissible(params):
+        if not tuple_admissible(params.tower, params.m, params.alphas):
             print("warning: tuple is not admissible; no scatteredness guarantee", file=sys.stderr)
         return family_subspace(params), params.serialize()
     if kind == "pseudoregulus":
@@ -208,8 +208,8 @@ def _cmd_construct(args) -> int:
     result["canonical_generators"] = system.subspace.serialize() if system.t <= 64 else None
     if params_ser is not None:
         p = ConstructionParams.deserialize(params_ser, tower)
-        result["admissible"] = is_admissible(p)
-        result["strongly_admissible"] = is_strongly_admissible(p)
+        result["admissible"] = tuple_admissible(p.tower, p.m, p.alphas)
+        result["strongly_admissible"] = tuple_strongly_admissible(p.tower, p.m, p.alphas)
         result["feasible"] = admissibility_feasible(tower, args.m)
     config = {"system": system_to_desc(system), "force": bool(args.force)}
     report = reports.build_report(
@@ -320,8 +320,8 @@ def _cmd_compare(args) -> int:
     baseline = predicted_direct_sum_profile(args.m, tower.n, args.h)
     result = {
         "indices": table,
-        "admissible": is_admissible(params),
-        "strongly_admissible": is_strongly_admissible(params),
+        "admissible": tuple_admissible(params.tower, params.m, params.alphas),
+        "strongly_admissible": tuple_strongly_admissible(params.tower, params.m, params.alphas),
         "baseline_profile": baseline.serialize(),
     }
     config = {

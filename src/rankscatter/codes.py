@@ -16,10 +16,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .construction import ConstructionParams, QSystem, is_admissible, is_strongly_admissible
-from .field import FieldTower
+from .construction import (
+    ConstructionParams,
+    QSystem,
+    tuple_admissible,
+    tuple_strongly_admissible,
+)
+from .field import FieldTower, _digits
 from .linalg import (
     FqSubspace,
+    expand_vector,
     make_rows,
     matrix_rank,
     nullspace,
@@ -84,18 +90,8 @@ def code_from_system(system: QSystem) -> RankCode:
 def rank_weight(tower: FieldTower, v) -> int:
     """F_q-dimension of the span of the coordinates of v."""
     acc = make_rows(tower)
-    n = tower.n
     for x in v:
-        if x == 0:
-            continue
-        e = tower.expand_scalar(x)
-        if tower.q == 2:
-            row = 0
-            for j, b in enumerate(e):
-                row |= b << j
-            acc.add(row)
-        else:
-            acc.add(list(e))
+        acc.add(expand_vector(tower, (x,)))
     return acc.rank
 
 
@@ -122,6 +118,16 @@ def _messages_projective(Q: int, k: int):
             yield tuple(msg)
 
 
+def _messages_sampled(Q: int, k: int, budget: int, seed: int):
+    """`budget` seeded random nonzero messages (an all-zero draw gets a leading 1)."""
+    rng = random.Random(derive_seed(seed, "mindist"))
+    for _ in range(budget):
+        msg = [rand_below(rng, Q) for _ in range(k)]
+        if not any(msg):
+            msg[0] = 1
+        yield msg
+
+
 def min_distance(
     code: RankCode, mode: str = "projective", budget: int | None = None, seed: int = 0
 ) -> DistanceEstimate:
@@ -133,41 +139,22 @@ def min_distance(
     """
     t = code.tower
     Q = t.order
-    best = code.t + 1
-    checked = 0
     if mode == "exhaustive":
-        for m in range(1, Q**code.k):
-            msg = []
-            a = m
-            for _ in range(code.k):
-                a, v = divmod(a, Q)
-                msg.append(v)
-            w = rank_weight(t, code.codeword(msg))
-            checked += 1
-            if w < best:
-                best = w
-        return DistanceEstimate(best, True, mode, checked)
-    if mode == "projective":
-        for msg in _messages_projective(Q, code.k):
-            w = rank_weight(t, code.codeword(msg))
-            checked += 1
-            if w < best:
-                best = w
-        return DistanceEstimate(best, True, mode, checked)
-    if mode == "sampled":
+        messages = (_digits(a, Q, code.k) for a in range(1, Q**code.k))
+    elif mode == "projective":
+        messages = _messages_projective(Q, code.k)
+    elif mode == "sampled":
         if budget is None:
             raise ValueError("sampled mode requires a budget")
-        rng = random.Random(derive_seed(seed, "mindist"))
-        for _ in range(budget):
-            msg = [rand_below(rng, Q) for _ in range(code.k)]
-            if not any(msg):
-                msg[0] = 1
-            w = rank_weight(t, code.codeword(msg))
-            checked += 1
-            if w < best:
-                best = w
-        return DistanceEstimate(best, False, mode, checked)
-    raise ValueError(f"unknown mode {mode!r}")
+        messages = _messages_sampled(Q, code.k, budget, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    best = code.t + 1
+    checked = 0
+    for msg in messages:
+        best = min(best, rank_weight(t, code.codeword(msg)))
+        checked += 1
+    return DistanceEstimate(best, mode != "sampled", mode, checked)
 
 
 def dual_code(code: RankCode) -> RankCode:
@@ -378,7 +365,7 @@ def family_weight_bounds(params: ConstructionParams, s_list=None) -> WeightProfi
     m, h, n = params.m, params.h, params.tower.n
     if h < 2:
         raise ValueError("weight bounds require h >= 2")
-    if not is_admissible(params):
+    if not tuple_admissible(params.tower, params.m, params.alphas):
         raise ValueError("tuple is not admissible; bounds do not apply")
     k = m * (h + 1)
     t = m * n
@@ -390,7 +377,7 @@ def family_weight_bounds(params: ConstructionParams, s_list=None) -> WeightProfi
         if not 2 <= s <= m - 2:
             raise ValueError(f"s = {s} out of range 2..{m - 2}")
     if wanted:
-        if not is_strongly_admissible(params):
+        if not tuple_strongly_admissible(params.tower, params.m, params.alphas):
             raise ValueError(
                 "bounds at rho = s(h+1) for s >= 2 require a strongly admissible tuple"
             )

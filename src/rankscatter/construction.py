@@ -92,11 +92,17 @@ def cyclic_tuple_invariant(tower: FieldTower, m: int, alphas: Sequence[int], i: 
 
 
 def tuple_admissible(tower: FieldTower, m: int, alphas: Sequence[int]) -> bool:
+    """True iff the tuple invariant is not a (1+q+...+q^(m-1))-th power."""
     e = power_sum_exponent(tower.q, m)
     return not tower.is_power_residue(tuple_invariant(tower, m, alphas), e)
 
 
 def tuple_strongly_admissible(tower: FieldTower, m: int, alphas: Sequence[int]) -> bool:
+    """Admissible, and no cyclic-invariant ratio is a (q^m - 1)-th power.
+
+    The stronger condition feeds the sharper evasiveness statements for
+    codimensions s(h+1) with s >= 2.
+    """
     if not tuple_admissible(tower, m, alphas):
         return False
     qm1 = tower.q**m - 1
@@ -108,19 +114,6 @@ def tuple_strongly_admissible(tower: FieldTower, m: int, alphas: Sequence[int]) 
     return True
 
 
-def alpha_invariant(params: ConstructionParams) -> int:
-    return tuple_invariant(params.tower, params.m, params.alphas)
-
-
-def cyclic_invariant(params: ConstructionParams, i: int) -> int:
-    return cyclic_tuple_invariant(params.tower, params.m, params.alphas, i)
-
-
-def is_admissible(params: ConstructionParams) -> bool:
-    """True iff the tuple invariant is not a (1+q+...+q^(m-1))-th power."""
-    return tuple_admissible(params.tower, params.m, params.alphas)
-
-
 def admissibility_feasible(tower: FieldTower, m: int) -> bool:
     """Whether admissible tuples can exist at all for this (q, n, m).
 
@@ -130,15 +123,6 @@ def admissibility_feasible(tower: FieldTower, m: int) -> bool:
     """
     e = power_sum_exponent(tower.q, m)
     return math.gcd(e, tower.order - 1) > 1
-
-
-def is_strongly_admissible(params: ConstructionParams) -> bool:
-    """Admissible, and no cyclic-invariant ratio is a (q^m - 1)-th power.
-
-    The stronger condition feeds the sharper evasiveness statements for
-    codimensions s(h+1) with s >= 2.
-    """
-    return tuple_strongly_admissible(params.tower, params.m, params.alphas)
 
 
 # --- q-systems ---
@@ -375,10 +359,7 @@ def find_admissible(tower: FieldTower, m: int, h: int, strong: bool = False, lim
         count += 1
         if count > limit:
             return None
-        params = ConstructionParams(tower, m, h, tup)
-        if strong:
-            if is_strongly_admissible(params):
-                return params
-        elif is_admissible(params):
-            return params
+        test = tuple_strongly_admissible if strong else tuple_admissible
+        if test(tower, m, tup):
+            return ConstructionParams(tower, m, h, tup)
     return None

@@ -463,17 +463,9 @@ class FieldTower:
         """Canonical F_p-generator of the subfield F_q (1 when s = 1)."""
         if self.s == 1:
             return 1
+        # degree exactly s over F_p: fixed by no Frobenius power x -> x^(p^j), 0 < j < s
         for x in range(2, self.order):
-            if not self.in_subfield(x):
-                continue
-            # degree over F_p must be exactly s
-            rows = []
-            acc = 1
-            ok = True
-            for _ in range(self.s):
-                rows.append(self.coeffs(acc))
-                acc = self.mul(acc, x)
-            if _fp_rank(rows, self.p) == self.s:
+            if self.in_subfield(x) and all(self.pow(x, self.p**j) != x for j in range(1, self.s)):
                 return x
         raise RuntimeError("no subfield generator found")  # pragma: no cover
 
@@ -542,27 +534,6 @@ class FieldTower:
     def gen(self) -> "FieldElement":
         """The class of z, a degree-sn element generating the whole tower."""
         return FieldElement(self, self.p)
-
-
-def _fp_rank(rows, p):
-    work = [list(r) for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] % p), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % p:
-                c = work[r][col]
-                work[r] = [(x - c * y) % p for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 def _fp_invert(matrix, p):

@@ -6,6 +6,11 @@ compare equal structurally.  F_q-subspaces are held by generators plus a
 cached RREF of their F_q-expansion: bit-packed integer rows when q = 2,
 index rows with table arithmetic otherwise.
 
+This module alone owns that row format.  Only `make_rows`, `expand_vector`,
+`unexpand_row` and the two row containers (`BitRows`, `IdxRows`) know it;
+everything else builds rows with `expand_vector`, reads them back with
+`unexpand_row`, and asks a container for `add`, `contains` and `rank`.
+
 Row convention for expansions: the coordinate l of extension coordinate c
 sits at position c*n + l.  For q = 2 that position is a bit index, and the
 leftmost column is bit 0, so the pivot of a row is its lowest set bit.
@@ -158,6 +163,9 @@ class BitRows:
         self.rows.insert(idx, v)
         return True
 
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -202,6 +210,9 @@ class IdxRows:
         self.pivots.insert(idx, p)
         self.rows.insert(idx, v)
         return True
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self.reduce(v))
 
     @property
     def rank(self) -> int:
@@ -297,10 +308,6 @@ class FqSubspace:
     def fq_rows(self):
         return self._rref.rows
 
-    @property
-    def fq_pivots(self):
-        return self._rref.pivots
-
     @cached_property
     def canonical_generators(self) -> tuple[Vector, ...]:
         """Generators read back from the expansion RREF; a frozen basis."""
@@ -314,8 +321,7 @@ class FqSubspace:
         return self._rref.reduce(row)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        r = self.reduce_row(expand_vector(self.tower, vec))
-        return (r == 0) if self.tower.q == 2 else not any(r)
+        return self._rref.contains(expand_vector(self.tower, vec))
 
     def element(self, index: int) -> Vector:
         """Element with the given coefficient index over canonical_generators.
@@ -346,9 +352,7 @@ class FqSubspace:
         )
 
     def __hash__(self):
-        rows = self.fq_rows
-        key = tuple(rows) if self.tower.q == 2 else tuple(tuple(r) for r in rows)
-        return hash((self.tower, self.k, key))
+        return hash((self.tower, self.k, self.canonical_generators))
 
     def serialize(self) -> list:
         t = self.tower
@@ -364,10 +368,8 @@ def sum_dim(S: FqSubspace, T: FqSubspace) -> int:
     if S.tower != T.tower or S.k != T.k:
         raise ValueError("subspaces live in different ambient spaces")
     acc = make_rows(S.tower)
-    for r in S.fq_rows:
-        acc.add(r if S.tower.q == 2 else list(r))
-    for r in T.fq_rows:
-        acc.add(r if S.tower.q == 2 else list(r))
+    for r in (*S.fq_rows, *T.fq_rows):
+        acc.add(r)
     return acc.rank
 
 
@@ -377,33 +379,24 @@ def intersection_dim(S: FqSubspace, T: FqSubspace) -> int:
 
 
 def intersection_rows(tower: FieldTower, width: int, s_rows, t_rows) -> list:
-    """F_q-basis rows of (span s_rows) n (span t_rows), Zassenhaus style.
+    """RREF rows of (span s_rows) n (span t_rows) over F_q, Zassenhaus style.
 
-    Rows of [[S | S], [T | 0]] are reduced; reduced rows whose left block
-    vanished have right blocks spanning the intersection.
+    The 2k-vectors (s, s) and (t, 0) are reduced; reduced rows whose left
+    half vanished have right halves spanning the intersection.
     """
-    if tower.q == 2:
-        acc = BitRows()
-        for r in s_rows:
-            acc.add(r | (r << width))
-        for r in t_rows:
-            acc.add(r)
-        mask = (1 << width) - 1
-        out = [row >> width for row in acc.rows if row & mask == 0]
-        fin = BitRows()
-        for r in out:
-            fin.add(r)
-        return list(fin.rows)
-    acc = IdxRows(tower)
+    k = width // tower.n
+    acc = make_rows(tower)
     for r in s_rows:
-        acc.add(list(r) + list(r))
+        v = unexpand_row(tower, r, k)
+        acc.add(expand_vector(tower, v + v))
     for r in t_rows:
-        acc.add(list(r) + [0] * width)
-    out = [row[width:] for row in acc.rows if not any(row[:width])]
-    fin = IdxRows(tower)
-    for r in out:
-        fin.add(r)
-    return [list(r) for r in fin.rows]
+        acc.add(expand_vector(tower, unexpand_row(tower, r, k) + (0,) * k))
+    fin = make_rows(tower)
+    for row in acc.rows:
+        v = unexpand_row(tower, row, 2 * k)
+        if not any(v[:k]):
+            fin.add(expand_vector(tower, v[k:]))
+    return list(fin.rows)
 
 
 # --- Grassmannian bookkeeping ---

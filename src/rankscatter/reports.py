@@ -179,12 +179,10 @@ def _check_intersection(tower, system, H, wit, problems):
             problems.append("intersection vector lies outside the subspace")
             return
         row = expand_vector(tower, v)
-        rem = h_acc.reduce(row if tower.q == 2 else list(row))
-        nonzero = rem != 0 if tower.q == 2 else any(rem)
-        if nonzero:
+        if not h_acc.contains(row):
             problems.append("intersection vector lies outside the witness subspace")
             return
-        if not indep.add(row if tower.q == 2 else list(row)):
+        if not indep.add(row):
             problems.append("intersection basis rows are dependent")
             return
 

@@ -39,6 +39,7 @@ import numpy as np
 from . import bitkernel
 from .field import FieldTower
 from .linalg import (
+    BitRows,
     FqSubspace,
     SubspaceQn,
     derive_seed,
@@ -124,10 +125,14 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
+
+
 class _Context:
     def __init__(self, tower: FieldTower, system: QSystem, engine: str, dim: int):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
+        _check_engine(engine)
         self.tower = tower
         self.U = system.subspace
         self.k = system.ambient
@@ -148,13 +153,7 @@ class _Context:
             for l in range(n):
                 per_c = []
                 b = t.q_basis[l]
-                base_tab = [0] * t.order
-                for v in range(t.order):
-                    e = t.expand_scalar(t.mul(b, v))
-                    bits = 0
-                    for j, x in enumerate(e):
-                        bits |= x << j
-                    base_tab[v] = bits
+                base_tab = [expand_vector(t, (t.mul(b, v),)) for v in range(t.order)]
                 for c in range(k):
                     per_c.append([U.reduce_row(x << (c * n)) for x in base_tab])
                 tabs.append(per_c)
@@ -279,29 +278,23 @@ class SpanSweep:
                 f"witness-span sweep over {self.NU} subspace elements exceeds the cap; "
                 "use sampled mode"
             )
-        if t.q == 2:
-            self.reps = None  # identity: position p -> element index p+1
-            self.R = self.NU - 1
-        else:
-            reps = []
-            for idx in range(1, self.NU):
-                if self._is_rep(idx):
-                    reps.append(idx)
-            self.reps = reps
-            self.R = len(reps)
+        # scalar-class representatives are the indices whose top base-q digit
+        # is 1: the ranges [q^e, 2q^e) for e < dim U
+        self.R = (self.NU - 1) // (t.q - 1)
         self.total_units = self.dmax * self.R
 
-    def _is_rep(self, idx: int) -> bool:
-        # scalar-class representative: highest nonzero base-q digit equals 1
-        q = self.ctx.tower.q
-        digits = []
-        while idx:
-            idx, d = divmod(idx, q)
-            digits.append(d)
-        return digits[-1] == 1
-
     def _first_index(self, pos: int) -> int:
-        return pos + 1 if self.reps is None else self.reps[pos]
+        """Element index of representative `pos`.
+
+        With v = pos*(q-1) + 1 in [q^e, q^(e+1)), it is q^e + (v - q^e)/(q-1);
+        for q = 2 that is pos + 1.
+        """
+        q = self.ctx.tower.q
+        v = pos * (q - 1) + 1
+        qe = 1
+        while qe * q <= v:
+            qe *= q
+        return qe + (v - qe) // (q - 1)
 
     # batch tables
 
@@ -372,48 +365,43 @@ class SpanSweep:
         red, raw = self._element_tables()
         n = self.ctx.n
 
-        def last_level(prefix):
+        def rows_of(tabs, prefix):
+            return [int(tabs[l][i]) for i in prefix for l in range(n)]
+
+        def last_level(prefix, pre_raw):
             start = prefix[-1] + 1
-            pre_red = []
-            pre_raw = []
-            for i in prefix:
-                pre_red.extend(int(red[l][i]) for l in range(n))
-                pre_raw.extend(int(raw[l][i]) for l in range(n))
-            prows, pbits = bitkernel.eliminate_rows(pre_red)
+            pre_red = _bit_rows(rows_of(red, prefix))
             rows = [red[l][start:].copy() for l in range(n)]
-            bitkernel.reduce_static(rows, prows, pbits)
-            wts = (d * n - len(prows)) - bitkernel.batch_rank(rows).astype(np.int64)
-            dep = self._dependent_mask(prefix, pre_raw, start)
+            bitkernel.reduce_static(rows, pre_red.rows, pre_red.pivots)
+            wts = (d * n - pre_red.rank) - bitkernel.batch_rank(rows).astype(np.int64)
+            dep = self._dependent_mask(prefix, pre_red, pre_raw, start)
             return np.where(dep, np.int64(-1), wts)
 
-        def walk(prefix, prefix_raw_rows):
+        def walk(prefix, pre_raw):
             if len(prefix) == d - 1:
                 if prefix[-1] + 1 < self.NU:
-                    yield (d, *prefix), prefix[-1] + 1, last_level(prefix)
+                    yield (d, *prefix), prefix[-1] + 1, last_level(prefix, pre_raw)
                 return
-            prows, pbits = bitkernel.eliminate_rows(prefix_raw_rows)
             for j in range(prefix[-1] + 1, self.NU):
-                jrows = [int(raw[l][j]) for l in range(n)]
-                if all(_reduce_scalar(r, prows, pbits) == 0 for r in jrows):
+                jrows = rows_of(raw, [j])
+                if all(pre_raw.contains(r) for r in jrows):
                     continue  # dependent prefix
-                yield from walk(prefix + [j], prefix_raw_rows + jrows)
+                yield from walk(prefix + [j], _bit_rows(pre_raw.rows + jrows))
 
-        yield from walk([i1], [int(raw[l][i1]) for l in range(n)])
+        yield from walk([i1], _bit_rows(rows_of(raw, [i1])))
 
-    def _dependent_mask(self, prefix, pre_raw, start):
-        """Mask of elements u_j (j >= start) inside the extension span of the prefix."""
+    def _dependent_mask(self, prefix, pre_red, pre_raw, start):
+        """Mask of elements u_j (j >= start) inside the extension span of the prefix.
+
+        pre_red and pre_raw hold the prefix's expansion rows reduced mod U and raw.
+        """
         n = self.ctx.n
         if len(prefix) == 1:
             # u_j in <u1> iff u_j = c*u1 for some scalar c.  The weight of <u1>
             # tells whether any non-scalar multiple of u1 stays inside U at all;
             # only then is the multiple scan worth running.
             dep = np.zeros(self.NU - start, dtype=bool)
-            w1 = n - len(
-                bitkernel.eliminate_rows(
-                    [self.ctx.U.reduce_row(int(r)) for r in pre_raw]
-                )[0]
-            )
-            if w1 <= 1:
+            if n - pre_red.rank <= 1:
                 return dep
             t = self.ctx.tower
             u1 = self.ctx.U.element(prefix[0])
@@ -425,19 +413,18 @@ class SpanSweep:
                     dep[j - start] = True
             return dep
         # general prefix: u_j dependent iff its raw rows add no rank
-        prows, pbits = bitkernel.eliminate_rows([int(r) for r in pre_raw])
         _, raw = self._element_tables()
         rows = [raw[l][start:].copy() for l in range(n)]
-        bitkernel.reduce_static(rows, prows, pbits)
+        bitkernel.reduce_static(rows, pre_raw.rows, pre_raw.pivots)
         added = bitkernel.batch_rank(rows)
         return added == 0
 
 
-def _reduce_scalar(row: int, prows, pbits) -> int:
-    for pr, pb in zip(prows, pbits):
-        if (row >> pb) & 1:
-            row ^= pr
-    return row
+def _bit_rows(rows) -> BitRows:
+    acc = BitRows()
+    for r in rows:
+        acc.add(r)
+    return acc
 
 
 # --- sampled sweep ---
@@ -682,6 +669,7 @@ def verify_evasive(
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
+    _check_engine(engine)
     seed_out = seed if mode == "sampled" else None
     if r >= system.t:
         # vacuous: no subspace can meet U in more than dim U
@@ -712,6 +700,7 @@ def max_weight_search(
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
     sampled sweeps only bound the maximum from below.
     """
+    _check_engine(engine)
     if dim == 0:
         return 0, [0], 1, True
     if mode == "witness_span":

@@ -17,10 +17,10 @@ from rankscatter.construction import (
     ConstructionParams,
     direct_sum,
     family_subspace,
-    is_admissible,
     line_control_subspace,
     pseudoregulus_subspace,
     scan_admissible,
+    tuple_admissible,
     tuple_invariant,
 )
 from rankscatter.codes import (
@@ -57,7 +57,7 @@ def F64():
 @pytest.fixture(scope="module")
 def family_params(F16):
     params = ConstructionParams(F16, 4, 2, (F16.p, 1, 1, 1))
-    assert is_admissible(params)
+    assert tuple_admissible(params.tower, params.m, params.alphas)
     return params
 
 
@@ -206,7 +206,7 @@ def test_criterion_07_mrd_checks(F16, F8):
 
 def test_criterion_08_evasiveness_sampling(F64):
     params = ConstructionParams(F64, 3, 2, (F64.p, 1, 1))
-    assert is_admissible(params)
+    assert tuple_admissible(params.tower, params.m, params.alphas)
     sysV = family_subspace(params)
     m, n, h = 3, 6, 2
     bound = m * n - 2 * (n - h - 1)

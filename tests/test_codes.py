@@ -10,8 +10,8 @@ from rankscatter.construction import (
     direct_sum,
     family_subspace,
     find_admissible,
-    is_admissible,
     pseudoregulus_subspace,
+    tuple_admissible,
 )
 from rankscatter.codes import (
     DistanceEstimate,
@@ -229,7 +229,7 @@ def test_sampled_weights_bound_the_exact_profile(ds_code):
 def test_family_weight_bounds_instances():
     F64 = create_field(2, 1, 6)
     params = ConstructionParams(F64, 3, 2, (2, 1, 1))
-    assert is_admissible(params)
+    assert tuple_admissible(params.tower, params.m, params.alphas)
     prof = family_weight_bounds(params)
     lo, _ = prof.bounds(3)
     assert lo == 2 * 6 - 2 * 2 - 2 == 6

@@ -8,20 +8,19 @@ from rankscatter.field import create_field
 from rankscatter.construction import (
     ConstructionParams,
     admissibility_feasible,
-    alpha_invariant,
     cyclic_tuple_invariant,
     direct_sum,
     family_map,
     family_subspace,
     find_admissible,
-    is_admissible,
-    is_strongly_admissible,
     line_control_subspace,
     pseudoregulus_subspace,
     scan_admissible,
     system_from_desc,
     system_to_desc,
+    tuple_admissible,
     tuple_invariant,
+    tuple_strongly_admissible,
 )
 from rankscatter.linalg import SubspaceQn, matrix_rank
 from rankscatter.verify import subspace_weight
@@ -49,9 +48,9 @@ def test_params_validation(F16):
 
 
 def test_alpha_invariant_trivial_and_pinned(F16):
-    assert alpha_invariant(ConstructionParams(F16, 4, 2, (1, 1, 1, 1))) == 1
+    assert tuple_invariant(F16, 4, (1, 1, 1, 1)) == 1
     g = F16.p
-    K = alpha_invariant(ConstructionParams(F16, 4, 2, (g, 1, 1, 1)))
+    K = tuple_invariant(F16, 4, (g, 1, 1, 1))
     assert K == F16.pow(g, 8)  # g^(q^(m-1)) = g^8
 
 
@@ -70,14 +69,12 @@ def test_admissibility_is_frobenius_invariant(F16):
     for _ in range(30):
         al = tuple(1 + rng.randrange(15) for _ in range(4))
         shifted = tuple(F16.frobenius(a) for a in al)
-        p1 = ConstructionParams(F16, 4, 2, al)
-        p2 = ConstructionParams(F16, 4, 2, shifted)
-        assert is_admissible(p1) == is_admissible(p2)
+        assert tuple_admissible(F16, 4, al) == tuple_admissible(F16, 4, shifted)
 
 
 def test_admissibility_examples(F16):
-    assert not is_admissible(ConstructionParams(F16, 4, 2, (1, 1, 1, 1)))
-    assert is_admissible(ConstructionParams(F16, 4, 2, (F16.p, 1, 1, 1)))
+    assert not tuple_admissible(F16, 4, (1, 1, 1, 1))
+    assert tuple_admissible(F16, 4, (F16.p, 1, 1, 1))
 
 
 def test_feasibility_gcd_examples(F16, F64):
@@ -90,7 +87,7 @@ def test_infeasible_means_no_tuple_is_admissible(F16):
     rng = random.Random(14)
     for _ in range(200):
         al = tuple(1 + rng.randrange(15) for _ in range(3))
-        assert not is_admissible(ConstructionParams(F16, 3, 2, al))
+        assert not tuple_admissible(F16, 3, al)
 
 
 def test_cyclic_invariant_unrolled_for_m3(F64):
@@ -104,15 +101,15 @@ def test_cyclic_invariant_unrolled_for_m3(F64):
 
 
 def test_all_ones_is_not_strongly_admissible(F64):
-    assert not is_strongly_admissible(ConstructionParams(F64, 3, 2, (1, 1, 1)))
+    assert not tuple_strongly_admissible(F64, 3, (1, 1, 1))
 
 
 def test_strongly_admissible_tuples_exist_when_m_divides_n(F64):
     # m = 3 divides n = 6
     found = find_admissible(F64, 3, 2, strong=True)
     assert found is not None
-    assert is_strongly_admissible(found)
-    assert is_admissible(found)
+    assert tuple_strongly_admissible(F64, 3, found.alphas)
+    assert tuple_admissible(F64, 3, found.alphas)
 
 
 def test_family_map_is_fq_linear(F16):
@@ -193,7 +190,7 @@ def test_census_full_scan_counts(F16):
     assert out["feasible"]
     for ex in out["examples"]:
         tup = tuple(F16.val(c) for c in ex)
-        assert is_admissible(ConstructionParams(F16, 4, 2, tup))
+        assert tuple_admissible(F16, 4, tup)
 
 
 def test_census_against_per_element_residue_oracle(F16):

@@ -153,6 +153,17 @@ def test_arithmetic_axioms_random(F64_over_F4):
         assert F.add(a, F.neg(a)) == 0
 
 
+@pytest.mark.parametrize(
+    "p, s, n, theta",
+    [(2, 2, 3, 58), (2, 4, 3, 8), (3, 2, 2, 42), (2, 3, 2, 14), (5, 2, 2, 25), (2, 6, 2, 32), (3, 3, 2, 144)],
+)
+def test_subfield_generator_is_pinned(p, s, n, theta):
+    # the expansion coordinates of every q > p field depend on this element
+    F = create_field(p, s, n)
+    assert F._theta == theta
+    assert F.in_subfield(theta)
+
+
 def test_expansion_is_linear_and_invertible(F64_over_F4):
     F = F64_over_F4
     rng = random.Random(9)

@@ -186,15 +186,19 @@ def test_intersection_dim_over_f4():
 
 
 def test_intersection_rows_spans_the_intersection(F8):
+    # packed GF(2) rows over F_8, and index rows over F_64 as an F_4-space
     rng = random.Random(8)
-    for _ in range(20):
-        S = FqSubspace(F8, 2, [tuple(rng.randrange(8) for _ in range(2)) for _ in range(2)])
-        T = FqSubspace(F8, 2, [tuple(rng.randrange(8) for _ in range(2)) for _ in range(2)])
-        rows = intersection_rows(F8, S.width, S.fq_rows, T.fq_rows)
-        assert len(rows) == intersection_dim(S, T)
-        for r in rows:
-            v = unexpand_row(F8, r, 2)
-            assert S.contains_vector(v) and T.contains_vector(v)
+    for F in (F8, create_field(2, 2, 3)):
+        for _ in range(20):
+            S = FqSubspace(F, 2, [tuple(rng.randrange(F.order) for _ in range(2)) for _ in range(2)])
+            T = FqSubspace(F, 2, [tuple(rng.randrange(F.order) for _ in range(2)) for _ in range(2)])
+            rows = intersection_rows(F, S.width, S.fq_rows, T.fq_rows)
+            assert len(rows) == intersection_dim(S, T)
+            vecs = [unexpand_row(F, r, 2) for r in rows]
+            for v in vecs:
+                assert S.contains_vector(v) and T.contains_vector(v)
+            # the rows are the canonical RREF of the intersection
+            assert list(FqSubspace(F, 2, vecs).fq_rows) == rows
 
 
 def test_subspace_fq_rows_have_full_rank(F16):

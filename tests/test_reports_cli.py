@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rankscatter import reports
 from rankscatter.cli import main
 
@@ -260,3 +262,24 @@ def test_cli_resumes_from_a_torn_checkpoint(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv + ["--checkpoint", str(ck)]) == 3
     assert f"checkpoint {ck} line 6 is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, mode, key, weight",
+    [
+        ("3,1,2", "exhaustive", [0], 2),
+        ("3,1,2", "witness_span", [1, 1], 2),
+        ("2,2,3", "witness_span", [1, 1], 3),
+    ],
+)
+def test_q_above_two_witness_reports_recheck(tmp_path, field, mode, key, weight):
+    out = str(tmp_path / "lc.json")
+    rc = main([
+        "verify-scattered", "--field", field, "--system", "line-control",
+        "--ambient", "2", "--h", "1", "--mode", mode, "--out", out,
+    ])
+    assert rc == 1
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"]) == ("violated", 1)
+    assert (res["witness"]["tuple_index"], res["witness"]["weight"]) == (key, weight)
+    assert main(["recheck", out]) == 0

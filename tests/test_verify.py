@@ -367,6 +367,11 @@ def test_unknown_engine_is_rejected(F16, ps2_desc):
             verify_h_scattered(ps, 2, mode="exhaustive", engine=engine)
         with pytest.raises(ValueError, match="unknown engine"):
             build_sweep(dict(ps2_desc, engine=engine))
+        # calls that return before any sweep is built check the engine too
+        with pytest.raises(ValueError, match="unknown engine"):
+            verify_evasive(ps, 1, ps.t, engine=engine)
+        with pytest.raises(ValueError, match="unknown engine"):
+            max_weight_search(ps, 0, engine=engine)
 
 
 def test_max_weight_search_keeps_the_earliest_maximum(F8):
@@ -383,3 +388,23 @@ def test_max_weight_search_keeps_the_earliest_maximum(F8):
             for chunk in (1, None)
         ]
         assert all(r == expected[dim] for r in results), (dim, results)
+
+
+def test_odd_q_line_control_witnesses():
+    # q = 3: the line {(x, 0)} meets <(1, 0)> in all of F_9, an F_3-plane
+    F9 = create_field(3, 1, 2)
+    lc = line_control_subspace(F9, 2)
+    plane = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+    for mode, key in (("exhaustive", [0]), ("witness_span", [1, 1])):
+        v = verify_h_scattered(lc, 1, mode=mode)
+        assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 1, key)
+        assert v.witness.weight == 2
+        assert v.serialize(F9)["witness"]["intersection_basis"] == plane
+
+
+@pytest.mark.parametrize("engine", ["auto", "scalar"])
+def test_odd_q_span_proof_over_pairs(engine):
+    # d = 2 tuples over F_27 start at every class representative in [3^e, 2*3^e)
+    ps = pseudoregulus_subspace(create_field(3, 1, 3), 2)
+    v = verify_h_scattered(ps, 2, mode="witness_span", engine=engine)
+    assert (v.status, v.checked) == ("holds", 208)
