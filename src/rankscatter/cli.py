@@ -288,7 +288,12 @@ def _cmd_weights(args) -> int:
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(profile.to_csv())
-    result = {"t": system.t, "k": system.ambient, "profile": profile.serialize()}
+    result = {
+        "t": system.t,
+        "k": system.ambient,
+        "route": profile.route,
+        "profile": profile.serialize(),
+    }
     config = {
         "system": system_to_desc(system),
         "mode": args.mode,
@@ -299,7 +304,7 @@ def _cmd_weights(args) -> int:
     }
     report = reports.build_report(
         "weights", config, tower.descriptor(), result,
-        {"entries": len(profile.entries)}, _timing(t0, args),
+        {"entries": len(profile.entries), "subspaces_swept": profile.swept}, _timing(t0, args),
     )
     _emit(report, args)
     return EXIT_HOLDS if args.mode == "exhaustive" else EXIT_INCONCLUSIVE

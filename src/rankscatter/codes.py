@@ -7,8 +7,9 @@ computed system-side,
 
     d_rho = t - max{ wt_U(H) : dim H = k - rho },
 
-which reuses the verifier sweep kernels; the codeword-side minimum distance
-is kept as an independent cross-check.
+which reuses the verifier sweep kernels, on this system or, when that is
+cheaper, on the system of the dual code (Wei-type duality); the
+codeword-side minimum distance is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .field import FieldTower, _digits
 from .linalg import (
     FqSubspace,
     expand_vector,
+    gaussian_binomial,
     make_rows,
     matrix_rank,
     nullspace,
@@ -201,12 +203,15 @@ class WeightProfile:
     """Generalized rank weights d_1..d_k, possibly partial.
 
     An index may carry an exact value, or a lower and/or upper bound; exact
-    entries must be strictly increasing in rho.
+    entries must be strictly increasing in rho.  `route` names the side that
+    `generalized_weights` swept and `swept` counts the subspaces it checked.
     """
 
     k: int
     t: int
     entries: list[ProfileEntry] = field(default_factory=list)
+    route: str = "primal"
+    swept: int = 0
 
     def add(self, rho: int, value: int, provenance: str, checked: int = 0):
         if not 1 <= rho <= self.k:
@@ -280,24 +285,81 @@ def generalized_weights(
 ) -> WeightProfile:
     """Generalized rank weights of the code attached to a spanning system.
 
-    Exhaustive entries are exact.  Sampled entries only see part of the
-    Grassmannian, so the sampled maximum is a lower bound on the true
-    maximum and the reported value t - max is an upper bound on d_rho.
+    Exhaustive entries are exact.  They come from whichever side sweeps
+    fewer subspaces: this system, one Grassmannian per requested rho, or the
+    system of the nondegenerate dual code, whose full profile fixes every
+    d_rho by Wei-type duality (see `_cheaper_dual`).  A budget that stops a
+    dual sweep short raises ValueError, since a partial dual profile fixes
+    nothing.  Sampled entries only see part of the Grassmannian, so the
+    sampled maximum is a lower bound on the true maximum and the reported
+    value t - max is an upper bound on d_rho.
     """
     if not system.spans_ambient:
         raise ValueError("system does not span the ambient space")
     k = system.ambient
     t = system.t
     rhos = list(rho_list) if rho_list is not None else list(range(1, k + 1))
+    if any(not 1 <= rho <= k for rho in rhos):
+        raise ValueError("rho out of range")
+    if len(set(rhos)) != len(rhos):
+        raise ValueError(f"duplicate rho in {rhos}")
+    search = dict(mode=mode, budget=budget, seed=seed, workers=workers, engine=engine)
+    dual = _cheaper_dual(system, rhos) if mode == "exhaustive" else None
+    if dual is not None:
+        return _profile_from_dual(dual, k, t, rhos, search)
     profile = WeightProfile(k, t)
     for rho in rhos:
-        if not 1 <= rho <= k:
-            raise ValueError("rho out of range")
-        dim = k - rho
-        w, _, checked, exact = max_weight_search(
-            system, dim, mode=mode, budget=budget, seed=seed, workers=workers, engine=engine
-        )
+        w, _, checked, exact = max_weight_search(system, k - rho, **search)
         profile.add(rho, t - w, EXACT if exact else UPPER, checked)
+        profile.swept += checked
+    return profile
+
+
+def _cheaper_dual(system: QSystem, rhos) -> QSystem | None:
+    """The dual code's system, when the exhaustive weights should come from it.
+
+    That is when sweeping the dual's full profile, sum over s = 1..t-k of
+    [t-k, t-k-s]_Q subspaces, costs strictly less than the requested primal
+    sweeps, sum over rho of [k, k-rho]_Q, and the dual code is nondegenerate
+    (its system has F_q-dimension t), so that Wei-type duality applies.
+    Otherwise None.
+    """
+    k, t, Q = system.ambient, system.t, system.tower.order
+    kd = t - k
+    primal = sum(gaussian_binomial(k, k - rho, Q) for rho in rhos)
+    dual = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
+    if kd < 1 or dual >= primal:
+        return None
+    dual_system = dual_code(code_from_system(system)).system()
+    return dual_system if dual_system.t == t else None
+
+
+def _profile_from_dual(dual_system: QSystem, k: int, t: int, rhos, search: dict) -> WeightProfile:
+    """Exact d_rho read off the sorted complement [t] \\ {t+1-d_s(C^perp)}.
+
+    Derived entries carry no subspace count of their own; the dual sweep's
+    total is the profile's `swept`.
+    """
+    kd = t - k
+    profile = WeightProfile(k, t, route="dual")
+    dual = []
+    for s in range(1, kd + 1):
+        w, _, checked, exact = max_weight_search(dual_system, kd - s, **search)
+        if not exact:
+            raise ValueError(
+                f"budget {search['budget']} stops the dual sweep at s={s}; "
+                "exact weights from the dual side need its full profile"
+            )
+        dual.append(t - w)
+        profile.swept += checked
+    # explicit raises: these guards must also hold under python -O
+    if any(b <= a for a, b in zip(dual, dual[1:])):
+        raise AssertionError(f"dual profile {dual} is not strictly increasing")
+    primal = sorted(set(range(1, t + 1)) - {t + 1 - d for d in dual})
+    if len(primal) != k:
+        raise AssertionError(f"Wei complement of the dual profile {dual} has {len(primal)} entries, not {k}")
+    for rho in rhos:
+        profile.add(rho, primal[rho - 1], EXACT)
     return profile
 
 

@@ -27,7 +27,7 @@ from .linalg import (
     sample_subspace,
     subspace_fq_rows,
 )
-from .verify import subspace_weight
+from .verify import subspace_weight, verify_evasive, verify_h_scattered
 
 SCHEMA = "rankscatter-report/1"
 ARTIFACT_VERSION = "0.1.0"
@@ -82,7 +82,7 @@ def recheck_report(report: dict) -> tuple[bool, list[str]]:
 
     Returns (ok, problems).  Violated verdicts re-derive the witness weight;
     sampled verdicts re-run a deterministic prefix of the sample stream;
-    small exhaustive claims are re-swept outright.
+    small proofs and small exact weights are re-swept outright.
     """
     problems: list[str] = []
     try:
@@ -150,6 +150,8 @@ def _recheck_verdict(tower, report, problems):
     if status == "holds":
         if mode == "sampled":
             problems.append("sampled runs cannot prove 'holds'")
+        else:
+            _resweep_proof(system, report, problems)
         return
     if status == "inconclusive":
         if mode != "sampled":
@@ -162,6 +164,38 @@ def _recheck_verdict(tower, report, problems):
             if subspace_weight(system.subspace, H) > bound:
                 problems.append(f"sample {i} violates the bound but the report found no witness")
                 return
+
+
+def _resweep_proof(system, report, problems):
+    """Re-run a proof whose sweep, sized from the system and not from the
+    claimed count, is at most RECHECK_SWEEP_CAP units; the status and the
+    number of subspaces checked must reproduce."""
+    cfg = report["config"]
+    res = report["result"]
+    evasive = report["command"] == "verify-evasive"
+    dim = cfg["hdim"] if evasive else cfg["h"]
+    mode = cfg["mode"]
+    tower = system.tower
+    if mode == "exhaustive":
+        size = gaussian_binomial(system.ambient, dim, tower.order)
+    elif mode == "witness_span":
+        size = (tower.q**system.t) ** dim
+    else:
+        problems.append(f"unknown proof mode {mode!r}")
+        return
+    if size > RECHECK_SWEEP_CAP:
+        return
+    common = dict(mode=mode, budget=cfg.get("budget"), seed=cfg.get("seed"), chunk_size=cfg.get("chunk_size"))
+    if evasive:
+        fresh = verify_evasive(system, dim, cfg["r"], **common)
+    else:
+        fresh = verify_h_scattered(system, dim, **common)
+    claimed = (res.get("status"), res.get("subspaces_checked"))
+    if (fresh.status, fresh.checked) != claimed:
+        problems.append(
+            f"proof does not reproduce: recorded {claimed[0]} after {claimed[1]} subspaces, "
+            f"re-run gives {fresh.status} after {fresh.checked}"
+        )
 
 
 def _check_intersection(tower, system, H, wit, problems):
@@ -188,16 +222,27 @@ def _check_intersection(tower, system, H, wit, problems):
 
 
 def _recheck_weights(tower, report, problems):
+    from .codes import _cheaper_dual
     from .verify import max_weight_search
 
     system = _system(tower, report)
+    cfg = report["config"]
     res = report["result"]
-    if res.get("t") != system.t:
+    k, t = system.ambient, system.t
+    if res.get("t") != t:
         problems.append("code length mismatch")
+    if res.get("k") != k:
+        problems.append("code dimension mismatch")
+    rhos = cfg["rho"] if cfg.get("rho") is not None else range(1, k + 1)
+    dual = cfg.get("mode") == "exhaustive" and _cheaper_dual(system, rhos) is not None
+    if res.get("route") != ("dual" if dual else "primal"):
+        problems.append(f"route {res.get('route')!r} is not the one these weights take")
     entries = res.get("profile", [])
-    k = system.ambient
     Q = tower.order
     exact = {e["rho"]: e["value"] for e in entries if e["provenance"] == "exact"}
+    for rho, value in sorted(exact.items()):
+        if not 1 <= value <= t:
+            problems.append(f"d_{rho} = {value} out of range 1..{t}")
     prev = 0
     for rho in sorted(exact):
         if prev and exact[rho] <= prev:

@@ -125,14 +125,21 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
-def _check_engine(engine: str) -> None:
+def _check_options(engine: str, budget=None, chunk_size=None) -> None:
+    """Reject an unknown engine, a chunk size below 1 (no chunk would be
+    built, and the empty sweep would read as a proof) and a budget below 1
+    (it admits no unit)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 class _Context:
     def __init__(self, tower: FieldTower, system: QSystem, engine: str, dim: int):
-        _check_engine(engine)
+        _check_options(engine)
         self.tower = tower
         self.U = system.subspace
         self.k = system.ambient
@@ -569,6 +576,7 @@ def _run_verification(
     chunk_size,
     stop_after_units=None,
 ):
+    _check_options(engine, budget, chunk_size)
     tower = system.tower
     desc = {
         "field": tower.descriptor(),
@@ -669,7 +677,7 @@ def verify_evasive(
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    _check_engine(engine)
+    _check_options(engine, budget, chunk_size)
     seed_out = seed if mode == "sampled" else None
     if r >= system.t:
         # vacuous: no subspace can meet U in more than dim U
@@ -700,7 +708,7 @@ def max_weight_search(
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
     sampled sweeps only bound the maximum from below.
     """
-    _check_engine(engine)
+    _check_options(engine, budget, chunk_size)
     if dim == 0:
         return 0, [0], 1, True
     if mode == "witness_span":

@@ -157,8 +157,8 @@ def test_criterion_05_direct_sum_profiles(F8):
     got = prof3.exact_tuple()
     assert got[0] == 2 and got[1] == 3
     assert got[3] == 6 and got[4] == 8 and got[5] == 9
-    assert 4 <= got[2] <= 5
-    ok("C5", f"m=2 profile {prof2.exact_tuple()} exact; m=3 profile {got} with d_3 in [4,5]")
+    assert got[2] == 5
+    ok("C5", f"m=2 profile {prof2.exact_tuple()} exact; m=3 profile {got} exact, d_3 = 5")
 
 
 def test_criterion_06_wei_duality_and_monotonicity(F8, F16):

@@ -8,6 +8,7 @@ from rankscatter.field import create_field
 from rankscatter.construction import (
     ConstructionParams,
     direct_sum,
+    explicit_system,
     family_subspace,
     find_admissible,
     pseudoregulus_subspace,
@@ -29,6 +30,8 @@ from rankscatter.codes import (
     rank_weight,
     singleton_bound_rhs,
 )
+from rankscatter.linalg import gaussian_binomial
+from rankscatter.verify import max_weight_search
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +227,99 @@ def test_sampled_weights_bound_the_exact_profile(ds_code):
         assert hi is not None and hi >= exact.exact(rho)
     # rho = k sees only the zero subspace and is exact in every mode
     assert sampled.exact(4) == exact.exact(4) == 6
+
+
+def _direct_profile(system):
+    """The oracle: d_rho = t - max weight over dim k-rho, swept on the system itself."""
+    k, t = system.ambient, system.t
+    return tuple(t - max_weight_search(system, k - rho)[0] for rho in range(1, k + 1))
+
+
+def _sweep_costs(system):
+    """(primal, dual) subspace counts of a full exhaustive profile."""
+    k, t, Q = system.ambient, system.t, system.tower.order
+    kd = t - k
+    primal = sum(gaussian_binomial(k, k - rho, Q) for rho in range(1, k + 1))
+    dual = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
+    return primal, dual
+
+
+def test_dual_route_matches_direct_sweep_m2(ds_code):
+    system = ds_code.system()
+    prof = generalized_weights(system)
+    assert _sweep_costs(system) == (5916, 10)
+    assert (prof.route, prof.swept) == ("dual", 10)
+    assert prof.exact_tuple() == _direct_profile(system) == (2, 3, 5, 6)
+    assert {e.provenance for e in prof.entries} == {"exact"}
+    # a requested subset reads the same values off the same dual sweep
+    part = generalized_weights(system, rho_list=[3, 1])
+    assert part.route == "dual"
+    assert [(e.rho, e.value) for e in part.entries] == [(3, 5), (1, 2)]
+    # the primal route where it is cheaper: rho = k alone is one subspace
+    last = generalized_weights(system, rho_list=[4])
+    assert (last.route, last.swept, last.exact(4)) == ("primal", 1, 6)
+
+
+def test_both_routes_match_direct_sweeps_on_random_codes():
+    towers = [create_field(2, 1, 3), create_field(2, 1, 4)]
+    shapes = [(2, 4), (2, 5), (3, 5), (3, 6), (2, 6)]
+    routes = set()
+    for seed in range(20):
+        tower = towers[seed % 2]
+        k, t = shapes[seed % len(shapes)]
+        code = random_code(tower, k, t, seed=seed)
+        for system in (code.system(), dual_code(code).system()):
+            prof = generalized_weights(system)
+            primal, dual = _sweep_costs(system)
+            assert prof.route == ("dual" if dual < primal else "primal")
+            assert prof.exact_tuple() == _direct_profile(system), (tower.order, k, t, seed)
+            routes.add(prof.route)
+    assert routes == {"primal", "dual"}
+
+
+def test_degenerate_dual_falls_back_to_the_direct_sweep():
+    F8 = create_field(2, 1, 3)
+    g = F8.p
+    system = explicit_system(F8, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (g, 1, 0)])
+    primal, dual = _sweep_costs(system)
+    assert dual < primal
+    assert dual_code(code_from_system(system)).system().t < system.t
+    prof = generalized_weights(system)
+    assert prof.route == "primal"
+    assert prof.swept == primal
+    assert prof.exact_tuple() == _direct_profile(system) == (1, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "fake_weight, message",
+    [
+        (lambda dim: 0, "not strictly increasing"),
+        (lambda dim: dim - 2, "has 6 entries, not 4"),  # d_s = t + s: increasing, out of range
+    ],
+    ids=["not-increasing", "out-of-range"],
+)
+def test_dual_derivation_that_breaks_the_partition_raises(ds_code, monkeypatch, fake_weight, message):
+    import rankscatter.codes as codes
+
+    def fake_search(system, dim, **kw):
+        return fake_weight(dim), [0], 1, True
+
+    monkeypatch.setattr(codes, "max_weight_search", fake_search)
+    with pytest.raises(AssertionError, match=message):
+        generalized_weights(ds_code.system())
+
+
+def test_dual_route_rejects_a_budget_that_cuts_its_sweep(ds_code):
+    with pytest.raises(ValueError, match="dual sweep"):
+        generalized_weights(ds_code.system(), budget=5, rho_list=[2])
+    assert generalized_weights(ds_code.system(), budget=100).exact_tuple() == (2, 3, 5, 6)
+
+
+@pytest.mark.slow
+def test_direct_sweep_m3_matches_the_dual_route(F8):
+    system = direct_sum([pseudoregulus_subspace(F8, 1)] * 3)
+    assert _direct_profile(system) == (2, 3, 5, 6, 8, 9)
+    assert generalized_weights(system).exact_tuple() == (2, 3, 5, 6, 8, 9)
 
 
 def test_family_weight_bounds_instances():

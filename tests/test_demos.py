@@ -8,16 +8,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SLOW = {"04_generalized_weights.py"}  # the F_8, m=3 profile sweep
 
 
-@pytest.mark.parametrize(
-    "script",
-    [
-        pytest.param(p.name, marks=pytest.mark.slow) if p.name in SLOW else p.name
-        for p in sorted((ROOT / "demos").glob("*.py"))
-    ],
-)
+@pytest.mark.parametrize("script", [p.name for p in sorted((ROOT / "demos").glob("*.py"))])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -153,6 +153,9 @@ def test_weights_command_with_csv(tmp_path):
     with open(csv) as f:
         assert f.readline().strip() == "rho,value,provenance,subspaces_checked"
     assert main(["recheck", out]) == 0
+    # the [6,2] dual sweeps 10 subspaces, the code itself would sweep 5916
+    assert rep["result"]["route"] == "dual"
+    assert rep["counts"] == {"entries": 4, "subspaces_swept": 10}
     # sampled weights exit inconclusive
     rc = main([
         "weights", "--field", "2,1,3", "--system", "direct-sum",
@@ -160,6 +163,83 @@ def test_weights_command_with_csv(tmp_path):
         "--out", out,
     ])
     assert rc == 2
+    rep = load(out)
+    assert rep["result"]["route"] == "primal"
+    assert rep["counts"]["subspaces_swept"] == 3 * 16 + 1
+    assert main(["recheck", out]) == 0
+
+
+WEIGHTS_M2 = ["weights", "--field", "2,1,3", "--system", "direct-sum", "--m", "2", "--h", "1"]
+
+
+def test_weights_rejects_duplicate_rho(capsys):
+    assert main(WEIGHTS_M2 + ["--rho", "2,2"]) == 3
+    assert "duplicate rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, problem",
+    [
+        (("result", "route"), "primal", "route 'primal'"),
+        (("result", "route"), "sideways", "route 'sideways'"),
+        (("result", "k"), 5, "code dimension mismatch"),
+        (("result", "profile", 3, "value"), 7, "d_4 = 7 out of range 1..6"),
+    ],
+)
+def test_recheck_flags_tampered_weights(tmp_path, capsys, field, value, problem):
+    out = str(tmp_path / "w.json")
+    assert main(WEIGHTS_M2 + ["--out", out]) == 0
+    rep = load(out)
+    node = rep
+    for part in field[:-1]:
+        node = node[part]
+    node[field[-1]] = value
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("exhaustive", ["--chunk-size", "-5"]),
+        ("exhaustive", ["--chunk-size", "0"]),
+        ("witness_span", ["--chunk-size", "-1"]),
+        ("exhaustive", ["--budget", "0"]),
+        ("exhaustive", ["--budget", "-1"]),
+        ("sampled", ["--budget", "0"]),
+        ("sampled", ["--budget", "-1"]),
+    ],
+)
+def test_non_positive_chunk_size_or_budget_is_a_config_error(capsys, mode, extra):
+    rc = main([
+        "verify-scattered", "--field", "2,1,3", "--system", "pseudoregulus",
+        "--h", "1", "--mode", mode, *extra,
+    ])
+    assert rc == 3
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, checked", [("exhaustive", 273), ("witness_span", 120)])
+def test_recheck_resweeps_a_small_proof(tmp_path, capsys, mode, checked):
+    out = str(tmp_path / "p.json")
+    rc = main([
+        "verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus",
+        "--h", "2", "--mode", mode, "--out", out,
+    ])
+    assert rc == 0
+    rep = load(out)
+    assert rep["result"]["subspaces_checked"] == checked
+    assert main(["recheck", out]) == 0
+    rep["result"]["subspaces_checked"] = 0
+    rep["counts"]["subspaces_checked"] = 0
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert "proof does not reproduce" in capsys.readouterr().err
 
 
 def test_compare_command(tmp_path):
