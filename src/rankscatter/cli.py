@@ -13,7 +13,6 @@ bodies, everything outside the `timing` block.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -81,21 +80,11 @@ def _parse_ints(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _default_workers() -> int:
-    env = os.environ.get("RANKSCATTER_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--field", required=True, help="p,s,n[,modulus] with the modulus packed base p")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
     p.add_argument("--force", action="store_true", help="proceed even when no admissible tuple can exist")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (env RANKSCATTER_WORKERS)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per chunk")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="units to check in sampled mode")
     p.add_argument("--checkpoint", help="append-only checkpoint file for resumable sweeps")
@@ -221,12 +210,7 @@ def _cmd_construct(args) -> int:
 
 
 def _timing(t0: float, args) -> dict:
-    return {"seconds": round(time.time() - t0, 6), "workers": _workers(args)}
-
-
-def _workers(args) -> int:
-    w = getattr(args, "workers", None)
-    return w if w else _default_workers()
+    return {"seconds": round(time.time() - t0, 6), "workers": args.workers}
 
 
 def _cmd_verify(args, evasive: bool) -> int:
@@ -237,7 +221,7 @@ def _cmd_verify(args, evasive: bool) -> int:
         mode=args.mode,
         budget=args.budget,
         seed=args.seed,
-        workers=_workers(args),
+        workers=args.workers,
         checkpoint=args.checkpoint,
         chunk_size=args.chunk_size,
     )
@@ -281,7 +265,7 @@ def _cmd_weights(args) -> int:
     try:
         profile = generalized_weights(
             system, rho_list, mode=args.mode, budget=args.budget,
-            seed=args.seed, workers=_workers(args),
+            seed=args.seed, workers=args.workers,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

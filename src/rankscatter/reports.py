@@ -222,7 +222,7 @@ def _check_intersection(tower, system, H, wit, problems):
 
 
 def _recheck_weights(tower, report, problems):
-    from .codes import _cheaper_dual
+    from .codes import _cheaper_dual, code_from_system, dual_code
     from .verify import max_weight_search
 
     system = _system(tower, report)
@@ -241,6 +241,8 @@ def _recheck_weights(tower, report, problems):
     Q = tower.order
     exact = {e["rho"]: e["value"] for e in entries if e["provenance"] == "exact"}
     for rho, value in sorted(exact.items()):
+        if not 1 <= rho <= k:
+            problems.append(f"rho = {rho} out of range 1..{k}")
         if not 1 <= value <= t:
             problems.append(f"d_{rho} = {value} out of range 1..{t}")
     prev = 0
@@ -256,6 +258,19 @@ def _recheck_weights(tower, report, problems):
         w, _, _, exact_flag = max_weight_search(system, dim, mode="exhaustive")
         if exact_flag and system.t - w != value:
             problems.append(f"d_{rho} mismatch: recorded {value}, recomputed {system.t - w}")
+    # Every exact entry against Wei duality: the dual's profile d_s = t - w_s,
+    # swept by the scalar oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
+    kd = t - k
+    if kd < 1 or sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1)) > RECHECK_SWEEP_CAP:
+        return
+    dual_system = dual_code(code_from_system(system)).system()
+    if dual_system.t != t:
+        return
+    taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
+    primal = sorted(set(range(1, t + 1)) - taken)
+    for rho, value in sorted(exact.items()):
+        if 1 <= rho <= k and primal[rho - 1] != value:
+            problems.append(f"d_{rho} = {value} contradicts the dual profile, which gives {primal[rho - 1]}")
 
 
 def _recheck_compare(tower, report, problems):

@@ -1,15 +1,20 @@
 """Deterministic chunked execution of sweeps, with checkpoint and resume.
 
-A sweep is described by a JSON-safe dict and owns a unit index space
-[0, total_units).  Units are processed in fixed-size chunks; each chunk
-reports how many tuples/subspaces it actually checked, the first violation
-inside it (if any) and its max-weight record.  One incremental prefix
-merges finished chunks in unit order, so the outcome is independent of
-worker count and of how a run was interrupted and resumed.
+A sweep is an object with a unit index space [0, sweep.total_units) and a
+`run_units(lo, hi)` method.  Units are processed in fixed-size chunks; each
+chunk reports how many tuples/subspaces it actually checked, the first
+violation inside it (if any) and its max-weight record.  One incremental
+prefix merges finished chunks in unit order, so the outcome is independent
+of worker count and of how a run was interrupted and resumed.
+
+Chunks run in process unless more than one can run at once: a pool of
+min(workers, pending chunks, CPU count) processes receives the sweep once
+per worker, when the worker starts.
 
 Checkpoint files are append-only, newline-delimited JSON: a header line
-binding the sweep descriptor, then one line per completed chunk.  A torn
-last line is dropped on resume and its chunk runs again.
+binding the sweep's JSON-safe descriptor (by hash), then one line per
+completed chunk.  A torn last line is dropped on resume and its chunk runs
+again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import json
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 @dataclass
@@ -43,9 +47,7 @@ class SweepOutcome:
     checked: int
     viol: dict | None
     best: dict | None
-    completed: bool           # every unit (or every unit up to the budget cut) ran
-    truncated_by_budget: bool
-    units_done: int
+    completed: bool  # a violation settled the sweep, or every unit ran
 
 
 class Interrupted(Exception):
@@ -56,16 +58,16 @@ def desc_hash(desc: dict) -> str:
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-@lru_cache(maxsize=8)
-def _sweep_from_json(desc_json: str):
-    from . import verify
-
-    return verify.build_sweep(json.loads(desc_json))
+_worker_sweep = None  # the sweep of a pool worker, set once when it starts
 
 
-def _run_chunk(desc_json: str, lo: int, hi: int) -> dict:
-    sweep = _sweep_from_json(desc_json)
-    return sweep.run_units(lo, hi).to_json()
+def _init_worker(sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _run_chunk(lo: int, hi: int) -> ChunkResult:
+    return _worker_sweep.run_units(lo, hi)
 
 
 def _merge_best(a: dict | None, b: dict | None) -> dict | None:
@@ -151,7 +153,6 @@ class _Prefix:
         self.budget_units = budget_units
         self.merged = 0
         self.checked = 0
-        self.units_done = 0
         self.best = None
         self.viol = None
         self.cut = False
@@ -175,18 +176,18 @@ class _Prefix:
                 break
             self.merged += 1
             self.checked += rec.checked
-            self.units_done = hi
             self.best = _merge_best(self.best, rec.best)
             if rec.viol is not None:
                 self.viol = rec.viol
             elif self.budget_units is not None and self.checked >= self.budget_units:
-                self.cut = True
+                # a budget that lets the last chunk run cuts nothing
+                self.cut = self.merged < len(self.chunks)
         return self.settled
 
 
 def run_sweep(
+    sweep,
     desc: dict,
-    total_units: int,
     chunk_size: int,
     workers: int = 1,
     checkpoint: str | None = None,
@@ -195,32 +196,31 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run a sweep to completion (or budget), honoring a checkpoint file.
 
-    budget_units caps the number of checked units, rounded up to a chunk
-    boundary; the cut is applied in unit order during the merge, so reports
-    do not depend on scheduling.  stop_after_units is a test hook that
-    abandons the run (checkpoint intact) once that many units completed.
+    desc identifies the sweep in the checkpoint header.  budget_units caps
+    the number of checked units, rounded up to a chunk boundary; the cut is
+    applied in unit order during the merge, so reports do not depend on
+    scheduling.  stop_after_units is a test hook that abandons the run
+    (checkpoint intact) once that many units completed.
     """
-    desc_json = json.dumps(desc, sort_keys=True)
+    total_units = sweep.total_units
     chunks = [(lo, min(lo + chunk_size, total_units)) for lo in range(0, total_units, chunk_size)]
     ckpt = _Checkpoint(checkpoint, desc, chunk_size, total_units)
     ckpt.open()
     prefix = _Prefix(chunks, ckpt.done, budget_units)
     try:
-        _execute(desc_json, chunks, ckpt, prefix, workers, stop_after_units)
+        _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units)
     except Interrupted:
         pass
-    return SweepOutcome(
-        prefix.checked, prefix.viol, prefix.best, prefix.settled, prefix.cut, prefix.units_done
-    )
+    completed = prefix.viol is not None or prefix.merged == len(chunks)
+    return SweepOutcome(prefix.checked, prefix.viol, prefix.best, completed)
 
 
-def _execute(desc_json, chunks, ckpt, prefix, workers, stop_after_units):
+def _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units):
     if prefix.advance():
         return
-    pending = iter([(lo, hi) for lo, hi in chunks if lo not in ckpt.done])
+    pending = [(lo, hi) for lo, hi in chunks if lo not in ckpt.done]
 
-    def finish(rec: dict) -> bool:
-        rec = ChunkResult.from_json(rec)
+    def finish(rec: ChunkResult) -> bool:
         ckpt.record(rec)
         settled = prefix.add(rec)
         if stop_after_units is not None:
@@ -228,23 +228,25 @@ def _execute(desc_json, chunks, ckpt, prefix, workers, stop_after_units):
                 raise Interrupted
         return settled
 
-    if workers <= 1:
+    procs = min(workers, len(pending), os.cpu_count() or 1)
+    if procs <= 1:
         for lo, hi in pending:
-            if finish(_run_chunk(desc_json, lo, hi)):
+            if finish(sweep.run_units(lo, hi)):
                 return
         return
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pending = iter(pending)
+    with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(sweep,)) as pool:
         inflight = set()
         stop = False
         while True:
-            while not stop and len(inflight) < workers * 2:
+            while not stop and len(inflight) < procs * 2:
                 nxt = next(pending, None)
                 if nxt is None:
                     break
                 if prefix.cap is not None and nxt[0] > prefix.cap:
                     continue
-                inflight.add(pool.submit(_run_chunk, desc_json, *nxt))
+                inflight.add(pool.submit(_run_chunk, *nxt))
             if not inflight:
                 return
             done, inflight = wait(inflight, return_when=FIRST_COMPLETED)

@@ -26,6 +26,10 @@ maximum is the chunk's best, and the first weight above the bound ends the
 chunk once the scalar oracle reproduces it on `subspace(key)`.  The
 engine is chosen once per sweep, in `_Context`.
 
+`_run_verification` builds the mode's sweep object from the system it is
+given and hands that object to `runner.run_sweep`; a JSON-safe descriptor
+of the same sweep only names it in checkpoint headers.
+
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
 """
@@ -54,7 +58,7 @@ from .linalg import (
     _pivot_blocks,
     _subspace_from_assignment,
 )
-from .construction import QSystem, system_from_desc, system_to_desc
+from .construction import QSystem, system_to_desc
 from .runner import ChunkResult, _merge_best, run_sweep
 
 TABLE_BITS = 14          # target log2 size of per-block xor tables
@@ -125,16 +129,18 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
-def _check_options(engine: str, budget=None, chunk_size=None) -> None:
+def _check_options(engine: str, budget=None, chunk_size=None, workers=1) -> None:
     """Reject an unknown engine, a chunk size below 1 (no chunk would be
-    built, and the empty sweep would read as a proof) and a budget below 1
-    (it admits no unit)."""
+    built, and the empty sweep would read as a proof), a budget below 1
+    (it admits no unit) and a worker count below 1."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 class _Context:
@@ -481,24 +487,6 @@ class SampledSweep:
         yield (), lo, d * n - bitkernel.batch_rank(rows).astype(np.int64)
 
 
-# --- sweep registry for worker processes ---
-
-
-def build_sweep(desc: dict):
-    tower = FieldTower.from_descriptor(desc["field"])
-    system = system_from_desc(tower, desc["system"])
-    kind = desc["kind"]
-    engine = desc.get("engine", "auto")
-    bound = desc.get("bound")
-    if kind == "exhaustive":
-        return ExhaustiveSweep(tower, system, desc["dim"], bound, engine)
-    if kind == "span":
-        return SpanSweep(tower, system, desc["dmax"], bound, engine)
-    if kind == "sampled":
-        return SampledSweep(tower, system, desc["dim"], bound, desc["seed"], engine, desc["budget"])
-    raise ValueError(f"unknown sweep kind {kind!r}")
-
-
 # --- verdicts ---
 
 
@@ -576,8 +564,9 @@ def _run_verification(
     chunk_size,
     stop_after_units=None,
 ):
-    _check_options(engine, budget, chunk_size)
+    _check_options(engine, budget, chunk_size, workers)
     tower = system.tower
+    # the descriptor only names the sweep in checkpoint headers
     desc = {
         "field": tower.descriptor(),
         "system": system_to_desc(system),
@@ -586,20 +575,22 @@ def _run_verification(
     }
     if mode == "exhaustive":
         desc.update(kind="exhaustive", dim=dim)
+        sweep = ExhaustiveSweep(tower, system, dim, bound, engine)
     elif mode == "witness_span":
         desc.update(kind="span", dmax=dim)
+        sweep = SpanSweep(tower, system, dim, bound, engine)
     elif mode == "sampled":
         if budget is None:
             raise ValueError("sampled mode requires a budget")
-        desc.update(kind="sampled", dim=dim, seed=seed if seed is not None else 0, budget=budget)
+        seed = seed if seed is not None else 0
+        desc.update(kind="sampled", dim=dim, seed=seed, budget=budget)
+        sweep = SampledSweep(tower, system, dim, bound, seed, engine, budget)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    sweep = build_sweep(desc)
-    total = sweep.total_units
-    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(total, 1))
+    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(sweep.total_units, 1))
     outcome = run_sweep(
+        sweep,
         desc,
-        total,
         chunk,
         workers=workers,
         checkpoint=checkpoint,
@@ -609,7 +600,20 @@ def _run_verification(
     witness = None
     if outcome.viol is not None:
         witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
-    return outcome, witness, desc
+    return outcome, witness
+
+
+def _verdict(outcome, witness, mode, bound, dim, seed, defect=None) -> Verdict:
+    """The one status rule: a witness or a defect is a violation, a sampled
+    or unfinished sweep is inconclusive, and a finished sweep holds."""
+    if witness is not None or defect is not None:
+        status = "violated"
+    elif mode == "sampled" or not outcome.completed:
+        status = "inconclusive"
+    else:
+        status = "holds"
+    seed_out = seed if mode == "sampled" else None
+    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed_out, defect)
 
 
 def verify_h_scattered(
@@ -633,23 +637,17 @@ def verify_h_scattered(
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    outcome, witness, _ = _run_verification(
+    outcome, witness = _run_verification(
         system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size,
         stop_after_units=_stop_after_units,
     )
-    spanning = system.spans_ambient
-    seed_out = seed if mode == "sampled" else None
-    if witness is not None:
-        return Verdict("violated", mode, h, h, outcome.checked, witness, seed_out)
-    if not spanning:
+    defect = None
+    if witness is None and not system.spans_ambient:
         defect = {
             "reason": "does not span the ambient space over the extension field",
             "span_dim": _span_dim(system),
         }
-        return Verdict("violated", mode, h, h, outcome.checked, None, seed_out, defect)
-    if mode == "sampled" or outcome.truncated_by_budget or not outcome.completed:
-        return Verdict("inconclusive", mode, h, h, outcome.checked, None, seed_out)
-    return Verdict("holds", mode, h, h, outcome.checked, None, seed_out)
+    return _verdict(outcome, witness, mode, h, h, seed, defect)
 
 
 def _span_dim(system: QSystem) -> int:
@@ -677,19 +675,14 @@ def verify_evasive(
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    _check_options(engine, budget, chunk_size)
-    seed_out = seed if mode == "sampled" else None
+    _check_options(engine, budget, chunk_size, workers)
     if r >= system.t:
         # vacuous: no subspace can meet U in more than dim U
-        return Verdict("holds", mode, r, hdim, 0, None, seed_out)
-    outcome, witness, _ = _run_verification(
+        return Verdict("holds", mode, r, hdim, 0, None, seed if mode == "sampled" else None)
+    outcome, witness = _run_verification(
         system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )
-    if witness is not None:
-        return Verdict("violated", mode, r, hdim, outcome.checked, witness, seed_out)
-    if mode == "sampled" or outcome.truncated_by_budget or not outcome.completed:
-        return Verdict("inconclusive", mode, r, hdim, outcome.checked, None, seed_out)
-    return Verdict("holds", mode, r, hdim, outcome.checked, None, seed_out)
+    return _verdict(outcome, witness, mode, r, hdim, seed)
 
 
 def max_weight_search(
@@ -708,14 +701,14 @@ def max_weight_search(
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
     sampled sweeps only bound the maximum from below.
     """
-    _check_options(engine, budget, chunk_size)
+    _check_options(engine, budget, chunk_size, workers)
     if dim == 0:
         return 0, [0], 1, True
     if mode == "witness_span":
         raise ValueError("max-weight search supports exhaustive or sampled mode")
-    outcome, _, _ = _run_verification(
+    outcome, _ = _run_verification(
         system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )
     best = outcome.best or {"weight": 0, "key": [0]}
-    exact = mode == "exhaustive" and outcome.completed and not outcome.truncated_by_budget
+    exact = mode == "exhaustive" and outcome.completed
     return best["weight"], best["key"], outcome.checked, exact

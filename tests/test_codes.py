@@ -309,9 +309,13 @@ def test_dual_derivation_that_breaks_the_partition_raises(ds_code, monkeypatch, 
         generalized_weights(ds_code.system())
 
 
-def test_dual_route_rejects_a_budget_that_cuts_its_sweep(ds_code):
+def test_dual_route_rejects_a_budget_that_cuts_its_sweep(ds_code, F16):
+    # A budget is rounded up to a chunk boundary, so it only cuts a sweep of
+    # more than one chunk: the first dual sweep of this [20, 15] code has
+    # [5, 4]_16 = 69,905 hyperplanes, five chunks.
+    system = direct_sum([pseudoregulus_subspace(F16, 2)] * 5)
     with pytest.raises(ValueError, match="dual sweep"):
-        generalized_weights(ds_code.system(), budget=5, rho_list=[2])
+        generalized_weights(system, budget=5, rho_list=[2])
     assert generalized_weights(ds_code.system(), budget=100).exact_tuple() == (2, 3, 5, 6)
 
 
@@ -401,3 +405,10 @@ def test_profile_csv_export(ds_code):
     assert lines[0] == "rho,value,provenance,subspaces_checked"
     assert len(lines) == 5
     assert lines[1].startswith("1,2,exact,")
+
+
+def test_dual_route_budget_that_covers_its_sweep_is_exact(ds_code):
+    # the dual sweep's largest Grassmannian has [2, 1]_8 = 9 planes
+    profile = generalized_weights(ds_code.system(), budget=9)
+    assert profile.route == "dual"
+    assert profile.exact_tuple() == (2, 3, 5, 6)

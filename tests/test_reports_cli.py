@@ -293,10 +293,13 @@ def test_verify_evasive_cli(tmp_path):
 
 def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path):
     """An interrupted-then-resumed sweep reports exactly like a straight run."""
+    from rankscatter.construction import pseudoregulus_subspace
     from rankscatter.field import create_field
     from rankscatter.runner import run_sweep
+    from rankscatter.verify import SampledSweep
 
     F16 = create_field(2, 1, 4)
+    sweep = SampledSweep(F16, pseudoregulus_subspace(F16, 2), 2, 2, 21, "auto", 300)
     desc = {
         "kind": "sampled",
         "field": F16.descriptor(),
@@ -307,11 +310,11 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path):
         "budget": 300,
         "engine": "auto",
     }
-    straight = run_sweep(desc, 300, 32)
+    straight = run_sweep(sweep, desc, 32)
     ck = str(tmp_path / "ck.jsonl")
-    interrupted = run_sweep(desc, 300, 32, checkpoint=ck, stop_after_units=150)
+    interrupted = run_sweep(sweep, desc, 32, checkpoint=ck, stop_after_units=150)
     assert not interrupted.completed
-    resumed = run_sweep(desc, 300, 32, checkpoint=ck)
+    resumed = run_sweep(sweep, desc, 32, checkpoint=ck)
     assert resumed.completed
     assert (straight.checked, straight.viol, straight.best) == (
         resumed.checked,
@@ -363,3 +366,92 @@ def test_q_above_two_witness_reports_recheck(tmp_path, field, mode, key, weight)
     assert (res["status"], res["subspaces_checked"]) == ("violated", 1)
     assert (res["witness"]["tuple_index"], res["witness"]["weight"]) == (key, weight)
     assert main(["recheck", out]) == 0
+
+
+PS2 = ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2"]
+
+
+@pytest.mark.parametrize(
+    "extra, rc, status, checked",
+    [
+        (["--budget", "273"], 0, "holds", 273),
+        (["--budget", "100", "--chunk-size", "50"], 2, "inconclusive", 100),
+    ],
+)
+def test_a_budget_cuts_only_while_chunks_remain(tmp_path, extra, rc, status, checked):
+    out = str(tmp_path / "b.json")
+    assert main(PS2 + ["--mode", "exhaustive", *extra, "--out", out]) == rc
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"]) == (status, checked)
+    assert main(["recheck", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [PS2 + ["--mode", "exhaustive"], WEIGHTS_M2])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_config_error(capsys, argv, workers):
+    assert main(argv + ["--workers", workers]) == 3
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
+def test_recheck_checks_exact_weights_against_the_dual_profile(tmp_path, capsys):
+    # [6, 3]_8 = 1.56e8 subspaces stop the primal resweep of d_3; the dual's
+    # full profile is 147 subspaces
+    out = str(tmp_path / "w3.json")
+    argv = ["weights", "--field", "2,1,3", "--system", "direct-sum", "--m", "3", "--h", "1"]
+    assert main(argv + ["--out", out]) == 0
+    assert main(["recheck", out]) == 0
+    rep = load(out)
+    (entry,) = [e for e in rep["result"]["profile"] if e["rho"] == 3]
+    assert entry["value"] == 5
+    entry["value"] = 4  # (2, 3, 4, 6, 8, 9) is still strictly increasing
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert "d_3 = 4 contradicts the dual profile, which gives 5" in capsys.readouterr().err
+
+
+# Checkpoints as the previous release wrote them for PS2: the header pins the
+# descriptor hash, and the one chunk line must be reused on resume.
+EARLIER_CHECKPOINTS = {
+    "exhaustive": (
+        [],
+        0,
+        '{"chunk_size": 273, "desc_hash": "17bfeebe52fdb2bf", "schema": "rankscatter-checkpoint/1", "total_units": 273}\n'
+        '{"best": {"key": [16], "weight": 2}, "checked": 273, "hi": 273, "lo": 0, "viol": null}\n',
+    ),
+    "witness_span": (
+        [],
+        0,
+        '{"chunk_size": 30, "desc_hash": "04c8b098b8622d0b", "schema": "rankscatter-checkpoint/1", "total_units": 30}\n'
+        '{"best": {"key": [2, 1, 2], "weight": 2}, "checked": 120, "hi": 30, "lo": 0, "viol": null}\n',
+    ),
+    "sampled": (
+        ["--budget", "500", "--seed", "3"],
+        2,
+        '{"chunk_size": 500, "desc_hash": "76cfe4e93daae696", "schema": "rankscatter-checkpoint/1", "total_units": 500}\n'
+        '{"best": {"key": [12], "weight": 2}, "checked": 500, "hi": 500, "lo": 0, "viol": null}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EARLIER_CHECKPOINTS))
+def test_earlier_checkpoints_keep_their_identity_and_resume(tmp_path, monkeypatch, mode):
+    from rankscatter import verify
+
+    extra, rc, text = EARLIER_CHECKPOINTS[mode]
+    argv = PS2 + ["--mode", mode, *extra]
+    fresh, fresh_ck = str(tmp_path / "fresh.json"), tmp_path / "fresh.jsonl"
+    assert main(argv + ["--checkpoint", str(fresh_ck), "--out", fresh]) == rc
+    assert fresh_ck.read_text() == text
+
+    def rerun(self, lo, hi):
+        raise AssertionError(f"chunk [{lo}, {hi}) ran again")
+
+    for cls in (verify.ExhaustiveSweep, verify.SpanSweep, verify.SampledSweep):
+        monkeypatch.setattr(cls, "run_units", rerun)
+    resumed, ck = str(tmp_path / "resumed.json"), tmp_path / "earlier.jsonl"
+    ck.write_text(text)
+    assert main(argv + ["--checkpoint", str(ck), "--out", resumed]) == rc
+    assert reports.body_bytes(load(resumed)) == reports.body_bytes(load(fresh))
+    assert ck.read_text() == text

@@ -11,9 +11,11 @@ from rankscatter.construction import (
     pseudoregulus_subspace,
 )
 from rankscatter.linalg import SubspaceQn, gaussian_binomial
+from rankscatter import runner
 from rankscatter.runner import run_sweep, desc_hash
 from rankscatter.verify import (
-    build_sweep,
+    ExhaustiveSweep,
+    SampledSweep,
     max_weight_search,
     scattered_dim_bound,
     subspace_weight,
@@ -232,7 +234,8 @@ def test_witness_span_engines_agree_at_depth_three(F16):
     assert fast.witness.weight == slow.witness.weight
 
 
-def test_checkpoint_resume_is_exact(tmp_path, F16):
+def _sampled_job(F16, seed):
+    """A sampled sweep and the descriptor that names it in checkpoints."""
     ps = pseudoregulus_subspace(F16, 2)
     desc = {
         "kind": "sampled",
@@ -240,15 +243,20 @@ def test_checkpoint_resume_is_exact(tmp_path, F16):
         "system": {"kind": "pseudoregulus", "h": 2},
         "dim": 2,
         "bound": 2,
-        "seed": 11,
+        "seed": seed,
         "budget": 200,
         "engine": "auto",
     }
-    straight = run_sweep(desc, 200, 25)
+    return SampledSweep(F16, ps, 2, 2, seed, "auto", 200), desc
+
+
+def test_checkpoint_resume_is_exact(tmp_path, F16):
+    job = _sampled_job(F16, 11)
+    straight = run_sweep(*job, 25)
     ck = str(tmp_path / "ck.jsonl")
-    partial = run_sweep(desc, 200, 25, checkpoint=ck, stop_after_units=100)
+    partial = run_sweep(*job, 25, checkpoint=ck, stop_after_units=100)
     assert not partial.completed
-    resumed = run_sweep(desc, 200, 25, checkpoint=ck)
+    resumed = run_sweep(*job, 25, checkpoint=ck)
     assert resumed.completed
     assert (resumed.checked, resumed.viol, resumed.best) == (
         straight.checked,
@@ -258,21 +266,10 @@ def test_checkpoint_resume_is_exact(tmp_path, F16):
 
 
 def test_checkpoint_rejects_other_jobs(tmp_path, F16):
-    desc = {
-        "kind": "sampled",
-        "field": F16.descriptor(),
-        "system": {"kind": "pseudoregulus", "h": 2},
-        "dim": 2,
-        "bound": 2,
-        "seed": 11,
-        "budget": 200,
-        "engine": "auto",
-    }
     ck = str(tmp_path / "ck.jsonl")
-    run_sweep(desc, 200, 25, checkpoint=ck, stop_after_units=50)
-    other = dict(desc, seed=12)
+    run_sweep(*_sampled_job(F16, 11), 25, checkpoint=ck, stop_after_units=50)
     with pytest.raises(ValueError):
-        run_sweep(other, 200, 25, checkpoint=ck)
+        run_sweep(*_sampled_job(F16, 12), 25, checkpoint=ck)
 
 
 def test_parallel_workers_match_serial(F16):
@@ -302,7 +299,8 @@ def test_verdict_serialization_roundtrip(F16):
     json.dumps(data)  # JSON-safe
 
 
-def test_build_sweep_registry(F16):
+@pytest.fixture
+def ps2_job(F16, ps2):
     desc = {
         "kind": "exhaustive",
         "field": F16.descriptor(),
@@ -311,62 +309,53 @@ def test_build_sweep_registry(F16):
         "bound": 2,
         "engine": "auto",
     }
-    sweep = build_sweep(desc)
+    return ExhaustiveSweep(F16, ps2, 2, 2, "auto"), desc
+
+
+def test_sweep_objects_run_their_own_units(ps2_job):
+    sweep, desc = ps2_job
     assert sweep.total_units == 273
     out = sweep.run_units(0, 273)
     assert out.checked == 273 and out.viol is None
     assert desc_hash(desc) == desc_hash(json.loads(json.dumps(desc)))
 
 
-
-@pytest.fixture
-def ps2_desc(F16):
-    return {
-        "kind": "exhaustive",
-        "field": F16.descriptor(),
-        "system": {"kind": "pseudoregulus", "h": 2},
-        "dim": 2,
-        "bound": 2,
-        "engine": "auto",
-    }
-
-
-def test_checkpoint_torn_final_line_is_dropped_and_rerun(tmp_path, ps2_desc):
-    straight = run_sweep(ps2_desc, 273, 20)
+def test_checkpoint_torn_final_line_is_dropped_and_rerun(tmp_path, ps2_job):
+    straight = run_sweep(*ps2_job, 20)
     ck = tmp_path / "ck.jsonl"
-    run_sweep(ps2_desc, 273, 20, checkpoint=str(ck))
+    run_sweep(*ps2_job, 20, checkpoint=str(ck))
     data = ck.read_bytes()
     ck.write_bytes(data[: len(data) - 9])  # a kill in mid-append tears the last line
-    assert run_sweep(ps2_desc, 273, 20, checkpoint=str(ck)) == straight
+    assert run_sweep(*ps2_job, 20, checkpoint=str(ck)) == straight
     # the torn tail was replaced by the rerun chunk's whole line
     lines = ck.read_text().splitlines()
     assert [json.loads(line)["lo"] for line in lines[1:]] == list(range(0, 273, 20))
 
 
-def test_checkpoint_torn_header_starts_over(tmp_path, ps2_desc):
+def test_checkpoint_torn_header_starts_over(tmp_path, ps2_job):
     ck = tmp_path / "ck.jsonl"
     ck.write_text('{"chunk_size": 20, "desc')
-    assert run_sweep(ps2_desc, 273, 20, checkpoint=str(ck)) == run_sweep(ps2_desc, 273, 20)
+    assert run_sweep(*ps2_job, 20, checkpoint=str(ck)) == run_sweep(*ps2_job, 20)
 
 
-def test_checkpoint_malformed_lines_name_the_line(tmp_path, ps2_desc):
+def test_checkpoint_malformed_lines_name_the_line(tmp_path, ps2_job):
     ck = tmp_path / "ck.jsonl"
-    run_sweep(ps2_desc, 273, 20, checkpoint=str(ck))
+    run_sweep(*ps2_job, 20, checkpoint=str(ck))
     lines = ck.read_text().splitlines(keepends=True)
     for no, bad in ((3, lines[2][:-9] + "\n"), (4, '{"lo": 40}\n'), (1, "not json\n")):
         broken = tmp_path / f"broken{no}.jsonl"
         broken.write_text("".join(lines[: no - 1] + [bad] + lines[no:]))
         with pytest.raises(ValueError, match=f"checkpoint {broken} line {no} is malformed"):
-            run_sweep(ps2_desc, 273, 20, checkpoint=str(broken))
+            run_sweep(*ps2_job, 20, checkpoint=str(broken))
 
 
-def test_unknown_engine_is_rejected(F16, ps2_desc):
+def test_unknown_engine_is_rejected(F16):
     ps = pseudoregulus_subspace(F16, 2)
     for engine in ("batch", "Scalar", "numpy"):
         with pytest.raises(ValueError, match="unknown engine"):
             verify_h_scattered(ps, 2, mode="exhaustive", engine=engine)
         with pytest.raises(ValueError, match="unknown engine"):
-            build_sweep(dict(ps2_desc, engine=engine))
+            ExhaustiveSweep(F16, ps, 2, 2, engine)
         # calls that return before any sweep is built check the engine too
         with pytest.raises(ValueError, match="unknown engine"):
             verify_evasive(ps, 1, ps.t, engine=engine)
@@ -408,3 +397,73 @@ def test_odd_q_span_proof_over_pairs(engine):
     ps = pseudoregulus_subspace(create_field(3, 1, 3), 2)
     v = verify_h_scattered(ps, 2, mode="witness_span", engine=engine)
     assert (v.status, v.checked) == ("holds", 208)
+
+
+# --- how run_sweep runs a sweep ---
+
+
+def test_in_process_runs_never_rebuild_from_descriptors(monkeypatch, ps2, F8):
+    from rankscatter.codes import generalized_weights
+    from rankscatter.construction import direct_sum
+    from rankscatter.field import FieldTower
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("an in-process sweep was rebuilt from its descriptor")
+
+    monkeypatch.setattr(FieldTower, "from_descriptor", rebuild)
+    v = verify_h_scattered(ps2, 2, mode="exhaustive", workers=1)
+    assert (v.status, v.checked) == ("holds", 273)
+    ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
+    assert max_weight_search(ds, 1)[:3] == (1, [64], 585)
+    assert generalized_weights(ds).exact_tuple() == (2, 3, 5, 6)
+
+
+def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for a single chunk")
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    v = verify_h_scattered(ps2, 2, mode="exhaustive", workers=2)
+    assert (v.status, v.checked) == ("holds", 273)
+
+
+def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job):
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs every chunk in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(runner, "_worker_sweep", None)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+    straight = run_sweep(*ps2_job, 20)
+    # min(workers, pending chunks, CPUs); one process runs in process
+    for workers, chunk, size in ((64, 20, 8), (64, 100, 3), (3, 20, 3), (64, 273, None), (1, 20, None)):
+        sizes.clear()
+        out = run_sweep(*ps2_job, chunk, workers=workers)
+        assert (out.checked, out.viol, out.completed) == (273, None, True)
+        assert sizes == ([] if size is None else [size]), (workers, chunk)
+    # chunks already in the checkpoint are not pending
+    ck = str(tmp_path / "ck.jsonl")
+    run_sweep(*ps2_job, 20, checkpoint=ck, stop_after_units=240)
+    sizes.clear()
+    assert run_sweep(*ps2_job, 20, workers=64, checkpoint=ck) == straight
+    assert sizes == [2]
+
