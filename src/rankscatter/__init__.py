@@ -45,7 +45,6 @@ from .verify import (
     verify_h_scattered,
 )
 from .codes import (
-    DistanceEstimate,
     RankCode,
     WeightProfile,
     check_weight_axioms,

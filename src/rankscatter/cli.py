@@ -3,7 +3,7 @@
 Subcommands: construct, verify-scattered, verify-evasive, weights, compare,
 search, recheck.  Exit codes: 0 holds/complete, 1 violation or corrupt
 report (the report carries the witness), 2 inconclusive (sampled budget
-exhausted), 3 configuration error, 4 usage error.
+exhausted), 3 configuration error or unusable path, 4 usage error.
 
 Reports are deterministic: two runs with the same configuration (seed
 included; worker count and checkpointing excluded) produce byte-identical
@@ -80,15 +80,24 @@ def _parse_ints(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--field", required=True, help="p,s,n[,modulus] with the modulus packed base p")
-    p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--force", action="store_true", help="proceed even when no admissible tuple can exist")
-    p.add_argument("--workers", type=int, default=1, help="worker processes, at most one per CPU and per chunk")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, help="units to check in sampled mode")
-    p.add_argument("--checkpoint", help="append-only checkpoint file for resumable sweeps")
-    p.add_argument("--chunk-size", type=int, default=None)
+# Options in the order subcommands take them: each subcommand gets a prefix
+# of this list, so it accepts exactly the options its handler reads.
+_COMMON = [
+    ("--field", dict(required=True, help="p,s,n[,modulus] with the modulus packed base p")),
+    ("--out", dict(help="write the JSON report here (default: stdout)")),
+    ("--force", dict(action="store_true", help="proceed even when no admissible tuple can exist")),
+    ("--seed", dict(type=int, default=0)),
+    ("--budget", dict(type=int, default=None, help="units to check in sampled mode")),
+    ("--workers", dict(type=int, default=1, help="worker processes, at most one per CPU and per chunk")),
+    ("--checkpoint", dict(help="append-only checkpoint file for resumable sweeps")),
+    ("--chunk-size", dict(type=int, default=None)),
+]
+REPORT_ONLY, SAMPLING, POOLED, RESUMABLE = 3, 5, 6, 8
+
+
+def _add_common(p: argparse.ArgumentParser, count: int):
+    for flag, kwargs in _COMMON[:count]:
+        p.add_argument(flag, **kwargs)
 
 
 def _add_system(p: argparse.ArgumentParser):
@@ -108,35 +117,35 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a system and report its dimensions")
-    _add_common(p)
+    _add_common(p, REPORT_ONLY)
     _add_system(p)
 
     p = sub.add_parser("verify-scattered", help="decide h-scatteredness")
-    _add_common(p)
+    _add_common(p, RESUMABLE)
     _add_system(p)
     p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="witness_span")
 
     p = sub.add_parser("verify-evasive", help="decide (hdim, r)-evasiveness")
-    _add_common(p)
+    _add_common(p, RESUMABLE)
     _add_system(p)
     p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="sampled")
     p.add_argument("--hdim", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
     p = sub.add_parser("weights", help="generalized rank weights of a system")
-    _add_common(p)
+    _add_common(p, POOLED)
     _add_system(p)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--rho", help="comma-separated indices (default: all)")
     p.add_argument("--csv", help="also write the profile as CSV here")
 
     p = sub.add_parser("compare", help="family weight bounds vs the direct-sum baseline")
-    _add_common(p)
+    _add_common(p, REPORT_ONLY)
     _add_system(p)
     p.add_argument("--s-list", dest="s_list", help="comma-separated s values for rho = s(h+1)")
 
     p = sub.add_parser("search", help="census of multiplier tuples by admissibility")
-    _add_common(p)
+    _add_common(p, SAMPLING)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--check-b", dest="check_strong", action="store_true",
                    help="also count strongly admissible tuples")
@@ -210,7 +219,10 @@ def _cmd_construct(args) -> int:
 
 
 def _timing(t0: float, args) -> dict:
-    return {"seconds": round(time.time() - t0, 6), "workers": args.workers}
+    timing = {"seconds": round(time.time() - t0, 6)}
+    if "workers" in args:
+        timing["workers"] = args.workers
+    return timing
 
 
 def _cmd_verify(args, evasive: bool) -> int:
@@ -354,7 +366,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_recheck(args) -> int:
-    report = reports.load_report(args.report)
+    try:
+        report = reports.load_report(args.report)
+    except ValueError as exc:
+        print(f"corrupt report: {exc}", file=sys.stderr)
+        return EXIT_VIOLATED
     ok, problems = reports.recheck_report(report)
     if ok:
         print(f"report verified: {args.report}")
@@ -387,6 +403,9 @@ def main(argv=None) -> int:
         if args.command == "recheck":
             return _cmd_recheck(args)
     except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # names the path: a report, CSV or checkpoint file
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UsageError as exc:

@@ -8,8 +8,9 @@ computed system-side,
     d_rho = t - max{ wt_U(H) : dim H = k - rho },
 
 which reuses the verifier sweep kernels, on this system or, when that is
-cheaper, on the system of the dual code (Wei-type duality); the
-codeword-side minimum distance is kept as an independent cross-check.
+cheaper, on the system of the dual code (Wei-type duality).  The minimum
+distance is d_1; `rank_weight` on single codewords is the independent
+codeword-side oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .construction import (
     tuple_admissible,
     tuple_strongly_admissible,
 )
-from .field import FieldTower, _digits
+from .field import FieldTower
 from .linalg import (
     FqSubspace,
     expand_vector,
@@ -97,66 +98,18 @@ def rank_weight(tower: FieldTower, v) -> int:
     return acc.rank
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    value: int
-    exact: bool
-    mode: str
-    codewords_checked: int
-
-
-def _messages_projective(Q: int, k: int):
-    """One message per extension-scalar class: first nonzero coordinate is 1."""
-    for lead in range(k):
-        free = k - lead - 1
-        for a in range(Q**free):
-            msg = [0] * k
-            msg[lead] = 1
-            rest = []
-            for _ in range(free):
-                a, v = divmod(a, Q)
-                rest.append(v)
-            msg[lead + 1 :] = reversed(rest)
-            yield tuple(msg)
-
-
-def _messages_sampled(Q: int, k: int, budget: int, seed: int):
-    """`budget` seeded random nonzero messages (an all-zero draw gets a leading 1)."""
-    rng = random.Random(derive_seed(seed, "mindist"))
-    for _ in range(budget):
-        msg = [rand_below(rng, Q) for _ in range(k)]
-        if not any(msg):
-            msg[0] = 1
-        yield msg
-
-
 def min_distance(
-    code: RankCode, mode: str = "projective", budget: int | None = None, seed: int = 0
-) -> DistanceEstimate:
-    """Minimum rank weight of a nonzero codeword.
+    code: RankCode, mode: str = "exhaustive", budget: int | None = None, seed: int | None = None
+) -> ProfileEntry:
+    """d_1 of the weight profile: t - max{wt_U(H) : H a hyperplane}.
 
-    projective enumerates one codeword per scalar class (rank weight is
-    invariant under extension scalars); exhaustive enumerates all nonzero
-    messages; sampled returns an upper bound from `budget` random codewords.
+    Exact in exhaustive mode (swept on whichever side is cheaper, see
+    `generalized_weights`); in sampled mode an upper bound from `budget`
+    random hyperplanes.  The system's t is the F_q-dimension of the column
+    span, which fixes every codeword's rank weight, so degenerate codes need
+    no special case.
     """
-    t = code.tower
-    Q = t.order
-    if mode == "exhaustive":
-        messages = (_digits(a, Q, code.k) for a in range(1, Q**code.k))
-    elif mode == "projective":
-        messages = _messages_projective(Q, code.k)
-    elif mode == "sampled":
-        if budget is None:
-            raise ValueError("sampled mode requires a budget")
-        messages = _messages_sampled(Q, code.k, budget, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    best = code.t + 1
-    checked = 0
-    for msg in messages:
-        best = min(best, rank_weight(t, code.codeword(msg)))
-        checked += 1
-    return DistanceEstimate(best, mode != "sampled", mode, checked)
+    return generalized_weights(code.system(), [1], mode=mode, budget=budget, seed=seed).entries[0]
 
 
 def dual_code(code: RankCode) -> RankCode:
@@ -172,11 +125,11 @@ def singleton_bound_rhs(n: int, t: int, d: int) -> int:
 def is_mrd(code: RankCode, d) -> bool:
     """Whether nk meets the rank-metric Singleton bound with equality.
 
-    d must be the exact minimum distance (an int is trusted; a sampled
-    DistanceEstimate is rejected).
+    d must be the exact minimum distance (an int is trusted; a ProfileEntry
+    that is only a bound is rejected).
     """
-    if isinstance(d, DistanceEstimate):
-        if not d.exact:
+    if isinstance(d, ProfileEntry):
+        if d.provenance != EXACT:
             raise ValueError("is_mrd needs an exact minimum distance")
         d = d.value
     n = code.tower.n
@@ -402,17 +355,19 @@ def predicted_direct_sum_profile(m: int, n: int, h: int) -> WeightProfile:
     for rho, v in sorted(exact.items()):
         profile.add(rho, v, EXACT)
     if m > 2:
+        upper: dict[int, int] = {}
         for j, rho in enumerate(range(h + 2, (m - 1) * (h + 1))):
             if rho in exact:
                 continue
             # chain the strict inequalities from both pinned ends
             profile.add(rho, n + 1 + j, LOWER)
-            gap = (m - 1) * (h + 1) - rho
-            profile.add(rho, (m - 1) * n - gap, UPPER)
+            upper[rho] = (m - 1) * n - ((m - 1) * (h + 1) - rho)
         for j in range(1, m):
             rho = j * (h + 1)
             if rho not in exact:
-                profile.add(rho, j * n, UPPER)
+                upper[rho] = min(upper.get(rho, j * n), j * n)
+        for rho, v in sorted(upper.items()):
+            profile.add(rho, v, UPPER)
     return profile
 
 

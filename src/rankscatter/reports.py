@@ -67,8 +67,12 @@ def write_report(report: dict, path: str | None):
 
 
 def load_report(path: str) -> dict:
+    """The report in a file.  ValueError when it is not a JSON object of
+    this schema; OSError when it cannot be read."""
     with open(path) as f:
         report = json.load(f)
+    if not isinstance(report, dict):
+        raise ValueError(f"a report is a JSON object, not {type(report).__name__}")
     if report.get("schema") != SCHEMA:
         raise ValueError(f"unsupported report schema {report.get('schema')!r}")
     return report

@@ -147,8 +147,9 @@ class _Prefix:
     cannot move the first witness.
     """
 
-    def __init__(self, chunks, done: dict, budget_units: int | None):
-        self.chunks = chunks
+    def __init__(self, nchunks: int, chunk_size: int, done: dict, budget_units: int | None):
+        self.nchunks = nchunks
+        self.chunk_size = chunk_size
         self.done = done
         self.budget_units = budget_units
         self.merged = 0
@@ -160,7 +161,7 @@ class _Prefix:
 
     @property
     def settled(self) -> bool:
-        return self.viol is not None or self.cut or self.merged == len(self.chunks)
+        return self.viol is not None or self.cut or self.merged == self.nchunks
 
     def add(self, rec: ChunkResult) -> bool:
         """Take one newly finished chunk; True once the outcome is settled."""
@@ -170,8 +171,7 @@ class _Prefix:
 
     def advance(self) -> bool:
         while not self.settled:
-            lo, hi = self.chunks[self.merged]
-            rec = self.done.get(lo)
+            rec = self.done.get(self.merged * self.chunk_size)
             if rec is None:
                 break
             self.merged += 1
@@ -181,7 +181,7 @@ class _Prefix:
                 self.viol = rec.viol
             elif self.budget_units is not None and self.checked >= self.budget_units:
                 # a budget that lets the last chunk run cuts nothing
-                self.cut = self.merged < len(self.chunks)
+                self.cut = self.merged < self.nchunks
         return self.settled
 
 
@@ -203,22 +203,29 @@ def run_sweep(
     (checkpoint intact) once that many units completed.
     """
     total_units = sweep.total_units
-    chunks = [(lo, min(lo + chunk_size, total_units)) for lo in range(0, total_units, chunk_size)]
+    nchunks = -(-total_units // chunk_size)
     ckpt = _Checkpoint(checkpoint, desc, chunk_size, total_units)
     ckpt.open()
-    prefix = _Prefix(chunks, ckpt.done, budget_units)
+    prefix = _Prefix(nchunks, chunk_size, ckpt.done, budget_units)
     try:
-        _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units)
+        _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units)
     except Interrupted:
         pass
-    completed = prefix.viol is not None or prefix.merged == len(chunks)
+    completed = prefix.viol is not None or prefix.merged == nchunks
     return SweepOutcome(prefix.checked, prefix.viol, prefix.best, completed)
 
 
-def _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units):
+def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
     if prefix.advance():
         return
-    pending = [(lo, hi) for lo, hi in chunks if lo not in ckpt.done]
+    # Chunk i is [i*c, min((i+1)*c, total)), computed on demand: a sweep can
+    # have far more chunks than could ever be listed.
+    c = prefix.chunk_size
+    pending = (
+        (i * c, min((i + 1) * c, total_units))
+        for i in range(prefix.merged, prefix.nchunks)
+        if i * c not in ckpt.done
+    )
 
     def finish(rec: ChunkResult) -> bool:
         ckpt.record(rec)
@@ -228,14 +235,13 @@ def _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units):
                 raise Interrupted
         return settled
 
-    procs = min(workers, len(pending), os.cpu_count() or 1)
+    procs = min(workers, prefix.nchunks - len(ckpt.done), os.cpu_count() or 1)
     if procs <= 1:
         for lo, hi in pending:
             if finish(sweep.run_units(lo, hi)):
                 return
         return
 
-    pending = iter(pending)
     with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(sweep,)) as pool:
         inflight = set()
         stop = False
@@ -245,7 +251,9 @@ def _execute(sweep, chunks, ckpt, prefix, workers, stop_after_units):
                 if nxt is None:
                     break
                 if prefix.cap is not None and nxt[0] > prefix.cap:
-                    continue
+                    # chunks come in unit order and cap only falls
+                    stop = True
+                    break
                 inflight.add(pool.submit(_run_chunk, *nxt))
             if not inflight:
                 return

@@ -702,10 +702,10 @@ def max_weight_search(
     sampled sweeps only bound the maximum from below.
     """
     _check_options(engine, budget, chunk_size, workers)
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
     if dim == 0:
         return 0, [0], 1, True
-    if mode == "witness_span":
-        raise ValueError("max-weight search supports exhaustive or sampled mode")
     outcome, _ = _run_verification(
         system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )

@@ -186,22 +186,34 @@ def test_criterion_06_wei_duality_and_monotonicity(F8, F16):
     ok("C6", "Wei-type duality and monotonicity hold for the m=2 pair and 20 random codes")
 
 
-def test_criterion_07_mrd_checks(F16, F8):
+def test_criterion_07_mrd_checks(F16, F8, family_params):
     c1 = code_from_system(pseudoregulus_subspace(F16, 1))
-    d1 = min_distance(c1, "projective")
+    d1 = min_distance(c1)
     assert (c1.t, c1.k, d1.value) == (4, 2, 3)
     assert is_mrd(c1, d1)
 
     ps = pseudoregulus_subspace(F8, 1)
     cds = code_from_system(direct_sum([ps, ps]))
-    dds = min_distance(cds, "projective")
+    dds = min_distance(cds)
     assert (cds.t, cds.k, dds.value) == (6, 4, 2)
     assert is_mrd(cds, dds)
 
     dual1 = dual_code(c1)
-    dd = min_distance(dual1, "projective")
+    dd = min_distance(dual1)
     assert dd.value == 3
-    ok("C7", "[4,2,3] and [6,4,2] meet the Singleton-like bound; dual of the first has d=3")
+
+    # the paper's family code: d_1 off the dual side's profile
+    t0 = time.perf_counter()
+    cf = code_from_system(family_subspace(family_params))
+    df = min_distance(cf)
+    elapsed = time.perf_counter() - t0
+    assert (cf.t, cf.k, df.value, df.provenance) == (16, 12, 2, "exact")
+    assert is_mrd(cf, df)
+    ok(
+        "C7",
+        "[4,2,3], [6,4,2] and the F_16 m=4 h=2 family [16,12,2] meet the "
+        f"Singleton-like bound (family in {elapsed:.3f}s); dual of the first has d=3",
+    )
 
 
 def test_criterion_08_evasiveness_sampling(F64):

@@ -1,5 +1,6 @@
 """Rank-metric codes: distances, duals, MRD, generalized weights."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,9 @@ from rankscatter.construction import (
     tuple_admissible,
 )
 from rankscatter.codes import (
-    DistanceEstimate,
+    EXACT,
+    UPPER,
+    ProfileEntry,
     RankCode,
     check_weight_axioms,
     code_from_system,
@@ -82,28 +85,95 @@ def test_code_shapes(F16, F8, ds_code):
     assert cf.nondegenerate
 
 
+def _codeword_distance(code) -> int:
+    """The oracle: the least rank weight over every nonzero message."""
+    Q = code.tower.order
+    return min(
+        rank_weight(code.tower, code.codeword(msg))
+        for msg in itertools.product(range(Q), repeat=code.k)
+        if any(msg)
+    )
+
+
+def _assert_d1_is_the_codeword_distance(code):
+    assert code.tower.order**code.k <= 4096
+    d = _codeword_distance(code)
+    assert min_distance(code).value == d
+    assert generalized_weights(code.system(), [1], engine="scalar").exact(1) == d
+    return d
+
+
 def test_min_distance_pseudoregulus(F16):
     c = code_from_system(pseudoregulus_subspace(F16, 1))
-    proj = min_distance(c, "projective")
-    exh = min_distance(c, "exhaustive")
-    assert proj.value == exh.value == 3  # n - h
-    assert proj.codewords_checked == 17
-    assert exh.codewords_checked == 255
+    d = min_distance(c)
+    assert (d.value, d.provenance) == (3, EXACT)  # n - h
+    prof = generalized_weights(c.system(), [1])
+    assert (prof.route, prof.swept) == ("primal", 17)  # [2, 1]_16 hyperplanes
     samp = min_distance(c, "sampled", budget=30, seed=4)
-    assert not samp.exact and samp.value >= exh.value
+    assert samp.provenance == UPPER and samp.value >= d.value
 
 
 def test_min_distance_direct_sum(ds_code):
-    d = min_distance(ds_code, "projective")
-    assert d.value == 2 and d.codewords_checked == 585
-    assert min_distance(ds_code, "exhaustive").value == 2
+    d = min_distance(ds_code)
+    assert (d.value, d.provenance) == (2, EXACT)
+    prof = generalized_weights(ds_code.system(), [1])
+    assert (prof.route, prof.swept) == ("dual", 10)
 
 
 def test_repeated_column_caps_distance(F8):
     # planted control: a repeated column forces d <= t - 1
     c = RankCode(F8, 2, 4, ((1, 1, 0, 2), (0, 0, 1, 3)))
-    d = min_distance(c, "projective")
+    d = min_distance(c)
     assert d.value <= 3
+
+
+@pytest.fixture(scope="module")
+def oracle_codes(F16, F8, ds_code):
+    F9, F27 = create_field(3, 1, 2), create_field(3, 1, 3)
+    c1 = code_from_system(pseudoregulus_subspace(F16, 1))
+    codes = {
+        "F16-pseudoregulus": c1,
+        "F16-pseudoregulus-dual": dual_code(c1),
+        "F8-direct-sum": ds_code,
+        "F8-repeated-column": RankCode(F8, 2, 4, ((1, 1, 0, 2), (0, 0, 1, 3))),
+        "F16-paired-columns": RankCode(F16, 2, 4, ((1, 1, 0, 0), (0, 0, 1, 1))),
+        "F9-pseudoregulus": code_from_system(pseudoregulus_subspace(F9, 1)),
+        "F27-pseudoregulus": code_from_system(pseudoregulus_subspace(F27, 1)),
+        "F27-pseudoregulus-dual": dual_code(code_from_system(pseudoregulus_subspace(F27, 1))),
+    }
+    # degenerate: the column span has F_q-dimension below t
+    assert not codes["F8-repeated-column"].nondegenerate
+    assert not codes["F16-paired-columns"].nondegenerate
+    return codes
+
+
+@pytest.mark.parametrize(
+    "name, d",
+    [
+        ("F16-pseudoregulus", 3),
+        ("F16-pseudoregulus-dual", 3),
+        ("F8-direct-sum", 2),
+        ("F8-repeated-column", 1),
+        ("F16-paired-columns", 1),
+        ("F9-pseudoregulus", 1),
+        ("F27-pseudoregulus", 2),
+        ("F27-pseudoregulus-dual", 3),
+    ],
+)
+def test_min_distance_is_the_least_codeword_weight(oracle_codes, name, d):
+    assert _assert_d1_is_the_codeword_distance(oracle_codes[name]) == d
+
+
+def test_min_distance_rejects_modes_without_a_hyperplane_sweep(F8, ds_code):
+    g = F8.p
+    line = RankCode(F8, 1, 3, ((1, g, F8.mul(g, g)),))  # k = 1: the hyperplane is {0}
+    assert min_distance(line).value == 3
+    for code in (line, ds_code):
+        for mode in ("projective", "witness_span", "typo"):
+            with pytest.raises(ValueError, match="exhaustive or sampled"):
+                min_distance(code, mode)
+    with pytest.raises(ValueError, match="exhaustive or sampled"):
+        generalized_weights(ds_code.system(), [4], mode="typo")
 
 
 def test_dual_code_identities(F16, ds_code):
@@ -122,21 +192,25 @@ def test_dual_code_identities(F16, ds_code):
 
     assert rref(F16, ddc.G, 4)[0] == rref(F16, c.G, 4)[0]
     # dual of the MRD pseudoregulus code is MRD with d = 3
-    dd = min_distance(dc, "projective")
+    dd = min_distance(dc)
     assert dd.value == 3 and is_mrd(dc, dd)
 
 
 def test_mrd_checks(F16, ds_code):
     c1 = code_from_system(pseudoregulus_subspace(F16, 1))
     assert singleton_bound_rhs(4, 4, 3) == 8
-    assert is_mrd(c1, min_distance(c1, "projective"))
-    assert is_mrd(ds_code, min_distance(ds_code, "projective"))
+    assert is_mrd(c1, min_distance(c1))
+    assert is_mrd(ds_code, min_distance(ds_code))
+    assert is_mrd(c1, 3) and not is_mrd(c1, 2)
     # a strictly worse code is not MRD
     worse = RankCode(F16, 2, 4, ((1, 1, 0, 0), (0, 0, 1, 1)))
-    dw = min_distance(worse, "projective")
+    dw = min_distance(worse)
     assert dw.value < 3 and not is_mrd(worse, dw)
+    # only an exact distance decides MRD
     with pytest.raises(ValueError):
-        is_mrd(c1, DistanceEstimate(3, False, "sampled", 10))
+        is_mrd(c1, min_distance(c1, "sampled", budget=10))
+    with pytest.raises(ValueError):
+        is_mrd(c1, ProfileEntry(1, 3, UPPER))
 
 
 def test_direct_sum_profile_m2(ds_code, F8):
@@ -146,7 +220,7 @@ def test_direct_sum_profile_m2(ds_code, F8):
     pred = predicted_direct_sum_profile(2, 3, 1)
     assert pred.exact_tuple() == (2, 3, 5, 6)
     # d_1 equals the codeword-side minimum distance
-    assert prof.exact(1) == min_distance(ds_code, "projective").value
+    assert prof.exact(1) == _codeword_distance(ds_code)
 
 
 def test_direct_sum_profile_dual_and_axioms(ds_code):
@@ -213,7 +287,7 @@ def test_random_codes_satisfy_weight_axioms():
         prof = generalized_weights(code.system())
         dual_prof = generalized_weights(dual_code(code).system())
         assert check_weight_axioms(prof, dual_prof, t), (tower.order, k, t, seed)
-        assert prof.exact(1) == min_distance(code, "projective").value
+        assert prof.exact(1) == _assert_d1_is_the_codeword_distance(code)
         seed += 1
         done += 1
 
@@ -324,6 +398,65 @@ def test_direct_sweep_m3_matches_the_dual_route(F8):
     system = direct_sum([pseudoregulus_subspace(F8, 1)] * 3)
     assert _direct_profile(system) == (2, 3, 5, 6, 8, 9)
     assert generalized_weights(system).exact_tuple() == (2, 3, 5, 6, 8, 9)
+
+
+# The paper's MRD claim on family members out of reach of any codeword
+# enumeration (the first would rank about 1.9e13 codewords): both profiles
+# come from the dual side and equal the direct-sum profile, so no separation
+# from the direct sum is observed at these sizes.
+FAMILY_PROFILES = {
+    "F16-m4-h2": (
+        (2, 1, 4), 4, 2, (2, 1, 1, 1), 78_900,
+        (2, 3, 4, 6, 7, 8, 10, 11, 12, 14, 15, 16),
+    ),
+    "F64-m3-h4": (
+        (2, 1, 6), 3, 4, (1, 1, 2), 8_323,
+        (2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_PROFILES))
+def test_family_codes_are_mrd_and_meet_their_weight_bounds(name):
+    field, m, h, alphas, swept, expected = FAMILY_PROFILES[name]
+    tower = create_field(*field)
+    params = ConstructionParams(tower, m, h, alphas)
+    code = code_from_system(family_subspace(params))
+    d = min_distance(code)
+    assert (d.value, d.provenance) == (2, EXACT)
+    assert is_mrd(code, d)
+    prof = generalized_weights(code.system())
+    assert (prof.route, prof.swept) == ("dual", swept)
+    assert prof.exact_tuple() == expected
+    bounds = family_weight_bounds(params)
+    assert bounds.entries
+    for e in bounds.entries:
+        assert prof.exact(e.rho) >= e.value, (e.rho, e.value)
+    baseline = generalized_weights(direct_sum([pseudoregulus_subspace(tower, h)] * m))
+    assert baseline.exact_tuple() == expected
+
+
+@pytest.mark.parametrize("n, m, h", [(4, 4, 2), (6, 3, 4), (3, 2, 1), (3, 3, 1)])
+def test_exact_direct_sum_profile_lies_inside_the_prediction(n, m, h):
+    pred = predicted_direct_sum_profile(m, n, h)
+    upper = [e.rho for e in pred.entries if e.provenance == UPPER]
+    assert len(upper) == len(set(upper)), "one upper bound per rho"
+    tower = create_field(2, 1, n)
+    prof = generalized_weights(direct_sum([pseudoregulus_subspace(tower, h)] * m))
+    for rho in range(1, m * (h + 1) + 1):
+        d = prof.exact(rho)
+        if pred.exact(rho) is not None:
+            assert d == pred.exact(rho), rho
+        lo, hi = pred.bounds(rho)
+        assert (lo is None or lo <= d) and (hi is None or d <= hi), (rho, lo, d, hi)
+
+
+def test_predicted_profile_keeps_the_smaller_upper_bound():
+    # at (m, n, h) = (4, 4, 2), rho = 6 gets 9 from the chain and 8 from the
+    # block bound 2n
+    pred = predicted_direct_sum_profile(4, 4, 2)
+    assert [e.value for e in pred.entries if e.rho == 6 and e.provenance == UPPER] == [8]
+    assert pred.bounds(6) == (7, 8)
 
 
 def test_family_weight_bounds_instances():

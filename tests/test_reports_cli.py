@@ -455,3 +455,112 @@ def test_earlier_checkpoints_keep_their_identity_and_resume(tmp_path, monkeypatc
     assert main(argv + ["--checkpoint", str(ck), "--out", resumed]) == rc
     assert reports.body_bytes(load(resumed)) == reports.body_bytes(load(fresh))
     assert ck.read_text() == text
+
+
+CONSTRUCT = ["construct", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2"]
+COMPARE = ["compare", "--field", "2,1,6", "--system", "family", "--m", "3", "--h", "2", "--alphas", "2,1,1"]
+SEARCH = ["search", "--field", "2,1,4", "--m", "2"]
+OPTION_VALUES = {"--seed": "1", "--budget": "5", "--workers": "2", "--checkpoint": "x.ck", "--chunk-size": "2"}
+UNREAD_OPTIONS = (
+    [(CONSTRUCT, opt) for opt in OPTION_VALUES]
+    + [(COMPARE, opt) for opt in OPTION_VALUES]
+    + [(SEARCH, opt) for opt in ("--workers", "--checkpoint", "--chunk-size")]
+    + [(WEIGHTS_M2, opt) for opt in ("--checkpoint", "--chunk-size")]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, option", UNREAD_OPTIONS, ids=[f"{argv[0]}{opt}" for argv, opt in UNREAD_OPTIONS]
+)
+def test_an_option_the_subcommand_never_reads_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, option):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [option, OPTION_VALUES[option]]) == 4
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.ck").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, workers",
+    [(CONSTRUCT, False), (COMPARE, False), (SEARCH + ["--budget", "5", "--seed", "1"], False), (WEIGHTS_M2, True)],
+    ids=["construct", "compare", "search", "weights"],
+)
+def test_timing_names_workers_only_where_the_option_exists(tmp_path, argv, workers):
+    out = str(tmp_path / "r.json")
+    assert main(argv + ["--out", out]) == 0
+    assert ("workers" in load(out)["timing"]) is workers
+    assert main(["recheck", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (CONSTRUCT, "--out"),
+        (WEIGHTS_M2, "--csv"),
+        (PS2 + ["--mode", "exhaustive"], "--checkpoint"),
+    ],
+    ids=["out", "csv", "checkpoint"],
+)
+def test_a_path_in_a_missing_directory_is_a_config_error(tmp_path, capsys, argv, option):
+    path = str(tmp_path / "no-such-dir" / "file")
+    assert main(argv + [option, path]) == 3
+    assert path in capsys.readouterr().err
+
+
+def test_recheck_of_a_missing_file_is_a_config_error(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    assert main(["recheck", path]) == 3
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{bad", "Expecting property name"),
+        ('{"schema": "x"}', "unsupported report schema 'x'"),
+        ("[1]", "a report is a JSON object, not list"),
+    ],
+    ids=["unparseable", "wrong-schema", "not-an-object"],
+)
+def test_recheck_of_a_corrupt_report_exits_one(tmp_path, capsys, text, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["recheck", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt report: ") and problem in err
+
+
+def test_compare_baseline_has_one_upper_bound_per_rho(tmp_path):
+    out = str(tmp_path / "cmp4.json")
+    assert main(["compare", "--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2",
+                 "--alphas", "2,1,1,1", "--out", out]) == 0
+    upper = [(e["rho"], e["value"]) for e in load(out)["result"]["baseline_profile"]
+             if e["provenance"] == "upper_bound"]
+    assert upper == [(4, 7), (5, 8), (6, 8), (7, 10), (8, 11)]
+    assert main(["recheck", out]) == 0
+
+
+def test_a_budgeted_sweep_of_a_huge_grassmannian_lists_no_chunks(tmp_path):
+    # [12, 2]_16 = 1.29e24 planes: a list of its chunks cannot fit in 2 GB
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = str(tmp_path / "huge.json")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from rankscatter.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2",
+            "--alphas", "2,1,1,1", "--mode", "exhaustive", "--budget", "1000", "--out", out]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"]) == ("inconclusive", 16_384)
+    assert main(["recheck", out]) == 0
