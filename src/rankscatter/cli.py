@@ -13,6 +13,7 @@ bodies, everything outside the `timing` block.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -186,6 +187,17 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, dict | None]:
     if kind == "line-control":
         return line_control_subspace(tower, args.ambient), None
     raise ConfigError(f"unknown system {kind!r}")
+
+
+def _check_writable(*paths) -> None:
+    """Refuse an output path that cannot be a file in a writable directory
+    before any work starts, not after the sweep whose report it would hold."""
+    for path in paths:
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+            raise ConfigError(f"cannot write {path}: not a file in a writable directory")
 
 
 def _emit(report: dict, args) -> None:
@@ -388,6 +400,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _check_writable(getattr(args, "out", None), getattr(args, "csv", None))
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify-scattered":

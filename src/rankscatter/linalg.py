@@ -491,20 +491,87 @@ def derive_seed(seed: int, *path) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def sample_subspace(tower: FieldTower, k: int, d: int, seed: int) -> SubspaceQn:
-    """Uniformly random d-dim subspace of F_{q^n}^k; deterministic per seed.
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden-ratio
+# increment and the two finaliser multipliers.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
-    A d x k matrix is drawn uniformly and redrawn until full rank, then
-    canonicalised; full-rank matrices hit every subspace equally often.
+
+def counter_words(key: int, lo: int, count: int) -> np.ndarray:
+    """Words lo .. lo+count-1 of the counter stream keyed by `key`.
+
+    Word c is the SplitMix64 finaliser of key + (c + 1) * gamma: a pure
+    function of (key, c), so any range can be drawn on its own.  All
+    arithmetic is on uint64 arrays, which wrap silently; numpy scalars
+    would warn on the same overflow.
+    """
+    # numpy loads on the first draw: loading it with this module, ahead of
+    # construction and codes, adds about 0.5 MB to the peak resident set
+    import numpy as np
+
+    u64 = np.uint64
+    z = np.arange(lo + 1, lo + 1 + count, dtype=u64)
+    z *= u64(_GAMMA)
+    z += u64(key)
+    z ^= z >> u64(30)
+    z *= u64(_MIX1)
+    z ^= z >> u64(27)
+    z *= u64(_MIX2)
+    z ^= z >> u64(31)
+    return z
+
+
+def _word_limit(Q: int) -> int:
+    """Words at or above this limit are rejected, so that the residues mod Q
+    are exactly uniform; it is 2^64, which rejects nothing, when Q is a
+    power of two."""
+    return (1 << 64) // Q * Q
+
+
+def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: int):
+    """The d x k matrices of samples lo .. hi-1 at a redraw attempt.
+
+    Sample i at attempt a takes the d*k words at counters i*d*k onward of
+    the stream keyed by derive_seed(seed, "sample", k, d, a), row by row,
+    each reduced mod Q.  Returns (values, accepted): values is an int64
+    array of shape (hi - lo, d, k), and accepted is False for a sample with
+    a word at or above _word_limit(Q), which is then redrawn.
+    """
+    import numpy as np
+
+    dk = d * k
+    words = counter_words(derive_seed(seed, "sample", k, d, attempt), lo * dk, (hi - lo) * dk)
+    words = words.reshape(hi - lo, d, k)
+    limit = _word_limit(Q)
+    if limit >> 64:
+        accepted = np.ones(hi - lo, dtype=bool)
+    else:
+        accepted = (words < np.uint64(limit)).all(axis=(1, 2))
+    # residues below Q < 2^63 read the same as int64
+    return np.remainder(words, np.uint64(Q), out=words).view(np.int64), accepted
+
+
+def sample_subspace(tower: FieldTower, k: int, d: int, seed: int, index: int) -> SubspaceQn:
+    """Sample `index` of the seeded stream of d-dim subspaces of F_{q^n}^k.
+
+    The scalar oracle of sampled sweeps: the first accepted, full-rank
+    matrix of attempts 0, 1, ... of `sample_values`, canonicalised.
+    Full-rank matrices hit every subspace equally often, so the sample is
+    uniform.
     """
     if d < 0 or d > k:
         raise ValueError("need 0 <= d <= k")
-    if d == 0:
-        return SubspaceQn(tower, k, (), ())
-    rng = random.Random(derive_seed(seed, "subspace", k, d))
-    Q = tower.order
+    return _redraw(tower, k, d, seed, index, 0)
+
+
+def _redraw(tower: FieldTower, k: int, d: int, seed: int, index: int, attempt: int) -> SubspaceQn:
+    """Sample `index`, from redraw attempt `attempt` on; sweeps start at
+    attempt 1 for a sample whose attempt-0 matrix they rejected."""
     while True:
-        rows = [tuple(rand_below(rng, Q) for _ in range(k)) for _ in range(d)]
-        red, pivots = rref(tower, rows, k)
-        if len(pivots) == d:
-            return SubspaceQn(tower, k, red, pivots)
+        vals, accepted = sample_values(tower.order, k, d, seed, index, index + 1, attempt)
+        if accepted[0]:
+            basis, pivots = rref(tower, vals[0].tolist(), k)
+            if len(pivots) == d:
+                return SubspaceQn(tower, k, basis, pivots)
+        attempt += 1

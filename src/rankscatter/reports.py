@@ -20,7 +20,6 @@ from .construction import (
 from .field import FieldTower
 from .linalg import (
     SubspaceQn,
-    derive_seed,
     expand_vector,
     gaussian_binomial,
     make_rows,
@@ -164,7 +163,7 @@ def _recheck_verdict(tower, report, problems):
         dim = res.get("dim")
         budget = cfg.get("budget") or 0
         for i in range(min(RECHECK_SAMPLES, budget)):
-            H = sample_subspace(tower, system.ambient, dim, derive_seed(seed, "sample", i))
+            H = sample_subspace(tower, system.ambient, dim, seed, i)
             if subspace_weight(system.subspace, H) > bound:
                 problems.append(f"sample {i} violates the bound but the report found no witness")
                 return

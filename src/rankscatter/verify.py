@@ -46,16 +46,18 @@ from .linalg import (
     BitRows,
     FqSubspace,
     SubspaceQn,
-    derive_seed,
     expand_vector,
     intersection_rows,
     make_rows,
     matrix_rank,
+    rref,
     sample_subspace,
+    sample_values,
     subspace_at,
     subspace_fq_rows,
     unexpand_row,
     _pivot_blocks,
+    _redraw,
     _subspace_from_assignment,
 )
 from .construction import QSystem, system_to_desc
@@ -63,6 +65,8 @@ from .runner import ChunkResult, _merge_best, run_sweep
 
 TABLE_BITS = 14          # target log2 size of per-block xor tables
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
+SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
+SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
 ENGINES = ("auto", "scalar")
 
@@ -154,31 +158,33 @@ class _Context:
         fits = tower.q == 2 and self.k * self.n <= bitkernel.MAX_WIDTH
         self.batch = engine == "auto" and dim > 0 and fits
 
-    # reduced expansion tables, q = 2 only:
-    # M[l][c][v] = (expansion of b_l * v, placed at coordinate c) reduced mod U
+    # expansion tables, q = 2 only:
+    # M[l][c][v] = expansion of b_l * v, placed at coordinate c; m_red
+    # holds M reduced mod U
 
     def m_red(self):
         if not hasattr(self, "_m_red"):
-            t = self.tower
-            n, k = self.n, self.k
             U = self.U
-            tabs = []
-            for l in range(n):
-                per_c = []
-                b = t.q_basis[l]
-                base_tab = [expand_vector(t, (t.mul(b, v),)) for v in range(t.order)]
-                for c in range(k):
-                    per_c.append([U.reduce_row(x << (c * n)) for x in base_tab])
-                tabs.append(per_c)
-            self._m_red = tabs
+            raw = self._m_raw()
+            self._m_red = [[[U.reduce_row(x) for x in col] for col in per_l] for per_l in raw]
         return self._m_red
 
-    def m_red_np(self):
-        if not hasattr(self, "_m_red_np"):
-            self._m_red_np = [
-                [np.array(col, dtype=np.uint64) for col in per_l] for per_l in self.m_red()
-            ]
-        return self._m_red_np
+    def _m_raw(self):
+        t = self.tower
+        n = self.n
+        tabs = []
+        for b in t.q_basis:
+            base = [expand_vector(t, (t.mul(b, v),)) for v in range(t.order)]
+            tabs.append([[x << (c * n) for x in base] for c in range(self.k)])
+        return tabs
+
+    def m_np(self):
+        """(M, M reduced mod U) as uint64 arrays of shape (n, k * Q), with
+        entry [l, c * Q + v] = M[l][c][v]."""
+        if not hasattr(self, "_m_np"):
+            tables = (self._m_raw(), self.m_red())
+            self._m_np = tuple(np.array(m, dtype=np.uint64).reshape(self.n, -1) for m in tables)
+        return self._m_np
 
 # --- exhaustive sweep over the Grassmannian ---
 
@@ -444,8 +450,17 @@ def _bit_rows(rows) -> BitRows:
 
 
 class SampledSweep:
-    """Units are sample indices; sample i is derived from (seed, i) alone,
-    so chunks can run in any order and resumes are exact."""
+    """Units are sample indices; sample i is `sample_subspace(..., seed, i)`,
+    a pure function of (seed, i), so chunks can run in any order and
+    resumes are exact.
+
+    Samples are drawn SAMPLE_BLOCK at a time from the counter stream of
+    `linalg.sample_values`.  The q = 2 kernel never canonicalises: it ranks
+    the unreduced expansion rows to find rank-deficient matrices, redraws
+    those one at a time, and ranks the rows reduced mod U for the weights,
+    which do not depend on the basis of H.  The scalar engine RREFs and
+    weighs one sample at a time, so it stops at the first violation.
+    """
 
     def __init__(self, tower, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
         self.ctx = _Context(tower, system, engine, dim)
@@ -458,33 +473,40 @@ class SampledSweep:
         return _scan(self, lo, hi)
 
     def subspace(self, key) -> SubspaceQn:
-        return sample_subspace(
-            self.ctx.tower, self.ctx.k, self.dim, derive_seed(self.seed, "sample", key[0])
-        )
+        return sample_subspace(self.ctx.tower, self.ctx.k, self.dim, self.seed, key[0])
 
     def _weights(self, lo, hi):
         ctx = self.ctx
-        if not ctx.batch:
-            for i in range(lo, hi):
-                yield (), i, [subspace_weight(ctx.U, self.subspace([i]))]
-            return
-        n = ctx.n
-        m_np = ctx.m_red_np()
-        d = self.dim
-        B = hi - lo
-        vals = np.empty((B, d, ctx.k), dtype=np.int64)
-        for off in range(B):
-            H = self.subspace([lo + off])
-            for j, row in enumerate(H.basis):
-                vals[off, j, :] = row
-        rows = []
-        for j in range(d):
-            for l in range(n):
-                acc = np.zeros(B, dtype=np.uint64)
-                for c in range(ctx.k):
-                    acc ^= m_np[l][c][vals[:, j, c]]
-                rows.append(acc)
-        yield (), lo, d * n - bitkernel.batch_rank(rows).astype(np.int64)
+        t, k, d = ctx.tower, ctx.k, self.dim
+        for blo in range(lo, hi, SAMPLE_BLOCK):
+            bhi = min(blo + SAMPLE_BLOCK, hi)
+            vals, accepted = sample_values(t.order, k, d, self.seed, blo, bhi, 0)
+            if ctx.batch:
+                R = d * ctx.n
+                raw, red = ctx.m_np()
+                full = accepted & (bitkernel.batch_rank(_sample_rows(raw, vals)) == R)
+                for j in np.flatnonzero(~full).tolist():
+                    vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
+                yield (), blo, R - bitkernel.batch_rank(_sample_rows(red, vals)).astype(np.int64)
+                continue
+            for j in range(bhi - blo):
+                basis, pivots = rref(t, vals[j].tolist(), k) if accepted[j] else ((), ())
+                if len(pivots) == d:
+                    H = SubspaceQn(t, k, basis, pivots)
+                else:
+                    H = _redraw(t, k, d, self.seed, blo + j, 1)
+                yield (), blo + j, [subspace_weight(ctx.U, H)]
+
+
+def _sample_rows(tab, vals):
+    """Expansion rows of the sampled (B, d, k) matrices, one array per
+    (l, j): XOR over c of tab[l, c * Q + vals[:, j, c]]."""
+    k = vals.shape[2]
+    # (d, k, B) indices: contiguous gathers, and XORs over c on whole rows
+    idx = np.ascontiguousarray(vals.transpose(1, 2, 0))
+    idx += (np.arange(k, dtype=np.int64) * (tab.shape[1] // k))[:, None]
+    rows = np.bitwise_xor.reduce(np.take(tab, idx, axis=1), axis=2)
+    return list(rows.reshape(-1, len(vals)))
 
 
 # --- verdicts ---
@@ -583,7 +605,7 @@ def _run_verification(
         if budget is None:
             raise ValueError("sampled mode requires a budget")
         seed = seed if seed is not None else 0
-        desc.update(kind="sampled", dim=dim, seed=seed, budget=budget)
+        desc.update(kind="sampled", dim=dim, seed=seed, budget=budget, stream=SAMPLE_STREAM)
         sweep = SampledSweep(tower, system, dim, bound, seed, engine, budget)
     else:
         raise ValueError(f"unknown mode {mode!r}")

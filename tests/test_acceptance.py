@@ -271,4 +271,9 @@ def test_criterion_10_determinism_and_resume(sampled_report, tmp_path, F16, fami
     with open(out) as f:
         resumed = json.load(f)
     assert reports.body_bytes(straight) == reports.body_bytes(resumed)
-    ok("C10", "interrupted-at-50% resume reproduces the report body byte for byte")
+    # two workers split the chunks between processes; the body is the same
+    out2 = str(tmp_path / "two-workers.json")
+    assert main(SAMPLED_ARGS + ["--out", out2, "--workers", "2"]) == 2
+    with open(out2) as f:
+        assert reports.body_bytes(straight) == reports.body_bytes(json.load(f))
+    ok("C10", "interrupted-at-50% resume and two workers reproduce the report body byte for byte")

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rankscatter.field import create_field
@@ -213,29 +214,70 @@ def test_subspace_fq_rows_have_full_rank(F16):
 
 
 def test_sample_determinism_and_full_space(F16):
-    a = sample_subspace(F16, 3, 2, seed=99)
-    b = sample_subspace(F16, 3, 2, seed=99)
+    a = sample_subspace(F16, 3, 2, 99, 0)
+    b = sample_subspace(F16, 3, 2, 99, 0)
     assert a == b and a.dim == 2
-    full = sample_subspace(F16, 3, 3, seed=1)
+    assert sample_subspace(F16, 3, 2, 99, 1) != a
+    full = sample_subspace(F16, 3, 3, 1, 0)
     assert full.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    zero = sample_subspace(F16, 3, 0, seed=1)
+    zero = sample_subspace(F16, 3, 0, 1, 0)
     assert zero.dim == 0
 
 
 def test_sample_pivot_frequencies_are_uniform(F8):
-    # pivot-set frequencies must match their Schubert cell sizes within 5 sigma
+    # pivot-set frequencies of samples 0..N-1 must match their Schubert cell
+    # sizes within 5 sigma, where Q is a power of two (no word is rejected)
+    # and where it is not
     N = 10_000
-    counts = {}
-    for i in range(N):
-        s = sample_subspace(F8, 3, 1, seed=1000 + i)
-        counts[s.pivots] = counts.get(s.pivots, 0) + 1
-    total = gaussian_binomial(3, 1, 8)
-    sizes = {(0,): 64, (1,): 8, (2,): 1}
-    assert total == sum(sizes.values())
-    for piv, size in sizes.items():
-        p = size / total
-        sigma = math.sqrt(N * p * (1 - p))
-        assert abs(counts.get(piv, 0) - N * p) <= 5 * sigma, (piv, counts)
+    F9 = create_field(3, 1, 2)
+    for tower, d, sizes in (
+        (F8, 1, {(0,): 64, (1,): 8, (2,): 1}),
+        (F9, 2, {(0, 1): 81, (0, 2): 9, (1, 2): 1}),
+    ):
+        counts = {}
+        for i in range(N):
+            s = sample_subspace(tower, 3, d, 1000, i)
+            counts[s.pivots] = counts.get(s.pivots, 0) + 1
+        total = gaussian_binomial(3, d, tower.order)
+        assert total == sum(sizes.values())
+        for piv, size in sizes.items():
+            p = size / total
+            sigma = math.sqrt(N * p * (1 - p))
+            assert abs(counts.get(piv, 0) - N * p) <= 5 * sigma, (tower.order, piv, counts)
+
+
+def test_counter_words_are_a_pure_function_of_the_counter():
+    from rankscatter.linalg import counter_words
+
+    whole = counter_words(7, 0, 100)
+    assert whole.dtype == np.uint64
+    assert (counter_words(7, 40, 60) == whole[40:]).all()
+    assert (counter_words(8, 0, 100) != whole).all()
+    # SplitMix64 seeded with 0: its first output
+    assert int(counter_words(0, 0, 1)[0]) == 0xE220A8397B1DCDAF
+
+
+def test_sample_values_reject_words_above_the_limit(monkeypatch):
+    from rankscatter import linalg
+
+    vals, ok = linalg.sample_values(9, 3, 2, 5, 0, 500, 0)
+    assert vals.shape == (500, 2, 3) and ok.all()
+    assert 0 <= vals.min() and vals.max() < 9
+    # a limit a sixteenth below 2^64 rejects about 1 - (15/16)^6 of the samples
+    monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 60)) // Q * Q)
+    low, ok = linalg.sample_values(9, 3, 2, 5, 0, 500, 0)
+    assert (low == vals).all()
+    assert 0.2 < 1 - ok.mean() < 0.45
+    # a rejected sample is the first accepted full-rank matrix of the later attempts
+    F9 = create_field(3, 1, 2)
+    for i in np.flatnonzero(~ok)[:20].tolist():
+        attempt = 1
+        while True:
+            again, accepted = linalg.sample_values(9, 3, 2, 5, i, i + 1, attempt)
+            if accepted[0] and matrix_rank(F9, again[0].tolist(), 3) == 2:
+                break
+            attempt += 1
+        assert linalg.sample_subspace(F9, 3, 2, 5, i) == SubspaceQn.from_vectors(F9, 3, again[0].tolist())
 
 
 def test_serialization_roundtrip(F16):

@@ -96,6 +96,32 @@ def test_sampled_verify_exits_inconclusive(tmp_path):
     assert main(["recheck", out]) == 0
 
 
+def test_recheck_replays_the_sample_stream_through_the_scalar_oracle(tmp_path, monkeypatch, capsys):
+    from rankscatter import bitkernel
+    from rankscatter.construction import pseudoregulus_subspace
+    from rankscatter.field import create_field
+    from rankscatter.linalg import sample_subspace
+    from rankscatter.verify import subspace_weight
+
+    out = str(tmp_path / "s.json")
+    assert main(PS2 + ["--mode", "sampled", "--budget", "64", "--seed", "3", "--out", out]) == 2
+    rep = load(out)
+    rep["result"]["bound"] = 0  # now every sample of positive weight is a missed witness
+    with open(out, "w") as f:
+        json.dump(rep, f)
+
+    def batch_rank(rows):
+        raise AssertionError("recheck ran the batch kernel")
+
+    monkeypatch.setattr(bitkernel, "batch_rank", batch_rank)
+    assert main(["recheck", out]) == 1
+    assert "sample 1 violates the bound" in capsys.readouterr().err
+    # samples 0 and 1 of seed 3 on PS2 have weights 0 and 1
+    F16 = create_field(2, 1, 4)
+    ps = pseudoregulus_subspace(F16, 2)
+    assert [subspace_weight(ps, sample_subspace(F16, 3, 2, 3, i)) for i in (0, 1)] == [0, 1]
+
+
 def test_vacuous_admissibility_guard(tmp_path, capsys):
     rc = main([
         "verify-scattered", "--field", "2,1,4", "--system", "family",
@@ -429,10 +455,17 @@ EARLIER_CHECKPOINTS = {
     "sampled": (
         ["--budget", "500", "--seed", "3"],
         2,
-        '{"chunk_size": 500, "desc_hash": "76cfe4e93daae696", "schema": "rankscatter-checkpoint/1", "total_units": 500}\n'
+        '{"chunk_size": 500, "desc_hash": "b91a3604965105f6", "schema": "rankscatter-checkpoint/1", "total_units": 500}\n'
         '{"best": {"key": [12], "weight": 2}, "checked": 500, "hi": 500, "lo": 0, "viol": null}\n',
     ),
 }
+
+# The same sampled job as written before the counter-based sample stream: its
+# chunks hold weights of other samples, so it must not be merged.
+FIRST_STREAM_CHECKPOINT = (
+    '{"chunk_size": 500, "desc_hash": "76cfe4e93daae696", "schema": "rankscatter-checkpoint/1", "total_units": 500}\n'
+    '{"best": {"key": [12], "weight": 2}, "checked": 500, "hi": 500, "lo": 0, "viol": null}\n'
+)
 
 
 @pytest.mark.parametrize("mode", sorted(EARLIER_CHECKPOINTS))
@@ -455,6 +488,16 @@ def test_earlier_checkpoints_keep_their_identity_and_resume(tmp_path, monkeypatc
     assert main(argv + ["--checkpoint", str(ck), "--out", resumed]) == rc
     assert reports.body_bytes(load(resumed)) == reports.body_bytes(load(fresh))
     assert ck.read_text() == text
+
+
+def test_a_checkpoint_of_the_first_sample_stream_is_refused(tmp_path, capsys):
+    extra, _, _ = EARLIER_CHECKPOINTS["sampled"]
+    ck = tmp_path / "first-stream.jsonl"
+    ck.write_text(FIRST_STREAM_CHECKPOINT)
+    argv = PS2 + ["--mode", "sampled", *extra, "--checkpoint", str(ck)]
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 3
+    assert "does not match this job (desc_hash differs)" in capsys.readouterr().err
+    assert ck.read_text() == FIRST_STREAM_CHECKPOINT
 
 
 CONSTRUCT = ["construct", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2"]
@@ -504,6 +547,31 @@ def test_a_path_in_a_missing_directory_is_a_config_error(tmp_path, capsys, argv,
     path = str(tmp_path / "no-such-dir" / "file")
     assert main(argv + [option, path]) == 3
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (PS2 + ["--mode", "sampled", "--budget", "10"], "--out"),
+        (WEIGHTS_M2, "--out"),
+        (WEIGHTS_M2, "--csv"),
+    ],
+    ids=["verify-out", "weights-out", "weights-csv"],
+)
+def test_an_unwritable_output_path_is_refused_before_the_sweep(tmp_path, monkeypatch, capsys, argv, option):
+    from rankscatter import verify
+
+    def sweep(self, lo, hi):
+        raise AssertionError("the sweep ran before the output path was checked")
+
+    for cls in (verify.ExhaustiveSweep, verify.SampledSweep):
+        monkeypatch.setattr(cls, "run_units", sweep)
+    path = str(tmp_path / "no-such-dir" / "r.json")
+    assert main(argv + [option, path]) == 3
+    assert path in capsys.readouterr().err
+    # a directory is not a file to write
+    assert main(argv + [option, str(tmp_path)]) == 3
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_recheck_of_a_missing_file_is_a_config_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rankscatter.field import create_field
@@ -187,7 +188,86 @@ def test_engines_agree_on_sampled(F16):
     lc = line_control_subspace(F16, 2)
     for engine in ("auto", "scalar"):
         v = verify_h_scattered(lc, 1, mode="sampled", budget=500, seed=3, engine=engine)
-        assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 9, [8])
+        assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 10, [9])
+
+
+def _unit_weights(sweep, lo, hi):
+    """The weight of every unit in [lo, hi), as the sweep's engine yields it."""
+    blocks = [np.asarray(w, dtype=np.int64) for _, _, w in sweep._weights(lo, hi)]
+    return np.concatenate(blocks).tolist()
+
+
+def _sampled_systems():
+    """(system, d, lo, hi, whether the weights vary) per agreement case."""
+    from rankscatter.construction import ConstructionParams, family_subspace
+
+    F16 = create_field(2, 1, 4)
+    F4 = create_field(2, 1, 2)
+    c2 = family_subspace(ConstructionParams(F16, 4, 2, (2, 1, 1, 1)))
+    f4 = explicit_system(F4, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1)])
+    return [(c2, 2, 0, 2500, False), (c2, 9, 100, 300, True), (f4, 3, 0, 2000, False), (f4, 2, 0, 2000, True)]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["C2-d2", "C2-d9", "F4-d3", "F4-d2"])
+def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
+    from rankscatter.linalg import matrix_rank, sample_values
+
+    system, d, lo, hi, varied = _sampled_systems()[case]
+    batch = SampledSweep(system.tower, system, d, None, 17, "auto", hi)
+    scalar = SampledSweep(system.tower, system, d, None, 17, "scalar", hi)
+    assert batch.ctx.batch and not scalar.ctx.batch
+    fast = _unit_weights(batch, lo, hi)
+    assert fast == _unit_weights(scalar, lo, hi)
+    assert len(fast) == hi - lo and (len(set(fast)) > 1) == varied
+    if system.tower.order == 4:
+        # over F_4 about 31% of 3 x 3 and 8% of 2 x 3 matrices are singular
+        vals, _ = sample_values(4, 3, d, 17, lo, hi, 0)
+        singular = sum(matrix_rank(system.tower, m, 3) < d for m in vals.tolist())
+        assert singular > (hi - lo) // 20
+
+
+def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
+    # a limit an eighth below 2^64 rejects words at q = 2 as well: every
+    # engine and the scalar oracle must redraw the same samples
+    from rankscatter import linalg
+
+    monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    F9 = create_field(3, 1, 2)
+    cases = [
+        (explicit_system(create_field(2, 1, 2), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1)]), 2),
+        (explicit_system(F9, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1)]), 2),
+    ]
+    for system, d in cases:
+        _, accepted = linalg.sample_values(system.tower.order, 3, d, 23, 0, 400, 0)
+        assert 0.3 < 1 - accepted.mean() < 0.7
+        oracle = [
+            subspace_weight(system, linalg.sample_subspace(system.tower, 3, d, 23, i))
+            for i in range(400)
+        ]
+        for engine in ("auto", "scalar"):
+            sweep = SampledSweep(system.tower, system, d, None, 23, engine, 400)
+            assert _unit_weights(sweep, 0, 400) == oracle, (system.tower.order, engine)
+        assert np.unique(oracle).size > 1
+
+
+def test_sampled_sweep_raises_no_numpy_warning(tmp_path):
+    # uint64 overflow is the hash's arithmetic; on numpy scalars it would warn
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for field, system in (("2,1,4", ["--h", "2"]), ("3,1,2", ["--h", "1"])):
+        argv = [
+            sys.executable, "-W", "error", "-m", "rankscatter.cli", "verify-scattered",
+            "--field", field, "--system", "pseudoregulus", *system,
+            "--mode", "sampled", "--budget", "3000", "--seed", "5",
+            "--out", str(tmp_path / "r.json"),
+        ]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == ""
 
 
 def test_engines_agree_over_odd_characteristic():
