@@ -1,13 +1,21 @@
-"""Batched GF(2) row reduction on numpy uint64 words.
+"""Batched row reduction: GF(2) on packed uint64 words, F_p on uint8 arrays.
 
-A batch is a list of R arrays of shape (B,): entry j of every array is one
-row of the j-th matrix in the batch, packed into at most 64 bits.  Pivots
-are lowest set bits, matching the scalar BitRows convention, so batch and
-scalar sweeps agree bit for bit.  Everything here is batched; scalar row
-elimination is `linalg.BitRows`.
+A GF(2) batch is a list of R arrays of shape (B,): entry j of every array
+is one row of the j-th matrix in the batch, packed into at most 64 bits.
+Pivots are lowest set bits, matching the scalar BitRows convention, so
+batch and scalar sweeps agree bit for bit.
+
+An F_p batch, for a prime p < 256, is one uint8 array of shape (B, R, W):
+R rows of W residues mod p per matrix.  Products are taken in uint16, where
+(p - 1)^2 + p - 1 < 2^16.
+
+Everything here is batched; scalar row elimination is `linalg.BitRows` and
+`linalg.IdxRows`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,3 +62,56 @@ def subset_xor_table(deltas: list[int]) -> np.ndarray:
         t[half : 2 * half] = t[:half] ^ U64(d)
     return t
 
+
+
+# --- F_p on uint8 arrays ---
+
+
+@lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inv[a] = a^-1 mod p, with inv[0] = 0."""
+    return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.uint16)
+
+
+def _axpy(rows: np.ndarray, src: np.ndarray, f: np.ndarray, p: int) -> None:
+    """rows[b, r] += f[b, r] * src mod p in place; f is uint16, src
+    broadcasts against rows."""
+    f %= p
+    t = f[:, :, None] * src
+    t += rows
+    t %= p
+    rows[...] = t
+
+
+def fp_rank(rows: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of each matrix in a (B, R, W) uint8 batch.
+
+    Elimination runs without row swaps: row i's first nonzero column is its
+    pivot, and it is cleared from the later rows.  The batch is left in that
+    echelon form, which `fp_reduce_static` takes as a basis.
+    """
+    nb, nrows, width = rows.shape
+    inv = _inverses(p)
+    at = np.arange(nb)
+    rank = np.zeros(nb, dtype=np.int64)
+    for i in range(nrows if width else 0):
+        cur = rows[:, i]
+        piv = (cur != 0).argmax(axis=1)
+        lead = cur[at, piv]
+        rank += lead != 0
+        if i + 1 < nrows:
+            rest = rows[:, i + 1 :]
+            _axpy(rest, cur[:, None, :], (p - rest[at, :, piv]) * inv[lead][:, None], p)
+    return rank
+
+
+def fp_reduce_static(rows: np.ndarray, basis: np.ndarray, p: int) -> None:
+    """Reduce every row of a (B, R, W) batch in place against one (r, W)
+    basis in the echelon form `fp_rank` leaves: afterwards each row is zero
+    in every pivot column of the basis, and zero iff it lay in its span."""
+    inv = _inverses(p)
+    for b in basis:
+        nz = np.flatnonzero(b)
+        if nz.size:
+            c = nz[0]
+            _axpy(rows, b, (p - rows[:, :, c]) * inv[b[c]], p)

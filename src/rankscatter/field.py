@@ -433,7 +433,13 @@ class FieldTower:
 
     @cached_property
     def subfield_values(self) -> tuple[int, ...]:
-        """All elements of F_q inside the extension, ascending by value."""
+        """All elements of F_q inside the extension, ascending by value.
+
+        When s = 1 they are the constants 0..p-1; otherwise the whole field
+        is scanned for the fixed points of x -> x^q.
+        """
+        if self.s == 1:
+            return tuple(range(self.p))
         return tuple(sorted(x for x in range(self.order) if self.in_subfield(x)))
 
     @cached_property

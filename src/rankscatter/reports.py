@@ -26,7 +26,7 @@ from .linalg import (
     sample_subspace,
     subspace_fq_rows,
 )
-from .verify import subspace_weight, verify_evasive, verify_h_scattered
+from .verify import subspace_weight, verify_evasive, verify_h_scattered, weight_backend
 
 SCHEMA = "rankscatter-report/1"
 ARTIFACT_VERSION = "0.1.0"
@@ -132,6 +132,7 @@ def _recheck_verdict(tower, report, problems):
     status = res.get("status")
     bound = res.get("bound")
     mode = res.get("mode")
+    _check_backend(system, report, problems)
     if status == "violated":
         wit = res.get("witness")
         if wit is None:
@@ -169,10 +170,28 @@ def _recheck_verdict(tower, report, problems):
                 return
 
 
+def _check_backend(system, report, problems):
+    """The backend must be the one `auto` picks for the report's inputs, and
+    none when the evasive bound makes the sweep vacuous.  Reports written
+    before verdicts named their backend carry no such key."""
+    res = report["result"]
+    if "backend" not in res:
+        return
+    cfg = report["config"]
+    evasive = report["command"] == "verify-evasive"
+    if evasive and cfg["r"] >= system.t:
+        expected = None
+    else:
+        expected = weight_backend(system.tower, system.ambient, "auto", cfg["hdim"] if evasive else cfg["h"])
+    if res["backend"] != expected:
+        problems.append(f"backend {res['backend']!r} is not the one these inputs run, {expected!r}")
+
+
 def _resweep_proof(system, report, problems):
     """Re-run a proof whose sweep, sized from the system and not from the
-    claimed count, is at most RECHECK_SWEEP_CAP units; the status and the
-    number of subspaces checked must reproduce."""
+    claimed count, is at most RECHECK_SWEEP_CAP units, through the scalar
+    oracle and not the backend that produced it; the status and the number
+    of subspaces checked must reproduce."""
     cfg = report["config"]
     res = report["result"]
     evasive = report["command"] == "verify-evasive"
@@ -188,7 +207,10 @@ def _resweep_proof(system, report, problems):
         return
     if size > RECHECK_SWEEP_CAP:
         return
-    common = dict(mode=mode, budget=cfg.get("budget"), seed=cfg.get("seed"), chunk_size=cfg.get("chunk_size"))
+    common = dict(
+        mode=mode, budget=cfg.get("budget"), seed=cfg.get("seed"), chunk_size=cfg.get("chunk_size"),
+        engine="scalar",
+    )
     if evasive:
         fresh = verify_evasive(system, dim, cfg["r"], **common)
     else:
@@ -254,20 +276,27 @@ def _recheck_weights(tower, report, problems):
             problems.append("exact profile entries are not strictly increasing")
             break
         prev = exact[rho]
+    # Every exact entry against Wei duality, when the dual is nondegenerate
+    # and its profile is small: the dual's d_s = t - w_s, swept by the scalar
+    # oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
+    kd = t - k
+    dual_system = None
+    if kd >= 1 and sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1)) <= RECHECK_SWEEP_CAP:
+        dual_system = dual_code(code_from_system(system)).system()
+        if dual_system.t != t:
+            dual_system = None
+    # The primal re-sweep runs on the scalar oracle, except for a dual-route
+    # profile that the Wei check re-derives on the oracle: there the primal
+    # sweep is already a route that did not produce the entries.
+    engine = "auto" if dual and dual_system is not None else "scalar"
     for rho, value in sorted(exact.items()):
         dim = k - rho
         if gaussian_binomial(k, dim, Q) > RECHECK_SWEEP_CAP:
             continue
-        w, _, _, exact_flag = max_weight_search(system, dim, mode="exhaustive")
+        w, _, _, exact_flag = max_weight_search(system, dim, mode="exhaustive", engine=engine)
         if exact_flag and system.t - w != value:
             problems.append(f"d_{rho} mismatch: recorded {value}, recomputed {system.t - w}")
-    # Every exact entry against Wei duality: the dual's profile d_s = t - w_s,
-    # swept by the scalar oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
-    kd = t - k
-    if kd < 1 or sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1)) > RECHECK_SWEEP_CAP:
-        return
-    dual_system = dual_code(code_from_system(system)).system()
-    if dual_system.t != t:
+    if dual_system is None:
         return
     taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
     primal = sorted(set(range(1, t + 1)) - taken)

@@ -18,13 +18,23 @@ Three modes feed that scan:
 * sampled - seeded random subspaces; can only produce a witness or report
   "inconclusive", never "holds".
 
-Each mode's `_weights` yields blocks of weights, either numpy arrays from
-the batched GF(2) kernel (q = 2, expanded width <= 64 bits) or one scalar
-weight at a time from `subspace_weight`, the oracle.  `_scan` alone applies
-the rules: weight -1 marks a skipped unit that is not counted, the first
-maximum is the chunk's best, and the first weight above the bound ends the
-chunk once the scalar oracle reproduces it on `subspace(key)`.  The
-engine is chosen once per sweep, in `_Context`.
+Each mode's `_weights` yields blocks of weights from one of three
+backends, which `_Context` picks once per sweep (`weight_backend`):
+
+* "gf2" - packed uint64 words and `bitkernel.batch_rank`, when q = 2 and
+  the expanded width k*n is at most 64 bits;
+* "fp" - uint8 row arrays and `bitkernel.fp_rank`, for any other prime
+  q < 256 (odd q, and q = 2 with k*n > 64).  Rows are F_p-linear in the
+  base-p digits of the entries, so a block's rows are the product of its
+  digits with a table of the expansion rows of b_l * z^j at each
+  coordinate, reduced mod U;
+* "scalar" - one weight at a time from `subspace_weight`, the oracle: for
+  q = p^s with s > 1, for p > 255, and whenever engine="scalar".
+
+`_scan` alone applies the rules: weight -1 marks a skipped unit that is not
+counted, the first maximum is the chunk's best, and the first weight above
+the bound ends the chunk once the scalar oracle reproduces it on
+`subspace(key)`.
 
 `_run_verification` builds the mode's sweep object from the system it is
 given and hands that object to `runner.run_sweep`; a JSON-safe descriptor
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitkernel
-from .field import FieldTower
+from .field import FieldTower, _digits
 from .linalg import (
     BitRows,
     FqSubspace,
@@ -66,6 +76,7 @@ from .runner import ChunkResult, _merge_best, run_sweep
 TABLE_BITS = 14          # target log2 size of per-block xor tables
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
+FP_BLOCK = 128            # units per block of the F_p backend
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
 ENGINES = ("auto", "scalar")
@@ -147,6 +158,22 @@ def _check_options(engine: str, budget=None, chunk_size=None, workers=1) -> None
         raise ValueError(f"workers must be at least 1, got {workers}")
 
 
+def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
+    """The backend a sweep of dim-dimensional subspaces of F_{q^n}^k runs:
+    "gf2", "fp" or "scalar" (see the module docstring)."""
+    if engine == "scalar" or dim < 1 or tower.s > 1 or tower.p > 255:
+        return "scalar"
+    if tower.q == 2 and k * tower.n <= bitkernel.MAX_WIDTH:
+        return "gf2"
+    return "fp"
+
+
+def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
+    """The `count` lowest base-p digits of each value, least significant
+    first, along a new last axis."""
+    return (values[..., None] // p ** np.arange(count, dtype=np.int64) % p).astype(np.uint8)
+
+
 class _Context:
     def __init__(self, tower: FieldTower, system: QSystem, engine: str, dim: int):
         _check_options(engine)
@@ -154,11 +181,22 @@ class _Context:
         self.U = system.subspace
         self.k = system.ambient
         self.n = tower.n
-        # the batched GF(2) kernel where it applies, else the scalar oracle
-        fits = tower.q == 2 and self.k * self.n <= bitkernel.MAX_WIDTH
-        self.batch = engine == "auto" and dim > 0 and fits
+        self.backend = weight_backend(tower, self.k, engine, dim)
 
-    # expansion tables, q = 2 only:
+    def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
+        """Rank of the expansion rows of each (d, k) matrix of element
+        values in vals, raw or reduced mod U, on a batched backend."""
+        if self.backend == "gf2":
+            return bitkernel.batch_rank(_sample_rows(self.m_np()[reduced], vals)).astype(np.int64)
+        p = self.tower.p
+        table = self.fp_tables()[reduced]
+        out = []
+        for lo in range(0, len(vals), FP_BLOCK):
+            digits = _digit_array(vals[lo : lo + FP_BLOCK], p, self.n)
+            out.append(bitkernel.fp_rank(self.fp_rows(digits.reshape(*digits.shape[:2], -1), table), p))
+        return np.concatenate(out)
+
+    # expansion tables, backend "gf2":
     # M[l][c][v] = expansion of b_l * v, placed at coordinate c; m_red
     # holds M reduced mod U
 
@@ -185,6 +223,40 @@ class _Context:
             tables = (self._m_raw(), self.m_red())
             self._m_np = tuple(np.array(m, dtype=np.uint64).reshape(self.n, -1) for m in tables)
         return self._m_np
+
+    # F_p tables, backend "fp": entry [c*n + j, l] of a table is the
+    # expansion row of b_l * z^j placed at coordinate c
+
+    def fp_tables(self):
+        """(raw, reduced) uint8 tables of shape (k * n, n, width).  The
+        reduced rows are taken mod U and drop U's pivot columns, where they
+        are zero, so their width is k * n - dim U."""
+        if not hasattr(self, "_fp_tables"):
+            t, n, k, p = self.tower, self.n, self.k, self.tower.p
+            e = np.array(
+                [[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8
+            )
+            raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
+            for c in range(k):
+                raw[c, :, :, c, :] = e
+            raw = raw.reshape(k * n, n, k * n)
+            gens = [[x for v in g for x in t.expand_scalar(v)] for g in self.U.canonical_generators]
+            basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
+            bitkernel.fp_rank(basis, p)
+            red = raw.reshape(1, -1, k * n).copy()
+            bitkernel.fp_reduce_static(red, basis[0], p)
+            keep = np.ones(k * n, dtype=bool)
+            keep[[int(np.flatnonzero(b)[0]) for b in basis[0] if b.any()]] = False
+            self._fp_tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
+        return self._fp_tables
+
+    def fp_rows(self, digits: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Rows of a block: digits of shape (B, d, D) times a (D, r, w)
+        table, mod p, as a (B, d * r, w) uint8 batch."""
+        size, r, w = table.shape
+        rows = np.matmul(digits, table.reshape(size, r * w), dtype=np.uint32)
+        rows %= self.tower.p
+        return rows.astype(np.uint8).reshape(len(digits), digits.shape[1] * r, w)
 
 # --- exhaustive sweep over the Grassmannian ---
 
@@ -217,8 +289,10 @@ class ExhaustiveSweep:
             bhi = min(hi - gstart, count)
             if blo >= bhi:
                 continue
-            if ctx.batch:
+            if ctx.backend == "gf2":
                 yield from self._batch_weights(gstart, pivots, cells, blo, bhi)
+            elif ctx.backend == "fp":
+                yield from self._fp_weights(gstart, pivots, cells, blo, bhi)
             else:
                 for a in range(blo, bhi):
                     H = _subspace_from_assignment(ctx.tower, ctx.k, pivots, cells, a)
@@ -250,6 +324,32 @@ class ExhaustiveSweep:
             bases = self._bases_for_high(pivots, high_cells, high, m)
             rows = [bases[r] ^ tables[r][sl_lo:sl_hi] for r in range(R)]
             yield (), gstart + (high << L) + sl_lo, R - bitkernel.batch_rank(rows).astype(np.int64)
+
+    def _fp_weights(self, gstart, pivots, cells, blo, bhi):
+        """Blocks of at most FP_BLOCK assignments.  Base-p digit e of an
+        assignment index is digit e % n of the value in the cell
+        cells[-1 - e // n]; the digits below p^low come from a numpy range,
+        the rest are constant in a block."""
+        ctx = self.ctx
+        p, n, kn = ctx.tower.p, ctx.n, ctx.k * ctx.n
+        ndig = len(cells) * n
+        cols = [i * kn + c * n + e % n for e in range(ndig) for i, c in [cells[-1 - e // n]]]
+        low = 0
+        while low < ndig and p**low < FP_BLOCK:
+            low += 1
+        size = p**low
+        red = ctx.fp_tables()[1]
+        a = blo
+        while a < bhi:
+            high, start = divmod(a, size)
+            count = min(FP_BLOCK, bhi - a, size - start)
+            digits = np.zeros((count, self.dim * kn), dtype=np.uint8)
+            digits[:, [i * kn + c * n for i, c in enumerate(pivots)]] = 1
+            digits[:, cols[:low]] = _digit_array(np.arange(start, start + count), p, low)
+            digits[:, cols[low:]] = _digits(high, p, ndig - low)
+            rows = ctx.fp_rows(digits.reshape(count, self.dim, kn), red)
+            yield (), gstart + a, self.dim * n - bitkernel.fp_rank(rows, p)
+            a += count
 
     def _bases_for_high(self, pivots, high_cells, high, m):
         ctx = self.ctx
@@ -350,13 +450,16 @@ class SpanSweep:
         for d in range(lo // R + 1, (hi - 1) // R + 2):
             p_lo = max(lo - (d - 1) * R, 0)
             p_hi = min(hi - (d - 1) * R, R)
-            if d == 1 and self.ctx.batch:
+            backend = self.ctx.backend
+            if d == 1 and backend == "gf2":
                 # q = 2: positions p_lo..p_hi-1 are the element indices p+1
                 red, _ = self._element_tables()
                 rows = [red[l][p_lo + 1 : p_hi + 1].copy() for l in range(self.ctx.n)]
                 yield (1,), p_lo + 1, self.ctx.n - bitkernel.batch_rank(rows).astype(np.int64)
+            elif d == 1 and backend == "fp":
+                yield from self._fp_firsts(p_lo, p_hi)
             else:
-                tuples = self._batch_tuples if self.ctx.batch else self._scalar_tuples
+                tuples = {"gf2": self._batch_tuples, "fp": self._fp_tuples}.get(backend, self._scalar_tuples)
                 for pos in range(p_lo, p_hi):
                     yield from tuples(d, self._first_index(pos))
 
@@ -438,6 +541,88 @@ class SpanSweep:
         added = bitkernel.batch_rank(rows)
         return added == 0
 
+    # F_p tuple walk, backend "fp": the rows of element j of U are the
+    # base-p digits of j times the rows of the canonical generators
+
+    def _fp_gen_tables(self):
+        """(raw, reduced) rows of b_l * g for each canonical generator g, as
+        tables of shape (dim U, n, width)."""
+        if not hasattr(self, "_fp_gens"):
+            ctx = self.ctx
+            gens = np.array(ctx.U.canonical_generators, dtype=np.int64)
+            digits = _digit_array(gens, ctx.tower.p, ctx.n).reshape(len(gens), 1, -1)
+            self._fp_gens = tuple(ctx.fp_rows(digits, tab) for tab in ctx.fp_tables())
+        return self._fp_gens
+
+    def _fp_elements(self, indices, table):
+        """Rows of the elements of U at the given indices under a generator
+        table, as a (len(indices), rows per element, width) batch."""
+        digits = _digit_array(indices, self.ctx.tower.p, self.ctx.U.dim)
+        return self.ctx.fp_rows(digits[:, None, :], table)
+
+    def _fp_prefix(self, prefix):
+        """(raw, reduced) rows of the prefix's elements, each a single matrix
+        in the echelon form `bitkernel.fp_rank` leaves."""
+        out = []
+        for tab in self._fp_gen_tables():
+            rows = self._fp_elements(np.array(prefix), tab).reshape(1, -1, tab.shape[2])
+            bitkernel.fp_rank(rows, self.ctx.tower.p)
+            out.append(rows[0])
+        return out
+
+    def _fp_dependent(self, pre_raw, lo, hi):
+        """Mask of elements lo..hi-1 inside the extension span of the prefix:
+        u_j lies there iff its first expansion row lies in the F_q-span of
+        the prefix's expansion rows."""
+        rows = self._fp_elements(np.arange(lo, hi), self._fp_gen_tables()[0][:, :1])
+        bitkernel.fp_reduce_static(rows, pre_raw, self.ctx.tower.p)
+        return ~rows.any(axis=(1, 2))
+
+    def _fp_level(self, head, lo, hi, pre):
+        """Weights of the spans of the prefix and u_j for j in lo..hi-1, with
+        -1 for a u_j inside the prefix's extension span; pre is _fp_prefix of
+        the prefix, or None for d = 1."""
+        p, n = self.ctx.tower.p, self.ctx.n
+        red = self._fp_gen_tables()[1]
+        free = n if pre is None else head[0] * n - int(np.count_nonzero(pre[1].any(axis=1)))
+        for s in range(lo, hi, FP_BLOCK):
+            e = min(s + FP_BLOCK, hi)
+            rows = self._fp_elements(np.arange(s, e), red)
+            if pre is None:
+                yield head, s, free - bitkernel.fp_rank(rows, p)
+                continue
+            bitkernel.fp_reduce_static(rows, pre[1], p)
+            wts = free - bitkernel.fp_rank(rows, p)
+            yield head, s, np.where(self._fp_dependent(pre[0], s, e), -1, wts)
+
+    def _fp_firsts(self, p_lo, p_hi):
+        """d = 1: representatives p_lo..p_hi-1 are runs of consecutive
+        element indices [q^e, 2q^e)."""
+        q = self.ctx.tower.q
+        pos = p_lo
+        while pos < p_hi:
+            i = self._first_index(pos)
+            qe = 1
+            while qe * q <= i:
+                qe *= q
+            count = min(2 * qe - i, p_hi - pos)
+            yield from self._fp_level((1,), i, i + count, None)
+            pos += count
+
+    def _fp_tuples(self, d: int, i1: int):
+        def walk(prefix):
+            pre = self._fp_prefix(prefix)
+            start = prefix[-1] + 1
+            if len(prefix) == d - 1:
+                yield from self._fp_level((d, *prefix), start, self.NU, pre)
+                return
+            for s in range(start, self.NU, FP_BLOCK):
+                e = min(s + FP_BLOCK, self.NU)
+                for j in np.flatnonzero(~self._fp_dependent(pre[0], s, e)).tolist():
+                    yield from walk(prefix + [s + j])
+
+        yield from walk([i1])
+
 
 def _bit_rows(rows) -> BitRows:
     acc = BitRows()
@@ -455,11 +640,12 @@ class SampledSweep:
     resumes are exact.
 
     Samples are drawn SAMPLE_BLOCK at a time from the counter stream of
-    `linalg.sample_values`.  The q = 2 kernel never canonicalises: it ranks
-    the unreduced expansion rows to find rank-deficient matrices, redraws
-    those one at a time, and ranks the rows reduced mod U for the weights,
-    which do not depend on the basis of H.  The scalar engine RREFs and
-    weighs one sample at a time, so it stops at the first violation.
+    `linalg.sample_values`.  The batched backends never canonicalise: they
+    rank the unreduced expansion rows to find rank-deficient matrices,
+    redraw those one at a time, and rank the rows reduced mod U for the
+    weights, which do not depend on the basis of H.  The scalar backend
+    RREFs and weighs one sample at a time, so it stops at the first
+    violation.
     """
 
     def __init__(self, tower, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
@@ -481,13 +667,12 @@ class SampledSweep:
         for blo in range(lo, hi, SAMPLE_BLOCK):
             bhi = min(blo + SAMPLE_BLOCK, hi)
             vals, accepted = sample_values(t.order, k, d, self.seed, blo, bhi, 0)
-            if ctx.batch:
+            if ctx.backend != "scalar":
                 R = d * ctx.n
-                raw, red = ctx.m_np()
-                full = accepted & (bitkernel.batch_rank(_sample_rows(raw, vals)) == R)
+                full = accepted & (ctx.ranks(vals, reduced=False) == R)
                 for j in np.flatnonzero(~full).tolist():
                     vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
-                yield (), blo, R - bitkernel.batch_rank(_sample_rows(red, vals)).astype(np.int64)
+                yield (), blo, R - ctx.ranks(vals, reduced=True)
                 continue
             for j in range(bhi - blo):
                 basis, pivots = rref(t, vals[j].tolist(), k) if accepted[j] else ((), ())
@@ -542,6 +727,7 @@ class Verdict:
     witness: Witness | None = None
     seed: int | None = None
     span_defect: dict | None = None
+    backend: str | None = None  # the weight backend that ran; None when no sweep ran
 
     @property
     def holds(self) -> bool:
@@ -556,6 +742,7 @@ class Verdict:
             "subspaces_checked": self.checked,
             "seed": self.seed,
             "span_defect": self.span_defect,
+            "backend": self.backend,
             "witness": None
             if self.witness is None
             else self.witness.serialize(tower, self.mode, self.bound),
@@ -622,10 +809,10 @@ def _run_verification(
     witness = None
     if outcome.viol is not None:
         witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
-    return outcome, witness
+    return outcome, witness, sweep.ctx.backend
 
 
-def _verdict(outcome, witness, mode, bound, dim, seed, defect=None) -> Verdict:
+def _verdict(outcome, witness, backend, mode, bound, dim, seed, defect=None) -> Verdict:
     """The one status rule: a witness or a defect is a violation, a sampled
     or unfinished sweep is inconclusive, and a finished sweep holds."""
     if witness is not None or defect is not None:
@@ -635,7 +822,7 @@ def _verdict(outcome, witness, mode, bound, dim, seed, defect=None) -> Verdict:
     else:
         status = "holds"
     seed_out = seed if mode == "sampled" else None
-    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed_out, defect)
+    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed_out, defect, backend)
 
 
 def verify_h_scattered(
@@ -659,7 +846,7 @@ def verify_h_scattered(
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    outcome, witness = _run_verification(
+    outcome, witness, backend = _run_verification(
         system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size,
         stop_after_units=_stop_after_units,
     )
@@ -669,7 +856,7 @@ def verify_h_scattered(
             "reason": "does not span the ambient space over the extension field",
             "span_dim": _span_dim(system),
         }
-    return _verdict(outcome, witness, mode, h, h, seed, defect)
+    return _verdict(outcome, witness, backend, mode, h, h, seed, defect)
 
 
 def _span_dim(system: QSystem) -> int:
@@ -701,10 +888,10 @@ def verify_evasive(
     if r >= system.t:
         # vacuous: no subspace can meet U in more than dim U
         return Verdict("holds", mode, r, hdim, 0, None, seed if mode == "sampled" else None)
-    outcome, witness = _run_verification(
+    outcome, witness, backend = _run_verification(
         system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )
-    return _verdict(outcome, witness, mode, r, hdim, seed)
+    return _verdict(outcome, witness, backend, mode, r, hdim, seed)
 
 
 def max_weight_search(
@@ -728,7 +915,7 @@ def max_weight_search(
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
     if dim == 0:
         return 0, [0], 1, True
-    outcome, _ = _run_verification(
+    outcome, _, _ = _run_verification(
         system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )
     best = outcome.best or {"weight": 0, "key": [0]}

@@ -132,6 +132,20 @@ def test_subfield_is_the_fixed_field(F16, F64_over_F4):
     assert tuple(sorted(fixed)) == F64_over_F4.subfield_values
 
 
+def test_prime_subfield_is_the_constants_without_a_scan(monkeypatch):
+    scans = {}
+    for p, n in ((2, 3), (3, 3), (3, 4)):
+        F = create_field(p, 1, n)
+        scans[(p, n)] = tuple(x for x in range(F.order) if F.in_subfield(x))
+
+    def no_scan(self, a):
+        raise AssertionError("subfield_values scanned the field")
+
+    monkeypatch.setattr(FieldTower, "in_subfield", no_scan)
+    for (p, n), scanned in scans.items():
+        assert create_field(p, 1, n).subfield_values == scanned == tuple(range(p))
+
+
 def test_subfield_is_closed_under_field_operations(F64_over_F4):
     F = F64_over_F4
     vals = F.subfield_values

@@ -122,6 +122,100 @@ def test_recheck_replays_the_sample_stream_through_the_scalar_oracle(tmp_path, m
     assert [subspace_weight(ps, sample_subspace(F16, 3, 2, 3, i)) for i in (0, 1)] == [0, 1]
 
 
+ODD_Q_PROOFS = {
+    "F81-exhaustive": (
+        ["--field", "3,1,4", "--system", "pseudoregulus", "--h", "2", "--mode", "exhaustive"], 6643
+    ),
+    "F27-witness-span": (
+        ["--field", "3,1,3", "--system", "family", "--m", "3", "--h", "1", "--alphas", "1,1,3",
+         "--mode", "witness_span"],
+        9841,
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(ODD_Q_PROOFS))
+def test_recheck_resweeps_odd_q_proofs_through_the_scalar_oracle(tmp_path, monkeypatch, capsys, job):
+    from rankscatter import bitkernel
+
+    argv, checked = ODD_Q_PROOFS[job]
+    out = str(tmp_path / "p.json")
+    assert main(["verify-scattered", *argv, "--out", out]) == 0
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"], res["backend"]) == ("holds", checked, "fp")
+
+    def fp_rank(rows, p):
+        raise AssertionError("recheck ran the F_p kernel")
+
+    monkeypatch.setattr(bitkernel, "fp_rank", fp_rank)
+    assert main(["recheck", out]) == 0
+    # the re-sweep does run: a tampered count is caught
+    rep = load(out)
+    rep["result"]["subspaces_checked"] -= 1
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert "proof does not reproduce" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, h, kernel", [("3,1,2", "1", "fp_rank"), ("2,1,3", "2", "batch_rank")])
+def test_recheck_resweeps_primal_weights_through_the_scalar_oracle(tmp_path, monkeypatch, capsys, field, h, kernel):
+    from rankscatter import bitkernel
+
+    out = str(tmp_path / "w.json")
+    assert main(["weights", "--field", field, "--system", "pseudoregulus", "--h", h, "--out", out]) == 0
+    rep = load(out)
+    assert rep["result"]["route"] == "primal"
+
+    def refuse(*args):
+        raise AssertionError("recheck ran a batched kernel")
+
+    monkeypatch.setattr(bitkernel, kernel, refuse)
+    assert main(["recheck", out]) == 0
+    rep["result"]["profile"][0]["value"] += 1
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert "d_1 mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, backend",
+    [
+        (["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+          "--mode", "exhaustive"], "gf2"),
+        (["verify-scattered", "--field", "3,1,2", "--system", "line-control",
+          "--mode", "witness_span"], "fp"),
+        (["verify-scattered", "--field", "2,2,3", "--system", "line-control",
+          "--mode", "exhaustive"], "scalar"),
+        (["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "2",
+          "--alphas", "2,1,1", "--force", "--mode", "sampled", "--budget", "50"], "gf2"),
+        (["verify-evasive", "--field", "3,1,3", "--system", "pseudoregulus", "--h", "2",
+          "--hdim", "1", "--r", "3", "--mode", "exhaustive"], None),
+    ],
+    ids=["gf2", "fp", "scalar", "gf2-sampled", "vacuous"],
+)
+def test_verify_reports_name_the_backend_that_ran(tmp_path, capsys, argv, backend):
+    out = str(tmp_path / "b.json")
+    main(argv + ["--out", out])
+    rep = load(out)
+    assert rep["result"]["backend"] == backend
+    assert main(["recheck", out]) == 0
+    rep["result"]["backend"] = "scalar" if backend != "scalar" else "fp"
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 1
+    assert "is not the one these inputs run" in capsys.readouterr().err
+    # a report from before verdicts named their backend
+    del rep["result"]["backend"]
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    assert main(["recheck", out]) == 0
+
+
 def test_vacuous_admissibility_guard(tmp_path, capsys):
     rc = main([
         "verify-scattered", "--field", "2,1,4", "--system", "family",

@@ -17,6 +17,7 @@ from rankscatter.runner import run_sweep, desc_hash
 from rankscatter.verify import (
     ExhaustiveSweep,
     SampledSweep,
+    SpanSweep,
     max_weight_search,
     scattered_dim_bound,
     subspace_weight,
@@ -215,7 +216,7 @@ def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
     system, d, lo, hi, varied = _sampled_systems()[case]
     batch = SampledSweep(system.tower, system, d, None, 17, "auto", hi)
     scalar = SampledSweep(system.tower, system, d, None, 17, "scalar", hi)
-    assert batch.ctx.batch and not scalar.ctx.batch
+    assert (batch.ctx.backend, scalar.ctx.backend) == ("gf2", "scalar")
     fast = _unit_weights(batch, lo, hi)
     assert fast == _unit_weights(scalar, lo, hi)
     assert len(fast) == hi - lo and (len(set(fast)) > 1) == varied
@@ -477,6 +478,129 @@ def test_odd_q_span_proof_over_pairs(engine):
     ps = pseudoregulus_subspace(create_field(3, 1, 3), 2)
     v = verify_h_scattered(ps, 2, mode="witness_span", engine=engine)
     assert (v.status, v.checked) == ("holds", 208)
+
+
+# --- the F_p backend against the scalar oracle, unit by unit ---
+
+
+def _keyed_weights(sweep, lo, hi):
+    """(unit key, weight) of every counted unit in [lo, hi): skipped units,
+    which a batched backend marks -1 and the scalar one never yields, drop
+    out."""
+    out = []
+    for head, start, wts in sweep._weights(lo, hi):
+        out += [((*head, start + i), w) for i, w in enumerate(np.asarray(wts).tolist()) if w >= 0]
+    return out
+
+
+def _skipped(sweep, lo, hi):
+    return sum(int(np.count_nonzero(np.asarray(w) < 0)) for _, _, w in sweep._weights(lo, hi))
+
+
+def _fp_and_scalar(make):
+    fast, slow = make("auto"), make("scalar")
+    assert (fast.ctx.backend, slow.ctx.backend) == ("fp", "scalar")
+    return fast, slow
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_fp_exhaustive_weights_equal_scalar_weights_unit_by_unit(q):
+    F = create_field(q, 1, 3 if q == 3 else 2)
+    # the last system is all of F_q^(k n): its reduced rows have no columns
+    everything = explicit_system(F, 2, [v for j in range(F.n) for v in ((q**j, 0), (0, q**j))])
+    systems = [pseudoregulus_subspace(F, 2 if q == 3 else 1), line_control_subspace(F, 3), everything]
+    if q == 5:
+        systems.append(explicit_system(F, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (7, 3, 1)]))
+    seen = set()
+    for system in systems:
+        for dim in range(1, system.ambient):
+            fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(F, system, dim, None, e))
+            weights = _keyed_weights(fast, 0, fast.total_units)
+            assert weights == _keyed_weights(slow, 0, slow.total_units), (system.tag, dim)
+            assert len(weights) == gaussian_binomial(system.ambient, dim, F.order)
+            seen.update(w for _, w in weights)
+    assert len(seen) >= 3
+
+
+@pytest.mark.parametrize("system", ["pseudoregulus", "line-control"])
+def test_fp_span_weights_equal_scalar_weights_unit_by_unit(system):
+    # F_27, dim U = 3: d = 1 over the 13 class representatives, then d = 2
+    # with the prefixes inside the extension span of the first vector skipped
+    F27 = create_field(3, 1, 3)
+    U = pseudoregulus_subspace(F27, 2) if system == "pseudoregulus" else line_control_subspace(F27, 3)
+    fast, slow = _fp_and_scalar(lambda e: SpanSweep(F27, U, 2, None, e))
+    for d in (1, 2):
+        lo, hi = (d - 1) * fast.R, d * fast.R
+        weights = _keyed_weights(fast, lo, hi)
+        assert weights == _keyed_weights(slow, lo, hi), d
+        assert all(k[0] == d for k, _ in weights)
+    # a chunk boundary inside a run of representatives changes nothing
+    assert _keyed_weights(fast, 5, 19) == _keyed_weights(slow, 5, 19)
+    assert _skipped(fast, fast.R, 2 * fast.R) == {"pseudoregulus": 13, "line-control": 208}[system]
+
+
+def test_fp_span_walks_prefixes_at_depth_three():
+    F9 = create_field(3, 1, 2)
+    U = explicit_system(F9, 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)])
+    fast, slow = _fp_and_scalar(lambda e: SpanSweep(F9, U, 3, None, e))
+    weights = _keyed_weights(fast, 0, fast.total_units)
+    assert weights == _keyed_weights(slow, 0, slow.total_units)
+    assert {k[0] for k, _ in weights} == {1, 2, 3}
+
+
+def test_fp_sampled_weights_equal_scalar_weights_with_forced_redraws(monkeypatch):
+    from rankscatter import linalg
+
+    monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    F27 = create_field(3, 1, 3)
+    U = explicit_system(F27, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (5, 7, 1)])
+    _, accepted = linalg.sample_values(27, 3, 2, 11, 0, 300, 0)
+    assert 0.3 < 1 - accepted.mean() < 0.7
+    fast, slow = _fp_and_scalar(lambda e: SampledSweep(F27, U, 2, None, 11, e, 300))
+    weights = _keyed_weights(fast, 0, 300)
+    assert weights == _keyed_weights(slow, 0, 300)
+    oracle = [subspace_weight(U, linalg.sample_subspace(F27, 3, 2, 11, i)) for i in range(300)]
+    assert [w for _, w in weights] == oracle and len(set(oracle)) > 1
+
+
+def test_fp_backend_runs_q2_above_the_packed_width():
+    # q = 2, n = 8, m = 3, h = 2: k * n = 72 bits, past one packed word
+    from rankscatter.construction import ConstructionParams, family_subspace
+
+    F256 = create_field(2, 1, 8)
+    fam = family_subspace(ConstructionParams(F256, 3, 2, (1, 1, 2)))
+    for dim, units in ((1, 600), (2, 300)):
+        fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(F256, fam, dim, None, e))
+        assert _keyed_weights(fast, 0, units) == _keyed_weights(slow, 0, units)
+    fast, slow = _fp_and_scalar(lambda e: SampledSweep(F256, fam, 2, None, 4, e, 100))
+    assert _keyed_weights(fast, 0, 100) == _keyed_weights(slow, 0, 100)
+    for mode in ("exhaustive", "sampled"):
+        v = [
+            verify_h_scattered(fam, 2, mode=mode, budget=200, seed=4, engine=e, chunk_size=50)
+            for e in ("auto", "scalar")
+        ]
+        assert [(x.status, x.checked, x.backend) for x in v] == [
+            ("inconclusive", 200, "fp"), ("inconclusive", 200, "scalar")
+        ]
+
+
+def test_weight_backend_choice():
+    from rankscatter.verify import weight_backend
+
+    cases = [
+        ((2, 1, 4), 16, "auto", "gf2"),
+        ((2, 1, 8), 8, "auto", "gf2"),
+        ((2, 1, 8), 9, "auto", "fp"),
+        ((3, 1, 2), 3, "auto", "fp"),
+        ((251, 1, 2), 3, "auto", "fp"),
+        ((257, 1, 2), 3, "auto", "scalar"),
+        ((2, 2, 3), 2, "auto", "scalar"),
+        ((3, 1, 2), 3, "scalar", "scalar"),
+        ((2, 1, 4), 3, "scalar", "scalar"),
+    ]
+    for (p, s, n), k, engine, backend in cases:
+        tower = type("Tower", (), {"p": p, "s": s, "n": n, "q": p**s})
+        assert weight_backend(tower, k, engine, 1) == backend, (p, s, n, k, engine)
 
 
 # --- how run_sweep runs a sweep ---
