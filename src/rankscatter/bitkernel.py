@@ -63,14 +63,16 @@ def subset_xor_table(deltas: list[int]) -> np.ndarray:
     return t
 
 
-
 # --- F_p on uint8 arrays ---
 
 
 @lru_cache(maxsize=None)
 def _inverses(p: int) -> np.ndarray:
-    """inv[a] = a^-1 mod p, with inv[0] = 0."""
-    return np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.uint16)
+    """inv[a] = a^-1 mod p, with inv[0] = 0; read-only, since every caller
+    shares it."""
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.uint16)
+    inv.flags.writeable = False
+    return inv
 
 
 def _axpy(rows: np.ndarray, src: np.ndarray, f: np.ndarray, p: int) -> None:
