@@ -54,12 +54,17 @@ def batch_rank(rows: list[np.ndarray]) -> np.ndarray:
     return rank
 
 
-def subset_xor_table(deltas: list[int]) -> np.ndarray:
-    """T[mask] = XOR of deltas[t] over set bits t of mask."""
-    t = np.zeros(1 << len(deltas), dtype=U64)
-    for i, d in enumerate(deltas):
+def subset_xor_table(deltas: np.ndarray, bits: int) -> np.ndarray:
+    """Subset-XOR tables over groups of `bits` entries of the last axis of a
+    (..., m) uint64 array: entry [..., g, mask] is the XOR of
+    deltas[..., g * bits + t] over the set bits t of mask."""
+    *lead, m = deltas.shape
+    groups = np.zeros((*lead, -(-m // bits), bits), dtype=U64)
+    groups.reshape(*lead, -1)[..., :m] = deltas
+    t = np.zeros((*groups.shape[:-1], 1 << bits), dtype=U64)
+    for i in range(bits):
         half = 1 << i
-        t[half : 2 * half] = t[:half] ^ U64(d)
+        t[..., half : 2 * half] = t[..., :half] ^ groups[..., i, None]
     return t
 
 

@@ -529,6 +529,13 @@ def _word_limit(Q: int) -> int:
     return (1 << 64) // Q * Q
 
 
+def _check_sample_order(Q: int) -> None:
+    """Samples are int64 residues of 64-bit words, so the field may have at
+    most 2^63 elements."""
+    if Q > 1 << 63:
+        raise ValueError(f"sampled mode needs a field of at most 2^63 elements, not {Q}")
+
+
 def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: int):
     """The d x k matrices of samples lo .. hi-1 at a redraw attempt.
 
@@ -536,10 +543,12 @@ def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: 
     the stream keyed by derive_seed(seed, "sample", k, d, a), row by row,
     each reduced mod Q.  Returns (values, accepted): values is an int64
     array of shape (hi - lo, d, k), and accepted is False for a sample with
-    a word at or above _word_limit(Q), which is then redrawn.
+    a word at or above _word_limit(Q), which is then redrawn.  A field of
+    more than 2^63 elements is a ValueError.
     """
     import numpy as np
 
+    _check_sample_order(Q)
     dk = d * k
     words = counter_words(derive_seed(seed, "sample", k, d, attempt), lo * dk, (hi - lo) * dk)
     words = words.reshape(hi - lo, d, k)
@@ -548,7 +557,7 @@ def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: 
         accepted = np.ones(hi - lo, dtype=bool)
     else:
         accepted = (words < np.uint64(limit)).all(axis=(1, 2))
-    # residues below Q < 2^63 read the same as int64
+    # residues below Q <= 2^63 read the same as int64
     return np.remainder(words, np.uint64(Q), out=words).view(np.int64), accepted
 
 

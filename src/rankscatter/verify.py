@@ -18,18 +18,23 @@ Three modes feed that scan:
 * sampled - seeded random subspaces; can only produce a witness or report
   "inconclusive", never "holds".
 
-Each mode's `_weights` yields blocks of weights from one of three
-backends, which `_Context` picks once per sweep (`weight_backend`):
+Each mode has one batched `_weights`, written against a row kernel, and
+the scalar oracle.  The kernel's calls build the expansion rows of value
+matrices or of elements of U, raw or reduced mod U (element rows also
+against the echelon basis of a prefix, which another call takes), and rank
+a batch.  `_Context` picks the backend once per sweep (`weight_backend`):
 
-* "gf2" - packed uint64 words and `bitkernel.batch_rank`, when q = 2 and
-  the expanded width k*n is at most 64 bits;
-* "fp" - uint8 row arrays and `bitkernel.fp_rank`, for any other prime
-  q < 256 (odd q, and q = 2 with k*n > 64).  Rows are F_p-linear in the
-  base-p digits of the entries, so a block's rows are the product of its
-  digits with a table of the expansion rows of b_l * z^j at each
-  coordinate, reduced mod U;
-* "scalar" - one weight at a time from `subspace_weight`, the oracle: for
-  q = p^s with s > 1, for p > 255, and whenever engine="scalar".
+* "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
+  when q = 2 and the expanded width k*n is at most 64 bits;
+* "fp" - `_FpRows`, uint8 row arrays and `bitkernel.fp_rank`, for any
+  other prime q < 256 (odd q, and q = 2 with k*n > 64);
+* "scalar" - no kernel: one weight at a time from `subspace_weight`, the
+  oracle, for q = p^s with s > 1, for p > 255, and whenever
+  engine="scalar".
+
+Rows are linear over F_p in the base-p digits of the entries, so both
+kernels build them from tables with one entry per digit or digit group,
+never one per field element.
 
 `_scan` alone applies the rules: weight -1 marks a skipped unit that is not
 counted, the first maximum is the chunk's best, and the first weight above
@@ -47,6 +52,7 @@ F_q-basis of the offending intersection) that re-verifies independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +72,7 @@ from .linalg import (
     subspace_at,
     subspace_fq_rows,
     unexpand_row,
+    _check_sample_order,
     _pivot_blocks,
     _redraw,
     _subspace_from_assignment,
@@ -73,10 +80,10 @@ from .linalg import (
 from .construction import QSystem, system_to_desc
 from .runner import ChunkResult, _merge_best, run_sweep
 
-TABLE_BITS = 14          # target log2 size of per-block xor tables
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
-FP_BLOCK = 128            # units per block of the F_p backend
+GF2_BLOCK = 1 << 16       # units per batch of the GF(2) kernel: a whole prefix range of |U| = 2^16
+FP_BLOCK = 128            # units per batch of the F_p kernel
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
 ENGINES = ("auto", "scalar")
@@ -170,8 +177,163 @@ def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
 
 def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
     """The `count` lowest base-p digits of each value, least significant
-    first, along a new last axis."""
-    return (values[..., None] // p ** np.arange(count, dtype=np.int64) % p).astype(np.uint8)
+    first, along a new last axis; an object array of Python ints works too."""
+    powers = p ** np.arange(count, dtype=values.dtype)
+    return (values[..., None] // powers % p).astype(np.uint8)
+
+
+# --- the row kernel: two batched implementations of the same calls ---
+#
+#   value_rows(vals, reduced)    rows of a (B, d, k) block of value matrices
+#   element_rows(lo, hi, reduced, basis=None)
+#                                rows of the elements lo .. hi-1 of U, also
+#                                reduced against a prefix basis when given
+#   basis(prefix, reduced)       echelon basis of the rows of some elements
+#                                of U, and its rank
+#   rank(rows)                   rank of each matrix of a batch, as int64
+#   BLOCK                        units per batch
+#
+# Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
+# vector v of a matrix; "reduced" rows are taken mod U.  Element rows are
+# linear in the digits of the index, and so is reduction against a fixed
+# basis: a prefix basis is cleared from the generator tables, not from the
+# rows built from them.
+
+
+class _GF2Rows:
+    """GF(2) rows packed into uint64 words, for `bitkernel.batch_rank`: a
+    batch is a list of R arrays of shape (B,), row r of matrix j at entry j
+    of array r.
+
+    Rows are F_2-linear in the bits of the entries, so they are XORs of
+    subset tables over digit groups of at most 8 bits: one table per
+    (coordinate, digit group) of value bits, of the rows of b_l * z^j, and
+    one per byte of an element index of U, of the rows of b_l * g_j for the
+    canonical generators g_j.  For n <= 8 a value table has one entry per
+    field element; past that no table does.
+    """
+
+    BLOCK = GF2_BLOCK
+
+    def __init__(self, ctx):
+        t, n, U = ctx.tower, ctx.n, ctx.U
+        self.n, self.k, self.U = n, ctx.k, U
+        e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
+        raw = [[[x << c * n for x in row] for row in e] for c in range(ctx.k)]
+        red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
+        # (raw, reduced) tables of shape (k, digit groups, n, digit values)
+        tables = bitkernel.subset_xor_table(np.array([raw, red], dtype=np.uint64), min(n, 8))
+        self.tables = tuple(np.ascontiguousarray(tab.transpose(0, 2, 1, 3)) for tab in tables)
+
+    @cached_property
+    def _element_tables(self):
+        """(raw, reduced) tables of shape (index bytes, n, 256)."""
+        gens = np.array(self.U.canonical_generators, dtype=np.int64).reshape(-1, 1, self.k)
+        tables = (bitkernel.subset_xor_table(np.array(self.value_rows(gens, r)), 8) for r in (False, True))
+        return tuple(np.ascontiguousarray(tab.transpose(1, 0, 2)) for tab in tables)
+
+    def value_rows(self, vals, reduced):
+        tabs = self.tables[reduced]
+        size = tabs.shape[-1]
+        idx = vals.transpose(2, 1, 0)  # (k, d, B); a view, never written
+        rows = np.zeros((self.n, *idx.shape[1:]), dtype=np.uint64)
+        for c, per_c in enumerate(tabs):
+            for g, tab in enumerate(per_c):
+                rows ^= np.take(tab, (idx[c] >> 8 * g) & (size - 1), axis=1)
+        return list(rows.reshape(-1, len(vals)))
+
+    def element_rows(self, lo, hi, reduced, basis=None):
+        tabs = self._element_tables[reduced]
+        if basis is not None:
+            tabs = tabs.copy()
+            bitkernel.reduce_static([tabs.reshape(-1)], basis.rows, basis.pivots)
+        # index j = 256 h + x: the low byte x runs through the first table
+        # whole, so one broadcast XOR builds the rows of the range
+        h = np.arange(lo >> 8, ((hi - 1) >> 8) + 1)
+        high = np.zeros((self.n, len(h)), dtype=np.uint64)
+        for g in range(1, len(tabs)):
+            high ^= np.take(tabs[g], (h >> 8 * (g - 1)) & 255, axis=1)
+        rows = (high[:, :, None] ^ tabs[0][:, None, :]).reshape(self.n, -1)
+        return list(rows[:, (lo & 255) : (lo & 255) + hi - lo])
+
+    def basis(self, prefix, reduced):
+        acc = BitRows()
+        for i in prefix:
+            for r in self.element_rows(i, i + 1, reduced):
+                acc.add(int(r[0]))
+        return acc, acc.rank
+
+    def rank(self, rows):
+        return bitkernel.batch_rank(rows).astype(np.int64)
+
+
+class _FpRows:
+    """F_p rows as uint8 arrays, for `bitkernel.fp_rank`: a batch is one
+    array of shape (B, R, W).
+
+    Rows are F_p-linear in the base-p digits of the entries, so a batch's
+    rows are its digits times a table: entry [c * n + j, l] of a value table
+    is the row of b_l * z^j at coordinate c, and entry [j, l] of an element
+    table the row of b_l * g_j for the canonical generators g_j of U.
+    Reduced rows drop U's pivot columns, where they are zero, so their width
+    is k * n - dim U.  No table has an entry per field element.
+    """
+
+    BLOCK = FP_BLOCK
+
+    def __init__(self, ctx):
+        t, n, k, p = ctx.tower, ctx.n, ctx.k, ctx.tower.p
+        self.n, self.k, self.p, self.U, self.dtype = n, k, p, ctx.U, ctx.dtype
+        e = np.array([[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8)
+        raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
+        for c in range(k):
+            raw[c, :, :, c, :] = e
+        raw = raw.reshape(k * n, n, k * n)
+        gens = [[x for v in g for x in t.expand_scalar(v)] for g in ctx.U.canonical_generators]
+        basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
+        bitkernel.fp_rank(basis, p)
+        red = raw.reshape(1, -1, k * n).copy()
+        bitkernel.fp_reduce_static(red, basis[0], p)
+        keep = np.ones(k * n, dtype=bool)
+        keep[[int(np.flatnonzero(b)[0]) for b in basis[0] if b.any()]] = False
+        self.tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
+
+    @cached_property
+    def _element_tables(self):
+        """(raw, reduced) tables of shape (dim U, n, width)."""
+        gens = np.array(self.U.canonical_generators, dtype=self.dtype).reshape(-1, 1, self.k)
+        return tuple(self.value_rows(gens, r) for r in (False, True))
+
+    def _rows(self, digits, table):
+        """Digits of shape (B, d, D) times a (D, r, w) table, mod p, as a
+        (B, d * r, w) batch."""
+        size, r, w = table.shape
+        rows = np.matmul(digits, table.reshape(size, r * w), dtype=np.uint32)
+        rows %= self.p
+        return rows.astype(np.uint8).reshape(len(digits), digits.shape[1] * r, w)
+
+    def value_rows(self, vals, reduced):
+        digits = _digit_array(vals, self.p, self.n)
+        return self._rows(digits.reshape(*vals.shape[:2], -1), self.tables[reduced])
+
+    def element_rows(self, lo, hi, reduced, basis=None):
+        table = self._element_tables[reduced]
+        if basis is not None:
+            table = table.copy()
+            bitkernel.fp_reduce_static(table, basis, self.p)
+        digits = _digit_array(np.arange(lo, hi), self.p, self.U.dim)
+        return self._rows(digits[:, None, :], table)
+
+    def basis(self, prefix, reduced):
+        rows = np.concatenate([self.element_rows(i, i + 1, reduced) for i in prefix], axis=1)
+        rank = bitkernel.fp_rank(rows, self.p)
+        return rows[0], int(rank[0])
+
+    def rank(self, rows):
+        return bitkernel.fp_rank(rows, self.p)
+
+
+_KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
 
 
 class _Context:
@@ -181,82 +343,20 @@ class _Context:
         self.U = system.subspace
         self.k = system.ambient
         self.n = tower.n
+        # element values are int64 up to Q = 2^63, Python ints past it
+        # (only the F_p kernel meets such fields)
+        self.dtype = np.int64 if tower.order <= 1 << 63 else object
         self.backend = weight_backend(tower, self.k, engine, dim)
+        self.kernel = _KERNELS[self.backend](self) if self.backend in _KERNELS else None
 
     def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
         """Rank of the expansion rows of each (d, k) matrix of element
-        values in vals, raw or reduced mod U, on a batched backend."""
-        if self.backend == "gf2":
-            return bitkernel.batch_rank(_sample_rows(self.m_np()[reduced], vals)).astype(np.int64)
-        p = self.tower.p
-        table = self.fp_tables()[reduced]
-        out = []
-        for lo in range(0, len(vals), FP_BLOCK):
-            digits = _digit_array(vals[lo : lo + FP_BLOCK], p, self.n)
-            out.append(bitkernel.fp_rank(self.fp_rows(digits.reshape(*digits.shape[:2], -1), table), p))
-        return np.concatenate(out)
+        values in vals, raw or reduced mod U, on the batched kernel."""
+        kern, block = self.kernel, self.kernel.BLOCK
+        return np.concatenate(
+            [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
+        )
 
-    # expansion tables, backend "gf2":
-    # M[l][c][v] = expansion of b_l * v, placed at coordinate c; m_red
-    # holds M reduced mod U
-
-    def m_red(self):
-        if not hasattr(self, "_m_red"):
-            U = self.U
-            raw = self._m_raw()
-            self._m_red = [[[U.reduce_row(x) for x in col] for col in per_l] for per_l in raw]
-        return self._m_red
-
-    def _m_raw(self):
-        t = self.tower
-        n = self.n
-        tabs = []
-        for b in t.q_basis:
-            base = [expand_vector(t, (t.mul(b, v),)) for v in range(t.order)]
-            tabs.append([[x << (c * n) for x in base] for c in range(self.k)])
-        return tabs
-
-    def m_np(self):
-        """(M, M reduced mod U) as uint64 arrays of shape (n, k * Q), with
-        entry [l, c * Q + v] = M[l][c][v]."""
-        if not hasattr(self, "_m_np"):
-            tables = (self._m_raw(), self.m_red())
-            self._m_np = tuple(np.array(m, dtype=np.uint64).reshape(self.n, -1) for m in tables)
-        return self._m_np
-
-    # F_p tables, backend "fp": entry [c*n + j, l] of a table is the
-    # expansion row of b_l * z^j placed at coordinate c
-
-    def fp_tables(self):
-        """(raw, reduced) uint8 tables of shape (k * n, n, width).  The
-        reduced rows are taken mod U and drop U's pivot columns, where they
-        are zero, so their width is k * n - dim U."""
-        if not hasattr(self, "_fp_tables"):
-            t, n, k, p = self.tower, self.n, self.k, self.tower.p
-            e = np.array(
-                [[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8
-            )
-            raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
-            for c in range(k):
-                raw[c, :, :, c, :] = e
-            raw = raw.reshape(k * n, n, k * n)
-            gens = [[x for v in g for x in t.expand_scalar(v)] for g in self.U.canonical_generators]
-            basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
-            bitkernel.fp_rank(basis, p)
-            red = raw.reshape(1, -1, k * n).copy()
-            bitkernel.fp_reduce_static(red, basis[0], p)
-            keep = np.ones(k * n, dtype=bool)
-            keep[[int(np.flatnonzero(b)[0]) for b in basis[0] if b.any()]] = False
-            self._fp_tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
-        return self._fp_tables
-
-    def fp_rows(self, digits: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """Rows of a block: digits of shape (B, d, D) times a (D, r, w)
-        table, mod p, as a (B, d * r, w) uint8 batch."""
-        size, r, w = table.shape
-        rows = np.matmul(digits, table.reshape(size, r * w), dtype=np.uint32)
-        rows %= self.tower.p
-        return rows.astype(np.uint8).reshape(len(digits), digits.shape[1] * r, w)
 
 # --- exhaustive sweep over the Grassmannian ---
 
@@ -289,90 +389,35 @@ class ExhaustiveSweep:
             bhi = min(hi - gstart, count)
             if blo >= bhi:
                 continue
-            if ctx.backend == "gf2":
-                yield from self._batch_weights(gstart, pivots, cells, blo, bhi)
-            elif ctx.backend == "fp":
-                yield from self._fp_weights(gstart, pivots, cells, blo, bhi)
-            else:
-                for a in range(blo, bhi):
-                    H = _subspace_from_assignment(ctx.tower, ctx.k, pivots, cells, a)
-                    yield (), gstart + a, [subspace_weight(ctx.U, H)]
+            if ctx.kernel is not None:
+                yield from self._batches(gstart, pivots, cells, blo, bhi)
+                continue
+            for a in range(blo, bhi):
+                H = _subspace_from_assignment(ctx.tower, ctx.k, pivots, cells, a)
+                yield (), gstart + a, [subspace_weight(ctx.U, H)]
 
-    def _batch_weights(self, gstart, pivots, cells, blo, bhi):
+    def _batches(self, gstart, pivots, cells, blo, bhi):
+        """Assignments in blocks of at most the kernel's BLOCK, as (B, dim,
+        k) value matrices: pivot 1s, and the free cells set to the base-Q
+        digits of the assignment index, the last cell least significant.
+        The last `low` cells take the digits of a numpy range; the others
+        are constant in a block."""
         ctx = self.ctx
-        n = ctx.n
-        nfree = len(cells)
-        low_cells = min(nfree, max(1, TABLE_BITS // n))
-        L = n * low_cells
-        size = 1 << L
-        m = ctx.m_red()
-        R = self.dim * n
-        # xor tables over the low free cells, one per expansion row
-        tables = []
-        for i in range(self.dim):
-            for l in range(n):
-                deltas = []
-                for t in range(L):
-                    cell_i, cell_c = cells[nfree - 1 - t // n]
-                    b = t % n
-                    deltas.append(m[l][cell_c][1 << b] if cell_i == i else 0)
-                tables.append(bitkernel.subset_xor_table(deltas))
-        high_cells = cells[: nfree - low_cells]
-        for high in range(blo >> L, ((bhi - 1) >> L) + 1):
-            sl_lo = max(blo - (high << L), 0)
-            sl_hi = min(bhi - (high << L), size)
-            bases = self._bases_for_high(pivots, high_cells, high, m)
-            rows = [bases[r] ^ tables[r][sl_lo:sl_hi] for r in range(R)]
-            yield (), gstart + (high << L) + sl_lo, R - bitkernel.batch_rank(rows).astype(np.int64)
-
-    def _fp_weights(self, gstart, pivots, cells, blo, bhi):
-        """Blocks of at most FP_BLOCK assignments.  Base-p digit e of an
-        assignment index is digit e % n of the value in the cell
-        cells[-1 - e // n]; the digits below p^low come from a numpy range,
-        the rest are constant in a block."""
-        ctx = self.ctx
-        p, n, kn = ctx.tower.p, ctx.n, ctx.k * ctx.n
-        ndig = len(cells) * n
-        cols = [i * kn + c * n + e % n for e in range(ndig) for i, c in [cells[-1 - e // n]]]
-        low = 0
-        while low < ndig and p**low < FP_BLOCK:
-            low += 1
-        size = p**low
-        red = ctx.fp_tables()[1]
+        Q, block = ctx.tower.order, ctx.kernel.BLOCK
+        low, size = 0, 1
+        while low < len(cells) and size < block:
+            low, size = low + 1, size * Q
         a = blo
         while a < bhi:
             high, start = divmod(a, size)
-            count = min(FP_BLOCK, bhi - a, size - start)
-            digits = np.zeros((count, self.dim * kn), dtype=np.uint8)
-            digits[:, [i * kn + c * n for i, c in enumerate(pivots)]] = 1
-            digits[:, cols[:low]] = _digit_array(np.arange(start, start + count), p, low)
-            digits[:, cols[low:]] = _digits(high, p, ndig - low)
-            rows = ctx.fp_rows(digits.reshape(count, self.dim, kn), red)
-            yield (), gstart + a, self.dim * n - bitkernel.fp_rank(rows, p)
+            count = min(block, bhi - a, size - start)
+            vals = np.zeros((count, self.dim, ctx.k), dtype=ctx.dtype)
+            vals[:, np.arange(self.dim), list(pivots)] = 1
+            r = start + np.arange(count).astype(ctx.dtype)
+            for e, (i, c) in enumerate(reversed(cells)):
+                vals[:, i, c] = r // Q**e % Q if e < low else high // Q ** (e - low) % Q
+            yield (), gstart + a, self.dim * ctx.n - ctx.ranks(vals, reduced=True)
             a += count
-
-    def _bases_for_high(self, pivots, high_cells, high, m):
-        ctx = self.ctx
-        n = ctx.n
-        Q = ctx.tower.order
-        entries = {}
-        for i, p in enumerate(pivots):
-            entries[(i, p)] = 1
-        a = high
-        for (i, c) in reversed(high_cells):
-            a, v = divmod(a, Q)
-            if v:
-                entries[(i, c)] = v
-        bases = []
-        for i in range(self.dim):
-            for l in range(n):
-                row = 0
-                ml = m[l]
-                for (ei, c), v in entries.items():
-                    if ei == i:
-                        row ^= ml[c][v]
-                bases.append(np.uint64(row))
-        return bases
 
 
 # --- witness-span sweep over tuples of U-vectors ---
@@ -415,29 +460,6 @@ class SpanSweep:
             qe *= q
         return qe + (v - qe) // (q - 1)
 
-    # batch tables
-
-    def _element_tables(self):
-        if not hasattr(self, "_etabs"):
-            ctx = self.ctx
-            gens = ctx.U.canonical_generators
-            red = []
-            raw = []
-            for l in range(ctx.n):
-                b = ctx.tower.q_basis[l]
-                dr = []
-                dw = []
-                for g in gens:
-                    vec = tuple(ctx.tower.mul(b, x) for x in g)
-                    row = expand_vector(ctx.tower, vec)
-                    dw.append(row)
-                    dr.append(ctx.U.reduce_row(row))
-                red.append(bitkernel.subset_xor_table(dr))
-                raw.append(bitkernel.subset_xor_table(dw))
-            self._etabs = (red, raw)
-            self._elt_index = dict(zip(raw[0].tolist(), range(self.NU)))
-        return self._etabs
-
     def run_units(self, lo: int, hi: int) -> ChunkResult:
         return _scan(self, lo, hi)
 
@@ -450,18 +472,12 @@ class SpanSweep:
         for d in range(lo // R + 1, (hi - 1) // R + 2):
             p_lo = max(lo - (d - 1) * R, 0)
             p_hi = min(hi - (d - 1) * R, R)
-            backend = self.ctx.backend
-            if d == 1 and backend == "gf2":
-                # q = 2: positions p_lo..p_hi-1 are the element indices p+1
-                red, _ = self._element_tables()
-                rows = [red[l][p_lo + 1 : p_hi + 1].copy() for l in range(self.ctx.n)]
-                yield (1,), p_lo + 1, self.ctx.n - bitkernel.batch_rank(rows).astype(np.int64)
-            elif d == 1 and backend == "fp":
-                yield from self._fp_firsts(p_lo, p_hi)
-            else:
-                tuples = {"gf2": self._batch_tuples, "fp": self._fp_tuples}.get(backend, self._scalar_tuples)
-                for pos in range(p_lo, p_hi):
-                    yield from tuples(d, self._first_index(pos))
+            if self.ctx.kernel is not None and d == 1:
+                yield from self._firsts(p_lo, p_hi)
+                continue
+            tuples = self._scalar_tuples if self.ctx.kernel is None else self._tuples
+            for pos in range(p_lo, p_hi):
+                yield from tuples(d, self._first_index(pos))
 
     # scalar tuple walk, any q
 
@@ -481,121 +497,9 @@ class SpanSweep:
 
         yield from walk([i1], SubspaceQn.from_vectors(ctx.tower, ctx.k, [U.element(i1)]))
 
-    # batched tuple walk, q = 2, d >= 2: one batch per (d-1)-prefix
+    # batched tuple walk: one level of weights per (d-1)-prefix
 
-    def _batch_tuples(self, d: int, i1: int):
-        red, raw = self._element_tables()
-        n = self.ctx.n
-
-        def rows_of(tabs, prefix):
-            return [int(tabs[l][i]) for i in prefix for l in range(n)]
-
-        def last_level(prefix, pre_raw):
-            start = prefix[-1] + 1
-            pre_red = _bit_rows(rows_of(red, prefix))
-            rows = [red[l][start:].copy() for l in range(n)]
-            bitkernel.reduce_static(rows, pre_red.rows, pre_red.pivots)
-            wts = (d * n - pre_red.rank) - bitkernel.batch_rank(rows).astype(np.int64)
-            dep = self._dependent_mask(prefix, pre_red, pre_raw, start)
-            return np.where(dep, np.int64(-1), wts)
-
-        def walk(prefix, pre_raw):
-            if len(prefix) == d - 1:
-                if prefix[-1] + 1 < self.NU:
-                    yield (d, *prefix), prefix[-1] + 1, last_level(prefix, pre_raw)
-                return
-            for j in range(prefix[-1] + 1, self.NU):
-                jrows = rows_of(raw, [j])
-                if all(pre_raw.contains(r) for r in jrows):
-                    continue  # dependent prefix
-                yield from walk(prefix + [j], _bit_rows(pre_raw.rows + jrows))
-
-        yield from walk([i1], _bit_rows(rows_of(raw, [i1])))
-
-    def _dependent_mask(self, prefix, pre_red, pre_raw, start):
-        """Mask of elements u_j (j >= start) inside the extension span of the prefix.
-
-        pre_red and pre_raw hold the prefix's expansion rows reduced mod U and raw.
-        """
-        n = self.ctx.n
-        if len(prefix) == 1:
-            # u_j in <u1> iff u_j = c*u1 for some scalar c.  The weight of <u1>
-            # tells whether any non-scalar multiple of u1 stays inside U at all;
-            # only then is the multiple scan worth running.
-            dep = np.zeros(self.NU - start, dtype=bool)
-            if n - pre_red.rank <= 1:
-                return dep
-            t = self.ctx.tower
-            u1 = self.ctx.U.element(prefix[0])
-            idx_of = self._elt_index
-            for c in range(2, t.order):
-                vec = tuple(t.mul(c, x) for x in u1)
-                j = idx_of.get(expand_vector(t, vec))
-                if j is not None and j >= start:
-                    dep[j - start] = True
-            return dep
-        # general prefix: u_j dependent iff its raw rows add no rank
-        _, raw = self._element_tables()
-        rows = [raw[l][start:].copy() for l in range(n)]
-        bitkernel.reduce_static(rows, pre_raw.rows, pre_raw.pivots)
-        added = bitkernel.batch_rank(rows)
-        return added == 0
-
-    # F_p tuple walk, backend "fp": the rows of element j of U are the
-    # base-p digits of j times the rows of the canonical generators
-
-    def _fp_gen_tables(self):
-        """(raw, reduced) rows of b_l * g for each canonical generator g, as
-        tables of shape (dim U, n, width)."""
-        if not hasattr(self, "_fp_gens"):
-            ctx = self.ctx
-            gens = np.array(ctx.U.canonical_generators, dtype=np.int64)
-            digits = _digit_array(gens, ctx.tower.p, ctx.n).reshape(len(gens), 1, -1)
-            self._fp_gens = tuple(ctx.fp_rows(digits, tab) for tab in ctx.fp_tables())
-        return self._fp_gens
-
-    def _fp_elements(self, indices, table):
-        """Rows of the elements of U at the given indices under a generator
-        table, as a (len(indices), rows per element, width) batch."""
-        digits = _digit_array(indices, self.ctx.tower.p, self.ctx.U.dim)
-        return self.ctx.fp_rows(digits[:, None, :], table)
-
-    def _fp_prefix(self, prefix):
-        """(raw, reduced) rows of the prefix's elements, each a single matrix
-        in the echelon form `bitkernel.fp_rank` leaves."""
-        out = []
-        for tab in self._fp_gen_tables():
-            rows = self._fp_elements(np.array(prefix), tab).reshape(1, -1, tab.shape[2])
-            bitkernel.fp_rank(rows, self.ctx.tower.p)
-            out.append(rows[0])
-        return out
-
-    def _fp_dependent(self, pre_raw, lo, hi):
-        """Mask of elements lo..hi-1 inside the extension span of the prefix:
-        u_j lies there iff its first expansion row lies in the F_q-span of
-        the prefix's expansion rows."""
-        rows = self._fp_elements(np.arange(lo, hi), self._fp_gen_tables()[0][:, :1])
-        bitkernel.fp_reduce_static(rows, pre_raw, self.ctx.tower.p)
-        return ~rows.any(axis=(1, 2))
-
-    def _fp_level(self, head, lo, hi, pre):
-        """Weights of the spans of the prefix and u_j for j in lo..hi-1, with
-        -1 for a u_j inside the prefix's extension span; pre is _fp_prefix of
-        the prefix, or None for d = 1."""
-        p, n = self.ctx.tower.p, self.ctx.n
-        red = self._fp_gen_tables()[1]
-        free = n if pre is None else head[0] * n - int(np.count_nonzero(pre[1].any(axis=1)))
-        for s in range(lo, hi, FP_BLOCK):
-            e = min(s + FP_BLOCK, hi)
-            rows = self._fp_elements(np.arange(s, e), red)
-            if pre is None:
-                yield head, s, free - bitkernel.fp_rank(rows, p)
-                continue
-            bitkernel.fp_reduce_static(rows, pre[1], p)
-            wts = free - bitkernel.fp_rank(rows, p)
-            yield head, s, np.where(self._fp_dependent(pre[0], s, e), -1, wts)
-
-    def _fp_firsts(self, p_lo, p_hi):
+    def _firsts(self, p_lo, p_hi):
         """d = 1: representatives p_lo..p_hi-1 are runs of consecutive
         element indices [q^e, 2q^e)."""
         q = self.ctx.tower.q
@@ -606,29 +510,66 @@ class SpanSweep:
             while qe * q <= i:
                 qe *= q
             count = min(2 * qe - i, p_hi - pos)
-            yield from self._fp_level((1,), i, i + count, None)
+            yield from self._level((1,), i, i + count, None)
             pos += count
 
-    def _fp_tuples(self, d: int, i1: int):
+    def _tuples(self, d: int, i1: int):
+        block = self.ctx.kernel.BLOCK
+
         def walk(prefix):
-            pre = self._fp_prefix(prefix)
+            pre = self._prefix(prefix)
             start = prefix[-1] + 1
             if len(prefix) == d - 1:
-                yield from self._fp_level((d, *prefix), start, self.NU, pre)
+                yield from self._level((d, *prefix), start, self.NU, pre)
                 return
-            for s in range(start, self.NU, FP_BLOCK):
-                e = min(s + FP_BLOCK, self.NU)
-                for j in np.flatnonzero(~self._fp_dependent(pre[0], s, e)).tolist():
-                    yield from walk(prefix + [s + j])
+            for s in range(start, self.NU, block):
+                e = min(s + block, self.NU)
+                skip = set(self._dependent(prefix, pre[0], s, e))
+                for j in range(s, e):
+                    if j - s not in skip:
+                        yield from walk(prefix + [j])
 
         yield from walk([i1])
 
+    def _prefix(self, prefix):
+        """(raw basis, reduced basis, weight) of the extension span of the
+        prefix.  The raw basis is None when the prefix is one vector u1 with
+        wt(<u1>) <= 1: then <u1> meets U in F_q u1 alone, and only the
+        F_q^*-multiples of u1 lie in it."""
+        kern = self.ctx.kernel
+        red, rank = kern.basis(prefix, reduced=True)
+        weight = len(prefix) * self.ctx.n - rank
+        raw = None if len(prefix) == 1 and weight <= 1 else kern.basis(prefix, reduced=False)[0]
+        return raw, red, weight
 
-def _bit_rows(rows) -> BitRows:
-    acc = BitRows()
-    for r in rows:
-        acc.add(r)
-    return acc
+    def _dependent(self, prefix, raw, lo, hi) -> list[int]:
+        """Offsets from lo of the elements lo..hi-1 inside the extension span
+        of the prefix, whose raw basis is `raw` (see _prefix)."""
+        if raw is None:
+            q = self.ctx.tower.q
+            digits = _digits(prefix[0], q, self.ctx.U.dim)
+            # c * u1 for c in F_q other than 0 and 1: on a batched kernel F_q
+            # is the constants mod q, so its index digits are c times u1's
+            multiples = [sum(c * x % q * q**e for e, x in enumerate(digits)) for c in range(2, q)]
+            return [j - lo for j in multiples if lo <= j < hi]
+        kern = self.ctx.kernel
+        return np.flatnonzero(kern.rank(kern.element_rows(lo, hi, False, raw)) == 0).tolist()
+
+    def _level(self, head, lo, hi, pre):
+        """Weights of the spans of the prefix head[1:] and u_j for j in
+        lo..hi-1, with -1 for a u_j inside the prefix's extension span; pre
+        is _prefix of the prefix, or None for d = 1."""
+        kern = self.ctx.kernel
+        n = self.ctx.n
+        for s in range(lo, hi, kern.BLOCK):
+            e = min(s + kern.BLOCK, hi)
+            if pre is None:
+                yield head, s, n - kern.rank(kern.element_rows(s, e, True))
+                continue
+            raw, red, weight = pre
+            wts = weight + n - kern.rank(kern.element_rows(s, e, True, red))
+            wts[self._dependent(head[1:], raw, s, e)] = -1
+            yield head, s, wts
 
 
 # --- sampled sweep ---
@@ -640,7 +581,7 @@ class SampledSweep:
     resumes are exact.
 
     Samples are drawn SAMPLE_BLOCK at a time from the counter stream of
-    `linalg.sample_values`.  The batched backends never canonicalise: they
+    `linalg.sample_values`.  The batched kernels never canonicalise: they
     rank the unreduced expansion rows to find rank-deficient matrices,
     redraw those one at a time, and rank the rows reduced mod U for the
     weights, which do not depend on the basis of H.  The scalar backend
@@ -649,6 +590,7 @@ class SampledSweep:
     """
 
     def __init__(self, tower, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
+        _check_sample_order(tower.order)
         self.ctx = _Context(tower, system, engine, dim)
         self.dim = dim
         self.bound = bound
@@ -667,7 +609,7 @@ class SampledSweep:
         for blo in range(lo, hi, SAMPLE_BLOCK):
             bhi = min(blo + SAMPLE_BLOCK, hi)
             vals, accepted = sample_values(t.order, k, d, self.seed, blo, bhi, 0)
-            if ctx.backend != "scalar":
+            if ctx.kernel is not None:
                 R = d * ctx.n
                 full = accepted & (ctx.ranks(vals, reduced=False) == R)
                 for j in np.flatnonzero(~full).tolist():
@@ -681,17 +623,6 @@ class SampledSweep:
                 else:
                     H = _redraw(t, k, d, self.seed, blo + j, 1)
                 yield (), blo + j, [subspace_weight(ctx.U, H)]
-
-
-def _sample_rows(tab, vals):
-    """Expansion rows of the sampled (B, d, k) matrices, one array per
-    (l, j): XOR over c of tab[l, c * Q + vals[:, j, c]]."""
-    k = vals.shape[2]
-    # (d, k, B) indices: contiguous gathers, and XORs over c on whole rows
-    idx = np.ascontiguousarray(vals.transpose(1, 2, 0))
-    idx += (np.arange(k, dtype=np.int64) * (tab.shape[1] // k))[:, None]
-    rows = np.bitwise_xor.reduce(np.take(tab, idx, axis=1), axis=2)
-    return list(rows.reshape(-1, len(vals)))
 
 
 # --- verdicts ---

@@ -280,6 +280,18 @@ def test_sample_values_reject_words_above_the_limit(monkeypatch):
         assert linalg.sample_subspace(F9, 3, 2, 5, i) == SubspaceQn.from_vectors(F9, 3, again[0].tolist())
 
 
+def test_sample_values_refuse_fields_past_2_to_the_63():
+    # residues at or past 2^63 would read as negative int64 "elements"
+    from rankscatter import linalg
+
+    with pytest.raises(ValueError, match="at most 2\\^63 elements"):
+        linalg.sample_values(3**40, 2, 1, 0, 0, 4, 0)
+    with pytest.raises(ValueError, match="at most 2\\^63 elements"):
+        linalg.sample_values(2**66, 2, 1, 0, 0, 4, 0)
+    vals, _ = linalg.sample_values(1 << 63, 2, 1, 0, 0, 400, 0)
+    assert vals.min() >= 0 and vals.max() >= 1 << 62
+
+
 def test_serialization_roundtrip(F16):
     H = SubspaceQn.from_vectors(F16, 3, [(1, 5, 9), (0, 1, 2)])
     data = H.serialize()

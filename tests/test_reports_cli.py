@@ -96,6 +96,32 @@ def test_sampled_verify_exits_inconclusive(tmp_path):
     assert main(["recheck", out]) == 0
 
 
+C2 = ["--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2", "--alphas", "2,1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "extra", [["--budget", "1"], ["--budget", "2049"], ["--budget", "20000", "--chunk-size", "2049"]],
+    ids=["one-sample", "2049-samples", "2049-sample-chunks"],
+)
+def test_sampled_blocks_of_one_sample_exit_inconclusive(tmp_path, extra):
+    out = str(tmp_path / "s.json")
+    assert main(["verify-scattered", *C2, "--mode", "sampled", *extra, "--out", out]) == 2
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"]) == ("inconclusive", int(extra[1]))
+
+
+def test_sampled_mode_refuses_a_field_past_2_to_the_63_before_any_sweep(monkeypatch, capsys):
+    from rankscatter import verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(verify, "run_sweep", no_sweep)
+    argv = ["verify-scattered", "--field", "2,1,66", "--system", "line-control", "--mode", "sampled", "--budget", "1"]
+    assert main(argv) == 3
+    assert "at most 2^63 elements" in capsys.readouterr().err
+
+
 def test_recheck_replays_the_sample_stream_through_the_scalar_oracle(tmp_path, monkeypatch, capsys):
     from rankscatter import bitkernel
     from rankscatter.construction import pseudoregulus_subspace
@@ -255,6 +281,111 @@ def test_report_bodies_are_deterministic(tmp_path):
     ra, rb = load(a), load(b)
     assert reports.body_bytes(ra) == reports.body_bytes(rb)
     assert ra["timing"]["workers"] != rb["timing"]["workers"]
+
+
+# sha256 of reports.body_bytes for each command, taken before the batched
+# backends shared one row kernel: each mode and verdict on the gf2, fp and
+# scalar backends, fp at q = 2 past one packed word and over a field past
+# 2^64 elements, and weights on one and two workers
+PINNED_BODIES = {
+    "gf2-exhaustive-holds": (
+        ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2", "--mode", "exhaustive"],
+        0, "b038bfc073111e1d68b820359ef57b4e73f0523844ba81b327dfe4f5d8750229",
+    ),
+    "gf2-exhaustive-violated": (
+        ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "1",
+         "--alphas", "1,1,1", "--force", "--mode", "exhaustive"],
+        1, "565762efeaf8140c06082ebfad4dff767e50c339091faf25df4b9c0decff0447",
+    ),
+    "gf2-F65536-budget": (
+        ["verify-scattered", "--field", "2,1,16", "--system", "pseudoregulus", "--h", "2",
+         "--mode", "exhaustive", "--budget", "1"],
+        2, "cc3e074a937f68478befad968669de4a0e7c5c276c5964179285f74f0b57db7b",
+    ),
+    "gf2-span-violated": (
+        ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "2",
+         "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
+        1, "252988702eb5302e208c016f1a2236c236190ed5cc3b0772c388fc751404663d",
+    ),
+    "gf2-sampled-inconclusive": (
+        ["verify-scattered", *C2, "--mode", "sampled", "--budget", "3000", "--seed", "5"],
+        2, "f954fa4a31b6dd951ff8a9cbc8b18cfee67f425061d827ca49793d06432d9b5e",
+    ),
+    "gf2-sampled-violated": (
+        ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--mode", "sampled",
+         "--budget", "500", "--seed", "3"],
+        1, "bcb310f52279a9e5439b97aaa0f3b0055ddcf4bb3e68601e5f5f9760cc8b9b56",
+    ),
+    "fp-exhaustive-F81": (
+        ["verify-scattered", "--field", "3,1,4", "--system", "pseudoregulus", "--h", "2", "--mode", "exhaustive"],
+        0, "5d248cd42938e918279a14e0ca7dfadc42ee4e1891c1277f88edfd512bd898ab",
+    ),
+    "fp-span-F27": (
+        ["verify-scattered", "--field", "3,1,3", "--system", "family", "--m", "3", "--h", "1",
+         "--alphas", "1,1,3", "--mode", "witness_span"],
+        0, "09c5422d5ffdb5bf1a9f1c73379133845a5d9088120d5dea492805fe72fa712b",
+    ),
+    "fp-span-F27-pairs": (
+        ["verify-scattered", "--field", "3,1,3", "--system", "pseudoregulus", "--h", "2", "--mode", "witness_span"],
+        0, "ea43ca327c3d6a8ebd1f49a51476c733dc41ed5efa346a79905737575ca52bc3",
+    ),
+    "fp-span-F27-violated": (
+        ["verify-evasive", "--field", "3,1,3", "--system", "family", "--m", "3", "--h", "1",
+         "--alphas", "1,1,1", "--force", "--hdim", "2", "--r", "3", "--mode", "witness_span"],
+        1, "2e46bde220d6701ac64457a2dcbc7de81ac0085c74df95c4a32c9c630308f32d",
+    ),
+    "fp-sampled-F729": (
+        ["verify-scattered", "--field", "3,1,6", "--system", "family", "--m", "3", "--h", "2",
+         "--alphas", "1,1,3", "--mode", "sampled", "--budget", "300", "--seed", "2"],
+        2, "a715f176fe6e94f5cf0142d0a537bc9bc66816961a90d2c730d0c43ddd620819",
+    ),
+    "fp-exhaustive-F9-violated": (
+        ["verify-scattered", "--field", "3,1,2", "--system", "line-control", "--ambient", "3", "--h", "2",
+         "--mode", "exhaustive"],
+        1, "81f3db722494af0b7e8accf07a15d614c3e3e1716beb4346fae033d2bf689c7f",
+    ),
+    "fp-sampled-F9-violated": (
+        ["verify-scattered", "--field", "3,1,2", "--system", "line-control", "--mode", "sampled",
+         "--budget", "100", "--seed", "1"],
+        1, "417e7d50d9012013d3e0c6f732d34aa56806bf8261df4d048bac111e9e4aa3d2",
+    ),
+    "fp-q2-width72-exhaustive": (
+        ["verify-scattered", "--field", "2,1,8", "--system", "family", "--m", "3", "--h", "2",
+         "--alphas", "1,1,2", "--force", "--mode", "exhaustive", "--budget", "300", "--chunk-size", "100"],
+        2, "a5619513f6e0032c2811dc1c1f626aa7713d4c10b74a23e036dd4d43f10c5516",
+    ),
+    "fp-q2-width72-sampled": (
+        ["verify-scattered", "--field", "2,1,8", "--system", "family", "--m", "3", "--h", "2",
+         "--alphas", "1,1,2", "--force", "--mode", "sampled", "--budget", "200", "--seed", "4"],
+        2, "d747972a88592f959ee974eccb1c66ab3b8af6a3c309f37c97c3a90a687d2b08",
+    ),
+    "fp-F3^41-exhaustive": (
+        ["verify-scattered", "--field", "3,1,41", "--system", "line-control", "--mode", "exhaustive", "--budget", "1"],
+        1, "dabbac45b3d77eb4cc21cf74db5ec730e8930fe08b81b5bbd8ff2d0688ba11dc",
+    ),
+    "scalar-F64-over-F4": (
+        ["verify-scattered", "--field", "2,2,3", "--system", "line-control", "--mode", "exhaustive"],
+        1, "d7f0f3a3409ec9c5204e8119ffa02a9be7d3acba4af2eb5908e449fe79f49796",
+    ),
+    "weights-workers1": (
+        ["weights", "--field", "2,1,3", "--system", "direct-sum", "--m", "2", "--h", "1", "--workers", "1"],
+        0, "f3603aa29557eace007bcb18c7c47f5275192af0f63a7699d6c32f27b3b8216b",
+    ),
+    "weights-workers2": (
+        ["weights", "--field", "2,1,3", "--system", "direct-sum", "--m", "2", "--h", "1", "--workers", "2"],
+        0, "f3603aa29557eace007bcb18c7c47f5275192af0f63a7699d6c32f27b3b8216b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+def test_report_bodies_match_their_pinned_digests(tmp_path, name):
+    import hashlib
+
+    argv, rc, digest = PINNED_BODIES[name]
+    out = str(tmp_path / "r.json")
+    assert main(argv + ["--out", out]) == rc
+    assert hashlib.sha256(reports.body_bytes(load(out))).hexdigest() == digest
 
 
 def test_weights_command_with_csv(tmp_path):

@@ -1,9 +1,12 @@
 """Verifier correctness: weights, modes, engines, witnesses, resume."""
 
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankscatter.field import create_field
 from rankscatter.construction import (
@@ -11,7 +14,7 @@ from rankscatter.construction import (
     line_control_subspace,
     pseudoregulus_subspace,
 )
-from rankscatter.linalg import SubspaceQn, gaussian_binomial
+from rankscatter.linalg import SubspaceQn, expand_vector, gaussian_binomial
 from rankscatter import runner
 from rankscatter.runner import run_sweep, desc_hash
 from rankscatter.verify import (
@@ -206,10 +209,18 @@ def _sampled_systems():
     F4 = create_field(2, 1, 2)
     c2 = family_subspace(ConstructionParams(F16, 4, 2, (2, 1, 1, 1)))
     f4 = explicit_system(F4, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1)])
-    return [(c2, 2, 0, 2500, False), (c2, 9, 100, 300, True), (f4, 3, 0, 2000, False), (f4, 2, 0, 2000, True)]
+    return [
+        (c2, 2, 0, 2500, False),
+        (c2, 9, 100, 300, True),
+        (f4, 3, 0, 2000, False),
+        (f4, 2, 0, 2000, True),
+        # a block of one sample: alone, and after a full block of 2,048
+        (c2, 2, 0, 1, False),
+        (c2, 2, 0, 2049, False),
+    ]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["C2-d2", "C2-d9", "F4-d3", "F4-d2"])
+@pytest.mark.parametrize("case", range(6), ids=["C2-d2", "C2-d9", "F4-d3", "F4-d2", "C2-one", "C2-2049"])
 def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
     from rankscatter.linalg import matrix_rank, sample_values
 
@@ -548,6 +559,22 @@ def test_fp_span_walks_prefixes_at_depth_three():
     assert {k[0] for k, _ in weights} == {1, 2, 3}
 
 
+@pytest.mark.parametrize("q, n, backend", [(2, 3, "gf2"), (3, 3, "fp")])
+def test_span_skips_extension_multiples_of_u1_past_its_f_q_multiples(q, n, backend):
+    # <(1, 0, 0)> meets U in the plane spanned by (1, 0, 0) and (theta, 0,
+    # 0): wt = 2 < n, so elements other than its F_q-multiples lie in its
+    # extension span, and the depth-1 shortcut must not apply
+    F = create_field(q, 1, n)
+    U = explicit_system(F, 3, [(1, 0, 0), (q, 0, 0), (1, 1, 1)])
+    fast, slow = (SpanSweep(F, U, 3, None, e) for e in ("auto", "scalar"))
+    assert fast.ctx.backend == backend
+    weights = _keyed_weights(fast, 0, fast.total_units)
+    assert weights == _keyed_weights(slow, 0, slow.total_units)
+    # U spans only a plane over the extension: no 3-tuple is independent
+    assert {k[0] for k, _ in weights} == {1, 2}
+    assert _skipped(fast, fast.R, 2 * fast.R) > q - 2
+
+
 def test_fp_sampled_weights_equal_scalar_weights_with_forced_redraws(monkeypatch):
     from rankscatter import linalg
 
@@ -601,6 +628,72 @@ def test_weight_backend_choice():
     for (p, s, n), k, engine, backend in cases:
         tower = type("Tower", (), {"p": p, "s": s, "n": n, "q": p**s})
         assert weight_backend(tower, k, engine, 1) == backend, (p, s, n, k, engine)
+
+
+def test_gf2_tables_have_at_most_256_entries_per_digit_group():
+    # F_{2^16}: a value table per field element would have 65,536 entries
+    F = create_field(2, 1, 16)
+    ps = pseudoregulus_subspace(F, 2)
+    fast, slow = (ExhaustiveSweep(F, ps, 2, None, e) for e in ("auto", "scalar"))
+    kern = fast.ctx.kernel
+    # (raw, reduced) tables of shape (k, digit groups, n, digit values)
+    assert fast.ctx.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
+    # the rows of b_l * v for random planes, from both digit bytes of v
+    vals = np.random.default_rng(5).integers(0, F.order, (40, 2, 3))
+    rows = kern.value_rows(vals, reduced=False)
+    for j, i, l in np.ndindex(40, 2, F.n):
+        row = expand_vector(F, tuple(F.mul(F.q_basis[l], int(x)) for x in vals[j, i]))
+        assert int(rows[l * 2 + i][j]) == row
+    # units around the byte boundary of the last cell and the block boundary
+    for lo, hi in ((250, 262), (65530, 65542)):
+        assert _keyed_weights(fast, lo, hi) == _keyed_weights(slow, lo, hi)
+    span = SpanSweep(F, ps, 1, None, "auto")
+    assert all(t.shape[-1] == 256 for t in span.ctx.kernel._element_tables)
+
+
+# --- kernel agreement: every batched driver against the scalar oracle ---
+
+
+@st.composite
+def _small_sweeps(draw):
+    """(tower, system, mode, dim, seed) with |U| small enough for the
+    scalar tuple walk."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.sampled_from({2: [2, 3], 3: [2], 5: [2]}[q]))
+    k = draw(st.integers(2, 3))
+    F = _field(q, n)
+    vec = st.tuples(*[st.integers(0, F.order - 1)] * k)
+    gens = draw(st.lists(vec, min_size=1, max_size={2: 5, 3: 3, 5: 2}[q]))
+    mode = draw(st.sampled_from(["exhaustive", "witness_span", "sampled"]))
+    # witness-span tuples of two vectors walk one prefix level even at k = 2
+    dim = draw(st.integers(1, 2 if mode == "witness_span" else k - 1))
+    return F, explicit_system(F, k, gens), mode, dim, draw(st.integers(0, 1000))
+
+
+@lru_cache(maxsize=None)
+def _field(q, n):
+    return create_field(q, 1, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_sweeps())
+def test_batched_weight_streams_equal_the_scalar_oracle(case):
+    from rankscatter import verify
+
+    F, system, mode, dim, seed = case
+    make = {
+        "exhaustive": lambda e: ExhaustiveSweep(F, system, dim, None, e),
+        "witness_span": lambda e: SpanSweep(F, system, dim, None, e),
+        "sampled": lambda e: SampledSweep(F, system, dim, None, seed, e, 150),
+    }[mode]
+    slow = make("scalar")
+    assume(slow.total_units > 0)  # U = {0} has no tuples to span
+    oracle = _keyed_weights(slow, 0, slow.total_units)
+    kernels = [verify._FpRows] + ([verify._GF2Rows] if F.q == 2 else [])
+    for kernel in kernels:
+        fast = make("auto")
+        fast.ctx.kernel = kernel(fast.ctx)
+        assert _keyed_weights(fast, 0, fast.total_units) == oracle, kernel.__name__
 
 
 # --- how run_sweep runs a sweep ---
