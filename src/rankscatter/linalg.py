@@ -308,6 +308,12 @@ class FqSubspace:
     def fq_rows(self):
         return self._rref.rows
 
+    @property
+    def pivots(self) -> list[int]:
+        """Pivot column of each row of fq_rows, in increasing order: the
+        element with index digits d_e has entry d_e in column pivots[e]."""
+        return self._rref.pivots
+
     @cached_property
     def canonical_generators(self) -> tuple[Vector, ...]:
         """Generators read back from the expansion RREF; a frozen basis."""

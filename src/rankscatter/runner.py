@@ -9,7 +9,9 @@ of worker count and of how a run was interrupted and resumed.
 
 Chunks run in process unless more than one can run at once: a pool of
 min(workers, pending chunks, CPU count) processes receives the sweep once
-per worker, when the worker starts.
+per worker, when the worker starts.  Once the outcome is settled, chunks
+that have not started are cancelled and the workers still running one are
+stopped.
 
 Checkpoint files are append-only, newline-delimited JSON: a header line
 binding the sweep's JSON-safe descriptor (by hash), then one line per
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -242,6 +245,7 @@ def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
                 return
         return
 
+    others = set(multiprocessing.active_children())
     with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(sweep,)) as pool:
         inflight = set()
         stop = False
@@ -259,4 +263,12 @@ def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
                 return
             done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
             for fut in done:
-                stop = finish(fut.result()) or stop
+                if finish(fut.result()):
+                    if inflight:
+                        # the chunks still in flight cannot change the
+                        # outcome: drop the queued ones and end the workers
+                        # that run the others, whose results are never read
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        for proc in set(multiprocessing.active_children()) - others:
+                            proc.terminate()
+                    return

@@ -21,8 +21,14 @@ Three modes feed that scan:
 Each mode has one batched `_weights`, written against a row kernel, and
 the scalar oracle.  The kernel's calls build the expansion rows of value
 matrices or of elements of U, raw or reduced mod U (element rows also
-against the echelon basis of a prefix, which another call takes), and rank
-a batch.  `_Context` picks the backend once per sweep (`weight_backend`):
+against the echelon basis of a prefix, which another call takes), rank a
+batch, and read kernels of maps linear in the index digits of U's elements.
+Witness-span levels take their weights from those kernels: one map per
+F_q^*-class of a scalar lambda, not one rank per element.  A level ranks its
+elements' rows instead only when the kernels, whose sizes are known after
+elimination, add up to more elements than the level has units, as when U
+has a large extension-linear part.  `_Context` picks the backend once per
+sweep (`weight_backend`):
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
@@ -53,13 +59,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from . import bitkernel
-from .field import FieldTower, _digits
+from .field import FieldTower
 from .linalg import (
-    BitRows,
     FqSubspace,
     SubspaceQn,
     expand_vector,
@@ -82,8 +88,8 @@ from .runner import ChunkResult, _merge_best, run_sweep
 
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
-GF2_BLOCK = 1 << 16       # units per batch of the GF(2) kernel: a whole prefix range of |U| = 2^16
-FP_BLOCK = 128            # units per batch of the F_p kernel
+GF2_BLOCK = 1 << 16       # units, or witness-span maps, per batch of the GF(2) kernel
+FP_BLOCK = 128            # units, or witness-span maps, per batch of the F_p kernel
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
 ENGINES = ("auto", "scalar")
@@ -185,19 +191,38 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 # --- the row kernel: two batched implementations of the same calls ---
 #
 #   value_rows(vals, reduced)    rows of a (B, d, k) block of value matrices
-#   element_rows(lo, hi, reduced, basis=None)
-#                                rows of the elements lo .. hi-1 of U, also
-#                                reduced against a prefix basis when given
-#   basis(prefix, reduced)       echelon basis of the rows of some elements
-#                                of U, and its rank
+#   element_rows(lo, hi, basis)  rows of the elements lo .. hi-1 of U reduced
+#                                mod U and against a prefix basis
+#   basis(prefixes)              for an (L, P) batch of prefixes: their rows
+#                                reduced mod U in echelon form, their ranks,
+#                                and (prefix, index digits) rows spanning the
+#                                u_j inside each prefix's extension span
+#   kernels(basis, lambdas)      for each prefix of that batch and each
+#                                lambda, a row of coordinates on the
+#                                F_q-basis: (map, index digits) rows spanning
+#                                the kernel of j -> lambda u_j mod U + prefix
 #   rank(rows)                   rank of each matrix of a batch, as int64
-#   BLOCK                        units per batch
+#   BLOCK                        units, or maps, per batch
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
-# vector v of a matrix; "reduced" rows are taken mod U.  Element rows are
-# linear in the digits of the index, and so is reduction against a fixed
-# basis: a prefix basis is cleared from the generator tables, not from the
-# rows built from them.
+# vector v of a matrix; "reduced" rows are taken mod U and drop U's pivot
+# columns, where they are zero.  Element rows are linear in the index digits
+# j_e of u_j = sum_e j_e g_e, and so is reduction against a fixed basis: a
+# prefix basis is cleared from the generator rows, not from the rows built
+# from them.  The generator rows are kept in mixed coordinates: the reduced
+# row first, then the entries at U's pivot columns, which are the index
+# digits of any element of U.  A change of coordinates keeps ranks, and an
+# echelon form of [image | index tag] rows has the kernel of the map in the
+# tags of its rows whose image is zero; `basis` and `kernels` read kernels
+# so, from `bitkernel.batch_rank` or `fp_rank`.
+
+
+def _gather(a: np.ndarray, cols) -> np.ndarray:
+    """Bits cols[0], cols[1], ... of each uint64 entry, moved to bits 0, 1, ..."""
+    out = np.zeros_like(a)
+    for i, c in enumerate(cols):
+        out |= ((a >> np.uint64(c)) & np.uint64(1)) << np.uint64(i)
+    return out
 
 
 class _GF2Rows:
@@ -210,7 +235,9 @@ class _GF2Rows:
     (coordinate, digit group) of value bits, of the rows of b_l * z^j, and
     one per byte of an element index of U, of the rows of b_l * g_j for the
     canonical generators g_j.  For n <= 8 a value table has one entry per
-    field element; past that no table does.
+    field element; past that no table does.  Reduced rows hold the columns
+    outside U's pivots in their low w = k * n - dim U bits, so an index tag
+    fits above them in the same word.
     """
 
     BLOCK = GF2_BLOCK
@@ -218,19 +245,30 @@ class _GF2Rows:
     def __init__(self, ctx):
         t, n, U = ctx.tower, ctx.n, ctx.U
         self.n, self.k, self.U = n, ctx.k, U
+        self.w = ctx.k * n - U.dim
         e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
         raw = [[[x << c * n for x in row] for row in e] for c in range(ctx.k)]
         red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
+        outside = sorted(set(range(ctx.k * n)) - set(U.pivots))
+        red = _gather(np.array(red, dtype=np.uint64), outside)
         # (raw, reduced) tables of shape (k, digit groups, n, digit values)
         tables = bitkernel.subset_xor_table(np.array([raw, red], dtype=np.uint64), min(n, 8))
         self.tables = tuple(np.ascontiguousarray(tab.transpose(0, 2, 1, 3)) for tab in tables)
 
     @cached_property
-    def _element_tables(self):
-        """(raw, reduced) tables of shape (index bytes, n, 256)."""
+    def _generators(self):
+        """Rows of b_l * g_e in mixed coordinates, shape (n, dim U): the
+        reduced row in the low w bits, the entries at U's pivots above."""
         gens = np.array(self.U.canonical_generators, dtype=np.int64).reshape(-1, 1, self.k)
-        tables = (bitkernel.subset_xor_table(np.array(self.value_rows(gens, r)), 8) for r in (False, True))
-        return tuple(np.ascontiguousarray(tab.transpose(1, 0, 2)) for tab in tables)
+        raw, red = (np.array(self.value_rows(gens, r)) for r in (False, True))
+        return red | _gather(raw, self.U.pivots) << np.uint64(self.w)
+
+    @cached_property
+    def _element_table(self):
+        """Reduced rows of the elements of U as subset-XOR tables, shape
+        (index bytes, n, 256)."""
+        low = self._generators & np.uint64((1 << self.w) - 1)
+        return np.ascontiguousarray(bitkernel.subset_xor_table(low, 8).transpose(1, 0, 2))
 
     def value_rows(self, vals, reduced):
         tabs = self.tables[reduced]
@@ -242,11 +280,10 @@ class _GF2Rows:
                 rows ^= np.take(tab, (idx[c] >> 8 * g) & (size - 1), axis=1)
         return list(rows.reshape(-1, len(vals)))
 
-    def element_rows(self, lo, hi, reduced, basis=None):
-        tabs = self._element_tables[reduced]
-        if basis is not None:
-            tabs = tabs.copy()
-            bitkernel.reduce_static([tabs.reshape(-1)], basis.rows, basis.pivots)
+    def element_rows(self, lo, hi, basis):
+        tabs = self._element_table.copy()
+        rows = [r for r in basis.tolist() if r]
+        bitkernel.reduce_static([tabs.reshape(-1)], rows, [(r & -r).bit_length() - 1 for r in rows])
         # index j = 256 h + x: the low byte x runs through the first table
         # whole, so one broadcast XOR builds the rows of the range
         h = np.arange(lo >> 8, ((hi - 1) >> 8) + 1)
@@ -256,12 +293,40 @@ class _GF2Rows:
         rows = (high[:, :, None] ^ tabs[0][:, None, :]).reshape(self.n, -1)
         return list(rows[:, (lo & 255) : (lo & 255) + hi - lo])
 
-    def basis(self, prefix, reduced):
-        acc = BitRows()
-        for i in prefix:
-            for r in self.element_rows(i, i + 1, reduced):
-                acc.add(int(r[0]))
-        return acc, acc.rank
+    def _eliminate(self, rows):
+        """Echelon form of a (B, R) batch of mixed rows by `batch_rank`,
+        and the rows' low parts."""
+        ech = list(rows.T.copy())
+        bitkernel.batch_rank(ech)
+        ech = np.array(ech, dtype=np.uint64).reshape(rows.shape[::-1]).T
+        return ech, ech & np.uint64((1 << self.w) - 1)
+
+    def _tags(self, ech, low):
+        """(matrix, index digits) of the rows with a zero low part."""
+        owners, _ = np.nonzero(low == 0)
+        return owners, _digit_array(ech[low == 0] >> np.uint64(self.w), 2, self.U.dim)
+
+    def basis(self, prefixes):
+        digits = _digit_array(prefixes, 2, self.U.dim)
+        rows = np.bitwise_xor.reduce(
+            np.where(digits[:, :, None, :] != 0, self._generators, np.uint64(0)), axis=3
+        )
+        ech, low = self._eliminate(rows.reshape(len(prefixes), -1))
+        return low, np.count_nonzero(low, axis=1), self._tags(ech, low)
+
+    def kernels(self, basis, lambdas):
+        gens = self._generators & np.uint64((1 << self.w) - 1)
+        # row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
+        # the tag of digit e above it; the prefix rows come first, so
+        # elimination reduces the images mod the prefix
+        maps = np.bitwise_xor.reduce(np.where(lambdas[:, :, None] != 0, gens, np.uint64(0)), axis=1)
+        maps |= np.uint64(1) << np.arange(self.w, self.w + self.U.dim, dtype=np.uint64)
+        L, C, P = len(basis), len(lambdas), basis.shape[1]
+        rows = np.concatenate(
+            [np.broadcast_to(basis[:, None, :], (L, C, P)), np.broadcast_to(maps, (L, C, maps.shape[1]))], axis=2
+        )
+        ech, low = self._eliminate(rows.reshape(L * C, -1))
+        return self._tags(ech[:, P:], low[:, P:])
 
     def rank(self, rows):
         return bitkernel.batch_rank(rows).astype(np.int64)
@@ -275,8 +340,8 @@ class _FpRows:
     rows are its digits times a table: entry [c * n + j, l] of a value table
     is the row of b_l * z^j at coordinate c, and entry [j, l] of an element
     table the row of b_l * g_j for the canonical generators g_j of U.
-    Reduced rows drop U's pivot columns, where they are zero, so their width
-    is k * n - dim U.  No table has an entry per field element.
+    Reduced rows have width w = k * n - dim U.  No table has an entry per
+    field element.
     """
 
     BLOCK = FP_BLOCK
@@ -284,6 +349,7 @@ class _FpRows:
     def __init__(self, ctx):
         t, n, k, p = ctx.tower, ctx.n, ctx.k, ctx.tower.p
         self.n, self.k, self.p, self.U, self.dtype = n, k, p, ctx.U, ctx.dtype
+        self.w = k * n - ctx.U.dim
         e = np.array([[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8)
         raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
         for c in range(k):
@@ -295,14 +361,17 @@ class _FpRows:
         red = raw.reshape(1, -1, k * n).copy()
         bitkernel.fp_reduce_static(red, basis[0], p)
         keep = np.ones(k * n, dtype=bool)
-        keep[[int(np.flatnonzero(b)[0]) for b in basis[0] if b.any()]] = False
+        keep[ctx.U.pivots] = False
         self.tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
 
     @cached_property
-    def _element_tables(self):
-        """(raw, reduced) tables of shape (dim U, n, width)."""
+    def _generators(self):
+        """Rows of b_l * g_e in mixed coordinates, shape (dim U, n, k * n):
+        the reduced row in the first w columns, the entries at U's pivots
+        after them."""
         gens = np.array(self.U.canonical_generators, dtype=self.dtype).reshape(-1, 1, self.k)
-        return tuple(self.value_rows(gens, r) for r in (False, True))
+        raw, red = (self.value_rows(gens, r) for r in (False, True))
+        return np.concatenate([red, raw[..., self.U.pivots]], axis=2)
 
     def _rows(self, digits, table):
         """Digits of shape (B, d, D) times a (D, r, w) table, mod p, as a
@@ -316,18 +385,40 @@ class _FpRows:
         digits = _digit_array(vals, self.p, self.n)
         return self._rows(digits.reshape(*vals.shape[:2], -1), self.tables[reduced])
 
-    def element_rows(self, lo, hi, reduced, basis=None):
-        table = self._element_tables[reduced]
-        if basis is not None:
-            table = table.copy()
-            bitkernel.fp_reduce_static(table, basis, self.p)
+    def element_rows(self, lo, hi, basis):
+        table = self._generators[..., : self.w].copy()
+        bitkernel.fp_reduce_static(table, basis, self.p)
         digits = _digit_array(np.arange(lo, hi), self.p, self.U.dim)
         return self._rows(digits[:, None, :], table)
 
-    def basis(self, prefix, reduced):
-        rows = np.concatenate([self.element_rows(i, i + 1, reduced) for i in prefix], axis=1)
-        rank = bitkernel.fp_rank(rows, self.p)
-        return rows[0], int(rank[0])
+    def _tags(self, rows):
+        """(matrix, index digits) of the rows with a zero low part."""
+        zero = ~rows[..., : self.w].any(axis=-1)
+        owners, _ = np.nonzero(zero)
+        return owners, rows[zero][:, self.w :]
+
+    def basis(self, prefixes):
+        digits = _digit_array(prefixes, self.p, self.U.dim)
+        rows = self._rows(digits, self._generators)
+        bitkernel.fp_rank(rows, self.p)
+        low = rows[..., : self.w]
+        return low, np.count_nonzero(low.any(axis=-1), axis=1), self._tags(rows)
+
+    def kernels(self, basis, lambdas):
+        dim, w, p = self.U.dim, self.w, self.p
+        L, C, P = len(basis), len(lambdas), basis.shape[1]
+        # row (lambda, e): the image of g_e under lambda = sum_l c_l b_l,
+        # then the tag of digit e; the prefix rows come first, so
+        # elimination reduces the images mod the prefix
+        gens = self._generators[..., :w].transpose(1, 0, 2).reshape(self.n, -1)
+        image = np.matmul(lambdas, gens, dtype=np.uint32) % p
+        rows = np.zeros((L, C, P + dim, w + dim), dtype=np.uint8)
+        rows[:, :, :P, :w] = basis[:, None]
+        rows[:, :, P:, :w] = image.reshape(C, dim, w)
+        rows[:, :, P:, w:] = np.eye(dim, dtype=np.uint8)
+        rows = rows.reshape(L * C, P + dim, w + dim)
+        bitkernel.fp_rank(rows, p)
+        return self._tags(rows[:, P:])
 
     def rank(self, rows):
         return bitkernel.fp_rank(rows, self.p)
@@ -469,15 +560,20 @@ class SpanSweep:
 
     def _weights(self, lo, hi):
         R = self.R
+        if lo >= hi:
+            return
         for d in range(lo // R + 1, (hi - 1) // R + 2):
             p_lo = max(lo - (d - 1) * R, 0)
             p_hi = min(hi - (d - 1) * R, R)
             if self.ctx.kernel is not None and d == 1:
                 yield from self._firsts(p_lo, p_hi)
                 continue
-            tuples = self._scalar_tuples if self.ctx.kernel is None else self._tuples
-            for pos in range(p_lo, p_hi):
-                yield from tuples(d, self._first_index(pos))
+            firsts = [self._first_index(pos) for pos in range(p_lo, p_hi)]
+            if self.ctx.kernel is not None:
+                yield from self._tuples(d, firsts)
+                continue
+            for i1 in firsts:
+                yield from self._scalar_tuples(d, i1)
 
     # scalar tuple walk, any q
 
@@ -498,6 +594,66 @@ class SpanSweep:
         yield from walk([i1], SubspaceQn.from_vectors(ctx.tower, ctx.k, [U.element(i1)]))
 
     # batched tuple walk: one level of weights per (d-1)-prefix
+    #
+    # With V = U + <P> over the extension, the span of a prefix P and u_j
+    # has weight wt(P) + e_j, where e_j = dim_Fq {lambda : lambda u_j in V}.
+    # That space holds F_q, so e_j - 1 is the dimension of its meet with a
+    # complement of F_q: q^(e_j - 1) = 1 + (q - 1) * c_j, where c_j counts
+    # the F_q^*-classes of lambda in the complement whose kernel K_lambda =
+    # {j : lambda u_j in V} holds j.  Each K_lambda is the kernel of a map
+    # linear in the index digits of j, so a level costs one elimination per
+    # class and a pass over the elements of the kernels, unless those add
+    # up to more elements than the level has units: then, as when U has a
+    # large extension-linear part, the level ranks the rows of every unit.
+    # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
+    # q^wt(P) elements.  Eliminations run for a batch of levels at once.
+
+    def _kernel_route(self, size, units):
+        """The rule between the routes: enumerate kernels of `size`
+        elements in all rather than rank `units` units."""
+        return size <= units
+
+    @cached_property
+    def _classes(self) -> int:
+        """How many F_q^*-classes of lambda a level has maps for."""
+        q = self.ctx.tower.q
+        return (q ** (self.ctx.n - 1) - 1) // (q - 1)
+
+    @cached_property
+    def _lambdas(self) -> np.ndarray:
+        """Coordinates on the F_q-basis of one lambda per F_q^*-class of
+        the nonzero elements of a complement of F_q in the extension."""
+        t = self.ctx.tower
+        q, n = t.q, t.n
+        one = next(l for l, x in enumerate(t.expand_scalar(1)) if x)
+        c = _digit_array(np.arange(1, q ** (n - 1)), q, n - 1)
+        c = c[c[np.arange(len(c)), (c != 0).argmax(axis=1)] == 1]
+        return np.insert(c, one, 0, axis=1)
+
+    @cached_property
+    def _extension(self) -> np.ndarray:
+        """e_j by the count c_j of classes whose kernel holds j."""
+        q, n = self.ctx.tower.q, self.ctx.n
+        table = np.full(self._classes + 1, -1, dtype=np.int64)
+        table[[(q**e - 1) // (q - 1) for e in range(n)]] = np.arange(1, n + 1)
+        return table
+
+    def _spans(self, owners, digits, count):
+        """Elements of the F_q-span of the index digit rows of each owner
+        0..count-1, grouped by owner: (bounds, elements), the elements of
+        owner i at bounds[i]:bounds[i + 1].  Rows come sorted by owner."""
+        q, dim = self.ctx.tower.q, self.ctx.U.dim
+        kappa = np.bincount(owners, minlength=count)
+        first = np.cumsum(kappa) - kappa
+        bounds = np.concatenate([[0], np.cumsum(q**kappa)])
+        elements = np.empty(bounds[-1], dtype=np.int64)
+        powers = q ** np.arange(dim, dtype=np.int64)
+        for k in np.flatnonzero(np.bincount(kappa)).tolist():
+            sel = np.flatnonzero(kappa == k)
+            basis = digits[first[sel, None] + np.arange(k)].astype(np.int64)
+            coeffs = _digit_array(np.arange(q**k), q, k).astype(np.int64)
+            elements[bounds[sel, None] + np.arange(q**k)] = (coeffs @ basis % q) @ powers
+        return bounds, elements
 
     def _firsts(self, p_lo, p_hi):
         """d = 1: representatives p_lo..p_hi-1 are runs of consecutive
@@ -510,66 +666,79 @@ class SpanSweep:
             while qe * q <= i:
                 qe *= q
             count = min(2 * qe - i, p_hi - pos)
-            yield from self._level((1,), i, i + count, None)
+            yield from self._levels(1, [()], i, i + count)
             pos += count
 
-    def _tuples(self, d: int, i1: int):
-        block = self.ctx.kernel.BLOCK
+    def _tuples(self, d: int, firsts):
+        """The d-tuples of each first index, as levels of (d-1)-prefixes
+        in walk order, a batch of levels at a time."""
+        kern = self.ctx.kernel
 
         def walk(prefix):
-            pre = self._prefix(prefix)
-            start = prefix[-1] + 1
             if len(prefix) == d - 1:
-                yield from self._level((d, *prefix), start, self.NU, pre)
+                yield prefix
                 return
-            for s in range(start, self.NU, block):
-                e = min(s + block, self.NU)
-                skip = set(self._dependent(prefix, pre[0], s, e))
-                for j in range(s, e):
-                    if j - s not in skip:
-                        yield from walk(prefix + [j])
+            _, _, dependent = kern.basis(np.array([prefix]))
+            skip = set(self._spans(*dependent, 1)[1].tolist())
+            for j in range(prefix[-1] + 1, self.NU):
+                if j not in skip:
+                    yield from walk((*prefix, j))
 
-        yield from walk([i1])
+        prefixes = (p for i1 in firsts for p in walk((i1,)))
+        size = max(1, kern.BLOCK // self._classes)
+        while batch := list(islice(prefixes, size)):
+            yield from self._levels(d, batch, 0, self.NU)
 
-    def _prefix(self, prefix):
-        """(raw basis, reduced basis, weight) of the extension span of the
-        prefix.  The raw basis is None when the prefix is one vector u1 with
-        wt(<u1>) <= 1: then <u1> meets U in F_q u1 alone, and only the
-        F_q^*-multiples of u1 lie in it."""
-        kern = self.ctx.kernel
-        red, rank = kern.basis(prefix, reduced=True)
-        weight = len(prefix) * self.ctx.n - rank
-        raw = None if len(prefix) == 1 and weight <= 1 else kern.basis(prefix, reduced=False)[0]
-        return raw, red, weight
+    def _prepare(self, prefixes, units):
+        """What the levels of a batch of (d-1)-prefixes with `units` units
+        each need: reduced bases, weights, the elements inside each
+        prefix's span, the total size of each level's kernels (at least the
+        class count when none were computed) and, for levels that take the
+        kernel route, their elements, grouped by level as `_spans` does."""
+        kern, q, L, C = self.ctx.kernel, self.ctx.tower.q, len(prefixes), self._classes
+        basis, ranks, dependent = kern.basis(prefixes)
+        weights = (prefixes.shape[1] * self.ctx.n - ranks).tolist()
+        sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), None)
+        if self._kernel_route(C, units.max()):
+            owners, digits = kern.kernels(basis, self._lambdas)
+            sizes = (q ** np.bincount(owners, minlength=L * C)).reshape(L, C).sum(axis=1)
+            keep = self._kernel_route(sizes, units)[owners // C]
+            bounds, elements = self._spans(owners[keep], digits[keep], L * C)
+            hits = bounds[::C], elements
+        return basis, weights, self._spans(*dependent, L), sizes, hits
 
-    def _dependent(self, prefix, raw, lo, hi) -> list[int]:
-        """Offsets from lo of the elements lo..hi-1 inside the extension span
-        of the prefix, whose raw basis is `raw` (see _prefix)."""
-        if raw is None:
-            q = self.ctx.tower.q
-            digits = _digits(prefix[0], q, self.ctx.U.dim)
-            # c * u1 for c in F_q other than 0 and 1: on a batched kernel F_q
-            # is the constants mod q, so its index digits are c times u1's
-            multiples = [sum(c * x % q * q**e for e, x in enumerate(digits)) for c in range(2, q)]
-            return [j - lo for j in multiples if lo <= j < hi]
-        kern = self.ctx.kernel
-        return np.flatnonzero(kern.rank(kern.element_rows(lo, hi, False, raw)) == 0).tolist()
+    @cached_property
+    def _first_level(self):
+        """_prepare of the empty prefix, shared by the d = 1 runs, of at
+        most q^(dim U - 1) units each."""
+        return self._prepare(np.zeros((1, 0), dtype=np.int64), np.array([self.NU // self.ctx.tower.q]))
 
-    def _level(self, head, lo, hi, pre):
-        """Weights of the spans of the prefix head[1:] and u_j for j in
-        lo..hi-1, with -1 for a u_j inside the prefix's extension span; pre
-        is _prefix of the prefix, or None for d = 1."""
-        kern = self.ctx.kernel
-        n = self.ctx.n
-        for s in range(lo, hi, kern.BLOCK):
-            e = min(s + kern.BLOCK, hi)
-            if pre is None:
-                yield head, s, n - kern.rank(kern.element_rows(s, e, True))
+    def _levels(self, d, prefixes, lo, hi):
+        """Weights of the spans of each (d-1)-prefix and u_j, for j in
+        lo..hi-1 past the prefix's last index, with -1 for a u_j inside the
+        prefix's extension span."""
+        kern, n = self.ctx.kernel, self.ctx.n
+        prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
+        starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
+        pre = self._first_level if d == 1 else self._prepare(prefixes, hi - starts)
+        basis, weights, (dbounds, deps), sizes, (bounds, hits) = pre
+        for i, s in enumerate(starts.tolist()):
+            head = (d, *prefixes[i].tolist())
+            dep = deps[dbounds[i] : dbounds[i + 1]]
+            if self._kernel_route(sizes[i], hi - s):
+                # units in no kernel have e_j = 1
+                h = hits[bounds[i] : bounds[i + 1]]
+                h = h[(h >= s) & (h < hi)] - s
+                wts = np.full(hi - s, weights[i] + 1)
+                wts[h] = weights[i] + self._extension[np.bincount(h)[h]]
+                wts[dep[(dep >= s) & (dep < hi)] - s] = -1
+                yield head, s, wts
                 continue
-            raw, red, weight = pre
-            wts = weight + n - kern.rank(kern.element_rows(s, e, True, red))
-            wts[self._dependent(head[1:], raw, s, e)] = -1
-            yield head, s, wts
+            for b in range(s, hi, kern.BLOCK):
+                e = min(b + kern.BLOCK, hi)
+                wts = weights[i] + n - kern.rank(kern.element_rows(b, e, basis[i]))
+                wts[dep[(dep >= b) & (dep < e)] - b] = -1
+                yield head, b, wts
 
 
 # --- sampled sweep ---

@@ -1,16 +1,21 @@
 """Verifier correctness: weights, modes, engines, witnesses, resume."""
 
 import json
+import multiprocessing
+import multiprocessing.connection
+import time
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankscatter.field import create_field
 from rankscatter.construction import (
+    ConstructionParams,
     explicit_system,
+    family_subspace,
     line_control_subspace,
     pseudoregulus_subspace,
 )
@@ -648,7 +653,7 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     for lo, hi in ((250, 262), (65530, 65542)):
         assert _keyed_weights(fast, lo, hi) == _keyed_weights(slow, lo, hi)
     span = SpanSweep(F, ps, 1, None, "auto")
-    assert all(t.shape[-1] == 256 for t in span.ctx.kernel._element_tables)
+    assert span.ctx.kernel._element_table.shape[-1] == 256
 
 
 # --- kernel agreement: every batched driver against the scalar oracle ---
@@ -687,13 +692,84 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
         "sampled": lambda e: SampledSweep(F, system, dim, None, seed, e, 150),
     }[mode]
     slow = make("scalar")
-    assume(slow.total_units > 0)  # U = {0} has no tuples to span
     oracle = _keyed_weights(slow, 0, slow.total_units)
     kernels = [verify._FpRows] + ([verify._GF2Rows] if F.q == 2 else [])
+    routes = (True, False) if mode == "witness_span" else (None,)
     for kernel in kernels:
-        fast = make("auto")
-        fast.ctx.kernel = kernel(fast.ctx)
-        assert _keyed_weights(fast, 0, fast.total_units) == oracle, kernel.__name__
+        for route in routes:
+            fast = make("auto")
+            fast.ctx.kernel = kernel(fast.ctx)
+            if route is not None:
+                _force_route(fast, route)
+            assert _keyed_weights(fast, 0, fast.total_units) == oracle, (kernel.__name__, route)
+
+
+def _force_route(sweep, kernel_route: bool):
+    """Send every witness-span level of the sweep down one route."""
+    sweep._kernel_route = (lambda size, units: units >= 0) if kernel_route else (lambda size, units: units < 0)
+    return sweep
+
+
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 3)])
+def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
+    # U = F_{q^n} e_1: every kernel is all of U, so the kernels of a level
+    # add up to more elements than it has units, and each u_j ranks
+    F = create_field(q, 1, n)
+    U = line_control_subspace(F, 2)
+    fast, slow = (SpanSweep(F, U, 2, None, e) for e in ("auto", "scalar"))
+    kern = fast.ctx.kernel
+    ranked = []
+    element_rows = kern.element_rows
+    kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
+    blocks = list(fast._weights(0, fast.total_units))
+    assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
+    weights = [((*h, s + i), w) for h, s, wts in blocks for i, w in enumerate(wts.tolist()) if w >= 0]
+    assert weights == _keyed_weights(slow, 0, slow.total_units)
+    assert {w for _, w in weights} == {n} and len(weights) == fast.R
+    forced = _force_route(SpanSweep(F, U, 2, None, "auto"), True)
+    assert _keyed_weights(forced, 0, forced.total_units) == weights
+    verdicts = [verify_h_scattered(U, 1, mode="witness_span", engine=e) for e in ("auto", "scalar")]
+    assert [(v.status, v.checked, v.witness.tuple_index) for v in verdicts] == [("violated", 1, [1, 1])] * 2
+
+
+def test_span_routes_agree_past_a_subfield_line():
+    # F_8 e_1 inside U over F_64: lambda u lies in U for lambda in F_8, so
+    # those u have e = 3 of n = 6, a count of 3 of the 31 classes; other
+    # points have e = 1 or 2
+    F = create_field(2, 1, 6)
+    sub = [x for x in range(1, 64) if F.pow(x, 8) == x]
+    U = explicit_system(F, 2, [(x, 0) for x in sub] + [(1, 1), (F.q_basis[1], 9)])
+    assert U.t == 5
+    oracle = _keyed_weights(SpanSweep(F, U, 2, None, "scalar"), 0, 2 * 31)
+    assert {w for k, w in oracle if k[0] == 1} == {1, 2, 3}
+    for route in (True, False):
+        sweep = _force_route(SpanSweep(F, U, 2, None, "auto"), route)
+        assert _keyed_weights(sweep, 0, sweep.total_units) == oracle, route
+
+
+def _level_weights(sweep, firsts):
+    """Weights of the d = 2 levels of the first indices, one array each."""
+    out = {}
+    for head, start, wts in sweep._tuples(2, firsts):
+        first, parts = out.setdefault(head, (start, []))
+        assert start == first + sum(map(len, parts))
+        parts.append(np.asarray(wts))
+    return {head: (start, np.concatenate(parts)) for head, (start, parts) in out.items()}
+
+
+def test_c2_span_levels_agree_on_both_routes(F16):
+    # the tuple (1,1,1,1) over F_16, m = 4, h = 2 is not 2-scattered: level
+    # 4369 holds the first weight-3 span, at j = 8738
+    U = family_subspace(ConstructionParams(F16, 4, 2, (1, 1, 1, 1)))
+    firsts = [*range(1, 51), 4369]
+    sweeps = (_force_route(SpanSweep(F16, U, 2, None, "auto"), route) for route in (True, False))
+    kernel, rank = (_level_weights(sweep, firsts) for sweep in sweeps)
+    assert list(kernel) == list(rank) == [(2, i) for i in firsts]
+    for head, (start, wts) in kernel.items():
+        assert start == head[1] + 1 and np.array_equal(wts, rank[head][1]), head
+    start, wts = kernel[(2, 4369)]
+    assert start + int(np.argmax(wts == 3)) == 8738
+    assert set(np.concatenate([w for _, w in kernel.values()]).tolist()) == {2, 3}
 
 
 # --- how run_sweep runs a sweep ---
@@ -764,3 +840,32 @@ def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job):
     assert run_sweep(*ps2_job, 20, workers=64, checkpoint=ck) == straight
     assert sizes == [2]
 
+
+class _BlockingSweep:
+    """Eight one-unit chunks with a violation at unit 2; every chunk past
+    it blocks for a minute."""
+
+    total_units = 8
+
+    def run_units(self, lo, hi):
+        if lo > 2:
+            time.sleep(60)
+        viol = {"key": [lo], "weight": 5} if lo == 2 else None
+        return runner.ChunkResult(lo, hi, hi - lo, viol, viol or {"key": [lo], "weight": 1})
+
+
+def test_pool_stops_once_the_outcome_is_settled(tmp_path):
+    serial = run_sweep(_BlockingSweep(), {"kind": "blocking"}, 1)
+    assert (serial.checked, serial.viol, serial.completed) == (3, {"key": [2], "weight": 5}, True)
+    ck = tmp_path / "ck.jsonl"
+    others = set(multiprocessing.active_children())
+    t0 = time.monotonic()
+    assert run_sweep(_BlockingSweep(), {"kind": "blocking"}, 1, workers=2, checkpoint=str(ck)) == serial
+    assert time.monotonic() - t0 < 30
+    # no worker is left running a blocked chunk: each one's sentinel shows
+    # its exit (is_alive() can race the pool's own reaping of the process)
+    for proc in set(multiprocessing.active_children()) - others:
+        assert multiprocessing.connection.wait([proc.sentinel], timeout=10), proc
+    # only finished chunks are recorded, each on a whole line
+    lines = ck.read_text().split("\n")
+    assert lines[-1] == "" and {json.loads(x).get("lo") for x in lines[1:-1]} <= {0, 1, 2}
