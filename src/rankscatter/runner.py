@@ -266,9 +266,9 @@ def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
                 if finish(fut.result()):
                     if inflight:
                         # the chunks still in flight cannot change the
-                        # outcome: drop the queued ones and end the workers
-                        # that run the others, whose results are never read
-                        pool.shutdown(wait=False, cancel_futures=True)
+                        # outcome: end the workers that run them, and let
+                        # the pool drop the queued ones; no result is read
                         for proc in set(multiprocessing.active_children()) - others:
                             proc.terminate()
+                        pool.shutdown(cancel_futures=True)
                     return
