@@ -205,16 +205,17 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 #   BLOCK                        units, or maps, per batch
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
-# vector v of a matrix; "reduced" rows are taken mod U and drop U's pivot
-# columns, where they are zero.  Element rows are linear in the index digits
-# j_e of u_j = sum_e j_e g_e, and so is reduction against a fixed basis: a
-# prefix basis is cleared from the generator rows, not from the rows built
-# from them.  The generator rows are kept in mixed coordinates: the reduced
-# row first, then the entries at U's pivot columns, which are the index
-# digits of any element of U.  A change of coordinates keeps ranks, and an
-# echelon form of [image | index tag] rows has the kernel of the map in the
-# tags of its rows whose image is zero; `basis` and `kernels` read kernels
-# so, from `bitkernel.batch_rank` or `fp_rank`.
+# vector v of a matrix; "reduced" rows are taken mod U, and element rows
+# (all `fp` rows) drop U's pivot columns, where they are zero.  Element rows
+# are linear in the index digits j_e of u_j = sum_e j_e g_e, and so is
+# reduction against a fixed basis: a prefix basis is cleared from the
+# generator rows, not from the rows built from them.  The generator rows are
+# kept in mixed coordinates: the reduced row first, then the entries at U's
+# pivot columns, which are the index digits of any element of U.  A change
+# of coordinates keeps ranks, and an echelon form of [image | index tag]
+# rows has the kernel of the map in the tags of its rows whose image is
+# zero; `basis` and `kernels` read kernels so, from `bitkernel.batch_rank`
+# or `fp_rank`.
 
 
 def _gather(a: np.ndarray, cols) -> np.ndarray:
@@ -235,9 +236,9 @@ class _GF2Rows:
     (coordinate, digit group) of value bits, of the rows of b_l * z^j, and
     one per byte of an element index of U, of the rows of b_l * g_j for the
     canonical generators g_j.  For n <= 8 a value table has one entry per
-    field element; past that no table does.  Reduced rows hold the columns
-    outside U's pivots in their low w = k * n - dim U bits, so an index tag
-    fits above them in the same word.
+    field element; past that no table does.  Rows of elements of U keep
+    the columns outside U's pivots in their low w = k * n - dim U bits, so
+    an index tag fits above them in the same word.
     """
 
     BLOCK = GF2_BLOCK
@@ -249,8 +250,6 @@ class _GF2Rows:
         e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
         raw = [[[x << c * n for x in row] for row in e] for c in range(ctx.k)]
         red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
-        outside = sorted(set(range(ctx.k * n)) - set(U.pivots))
-        red = _gather(np.array(red, dtype=np.uint64), outside)
         # (raw, reduced) tables of shape (k, digit groups, n, digit values)
         tables = bitkernel.subset_xor_table(np.array([raw, red], dtype=np.uint64), min(n, 8))
         self.tables = tuple(np.ascontiguousarray(tab.transpose(0, 2, 1, 3)) for tab in tables)
@@ -258,10 +257,14 @@ class _GF2Rows:
     @cached_property
     def _generators(self):
         """Rows of b_l * g_e in mixed coordinates, shape (n, dim U): the
-        reduced row in the low w bits, the entries at U's pivots above."""
+        reduced row's columns outside U's pivots in the low w bits, the
+        entries at U's pivots above them."""
         gens = np.array(self.U.canonical_generators, dtype=np.int64).reshape(-1, 1, self.k)
         raw, red = (np.array(self.value_rows(gens, r)) for r in (False, True))
-        return red | _gather(raw, self.U.pivots) << np.uint64(self.w)
+        pivots = self.U.pivots
+        outside = sorted(set(range(self.k * self.n)) - set(pivots))
+        # reduced rows are zero at U's pivots
+        return _gather(red | raw & np.uint64(sum(1 << c for c in pivots)), outside + pivots)
 
     @cached_property
     def _element_table(self):
