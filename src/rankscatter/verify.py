@@ -247,6 +247,7 @@ class _GF2Rows:
         t, n, U = ctx.tower, ctx.n, ctx.U
         self.n, self.k, self.U = n, ctx.k, U
         self.w = ctx.k * n - U.dim
+        self.low = np.uint64((1 << self.w) - 1)
         e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
         raw = [[[x << c * n for x in row] for row in e] for c in range(ctx.k)]
         red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
@@ -270,8 +271,7 @@ class _GF2Rows:
     def _element_table(self):
         """Reduced rows of the elements of U as subset-XOR tables, shape
         (index bytes, n, 256)."""
-        low = self._generators & np.uint64((1 << self.w) - 1)
-        return np.ascontiguousarray(bitkernel.subset_xor_table(low, 8).transpose(1, 0, 2))
+        return np.ascontiguousarray(bitkernel.subset_xor_table(self._generators & self.low, 8).transpose(1, 0, 2))
 
     def value_rows(self, vals, reduced):
         tabs = self.tables[reduced]
@@ -302,7 +302,7 @@ class _GF2Rows:
         ech = list(rows.T.copy())
         bitkernel.batch_rank(ech)
         ech = np.array(ech, dtype=np.uint64).reshape(rows.shape[::-1]).T
-        return ech, ech & np.uint64((1 << self.w) - 1)
+        return ech, ech & self.low
 
     def _tags(self, ech, low):
         """(matrix, index digits) of the rows with a zero low part."""
@@ -318,7 +318,7 @@ class _GF2Rows:
         return low, np.count_nonzero(low, axis=1), self._tags(ech, low)
 
     def kernels(self, basis, lambdas):
-        gens = self._generators & np.uint64((1 << self.w) - 1)
+        gens = self._generators & self.low
         # row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
         # the tag of digit e above it; the prefix rows come first, so
         # elimination reduces the images mod the prefix
