@@ -27,8 +27,11 @@ Witness-span levels take their weights from those kernels: one map per
 F_q^*-class of a scalar lambda, not one rank per element.  A level ranks its
 elements' rows instead only when the kernels, whose sizes are known after
 elimination, add up to more elements than the level has units, as when U
-has a large extension-linear part.  `_Context` picks the backend once per
-sweep (`weight_backend`):
+has a large extension-linear part.  A level read from its kernels is
+sparse: every unit weighs wt(P) + 1 but the few in some kernel and the
+skipped ones, so it travels as a `SparseLevel`, its summary computed for a
+batch of levels at once.  `_Context` picks the backend once per sweep
+(`weight_backend`):
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
@@ -42,10 +45,10 @@ Rows are linear over F_p in the base-p digits of the entries, so both
 kernels build them from tables with one entry per digit or digit group,
 never one per field element.
 
-`_scan` alone applies the rules: weight -1 marks a skipped unit that is not
-counted, the first maximum is the chunk's best, and the first weight above
-the bound ends the chunk once the scalar oracle reproduces it on
-`subspace(key)`.
+`_scan` alone applies the rules, to dense blocks and sparse levels alike:
+weight -1 marks a skipped unit that is not counted, the first maximum is
+the chunk's best, and the first weight above the bound ends the chunk once
+the scalar oracle reproduces it on `subspace(key)`.
 
 `_run_verification` builds the mode's sweep object from the system it is
 given and hands that object to `runner.run_sweep`; a JSON-safe descriptor
@@ -60,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +73,7 @@ from .linalg import (
     FqSubspace,
     SubspaceQn,
     expand_vector,
+    gaussian_binomial,
     intersection_rows,
     make_rows,
     matrix_rank,
@@ -87,6 +92,7 @@ from .construction import QSystem, system_to_desc
 from .runner import ChunkResult, _merge_best, run_sweep
 
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
+EXHAUSTIVE_CAP = 10**9    # max subspaces of an exhaustive sweep without a budget
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
 GF2_BLOCK = 1 << 16       # units, or witness-span maps, per batch of the GF(2) kernel
 FP_BLOCK = 128            # units, or witness-span maps, per batch of the F_p kernel
@@ -125,33 +131,112 @@ def _added_rank(sub: FqSubspace, rows) -> int:
 # --- the one scan, and the context shared by the sweeps ---
 
 
+class SparseLevel(NamedTuple):
+    """A witness-span level of `size` units, as `_levels` yields it: every
+    unit weighs `base` except those at the sorted positions `pos`, which
+    weigh `wts` (-1 for a skipped unit).  Its summary, made for a whole
+    batch of levels by `_sparse_levels`: `skips` of the exceptions are -1,
+    `plain` is the first position not in `pos` (`size` if there is none),
+    and `top` and `over` index the first maximal exception and the first
+    exception above the sweep's bound (-1 if there is none)."""
+
+    size: int
+    base: int
+    pos: np.ndarray
+    wts: np.ndarray
+    skips: int
+    plain: int
+    top: int
+    over: int
+
+
+def _first_true(cond: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Offset in each segment bounds[i]:bounds[i + 1] of cond of its first
+    true entry, or -1."""
+    idx = np.append(np.flatnonzero(cond), len(cond))
+    at = idx[np.searchsorted(idx, bounds[:-1])]
+    return np.where(at < bounds[1:], at - bounds[:-1], -1)
+
+
+def _sparse_levels(sizes, bases, level, pos, wts, bound) -> list[SparseLevel]:
+    """The SparseLevel of each level i of sizes[i] units weighing bases[i],
+    but for the exceptions (level, pos, wts), sorted by level and then by
+    position.  The summaries take a fixed number of numpy calls per batch,
+    and each level a fixed number of Python steps."""
+    L = len(sizes)
+    count = np.bincount(level, minlength=L)
+    bounds = np.concatenate([[0], np.cumsum(count)])
+    # distinct sorted positions from 0 meet their rank up to the first gap
+    plain = np.bincount(level[pos == np.arange(len(pos)) - bounds[level]], minlength=L)
+    peak = np.zeros(L, dtype=np.int64)
+    if len(pos):
+        peak[count > 0] = np.maximum.reduceat(wts, bounds[:-1][count > 0])
+    top = _first_true(wts == peak[level], bounds)
+    over = _first_true(wts > bound, bounds) if bound is not None else np.full(L, -1)
+    skips = np.bincount(level[wts < 0], minlength=L)
+    cuts = bounds.tolist()
+    return [
+        SparseLevel(size, base, pos[a:b], wts[a:b], *summary)
+        for size, base, a, b, *summary in zip(
+            sizes.tolist(), bases.tolist(), cuts, cuts[1:],
+            skips.tolist(), plain.tolist(), top.tolist(), over.tolist(),
+        )
+    ]
+
+
 def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     """Fold the sweep's weight stream over units [lo, hi) into a chunk result.
 
     `sweep._weights(lo, hi)` yields (head, start, wts) in unit order, where
-    wts[i] is the weight of the unit keyed [*head, start + i], or -1 for a
-    skipped unit that is not counted.
+    wts is a SparseLevel or a dense block: wts[i] is the weight of the unit
+    keyed [*head, start + i], or -1 for a skipped unit that is not counted.
+    A block's best is its first maximum; its first weight above the bound
+    ends the chunk once the scalar oracle reproduces it.
     """
     bound = sweep.bound
     checked = 0
     best = None
     for head, start, wts in sweep._weights(lo, hi):
-        # ndarray methods, and a count only for blocks with skipped units:
-        # scalar engines send one weight per block, where call overhead is
-        # the whole cost
-        wts = np.asarray(wts, dtype=np.int64)
-        off = int(wts.argmax())
-        viol = bound is not None and wts.item(off) > bound
-        if viol:
-            wts = wts[: int((wts > bound).argmax()) + 1]
-            off = len(wts) - 1
-        skips = wts.item(wts.argmin()) < 0
-        checked += int(np.count_nonzero(wts >= 0)) if skips else len(wts)
-        top = {"key": [*head, start + off], "weight": wts.item(off)}
-        if top["weight"] >= 0:
+        if isinstance(wts, SparseLevel):
+            # the first unit above the bound is the first exception above
+            # it or, when the base is, the first plain unit
+            lv = wts
+            off = lv.pos.item(lv.over) if lv.over >= 0 else lv.size
+            if bound is not None and lv.base > bound and lv.plain < off:
+                off, weight, before = lv.plain, lv.base, lv.plain
+            elif off < lv.size:
+                weight, before = lv.wts.item(lv.over), lv.over
+            viol = off < lv.size
+            if viol:
+                # `before` exceptions lie below off, the other units there
+                # are plain and counted
+                count = off + 1 - int(np.count_nonzero(lv.wts[:before] < 0))
+            else:
+                count = lv.size - lv.skips
+                off, weight = lv.plain, lv.base
+                if lv.top >= 0:
+                    t_off, t_wt = lv.pos.item(lv.top), lv.wts.item(lv.top)
+                    if off == lv.size or (t_wt, -t_off) > (weight, -off):
+                        off, weight = t_off, t_wt
+        else:
+            # ndarray methods, and a count only for blocks with skipped
+            # units: scalar engines send one weight per block, where call
+            # overhead is the whole cost
+            wts = np.asarray(wts, dtype=np.int64)
+            off = int(wts.argmax())
+            viol = bound is not None and wts.item(off) > bound
+            if viol:
+                wts = wts[: int((wts > bound).argmax()) + 1]
+                off = len(wts) - 1
+            skips = wts.item(wts.argmin()) < 0
+            count = int(np.count_nonzero(wts >= 0)) if skips else len(wts)
+            weight = wts.item(off)
+        checked += count
+        top = {"key": [*head, start + off], "weight": weight}
+        if weight >= 0:
             best = _merge_best(best, top)
         if viol:
-            if subspace_weight(sweep.ctx.U, sweep.subspace(top["key"])) != top["weight"]:
+            if subspace_weight(sweep.ctx.U, sweep.subspace(top["key"])) != weight:
                 raise AssertionError(f"batch/scalar weight mismatch at unit key {top['key']}")
             return ChunkResult(lo, hi, checked, top, best)
     return ChunkResult(lo, hi, checked, None, best)
@@ -195,12 +280,14 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 #                                mod U and against a prefix basis
 #   basis(prefixes)              for an (L, P) batch of prefixes: their rows
 #                                reduced mod U in echelon form, their ranks,
-#                                and (prefix, index digits) rows spanning the
-#                                u_j inside each prefix's extension span
+#                                and (prefix, index) pairs whose index digits
+#                                span the j with u_j in the prefix's
+#                                extension span
 #   kernels(basis, lambdas)      for each prefix of that batch and each
 #                                lambda, a row of coordinates on the
-#                                F_q-basis: (map, index digits) rows spanning
-#                                the kernel of j -> lambda u_j mod U + prefix
+#                                F_q-basis: (map, index) pairs whose index
+#                                digits span the kernel of
+#                                j -> lambda u_j mod U + prefix
 #   rank(rows)                   rank of each matrix of a batch, as int64
 #   BLOCK                        units, or maps, per batch
 #
@@ -305,9 +392,10 @@ class _GF2Rows:
         return ech, ech & self.low
 
     def _tags(self, ech, low):
-        """(matrix, index digits) of the rows with a zero low part."""
+        """(matrix, index) of the rows with a zero low part, the index read
+        off the row's tag."""
         owners, _ = np.nonzero(low == 0)
-        return owners, _digit_array(ech[low == 0] >> np.uint64(self.w), 2, self.U.dim)
+        return owners, (ech[low == 0] >> np.uint64(self.w)).astype(np.int64)
 
     def basis(self, prefixes):
         digits = _digit_array(prefixes, 2, self.U.dim)
@@ -395,10 +483,11 @@ class _FpRows:
         return self._rows(digits[:, None, :], table)
 
     def _tags(self, rows):
-        """(matrix, index digits) of the rows with a zero low part."""
+        """(matrix, index) of the rows with a zero low part, the index read
+        off the row's tag."""
         zero = ~rows[..., : self.w].any(axis=-1)
         owners, _ = np.nonzero(zero)
-        return owners, rows[zero][:, self.w :]
+        return owners, rows[zero][:, self.w :] @ self.p ** np.arange(self.U.dim, dtype=np.int64)
 
     def basis(self, prefixes):
         digits = _digit_array(prefixes, self.p, self.U.dim)
@@ -541,17 +630,16 @@ class SpanSweep:
         self.R = (self.NU - 1) // (t.q - 1)
         self.total_units = self.dmax * self.R
 
-    def _first_index(self, pos: int) -> int:
-        """Element index of representative `pos`.
+    def _first_index(self, pos):
+        """Element indices of the representatives at the positions `pos`.
 
         With v = pos*(q-1) + 1 in [q^e, q^(e+1)), it is q^e + (v - q^e)/(q-1);
         for q = 2 that is pos + 1.
         """
         q = self.ctx.tower.q
         v = pos * (q - 1) + 1
-        qe = 1
-        while qe * q <= v:
-            qe *= q
+        powers = q ** np.arange(self.ctx.U.dim + 1, dtype=np.int64)
+        qe = powers[np.searchsorted(powers, v, "right") - 1]
         return qe + (v - qe) // (q - 1)
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
@@ -571,7 +659,7 @@ class SpanSweep:
             if self.ctx.kernel is not None and d == 1:
                 yield from self._firsts(p_lo, p_hi)
                 continue
-            firsts = [self._first_index(pos) for pos in range(p_lo, p_hi)]
+            firsts = self._first_index(np.arange(p_lo, p_hi)).tolist()
             if self.ctx.kernel is not None:
                 yield from self._tuples(d, firsts)
                 continue
@@ -609,7 +697,8 @@ class SpanSweep:
     # up to more elements than the level has units: then, as when U has a
     # large extension-linear part, the level ranks the rows of every unit.
     # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
-    # q^wt(P) elements.  Eliminations run for a batch of levels at once.
+    # q^wt(P) elements.  Eliminations run for a batch of levels at once, and
+    # so does the sorting of kernel elements into each level's exceptions.
 
     def _kernel_route(self, size, units):
         """The rule between the routes: enumerate kernels of `size`
@@ -641,10 +730,10 @@ class SpanSweep:
         table[[(q**e - 1) // (q - 1) for e in range(n)]] = np.arange(1, n + 1)
         return table
 
-    def _spans(self, owners, digits, count):
-        """Elements of the F_q-span of the index digit rows of each owner
-        0..count-1, grouped by owner: (bounds, elements), the elements of
-        owner i at bounds[i]:bounds[i + 1].  Rows come sorted by owner."""
+    def _spans(self, owners, tags, count):
+        """Elements of the F_q-span of the index digits of the tags of each
+        owner 0..count-1, grouped by owner: (bounds, elements), the elements
+        of owner i at bounds[i]:bounds[i + 1].  Tags come sorted by owner."""
         q, dim = self.ctx.tower.q, self.ctx.U.dim
         kappa = np.bincount(owners, minlength=count)
         first = np.cumsum(kappa) - kappa
@@ -653,24 +742,28 @@ class SpanSweep:
         powers = q ** np.arange(dim, dtype=np.int64)
         for k in np.flatnonzero(np.bincount(kappa)).tolist():
             sel = np.flatnonzero(kappa == k)
-            basis = digits[first[sel, None] + np.arange(k)].astype(np.int64)
-            coeffs = _digit_array(np.arange(q**k), q, k).astype(np.int64)
-            elements[bounds[sel, None] + np.arange(q**k)] = (coeffs @ basis % q) @ powers
+            basis = tags[first[sel, None] + np.arange(k)]
+            if q == 2:
+                # sums of F_2 digit rows are XORs of the indices
+                span = np.zeros((len(sel), 1), dtype=np.int64)
+                for b in basis.T:
+                    span = np.concatenate([span, span ^ b[:, None]], axis=1)
+            else:
+                coeffs = _digit_array(np.arange(q**k), q, k).astype(np.int64)
+                span = (coeffs @ _digit_array(basis, q, dim).astype(np.int64) % q) @ powers
+            elements[bounds[sel, None] + np.arange(q**k)] = span
         return bounds, elements
 
     def _firsts(self, p_lo, p_hi):
         """d = 1: representatives p_lo..p_hi-1 are runs of consecutive
         element indices [q^e, 2q^e)."""
         q = self.ctx.tower.q
-        pos = p_lo
-        while pos < p_hi:
-            i = self._first_index(pos)
-            qe = 1
-            while qe * q <= i:
-                qe *= q
-            count = min(2 * qe - i, p_hi - pos)
-            yield from self._levels(1, [()], i, i + count)
-            pos += count
+        for e in range(self.ctx.U.dim):
+            # run e holds positions from (q^e - 1)/(q - 1) on
+            first = (q**e - 1) // (q - 1)
+            lo, hi = max(p_lo, first), min(p_hi, first + q**e)
+            if lo < hi:
+                yield from self._levels(1, [()], q**e + lo - first, q**e + hi - first)
 
     def _tuples(self, d: int, firsts):
         """The d-tuples of each first index, as levels of (d-1)-prefixes
@@ -700,13 +793,13 @@ class SpanSweep:
         kernel route, their elements, grouped by level as `_spans` does."""
         kern, q, L, C = self.ctx.kernel, self.ctx.tower.q, len(prefixes), self._classes
         basis, ranks, dependent = kern.basis(prefixes)
-        weights = (prefixes.shape[1] * self.ctx.n - ranks).tolist()
-        sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), None)
+        weights = prefixes.shape[1] * self.ctx.n - ranks
+        sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if self._kernel_route(C, units.max()):
-            owners, digits = kern.kernels(basis, self._lambdas)
+            owners, tags = kern.kernels(basis, self._lambdas)
             sizes = (q ** np.bincount(owners, minlength=L * C)).reshape(L, C).sum(axis=1)
             keep = self._kernel_route(sizes, units)[owners // C]
-            bounds, elements = self._spans(owners[keep], digits[keep], L * C)
+            bounds, elements = self._spans(owners[keep], tags[keep], L * C)
             hits = bounds[::C], elements
         return basis, weights, self._spans(*dependent, L), sizes, hits
 
@@ -719,24 +812,44 @@ class SpanSweep:
     def _levels(self, d, prefixes, lo, hi):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
         lo..hi-1 past the prefix's last index, with -1 for a u_j inside the
-        prefix's extension span."""
+        prefix's extension span: a SparseLevel on the kernel route, dense
+        blocks on the rank route."""
         kern, n = self.ctx.kernel, self.ctx.n
         prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
         pre = self._first_level if d == 1 else self._prepare(prefixes, hi - starts)
-        basis, weights, (dbounds, deps), sizes, (bounds, hits) = pre
+        basis, weights, deps, sizes, hits = pre
+        route = self._kernel_route(sizes, hi - starts) & (starts < hi)
+
+        def keys(grouped):
+            """Level * NU + j of the grouped elements j in range on a
+            kernel-route level."""
+            bounds, elements = grouped
+            level = np.repeat(np.arange(len(starts)), np.diff(bounds))
+            keep = route[level] & (elements >= starts[level]) & (elements < hi)
+            return level[keep] * self.NU + elements[keep]
+
+        # units in no kernel have e_j = 1, and are no exception.  A low bit
+        # marks a dependent u_j, which sorts after the kernel hits of its
+        # key.  The stable sort maps less numpy code than the default one,
+        # which shows in the peak resident memory of small sweeps.
+        marks = np.sort(np.concatenate([keys(hits) * 2, keys(deps) * 2 + 1]), kind="stable")
+        key = marks >> 1
+        last = np.flatnonzero(key != np.append(key[1:], -1))
+        found, dependent = key[last], (marks[last] & 1).astype(bool)
+        count = last - np.append(-1, last[:-1]) - dependent
+        level = found // self.NU
+        wts = np.where(dependent, -1, weights[level] + self._extension[count])
+        on = np.flatnonzero(route)
+        pos = found % self.NU - starts[level]
+        levels = _sparse_levels(hi - starts[on], weights[on] + 1, np.searchsorted(on, level), pos, wts, self.bound)
+        sparse = iter(levels)
         for i, s in enumerate(starts.tolist()):
             head = (d, *prefixes[i].tolist())
-            dep = deps[dbounds[i] : dbounds[i + 1]]
-            if self._kernel_route(sizes[i], hi - s):
-                # units in no kernel have e_j = 1
-                h = hits[bounds[i] : bounds[i + 1]]
-                h = h[(h >= s) & (h < hi)] - s
-                wts = np.full(hi - s, weights[i] + 1)
-                wts[h] = weights[i] + self._extension[np.bincount(h)[h]]
-                wts[dep[(dep >= s) & (dep < hi)] - s] = -1
-                yield head, s, wts
+            if route[i]:
+                yield head, s, next(sparse)
                 continue
+            dep = deps[1][deps[0][i] : deps[0][i + 1]]
             for b in range(s, hi, kern.BLOCK):
                 e = min(b + kern.BLOCK, hi)
                 wts = weights[i] + n - kern.rank(kern.element_rows(b, e, basis[i]))
@@ -886,6 +999,13 @@ def _run_verification(
         "bound": bound,
     }
     if mode == "exhaustive":
+        size = gaussian_binomial(system.ambient, dim, tower.order)
+        if budget is None and size > EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"an exhaustive sweep of all {size} {dim}-dimensional subspaces of "
+                f"F_{tower.order}^{system.ambient} exceeds the cap of {EXHAUSTIVE_CAP}; "
+                "give a budget (--budget) or use sampled mode"
+            )
         desc.update(kind="exhaustive", dim=dim)
         sweep = ExhaustiveSweep(tower, system, dim, bound, engine)
     elif mode == "witness_span":

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, at its stated tolerance.
 
 Each test prints a PASS line (visible with -s) after its assertions.  The
-full tuple sweep backing criterion 2 is marked slow and excluded from the
-default run; `pytest -m slow` executes it.
+full tuple sweeps backing criterion 2 and proving the F_64 member are
+marked slow and excluded from the default run; `pytest -m slow` executes
+them.
 """
 
 import json
@@ -109,6 +110,20 @@ def test_criterion_02_full_witness_span(F16, family_params):
     assert v.status == "holds", f"theorem instance falsified: {v.serialize(F16)}"
     assert elapsed < 7200, f"sweep took {elapsed:.0f}s, budget is 2h"
     ok("C2-long", f"full d<=2 tuple sweep holds; {v.checked} tuples in {elapsed:.0f}s")
+
+
+@pytest.mark.slow
+def test_f64_family_member_is_2_scattered_by_witness_span(tmp_path):
+    # F_64, m=3, h=2, tuple (1,1,2): the first q = 2 member where the
+    # paper's weight bound beats the direct sum
+    out = str(tmp_path / "f64.json")
+    argv = ["verify-scattered", "--field", "2,1,6", "--system", "family", "--m", "3", "--h", "2",
+            "--alphas", "1,1,2", "--mode", "witness_span", "--workers", "2", "--out", out]
+    assert main(argv) == 0
+    rep = reports.load_report(out)
+    res = rep["result"]
+    assert (res["status"], res["subspaces_checked"]) == ("holds", 34_359_607_296)
+    ok("F64-long", f"d<=2 tuple sweep holds; {res['subspaces_checked']} tuples in {rep['timing']['seconds']:.0f}s")
 
 
 def test_criterion_03_point_scatteredness_h1(F16, family_params):

@@ -857,3 +857,28 @@ def test_a_budgeted_sweep_of_a_huge_grassmannian_lists_no_chunks(tmp_path):
     res = load(out)["result"]
     assert (res["status"], res["subspaces_checked"]) == ("inconclusive", 16_384)
     assert main(["recheck", out]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--rho", "10", "--force", "--alphas", "1,1,1,1"],
+        ["verify-scattered", "--mode", "exhaustive", "--alphas", "2,1,1,1"],
+    ],
+    ids=["weights", "verify-exhaustive"],
+)
+def test_an_unbudgeted_exhaustive_sweep_above_the_cap_is_a_config_error(monkeypatch, capsys, argv):
+    # [12, 2]_16 = 1.29e24 planes: refused before any sweep starts
+    from rankscatter import verify
+    from rankscatter.linalg import gaussian_binomial
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(verify, "run_sweep", no_sweep)
+    family = ["--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2"]
+    assert main(argv[:1] + family + argv[1:]) == 3
+    err = capsys.readouterr().err
+    size = gaussian_binomial(12, 2, 16)
+    assert size > verify.EXHAUSTIVE_CAP
+    assert f"all {size} 2-dimensional subspaces" in err and "--budget" in err and "sampled mode" in err

@@ -5,10 +5,11 @@ import multiprocessing
 import multiprocessing.connection
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankscatter.field import create_field
@@ -25,6 +26,7 @@ from rankscatter.runner import run_sweep, desc_hash
 from rankscatter.verify import (
     ExhaustiveSweep,
     SampledSweep,
+    SparseLevel,
     SpanSweep,
     max_weight_search,
     scattered_dim_bound,
@@ -200,9 +202,19 @@ def test_engines_agree_on_sampled(F16):
         assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 10, [9])
 
 
+def _dense(wts) -> np.ndarray:
+    """The per-unit weights of a yielded block: a SparseLevel expanded,
+    a dense block as it is."""
+    if isinstance(wts, SparseLevel):
+        out = np.full(wts.size, wts.base, dtype=np.int64)
+        out[wts.pos] = wts.wts
+        return out
+    return np.asarray(wts, dtype=np.int64)
+
+
 def _unit_weights(sweep, lo, hi):
     """The weight of every unit in [lo, hi), as the sweep's engine yields it."""
-    blocks = [np.asarray(w, dtype=np.int64) for _, _, w in sweep._weights(lo, hi)]
+    blocks = [_dense(w) for _, _, w in sweep._weights(lo, hi)]
     return np.concatenate(blocks).tolist()
 
 
@@ -505,12 +517,12 @@ def _keyed_weights(sweep, lo, hi):
     out."""
     out = []
     for head, start, wts in sweep._weights(lo, hi):
-        out += [((*head, start + i), w) for i, w in enumerate(np.asarray(wts).tolist()) if w >= 0]
+        out += [((*head, start + i), w) for i, w in enumerate(_dense(wts).tolist()) if w >= 0]
     return out
 
 
 def _skipped(sweep, lo, hi):
-    return sum(int(np.count_nonzero(np.asarray(w) < 0)) for _, _, w in sweep._weights(lo, hi))
+    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._weights(lo, hi))
 
 
 def _fp_and_scalar(make):
@@ -721,7 +733,7 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     ranked = []
     element_rows = kern.element_rows
     kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
-    blocks = list(fast._weights(0, fast.total_units))
+    blocks = [(h, s, _dense(w)) for h, s, w in fast._weights(0, fast.total_units)]
     assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
     weights = [((*h, s + i), w) for h, s, wts in blocks for i, w in enumerate(wts.tolist()) if w >= 0]
     assert weights == _keyed_weights(slow, 0, slow.total_units)
@@ -753,7 +765,7 @@ def _level_weights(sweep, firsts):
     for head, start, wts in sweep._tuples(2, firsts):
         first, parts = out.setdefault(head, (start, []))
         assert start == first + sum(map(len, parts))
-        parts.append(np.asarray(wts))
+        parts.append(_dense(wts))
     return {head: (start, np.concatenate(parts)) for head, (start, parts) in out.items()}
 
 
@@ -770,6 +782,63 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     start, wts = kernel[(2, 4369)]
     assert start + int(np.argmax(wts == 3)) == 8738
     assert set(np.concatenate([w for _, w in kernel.values()]).tolist()) == {2, 3}
+
+
+class _StreamSweep:
+    """A sweep that yields given blocks, and whose oracle reads the weight
+    of a unit key off a table."""
+
+    def __init__(self, blocks, bound, table):
+        self.blocks, self.bound, self.table = blocks, bound, table
+        self.ctx = SimpleNamespace(U=None)
+
+    def _weights(self, lo, hi):
+        return iter(self.blocks)
+
+    def subspace(self, key):
+        return self.table[tuple(key)]
+
+
+_sparse_level = st.integers(1, 9).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.integers(0, 6),
+        st.dictionaries(st.integers(0, size - 1), st.integers(-1, 6), max_size=size),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sparse_level, min_size=1, max_size=5), st.none() | st.integers(0, 5))
+# exceptions at the first and at the last unit
+@example([(5, 2, {0: 3, 4: -1}), (4, 1, {3: 4})], None)
+# every unit an exception, and a level with every unit skipped
+@example([(3, 2, {0: -1, 1: 4, 2: 1}), (2, 0, {0: -1, 1: -1})], None)
+# skipped units before and after a violation
+@example([(7, 1, {0: -1, 2: 3, 4: -1, 6: 5})], 2)
+# a base above the bound: the first plain unit violates, past skips
+@example([(2, 0, {1: -1}), (4, 2, {0: -1, 1: 0})], 1)
+def test_scan_of_sparse_levels_equals_scan_of_their_dense_expansions(levels, bound):
+    from unittest import mock
+
+    from rankscatter import verify
+
+    sizes, bases, excs = zip(*levels)
+    rows = [(i, p, w) for i, e in enumerate(excs) for p, w in sorted(e.items())]
+    owner, pos, wts = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    sparse = verify._sparse_levels(np.array(sizes), np.array(bases), owner, pos, wts, bound)
+    for lv, (size, base, exc) in zip(sparse, levels):
+        assert (lv.size, lv.base, dict(zip(lv.pos.tolist(), lv.wts.tolist()))) == (size, base, exc)
+    # level i is keyed (2, i, i + 1 + position); the oracle re-check reads
+    # the weight of a key off a table, through `subspace`
+    dense = [_dense(lv) for lv in sparse]
+    table = {(2, i, i + 1 + u): w for i, d in enumerate(dense) for u, w in enumerate(d.tolist())}
+    with mock.patch.object(verify, "subspace_weight", lambda U, H: H):
+        results = [
+            verify._scan(_StreamSweep([((2, i), i + 1, b) for i, b in enumerate(blocks)], bound, table), 0, 1)
+            for blocks in (sparse, dense)
+        ]
+    assert results[0] == results[1]
 
 
 # --- how run_sweep runs a sweep ---
