@@ -14,15 +14,17 @@ F = create_field(2, 1, 4)
 print("modulus coefficients (ascending):", F.modulus)
 print("field order:", F.order, " base subfield size:", F.q)
 
-g = F.gen  # the class of z
-print("\ng       =", g)
-print("g^2     =", g * g)
-print("g^15    =", g**15, " (multiplicative order divides 15)")
+# Elements are int values: the base-p packing of their coefficient
+# vectors, lowest degree first.  All arithmetic goes through F.
+g = F.p  # the class of z
+print("\ng       =", g, " coefficients", F.coeffs(g))
+print("g^2     =", F.mul(g, g), " coefficients", F.coeffs(F.mul(g, g)))
+print("g^15    =", F.pow(g, 15), " (multiplicative order divides 15)")
 
 # ---------------------------------------------------------------
 # 2. Frobenius x -> x^q is an automorphism fixing exactly q elements.
 # ---------------------------------------------------------------
-print("\nfrobenius(g) =", g.frobenius(), " equals g^2:", g.frobenius() == g * g)
+print("\nfrobenius(g) =", F.frobenius(g), " equals g^2:", F.frobenius(g) == F.mul(g, g))
 fixed = [x for x in range(F.order) if F.in_subfield(x)]
 print("fixed points of x -> x^q:", fixed)
 
@@ -31,8 +33,8 @@ print("fixed points of x -> x^q:", fixed)
 #    generator is not a 15th power; any exponent coprime to 15 is a
 #    bijection and every element passes.
 # ---------------------------------------------------------------
-print("\nis g a 15th power?", F.is_power_residue(g.val, 15))
-print("is g a 7th power? ", F.is_power_residue(g.val, 7))
+print("\nis g a 15th power?", F.is_power_residue(g, 15))
+print("is g a 7th power? ", F.is_power_residue(g, 7))
 
 # ---------------------------------------------------------------
 # 4. A proper subfield tower: F_64 over F_4 (p=2, s=2, n=3).  The

@@ -24,7 +24,7 @@ g = F.p
 #    power in F_16, so the tuple is admissible.
 # ---------------------------------------------------------------
 params = ConstructionParams(F, m=4, h=2, alphas=(g, 1, 1, 1))
-print("invariant:", F.element(tuple_invariant(F, params.m, params.alphas)))
+print("invariant coefficients:", F.coeffs(tuple_invariant(F, params.m, params.alphas)))
 print("admissible:", tuple_admissible(F, params.m, params.alphas))
 
 # ---------------------------------------------------------------

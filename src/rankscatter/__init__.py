@@ -7,7 +7,7 @@ codes with rank weights, generalized rank weights, duals and direct-sum
 baselines.
 """
 
-from .field import FieldElement, FieldTower, create_field
+from .field import FieldTower, create_field
 from .linalg import (
     FqSubspace,
     SubspaceQn,

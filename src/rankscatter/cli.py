@@ -156,7 +156,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _build_system(tower: FieldTower, args) -> tuple[QSystem, dict | None]:
+def _build_system(tower: FieldTower, args) -> tuple[QSystem, ConstructionParams | None]:
     kind = args.system
     if kind == "family":
         if args.m is None or args.h is None or args.alphas is None:
@@ -173,7 +173,7 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, dict | None]:
             )
         if not tuple_admissible(params.tower, params.m, params.alphas):
             print("warning: tuple is not admissible; no scatteredness guarantee", file=sys.stderr)
-        return family_subspace(params), params.serialize()
+        return family_subspace(params), params
     if kind == "pseudoregulus":
         if args.h is None:
             raise ConfigError("pseudoregulus needs --h")
@@ -213,11 +213,10 @@ def _verdict_exit(status: str) -> int:
 def _cmd_construct(args) -> int:
     tower = _parse_field(args.field)
     t0 = time.time()
-    system, params_ser = _build_system(tower, args)
+    system, p = _build_system(tower, args)
     result = system.describe()
     result["canonical_generators"] = system.subspace.serialize() if system.t <= 64 else None
-    if params_ser is not None:
-        p = ConstructionParams.deserialize(params_ser, tower)
+    if p is not None:
         result["admissible"] = tuple_admissible(p.tower, p.m, p.alphas)
         result["strongly_admissible"] = tuple_strongly_admissible(p.tower, p.m, p.alphas)
         result["feasible"] = admissibility_feasible(tower, args.m)
@@ -323,8 +322,7 @@ def _cmd_compare(args) -> int:
     t0 = time.time()
     if args.system != "family":
         raise ConfigError("compare applies to the family system")
-    system, params_ser = _build_system(tower, args)
-    params = ConstructionParams.deserialize(params_ser, tower)
+    system, params = _build_system(tower, args)
     s_list = _parse_ints(args.s_list) if args.s_list else None
     try:
         table = compare_with_direct_sum(params, s_list)

@@ -71,14 +71,6 @@ class RankCode:
     def nondegenerate(self) -> bool:
         return self.system().t == self.t
 
-    def serialize(self) -> dict:
-        t = self.tower
-        return {
-            "k": self.k,
-            "t": self.t,
-            "G": [[list(t.coeffs(x)) for x in row] for row in self.G],
-        }
-
 
 def code_from_system(system: QSystem) -> RankCode:
     """Generator matrix whose columns are the canonical F_q-generators of U."""
@@ -430,8 +422,8 @@ def compare_with_direct_sum(params: ConstructionParams, s_list=None) -> list[dic
 # --- random codes for property checks ---
 
 
-def random_code(tower: FieldTower, k: int, t: int, seed: int, require_dual_nondegenerate: bool = True) -> RankCode:
-    """Seeded random [t, k] code with nondegenerate system (and dual system)."""
+def random_code(tower: FieldTower, k: int, t: int, seed: int) -> RankCode:
+    """Seeded random [t, k] code whose system and dual system are nondegenerate."""
     rng = random.Random(derive_seed(seed, "code", k, t))
     Q = tower.order
     while True:
@@ -441,6 +433,6 @@ def random_code(tower: FieldTower, k: int, t: int, seed: int, require_dual_nonde
         code = RankCode(tower, k, t, G)
         if not code.nondegenerate:
             continue
-        if require_dual_nondegenerate and not dual_code(code).nondegenerate:
+        if not dual_code(code).nondegenerate:
             continue
         return code

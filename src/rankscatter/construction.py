@@ -59,12 +59,6 @@ class ConstructionParams:
             "alphas": [list(t.coeffs(a)) for a in self.alphas],
         }
 
-    @classmethod
-    def deserialize(cls, data: dict, tower: FieldTower | None = None) -> "ConstructionParams":
-        t = tower or FieldTower.from_descriptor(data["field"])
-        alphas = tuple(t.val(c) for c in data["alphas"])
-        return cls(t, data["m"], data["h"], alphas)
-
 
 def power_sum_exponent(q: int, m: int) -> int:
     """1 + q + q^2 + ... + q^(m-1)."""
@@ -73,10 +67,7 @@ def power_sum_exponent(q: int, m: int) -> int:
 
 def tuple_invariant(tower: FieldTower, m: int, alphas: Sequence[int]) -> int:
     """Multiplicative invariant of a tuple: a_1^(q^(m-1)) a_2 a_3^q ... a_m^(q^(m-2))."""
-    out = tower.frobenius(alphas[0], m - 1)
-    for j in range(1, m):
-        out = tower.mul(out, tower.frobenius(alphas[j], j - 1))
-    return out
+    return cyclic_tuple_invariant(tower, m, alphas, 1)
 
 
 def cyclic_tuple_invariant(tower: FieldTower, m: int, alphas: Sequence[int], i: int) -> int:
@@ -282,7 +273,11 @@ def system_from_desc(tower: FieldTower, desc: dict) -> QSystem:
 # --- tuple census ---
 
 
-def _census(tower: FieldTower, m: int, check_strong: bool, tuples: Iterable[tuple[int, ...]], collect: int):
+CENSUS_EXAMPLES = 5         # admissible tuples a census report lists
+CENSUS_FULL_CAP = 4_000_000  # most tuples an unbudgeted census scans
+
+
+def _census(tower: FieldTower, m: int, check_strong: bool, tuples: Iterable[tuple[int, ...]]):
     """Count admissible tuples, via discrete logs when tables exist."""
     t = tower
     qm1 = t.order - 1
@@ -302,7 +297,7 @@ def _census(tower: FieldTower, m: int, check_strong: bool, tuples: Iterable[tupl
             adm = tuple_admissible(t, m, tup)
         if adm:
             admissible += 1
-            if len(examples) < collect:
+            if len(examples) < CENSUS_EXAMPLES:
                 examples.append(tup)
             if check_strong and tuple_strongly_admissible(t, m, tup):
                 strong += 1
@@ -315,18 +310,16 @@ def scan_admissible(
     budget: int | None = None,
     seed: int = 0,
     check_strong: bool = False,
-    collect: int = 5,
-    full_cap: int = 4_000_000,
 ) -> dict:
     """Census of multiplier tuples by admissibility.
 
-    Scans all (Q-1)^m tuples when that count is within full_cap (or when
-    budget is None and it fits); otherwise scans `budget` seeded random
-    tuples.  Returns counts plus a few example members.
+    With no budget, scans all (Q-1)^m tuples, which must number at most
+    CENSUS_FULL_CAP; with one, scans `budget` seeded random tuples.  Returns
+    counts plus the first CENSUS_EXAMPLES admissible tuples.
     """
     Q = tower.order
     total = (Q - 1) ** m
-    exhaustive = budget is None and total <= full_cap
+    exhaustive = budget is None and total <= CENSUS_FULL_CAP
     if budget is None and not exhaustive:
         raise ValueError(f"full scan of {total} tuples exceeds cap; pass a budget")
     if exhaustive:
@@ -336,7 +329,7 @@ def scan_admissible(
         tuples = (
             tuple(1 + rand_below(rng, Q - 1) for _ in range(m)) for _ in range(budget)
         )
-    checked, admissible, strong, examples = _census(tower, m, check_strong, tuples, collect)
+    checked, admissible, strong, examples = _census(tower, m, check_strong, tuples)
     out = {
         "tuples_checked": checked,
         "admissible": admissible,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Multiplication switches from log tables to raw polynomial arithmetic
 # above this field size.
@@ -192,7 +192,7 @@ class FieldTower:
     part of the pickled state.
     """
 
-    def __init__(self, p: int, s: int, n: int, modulus=None, q_basis=None):
+    def __init__(self, p: int, s: int, n: int, modulus=None):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if s < 1:
@@ -223,28 +223,13 @@ class FieldTower:
         self.modulus = tuple(modulus)
         # Packed modulus bits for the p=2 fast multiply.
         self._mod_bits = _pack(self.modulus, p) if p == 2 else None
-        if q_basis is None:
-            q_basis = tuple(p**j for j in range(n)) if s == 1 else None
-        if q_basis is None:
-            w = p  # class of z
-            q_basis = []
-            acc = 1
-            for _ in range(n):
-                q_basis.append(acc)
-                acc = self._mul_raw(acc, w)
-            q_basis = tuple(q_basis)
-        else:
-            q_basis = tuple(q_basis)
-            if len(q_basis) != n:
-                raise ValueError(f"q_basis must have {n} elements")
-        self.q_basis = q_basis
-        # Building the expansion solver raises unless q_basis spans over F_q.
-        self._expand_solver
+        # 1, z, ..., z^(n-1): z generates F_{q^n} over F_q, so they span it
+        self.q_basis = tuple(p**j for j in range(n))
 
     # -- identity / serialization --
 
     def _key(self):
-        return (self.p, self.s, self.n, self.modulus, self.q_basis)
+        return (self.p, self.s, self.n, self.modulus)
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and self._key() == other._key()
@@ -259,8 +244,7 @@ class FieldTower:
         return self._key()
 
     def __setstate__(self, state):
-        p, s, n, modulus, q_basis = state
-        self.__init__(p, s, n, modulus, q_basis)
+        self.__init__(*state)
 
     def descriptor(self) -> dict:
         return {"p": self.p, "s": self.s, "n": self.n, "modulus": list(self.modulus)}
@@ -435,12 +419,22 @@ class FieldTower:
     def subfield_values(self) -> tuple[int, ...]:
         """All elements of F_q inside the extension, ascending by value.
 
-        When s = 1 they are the constants 0..p-1; otherwise the whole field
-        is scanned for the fixed points of x -> x^q.
+        When s = 1 they are the constants 0..p-1; otherwise they are 0 and
+        the powers of y = x^((Q-1)/(q-1)) for the first x >= 2 whose y has
+        order q - 1, which visits O(q) elements, not all Q.
         """
         if self.s == 1:
             return tuple(range(self.p))
-        return tuple(sorted(x for x in range(self.order) if self.in_subfield(x)))
+        q = self.q
+        factors = prime_factors(q - 1)
+        for x in range(2, self.order):
+            y = self._pow_raw(x, (self.order - 1) // (q - 1))
+            if all(self._pow_raw(y, (q - 1) // f) != 1 for f in factors):
+                break
+        powers = [1]
+        for _ in range(q - 2):
+            powers.append(self._mul_raw(powers[-1], y))
+        return tuple(sorted([0, *powers]))
 
     @cached_property
     def subfield_index(self) -> dict[int, int]:
@@ -469,15 +463,11 @@ class FieldTower:
         """Canonical F_p-generator of the subfield F_q (1 when s = 1)."""
         if self.s == 1:
             return 1
-        # degree exactly s over F_p: fixed by no Frobenius power x -> x^(p^j), 0 < j < s
-        for x in range(2, self.order):
-            if self.in_subfield(x) and all(self.pow(x, self.p**j) != x for j in range(1, self.s)):
-                return x
-        raise RuntimeError("no subfield generator found")  # pragma: no cover
-
-    @cached_property
-    def _fast_expand(self) -> bool:
-        return self.s == 1 and self.q_basis == tuple(self.p**j for j in range(self.n))
+        # the smallest value of degree exactly s over F_p: fixed by no
+        # Frobenius power x -> x^(p^j), 0 < j < s
+        return next(
+            x for x in self.subfield_values[2:] if all(self._pow_raw(x, self.p**j) != x for j in range(1, self.s))
+        )
 
     @cached_property
     def _expand_solver(self):
@@ -490,13 +480,11 @@ class FieldTower:
             for tp in theta_pows:
                 cols.append(self.coeffs(self.mul(b, tp)))
         inv = _fp_invert([[cols[j][i] for j in range(self.degree)] for i in range(self.degree)], self.p)
-        if inv is None:
-            raise ValueError("q_basis does not span the extension over F_q")
         return inv, theta_pows
 
     def expand_scalar(self, a: int) -> tuple[int, ...]:
         """Coordinates of a over F_q on the q_basis, as subfield indices."""
-        if self._fast_expand:
+        if self.s == 1:
             return _digits(a, self.p, self.n)
         inv, theta_pows = self._expand_solver
         c = self.coeffs(a)
@@ -520,27 +508,6 @@ class FieldTower:
                 out = self.add(out, self.mul(vals[c], b))
         return out
 
-    # -- element helpers --
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    def element(self, val: int) -> "FieldElement":
-        return FieldElement(self, val % self.order)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def gen(self) -> "FieldElement":
-        """The class of z, a degree-sn element generating the whole tower."""
-        return FieldElement(self, self.p)
-
 
 def _fp_invert(matrix, p):
     """Inverse of a square matrix over F_p, or None if singular."""
@@ -562,96 +529,10 @@ def _fp_invert(matrix, p):
     return [row[k:] for row in work]
 
 
-class FieldElement:
-    """Immutable element of a FieldTower; equality is structural."""
-
-    __slots__ = ("tower", "val")
-
-    def __init__(self, tower: FieldTower, val: int):
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "val", val % tower.order)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.tower != self.tower:
-                raise ValueError("elements belong to different towers")
-            return other.val
-        if isinstance(other, int):
-            # small integers embed through the prime field
-            return other % self.tower.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.tower, self.tower.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.tower, self.tower.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.tower, self.tower.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.tower, self.tower.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.tower, self.tower.div(self.val, v))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.tower, self.tower.pow(self.val, e))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.tower.neg(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.tower == other.tower and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.tower.p if other in (0, 1) else NotImplemented
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tower, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def frobenius(self, j: int = 1) -> "FieldElement":
-        return FieldElement(self.tower, self.tower.frobenius(self.val, j))
-
-    @property
-    def in_subfield(self) -> bool:
-        return self.tower.in_subfield(self.val)
-
-    def __repr__(self):
-        c = self.tower.coeffs(self.val)
-        terms = []
-        for i, ci in enumerate(c):
-            if ci == 0:
-                continue
-            if i == 0:
-                terms.append(str(ci))
-            else:
-                lead = "" if ci == 1 else f"{ci}*"
-                terms.append(f"{lead}z^{i}" if i > 1 else f"{lead}z")
-        return " + ".join(terms) if terms else "0"
-
-
-def create_field(p: int, s: int = 1, n: int = 2, modulus=None, q_basis=None) -> FieldTower:
+def create_field(p: int, s: int = 1, n: int = 2, modulus=None) -> FieldTower:
     """Build the tower F_q < F_{q^n} with q = p^s.
 
     When no modulus is given, the deterministic default (smallest irreducible
     by packed coefficient order) is used so that results are reproducible.
     """
-    return FieldTower(p, s, n, modulus=modulus, q_basis=q_basis)
+    return FieldTower(p, s, n, modulus=modulus)

@@ -386,9 +386,9 @@ class _GF2Rows:
     def _eliminate(self, rows):
         """Echelon form of a (B, R) batch of mixed rows by `batch_rank`,
         and the rows' low parts."""
-        ech = list(rows.T.copy())
-        bitkernel.batch_rank(ech)
-        ech = np.array(ech, dtype=np.uint64).reshape(rows.shape[::-1]).T
+        ech = rows.T.copy()
+        bitkernel.batch_rank(list(ech))  # reduces the rows of ech in place
+        ech = ech.T
         return ech, ech & self.low
 
     def _tags(self, ech, low):
@@ -630,17 +630,16 @@ class SpanSweep:
         self.R = (self.NU - 1) // (t.q - 1)
         self.total_units = self.dmax * self.R
 
-    def _first_index(self, pos):
-        """Element indices of the representatives at the positions `pos`.
-
-        With v = pos*(q-1) + 1 in [q^e, q^(e+1)), it is q^e + (v - q^e)/(q-1);
-        for q = 2 that is pos + 1.
-        """
+    def _runs(self, p_lo, p_hi):
+        """The representatives at positions p_lo..p_hi-1, as runs [a, b) of
+        consecutive element indices inside the ranges [q^e, 2q^e)."""
         q = self.ctx.tower.q
-        v = pos * (q - 1) + 1
-        powers = q ** np.arange(self.ctx.U.dim + 1, dtype=np.int64)
-        qe = powers[np.searchsorted(powers, v, "right") - 1]
-        return qe + (v - qe) // (q - 1)
+        for e in range(self.ctx.U.dim):
+            # run e holds positions from (q^e - 1)/(q - 1) on
+            first = (q**e - 1) // (q - 1)
+            lo, hi = max(p_lo, first), min(p_hi, first + q**e)
+            if lo < hi:
+                yield q**e + lo - first, q**e + hi - first
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
         return _scan(self, lo, hi)
@@ -657,9 +656,10 @@ class SpanSweep:
             p_lo = max(lo - (d - 1) * R, 0)
             p_hi = min(hi - (d - 1) * R, R)
             if self.ctx.kernel is not None and d == 1:
-                yield from self._firsts(p_lo, p_hi)
+                for a, b in self._runs(p_lo, p_hi):
+                    yield from self._levels(1, [()], a, b)
                 continue
-            firsts = self._first_index(np.arange(p_lo, p_hi)).tolist()
+            firsts = [i for a, b in self._runs(p_lo, p_hi) for i in range(a, b)]
             if self.ctx.kernel is not None:
                 yield from self._tuples(d, firsts)
                 continue
@@ -753,17 +753,6 @@ class SpanSweep:
                 span = (coeffs @ _digit_array(basis, q, dim).astype(np.int64) % q) @ powers
             elements[bounds[sel, None] + np.arange(q**k)] = span
         return bounds, elements
-
-    def _firsts(self, p_lo, p_hi):
-        """d = 1: representatives p_lo..p_hi-1 are runs of consecutive
-        element indices [q^e, 2q^e)."""
-        q = self.ctx.tower.q
-        for e in range(self.ctx.U.dim):
-            # run e holds positions from (q^e - 1)/(q - 1) on
-            first = (q**e - 1) // (q - 1)
-            lo, hi = max(p_lo, first), min(p_hi, first + q**e)
-            if lo < hi:
-                yield from self._levels(1, [()], q**e + lo - first, q**e + hi - first)
 
     def _tuples(self, d: int, firsts):
         """The d-tuples of each first index, as levels of (d-1)-prefixes

@@ -146,6 +146,32 @@ def test_prime_subfield_is_the_constants_without_a_scan(monkeypatch):
         assert create_field(p, 1, n).subfield_values == scanned == tuple(range(p))
 
 
+@pytest.mark.parametrize(
+    "p, s, n",
+    [(2, 2, 3), (2, 2, 5), (2, 3, 2), (2, 3, 3), (2, 4, 2), (2, 4, 3),
+     (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 2, 2), (3, 3, 2), (2, 6, 2)],
+)
+def test_subfield_and_its_generator_match_a_scan_of_the_field(p, s, n):
+    # the oracle: every element fixed by x -> x^q, and the first of them
+    # past 0 and 1 with degree exactly s over F_p
+    F = create_field(p, s, n)
+    fixed = tuple(x for x in range(F.order) if F.pow(x, F.q) == x)
+    theta = next(x for x in fixed[2:] if all(F.pow(x, p**j) != x for j in range(1, s)))
+    assert F.subfield_values == fixed
+    assert F._theta == theta
+
+
+def test_subfield_is_found_without_a_scan(monkeypatch):
+    def no_scan(self, a):
+        raise AssertionError("subfield_values scanned the field")
+
+    monkeypatch.setattr(FieldTower, "in_subfield", no_scan)
+    # 2^24 elements: a scan of the field would take minutes
+    F = create_field(2, 2, 12)
+    assert len(F.subfield_values) == 4
+    assert F.unexpand_scalar(F.expand_scalar(12345)) == 12345
+
+
 def test_subfield_is_closed_under_field_operations(F64_over_F4):
     F = F64_over_F4
     vals = F.subfield_values
@@ -197,28 +223,24 @@ def test_expansion_aligns_with_the_q_basis(F16):
         assert e == tuple(1 if i == j else 0 for i in range(F16.n))
 
 
-def test_element_wrapper_operations(F16):
-    g = F16.gen
-    assert (g + g).val == 0
-    assert (g * g).val == F16.mul(2, 2)
-    assert (g ** 15).val == 1
-    assert (g / g).val == 1
-    assert g.frobenius().val == F16.frobenius(2)
-    assert not g.in_subfield
-    with pytest.raises(AttributeError):
-        g.val = 3
+def _towers(F16, F64_over_F4):
+    """s = 1 and s > 1 towers, one of them on a modulus that is not the default."""
+    return [F16, FieldTower(2, 1, 4, modulus=(1, 0, 0, 1, 1)), F64_over_F4, FieldTower(3, 2, 2)]
 
 
-def test_tower_pickles_and_compares(F16):
+def test_tower_pickles_and_compares(F16, F64_over_F4):
     import pickle
 
-    clone = pickle.loads(pickle.dumps(F16))
-    assert clone == F16
-    assert clone.mul(7, 9) == F16.mul(7, 9)
+    for F in _towers(F16, F64_over_F4):
+        clone = pickle.loads(pickle.dumps(F))
+        assert clone == F and hash(clone) == hash(F)
+        assert clone.mul(7, 9) == F.mul(7, 9)
+        assert clone.expand_scalar(F.order - 1) == F.expand_scalar(F.order - 1)
 
 
-def test_descriptor_roundtrip(F64_over_F4):
-    desc = F64_over_F4.descriptor()
-    assert desc == {"p": 2, "s": 2, "n": 3, "modulus": list(F64_over_F4.modulus)}
-    clone = FieldTower.from_descriptor(desc)
-    assert clone == F64_over_F4
+def test_descriptor_roundtrip(F16, F64_over_F4):
+    for F in _towers(F16, F64_over_F4):
+        desc = F.descriptor()
+        assert desc == {"p": F.p, "s": F.s, "n": F.n, "modulus": list(F.modulus)}
+        assert FieldTower.from_descriptor(desc) == F
+    assert FieldTower(2, 1, 4, modulus=(1, 0, 0, 1, 1)) != F16

@@ -35,6 +35,16 @@ def test_construct_report_fields(tmp_path):
     assert ok, problems
 
 
+def test_construct_over_a_large_subfield_tower(tmp_path):
+    # F_4 inside F_{4^12}: a scan for it would visit all 2^24 elements
+    out = str(tmp_path / "c.json")
+    assert main(["construct", "--field", "2,2,12", "--system", "line-control", "--out", out]) == 0
+    rep = load(out)
+    assert rep["result"]["fq_dim"] == 12
+    ok, problems = reports.recheck_report(rep)
+    assert ok, problems
+
+
 def test_verify_exit_codes_and_witness_roundtrip(tmp_path):
     good = str(tmp_path / "good.json")
     rc = main([
