@@ -50,10 +50,6 @@ class UsageError(Exception):
     pass
 
 
-class ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -61,24 +57,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_field(text: str) -> FieldTower:
     parts = text.split(",")
-    if len(parts) not in (3, 4):
-        raise ConfigError("--field expects p,s,n[,modulus] (modulus packed base p)")
-    try:
-        nums = [int(x) for x in parts]
-    except ValueError:
-        raise ConfigError("--field components must be integers") from None
-    modulus = nums[3] if len(nums) == 4 else None
-    try:
-        return FieldTower(nums[0], nums[1], nums[2], modulus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if len(parts) not in (3, 4) or "" in parts:
+        raise ValueError("--field expects p,s,n[,modulus] (modulus packed base p)")
+    return FieldTower(*_parse_ints(text))
 
 
 def _parse_ints(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 # Options in the order subcommands take them: each subcommand gets a prefix
@@ -160,14 +148,10 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, ConstructionParams 
     kind = args.system
     if kind == "family":
         if args.m is None or args.h is None or args.alphas is None:
-            raise ConfigError("family system needs --m, --h and --alphas")
-        alphas = tuple(_parse_ints(args.alphas))
-        try:
-            params = ConstructionParams(tower, args.m, args.h, alphas)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError("family system needs --m, --h and --alphas")
+        params = ConstructionParams(tower, args.m, args.h, tuple(_parse_ints(args.alphas)))
         if not admissibility_feasible(tower, args.m) and not args.force:
-            raise ConfigError(
+            raise ValueError(
                 "no admissible tuple exists for these (q, n, m); every theorem "
                 "instance is vacuous (pass --force to proceed anyway)"
             )
@@ -176,17 +160,13 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, ConstructionParams 
         return family_subspace(params), params
     if kind == "pseudoregulus":
         if args.h is None:
-            raise ConfigError("pseudoregulus needs --h")
+            raise ValueError("pseudoregulus needs --h")
         return pseudoregulus_subspace(tower, args.h), None
     if kind == "direct-sum":
         if args.m is None or args.h is None:
-            raise ConfigError("direct-sum baseline needs --m and --h")
-        if args.m < 1:
-            raise ConfigError("--m must be positive")
+            raise ValueError("direct-sum baseline needs --m and --h")
         return direct_sum([pseudoregulus_subspace(tower, args.h)] * args.m), None
-    if kind == "line-control":
-        return line_control_subspace(tower, args.ambient), None
-    raise ConfigError(f"unknown system {kind!r}")
+    return line_control_subspace(tower, args.ambient), None
 
 
 def _check_writable(*paths) -> None:
@@ -197,22 +177,14 @@ def _check_writable(*paths) -> None:
             continue
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
-            raise ConfigError(f"cannot write {path}: not a file in a writable directory")
+            raise ValueError(f"cannot write {path}: not a file in a writable directory")
 
 
-def _emit(report: dict, args) -> None:
-    text = reports.write_report(report, getattr(args, "out", None))
-    if not getattr(args, "out", None):
-        sys.stdout.write(text)
+# Each report subcommand's handler takes (tower, args) and returns the
+# report's (config, result, counts) and the exit code; `_run` does the rest.
 
 
-def _verdict_exit(status: str) -> int:
-    return {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATED, "inconclusive": EXIT_INCONCLUSIVE}[status]
-
-
-def _cmd_construct(args) -> int:
-    tower = _parse_field(args.field)
-    t0 = time.time()
+def _cmd_construct(tower: FieldTower, args):
     system, p = _build_system(tower, args)
     result = system.describe()
     result["canonical_generators"] = system.subspace.serialize() if system.t <= 64 else None
@@ -220,26 +192,12 @@ def _cmd_construct(args) -> int:
         result["admissible"] = tuple_admissible(p.tower, p.m, p.alphas)
         result["strongly_admissible"] = tuple_strongly_admissible(p.tower, p.m, p.alphas)
         result["feasible"] = admissibility_feasible(tower, args.m)
-    config = {"system": system_to_desc(system), "force": bool(args.force)}
-    report = reports.build_report(
-        "construct", config, tower.descriptor(), result,
-        {"fq_dim": system.t}, _timing(t0, args),
-    )
-    _emit(report, args)
-    return EXIT_HOLDS
+    return {"system": system_to_desc(system)}, result, {"fq_dim": system.t}, EXIT_HOLDS
 
 
-def _timing(t0: float, args) -> dict:
-    timing = {"seconds": round(time.time() - t0, 6)}
-    if "workers" in args:
-        timing["workers"] = args.workers
-    return timing
-
-
-def _cmd_verify(args, evasive: bool) -> int:
-    tower = _parse_field(args.field)
-    t0 = time.time()
+def _cmd_verify(tower: FieldTower, args):
     system, _ = _build_system(tower, args)
+    evasive = args.command == "verify-evasive"
     common = dict(
         mode=args.mode,
         budget=args.budget,
@@ -248,50 +206,36 @@ def _cmd_verify(args, evasive: bool) -> int:
         checkpoint=args.checkpoint,
         chunk_size=args.chunk_size,
     )
-    try:
-        if evasive:
-            verdict = verify_evasive(system, args.hdim, args.r, **common)
-        else:
-            h = args.h if args.h is not None else (1 if args.system == "line-control" else None)
-            if h is None:
-                raise ConfigError("verify-scattered needs --h")
-            verdict = verify_h_scattered(system, h, **common)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if evasive:
+        verdict = verify_evasive(system, args.hdim, args.r, **common)
+    else:
+        h = args.h if args.h is not None else (1 if args.system == "line-control" else None)
+        if h is None:
+            raise ValueError("verify-scattered needs --h")
+        verdict = verify_h_scattered(system, h, **common)
     config = {
         "system": system_to_desc(system),
         "mode": args.mode,
         "budget": args.budget,
         "seed": args.seed,
         "chunk_size": args.chunk_size,
-        "force": bool(args.force),
     }
     if evasive:
         config["hdim"] = args.hdim
         config["r"] = args.r
     else:
         config["h"] = verdict.dim
-    report = reports.build_report(
-        "verify-evasive" if evasive else "verify-scattered",
-        config, tower.descriptor(), verdict.serialize(tower),
-        {"subspaces_checked": verdict.checked}, _timing(t0, args),
-    )
-    _emit(report, args)
-    return _verdict_exit(verdict.status)
+    code = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATED, "inconclusive": EXIT_INCONCLUSIVE}[verdict.status]
+    return config, verdict.serialize(tower), {"subspaces_checked": verdict.checked}, code
 
 
-def _cmd_weights(args) -> int:
-    tower = _parse_field(args.field)
-    t0 = time.time()
+def _cmd_weights(tower: FieldTower, args):
     system, _ = _build_system(tower, args)
     rho_list = _parse_ints(args.rho) if args.rho else None
-    try:
-        profile = generalized_weights(
-            system, rho_list, mode=args.mode, budget=args.budget,
-            seed=args.seed, workers=args.workers,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    profile = generalized_weights(
+        system, rho_list, mode=args.mode, budget=args.budget,
+        seed=args.seed, workers=args.workers,
+    )
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(profile.to_csv())
@@ -307,27 +251,17 @@ def _cmd_weights(args) -> int:
         "budget": args.budget,
         "seed": args.seed,
         "rho": rho_list,
-        "force": bool(args.force),
     }
-    report = reports.build_report(
-        "weights", config, tower.descriptor(), result,
-        {"entries": len(profile.entries), "subspaces_swept": profile.swept}, _timing(t0, args),
-    )
-    _emit(report, args)
-    return EXIT_HOLDS if args.mode == "exhaustive" else EXIT_INCONCLUSIVE
+    counts = {"entries": len(profile.entries), "subspaces_swept": profile.swept}
+    return config, result, counts, EXIT_HOLDS if args.mode == "exhaustive" else EXIT_INCONCLUSIVE
 
 
-def _cmd_compare(args) -> int:
-    tower = _parse_field(args.field)
-    t0 = time.time()
+def _cmd_compare(tower: FieldTower, args):
     if args.system != "family":
-        raise ConfigError("compare applies to the family system")
+        raise ValueError("compare applies to the family system")
     system, params = _build_system(tower, args)
     s_list = _parse_ints(args.s_list) if args.s_list else None
-    try:
-        table = compare_with_direct_sum(params, s_list)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    table = compare_with_direct_sum(params, s_list)
     baseline = predicted_direct_sum_profile(args.m, tower.n, args.h)
     result = {
         "indices": table,
@@ -335,29 +269,15 @@ def _cmd_compare(args) -> int:
         "strongly_admissible": tuple_strongly_admissible(params.tower, params.m, params.alphas),
         "baseline_profile": baseline.serialize(),
     }
-    config = {
-        "system": system_to_desc(system),
-        "s_list": s_list,
-        "force": bool(args.force),
-    }
-    report = reports.build_report(
-        "compare", config, tower.descriptor(), result,
-        {"indices": len(table)}, _timing(t0, args),
+    config = {"system": system_to_desc(system), "s_list": s_list}
+    return config, result, {"indices": len(table)}, EXIT_HOLDS
+
+
+def _cmd_search(tower: FieldTower, args):
+    result = scan_admissible(
+        tower, args.m, budget=args.budget, seed=args.seed,
+        check_strong=args.check_strong,
     )
-    _emit(report, args)
-    return EXIT_HOLDS
-
-
-def _cmd_search(args) -> int:
-    tower = _parse_field(args.field)
-    t0 = time.time()
-    try:
-        result = scan_admissible(
-            tower, args.m, budget=args.budget, seed=args.seed,
-            check_strong=args.check_strong,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if not result["feasible"] and not args.force:
         print("warning: no admissible tuple can exist for these parameters", file=sys.stderr)
     config = {
@@ -365,64 +285,62 @@ def _cmd_search(args) -> int:
         "budget": args.budget,
         "seed": args.seed if args.budget is not None else None,
         "check_b": bool(args.check_strong),
-        "force": bool(args.force),
     }
-    report = reports.build_report(
-        "search", config, tower.descriptor(), result,
-        {"tuples_checked": result["tuples_checked"]}, _timing(t0, args),
-    )
-    _emit(report, args)
-    return EXIT_HOLDS
+    return config, result, {"tuples_checked": result["tuples_checked"]}, EXIT_HOLDS
 
 
-def _cmd_recheck(args) -> int:
-    try:
-        report = reports.load_report(args.report)
-    except ValueError as exc:
-        print(f"corrupt report: {exc}", file=sys.stderr)
-        return EXIT_VIOLATED
-    ok, problems = reports.recheck_report(report)
-    if ok:
-        print(f"report verified: {args.report}")
-        return EXIT_HOLDS
-    for p in problems:
-        print(f"corrupt report: {p}", file=sys.stderr)
-    return EXIT_VIOLATED
+_HANDLERS = {
+    "construct": _cmd_construct,
+    "verify-scattered": _cmd_verify,
+    "verify-evasive": _cmd_verify,
+    "weights": _cmd_weights,
+    "compare": _cmd_compare,
+    "search": _cmd_search,
+}
+
+
+def _run(args) -> int:
+    """Run one report subcommand and write its report."""
+    _check_writable(args.out, getattr(args, "csv", None))
+    tower = _parse_field(args.field)
+    t0 = time.time()
+    config, result, counts, code = _HANDLERS[args.command](tower, args)
+    config["force"] = bool(args.force)
+    timing = {"seconds": round(time.time() - t0, 6)}
+    if "workers" in args:
+        timing["workers"] = args.workers
+    report = reports.build_report(args.command, config, tower.descriptor(), result, counts, timing)
+    text = reports.write_report(report, args.out)
+    if not args.out:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Exit code of one command line.  Besides the usage errors of the
+    parser, a ValueError (a parameter the library rejects) and an OSError
+    (a path it cannot use) are the configuration errors; any other
+    exception is a broken invariant and propagates."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.command != "recheck":
+            return _run(args)
+        try:
+            ok, problems = reports.recheck_report(reports.load_report(args.report))
+        except ValueError as exc:  # not a JSON report object of this schema
+            ok, problems = False, [str(exc)]
+        if ok:
+            print(f"report verified: {args.report}")
+            return EXIT_HOLDS
+        for p in problems:
+            print(f"corrupt report: {p}", file=sys.stderr)
+        return EXIT_VIOLATED
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _check_writable(getattr(args, "out", None), getattr(args, "csv", None))
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify-scattered":
-            return _cmd_verify(args, evasive=False)
-        if args.command == "verify-evasive":
-            return _cmd_verify(args, evasive=True)
-        if args.command == "weights":
-            return _cmd_weights(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "recheck":
-            return _cmd_recheck(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:  # names the path: a report, CSV or checkpoint file
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -42,8 +42,9 @@ class ConstructionParams:
             raise ValueError("h must satisfy 1 <= h <= n-2")
         if len(self.alphas) != self.m:
             raise ValueError("alphas must have length m")
-        if any(a == 0 for a in self.alphas):
-            raise ValueError("all multipliers must be nonzero")
+        Q = self.tower.order
+        if any(not 0 < a < Q for a in self.alphas):
+            raise ValueError(f"multipliers must be nonzero elements of F_{Q}, packed values 1..{Q - 1}")
         object.__setattr__(self, "alphas", tuple(self.alphas))
 
     @property
@@ -317,6 +318,10 @@ def scan_admissible(
     CENSUS_FULL_CAP; with one, scans `budget` seeded random tuples.  Returns
     counts plus the first CENSUS_EXAMPLES admissible tuples.
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     Q = tower.order
     total = (Q - 1) ** m
     exhaustive = budget is None and total <= CENSUS_FULL_CAP

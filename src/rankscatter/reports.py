@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 
+from .codes import _cheaper_dual, code_from_system, compare_with_direct_sum, dual_code
 from .construction import (
     ConstructionParams,
     admissibility_feasible,
+    scan_admissible,
     system_from_desc,
     tuple_admissible,
 )
@@ -26,7 +28,7 @@ from .linalg import (
     sample_subspace,
     subspace_fq_rows,
 )
-from .verify import subspace_weight, verify_evasive, verify_h_scattered, weight_backend
+from .verify import max_weight_search, subspace_weight, verify_evasive, verify_h_scattered, weight_backend
 
 SCHEMA = "rankscatter-report/1"
 ARTIFACT_VERSION = "0.1.0"
@@ -247,9 +249,6 @@ def _check_intersection(tower, system, H, wit, problems):
 
 
 def _recheck_weights(tower, report, problems):
-    from .codes import _cheaper_dual, code_from_system, dual_code
-    from .verify import max_weight_search
-
     system = _system(tower, report)
     cfg = report["config"]
     res = report["result"]
@@ -306,8 +305,6 @@ def _recheck_weights(tower, report, problems):
 
 
 def _recheck_compare(tower, report, problems):
-    from .codes import compare_with_direct_sum
-
     cfg = report["config"]
     params = ConstructionParams(
         tower, cfg["system"]["m"], cfg["system"]["h"],
@@ -330,8 +327,6 @@ def _recheck_search(tower, report, problems):
             problems.append("recorded example tuple is not admissible")
             return
     if res.get("exhaustive") and res.get("tuples_checked", 0) <= RECHECK_SWEEP_CAP:
-        from .construction import scan_admissible
-
         fresh = scan_admissible(tower, m)
         if fresh["admissible"] != res.get("admissible"):
             problems.append(

@@ -53,10 +53,6 @@ class SweepOutcome:
     completed: bool  # a violation settled the sweep, or every unit ran
 
 
-class Interrupted(Exception):
-    """Raised by the test hook to simulate a killed run."""
-
-
 def desc_hash(desc: dict) -> str:
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -195,30 +191,25 @@ def run_sweep(
     workers: int = 1,
     checkpoint: str | None = None,
     budget_units: int | None = None,
-    stop_after_units: int | None = None,
 ) -> SweepOutcome:
     """Run a sweep to completion (or budget), honoring a checkpoint file.
 
     desc identifies the sweep in the checkpoint header.  budget_units caps
     the number of checked units, rounded up to a chunk boundary; the cut is
     applied in unit order during the merge, so reports do not depend on
-    scheduling.  stop_after_units is a test hook that abandons the run
-    (checkpoint intact) once that many units completed.
+    scheduling.
     """
     total_units = sweep.total_units
     nchunks = -(-total_units // chunk_size)
     ckpt = _Checkpoint(checkpoint, desc, chunk_size, total_units)
     ckpt.open()
     prefix = _Prefix(nchunks, chunk_size, ckpt.done, budget_units)
-    try:
-        _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units)
-    except Interrupted:
-        pass
+    _execute(sweep, total_units, ckpt, prefix, workers)
     completed = prefix.viol is not None or prefix.merged == nchunks
     return SweepOutcome(prefix.checked, prefix.viol, prefix.best, completed)
 
 
-def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
+def _execute(sweep, total_units, ckpt, prefix, workers):
     if prefix.advance():
         return
     # Chunk i is [i*c, min((i+1)*c, total)), computed on demand: a sweep can
@@ -232,11 +223,7 @@ def _execute(sweep, total_units, ckpt, prefix, workers, stop_after_units):
 
     def finish(rec: ChunkResult) -> bool:
         ckpt.record(rec)
-        settled = prefix.add(rec)
-        if stop_after_units is not None:
-            if sum(r.hi - r.lo for r in ckpt.done.values()) >= stop_after_units:
-                raise Interrupted
-        return settled
+        return prefix.add(rec)
 
     procs = min(workers, prefix.nchunks - len(ckpt.done), os.cpu_count() or 1)
     if procs <= 1:

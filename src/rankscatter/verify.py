@@ -976,7 +976,6 @@ def _run_verification(
     checkpoint,
     engine,
     chunk_size,
-    stop_after_units=None,
 ):
     _check_options(engine, budget, chunk_size, workers)
     tower = system.tower
@@ -1016,7 +1015,6 @@ def _run_verification(
         workers=workers,
         checkpoint=checkpoint,
         budget_units=budget if mode != "sampled" else None,
-        stop_after_units=stop_after_units,
     )
     witness = None
     if outcome.viol is not None:
@@ -1047,7 +1045,6 @@ def verify_h_scattered(
     checkpoint: str | None = None,
     engine: str = "auto",
     chunk_size: int | None = None,
-    _stop_after_units: int | None = None,
 ) -> Verdict:
     """Decide whether the system is h-scattered.
 
@@ -1059,8 +1056,7 @@ def verify_h_scattered(
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
     outcome, witness, backend = _run_verification(
-        system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size,
-        stop_after_units=_stop_after_units,
+        system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size
     )
     defect = None
     if witness is None and not system.spans_ambient:

@@ -33,7 +33,7 @@ from rankscatter.codes import (
     min_distance,
     random_code,
 )
-from rankscatter.verify import SpanSweep, verify_evasive, verify_h_scattered
+from rankscatter.verify import SampledSweep, SpanSweep, verify_evasive, verify_h_scattered
 
 
 def ok(criterion: str, detail: str):
@@ -269,17 +269,17 @@ def test_criterion_09_admissibility_census(F16):
     ok("C9", f"census 47250/50625 in {elapsed:.2f}s; residue-enumeration recount agrees")
 
 
-def test_criterion_10_determinism_and_resume(sampled_report, tmp_path, F16, family_params):
+def test_criterion_10_determinism_and_resume(sampled_report, tmp_path, F16, family_params, killed_after):
     rc, straight = sampled_report
     assert rc == 2
     ck = str(tmp_path / "resume.jsonl")
     sysV = family_subspace(family_params)
     # simulate a kill at 50%: the partial run leaves only the checkpoint behind
-    partial = verify_h_scattered(
-        sysV, 2, mode="sampled", budget=1_000_000, seed=42,
-        checkpoint=ck, _stop_after_units=500_000,
-    )
-    assert partial.checked < 1_000_000
+    with killed_after(SampledSweep, 500_000):
+        verify_h_scattered(sysV, 2, mode="sampled", budget=1_000_000, seed=42, checkpoint=ck)
+    with open(ck) as f:
+        chunks = [json.loads(line) for line in f.readlines()[1:]]
+    assert 500_000 <= sum(c["hi"] - c["lo"] for c in chunks) < 1_000_000
     out = str(tmp_path / "resumed.json")
     rc2 = main(SAMPLED_ARGS + ["--out", out, "--checkpoint", ck])
     assert rc2 == 2

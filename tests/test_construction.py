@@ -43,6 +43,9 @@ def test_params_validation(F16):
         ConstructionParams(F16, 3, 3, (1, 1, 1))  # h <= n-2
     with pytest.raises(ValueError):
         ConstructionParams(F16, 3, 2, (1, 0, 1))  # zero multiplier
+    for a in (16, 17, -1):  # Q, Q + 1, negative: not an element of F_16^*
+        with pytest.raises(ValueError):
+            ConstructionParams(F16, 3, 2, (1, a, 1))
     with pytest.raises(ValueError):
         ConstructionParams(F16, 3, 2, (1, 1))  # wrong length
 

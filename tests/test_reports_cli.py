@@ -269,12 +269,36 @@ def test_vacuous_admissibility_guard(tmp_path, capsys):
     assert rc == 2
 
 
-def test_config_and_usage_errors(capsys):
+# parameters the library rejects: h, m and ambient out of range, multipliers
+# outside 1..Q-1 (negative ones included) and census sizes below 1
+REJECTED = [
+    ["construct", "--system", "pseudoregulus", "--h", "4"],
+    ["verify-scattered", "--system", "pseudoregulus", "--h", "7"],
+    ["weights", "--system", "pseudoregulus", "--h", "9"],
+    ["construct", "--system", "direct-sum", "--m", "2", "--h", "5"],
+    ["construct", "--system", "line-control", "--ambient", "1"],
+    ["construct", "--system", "family", "--m", "4", "--h", "2", "--alphas", "17,1,1,1"],
+    ["construct", "--system", "family", "--m", "4", "--h", "2", "--alphas", "16,1,1,1"],
+    ["construct", "--system", "family", "--m", "4", "--h", "2", "--alphas=-3,1,1,1"],
+    ["search", "--m", "0"],
+    ["search", "--m", "-1"],
+    ["search", "--m", "2", "--budget", "-5"],
+    ["search", "--m", "2", "--budget", "0"],
+]
+
+
+def test_config_and_usage_errors(tmp_path, capsys):
     assert main(["construct", "--field", "9,1,2", "--system", "pseudoregulus", "--h", "1"]) == 3
     assert main(["construct", "--field", "2,1", "--system", "pseudoregulus", "--h", "1"]) == 3
     assert main(["verify-scattered", "--field", "2,1,4", "--system", "family",
                  "--m", "4", "--h", "9", "--alphas", "2,1,1,1"]) == 3
     capsys.readouterr()
+    out = tmp_path / "r.json"
+    for argv in REJECTED:
+        assert main(argv[:1] + ["--field", "2,1,4", "--out", str(out)] + argv[1:]) == 3, argv
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and "Traceback" not in err, argv
+        assert not out.exists(), argv
     assert main(["not-a-command"]) == 4
     assert main(["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "1"]) == 4
 
@@ -552,7 +576,7 @@ def test_verify_evasive_cli(tmp_path):
     assert main(["recheck", out]) == 0
 
 
-def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path):
+def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path, killed_after):
     """An interrupted-then-resumed sweep reports exactly like a straight run."""
     from rankscatter.construction import pseudoregulus_subspace
     from rankscatter.field import create_field
@@ -572,10 +596,11 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path):
         "engine": "auto",
     }
     straight = run_sweep(sweep, desc, 32)
-    ck = str(tmp_path / "ck.jsonl")
-    interrupted = run_sweep(sweep, desc, 32, checkpoint=ck, stop_after_units=150)
-    assert not interrupted.completed
-    resumed = run_sweep(sweep, desc, 32, checkpoint=ck)
+    ck = tmp_path / "ck.jsonl"
+    with killed_after(SampledSweep, 150):
+        run_sweep(sweep, desc, 32, checkpoint=str(ck))
+    assert len(ck.read_text().splitlines()) == 1 + 5  # of 10 chunks
+    resumed = run_sweep(sweep, desc, 32, checkpoint=str(ck))
     assert resumed.completed
     assert (straight.checked, straight.viol, straight.best) == (
         resumed.checked,

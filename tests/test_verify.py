@@ -359,13 +359,15 @@ def _sampled_job(F16, seed):
     return SampledSweep(F16, ps, 2, 2, seed, "auto", 200), desc
 
 
-def test_checkpoint_resume_is_exact(tmp_path, F16):
+def test_checkpoint_resume_is_exact(tmp_path, F16, killed_after):
     job = _sampled_job(F16, 11)
     straight = run_sweep(*job, 25)
-    ck = str(tmp_path / "ck.jsonl")
-    partial = run_sweep(*job, 25, checkpoint=ck, stop_after_units=100)
-    assert not partial.completed
-    resumed = run_sweep(*job, 25, checkpoint=ck)
+    ck = tmp_path / "ck.jsonl"
+    with killed_after(SampledSweep, 100):
+        run_sweep(*job, 25, checkpoint=str(ck))
+    # the header and the 4 chunks of 8 that ran before the kill
+    assert len(ck.read_text().splitlines()) == 1 + 4
+    resumed = run_sweep(*job, 25, checkpoint=str(ck))
     assert resumed.completed
     assert (resumed.checked, resumed.viol, resumed.best) == (
         straight.checked,
@@ -374,9 +376,10 @@ def test_checkpoint_resume_is_exact(tmp_path, F16):
     )
 
 
-def test_checkpoint_rejects_other_jobs(tmp_path, F16):
+def test_checkpoint_rejects_other_jobs(tmp_path, F16, killed_after):
     ck = str(tmp_path / "ck.jsonl")
-    run_sweep(*_sampled_job(F16, 11), 25, checkpoint=ck, stop_after_units=50)
+    with killed_after(SampledSweep, 50):
+        run_sweep(*_sampled_job(F16, 11), 25, checkpoint=ck)
     with pytest.raises(ValueError):
         run_sweep(*_sampled_job(F16, 12), 25, checkpoint=ck)
 
@@ -869,7 +872,7 @@ def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
     assert (v.status, v.checked) == ("holds", 273)
 
 
-def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job):
+def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job, killed_after):
     from concurrent.futures import Future
 
     sizes = []
@@ -903,10 +906,12 @@ def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job):
         assert (out.checked, out.viol, out.completed) == (273, None, True)
         assert sizes == ([] if size is None else [size]), (workers, chunk)
     # chunks already in the checkpoint are not pending
-    ck = str(tmp_path / "ck.jsonl")
-    run_sweep(*ps2_job, 20, checkpoint=ck, stop_after_units=240)
+    ck = tmp_path / "ck.jsonl"
+    with killed_after(ExhaustiveSweep, 240):
+        run_sweep(*ps2_job, 20, checkpoint=str(ck))
+    assert len(ck.read_text().splitlines()) == 1 + 12  # of 14 chunks
     sizes.clear()
-    assert run_sweep(*ps2_job, 20, workers=64, checkpoint=ck) == straight
+    assert run_sweep(*ps2_job, 20, workers=64, checkpoint=str(ck)) == straight
     assert sizes == [2]
 
 
