@@ -18,11 +18,7 @@ import sys
 import time
 
 from . import reports
-from .codes import (
-    compare_with_direct_sum,
-    generalized_weights,
-    predicted_direct_sum_profile,
-)
+from .codes import generalized_weights
 from .construction import (
     ConstructionParams,
     QSystem,
@@ -31,13 +27,10 @@ from .construction import (
     family_subspace,
     line_control_subspace,
     pseudoregulus_subspace,
-    scan_admissible,
     system_to_desc,
     tuple_admissible,
-    tuple_strongly_admissible,
 )
 from .field import FieldTower
-from .verify import verify_evasive, verify_h_scattered
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
@@ -144,7 +137,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _build_system(tower: FieldTower, args) -> tuple[QSystem, ConstructionParams | None]:
+def _build_system(tower: FieldTower, args) -> QSystem:
     kind = args.system
     if kind == "family":
         if args.m is None or args.h is None or args.alphas is None:
@@ -157,16 +150,16 @@ def _build_system(tower: FieldTower, args) -> tuple[QSystem, ConstructionParams 
             )
         if not tuple_admissible(params.tower, params.m, params.alphas):
             print("warning: tuple is not admissible; no scatteredness guarantee", file=sys.stderr)
-        return family_subspace(params), params
+        return family_subspace(params)
     if kind == "pseudoregulus":
         if args.h is None:
             raise ValueError("pseudoregulus needs --h")
-        return pseudoregulus_subspace(tower, args.h), None
+        return pseudoregulus_subspace(tower, args.h)
     if kind == "direct-sum":
         if args.m is None or args.h is None:
             raise ValueError("direct-sum baseline needs --m and --h")
-        return direct_sum([pseudoregulus_subspace(tower, args.h)] * args.m), None
-    return line_control_subspace(tower, args.ambient), None
+        return direct_sum([pseudoregulus_subspace(tower, args.h)] * args.m)
+    return line_control_subspace(tower, args.ambient)
 
 
 def _check_writable(*paths) -> None:
@@ -185,34 +178,12 @@ def _check_writable(*paths) -> None:
 
 
 def _cmd_construct(tower: FieldTower, args):
-    system, p = _build_system(tower, args)
-    result = system.describe()
-    result["canonical_generators"] = system.subspace.serialize() if system.t <= 64 else None
-    if p is not None:
-        result["admissible"] = tuple_admissible(p.tower, p.m, p.alphas)
-        result["strongly_admissible"] = tuple_strongly_admissible(p.tower, p.m, p.alphas)
-        result["feasible"] = admissibility_feasible(tower, args.m)
-    return {"system": system_to_desc(system)}, result, {"fq_dim": system.t}, EXIT_HOLDS
+    system = _build_system(tower, args)
+    return {"system": system_to_desc(system)}, *reports.construct_result(system), EXIT_HOLDS
 
 
 def _cmd_verify(tower: FieldTower, args):
-    system, _ = _build_system(tower, args)
-    evasive = args.command == "verify-evasive"
-    common = dict(
-        mode=args.mode,
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-        checkpoint=args.checkpoint,
-        chunk_size=args.chunk_size,
-    )
-    if evasive:
-        verdict = verify_evasive(system, args.hdim, args.r, **common)
-    else:
-        h = args.h if args.h is not None else (1 if args.system == "line-control" else None)
-        if h is None:
-            raise ValueError("verify-scattered needs --h")
-        verdict = verify_h_scattered(system, h, **common)
+    system = _build_system(tower, args)
     config = {
         "system": system_to_desc(system),
         "mode": args.mode,
@@ -220,17 +191,18 @@ def _cmd_verify(tower: FieldTower, args):
         "seed": args.seed,
         "chunk_size": args.chunk_size,
     }
-    if evasive:
-        config["hdim"] = args.hdim
-        config["r"] = args.r
+    if args.command == "verify-evasive":
+        config.update(hdim=args.hdim, r=args.r)
     else:
-        config["h"] = verdict.dim
+        # every system but the line control needs --h to be built
+        config["h"] = 1 if args.h is None else args.h
+    verdict = reports.run_verify(system, config, workers=args.workers, checkpoint=args.checkpoint)
     code = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATED, "inconclusive": EXIT_INCONCLUSIVE}[verdict.status]
     return config, verdict.serialize(tower), {"subspaces_checked": verdict.checked}, code
 
 
 def _cmd_weights(tower: FieldTower, args):
-    system, _ = _build_system(tower, args)
+    system = _build_system(tower, args)
     rho_list = _parse_ints(args.rho) if args.rho else None
     profile = generalized_weights(
         system, rho_list, mode=args.mode, budget=args.budget,
@@ -259,34 +231,23 @@ def _cmd_weights(tower: FieldTower, args):
 def _cmd_compare(tower: FieldTower, args):
     if args.system != "family":
         raise ValueError("compare applies to the family system")
-    system, params = _build_system(tower, args)
+    system = _build_system(tower, args)
     s_list = _parse_ints(args.s_list) if args.s_list else None
-    table = compare_with_direct_sum(params, s_list)
-    baseline = predicted_direct_sum_profile(args.m, tower.n, args.h)
-    result = {
-        "indices": table,
-        "admissible": tuple_admissible(params.tower, params.m, params.alphas),
-        "strongly_admissible": tuple_strongly_admissible(params.tower, params.m, params.alphas),
-        "baseline_profile": baseline.serialize(),
-    }
     config = {"system": system_to_desc(system), "s_list": s_list}
-    return config, result, {"indices": len(table)}, EXIT_HOLDS
+    return config, *reports.compare_result(system, s_list), EXIT_HOLDS
 
 
 def _cmd_search(tower: FieldTower, args):
-    result = scan_admissible(
-        tower, args.m, budget=args.budget, seed=args.seed,
-        check_strong=args.check_strong,
-    )
-    if not result["feasible"] and not args.force:
-        print("warning: no admissible tuple can exist for these parameters", file=sys.stderr)
     config = {
         "m": args.m,
         "budget": args.budget,
         "seed": args.seed if args.budget is not None else None,
         "check_b": bool(args.check_strong),
     }
-    return config, result, {"tuples_checked": result["tuples_checked"]}, EXIT_HOLDS
+    result, counts = reports.search_result(tower, config)
+    if not result["feasible"] and not args.force:
+        print("warning: no admissible tuple can exist for these parameters", file=sys.stderr)
+    return config, result, counts, EXIT_HOLDS
 
 
 _HANDLERS = {

@@ -160,7 +160,7 @@ class WeightProfile:
 
     def add(self, rho: int, value: int, provenance: str, checked: int = 0):
         if not 1 <= rho <= self.k:
-            raise ValueError("rho out of range")
+            raise ValueError(f"rho = {rho} out of range 1..{self.k}")
         self.entries.append(ProfileEntry(rho, value, provenance, checked))
 
     def exact(self, rho: int) -> int | None:
@@ -198,11 +198,10 @@ class WeightProfile:
         for rho in range(1, self.k + 1):
             v = self.exact(rho)
             if v is None:
-                prev = None
                 continue
             if v < 1 or v > self.t:
                 raise ValueError(f"d_{rho} = {v} out of range 1..{self.t}")
-            if prev is not None and v <= prev:
+            if v <= prev:
                 raise ValueError("exact entries must strictly increase")
             prev = v
 
@@ -275,8 +274,14 @@ def _cheaper_dual(system: QSystem, rhos) -> QSystem | None:
     dual = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
     if kd < 1 or dual >= primal:
         return None
+    return nondegenerate_dual(system)
+
+
+def nondegenerate_dual(system: QSystem) -> QSystem | None:
+    """The system of the dual code, or None when that code is degenerate
+    (its system has F_q-dimension below t) and Wei-type duality fails."""
     dual_system = dual_code(code_from_system(system)).system()
-    return dual_system if dual_system.t == t else None
+    return dual_system if dual_system.t == system.t else None
 
 
 def _profile_from_dual(dual_system: QSystem, k: int, t: int, rhos, search: dict) -> WeightProfile:

@@ -54,7 +54,6 @@ class ConstructionParams:
     def serialize(self) -> dict:
         t = self.tower
         return {
-            "field": t.descriptor(),
             "m": self.m,
             "h": self.h,
             "alphas": [list(t.coeffs(a)) for a in self.alphas],
@@ -237,9 +236,8 @@ def explicit_system(tower: FieldTower, ambient: int, generators, tag: str = "exp
 
 
 def system_to_desc(system: QSystem) -> dict:
-    t = system.tower
     if system.tag == "family":
-        return {"kind": "family", **{k: v for k, v in system.meta["params"].serialize().items() if k != "field"}}
+        return {"kind": "family", **system.meta["params"].serialize()}
     if system.tag == "pseudoregulus":
         return {"kind": "pseudoregulus", "h": system.meta["h"]}
     if system.tag == "line-control":

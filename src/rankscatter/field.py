@@ -367,9 +367,6 @@ class FieldTower:
             return exp[-log[a] % (self.order - 1)]
         return self._pow_raw(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:

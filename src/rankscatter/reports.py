@@ -10,14 +10,23 @@ body_bytes() strips it for byte comparisons.
 from __future__ import annotations
 
 import json
+import math
 
-from .codes import _cheaper_dual, code_from_system, compare_with_direct_sum, dual_code
+from .codes import (
+    WeightProfile,
+    _cheaper_dual,
+    compare_with_direct_sum,
+    nondegenerate_dual,
+    predicted_direct_sum_profile,
+)
 from .construction import (
-    ConstructionParams,
+    QSystem,
     admissibility_feasible,
+    power_sum_exponent,
     scan_admissible,
     system_from_desc,
     tuple_admissible,
+    tuple_strongly_admissible,
 )
 from .field import FieldTower
 from .linalg import (
@@ -79,13 +88,66 @@ def load_report(path: str) -> dict:
     return report
 
 
+# --- report commands ---
+#
+# Each command's result is one function of the objects its config names.  The
+# CLI builds those objects from argv and `recheck` rebuilds them from the
+# report, so the two cannot drift apart.
+
+
+def construct_result(system: QSystem) -> tuple[dict, dict]:
+    """`construct`: the system's dimensions, and for a family member whether
+    its tuple is admissible."""
+    result = system.describe()
+    result["canonical_generators"] = system.subspace.serialize() if system.t <= 64 else None
+    params = system.meta.get("params")
+    if params is not None:
+        result["admissible"] = tuple_admissible(params.tower, params.m, params.alphas)
+        result["strongly_admissible"] = tuple_strongly_admissible(params.tower, params.m, params.alphas)
+        result["feasible"] = admissibility_feasible(params.tower, params.m)
+    return result, {"fq_dim": system.t}
+
+
+def compare_result(system: QSystem, s_list) -> tuple[dict, dict]:
+    """`compare`: the family member's weight bounds against the direct sum."""
+    params = system.meta["params"]
+    table = compare_with_direct_sum(params, s_list)
+    result = {
+        "indices": table,
+        "admissible": tuple_admissible(params.tower, params.m, params.alphas),
+        "strongly_admissible": tuple_strongly_admissible(params.tower, params.m, params.alphas),
+        "baseline_profile": predicted_direct_sum_profile(params.m, params.tower.n, params.h).serialize(),
+    }
+    return result, {"indices": len(table)}
+
+
+def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
+    """`search`: the census of multiplier tuples a census config asks for."""
+    result = scan_admissible(
+        tower, config["m"], budget=config["budget"], seed=config["seed"], check_strong=config["check_b"]
+    )
+    return result, {"tuples_checked": result["tuples_checked"]}
+
+
+def run_verify(system: QSystem, config: dict, **run):
+    """The verdict of `verify-evasive` when the config names r, else of
+    `verify-scattered`.  `run` holds what the report does not record
+    (workers, checkpoint, engine)."""
+    common = dict(mode=config["mode"], budget=config["budget"], seed=config["seed"],
+                  chunk_size=config["chunk_size"], **run)
+    if "r" in config:
+        return verify_evasive(system, config["hdim"], config["r"], **common)
+    return verify_h_scattered(system, config["h"], **common)
+
+
 # --- recheck ---
 
 
 def recheck_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify a report from its own contents.
 
-    Returns (ok, problems).  Violated verdicts re-derive the witness weight;
+    Returns (ok, problems).  construct, compare and search reports are
+    derived again in full.  Violated verdicts re-derive the witness weight;
     sampled verdicts re-run a deterministic prefix of the sample stream;
     small proofs and small exact weights are re-swept outright.
     """
@@ -116,15 +178,36 @@ def _system(tower, report):
     return system_from_desc(tower, report["config"]["system"])
 
 
+def _reproduce(report, fresh, problems):
+    """Every key of the report's result and counts must be the one derived again."""
+    for block, values in zip(("result", "counts"), fresh):
+        recorded = report[block]
+        for key in sorted(set(recorded) | set(values)):
+            if (key in recorded, recorded.get(key)) != (key in values, values.get(key)):
+                problems.append(f"{block}.{key} does not reproduce")
+
+
 def _recheck_construct(tower, report, problems):
-    system = _system(tower, report)
+    _reproduce(report, construct_result(_system(tower, report)), problems)
+
+
+def _recheck_compare(tower, report, problems):
+    _reproduce(report, compare_result(_system(tower, report), report["config"]["s_list"]), problems)
+
+
+def _recheck_search(tower, report, problems):
+    cfg = report["config"]
     res = report["result"]
-    if res.get("fq_dim") != system.t:
-        problems.append(f"fq_dim mismatch: report {res.get('fq_dim')}, recomputed {system.t}")
-    if res.get("ambient") != system.ambient:
-        problems.append("ambient dimension mismatch")
-    if res.get("spans_ambient") != system.spans_ambient:
-        problems.append("spanning flag mismatch")
+    _reproduce(report, search_result(tower, cfg), problems)
+    # The tuple invariant maps the tuples onto F_Q^*, hitting each value
+    # equally often; a tuple is admissible iff its value lies outside the
+    # subgroup of index g.
+    if res.get("exhaustive"):
+        Q, m = tower.order, cfg["m"]
+        g = math.gcd(power_sum_exponent(tower.q, m), Q - 1)
+        closed = (Q - 1) ** m * (g - 1) // g
+        if res.get("admissible") != closed:
+            problems.append(f"result.admissible is not the closed form (Q-1)^m (g-1)/g = {closed}")
 
 
 def _recheck_verdict(tower, report, problems):
@@ -132,72 +215,64 @@ def _recheck_verdict(tower, report, problems):
     cfg = report["config"]
     res = report["result"]
     status = res.get("status")
-    bound = res.get("bound")
-    mode = res.get("mode")
-    _check_backend(system, report, problems)
+    mode = cfg["mode"]
+    dim, bound = (cfg["hdim"], cfg["r"]) if "r" in cfg else (cfg["h"], cfg["h"])
+    given = {"mode": mode, "bound": bound, "dim": dim, "seed": cfg["seed"] if mode == "sampled" else None}
+    for key, value in given.items():
+        if res.get(key) != value:
+            problems.append(f"result.{key} is {res.get(key)!r}, but the config gives {value!r}")
+    if report["counts"].get("subspaces_checked") != res.get("subspaces_checked"):
+        problems.append("counts.subspaces_checked differs from result.subspaces_checked")
+    # The backend is the one `auto` picks for these inputs, and none when the
+    # evasive bound makes the sweep vacuous.  Reports written before verdicts
+    # named their backend carry no such key.
+    backend = None if "r" in cfg and bound >= system.t else weight_backend(tower, system.ambient, "auto", dim)
+    if "backend" in res and res["backend"] != backend:
+        problems.append(f"backend {res['backend']!r} is not the one these inputs run, {backend!r}")
     if status == "violated":
         wit = res.get("witness")
         if wit is None:
-            defect = res.get("span_defect")
-            if defect is None:
+            if res.get("span_defect") is None:
                 problems.append("violated verdict carries neither witness nor span defect")
-                return
-            if system.spans_ambient:
+            elif system.spans_ambient:
                 problems.append("span defect recorded but the system spans the ambient space")
             return
         H = SubspaceQn.deserialize(tower, system.ambient, wit["H_basis"])
+        if H.dim != dim:
+            problems.append(f"witness subspace has dimension {H.dim}, not {dim}")
         w = subspace_weight(system.subspace, H)
         if w != wit["weight"]:
             problems.append(f"witness weight mismatch: recorded {wit['weight']}, recomputed {w}")
-        if w <= wit["bound"]:
-            problems.append(f"witness weight {w} does not exceed the bound {wit['bound']}")
+        if w <= bound:
+            problems.append(f"witness weight {w} does not exceed the bound {bound}")
         _check_intersection(tower, system, H, wit, problems)
-        return
-    if status == "holds":
+    elif status == "holds":
+        if res.get("witness") is not None:
+            problems.append("result.witness is recorded on a 'holds' verdict")
         if mode == "sampled":
             problems.append("sampled runs cannot prove 'holds'")
         else:
-            _resweep_proof(system, report, problems)
-        return
-    if status == "inconclusive":
+            _resweep_proof(system, cfg, dim, res, problems)
+    elif status == "inconclusive":
         if mode != "sampled":
             return
-        seed = res.get("seed") or 0
-        dim = res.get("dim")
-        budget = cfg.get("budget") or 0
+        budget = cfg["budget"]
+        if res.get("subspaces_checked") != budget:
+            problems.append(f"result.subspaces_checked of a sampled run is not its budget {budget}")
         for i in range(min(RECHECK_SAMPLES, budget)):
-            H = sample_subspace(tower, system.ambient, dim, seed, i)
-            if subspace_weight(system.subspace, H) > bound:
+            H = sample_subspace(tower, system.ambient, dim, cfg["seed"], i)
+            if subspace_weight(system.subspace, H) > res.get("bound"):
                 problems.append(f"sample {i} violates the bound but the report found no witness")
                 return
-
-
-def _check_backend(system, report, problems):
-    """The backend must be the one `auto` picks for the report's inputs, and
-    none when the evasive bound makes the sweep vacuous.  Reports written
-    before verdicts named their backend carry no such key."""
-    res = report["result"]
-    if "backend" not in res:
-        return
-    cfg = report["config"]
-    evasive = report["command"] == "verify-evasive"
-    if evasive and cfg["r"] >= system.t:
-        expected = None
     else:
-        expected = weight_backend(system.tower, system.ambient, "auto", cfg["hdim"] if evasive else cfg["h"])
-    if res["backend"] != expected:
-        problems.append(f"backend {res['backend']!r} is not the one these inputs run, {expected!r}")
+        problems.append(f"result.status {status!r} is none of holds, violated, inconclusive")
 
 
-def _resweep_proof(system, report, problems):
+def _resweep_proof(system, cfg, dim, res, problems):
     """Re-run a proof whose sweep, sized from the system and not from the
     claimed count, is at most RECHECK_SWEEP_CAP units, through the scalar
     oracle and not the backend that produced it; the status and the number
     of subspaces checked must reproduce."""
-    cfg = report["config"]
-    res = report["result"]
-    evasive = report["command"] == "verify-evasive"
-    dim = cfg["hdim"] if evasive else cfg["h"]
     mode = cfg["mode"]
     tower = system.tower
     if mode == "exhaustive":
@@ -209,14 +284,7 @@ def _resweep_proof(system, report, problems):
         return
     if size > RECHECK_SWEEP_CAP:
         return
-    common = dict(
-        mode=mode, budget=cfg.get("budget"), seed=cfg.get("seed"), chunk_size=cfg.get("chunk_size"),
-        engine="scalar",
-    )
-    if evasive:
-        fresh = verify_evasive(system, dim, cfg["r"], **common)
-    else:
-        fresh = verify_h_scattered(system, dim, **common)
+    fresh = run_verify(system, cfg, engine="scalar")
     claimed = (res.get("status"), res.get("subspaces_checked"))
     if (fresh.status, fresh.checked) != claimed:
         problems.append(
@@ -258,36 +326,32 @@ def _recheck_weights(tower, report, problems):
     if res.get("k") != k:
         problems.append("code dimension mismatch")
     rhos = cfg["rho"] if cfg.get("rho") is not None else range(1, k + 1)
-    dual = cfg.get("mode") == "exhaustive" and _cheaper_dual(system, rhos) is not None
-    if res.get("route") != ("dual" if dual else "primal"):
+    cheaper = _cheaper_dual(system, rhos) if cfg.get("mode") == "exhaustive" else None
+    if res.get("route") != ("primal" if cheaper is None else "dual"):
         problems.append(f"route {res.get('route')!r} is not the one these weights take")
     entries = res.get("profile", [])
-    Q = tower.order
-    exact = {e["rho"]: e["value"] for e in entries if e["provenance"] == "exact"}
-    for rho, value in sorted(exact.items()):
-        if not 1 <= rho <= k:
-            problems.append(f"rho = {rho} out of range 1..{k}")
-        if not 1 <= value <= t:
-            problems.append(f"d_{rho} = {value} out of range 1..{t}")
-    prev = 0
-    for rho in sorted(exact):
-        if prev and exact[rho] <= prev:
-            problems.append("exact profile entries are not strictly increasing")
-            break
-        prev = exact[rho]
+    if report["counts"].get("entries") != len(entries):
+        problems.append(f"counts.entries is not the number of profile entries, {len(entries)}")
+    profile = WeightProfile(k, t)
+    try:
+        for e in entries:
+            profile.add(e["rho"], e["value"], e["provenance"])
+        profile.validate()
+    except ValueError as exc:  # the entries added so far are still swept again
+        problems.append(str(exc))
+    exact = {e.rho: e.value for e in profile.entries if e.provenance == "exact"}
     # Every exact entry against Wei duality, when the dual is nondegenerate
     # and its profile is small: the dual's d_s = t - w_s, swept by the scalar
     # oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
+    Q = tower.order
     kd = t - k
     dual_system = None
     if kd >= 1 and sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1)) <= RECHECK_SWEEP_CAP:
-        dual_system = dual_code(code_from_system(system)).system()
-        if dual_system.t != t:
-            dual_system = None
+        dual_system = cheaper or nondegenerate_dual(system)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep is already a route that did not produce the entries.
-    engine = "auto" if dual and dual_system is not None else "scalar"
+    engine = "auto" if cheaper is not None and dual_system is not None else "scalar"
     for rho, value in sorted(exact.items()):
         dim = k - rho
         if gaussian_binomial(k, dim, Q) > RECHECK_SWEEP_CAP:
@@ -300,36 +364,5 @@ def _recheck_weights(tower, report, problems):
     taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
     primal = sorted(set(range(1, t + 1)) - taken)
     for rho, value in sorted(exact.items()):
-        if 1 <= rho <= k and primal[rho - 1] != value:
+        if primal[rho - 1] != value:
             problems.append(f"d_{rho} = {value} contradicts the dual profile, which gives {primal[rho - 1]}")
-
-
-def _recheck_compare(tower, report, problems):
-    cfg = report["config"]
-    params = ConstructionParams(
-        tower, cfg["system"]["m"], cfg["system"]["h"],
-        tuple(tower.val(c) for c in cfg["system"]["alphas"]),
-    )
-    fresh = compare_with_direct_sum(params, cfg.get("s_list"))
-    if fresh != report["result"].get("indices"):
-        problems.append("comparison table does not reproduce")
-
-
-def _recheck_search(tower, report, problems):
-    cfg = report["config"]
-    res = report["result"]
-    m = cfg["m"]
-    if res.get("feasible") != admissibility_feasible(tower, m):
-        problems.append("feasibility flag mismatch")
-    for ex in res.get("examples", []):
-        tup = tuple(tower.val(c) for c in ex)
-        if not tuple_admissible(tower, m, tup):
-            problems.append("recorded example tuple is not admissible")
-            return
-    if res.get("exhaustive") and res.get("tuples_checked", 0) <= RECHECK_SWEEP_CAP:
-        fresh = scan_admissible(tower, m)
-        if fresh["admissible"] != res.get("admissible"):
-            problems.append(
-                f"admissible count mismatch: recorded {res.get('admissible')}, "
-                f"recomputed {fresh['admissible']}"
-            )

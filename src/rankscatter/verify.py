@@ -708,8 +708,7 @@ class SpanSweep:
     @cached_property
     def _classes(self) -> int:
         """How many F_q^*-classes of lambda a level has maps for."""
-        q = self.ctx.tower.q
-        return (q ** (self.ctx.n - 1) - 1) // (q - 1)
+        return len(self._lambdas)
 
     @cached_property
     def _lambdas(self) -> np.ndarray:

@@ -242,6 +242,14 @@ def test_axioms_reject_bad_profiles(ds_code):
     shifted.add(1, 2, EXACT)
     shifted.add(2, 6, EXACT)  # overlaps the complement set
     assert not check_weight_axioms(good, shifted, 6)
+    # exact entries must increase across a missing index too
+    gap = WeightProfile(4, 6)
+    gap.add(1, 5, EXACT)
+    gap.add(3, 4, EXACT)
+    with pytest.raises(ValueError, match="strictly increase"):
+        gap.validate()
+    with pytest.raises(ValueError, match=r"rho = 5 out of range 1\.\.4"):
+        gap.add(5, 6, EXACT)
 
 
 def test_full_flag_axioms_trivial_case(F8):

@@ -1,15 +1,12 @@
 """Report schema, recheck, determinism, and the CLI surface."""
 
+import copy
 import json
 
 import pytest
 
 from rankscatter import reports
 from rankscatter.cli import main
-
-
-def run_cli(tmp_path, *argv):
-    return main(list(argv))
 
 
 def load(path):
@@ -299,6 +296,12 @@ def test_config_and_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error: " in err and "Traceback" not in err, argv
         assert not out.exists(), argv
+    # a witness-span table past SPAN_TABLE_CAP, a full census past CENSUS_FULL_CAP
+    assert main(["verify-scattered", "--field", "2,1,21", "--system", "line-control",
+                 "--mode", "witness_span"]) == 3
+    assert "exceeds the cap; use sampled mode" in capsys.readouterr().err
+    assert main(["search", "--field", "2,1,8", "--m", "3"]) == 3
+    assert "full scan of 16581375 tuples exceeds cap" in capsys.readouterr().err
     assert main(["not-a-command"]) == 4
     assert main(["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "1"]) == 4
 
@@ -484,6 +487,135 @@ def test_recheck_flags_tampered_weights(tmp_path, capsys, field, value, problem)
     capsys.readouterr()
     assert main(["recheck", out]) == 1
     assert problem in capsys.readouterr().err
+
+
+# One report per kind that the tamper test edits, written once per module.
+TAMPER_SOURCES = {
+    "construct": ["construct", *C2],
+    "compare": ["compare", "--field", "2,1,6", "--system", "family", "--m", "3", "--h", "2", "--alphas", "2,1,1"],
+    "census": ["search", "--field", "2,1,4", "--m", "2", "--check-b"],
+    "census-sampled": ["search", "--field", "2,1,6", "--m", "3", "--budget", "50", "--seed", "5", "--check-b"],
+    "span-violated": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--mode", "witness_span"],
+    "family-violated": ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "2",
+                        "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
+    "exhaustive-holds": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+                         "--mode", "exhaustive"],
+    "sampled-inconclusive": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+                             "--mode", "sampled", "--budget", "64", "--seed", "3"],
+    "weights": WEIGHTS_M2,
+}
+
+F16_ZERO, F16_ONE = [0, 0, 0, 0], [1, 0, 0, 0]
+# a vector of the F_16, m = 3, h = 2 family outside the witness subspace of its report
+FAMILY_U_VECTOR = [F16_ONE, F16_ZERO, F16_ZERO, F16_ONE, F16_ZERO, F16_ZERO, F16_ONE, F16_ZERO, F16_ONE]
+
+# (source, {dotted path: new value}, what the refusal names)
+TAMPERS = (
+    [("construct", {f"result.{key}": value}, f"result.{key} does not reproduce") for key, value in [
+        ("tag", "pseudoregulus"), ("ambient", 13), ("fq_dim", 17), ("spans_ambient", False),
+        ("canonical_generators", None), ("admissible", False), ("strongly_admissible", False),
+        ("feasible", False), ("note", "added"),
+    ]]
+    + [("construct", {"counts.fq_dim": 17}, "counts.fq_dim does not reproduce")]
+    + [("compare", {f"result.{key}": value}, f"result.{key} does not reproduce") for key, value in [
+        ("indices", []), ("admissible", False), ("strongly_admissible", False), ("baseline_profile", []),
+    ]]
+    + [("compare", {"counts.indices": 3}, "counts.indices does not reproduce")]
+    + [("census", {f"result.{key}": value}, f"result.{key} does not reproduce") for key, value in [
+        ("tuples_checked", 224), ("admissible", 7), ("exhaustive", False), ("feasible", False),
+        ("examples", []), ("strongly_admissible", 149),
+    ]]
+    + [
+        ("census", {"result.admissible": 151}, "not the closed form (Q-1)^m (g-1)/g = 150"),
+        ("census", {"counts.tuples_checked": 224}, "counts.tuples_checked does not reproduce"),
+        ("census-sampled", {"result.seed": 6}, "result.seed does not reproduce"),
+        ("census-sampled", {"result.admissible": 7}, "result.admissible does not reproduce"),
+    ]
+    + [(source, {f"result.{key}": value}, f"result.{key} is") for source, mode in [
+        ("span-violated", "exhaustive"), ("exhaustive-holds", "witness_span"), ("sampled-inconclusive", "exhaustive"),
+    ] for key, value in [("bound", 5), ("dim", 5), ("mode", mode), ("seed", 7)]]
+    + [(source, edits, problem) for source in ("span-violated", "exhaustive-holds", "sampled-inconclusive")
+       for edits, problem in [
+           ({"result.status": "x"}, "result.status 'x' is none of"),
+           ({"counts.subspaces_checked": 9}, "counts.subspaces_checked differs"),
+    ]]
+    + [
+        ("exhaustive-holds", {"result.witness": {"weight": 3}}, "result.witness is recorded on a 'holds' verdict"),
+        ("sampled-inconclusive", {"result.subspaces_checked": 63, "counts.subspaces_checked": 63},
+         "result.subspaces_checked of a sampled run is not its budget 64"),
+        ("weights", {"counts.entries": 3}, "counts.entries is not the number of profile entries, 4"),
+        # the refusals of recheck itself
+        ("construct", {"field.p": 4}, "field descriptor invalid: p must be prime"),
+        ("construct", {"command": "frobnicate"}, "unknown command 'frobnicate'"),
+        ("construct", {"config.system.kind": "bogus"}, "recheck raised: unknown system kind 'bogus'"),
+        ("exhaustive-holds", {"result.status": "violated"}, "carries neither witness nor span defect"),
+        ("exhaustive-holds", {"result.status": "violated", "result.span_defect": {"reason": "x", "span_dim": 2}},
+         "span defect recorded but the system spans the ambient space"),
+        ("span-violated", {"result.witness.H_basis": [[F16_ZERO, F16_ONE]], "result.witness.weight": 0,
+                           "result.witness.intersection_basis": []},
+         "witness weight 0 does not exceed the bound 1"),
+        ("span-violated", {"result.witness.H_basis": [[F16_ONE, F16_ZERO], [F16_ZERO, F16_ONE]]},
+         "witness subspace has dimension 2, not 1"),
+        ("sampled-inconclusive", {"result.status": "holds"}, "sampled runs cannot prove 'holds'"),
+        ("span-violated", {"result.witness.intersection_basis.0": [F16_ZERO, F16_ONE]},
+         "intersection vector lies outside the subspace"),
+        ("family-violated", {"result.witness.intersection_basis.0": FAMILY_U_VECTOR},
+         "intersection vector lies outside the witness subspace"),
+        ("span-violated", {"result.witness.intersection_basis.1": [F16_ONE, F16_ZERO]},
+         "intersection basis rows are dependent"),
+        ("weights", {"result.t": 7}, "code length mismatch"),
+        ("weights", {"result.profile.0.rho": 9}, "rho = 9 out of range 1..4"),
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def tamper_sources(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("tamper")
+    sources = {}
+    for name, argv in TAMPER_SOURCES.items():
+        path = str(folder / f"{name}.json")
+        main(argv + ["--out", path])
+        assert main(["recheck", path]) == 0, name
+        sources[name] = load(path)
+    return sources
+
+
+@pytest.mark.parametrize(
+    "source, edits, problem", TAMPERS, ids=[f"{src}:{','.join(edits)}" for src, edits, _ in TAMPERS]
+)
+def test_recheck_refuses_every_tampered_field(tmp_path, capsys, tamper_sources, source, edits, problem):
+    rep = copy.deepcopy(tamper_sources[source])
+    for path, value in edits.items():
+        *parents, leaf = [int(part) if part.isdigit() else part for part in path.split(".")]
+        node = rep
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["recheck", str(out)]) == 1
+    assert problem in capsys.readouterr().err
+
+
+def test_census_without_log_tables_tests_each_tuple(tmp_path, monkeypatch):
+    # F_{2^21} has no log tables, so the census calls tuple_admissible per tuple
+    from rankscatter import construction
+
+    seen = []
+
+    def record(tower, m, tup):
+        seen.append(admissible(tower, m, tup))
+        return seen[-1]
+
+    admissible = construction.tuple_admissible
+    monkeypatch.setattr(construction, "tuple_admissible", record)
+    out = str(tmp_path / "census.json")
+    assert main(["search", "--field", "2,1,21", "--m", "3", "--budget", "50", "--out", out]) == 0
+    res = load(out)["result"]
+    assert (res["tuples_checked"], res["admissible"]) == (50, sum(seen)) and len(seen) == 50
+    assert 0 < sum(seen) < 50
 
 
 @pytest.mark.parametrize(
