@@ -238,8 +238,11 @@ def _recheck_verdict(tower, report, problems):
                 problems.append("span defect recorded but the system spans the ambient space")
             return
         H = SubspaceQn.deserialize(tower, system.ambient, wit["H_basis"])
-        if H.dim != dim:
-            problems.append(f"witness subspace has dimension {H.dim}, not {dim}")
+        # A smaller witness is valid: any subspace containing it has at
+        # least its weight.  The witness-span sweep reports one of dimension
+        # d < dim when a span of d U-vectors already exceeds the bound.
+        if H.dim > dim:
+            problems.append(f"witness subspace has dimension {H.dim}, more than {dim}")
         w = subspace_weight(system.subspace, H)
         if w != wit["weight"]:
             problems.append(f"witness weight mismatch: recorded {wit['weight']}, recomputed {w}")

@@ -555,7 +555,7 @@ TAMPERS = (
                            "result.witness.intersection_basis": []},
          "witness weight 0 does not exceed the bound 1"),
         ("span-violated", {"result.witness.H_basis": [[F16_ONE, F16_ZERO], [F16_ZERO, F16_ONE]]},
-         "witness subspace has dimension 2, not 1"),
+         "witness subspace has dimension 2, more than 1"),
         ("sampled-inconclusive", {"result.status": "holds"}, "sampled runs cannot prove 'holds'"),
         ("span-violated", {"result.witness.intersection_basis.0": [F16_ZERO, F16_ONE]},
          "intersection vector lies outside the subspace"),
@@ -597,6 +597,23 @@ def test_recheck_refuses_every_tampered_field(tmp_path, capsys, tamper_sources, 
     capsys.readouterr()
     assert main(["recheck", str(out)]) == 1
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--ambient", "3", "--h", "2",
+     "--mode", "witness_span"],
+    ["verify-evasive", "--field", "2,1,4", "--system", "line-control", "--ambient", "3", "--hdim", "2",
+     "--r", "3", "--mode", "witness_span"],
+])
+def test_recheck_accepts_a_witness_of_smaller_dimension(tmp_path, argv):
+    # every vector of U spans a line meeting U in dimension 4, so the sweep
+    # stops at a 1-dimensional witness; any plane through it exceeds the bound too
+    out = str(tmp_path / "report.json")
+    assert main(argv + ["--out", out]) == 1
+    res = load(out)["result"]
+    assert res["status"] == "violated" and res["dim"] == 2
+    assert len(res["witness"]["H_basis"]) == 1
+    assert main(["recheck", out]) == 0
 
 
 def test_census_without_log_tables_tests_each_tuple(tmp_path, monkeypatch):
