@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -488,6 +489,33 @@ def rand_below(rng: random.Random, n: int) -> int:
         v = rng.getrandbits(bits)
         if v < n:
             return v
+
+
+def rand_below_blocks(rng: random.Random, n: int, size: int):
+    """Endless int64 arrays of `size` values each: the values that repeated
+    `rand_below(rng, n)` calls return, in the same order, for 2 <= n <= 2^32.
+
+    For bits <= 32, getrandbits(bits) is the next 32-bit Mersenne Twister
+    word shifted right by 32 - bits, and getrandbits(32 w) holds the next w
+    words, the first least significant.  Values accepted past the end of
+    one array begin the next, so no draw is lost between arrays.
+    """
+    import numpy as np
+
+    if not 2 <= n <= 1 << 32:
+        raise ValueError(f"n must lie in 2..2^32, got {n}")
+    bits = (n - 1).bit_length()
+    spare = np.empty(0, dtype=np.int64)
+    while True:
+        while len(spare) < size:
+            # words for the missing values plus about four standard deviations
+            need = size - len(spare)
+            words = ((need + 3 * math.isqrt(need) + 8) << bits) // n
+            raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
+            v = (raw >> (32 - bits)).astype(np.int64)
+            spare = np.concatenate([spare, v[v < n]])
+        yield spare[:size]
+        spare = spare[size:]
 
 
 def derive_seed(seed: int, *path) -> int:

@@ -35,9 +35,17 @@ from .linalg import (
     gaussian_binomial,
     make_rows,
     sample_subspace,
+    subspace_at,
     subspace_fq_rows,
 )
-from .verify import max_weight_search, subspace_weight, verify_evasive, verify_h_scattered, weight_backend
+from .verify import (
+    DEFAULT_CHUNKS,
+    max_weight_search,
+    subspace_weight,
+    verify_evasive,
+    verify_h_scattered,
+    weight_backend,
+)
 
 SCHEMA = "rankscatter-report/1"
 ARTIFACT_VERSION = "0.1.0"
@@ -237,12 +245,20 @@ def _recheck_verdict(tower, report, problems):
             elif system.spans_ambient:
                 problems.append("span defect recorded but the system spans the ambient space")
             return
+        for key, value in (("mode", mode), ("bound", bound)):
+            if wit.get(key) != value:
+                problems.append(f"result.witness.{key} is {wit.get(key)!r}, but the config gives {value!r}")
         H = SubspaceQn.deserialize(tower, system.ambient, wit["H_basis"])
         # A smaller witness is valid: any subspace containing it has at
         # least its weight.  The witness-span sweep reports one of dimension
         # d < dim when a span of d U-vectors already exceeds the bound.
         if H.dim > dim:
             problems.append(f"witness subspace has dimension {H.dim}, more than {dim}")
+        named = _named_subspace(system, cfg, dim, wit.get("tuple_index"))
+        if named is None:
+            problems.append(f"witness tuple_index {wit.get('tuple_index')!r} names no unit of the {mode} sweep")
+        elif named != H:
+            problems.append(f"witness tuple_index {wit['tuple_index']!r} names another subspace than H_basis")
         w = subspace_weight(system.subspace, H)
         if w != wit["weight"]:
             problems.append(f"witness weight mismatch: recorded {wit['weight']}, recomputed {w}")
@@ -269,6 +285,29 @@ def _recheck_verdict(tower, report, problems):
                 return
     else:
         problems.append(f"result.status {status!r} is none of holds, violated, inconclusive")
+
+
+def _named_subspace(system, cfg, dim, index):
+    """The subspace that unit key `index` names in the sweep of this config,
+    as the sweeps' `subspace(key)` builds it, or None when the key names no
+    unit: [i] is Grassmannian index i or sample i, and [d, j_1, ..., j_d]
+    the span of U-vectors j_1..j_d."""
+    tower, k, U = system.tower, system.ambient, system.subspace
+    mode = cfg["mode"]
+    if not isinstance(index, list) or not index or not all(isinstance(i, int) and i >= 0 for i in index):
+        return None
+    if mode == "witness_span":
+        d, elements = index[0], index[1:]
+        if not 1 <= d <= dim or len(elements) != d or max(elements) >= tower.q**U.dim:
+            return None
+        return SubspaceQn.from_vectors(tower, k, [U.element(j) for j in elements])
+    if len(index) != 1:
+        return None
+    if mode == "exhaustive" and index[0] < gaussian_binomial(k, dim, tower.order):
+        return subspace_at(tower, k, dim, index[0])
+    if mode == "sampled" and index[0] < cfg["budget"]:
+        return sample_subspace(tower, k, dim, cfg["seed"], index[0])
+    return None
 
 
 def _resweep_proof(system, cfg, dim, res, problems):
@@ -338,18 +377,20 @@ def _recheck_weights(tower, report, problems):
     profile = WeightProfile(k, t)
     try:
         for e in entries:
-            profile.add(e["rho"], e["value"], e["provenance"])
+            profile.add(e["rho"], e["value"], e["provenance"], e.get("subspaces_checked"))
         profile.validate()
     except ValueError as exc:  # the entries added so far are still swept again
         problems.append(str(exc))
+    Q = tower.order
+    kd = t - k
+    dual_size = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
+    _check_swept(cfg, report["counts"], profile, Q, dual_size if cheaper is not None else None, problems)
     exact = {e.rho: e.value for e in profile.entries if e.provenance == "exact"}
     # Every exact entry against Wei duality, when the dual is nondegenerate
     # and its profile is small: the dual's d_s = t - w_s, swept by the scalar
     # oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
-    Q = tower.order
-    kd = t - k
     dual_system = None
-    if kd >= 1 and sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1)) <= RECHECK_SWEEP_CAP:
+    if kd >= 1 and dual_size <= RECHECK_SWEEP_CAP:
         dual_system = cheaper or nondegenerate_dual(system)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
@@ -369,3 +410,42 @@ def _recheck_weights(tower, report, problems):
     for rho, value in sorted(exact.items()):
         if primal[rho - 1] != value:
             problems.append(f"d_{rho} = {value} contradicts the dual profile, which gives {primal[rho - 1]}")
+
+
+def _check_swept(cfg, counts, profile, Q, dual_size, problems):
+    """Each entry's subspaces_checked, and counts.subspaces_swept, are what
+    the route sweeps.  On the dual route (dual_size not None) the entries
+    sweep nothing of their own and the dual's whole profile of dual_size
+    subspaces is swept, since a budget that stops it is refused."""
+    if dual_size is not None:
+        swept = dual_size
+        if any(e.checked != 0 for e in profile.entries):
+            problems.append("a profile entry of the dual route records subspaces of its own")
+    else:
+        swept = 0
+        for e in profile.entries:
+            checked, exact = _primal_sweep(cfg, profile.k, e.rho, Q)
+            swept += checked
+            if e.checked != checked:
+                problems.append(f"d_{e.rho} records {e.checked} subspaces checked, but its sweep checks {checked}")
+            if (e.provenance == "exact") != exact:
+                problems.append(f"d_{e.rho} is {e.provenance!r}, but its sweep is {'' if exact else 'not '}exact")
+    if counts.get("subspaces_swept") != swept:
+        problems.append(f"counts.subspaces_swept is not the {swept} subspaces this route sweeps")
+
+
+def _primal_sweep(cfg, k, rho, Q):
+    """(subspaces checked, exact) of the primal sweep for d_rho: the budget
+    of a sampled sweep, and of an exhaustive one its whole Grassmannian of
+    (k - rho)-spaces, or a budget rounded up to a chunk boundary
+    (`runner.run_sweep`) when that falls short.  The zero space of rho = k
+    is one subspace and exact in either mode."""
+    size = gaussian_binomial(k, k - rho, Q)
+    budget = cfg.get("budget")
+    if rho == k or (cfg["mode"] == "exhaustive" and budget is None):
+        return size, True
+    if cfg["mode"] == "sampled":
+        return budget, False
+    chunk = min(DEFAULT_CHUNKS["exhaustive"], size)
+    checked = min(size, -(-budget // chunk) * chunk)
+    return checked, checked == size

@@ -1,9 +1,11 @@
 """Family construction, admissibility invariants, baselines, census."""
 
+import itertools
 import random
 
 import pytest
 
+from rankscatter import construction
 from rankscatter.field import create_field
 from rankscatter.construction import (
     ConstructionParams,
@@ -22,7 +24,7 @@ from rankscatter.construction import (
     tuple_invariant,
     tuple_strongly_admissible,
 )
-from rankscatter.linalg import SubspaceQn, matrix_rank
+from rankscatter.linalg import SubspaceQn, derive_seed, matrix_rank, rand_below
 from rankscatter.verify import subspace_weight
 
 
@@ -209,6 +211,40 @@ def test_census_against_per_element_residue_oracle(F16):
         if K not in powers:
             count += 1
     assert count == scan_admissible(F16, 4)["admissible"]
+
+
+def _per_tuple_census(tower, m, budget, seed, check_strong):
+    """scan_admissible's counts from tuple_admissible and
+    tuple_strongly_admissible, one tuple at a time, on the same tuples."""
+    Q = tower.order
+    if budget is None:
+        tuples = itertools.product(range(1, Q), repeat=m)
+    else:
+        rng = random.Random(derive_seed(seed, "census", m))
+        tuples = [tuple(1 + rand_below(rng, Q - 1) for _ in range(m)) for _ in range(budget)]
+    admissible, strong, examples = construction._census(tower, m, check_strong, tuples)
+    return admissible, strong, [[list(tower.coeffs(a)) for a in tup] for tup in examples]
+
+
+@pytest.mark.parametrize(
+    "p, s, n, m, budget, seed",
+    [
+        (2, 1, 4, 4, None, 0),
+        (2, 1, 6, 3, None, 0),
+        (5, 1, 2, 3, None, 0),  # infeasible: gcd(31, 24) = 1
+        (5, 1, 2, 2, None, 0),
+        (2, 2, 3, 3, 20_000, 7),  # F_{4^3}
+        (2, 1, 4, 40, 500, 3),  # 40 values a tuple: blocks of 102 tuples
+        (2, 1, 20, 2, 70_000, 4),  # blocks end between the draws of one tuple
+    ],
+)
+def test_block_census_matches_the_per_tuple_tests(p, s, n, m, budget, seed):
+    tower = create_field(p, s, n)
+    out = scan_admissible(tower, m, budget=budget, seed=seed, check_strong=True)
+    assert tower._tables is not None
+    assert out["tuples_checked"] == (budget or (tower.order - 1) ** m)
+    expected = _per_tuple_census(tower, m, budget, seed, True)
+    assert (out["admissible"], out["strongly_admissible"], out["examples"]) == expected
 
 
 def test_census_random_mode_is_seeded(F64):

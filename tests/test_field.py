@@ -1,8 +1,11 @@
 """Field tower arithmetic: construction, Frobenius, residues, expansion."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankscatter.field import FieldTower, create_field, default_modulus, is_irreducible
 
@@ -244,3 +247,25 @@ def test_descriptor_roundtrip(F16, F64_over_F4):
         assert desc == {"p": F.p, "s": F.s, "n": F.n, "modulus": list(F.modulus)}
         assert FieldTower.from_descriptor(desc) == F
     assert FieldTower(2, 1, 4, modulus=(1, 0, 0, 1, 1)) != F16
+
+
+# small towers with log tables, s > 1 included: F_16, F_27, F_{4^3}, F_{9^2}, F_{8^2}, F_25
+TABLE_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2)]
+
+
+@functools.cache
+def _table_tower(p, s, n):
+    return create_field(p, s, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(TABLE_TOWERS), st.integers(min_value=0), st.integers(min_value=0))
+def test_log_tables_invert_exp_and_turn_products_into_sums(psn, x, y):
+    # the census indexes these tables as arrays, so check them against the
+    # polynomial product that builds nothing from them
+    F = _table_tower(*psn)
+    exp, log = F._tables
+    qm1 = F.order - 1
+    a, b = 1 + x % qm1, 1 + y % qm1
+    assert exp[log[a]] == a and 0 <= log[a] < qm1
+    assert log[F._mul_raw(a, b)] == (log[a] + log[b]) % qm1

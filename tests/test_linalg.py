@@ -17,6 +17,8 @@ from rankscatter.linalg import (
     intersection_rows,
     matrix_rank,
     nullspace,
+    rand_below,
+    rand_below_blocks,
     rref,
     sample_subspace,
     subspace_at,
@@ -298,3 +300,20 @@ def test_serialization_roundtrip(F16):
     assert SubspaceQn.deserialize(F16, 3, data) == H
     S = FqSubspace(F16, 2, [(3, 1), (2, 2)])
     assert FqSubspace.deserialize(F16, 2, S.serialize()) == S
+
+
+@pytest.mark.parametrize("n", [2, 3, 80, 64, 63, 65, 1 << 16, (1 << 16) - 1, (1 << 16) + 1, (1 << 20) - 1, 1 << 32])
+@pytest.mark.parametrize("size", [1, 7, 1000])
+def test_bulk_draws_are_the_rand_below_stream(n, size):
+    # 2,500 values cross several arrays, so values drawn past one array
+    # must begin the next
+    blocks = rand_below_blocks(random.Random(n * size), n, size)
+    drawn = np.concatenate([next(blocks) for _ in range(-(-2500 // size))])
+    rng = random.Random(n * size)
+    assert drawn.tolist() == [rand_below(rng, n) for _ in range(len(drawn))]
+
+
+@pytest.mark.parametrize("n", [0, 1, (1 << 32) + 1])
+def test_bulk_draws_refuse_a_range_past_one_word(n):
+    with pytest.raises(ValueError):
+        next(rand_below_blocks(random.Random(0), n, 4))

@@ -412,6 +412,21 @@ PINNED_BODIES = {
         ["weights", "--field", "2,1,3", "--system", "direct-sum", "--m", "2", "--h", "1", "--workers", "2"],
         0, "f3603aa29557eace007bcb18c7c47f5275192af0f63a7699d6c32f27b3b8216b",
     ),
+    # censuses over the log tables, pinned when each tuple was tested on its
+    # own: sampled across many blocks, sampled with --check-b over the largest
+    # table field, and exhaustive
+    "census-F81-sampled": (
+        ["search", "--field", "3,1,4", "--m", "4", "--budget", "50000", "--seed", "1001"],
+        0, "cf38c816acc8fc40d365e87a3cf3a4e4a6dac354f01683aa38327505efaccbd1",
+    ),
+    "census-F2^20-strong": (
+        ["search", "--field", "2,1,20", "--m", "2", "--budget", "70000", "--seed", "4", "--check-b"],
+        0, "503a639b97e62465755114b3698f97f0aa05c66aa823c01341ef9ec015c48464",
+    ),
+    "census-F64-exhaustive": (
+        ["search", "--field", "2,1,6", "--m", "3"],
+        0, "e5e7e5a55effdab767824f8970d3af4a1109d06a461d857aa28fccbf774ce9d6",
+    ),
 }
 
 
@@ -496,6 +511,9 @@ TAMPER_SOURCES = {
     "census": ["search", "--field", "2,1,4", "--m", "2", "--check-b"],
     "census-sampled": ["search", "--field", "2,1,6", "--m", "3", "--budget", "50", "--seed", "5", "--check-b"],
     "span-violated": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--mode", "witness_span"],
+    "exhaustive-violated": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--mode", "exhaustive"],
+    "sampled-violated": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--mode", "sampled",
+                         "--budget", "500", "--seed", "3"],
     "family-violated": ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "2",
                         "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
     "exhaustive-holds": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
@@ -503,6 +521,11 @@ TAMPER_SOURCES = {
     "sampled-inconclusive": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                              "--mode", "sampled", "--budget", "64", "--seed", "3"],
     "weights": WEIGHTS_M2,
+    "weights-sampled": WEIGHTS_M2 + ["--mode", "sampled", "--budget", "16"],
+    # a Grassmannian past one chunk of 16,384 subspaces, so the budget of 1 is
+    # rounded up to a chunk and leaves upper bounds
+    "weights-budget": ["weights", "--field", "2,1,16", "--system", "pseudoregulus", "--h", "2",
+                       "--budget", "1", "--rho", "1,3"],
 }
 
 F16_ZERO, F16_ONE = [0, 0, 0, 0], [1, 0, 0, 0]
@@ -564,6 +587,28 @@ TAMPERS = (
         ("span-violated", {"result.witness.intersection_basis.1": [F16_ONE, F16_ZERO]},
          "intersection basis rows are dependent"),
         ("weights", {"result.t": 7}, "code length mismatch"),
+        ("weights", {"counts.subspaces_swept": 11}, "counts.subspaces_swept is not the 10 subspaces"),
+        ("weights", {"result.profile.0.subspaces_checked": 5}, "entry of the dual route records subspaces"),
+        ("weights-sampled", {"counts.subspaces_swept": 48}, "counts.subspaces_swept is not the 49 subspaces"),
+        ("weights-sampled", {"result.profile.1.subspaces_checked": 15},
+         "d_2 records 15 subspaces checked, but its sweep checks 16"),
+        ("weights-sampled", {"result.profile.3.subspaces_checked": 2},
+         "d_4 records 2 subspaces checked, but its sweep checks 1"),
+        ("weights-sampled", {"result.profile.0.provenance": "exact"}, "d_1 is 'exact', but its sweep is not exact"),
+        ("weights-budget", {"result.profile.0.subspaces_checked": 1},
+         "d_1 records 1 subspaces checked, but its sweep checks 16384"),
+        ("weights-budget", {"counts.subspaces_swept": 16384}, "counts.subspaces_swept is not the 16385 subspaces"),
+        # the witness must be the unit its tuple_index names, found in the
+        # report's own mode and against its own bound
+        ("span-violated", {"result.witness.bound": 0}, "result.witness.bound is 0, but the config gives 1"),
+        ("span-violated", {"result.witness.mode": "sampled"},
+         "result.witness.mode is 'sampled', but the config gives 'witness_span'"),
+        ("span-violated", {"result.witness.tuple_index": [9, 9]}, "names no unit of the witness_span sweep"),
+        ("family-violated", {"result.witness.tuple_index": [2, 273, 547]}, "names another subspace than H_basis"),
+        ("exhaustive-violated", {"result.witness.tuple_index": [1]}, "names another subspace than H_basis"),
+        ("exhaustive-violated", {"result.witness.tuple_index": [17]}, "names no unit of the exhaustive sweep"),
+        ("sampled-violated", {"result.witness.tuple_index": [8]}, "names another subspace than H_basis"),
+        ("sampled-violated", {"result.witness.tuple_index": [500]}, "names no unit of the sampled sweep"),
         ("weights", {"result.profile.0.rho": 9}, "rho = 9 out of range 1..4"),
     ]
 )
