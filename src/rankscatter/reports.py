@@ -41,7 +41,9 @@ from .linalg import (
 from .verify import (
     DEFAULT_CHUNKS,
     max_weight_search,
+    recorded_seed,
     subspace_weight,
+    vacuous,
     verify_evasive,
     verify_h_scattered,
     weight_backend,
@@ -137,15 +139,21 @@ def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
     return result, {"tuples_checked": result["tuples_checked"]}
 
 
+def _question(config: dict) -> tuple[int, int]:
+    """(dim, bound) of a verify config: (hdim, r) of `verify-evasive`, which
+    names r, and (h, h) of `verify-scattered`."""
+    return (config["hdim"], config["r"]) if "r" in config else (config["h"], config["h"])
+
+
 def run_verify(system: QSystem, config: dict, **run):
-    """The verdict of `verify-evasive` when the config names r, else of
-    `verify-scattered`.  `run` holds what the report does not record
-    (workers, checkpoint, engine)."""
-    common = dict(mode=config["mode"], budget=config["budget"], seed=config["seed"],
-                  chunk_size=config["chunk_size"], **run)
+    """The verdict of a verify config.  `run` holds what the report does not
+    record (workers, checkpoint, engine)."""
+    dim, bound = _question(config)
+    options = dict(mode=config["mode"], budget=config["budget"], seed=config["seed"],
+                   chunk_size=config["chunk_size"], **run)
     if "r" in config:
-        return verify_evasive(system, config["hdim"], config["r"], **common)
-    return verify_h_scattered(system, config["h"], **common)
+        return verify_evasive(system, dim, bound, **options)
+    return verify_h_scattered(system, dim, **options)
 
 
 # --- recheck ---
@@ -224,17 +232,20 @@ def _recheck_verdict(tower, report, problems):
     res = report["result"]
     status = res.get("status")
     mode = cfg["mode"]
-    dim, bound = (cfg["hdim"], cfg["r"]) if "r" in cfg else (cfg["h"], cfg["h"])
-    given = {"mode": mode, "bound": bound, "dim": dim, "seed": cfg["seed"] if mode == "sampled" else None}
+    dim, bound = _question(cfg)
+    sweepless = "r" in cfg and vacuous(system, bound)
+    given = {"mode": mode, "bound": bound, "dim": dim, "seed": recorded_seed(mode, cfg["seed"])}
     for key, value in given.items():
         if res.get(key) != value:
             problems.append(f"result.{key} is {res.get(key)!r}, but the config gives {value!r}")
     if report["counts"].get("subspaces_checked") != res.get("subspaces_checked"):
         problems.append("counts.subspaces_checked differs from result.subspaces_checked")
+    if sweepless and status != "holds":
+        problems.append(f"r >= t = {system.t} holds without a sweep, but the status is {status!r}")
     # The backend is the one `auto` picks for these inputs, and none when the
-    # evasive bound makes the sweep vacuous.  Reports written before verdicts
-    # named their backend carry no such key.
-    backend = None if "r" in cfg and bound >= system.t else weight_backend(tower, system.ambient, "auto", dim)
+    # question is vacuous and nothing is swept.  Reports written before
+    # verdicts named their backend carry no such key.
+    backend = None if sweepless else weight_backend(tower, system.ambient, "auto", dim)
     if "backend" in res and res["backend"] != backend:
         problems.append(f"backend {res['backend']!r} is not the one these inputs run, {backend!r}")
     if status == "violated":
@@ -268,7 +279,10 @@ def _recheck_verdict(tower, report, problems):
     elif status == "holds":
         if res.get("witness") is not None:
             problems.append("result.witness is recorded on a 'holds' verdict")
-        if mode == "sampled":
+        if sweepless:
+            if res.get("subspaces_checked") != 0:
+                problems.append(f"a vacuous 'holds' checks no subspace, not {res.get('subspaces_checked')}")
+        elif mode == "sampled":
             problems.append("sampled runs cannot prove 'holds'")
         else:
             _resweep_proof(system, cfg, dim, res, problems)

@@ -15,8 +15,13 @@ Three modes feed that scan:
   by at most h extension-independent vectors of U and meets U at least as
   much, so the tuple sweep finds a violation iff one exists.  This replaces
   a Grassmannian-sized sweep by a |U|^d-sized one.
-* sampled - seeded random subspaces; can only produce a witness or report
-  "inconclusive", never "holds".
+* sampled - seeded random subspaces (seed 0 when none is given); can only
+  produce a witness or report "inconclusive", never "holds" from a sweep.
+  It needs a budget: without one it is a ValueError, even where no sweep
+  would run.
+
+An (h, r)-evasiveness question with r >= t = dim U holds in every mode
+without a sweep (`vacuous`), since no subspace meets U in more than t.
 
 Each mode has one batched `_weights`, written against a row kernel, and
 the scalar oracle.  The kernel's calls build the expansion rows of value
@@ -50,9 +55,12 @@ weight -1 marks a skipped unit that is not counted, the first maximum is
 the chunk's best, and the first weight above the bound ends the chunk once
 the scalar oracle reproduces it on `subspace(key)`.
 
-`_run_verification` builds the mode's sweep object from the system it is
-given and hands that object to `runner.run_sweep`; a JSON-safe descriptor
-of the same sweep only names it in checkpoint headers.
+Every question goes through `_answer`, which validates the options, fixes
+the seed, builds the mode's sweep object from the system it is given, hands
+that object to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
+only names it in checkpoint headers) and applies the one status rule.  The
+public verifiers take a mode and the options of `_answer`: budget, seed,
+workers, checkpoint, engine and chunk_size.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
@@ -89,7 +97,7 @@ from .linalg import (
     _subspace_from_assignment,
 )
 from .construction import QSystem, system_to_desc
-from .runner import ChunkResult, _merge_best, run_sweep
+from .runner import ChunkResult, SweepOutcome, _merge_best, run_sweep
 
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 EXHAUSTIVE_CAP = 10**9    # max subspaces of an exhaustive sweep without a budget
@@ -242,18 +250,39 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
-def _check_options(engine: str, budget=None, chunk_size=None, workers=1) -> None:
-    """Reject an unknown engine, a chunk size below 1 (no chunk would be
-    built, and the empty sweep would read as a proof), a budget below 1
-    (it admits no unit) and a worker count below 1."""
+def _check_options(engine: str, mode: str | None = None, budget=None, chunk_size=None, workers=1) -> None:
+    """Reject an unknown engine or mode, sampled mode without a budget, a
+    chunk size below 1 (no chunk would be built, and the empty sweep would
+    read as a proof), a budget below 1 (it admits no unit) and a worker
+    count below 1.  A sweep object checks only its engine (mode None)."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
+    if mode is not None and mode not in DEFAULT_CHUNKS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and budget is None:
+        raise ValueError("sampled mode requires a budget")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def recorded_seed(mode: str, seed: int | None) -> int | None:
+    """The seed a run in `mode` draws its samples from and records: the
+    given one, or 0 when none is given, in sampled mode; None in the modes
+    that draw nothing."""
+    if mode != "sampled":
+        return None
+    return 0 if seed is None else seed
+
+
+def vacuous(system: QSystem, r: int) -> bool:
+    """Whether (h, r)-evasiveness holds for want of room: no subspace meets
+    U in more than t = dim U (Randrianarisoa, DCC 2020), so r >= t needs no
+    sweep."""
+    return r >= system.t
 
 
 def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
@@ -964,21 +993,10 @@ def _build_witness(system: QSystem, sweep, key, weight: int) -> Witness:
     return Witness(H, weight, vectors, list(key))
 
 
-def _run_verification(
-    system: QSystem,
-    dim: int,
-    bound: int,
-    mode: str,
-    budget,
-    seed,
-    workers,
-    checkpoint,
-    engine,
-    chunk_size,
-):
-    _check_options(engine, budget, chunk_size, workers)
+def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engine: str):
+    """The mode's sweep object, and the descriptor that names it in
+    checkpoint headers."""
     tower = system.tower
-    # the descriptor only names the sweep in checkpoint headers
     desc = {
         "field": tower.descriptor(),
         "system": system_to_desc(system),
@@ -994,57 +1012,47 @@ def _run_verification(
                 "give a budget (--budget) or use sampled mode"
             )
         desc.update(kind="exhaustive", dim=dim)
-        sweep = ExhaustiveSweep(tower, system, dim, bound, engine)
-    elif mode == "witness_span":
+        return ExhaustiveSweep(tower, system, dim, bound, engine), desc
+    if mode == "witness_span":
         desc.update(kind="span", dmax=dim)
-        sweep = SpanSweep(tower, system, dim, bound, engine)
-    elif mode == "sampled":
-        if budget is None:
-            raise ValueError("sampled mode requires a budget")
-        seed = seed if seed is not None else 0
-        desc.update(kind="sampled", dim=dim, seed=seed, budget=budget, stream=SAMPLE_STREAM)
-        sweep = SampledSweep(tower, system, dim, bound, seed, engine, budget)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(sweep.total_units, 1))
-    outcome = run_sweep(
-        sweep,
-        desc,
-        chunk,
-        workers=workers,
-        checkpoint=checkpoint,
-        budget_units=budget if mode != "sampled" else None,
-    )
-    witness = None
-    if outcome.viol is not None:
-        witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
-    return outcome, witness, sweep.ctx.backend
+        return SpanSweep(tower, system, dim, bound, engine), desc
+    desc.update(kind="sampled", dim=dim, seed=seed, budget=budget, stream=SAMPLE_STREAM)
+    return SampledSweep(tower, system, dim, bound, seed, engine, budget), desc
 
 
-def _verdict(outcome, witness, backend, mode, bound, dim, seed, defect=None) -> Verdict:
-    """The one status rule: a witness or a defect is a violation, a sampled
-    or unfinished sweep is inconclusive, and a finished sweep holds."""
+def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None = None,
+            seed: int | None = None, workers: int = 1, checkpoint: str | None = None, engine: str = "auto",
+            chunk_size: int | None = None, *, known: SweepOutcome | None = None,
+            defect: dict | None = None) -> tuple[Verdict, dict | None]:
+    """The one path from a question, does some dim-dimensional subspace meet
+    U in more than `bound` (None asks for the largest weight), to its verdict
+    and first maximum.  It validates every option, fixes the seed, runs the
+    mode's sweep unless the outcome is `known` without one, builds the
+    witness and applies the one status rule: a witness or a `defect` is a
+    violation, a sampled sweep or an unfinished one is inconclusive, and
+    anything else holds.  The public verifiers pass it their `options`."""
+    _check_options(engine, mode, budget, chunk_size, workers)
+    seed = recorded_seed(mode, seed)
+    outcome, witness, backend = known, None, None
+    if known is None:
+        sweep, desc = _build_sweep(system, dim, bound, mode, budget, seed, engine)
+        chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(sweep.total_units, 1))
+        outcome = run_sweep(sweep, desc, chunk, workers=workers, checkpoint=checkpoint,
+                            budget_units=budget if mode != "sampled" else None)
+        backend = sweep.ctx.backend
+        if outcome.viol is not None:
+            witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
+    defect = defect if witness is None else None  # a weight witness is the violation reported
     if witness is not None or defect is not None:
         status = "violated"
-    elif mode == "sampled" or not outcome.completed:
+    elif (known is None and mode == "sampled") or not outcome.completed:
         status = "inconclusive"
     else:
         status = "holds"
-    seed_out = seed if mode == "sampled" else None
-    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed_out, defect, backend)
+    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed, defect, backend), outcome.best
 
 
-def verify_h_scattered(
-    system: QSystem,
-    h: int,
-    mode: str = "witness_span",
-    budget: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-    checkpoint: str | None = None,
-    engine: str = "auto",
-    chunk_size: int | None = None,
-) -> Verdict:
+def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", **options) -> Verdict:
     """Decide whether the system is h-scattered.
 
     holds: every dim-h extension subspace meets U in F_q-dimension <= h and
@@ -1054,77 +1062,39 @@ def verify_h_scattered(
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    outcome, witness, backend = _run_verification(
-        system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size
-    )
     defect = None
-    if witness is None and not system.spans_ambient:
+    if not system.spans_ambient:
         defect = {
             "reason": "does not span the ambient space over the extension field",
-            "span_dim": _span_dim(system),
+            "span_dim": matrix_rank(system.tower, system.subspace.canonical_generators, system.ambient),
         }
-    return _verdict(outcome, witness, backend, mode, h, h, seed, defect)
+    return _answer(system, h, h, mode, **options, defect=defect)[0]
 
 
-def _span_dim(system: QSystem) -> int:
-    return matrix_rank(system.tower, system.subspace.canonical_generators, system.ambient)
-
-
-def verify_evasive(
-    system: QSystem,
-    hdim: int,
-    r: int,
-    mode: str = "witness_span",
-    budget: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-    checkpoint: str | None = None,
-    engine: str = "auto",
-    chunk_size: int | None = None,
-) -> Verdict:
+def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", **options) -> Verdict:
     """Decide whether the system is (hdim, r)-evasive.
 
     holds: every hdim-dimensional extension subspace meets U in F_q-dimension
-    at most r.  No spanning requirement.
+    at most r.  No spanning requirement.  When r >= t (`vacuous`) it holds
+    with no sweep.
     """
     if not 0 < hdim < system.ambient:
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    _check_options(engine, budget, chunk_size, workers)
-    if r >= system.t:
-        # vacuous: no subspace can meet U in more than dim U
-        return Verdict("holds", mode, r, hdim, 0, None, seed if mode == "sampled" else None)
-    outcome, witness, backend = _run_verification(
-        system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size
-    )
-    return _verdict(outcome, witness, backend, mode, r, hdim, seed)
+    known = SweepOutcome(0, None, None, True) if vacuous(system, r) else None
+    return _answer(system, hdim, r, mode, **options, known=known)[0]
 
 
-def max_weight_search(
-    system: QSystem,
-    dim: int,
-    mode: str = "exhaustive",
-    budget: int | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-    checkpoint: str | None = None,
-    engine: str = "auto",
-    chunk_size: int | None = None,
-):
+def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", **options):
     """Max of wt_U(H) over dim-dimensional subspaces H.
 
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
-    sampled sweeps only bound the maximum from below.
+    sampled sweeps only bound the maximum from below.  The zero space is
+    the one subspace of dimension 0, and weighs 0 with no sweep.
     """
-    _check_options(engine, budget, chunk_size, workers)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
-    if dim == 0:
-        return 0, [0], 1, True
-    outcome, _, _ = _run_verification(
-        system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size
-    )
-    best = outcome.best or {"weight": 0, "key": [0]}
-    exact = mode == "exhaustive" and outcome.completed
-    return best["weight"], best["key"], outcome.checked, exact
+    known = SweepOutcome(1, None, {"weight": 0, "key": [0]}, True) if dim == 0 else None
+    verdict, best = _answer(system, dim, None, mode, **options, known=known)
+    return best["weight"], best["key"], verdict.checked, verdict.holds

@@ -269,3 +269,24 @@ def test_log_tables_invert_exp_and_turn_products_into_sums(psn, x, y):
     a, b = 1 + x % qm1, 1 + y % qm1
     assert exp[log[a]] == a and 0 <= log[a] < qm1
     assert log[F._mul_raw(a, b)] == (log[a] + log[b]) % qm1
+
+
+# the table towers, and two past TABLE_CAP, whose products are polynomial
+AXIOM_TOWERS = TABLE_TOWERS + [(2, 1, 21), (3, 1, 13)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(AXIOM_TOWERS), st.integers(min_value=0), st.integers(min_value=0), st.integers(min_value=0))
+def test_field_axioms(psn, x, y, z):
+    F = _table_tower(*psn)
+    add, mul = F.add, F.mul
+    a, b, c = (v % F.order for v in (x, y, z))
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and mul(a, 0) == 0
+    assert add(a, F.neg(a)) == 0 and F.sub(a, b) == add(a, F.neg(b))
+    if a:
+        assert mul(a, F.inv(a)) == 1
+        assert F.pow(a, F.order - 1) == 1

@@ -1,10 +1,13 @@
 """Subspace machinery: RREF, expansion, enumeration, sampling."""
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankscatter.field import create_field
 from rankscatter.linalg import (
@@ -317,3 +320,55 @@ def test_bulk_draws_are_the_rand_below_stream(n, size):
 def test_bulk_draws_refuse_a_range_past_one_word(n):
     with pytest.raises(ValueError):
         next(rand_below_blocks(random.Random(0), n, 4))
+
+
+# q = 2, an odd prime q, and q = 4 over F_2
+PROPERTY_TOWERS = [(2, 1, 4), (3, 1, 2), (2, 2, 2)]
+
+
+@functools.cache
+def _tower(p, s, n):
+    return create_field(p, s, n)
+
+
+@st.composite
+def _matrices(draw):
+    """(tower, rows, ncols): a matrix of up to 4 rows over a property tower."""
+    F = _tower(*draw(st.sampled_from(PROPERTY_TOWERS)))
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(0, F.order - 1)
+    return F, draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4)), ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_and_nullspace_split_the_columns(matrix):
+    F, rows, ncols = matrix
+    red, pivots = rref(F, rows, ncols)
+    # reduced echelon rows of the same row space
+    for i, p in enumerate(pivots):
+        assert [r[p] for r in red] == [int(i == j) for j in range(len(red))]
+    assert matrix_rank(F, rows + [list(r) for r in red], ncols) == len(pivots)
+    kernel = nullspace(F, rows, ncols)
+    for v in kernel:
+        for r in rows:
+            acc = 0
+            for a, b in zip(r, v):
+                acc = F.add(acc, F.mul(a, b))
+            assert acc == 0
+    assert matrix_rank(F, kernel, ncols) == len(kernel)
+    assert len(pivots) + len(kernel) == ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PROPERTY_TOWERS), st.integers(1, 3), st.data())
+def test_expansion_round_trips(psn, k, data):
+    F = _tower(*psn)
+    v = tuple(data.draw(st.lists(st.integers(0, F.order - 1), min_size=k, max_size=k)))
+    assert unexpand_row(F, expand_vector(F, v), k) == v
+    # and every row over F_q is the expansion of one vector
+    if F.q == 2:
+        row = data.draw(st.integers(0, (1 << k * F.n) - 1))
+    else:
+        row = tuple(data.draw(st.lists(st.integers(0, F.q - 1), min_size=k * F.n, max_size=k * F.n)))
+    assert expand_vector(F, unexpand_row(F, row, k)) == row

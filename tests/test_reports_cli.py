@@ -281,6 +281,9 @@ REJECTED = [
     ["search", "--m", "-1"],
     ["search", "--m", "2", "--budget", "-5"],
     ["search", "--m", "2", "--budget", "0"],
+    # sampled mode without a budget, where no sweep would run: r >= t, and d_k
+    ["verify-evasive", "--system", "pseudoregulus", "--h", "2", "--hdim", "1", "--r", "4", "--mode", "sampled"],
+    ["weights", "--system", "pseudoregulus", "--h", "2", "--mode", "sampled", "--rho", "3"],
 ]
 
 
@@ -518,6 +521,8 @@ TAMPER_SOURCES = {
                         "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
     "exhaustive-holds": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                          "--mode", "exhaustive"],
+    "vacuous-sampled": ["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+                        "--hdim", "1", "--r", "4", "--mode", "sampled", "--budget", "10"],
     "sampled-inconclusive": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                              "--mode", "sampled", "--budget", "64", "--seed", "3"],
     "weights": WEIGHTS_M2,
@@ -580,6 +585,9 @@ TAMPERS = (
         ("span-violated", {"result.witness.H_basis": [[F16_ONE, F16_ZERO], [F16_ZERO, F16_ONE]]},
          "witness subspace has dimension 2, more than 1"),
         ("sampled-inconclusive", {"result.status": "holds"}, "sampled runs cannot prove 'holds'"),
+        ("vacuous-sampled", {"result.subspaces_checked": 5, "counts.subspaces_checked": 5},
+         "a vacuous 'holds' checks no subspace, not 5"),
+        ("vacuous-sampled", {"result.status": "inconclusive"}, "r >= t = 4 holds without a sweep"),
         ("span-violated", {"result.witness.intersection_basis.0": [F16_ZERO, F16_ONE]},
          "intersection vector lies outside the subspace"),
         ("family-violated", {"result.witness.intersection_basis.0": FAMILY_U_VECTOR},
@@ -756,6 +764,17 @@ def test_search_strong_count_random(tmp_path):
     rep = load(out)
     assert rep["result"]["strongly_admissible"] >= 1
     assert rep["result"]["tuples_checked"] == 400
+
+
+def test_a_vacuous_sampled_evasive_report_rechecks(tmp_path):
+    # r >= t = 4: no line meets U in more than 4, so the question holds in
+    # every mode without a sweep
+    out = str(tmp_path / "v.json")
+    assert main(TAMPER_SOURCES["vacuous-sampled"] + ["--out", out]) == 0
+    res = load(out)["result"]
+    assert (res["status"], res["subspaces_checked"], res["witness"], res["backend"], res["seed"]) == (
+        "holds", 0, None, None, 0)
+    assert main(["recheck", out]) == 0
 
 
 def test_verify_evasive_cli(tmp_path):

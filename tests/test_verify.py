@@ -20,7 +20,7 @@ from rankscatter.construction import (
     line_control_subspace,
     pseudoregulus_subspace,
 )
-from rankscatter.linalg import SubspaceQn, expand_vector, gaussian_binomial
+from rankscatter.linalg import SubspaceQn, expand_vector, gaussian_binomial, sample_subspace
 from rankscatter import runner
 from rankscatter.runner import run_sweep, desc_hash
 from rankscatter.verify import (
@@ -138,9 +138,11 @@ def test_non_spanning_subspace_without_weight_witness(F16):
 
 def test_spanning_is_not_required_for_evasive(F16):
     lc = line_control_subspace(F16, 2)
-    # rank 4 line expansion is (1, 4)-evasive vacuously
-    v = verify_evasive(lc, 1, 4, mode="exhaustive")
-    assert v.status == "holds"
+    # rank 4 line expansion is (1, 4)-evasive vacuously, in every mode and
+    # with no sweep: no subspace meets U in more than t = 4
+    for mode, budget, seed in (("exhaustive", None, None), ("witness_span", None, None), ("sampled", 10, 0)):
+        v = verify_evasive(lc, 1, 4, mode=mode, budget=budget)
+        assert (v.status, v.checked, v.witness, v.backend, v.seed) == ("holds", 0, None, None, seed)
     # and genuinely not (1, 3)-evasive
     v = verify_evasive(lc, 1, 3, mode="exhaustive")
     assert v.status == "violated" and v.witness.weight == 4
@@ -164,6 +166,15 @@ def test_sampled_mode_finds_planted_violation(F16):
     assert v.status == "violated"
     assert v.witness.weight > 1
     assert subspace_weight(lc, v.witness.H) == v.witness.weight
+
+
+def test_a_sampled_witness_replays_from_its_verdict(F16):
+    # a call without a seed draws from seed 0 and records it, so the
+    # witness key names its sample
+    lc = line_control_subspace(F16, 2)
+    v = verify_h_scattered(lc, 1, mode="sampled", budget=400)
+    assert (v.status, v.seed) == ("violated", 0)
+    assert sample_subspace(F16, lc.ambient, 1, v.seed, *v.witness.tuple_index) == v.witness.H
 
 
 def test_budget_truncates_proof_modes(ps2):
@@ -473,6 +484,14 @@ def test_unknown_engine_is_rejected(F16):
             verify_evasive(ps, 1, ps.t, engine=engine)
         with pytest.raises(ValueError, match="unknown engine"):
             max_weight_search(ps, 0, engine=engine)
+    # and they refuse an unknown mode, and sampled mode without a budget
+    for call, match in [
+        (lambda: verify_evasive(ps, 1, ps.t, mode="bogus"), "unknown mode 'bogus'"),
+        (lambda: verify_evasive(ps, 1, ps.t, mode="sampled"), "sampled mode requires a budget"),
+        (lambda: max_weight_search(ps, 0, mode="sampled"), "sampled mode requires a budget"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_max_weight_search_keeps_the_earliest_maximum(F8):
@@ -481,12 +500,17 @@ def test_max_weight_search_keeps_the_earliest_maximum(F8):
 
     ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
     expected = {1: (1, [64], 585), 2: (3, [0], 4745), 3: (4, [1], 585)}
-    for dim in (1, 2, 3):
+    for dim, (weight, key, total) in expected.items():
+        # two chunks that each hold a maximum: the merge keeps the first one
+        half = -(-total // 2)
+        sweep = ExhaustiveSweep(F8, ds, dim, None, "auto")
+        bests = [sweep.run_units(lo, min(lo + half, total)).best for lo in (0, half)]
+        assert bests[0] == {"key": key, "weight": weight} and bests[1]["weight"] == weight
         results = [
             max_weight_search(ds, dim, engine=engine, workers=workers, chunk_size=chunk)[:3]
             for engine in ("auto", "scalar")
             for workers in (1, 2)
-            for chunk in (1, None)
+            for chunk in (half, None)
         ]
         assert all(r == expected[dim] for r in results), (dim, results)
 
