@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 from .codes import (
     WeightProfile,
@@ -139,21 +140,21 @@ def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
     return result, {"tuples_checked": result["tuples_checked"]}
 
 
-def _question(config: dict) -> tuple[int, int]:
-    """(dim, bound) of a verify config: (hdim, r) of `verify-evasive`, which
-    names r, and (h, h) of `verify-scattered`."""
-    return (config["hdim"], config["r"]) if "r" in config else (config["h"], config["h"])
+def _question(config: dict):
+    """(dim, bound, verifier) of a verify config: (hdim, r) and
+    `verify_evasive` when the config names r, else (h, h) and
+    `verify_h_scattered`.  verifier(system, **options) is the verdict."""
+    if "r" in config:
+        return config["hdim"], config["r"], partial(verify_evasive, hdim=config["hdim"], r=config["r"])
+    return config["h"], config["h"], partial(verify_h_scattered, h=config["h"])
 
 
 def run_verify(system: QSystem, config: dict, **run):
     """The verdict of a verify config.  `run` holds what the report does not
     record (workers, checkpoint, engine)."""
-    dim, bound = _question(config)
-    options = dict(mode=config["mode"], budget=config["budget"], seed=config["seed"],
-                   chunk_size=config["chunk_size"], **run)
-    if "r" in config:
-        return verify_evasive(system, dim, bound, **options)
-    return verify_h_scattered(system, dim, **options)
+    verifier = _question(config)[2]
+    return verifier(system, mode=config["mode"], budget=config["budget"], seed=config["seed"],
+                    chunk_size=config["chunk_size"], **run)
 
 
 # --- recheck ---
@@ -232,7 +233,7 @@ def _recheck_verdict(tower, report, problems):
     res = report["result"]
     status = res.get("status")
     mode = cfg["mode"]
-    dim, bound = _question(cfg)
+    dim, bound, _ = _question(cfg)
     sweepless = "r" in cfg and vacuous(system, bound)
     given = {"mode": mode, "bound": bound, "dim": dim, "seed": recorded_seed(mode, cfg["seed"])}
     for key, value in given.items():

@@ -59,7 +59,7 @@ Every question goes through `_answer`, which validates the options, fixes
 the seed, builds the mode's sweep object from the system it is given, hands
 that object to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
 only names it in checkpoint headers) and applies the one status rule.  The
-public verifiers take a mode and the options of `_answer`: budget, seed,
+public verifiers take a mode and the options they pass it: budget, seed,
 workers, checkpoint, engine and chunk_size.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
@@ -1020,17 +1020,16 @@ def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engi
     return SampledSweep(tower, system, dim, bound, seed, engine, budget), desc
 
 
-def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None = None,
-            seed: int | None = None, workers: int = 1, checkpoint: str | None = None, engine: str = "auto",
-            chunk_size: int | None = None, *, known: SweepOutcome | None = None,
-            defect: dict | None = None) -> tuple[Verdict, dict | None]:
+def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
+            workers: int, checkpoint: str | None, engine: str, chunk_size: int | None, *,
+            known: SweepOutcome | None = None, defect=None) -> tuple[Verdict, dict | None]:
     """The one path from a question, does some dim-dimensional subspace meet
     U in more than `bound` (None asks for the largest weight), to its verdict
     and first maximum.  It validates every option, fixes the seed, runs the
     mode's sweep unless the outcome is `known` without one, builds the
-    witness and applies the one status rule: a witness or a `defect` is a
-    violation, a sampled sweep or an unfinished one is inconclusive, and
-    anything else holds.  The public verifiers pass it their `options`."""
+    witness and applies the one status rule: a witness, or else the result
+    of `defect(system)`, is a violation, a sampled sweep or an unfinished one
+    is inconclusive, and anything else holds."""
     _check_options(engine, mode, budget, chunk_size, workers)
     seed = recorded_seed(mode, seed)
     outcome, witness, backend = known, None, None
@@ -1042,7 +1041,8 @@ def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int
         backend = sweep.ctx.backend
         if outcome.viol is not None:
             witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
-    defect = defect if witness is None else None  # a weight witness is the violation reported
+    # a weight witness is the violation reported, so the defect is read only without one
+    defect = defect(system) if defect is not None and witness is None else None
     if witness is not None or defect is not None:
         status = "violated"
     elif (known is None and mode == "sampled") or not outcome.completed:
@@ -1052,7 +1052,17 @@ def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int
     return Verdict(status, mode, bound, dim, outcome.checked, witness, seed, defect, backend), outcome.best
 
 
-def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", **options) -> Verdict:
+def _span_defect(system: QSystem) -> dict:
+    """Why a system that fails to span the ambient space is not h-scattered."""
+    return {
+        "reason": "does not span the ambient space over the extension field",
+        "span_dim": matrix_rank(system.tower, system.subspace.canonical_generators, system.ambient),
+    }
+
+
+def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", budget: int | None = None,
+                       seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
+                       engine: str = "auto", chunk_size: int | None = None) -> Verdict:
     """Decide whether the system is h-scattered.
 
     holds: every dim-h extension subspace meets U in F_q-dimension <= h and
@@ -1062,16 +1072,13 @@ def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", **op
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    defect = None
-    if not system.spans_ambient:
-        defect = {
-            "reason": "does not span the ambient space over the extension field",
-            "span_dim": matrix_rank(system.tower, system.subspace.canonical_generators, system.ambient),
-        }
-    return _answer(system, h, h, mode, **options, defect=defect)[0]
+    defect = None if system.spans_ambient else _span_defect
+    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size, defect=defect)[0]
 
 
-def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", **options) -> Verdict:
+def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", budget: int | None = None,
+                   seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
+                   engine: str = "auto", chunk_size: int | None = None) -> Verdict:
     """Decide whether the system is (hdim, r)-evasive.
 
     holds: every hdim-dimensional extension subspace meets U in F_q-dimension
@@ -1083,10 +1090,12 @@ def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span
     if r < hdim:
         raise ValueError("need r >= hdim")
     known = SweepOutcome(0, None, None, True) if vacuous(system, r) else None
-    return _answer(system, hdim, r, mode, **options, known=known)[0]
+    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size, known=known)[0]
 
 
-def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", **options):
+def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budget: int | None = None,
+                      seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
+                      engine: str = "auto", chunk_size: int | None = None):
     """Max of wt_U(H) over dim-dimensional subspaces H.
 
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
@@ -1096,5 +1105,6 @@ def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", **opt
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
     known = SweepOutcome(1, None, {"weight": 0, "key": [0]}, True) if dim == 0 else None
-    verdict, best = _answer(system, dim, None, mode, **options, known=known)
+    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size,
+                            known=known)
     return best["weight"], best["key"], verdict.checked, verdict.holds

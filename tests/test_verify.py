@@ -22,7 +22,7 @@ from rankscatter.construction import (
 )
 from rankscatter.linalg import SubspaceQn, expand_vector, gaussian_binomial, sample_subspace
 from rankscatter import runner
-from rankscatter.runner import run_sweep, desc_hash
+from rankscatter.runner import SweepOutcome, run_sweep, desc_hash
 from rankscatter.verify import (
     ExhaustiveSweep,
     SampledSweep,
@@ -491,6 +491,14 @@ def test_unknown_engine_is_rejected(F16):
         (lambda: max_weight_search(ps, 0, mode="sampled"), "sampled mode requires a budget"),
     ]:
         with pytest.raises(ValueError, match=match):
+            call()
+    # a known outcome or a defect is decided inside verify.py, never passed in
+    for call in [
+        lambda: verify_h_scattered(ps, 2, known=SweepOutcome(0, None, None, True)),
+        lambda: verify_evasive(ps, 1, 3, defect=lambda system: {"reason": "none"}),
+        lambda: max_weight_search(ps, 1, defect=lambda system: {"reason": "none"}),
+    ]:
+        with pytest.raises(TypeError):
             call()
 
 
