@@ -225,7 +225,6 @@ def generalized_weights(
     budget: int | None = None,
     seed: int | None = None,
     workers: int = 1,
-    engine: str = "auto",
 ) -> WeightProfile:
     """Generalized rank weights of the code attached to a spanning system.
 
@@ -247,7 +246,7 @@ def generalized_weights(
         raise ValueError("rho out of range")
     if len(set(rhos)) != len(rhos):
         raise ValueError(f"duplicate rho in {rhos}")
-    search = dict(mode=mode, budget=budget, seed=seed, workers=workers, engine=engine)
+    search = dict(mode=mode, budget=budget, seed=seed, workers=workers)
     dual = _cheaper_dual(system, rhos) if mode == "exhaustive" else None
     if dual is not None:
         return _profile_from_dual(dual, k, t, rhos, search)

@@ -231,19 +231,12 @@ def expand_vector(tower: FieldTower, vec: Sequence[int]):
     """F_q-expansion of a vector in F_{q^n}^k.
 
     Returns a packed int for q = 2 and a flat index tuple otherwise; either
-    way the map is F_q-linear and injective.
+    way the map is F_q-linear and injective.  For q = 2 (so s = 1) the
+    coordinates of a value on 1, z, ..., z^(n-1) are its own bits.
     """
     n = tower.n
     if tower.q == 2:
-        row = 0
-        for c, x in enumerate(vec):
-            if x:
-                e = tower.expand_scalar(x)
-                bits = 0
-                for l, b in enumerate(e):
-                    bits |= b << l
-                row |= bits << (c * n)
-        return row
+        return sum(x << c * n for c, x in enumerate(vec))
     out = []
     for x in vec:
         out.extend(tower.expand_scalar(x))
@@ -253,16 +246,10 @@ def expand_vector(tower: FieldTower, vec: Sequence[int]):
 def unexpand_row(tower: FieldTower, row, k: int) -> Vector:
     """Inverse of expand_vector on the image."""
     n = tower.n
-    out = []
     if tower.q == 2:
         mask = (1 << n) - 1
-        for c in range(k):
-            coords = (row >> (c * n)) & mask
-            out.append(tower.unexpand_scalar([(coords >> l) & 1 for l in range(n)]))
-    else:
-        for c in range(k):
-            out.append(tower.unexpand_scalar(row[c * n : (c + 1) * n]))
-    return tuple(out)
+        return tuple((row >> c * n) & mask for c in range(k))
+    return tuple(tower.unexpand_scalar(row[c * n : (c + 1) * n]) for c in range(k))
 
 
 def subspace_fq_rows(tower: FieldTower, H: SubspaceQn) -> list:

@@ -35,12 +35,12 @@ from .linalg import (
     expand_vector,
     gaussian_binomial,
     make_rows,
-    sample_subspace,
-    subspace_at,
     subspace_fq_rows,
 )
 from .verify import (
     DEFAULT_CHUNKS,
+    _build_sweep,
+    _check_options,
     max_weight_search,
     recorded_seed,
     subspace_weight,
@@ -234,8 +234,12 @@ def _recheck_verdict(tower, report, problems):
     status = res.get("status")
     mode = cfg["mode"]
     dim, bound, _ = _question(cfg)
+    _check_options("scalar", mode, cfg["budget"], cfg["chunk_size"])
     sweepless = "r" in cfg and vacuous(system, bound)
-    given = {"mode": mode, "bound": bound, "dim": dim, "seed": recorded_seed(mode, cfg["seed"])}
+    # the config's sweep on the scalar oracle: its units and their subspaces
+    seed = recorded_seed(mode, cfg["seed"])
+    sweep = None if sweepless else _build_sweep(system, dim, bound, mode, cfg["budget"], seed, "scalar")[0]
+    given = {"mode": mode, "bound": bound, "dim": dim, "seed": seed}
     for key, value in given.items():
         if res.get(key) != value:
             problems.append(f"result.{key} is {res.get(key)!r}, but the config gives {value!r}")
@@ -249,6 +253,8 @@ def _recheck_verdict(tower, report, problems):
     backend = None if sweepless else weight_backend(tower, system.ambient, "auto", dim)
     if "backend" in res and res["backend"] != backend:
         problems.append(f"backend {res['backend']!r} is not the one these inputs run, {backend!r}")
+    if "r" in cfg and res.get("span_defect") is not None:
+        problems.append("a span defect is recorded, but evasiveness has no spanning condition")
     if status == "violated":
         wit = res.get("witness")
         if wit is None:
@@ -266,11 +272,13 @@ def _recheck_verdict(tower, report, problems):
         # d < dim when a span of d U-vectors already exceeds the bound.
         if H.dim > dim:
             problems.append(f"witness subspace has dimension {H.dim}, more than {dim}")
-        named = _named_subspace(system, cfg, dim, wit.get("tuple_index"))
+        index = wit.get("tuple_index")
+        is_key = isinstance(index, list) and all(type(i) is int for i in index)
+        named = sweep.subspace(index) if is_key and sweep is not None else None
         if named is None:
-            problems.append(f"witness tuple_index {wit.get('tuple_index')!r} names no unit of the {mode} sweep")
+            problems.append(f"witness tuple_index {index!r} names no unit of the {mode} sweep")
         elif named != H:
-            problems.append(f"witness tuple_index {wit['tuple_index']!r} names another subspace than H_basis")
+            problems.append(f"witness tuple_index {index!r} names another subspace than H_basis")
         w = subspace_weight(system.subspace, H)
         if w != wit["weight"]:
             problems.append(f"witness weight mismatch: recorded {wit['weight']}, recomputed {w}")
@@ -286,59 +294,31 @@ def _recheck_verdict(tower, report, problems):
         elif mode == "sampled":
             problems.append("sampled runs cannot prove 'holds'")
         else:
-            _resweep_proof(system, cfg, dim, res, problems)
+            if mode == "exhaustive" and res.get("subspaces_checked") != sweep.total_units:
+                problems.append(f"an exhaustive 'holds' checks all {sweep.total_units} subspaces, "
+                                f"not {res.get('subspaces_checked')}")
+            _resweep_proof(system, cfg, sweep, res, problems)
     elif status == "inconclusive":
-        if mode != "sampled":
+        if mode != "sampled" or sweepless:
             return
         budget = cfg["budget"]
         if res.get("subspaces_checked") != budget:
             problems.append(f"result.subspaces_checked of a sampled run is not its budget {budget}")
         for i in range(min(RECHECK_SAMPLES, budget)):
-            H = sample_subspace(tower, system.ambient, dim, cfg["seed"], i)
-            if subspace_weight(system.subspace, H) > res.get("bound"):
+            if subspace_weight(system.subspace, sweep.subspace([i])) > res.get("bound"):
                 problems.append(f"sample {i} violates the bound but the report found no witness")
                 return
     else:
         problems.append(f"result.status {status!r} is none of holds, violated, inconclusive")
 
 
-def _named_subspace(system, cfg, dim, index):
-    """The subspace that unit key `index` names in the sweep of this config,
-    as the sweeps' `subspace(key)` builds it, or None when the key names no
-    unit: [i] is Grassmannian index i or sample i, and [d, j_1, ..., j_d]
-    the span of U-vectors j_1..j_d."""
-    tower, k, U = system.tower, system.ambient, system.subspace
-    mode = cfg["mode"]
-    if not isinstance(index, list) or not index or not all(isinstance(i, int) and i >= 0 for i in index):
-        return None
-    if mode == "witness_span":
-        d, elements = index[0], index[1:]
-        if not 1 <= d <= dim or len(elements) != d or max(elements) >= tower.q**U.dim:
-            return None
-        return SubspaceQn.from_vectors(tower, k, [U.element(j) for j in elements])
-    if len(index) != 1:
-        return None
-    if mode == "exhaustive" and index[0] < gaussian_binomial(k, dim, tower.order):
-        return subspace_at(tower, k, dim, index[0])
-    if mode == "sampled" and index[0] < cfg["budget"]:
-        return sample_subspace(tower, k, dim, cfg["seed"], index[0])
-    return None
-
-
-def _resweep_proof(system, cfg, dim, res, problems):
-    """Re-run a proof whose sweep, sized from the system and not from the
-    claimed count, is at most RECHECK_SWEEP_CAP units, through the scalar
-    oracle and not the backend that produced it; the status and the number
-    of subspaces checked must reproduce."""
-    mode = cfg["mode"]
-    tower = system.tower
-    if mode == "exhaustive":
-        size = gaussian_binomial(system.ambient, dim, tower.order)
-    elif mode == "witness_span":
-        size = (tower.q**system.t) ** dim
-    else:
-        problems.append(f"unknown proof mode {mode!r}")
-        return
+def _resweep_proof(system, cfg, sweep, res, problems):
+    """Re-run a proof of the exhaustive or witness-span `sweep` whose size,
+    taken from the system and not from the claimed count, is at most
+    RECHECK_SWEEP_CAP units, through the scalar oracle and not the backend
+    that produced it; the status and the number of subspaces checked must
+    reproduce.  A witness-span sweep is sized by its |U|^h tuples."""
+    size = sweep.total_units if cfg["mode"] == "exhaustive" else (system.tower.q**system.t) ** sweep.dim
     if size > RECHECK_SWEEP_CAP:
         return
     fresh = run_verify(system, cfg, engine="scalar")

@@ -23,11 +23,15 @@ Three modes feed that scan:
 An (h, r)-evasiveness question with r >= t = dim U holds in every mode
 without a sweep (`vacuous`), since no subspace meets U in more than t.
 
-Each mode has one batched `_weights`, written against a row kernel, and
-the scalar oracle.  The kernel's calls build the expansion rows of value
-matrices or of elements of U, raw or reduced mod U (element rows also
-against the echelon basis of a prefix, which another call takes), rank a
-batch, and read kernels of maps linear in the index digits of U's elements.
+Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
+`subspace(key)` is the one map from a key to its subspace, and a batched
+`_weights` weighs them on a row kernel.  The scalar oracle is the same for
+every mode: where no kernel runs, `_Sweep._stream` weighs `subspace(key)`
+with `subspace_weight` for each key.  The kernel's calls build the
+expansion rows of value matrices or of elements of U, raw or reduced mod U
+(element rows also against the echelon basis of a prefix, which another
+call takes), rank a batch, and read kernels of maps linear in the index
+digits of U's elements.
 Witness-span levels take their weights from those kernels: one map per
 F_q^*-class of a scalar lambda, not one rank per element.  A level ranks its
 elements' rows instead only when the kernels, whose sizes are known after
@@ -35,16 +39,15 @@ elimination, add up to more elements than the level has units, as when U
 has a large extension-linear part.  A level read from its kernels is
 sparse: every unit weighs wt(P) + 1 but the few in some kernel and the
 skipped ones, so it travels as a `SparseLevel`, its summary computed for a
-batch of levels at once.  `_Context` picks the backend once per sweep
+batch of levels at once.  A sweep picks its backend once
 (`weight_backend`):
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
 * "fp" - `_FpRows`, uint8 row arrays and `bitkernel.fp_rank`, for any
   other prime q < 256 (odd q, and q = 2 with k*n > 64);
-* "scalar" - no kernel: one weight at a time from `subspace_weight`, the
-  oracle, for q = p^s with s > 1, for p > 255, and whenever
-  engine="scalar".
+* "scalar" - no kernel: the oracle, one weight per unit key, for q = p^s
+  with s > 1, for p > 255, and whenever engine="scalar".
 
 Rows are linear over F_p in the base-p digits of the entries, so both
 kernels build them from tables with one entry per digit or digit group,
@@ -68,6 +71,7 @@ F_q-basis of the offending intersection) that re-verifies independently.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -85,10 +89,8 @@ from .linalg import (
     intersection_rows,
     make_rows,
     matrix_rank,
-    rref,
     sample_subspace,
     sample_values,
-    subspace_at,
     subspace_fq_rows,
     unexpand_row,
     _check_sample_order,
@@ -136,7 +138,7 @@ def _added_rank(sub: FqSubspace, rows) -> int:
     return added
 
 
-# --- the one scan, and the context shared by the sweeps ---
+# --- the one scan ---
 
 
 class SparseLevel(NamedTuple):
@@ -195,7 +197,7 @@ def _sparse_levels(sizes, bases, level, pos, wts, bound) -> list[SparseLevel]:
 def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     """Fold the sweep's weight stream over units [lo, hi) into a chunk result.
 
-    `sweep._weights(lo, hi)` yields (head, start, wts) in unit order, where
+    `sweep._stream(lo, hi)` yields (head, start, wts) in unit order, where
     wts is a SparseLevel or a dense block: wts[i] is the weight of the unit
     keyed [*head, start + i], or -1 for a skipped unit that is not counted.
     A block's best is its first maximum; its first weight above the bound
@@ -204,7 +206,7 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     bound = sweep.bound
     checked = 0
     best = None
-    for head, start, wts in sweep._weights(lo, hi):
+    for head, start, wts in sweep._stream(lo, hi):
         if isinstance(wts, SparseLevel):
             # the first unit above the bound is the first exception above
             # it or, when the base is, the first plain unit
@@ -228,8 +230,8 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
                         off, weight = t_off, t_wt
         else:
             # ndarray methods, and a count only for blocks with skipped
-            # units: scalar engines send one weight per block, where call
-            # overhead is the whole cost
+            # units: the scalar oracle sends one weight per block, where
+            # call overhead is the whole cost
             wts = np.asarray(wts, dtype=np.int64)
             off = int(wts.argmax())
             viol = bound is not None and wts.item(off) > bound
@@ -244,7 +246,7 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
         if weight >= 0:
             best = _merge_best(best, top)
         if viol:
-            if subspace_weight(sweep.ctx.U, sweep.subspace(top["key"])) != weight:
+            if subspace_weight(sweep.U, sweep.subspace(top["key"])) != weight:
                 raise AssertionError(f"batch/scalar weight mismatch at unit key {top['key']}")
             return ChunkResult(lo, hi, checked, top, best)
     return ChunkResult(lo, hi, checked, None, best)
@@ -359,13 +361,13 @@ class _GF2Rows:
 
     BLOCK = GF2_BLOCK
 
-    def __init__(self, ctx):
-        t, n, U = ctx.tower, ctx.n, ctx.U
-        self.n, self.k, self.U = n, ctx.k, U
-        self.w = ctx.k * n - U.dim
+    def __init__(self, sweep):
+        t, n, U = sweep.tower, sweep.n, sweep.U
+        self.n, self.k, self.U = n, sweep.k, U
+        self.w = sweep.k * n - U.dim
         self.low = np.uint64((1 << self.w) - 1)
         e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
-        raw = [[[x << c * n for x in row] for row in e] for c in range(ctx.k)]
+        raw = [[[x << c * n for x in row] for row in e] for c in range(sweep.k)]
         red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
         # (raw, reduced) tables of shape (k, digit groups, n, digit values)
         tables = bitkernel.subset_xor_table(np.array([raw, red], dtype=np.uint64), min(n, 8))
@@ -466,22 +468,22 @@ class _FpRows:
 
     BLOCK = FP_BLOCK
 
-    def __init__(self, ctx):
-        t, n, k, p = ctx.tower, ctx.n, ctx.k, ctx.tower.p
-        self.n, self.k, self.p, self.U, self.dtype = n, k, p, ctx.U, ctx.dtype
-        self.w = k * n - ctx.U.dim
+    def __init__(self, sweep):
+        t, n, k, p = sweep.tower, sweep.n, sweep.k, sweep.tower.p
+        self.n, self.k, self.p, self.U, self.dtype = n, k, p, sweep.U, sweep.dtype
+        self.w = k * n - sweep.U.dim
         e = np.array([[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8)
         raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
         for c in range(k):
             raw[c, :, :, c, :] = e
         raw = raw.reshape(k * n, n, k * n)
-        gens = [[x for v in g for x in t.expand_scalar(v)] for g in ctx.U.canonical_generators]
+        gens = [[x for v in g for x in t.expand_scalar(v)] for g in sweep.U.canonical_generators]
         basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
         bitkernel.fp_rank(basis, p)
         red = raw.reshape(1, -1, k * n).copy()
         bitkernel.fp_reduce_static(red, basis[0], p)
         keep = np.ones(k * n, dtype=bool)
-        keep[ctx.U.pivots] = False
+        keep[sweep.U.pivots] = False
         self.tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
 
     @cached_property
@@ -548,18 +550,48 @@ class _FpRows:
 _KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
 
 
-class _Context:
-    def __init__(self, tower: FieldTower, system: QSystem, engine: str, dim: int):
+class _Sweep:
+    """What every sweep shares: the system, the `dim` and `bound` of its
+    question, the backend `weight_backend` picks and its row kernel (None
+    on the scalar backend), and `_stream`.  A subclass lists the keys of
+    its counted units in unit order (`_keys`), maps a key to its subspace,
+    or to None when it names no unit (`subspace`), and weighs units on the
+    kernel in batches (`_weights`)."""
+
+    def __init__(self, system: QSystem, dim: int, bound: int | None, engine: str):
         _check_options(engine)
-        self.tower = tower
+        self.tower = system.tower
         self.U = system.subspace
         self.k = system.ambient
-        self.n = tower.n
+        self.n = self.tower.n
+        self.dim = dim
+        self.bound = bound
         # element values are int64 up to Q = 2^63, Python ints past it
         # (only the F_p kernel meets such fields)
-        self.dtype = np.int64 if tower.order <= 1 << 63 else object
-        self.backend = weight_backend(tower, self.k, engine, dim)
+        self.dtype = np.int64 if self.tower.order <= 1 << 63 else object
+        self.backend = weight_backend(self.tower, self.k, engine, dim)
         self.kernel = _KERNELS[self.backend](self) if self.backend in _KERNELS else None
+
+    def run_units(self, lo: int, hi: int) -> ChunkResult:
+        return _scan(self, lo, hi)
+
+    def _stream(self, lo, hi):
+        """The (head, start, wts) blocks of units [lo, hi) that `_scan`
+        reads: the kernel's batches, or else one weight per unit key from
+        the scalar oracle."""
+        if self.kernel is not None:
+            yield from self._weights(lo, hi)
+            return
+        for key in self._keys(lo, hi):
+            yield tuple(key[:-1]), key[-1], [subspace_weight(self.U, self.subspace(key))]
+
+    def _keys(self, lo, hi):
+        """Index keys [i], the units of the exhaustive and sampled sweeps."""
+        return ([i] for i in range(lo, hi))
+
+    def _index(self, key) -> int | None:
+        """The unit index of an index key [i], or None when it names none."""
+        return key[0] if len(key) == 1 and 0 <= key[0] < self.total_units else None
 
     def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
         """Rank of the expansion rows of each (d, k) matrix of element
@@ -573,40 +605,32 @@ class _Context:
 # --- exhaustive sweep over the Grassmannian ---
 
 
-class ExhaustiveSweep:
+class ExhaustiveSweep(_Sweep):
     """Units are subspace indices in the frozen enumeration order."""
 
-    def __init__(self, tower, system, dim: int, bound: int | None, engine: str):
-        self.ctx = _Context(tower, system, engine, dim)
-        self.dim = dim
-        self.bound = bound
-        Q = tower.order
+    def __init__(self, system, dim: int, bound: int | None, engine: str):
+        super().__init__(system, dim, bound, engine)
         self.blocks = []
         start = 0
-        for pivots, cells, count in _pivot_blocks(self.ctx.k, dim, Q):
+        for pivots, cells, count in _pivot_blocks(self.k, dim, self.tower.order):
             self.blocks.append((start, pivots, cells, count))
             start += count
         self.total_units = start
 
-    def run_units(self, lo: int, hi: int) -> ChunkResult:
-        return _scan(self, lo, hi)
-
-    def subspace(self, key) -> SubspaceQn:
-        return subspace_at(self.ctx.tower, self.ctx.k, self.dim, key[0])
+    def subspace(self, key) -> SubspaceQn | None:
+        """Subspace i of the frozen order, as `subspace_at` builds it."""
+        i = self._index(key)
+        if i is None:
+            return None
+        start, pivots, cells, _ = self.blocks[bisect_right(self.blocks, i, key=lambda b: b[0]) - 1]
+        return _subspace_from_assignment(self.tower, self.k, pivots, cells, i - start)
 
     def _weights(self, lo, hi):
-        ctx = self.ctx
         for gstart, pivots, cells, count in self.blocks:
             blo = max(lo - gstart, 0)
             bhi = min(hi - gstart, count)
-            if blo >= bhi:
-                continue
-            if ctx.kernel is not None:
+            if blo < bhi:
                 yield from self._batches(gstart, pivots, cells, blo, bhi)
-                continue
-            for a in range(blo, bhi):
-                H = _subspace_from_assignment(ctx.tower, ctx.k, pivots, cells, a)
-                yield (), gstart + a, [subspace_weight(ctx.U, H)]
 
     def _batches(self, gstart, pivots, cells, blo, bhi):
         """Assignments in blocks of at most the kernel's BLOCK, as (B, dim,
@@ -614,8 +638,7 @@ class ExhaustiveSweep:
         digits of the assignment index, the last cell least significant.
         The last `low` cells take the digits of a numpy range; the others
         are constant in a block."""
-        ctx = self.ctx
-        Q, block = ctx.tower.order, ctx.kernel.BLOCK
+        Q, block = self.tower.order, self.kernel.BLOCK
         low, size = 0, 1
         while low < len(cells) and size < block:
             low, size = low + 1, size * Q
@@ -623,32 +646,31 @@ class ExhaustiveSweep:
         while a < bhi:
             high, start = divmod(a, size)
             count = min(block, bhi - a, size - start)
-            vals = np.zeros((count, self.dim, ctx.k), dtype=ctx.dtype)
+            vals = np.zeros((count, self.dim, self.k), dtype=self.dtype)
             vals[:, np.arange(self.dim), list(pivots)] = 1
-            r = start + np.arange(count).astype(ctx.dtype)
+            r = start + np.arange(count).astype(self.dtype)
             for e, (i, c) in enumerate(reversed(cells)):
                 vals[:, i, c] = r // Q**e % Q if e < low else high // Q ** (e - low) % Q
-            yield (), gstart + a, self.dim * ctx.n - ctx.ranks(vals, reduced=True)
+            yield (), gstart + a, self.dim * self.n - self.ranks(vals, reduced=True)
             a += count
 
 
 # --- witness-span sweep over tuples of U-vectors ---
 
 
-class SpanSweep:
-    """Units are (d, first-index) pairs: unit = (d-1)*R + position.
+class SpanSweep(_Sweep):
+    """Units are (d, first-index) pairs: unit = (d-1)*R + position, for d
+    up to `dim`.
 
     For each first vector (a scalar-class representative) the remaining
     tuple indices increase strictly; prefixes that are dependent over the
     extension field are skipped and not counted.
     """
 
-    def __init__(self, tower, system, dmax: int, bound: int | None, engine: str):
-        self.ctx = _Context(tower, system, engine, dmax)
-        self.dmax = dmax
-        self.bound = bound
-        t = tower
-        self.NU = t.q**self.ctx.U.dim
+    def __init__(self, system, dmax: int, bound: int | None, engine: str):
+        super().__init__(system, dmax, bound, engine)
+        t = self.tower
+        self.NU = t.q**self.U.dim
         if self.NU > SPAN_TABLE_CAP and engine != "scalar":
             raise ValueError(
                 f"witness-span sweep over {self.NU} subspace elements exceeds the cap; "
@@ -657,61 +679,62 @@ class SpanSweep:
         # scalar-class representatives are the indices whose top base-q digit
         # is 1: the ranges [q^e, 2q^e) for e < dim U
         self.R = (self.NU - 1) // (t.q - 1)
-        self.total_units = self.dmax * self.R
+        self.total_units = self.dim * self.R
 
-    def _runs(self, p_lo, p_hi):
-        """The representatives at positions p_lo..p_hi-1, as runs [a, b) of
-        consecutive element indices inside the ranges [q^e, 2q^e)."""
-        q = self.ctx.tower.q
-        for e in range(self.ctx.U.dim):
-            # run e holds positions from (q^e - 1)/(q - 1) on
-            first = (q**e - 1) // (q - 1)
-            lo, hi = max(p_lo, first), min(p_hi, first + q**e)
-            if lo < hi:
-                yield q**e + lo - first, q**e + hi - first
-
-    def run_units(self, lo: int, hi: int) -> ChunkResult:
-        return _scan(self, lo, hi)
-
-    def subspace(self, key) -> SubspaceQn:
-        vecs = [self.ctx.U.element(i) for i in key[1:]]
-        return SubspaceQn.from_vectors(self.ctx.tower, self.ctx.k, vecs)
-
-    def _weights(self, lo, hi):
-        R = self.R
+    def _firsts(self, lo, hi):
+        """(d, runs) for each tuple length d of units [lo, hi), the first
+        indices of those units as runs [a, b) inside the ranges [q^e, 2q^e)."""
+        R, q = self.R, self.tower.q
         if lo >= hi:
             return
         for d in range(lo // R + 1, (hi - 1) // R + 2):
-            p_lo = max(lo - (d - 1) * R, 0)
-            p_hi = min(hi - (d - 1) * R, R)
-            if self.ctx.kernel is not None and d == 1:
-                for a, b in self._runs(p_lo, p_hi):
-                    yield from self._levels(1, [()], a, b)
-                continue
-            firsts = [i for a, b in self._runs(p_lo, p_hi) for i in range(a, b)]
-            if self.ctx.kernel is not None:
-                yield from self._tuples(d, firsts)
-                continue
-            for i1 in firsts:
-                yield from self._scalar_tuples(d, i1)
+            p_lo, p_hi = max(lo - (d - 1) * R, 0), min(hi - (d - 1) * R, R)
+            runs = []
+            for e in range(self.U.dim):
+                # run e holds positions from (q^e - 1)/(q - 1) on
+                first = (q**e - 1) // (q - 1)
+                a, b = max(p_lo, first), min(p_hi, first + q**e)
+                if a < b:
+                    runs.append((q**e + a - first, q**e + b - first))
+            yield d, runs
 
-    # scalar tuple walk, any q
+    def subspace(self, key) -> SubspaceQn | None:
+        """The span of U-vectors j_1..j_d that key [d, j_1, ..., j_d]
+        names, for 1 <= d <= dim."""
+        if not (1 <= len(key) - 1 == key[0] <= self.dim and all(0 <= j < self.NU for j in key[1:])):
+            return None
+        return SubspaceQn.from_vectors(self.tower, self.k, [self.U.element(j) for j in key[1:]])
 
-    def _scalar_tuples(self, d: int, i1: int):
-        ctx = self.ctx
-        U = ctx.U
+    def _keys(self, lo, hi):
+        """The keys in walk order: later indices increase strictly, and a
+        u_j in the extension span of the prefix is skipped, with every
+        tuple that extends it."""
+        tower, k, U = self.tower, self.k, self.U
 
         def walk(prefix, span):
-            if len(prefix) == d:
-                yield (d, *prefix[:-1]), prefix[-1], [subspace_weight(U, span)]
-                return
             for j in range(prefix[-1] + 1, self.NU):
                 v = U.element(j)
-                if not span.contains(v):
-                    grown = SubspaceQn.from_vectors(ctx.tower, ctx.k, list(span.basis) + [v])
-                    yield from walk(prefix + [j], grown)
+                if span.contains(v):
+                    continue
+                if len(prefix) + 1 == d:
+                    yield [d, *prefix, j]
+                else:
+                    yield from walk([*prefix, j], SubspaceQn.from_vectors(tower, k, [*span.basis, v]))
 
-        yield from walk([i1], SubspaceQn.from_vectors(ctx.tower, ctx.k, [U.element(i1)]))
+        for d, runs in self._firsts(lo, hi):
+            for i1 in (i for a, b in runs for i in range(a, b)):
+                if d == 1:
+                    yield [1, i1]
+                else:
+                    yield from walk([i1], SubspaceQn.from_vectors(tower, k, [U.element(i1)]))
+
+    def _weights(self, lo, hi):
+        for d, runs in self._firsts(lo, hi):
+            if d == 1:
+                for a, b in runs:
+                    yield from self._levels(1, [()], a, b)
+            else:
+                yield from self._tuples(d, [i for a, b in runs for i in range(a, b)])
 
     # batched tuple walk: one level of weights per (d-1)-prefix
     #
@@ -743,7 +766,7 @@ class SpanSweep:
     def _lambdas(self) -> np.ndarray:
         """Coordinates on the F_q-basis of one lambda per F_q^*-class of
         the nonzero elements of a complement of F_q in the extension."""
-        t = self.ctx.tower
+        t = self.tower
         q, n = t.q, t.n
         one = next(l for l, x in enumerate(t.expand_scalar(1)) if x)
         c = _digit_array(np.arange(1, q ** (n - 1)), q, n - 1)
@@ -753,7 +776,7 @@ class SpanSweep:
     @cached_property
     def _extension(self) -> np.ndarray:
         """e_j by the count c_j of classes whose kernel holds j."""
-        q, n = self.ctx.tower.q, self.ctx.n
+        q, n = self.tower.q, self.n
         table = np.full(self._classes + 1, -1, dtype=np.int64)
         table[[(q**e - 1) // (q - 1) for e in range(n)]] = np.arange(1, n + 1)
         return table
@@ -762,7 +785,7 @@ class SpanSweep:
         """Elements of the F_q-span of the index digits of the tags of each
         owner 0..count-1, grouped by owner: (bounds, elements), the elements
         of owner i at bounds[i]:bounds[i + 1].  Tags come sorted by owner."""
-        q, dim = self.ctx.tower.q, self.ctx.U.dim
+        q, dim = self.tower.q, self.U.dim
         kappa = np.bincount(owners, minlength=count)
         first = np.cumsum(kappa) - kappa
         bounds = np.concatenate([[0], np.cumsum(q**kappa)])
@@ -785,7 +808,7 @@ class SpanSweep:
     def _tuples(self, d: int, firsts):
         """The d-tuples of each first index, as levels of (d-1)-prefixes
         in walk order, a batch of levels at a time."""
-        kern = self.ctx.kernel
+        kern = self.kernel
 
         def walk(prefix):
             if len(prefix) == d - 1:
@@ -808,9 +831,9 @@ class SpanSweep:
         prefix's span, the total size of each level's kernels (at least the
         class count when none were computed) and, for levels that take the
         kernel route, their elements, grouped by level as `_spans` does."""
-        kern, q, L, C = self.ctx.kernel, self.ctx.tower.q, len(prefixes), self._classes
+        kern, q, L, C = self.kernel, self.tower.q, len(prefixes), self._classes
         basis, ranks, dependent = kern.basis(prefixes)
-        weights = prefixes.shape[1] * self.ctx.n - ranks
+        weights = prefixes.shape[1] * self.n - ranks
         sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if self._kernel_route(C, units.max()):
             owners, tags = kern.kernels(basis, self._lambdas)
@@ -824,14 +847,14 @@ class SpanSweep:
     def _first_level(self):
         """_prepare of the empty prefix, shared by the d = 1 runs, of at
         most q^(dim U - 1) units each."""
-        return self._prepare(np.zeros((1, 0), dtype=np.int64), np.array([self.NU // self.ctx.tower.q]))
+        return self._prepare(np.zeros((1, 0), dtype=np.int64), np.array([self.NU // self.tower.q]))
 
     def _levels(self, d, prefixes, lo, hi):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
         lo..hi-1 past the prefix's last index, with -1 for a u_j inside the
         prefix's extension span: a SparseLevel on the kernel route, dense
         blocks on the rank route."""
-        kern, n = self.ctx.kernel, self.ctx.n
+        kern, n = self.kernel, self.n
         prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
         pre = self._first_level if d == 1 else self._prepare(prefixes, hi - starts)
@@ -877,54 +900,37 @@ class SpanSweep:
 # --- sampled sweep ---
 
 
-class SampledSweep:
+class SampledSweep(_Sweep):
     """Units are sample indices; sample i is `sample_subspace(..., seed, i)`,
     a pure function of (seed, i), so chunks can run in any order and
     resumes are exact.
 
-    Samples are drawn SAMPLE_BLOCK at a time from the counter stream of
-    `linalg.sample_values`.  The batched kernels never canonicalise: they
+    The batched kernels draw samples SAMPLE_BLOCK at a time from the
+    counter stream of `linalg.sample_values` and never canonicalise: they
     rank the unreduced expansion rows to find rank-deficient matrices,
     redraw those one at a time, and rank the rows reduced mod U for the
-    weights, which do not depend on the basis of H.  The scalar backend
-    RREFs and weighs one sample at a time, so it stops at the first
-    violation.
+    weights, which do not depend on the basis of H.
     """
 
-    def __init__(self, tower, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
-        _check_sample_order(tower.order)
-        self.ctx = _Context(tower, system, engine, dim)
-        self.dim = dim
-        self.bound = bound
+    def __init__(self, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
+        _check_sample_order(system.tower.order)
+        super().__init__(system, dim, bound, engine)
         self.seed = seed
         self.total_units = budget
 
-    def run_units(self, lo: int, hi: int) -> ChunkResult:
-        return _scan(self, lo, hi)
-
-    def subspace(self, key) -> SubspaceQn:
-        return sample_subspace(self.ctx.tower, self.ctx.k, self.dim, self.seed, key[0])
+    def subspace(self, key) -> SubspaceQn | None:
+        i = self._index(key)
+        return None if i is None else sample_subspace(self.tower, self.k, self.dim, self.seed, i)
 
     def _weights(self, lo, hi):
-        ctx = self.ctx
-        t, k, d = ctx.tower, ctx.k, self.dim
+        t, k, d = self.tower, self.k, self.dim
+        R = d * self.n
         for blo in range(lo, hi, SAMPLE_BLOCK):
-            bhi = min(blo + SAMPLE_BLOCK, hi)
-            vals, accepted = sample_values(t.order, k, d, self.seed, blo, bhi, 0)
-            if ctx.kernel is not None:
-                R = d * ctx.n
-                full = accepted & (ctx.ranks(vals, reduced=False) == R)
-                for j in np.flatnonzero(~full).tolist():
-                    vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
-                yield (), blo, R - ctx.ranks(vals, reduced=True)
-                continue
-            for j in range(bhi - blo):
-                basis, pivots = rref(t, vals[j].tolist(), k) if accepted[j] else ((), ())
-                if len(pivots) == d:
-                    H = SubspaceQn(t, k, basis, pivots)
-                else:
-                    H = _redraw(t, k, d, self.seed, blo + j, 1)
-                yield (), blo + j, [subspace_weight(ctx.U, H)]
+            vals, accepted = sample_values(t.order, k, d, self.seed, blo, min(blo + SAMPLE_BLOCK, hi), 0)
+            full = accepted & (self.ranks(vals, reduced=False) == R)
+            for j in np.flatnonzero(~full).tolist():
+                vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
+            yield (), blo, R - self.ranks(vals, reduced=True)
 
 
 # --- verdicts ---
@@ -1012,12 +1018,12 @@ def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engi
                 "give a budget (--budget) or use sampled mode"
             )
         desc.update(kind="exhaustive", dim=dim)
-        return ExhaustiveSweep(tower, system, dim, bound, engine), desc
+        return ExhaustiveSweep(system, dim, bound, engine), desc
     if mode == "witness_span":
         desc.update(kind="span", dmax=dim)
-        return SpanSweep(tower, system, dim, bound, engine), desc
+        return SpanSweep(system, dim, bound, engine), desc
     desc.update(kind="sampled", dim=dim, seed=seed, budget=budget, stream=SAMPLE_STREAM)
-    return SampledSweep(tower, system, dim, bound, seed, engine, budget), desc
+    return SampledSweep(system, dim, bound, seed, engine, budget), desc
 
 
 def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
@@ -1038,7 +1044,7 @@ def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int
         chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(sweep.total_units, 1))
         outcome = run_sweep(sweep, desc, chunk, workers=workers, checkpoint=checkpoint,
                             budget_units=budget if mode != "sampled" else None)
-        backend = sweep.ctx.backend
+        backend = sweep.backend
         if outcome.viol is not None:
             witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
     # a weight witness is the violation reported, so the defect is read only without one

@@ -132,7 +132,7 @@ def test_criterion_03_point_scatteredness_h1(F16, family_params):
     assert sysV1.t == 16
     t0 = time.perf_counter()
     v = verify_h_scattered(sysV1, 1, mode="witness_span")
-    sweep = SpanSweep(F16, sysV1, 1, 1, "auto")
+    sweep = SpanSweep(sysV1, 1, 1, "auto")
     out = sweep.run_units(0, sweep.total_units)
     elapsed = time.perf_counter() - t0
     assert v.status == "holds"

@@ -99,7 +99,10 @@ def _assert_d1_is_the_codeword_distance(code):
     assert code.tower.order**code.k <= 4096
     d = _codeword_distance(code)
     assert min_distance(code).value == d
-    assert generalized_weights(code.system(), [1], engine="scalar").exact(1) == d
+    # d_1 = t - the largest weight of a (k-1)-space, on the scalar oracle
+    system = code.system()
+    w, _, _, exact = max_weight_search(system, code.k - 1, engine="scalar")
+    assert exact and system.t - w == d
     return d
 
 

@@ -521,6 +521,11 @@ TAMPER_SOURCES = {
                         "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
     "exhaustive-holds": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                          "--mode", "exhaustive"],
+    # violated at plane 1 of [5, 2]_16 = 17,965,585, too many to sweep again
+    "exhaustive-large": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--ambient", "5",
+                         "--h", "2", "--mode", "exhaustive"],
+    "evasive-violated": ["verify-evasive", "--field", "2,1,4", "--system", "line-control", "--ambient", "3",
+                         "--hdim", "1", "--r", "3", "--mode", "exhaustive"],
     "vacuous-sampled": ["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                         "--hdim", "1", "--r", "4", "--mode", "sampled", "--budget", "10"],
     "sampled-inconclusive": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
@@ -579,6 +584,16 @@ TAMPERS = (
         ("exhaustive-holds", {"result.status": "violated"}, "carries neither witness nor span defect"),
         ("exhaustive-holds", {"result.status": "violated", "result.span_defect": {"reason": "x", "span_dim": 2}},
          "span defect recorded but the system spans the ambient space"),
+        ("evasive-violated", {"result.witness": None, "result.span_defect": {"reason": "x", "span_dim": 1}},
+         "a span defect is recorded, but evasiveness has no spanning condition"),
+        ("exhaustive-large", {"result.status": "holds", "result.witness": None, "result.subspaces_checked": 5,
+                              "counts.subspaces_checked": 5},
+         "an exhaustive 'holds' checks all 17965585 subspaces, not 5"),
+        # a mode no sweep has, also where the verdict needs no sweep
+        ("sampled-inconclusive", {"config.mode": "bogus", "result.mode": "bogus", "result.seed": None},
+         "unknown mode 'bogus'"),
+        ("vacuous-sampled", {"config.mode": "bogus", "result.mode": "bogus", "result.seed": None},
+         "unknown mode 'bogus'"),
         ("span-violated", {"result.witness.H_basis": [[F16_ZERO, F16_ONE]], "result.witness.weight": 0,
                            "result.witness.intersection_basis": []},
          "witness weight 0 does not exceed the bound 1"),
@@ -797,7 +812,7 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path, killed_after):
     from rankscatter.verify import SampledSweep
 
     F16 = create_field(2, 1, 4)
-    sweep = SampledSweep(F16, pseudoregulus_subspace(F16, 2), 2, 2, 21, "auto", 300)
+    sweep = SampledSweep(pseudoregulus_subspace(F16, 2), 2, 2, 21, "auto", 300)
     desc = {
         "kind": "sampled",
         "field": F16.descriptor(),

@@ -5,7 +5,6 @@ import multiprocessing
 import multiprocessing.connection
 import time
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,7 +224,7 @@ def _dense(wts) -> np.ndarray:
 
 def _unit_weights(sweep, lo, hi):
     """The weight of every unit in [lo, hi), as the sweep's engine yields it."""
-    blocks = [_dense(w) for _, _, w in sweep._weights(lo, hi)]
+    blocks = [_dense(w) for _, _, w in sweep._stream(lo, hi)]
     return np.concatenate(blocks).tolist()
 
 
@@ -253,9 +252,9 @@ def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
     from rankscatter.linalg import matrix_rank, sample_values
 
     system, d, lo, hi, varied = _sampled_systems()[case]
-    batch = SampledSweep(system.tower, system, d, None, 17, "auto", hi)
-    scalar = SampledSweep(system.tower, system, d, None, 17, "scalar", hi)
-    assert (batch.ctx.backend, scalar.ctx.backend) == ("gf2", "scalar")
+    batch = SampledSweep(system, d, None, 17, "auto", hi)
+    scalar = SampledSweep(system, d, None, 17, "scalar", hi)
+    assert (batch.backend, scalar.backend) == ("gf2", "scalar")
     fast = _unit_weights(batch, lo, hi)
     assert fast == _unit_weights(scalar, lo, hi)
     assert len(fast) == hi - lo and (len(set(fast)) > 1) == varied
@@ -285,7 +284,7 @@ def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
             for i in range(400)
         ]
         for engine in ("auto", "scalar"):
-            sweep = SampledSweep(system.tower, system, d, None, 23, engine, 400)
+            sweep = SampledSweep(system, d, None, 23, engine, 400)
             assert _unit_weights(sweep, 0, 400) == oracle, (system.tower.order, engine)
         assert np.unique(oracle).size > 1
 
@@ -367,7 +366,7 @@ def _sampled_job(F16, seed):
         "budget": 200,
         "engine": "auto",
     }
-    return SampledSweep(F16, ps, 2, 2, seed, "auto", 200), desc
+    return SampledSweep(ps, 2, 2, seed, "auto", 200), desc
 
 
 def test_checkpoint_resume_is_exact(tmp_path, F16, killed_after):
@@ -432,7 +431,7 @@ def ps2_job(F16, ps2):
         "bound": 2,
         "engine": "auto",
     }
-    return ExhaustiveSweep(F16, ps2, 2, 2, "auto"), desc
+    return ExhaustiveSweep(ps2, 2, 2, "auto"), desc
 
 
 def test_sweep_objects_run_their_own_units(ps2_job):
@@ -441,6 +440,30 @@ def test_sweep_objects_run_their_own_units(ps2_job):
     out = sweep.run_units(0, 273)
     assert out.checked == 273 and out.viol is None
     assert desc_hash(desc) == desc_hash(json.loads(json.dumps(desc)))
+
+
+def test_sweep_keys_name_the_subspaces_of_their_units(F8, F16, ps2):
+    from rankscatter.construction import direct_sum
+    from rankscatter.linalg import subspace_at
+
+    # every Grassmannian index, over F_8^4 and F_16^3, and the zero space
+    ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
+    for system, dim in ((ds, 2), (ps2, 2), (ps2, 0)):
+        sweep = ExhaustiveSweep(system, dim, None, "auto")
+        k, total = system.ambient, sweep.total_units
+        assert total == gaussian_binomial(k, dim, system.tower.order)
+        assert all(sweep.subspace([i]) == subspace_at(system.tower, k, dim, i) for i in range(total))
+        for key in ([total], [-1], [0, 0], []):
+            assert sweep.subspace(key) is None, (dim, key)
+    sampled = SampledSweep(ps2, 2, 2, 3, "auto", 10)
+    assert sampled.subspace([9]) == sample_subspace(F16, 3, 2, 3, 9)
+    for key in ([10], [-1], [1, 1], []):
+        assert sampled.subspace(key) is None, key
+    span = SpanSweep(ps2, 2, 2, "auto")
+    U = ps2.subspace
+    assert span.subspace([2, 3, 8]) == SubspaceQn.from_vectors(F16, 3, [U.element(3), U.element(8)])
+    for key in ([0], [1], [2, 3], [3, 1, 2, 3], [1, span.NU], [1, -1], [9, 9], []):
+        assert span.subspace(key) is None, key
 
 
 def test_checkpoint_torn_final_line_is_dropped_and_rerun(tmp_path, ps2_job):
@@ -478,7 +501,7 @@ def test_unknown_engine_is_rejected(F16):
         with pytest.raises(ValueError, match="unknown engine"):
             verify_h_scattered(ps, 2, mode="exhaustive", engine=engine)
         with pytest.raises(ValueError, match="unknown engine"):
-            ExhaustiveSweep(F16, ps, 2, 2, engine)
+            ExhaustiveSweep(ps, 2, 2, engine)
         # calls that return before any sweep is built check the engine too
         with pytest.raises(ValueError, match="unknown engine"):
             verify_evasive(ps, 1, ps.t, engine=engine)
@@ -511,7 +534,7 @@ def test_max_weight_search_keeps_the_earliest_maximum(F8):
     for dim, (weight, key, total) in expected.items():
         # two chunks that each hold a maximum: the merge keeps the first one
         half = -(-total // 2)
-        sweep = ExhaustiveSweep(F8, ds, dim, None, "auto")
+        sweep = ExhaustiveSweep(ds, dim, None, "auto")
         bests = [sweep.run_units(lo, min(lo + half, total)).best for lo in (0, half)]
         assert bests[0] == {"key": key, "weight": weight} and bests[1]["weight"] == weight
         results = [
@@ -551,18 +574,18 @@ def _keyed_weights(sweep, lo, hi):
     which a batched backend marks -1 and the scalar one never yields, drop
     out."""
     out = []
-    for head, start, wts in sweep._weights(lo, hi):
+    for head, start, wts in sweep._stream(lo, hi):
         out += [((*head, start + i), w) for i, w in enumerate(_dense(wts).tolist()) if w >= 0]
     return out
 
 
 def _skipped(sweep, lo, hi):
-    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._weights(lo, hi))
+    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._stream(lo, hi))
 
 
 def _fp_and_scalar(make):
     fast, slow = make("auto"), make("scalar")
-    assert (fast.ctx.backend, slow.ctx.backend) == ("fp", "scalar")
+    assert (fast.backend, slow.backend) == ("fp", "scalar")
     return fast, slow
 
 
@@ -577,7 +600,7 @@ def test_fp_exhaustive_weights_equal_scalar_weights_unit_by_unit(q):
     seen = set()
     for system in systems:
         for dim in range(1, system.ambient):
-            fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(F, system, dim, None, e))
+            fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(system, dim, None, e))
             weights = _keyed_weights(fast, 0, fast.total_units)
             assert weights == _keyed_weights(slow, 0, slow.total_units), (system.tag, dim)
             assert len(weights) == gaussian_binomial(system.ambient, dim, F.order)
@@ -591,7 +614,7 @@ def test_fp_span_weights_equal_scalar_weights_unit_by_unit(system):
     # with the prefixes inside the extension span of the first vector skipped
     F27 = create_field(3, 1, 3)
     U = pseudoregulus_subspace(F27, 2) if system == "pseudoregulus" else line_control_subspace(F27, 3)
-    fast, slow = _fp_and_scalar(lambda e: SpanSweep(F27, U, 2, None, e))
+    fast, slow = _fp_and_scalar(lambda e: SpanSweep(U, 2, None, e))
     for d in (1, 2):
         lo, hi = (d - 1) * fast.R, d * fast.R
         weights = _keyed_weights(fast, lo, hi)
@@ -605,7 +628,7 @@ def test_fp_span_weights_equal_scalar_weights_unit_by_unit(system):
 def test_fp_span_walks_prefixes_at_depth_three():
     F9 = create_field(3, 1, 2)
     U = explicit_system(F9, 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)])
-    fast, slow = _fp_and_scalar(lambda e: SpanSweep(F9, U, 3, None, e))
+    fast, slow = _fp_and_scalar(lambda e: SpanSweep(U, 3, None, e))
     weights = _keyed_weights(fast, 0, fast.total_units)
     assert weights == _keyed_weights(slow, 0, slow.total_units)
     assert {k[0] for k, _ in weights} == {1, 2, 3}
@@ -618,8 +641,8 @@ def test_span_skips_extension_multiples_of_u1_past_its_f_q_multiples(q, n, backe
     # extension span, and the depth-1 shortcut must not apply
     F = create_field(q, 1, n)
     U = explicit_system(F, 3, [(1, 0, 0), (q, 0, 0), (1, 1, 1)])
-    fast, slow = (SpanSweep(F, U, 3, None, e) for e in ("auto", "scalar"))
-    assert fast.ctx.backend == backend
+    fast, slow = (SpanSweep(U, 3, None, e) for e in ("auto", "scalar"))
+    assert fast.backend == backend
     weights = _keyed_weights(fast, 0, fast.total_units)
     assert weights == _keyed_weights(slow, 0, slow.total_units)
     # U spans only a plane over the extension: no 3-tuple is independent
@@ -635,7 +658,7 @@ def test_fp_sampled_weights_equal_scalar_weights_with_forced_redraws(monkeypatch
     U = explicit_system(F27, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (5, 7, 1)])
     _, accepted = linalg.sample_values(27, 3, 2, 11, 0, 300, 0)
     assert 0.3 < 1 - accepted.mean() < 0.7
-    fast, slow = _fp_and_scalar(lambda e: SampledSweep(F27, U, 2, None, 11, e, 300))
+    fast, slow = _fp_and_scalar(lambda e: SampledSweep(U, 2, None, 11, e, 300))
     weights = _keyed_weights(fast, 0, 300)
     assert weights == _keyed_weights(slow, 0, 300)
     oracle = [subspace_weight(U, linalg.sample_subspace(F27, 3, 2, 11, i)) for i in range(300)]
@@ -649,9 +672,9 @@ def test_fp_backend_runs_q2_above_the_packed_width():
     F256 = create_field(2, 1, 8)
     fam = family_subspace(ConstructionParams(F256, 3, 2, (1, 1, 2)))
     for dim, units in ((1, 600), (2, 300)):
-        fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(F256, fam, dim, None, e))
+        fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(fam, dim, None, e))
         assert _keyed_weights(fast, 0, units) == _keyed_weights(slow, 0, units)
-    fast, slow = _fp_and_scalar(lambda e: SampledSweep(F256, fam, 2, None, 4, e, 100))
+    fast, slow = _fp_and_scalar(lambda e: SampledSweep(fam, 2, None, 4, e, 100))
     assert _keyed_weights(fast, 0, 100) == _keyed_weights(slow, 0, 100)
     for mode in ("exhaustive", "sampled"):
         v = [
@@ -686,10 +709,10 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     # F_{2^16}: a value table per field element would have 65,536 entries
     F = create_field(2, 1, 16)
     ps = pseudoregulus_subspace(F, 2)
-    fast, slow = (ExhaustiveSweep(F, ps, 2, None, e) for e in ("auto", "scalar"))
-    kern = fast.ctx.kernel
+    fast, slow = (ExhaustiveSweep(ps, 2, None, e) for e in ("auto", "scalar"))
+    kern = fast.kernel
     # (raw, reduced) tables of shape (k, digit groups, n, digit values)
-    assert fast.ctx.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
+    assert fast.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
     # the rows of b_l * v for random planes, from both digit bytes of v
     vals = np.random.default_rng(5).integers(0, F.order, (40, 2, 3))
     rows = kern.value_rows(vals, reduced=False)
@@ -699,8 +722,8 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     # units around the byte boundary of the last cell and the block boundary
     for lo, hi in ((250, 262), (65530, 65542)):
         assert _keyed_weights(fast, lo, hi) == _keyed_weights(slow, lo, hi)
-    span = SpanSweep(F, ps, 1, None, "auto")
-    assert span.ctx.kernel._element_table.shape[-1] == 256
+    span = SpanSweep(ps, 1, None, "auto")
+    assert span.kernel._element_table.shape[-1] == 256
 
 
 # --- kernel agreement: every batched driver against the scalar oracle ---
@@ -734,9 +757,9 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
 
     F, system, mode, dim, seed = case
     make = {
-        "exhaustive": lambda e: ExhaustiveSweep(F, system, dim, None, e),
-        "witness_span": lambda e: SpanSweep(F, system, dim, None, e),
-        "sampled": lambda e: SampledSweep(F, system, dim, None, seed, e, 150),
+        "exhaustive": lambda e: ExhaustiveSweep(system, dim, None, e),
+        "witness_span": lambda e: SpanSweep(system, dim, None, e),
+        "sampled": lambda e: SampledSweep(system, dim, None, seed, e, 150),
     }[mode]
     slow = make("scalar")
     oracle = _keyed_weights(slow, 0, slow.total_units)
@@ -745,7 +768,7 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
     for kernel in kernels:
         for route in routes:
             fast = make("auto")
-            fast.ctx.kernel = kernel(fast.ctx)
+            fast.kernel = kernel(fast)
             if route is not None:
                 _force_route(fast, route)
             assert _keyed_weights(fast, 0, fast.total_units) == oracle, (kernel.__name__, route)
@@ -763,8 +786,8 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     # add up to more elements than it has units, and each u_j ranks
     F = create_field(q, 1, n)
     U = line_control_subspace(F, 2)
-    fast, slow = (SpanSweep(F, U, 2, None, e) for e in ("auto", "scalar"))
-    kern = fast.ctx.kernel
+    fast, slow = (SpanSweep(U, 2, None, e) for e in ("auto", "scalar"))
+    kern = fast.kernel
     ranked = []
     element_rows = kern.element_rows
     kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
@@ -773,7 +796,7 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     weights = [((*h, s + i), w) for h, s, wts in blocks for i, w in enumerate(wts.tolist()) if w >= 0]
     assert weights == _keyed_weights(slow, 0, slow.total_units)
     assert {w for _, w in weights} == {n} and len(weights) == fast.R
-    forced = _force_route(SpanSweep(F, U, 2, None, "auto"), True)
+    forced = _force_route(SpanSweep(U, 2, None, "auto"), True)
     assert _keyed_weights(forced, 0, forced.total_units) == weights
     verdicts = [verify_h_scattered(U, 1, mode="witness_span", engine=e) for e in ("auto", "scalar")]
     assert [(v.status, v.checked, v.witness.tuple_index) for v in verdicts] == [("violated", 1, [1, 1])] * 2
@@ -787,10 +810,10 @@ def test_span_routes_agree_past_a_subfield_line():
     sub = [x for x in range(1, 64) if F.pow(x, 8) == x]
     U = explicit_system(F, 2, [(x, 0) for x in sub] + [(1, 1), (F.q_basis[1], 9)])
     assert U.t == 5
-    oracle = _keyed_weights(SpanSweep(F, U, 2, None, "scalar"), 0, 2 * 31)
+    oracle = _keyed_weights(SpanSweep(U, 2, None, "scalar"), 0, 2 * 31)
     assert {w for k, w in oracle if k[0] == 1} == {1, 2, 3}
     for route in (True, False):
-        sweep = _force_route(SpanSweep(F, U, 2, None, "auto"), route)
+        sweep = _force_route(SpanSweep(U, 2, None, "auto"), route)
         assert _keyed_weights(sweep, 0, sweep.total_units) == oracle, route
 
 
@@ -809,7 +832,7 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     # 4369 holds the first weight-3 span, at j = 8738
     U = family_subspace(ConstructionParams(F16, 4, 2, (1, 1, 1, 1)))
     firsts = [*range(1, 51), 4369]
-    sweeps = (_force_route(SpanSweep(F16, U, 2, None, "auto"), route) for route in (True, False))
+    sweeps = (_force_route(SpanSweep(U, 2, None, "auto"), route) for route in (True, False))
     kernel, rank = (_level_weights(sweep, firsts) for sweep in sweeps)
     assert list(kernel) == list(rank) == [(2, i) for i in firsts]
     for head, (start, wts) in kernel.items():
@@ -825,9 +848,9 @@ class _StreamSweep:
 
     def __init__(self, blocks, bound, table):
         self.blocks, self.bound, self.table = blocks, bound, table
-        self.ctx = SimpleNamespace(U=None)
+        self.U = None
 
-    def _weights(self, lo, hi):
+    def _stream(self, lo, hi):
         return iter(self.blocks)
 
     def subspace(self, key):
