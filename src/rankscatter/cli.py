@@ -198,7 +198,7 @@ def _cmd_verify(tower: FieldTower, args):
         config["h"] = 1 if args.h is None else args.h
     verdict = reports.run_verify(system, config, workers=args.workers, checkpoint=args.checkpoint)
     code = {"holds": EXIT_HOLDS, "violated": EXIT_VIOLATED, "inconclusive": EXIT_INCONCLUSIVE}[verdict.status]
-    return config, verdict.serialize(tower), {"subspaces_checked": verdict.checked}, code
+    return config, *reports.verify_result(tower, verdict), code
 
 
 def _cmd_weights(tower: FieldTower, args):

@@ -31,23 +31,24 @@ from .construction import (
 )
 from .field import FieldTower
 from .linalg import (
-    SubspaceQn,
     expand_vector,
     gaussian_binomial,
     make_rows,
     subspace_fq_rows,
 )
+from .runner import SweepOutcome
 from .verify import (
-    DEFAULT_CHUNKS,
     _build_sweep,
     _check_options,
+    _verdict,
     max_weight_search,
     recorded_seed,
+    span_defect,
     subspace_weight,
+    sweep_extent,
     vacuous,
     verify_evasive,
     verify_h_scattered,
-    weight_backend,
 )
 
 SCHEMA = "rankscatter-report/1"
@@ -141,20 +142,25 @@ def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
 
 
 def _question(config: dict):
-    """(dim, bound, verifier) of a verify config: (hdim, r) and
-    `verify_evasive` when the config names r, else (h, h) and
-    `verify_h_scattered`.  verifier(system, **options) is the verdict."""
+    """(dim, bound, defect, verifier) of a verify config: (hdim, r, None,
+    `verify_evasive`) when the config names r, else (h, h, `span_defect`,
+    `verify_h_scattered`).  verifier(system, **options) is the verdict."""
     if "r" in config:
-        return config["hdim"], config["r"], partial(verify_evasive, hdim=config["hdim"], r=config["r"])
-    return config["h"], config["h"], partial(verify_h_scattered, h=config["h"])
+        return config["hdim"], config["r"], None, partial(verify_evasive, hdim=config["hdim"], r=config["r"])
+    return config["h"], config["h"], span_defect, partial(verify_h_scattered, h=config["h"])
 
 
 def run_verify(system: QSystem, config: dict, **run):
     """The verdict of a verify config.  `run` holds what the report does not
     record (workers, checkpoint, engine)."""
-    verifier = _question(config)[2]
+    verifier = _question(config)[3]
     return verifier(system, mode=config["mode"], budget=config["budget"], seed=config["seed"],
                     chunk_size=config["chunk_size"], **run)
+
+
+def verify_result(tower: FieldTower, verdict) -> tuple[dict, dict]:
+    """`verify-scattered` and `verify-evasive`: the verdict and its count."""
+    return verdict.serialize(tower), {"subspaces_checked": verdict.checked}
 
 
 # --- recheck ---
@@ -164,9 +170,10 @@ def recheck_report(report: dict) -> tuple[bool, list[str]]:
     """Re-verify a report from its own contents.
 
     Returns (ok, problems).  construct, compare and search reports are
-    derived again in full.  Violated verdicts re-derive the witness weight;
-    sampled verdicts re-run a deterministic prefix of the sample stream;
-    small proofs and small exact weights are re-swept outright.
+    derived again in full; a verdict is rebuilt from the outcome it records
+    by verify's status rule.  Witnesses are weighed again, sampled runs
+    replay a prefix of their sample stream, and small proofs and small
+    exact weights are re-swept outright.
     """
     problems: list[str] = []
     try:
@@ -228,120 +235,88 @@ def _recheck_search(tower, report, problems):
 
 
 def _recheck_verdict(tower, report, problems):
+    """Rebuild the verdict that verify's one status rule gives for the
+    outcome the report records, which must reproduce key by key, then
+    re-derive what the rule takes from that outcome: the witness's weight
+    and its meet with U, the count of an index sweep and small proofs."""
     system = _system(tower, report)
     cfg = report["config"]
     res = report["result"]
-    status = res.get("status")
-    mode = cfg["mode"]
-    dim, bound, _ = _question(cfg)
-    _check_options("scalar", mode, cfg["budget"], cfg["chunk_size"])
-    sweepless = "r" in cfg and vacuous(system, bound)
-    # the config's sweep on the scalar oracle: its units and their subspaces
+    mode, budget = cfg["mode"], cfg["budget"]
+    dim, bound, defect, _ = _question(cfg)
+    _check_options("scalar", mode, budget, cfg["chunk_size"])
     seed = recorded_seed(mode, cfg["seed"])
-    sweep = None if sweepless else _build_sweep(system, dim, bound, mode, cfg["budget"], seed, "scalar")[0]
-    given = {"mode": mode, "bound": bound, "dim": dim, "seed": seed}
-    for key, value in given.items():
-        if res.get(key) != value:
-            problems.append(f"result.{key} is {res.get(key)!r}, but the config gives {value!r}")
-    if report["counts"].get("subspaces_checked") != res.get("subspaces_checked"):
-        problems.append("counts.subspaces_checked differs from result.subspaces_checked")
-    if sweepless and status != "holds":
-        problems.append(f"r >= t = {system.t} holds without a sweep, but the status is {status!r}")
-    # The backend is the one `auto` picks for these inputs, and none when the
-    # question is vacuous and nothing is swept.  Reports written before
-    # verdicts named their backend carry no such key.
-    backend = None if sweepless else weight_backend(tower, system.ambient, "auto", dim)
-    if "backend" in res and res["backend"] != backend:
-        problems.append(f"backend {res['backend']!r} is not the one these inputs run, {backend!r}")
-    if "r" in cfg and res.get("span_defect") is not None:
-        problems.append("a span defect is recorded, but evasiveness has no spanning condition")
-    if status == "violated":
-        wit = res.get("witness")
-        if wit is None:
-            if res.get("span_defect") is None:
-                problems.append("violated verdict carries neither witness nor span defect")
-            elif system.spans_ambient:
-                problems.append("span defect recorded but the system spans the ambient space")
-            return
-        for key, value in (("mode", mode), ("bound", bound)):
-            if wit.get(key) != value:
-                problems.append(f"result.witness.{key} is {wit.get(key)!r}, but the config gives {value!r}")
-        H = SubspaceQn.deserialize(tower, system.ambient, wit["H_basis"])
-        # A smaller witness is valid: any subspace containing it has at
-        # least its weight.  The witness-span sweep reports one of dimension
-        # d < dim when a span of d U-vectors already exceeds the bound.
-        if H.dim > dim:
-            problems.append(f"witness subspace has dimension {H.dim}, more than {dim}")
-        index = wit.get("tuple_index")
-        is_key = isinstance(index, list) and all(type(i) is int for i in index)
-        named = sweep.subspace(index) if is_key and sweep is not None else None
-        if named is None:
+    checked = res.get("subspaces_checked")
+    sweep, outcome = None, vacuous(system, bound) if "r" in cfg else None
+    if outcome is None:
+        # the config's sweep on the scalar oracle: its units and their subspaces
+        sweep = _build_sweep(system, dim, bound, mode, budget, seed, "scalar")[0]
+        wit, viol = res.get("witness"), None
+        index = None if wit is None else wit.get("tuple_index")
+        if isinstance(index, list) and all(type(i) is int for i in index) and sweep.subspace(index) is not None:
+            viol = {"key": index, "weight": wit.get("weight")}
+        elif wit is not None:
             problems.append(f"witness tuple_index {index!r} names no unit of the {mode} sweep")
-        elif named != H:
-            problems.append(f"witness tuple_index {index!r} names another subspace than H_basis")
-        w = subspace_weight(system.subspace, H)
-        if w != wit["weight"]:
-            problems.append(f"witness weight mismatch: recorded {wit['weight']}, recomputed {w}")
-        if w <= bound:
-            problems.append(f"witness weight {w} does not exceed the bound {bound}")
-        _check_intersection(tower, system, H, wit, problems)
-    elif status == "holds":
-        if res.get("witness") is not None:
-            problems.append("result.witness is recorded on a 'holds' verdict")
-        if sweepless:
-            if res.get("subspaces_checked") != 0:
-                problems.append(f"a vacuous 'holds' checks no subspace, not {res.get('subspaces_checked')}")
-        elif mode == "sampled":
-            problems.append("sampled runs cannot prove 'holds'")
-        else:
-            if mode == "exhaustive" and res.get("subspaces_checked") != sweep.total_units:
-                problems.append(f"an exhaustive 'holds' checks all {sweep.total_units} subspaces, "
-                                f"not {res.get('subspaces_checked')}")
-            _resweep_proof(system, cfg, sweep, res, problems)
-    elif status == "inconclusive":
-        if mode != "sampled" or sweepless:
-            return
-        budget = cfg["budget"]
-        if res.get("subspaces_checked") != budget:
-            problems.append(f"result.subspaces_checked of a sampled run is not its budget {budget}")
-        for i in range(min(RECHECK_SAMPLES, budget)):
-            if subspace_weight(system.subspace, sweep.subspace([i])) > res.get("bound"):
-                problems.append(f"sample {i} violates the bound but the report found no witness")
-                return
-    else:
-        problems.append(f"result.status {status!r} is none of holds, violated, inconclusive")
-
-
-def _resweep_proof(system, cfg, sweep, res, problems):
-    """Re-run a proof of the exhaustive or witness-span `sweep` whose size,
-    taken from the system and not from the claimed count, is at most
-    RECHECK_SWEEP_CAP units, through the scalar oracle and not the backend
-    that produced it; the status and the number of subspaces checked must
-    reproduce.  A witness-span sweep is sized by its |U|^h tuples."""
-    size = sweep.total_units if cfg["mode"] == "exhaustive" else (system.tower.q**system.t) ** sweep.dim
-    if size > RECHECK_SWEEP_CAP:
+        outcome = SweepOutcome(checked, viol, None, res.get("status") != "inconclusive")
+    verdict = _verdict(system, dim, bound, mode, seed, "auto", sweep, outcome, defect)
+    result, counts = verify_result(tower, verdict)
+    if "backend" not in res:  # written before verdicts named their backend
+        del result["backend"]
+    _reproduce(report, (result, counts), problems)
+    if sweep is None:
         return
-    fresh = run_verify(system, cfg, engine="scalar")
-    claimed = (res.get("status"), res.get("subspaces_checked"))
-    if (fresh.status, fresh.checked) != claimed:
-        problems.append(
-            f"proof does not reproduce: recorded {claimed[0]} after {claimed[1]} subspaces, "
-            f"re-run gives {fresh.status} after {fresh.checked}"
-        )
+    if verdict.witness is not None:
+        # the rebuilt witness is weighed by the oracle; the rule takes its
+        # weight above the bound on trust
+        if verdict.witness.weight <= bound:
+            problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {bound}")
+        _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
+    elif mode == "sampled":
+        # a missed witness among the first samples, found on the oracle
+        for i, w in enumerate(_replay(system, sweep, budget)):
+            if w > bound:
+                problems.append(f"sample {i} violates the bound but the report found no witness")
+                break
+    elif verdict.holds:
+        # A proof of at most RECHECK_SWEEP_CAP units, sized from the system
+        # and not from the claimed count (a witness-span sweep by its |U|^h
+        # tuples), is swept again on the scalar oracle.
+        size = sweep.total_units if mode == "exhaustive" else (system.tower.q**system.t) ** dim
+        if size <= RECHECK_SWEEP_CAP:
+            fresh = run_verify(system, cfg, engine="scalar")
+            if (fresh.status, fresh.checked) != ("holds", checked):
+                problems.append(f"proof does not reproduce: recorded holds after {checked} subspaces, "
+                                f"re-run gives {fresh.status} after {fresh.checked}")
+    # An index sweep checks every unit up to its witness, else its whole
+    # range or what its budget lets it check.  Budgeted witness-span counts
+    # skip units, so they are not derived here.
+    if mode != "witness_span":
+        if verdict.witness is not None:
+            units = verdict.witness.tuple_index[0] + 1
+        elif verdict.holds:
+            units = sweep.total_units
+        else:
+            units = sweep_extent(mode, sweep.total_units, budget, cfg["chunk_size"])[1]
+        if checked != units:
+            problems.append(f"result.subspaces_checked is {checked}, but the {mode} sweep of this config "
+                            f"checks {units}")
+
+
+def _replay(system, sweep, budget):
+    """The weights of the first RECHECK_SAMPLES samples of a sampled sweep
+    of `budget` samples, on the scalar oracle."""
+    return (subspace_weight(system.subspace, sweep.subspace([i])) for i in range(min(RECHECK_SAMPLES, budget)))
 
 
 def _check_intersection(tower, system, H, wit, problems):
     vectors = [tuple(tower.val(c) for c in v) for v in wit.get("intersection_basis", [])]
     if len(vectors) != wit["weight"]:
         problems.append("intersection basis size differs from the recorded weight")
-    U = system.subspace
-    h_rows = subspace_fq_rows(tower, H)
-    h_acc = make_rows(tower)
-    for r in h_rows:
+    h_acc, indep = make_rows(tower), make_rows(tower)
+    for r in subspace_fq_rows(tower, H):
         h_acc.add(r)
-    indep = make_rows(tower)
     for v in vectors:
-        if not U.contains_vector(v):
+        if not system.subspace.contains_vector(v):
             problems.append("intersection vector lies outside the subspace")
             return
         row = expand_vector(tower, v)
@@ -380,67 +355,68 @@ def _recheck_weights(tower, report, problems):
     kd = t - k
     dual_size = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
     _check_swept(cfg, report["counts"], profile, Q, dual_size if cheaper is not None else None, problems)
-    exact = {e.rho: e.value for e in profile.entries if e.provenance == "exact"}
+    if cfg.get("mode") == "sampled":
+        _replay_weights(system, cfg, profile, problems)
     # Every exact entry against Wei duality, when the dual is nondegenerate
     # and its profile is small: the dual's d_s = t - w_s, swept by the scalar
     # oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
     dual_system = None
     if kd >= 1 and dual_size <= RECHECK_SWEEP_CAP:
         dual_system = cheaper or nondegenerate_dual(system)
+    primal = None
+    if dual_system is not None:
+        taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
+        primal = sorted(set(range(1, t + 1)) - taken)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep is already a route that did not produce the entries.
-    engine = "auto" if cheaper is not None and dual_system is not None else "scalar"
-    for rho, value in sorted(exact.items()):
-        dim = k - rho
-        if gaussian_binomial(k, dim, Q) > RECHECK_SWEEP_CAP:
-            continue
-        w, _, _, exact_flag = max_weight_search(system, dim, mode="exhaustive", engine=engine)
-        if exact_flag and system.t - w != value:
-            problems.append(f"d_{rho} mismatch: recorded {value}, recomputed {system.t - w}")
-    if dual_system is None:
-        return
-    taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
-    primal = sorted(set(range(1, t + 1)) - taken)
-    for rho, value in sorted(exact.items()):
-        if primal[rho - 1] != value:
-            problems.append(f"d_{rho} = {value} contradicts the dual profile, which gives {primal[rho - 1]}")
+    engine = "auto" if cheaper is not None and primal is not None else "scalar"
+    for e in sorted((e for e in profile.entries if e.provenance == "exact"), key=lambda e: e.rho):
+        if gaussian_binomial(k, k - e.rho, Q) <= RECHECK_SWEEP_CAP:
+            w = max_weight_search(system, k - e.rho, mode="exhaustive", engine=engine)[0]
+            if t - w != e.value:
+                problems.append(f"d_{e.rho} mismatch: recorded {e.value}, recomputed {t - w}")
+        if primal is not None and primal[e.rho - 1] != e.value:
+            problems.append(f"d_{e.rho} = {e.value} contradicts the dual profile, which gives {primal[e.rho - 1]}")
+
+
+def _replay_weights(system, cfg, profile, problems):
+    """Each sampled entry d_rho = t - max against the first samples of its
+    sweep, replayed on the scalar oracle: equal when those are its whole
+    budget, else at most t minus their maximum."""
+    budget, seed = cfg["budget"], recorded_seed("sampled", cfg["seed"])
+    whole = budget <= RECHECK_SAMPLES
+    for e in (e for e in profile.entries if e.rho < profile.k):
+        sweep = _build_sweep(system, profile.k - e.rho, None, "sampled", budget, seed, "scalar")[0]
+        top = profile.t - max(_replay(system, sweep, budget))
+        if e.value != top if whole else e.value > top:
+            problems.append(f"d_{e.rho} = {e.value}, but its first samples on the oracle give "
+                            f"{'' if whole else 'at most '}{top}")
 
 
 def _check_swept(cfg, counts, profile, Q, dual_size, problems):
-    """Each entry's subspaces_checked, and counts.subspaces_swept, are what
-    the route sweeps.  On the dual route (dual_size not None) the entries
-    sweep nothing of their own and the dual's whole profile of dual_size
-    subspaces is swept, since a budget that stops it is refused."""
-    if dual_size is not None:
-        swept = dual_size
-        if any(e.checked != 0 for e in profile.entries):
-            problems.append("a profile entry of the dual route records subspaces of its own")
-    else:
-        swept = 0
-        for e in profile.entries:
-            checked, exact = _primal_sweep(cfg, profile.k, e.rho, Q)
-            swept += checked
-            if e.checked != checked:
-                problems.append(f"d_{e.rho} records {e.checked} subspaces checked, but its sweep checks {checked}")
-            if (e.provenance == "exact") != exact:
-                problems.append(f"d_{e.rho} is {e.provenance!r}, but its sweep is {'' if exact else 'not '}exact")
+    """Each entry's subspaces_checked and provenance, and
+    counts.subspaces_swept, are what the route sweeps.  On the dual route
+    (dual_size not None) the entries are exact and sweep nothing of their
+    own, and the dual's whole profile of dual_size subspaces is swept, since
+    a budget that stops it is refused.  On the primal route d_rho sweeps the
+    budget of a sampled run, else the Grassmannian of (k - rho)-spaces or
+    what a budget lets it check; the zero space of rho = k is one subspace
+    and exact in either mode."""
+    swept = dual_size or 0
+    for e in profile.entries:
+        if dual_size is not None:
+            checked, exact = 0, True
+        elif cfg["mode"] == "sampled" and e.rho < profile.k:
+            checked, exact = cfg["budget"], False
+        else:
+            size = gaussian_binomial(profile.k, profile.k - e.rho, Q)
+            checked = sweep_extent("exhaustive", size, cfg.get("budget"), None)[1]
+            exact = checked == size
+        swept += checked
+        if e.checked != checked:
+            problems.append(f"d_{e.rho} records {e.checked} subspaces checked, but its sweep checks {checked}")
+        if (e.provenance == "exact") != exact:
+            problems.append(f"d_{e.rho} is {e.provenance!r}, but its sweep is {'' if exact else 'not '}exact")
     if counts.get("subspaces_swept") != swept:
         problems.append(f"counts.subspaces_swept is not the {swept} subspaces this route sweeps")
-
-
-def _primal_sweep(cfg, k, rho, Q):
-    """(subspaces checked, exact) of the primal sweep for d_rho: the budget
-    of a sampled sweep, and of an exhaustive one its whole Grassmannian of
-    (k - rho)-spaces, or a budget rounded up to a chunk boundary
-    (`runner.run_sweep`) when that falls short.  The zero space of rho = k
-    is one subspace and exact in either mode."""
-    size = gaussian_binomial(k, k - rho, Q)
-    budget = cfg.get("budget")
-    if rho == k or (cfg["mode"] == "exhaustive" and budget is None):
-        return size, True
-    if cfg["mode"] == "sampled":
-        return budget, False
-    chunk = min(DEFAULT_CHUNKS["exhaustive"], size)
-    checked = min(size, -(-budget // chunk) * chunk)
-    return checked, checked == size

@@ -61,7 +61,8 @@ the scalar oracle reproduces it on `subspace(key)`.
 Every question goes through `_answer`, which validates the options, fixes
 the seed, builds the mode's sweep object from the system it is given, hands
 that object to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
-only names it in checkpoint headers) and applies the one status rule.  The
+only names it in checkpoint headers) and applies the one status rule,
+`_verdict`; `recheck` applies it to the outcome a report records.  The
 public verifiers take a mode and the options they pass it: budget, seed,
 workers, checkpoint, engine and chunk_size.
 
@@ -280,11 +281,11 @@ def recorded_seed(mode: str, seed: int | None) -> int | None:
     return 0 if seed is None else seed
 
 
-def vacuous(system: QSystem, r: int) -> bool:
-    """Whether (h, r)-evasiveness holds for want of room: no subspace meets
-    U in more than t = dim U (Randrianarisoa, DCC 2020), so r >= t needs no
-    sweep."""
-    return r >= system.t
+def vacuous(system: QSystem, r: int) -> SweepOutcome | None:
+    """The sweepless outcome of an (h, r)-evasiveness question with r >= t:
+    no subspace meets U in more than t = dim U (Randrianarisoa, DCC 2020),
+    so it holds for want of room.  None when r < t."""
+    return SweepOutcome(0, None, None, True) if r >= system.t else None
 
 
 def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
@@ -988,15 +989,14 @@ class Verdict:
         }
 
 
-def _build_witness(system: QSystem, sweep, key, weight: int) -> Witness:
+def _build_witness(system: QSystem, sweep, key) -> Witness:
+    """The unit `key` names, its weight by the oracle and its meet with U."""
     tower = system.tower
     U = system.subspace
     H = sweep.subspace(key)
-    if subspace_weight(U, H) != weight:
-        raise AssertionError("witness does not re-verify")
     inter = intersection_rows(tower, U.width, U.fq_rows, subspace_fq_rows(tower, H))
     vectors = [unexpand_row(tower, r, system.ambient) for r in inter]
-    return Witness(H, weight, vectors, list(key))
+    return Witness(H, subspace_weight(U, H), vectors, list(key))
 
 
 def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engine: str):
@@ -1026,40 +1026,61 @@ def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engi
     return SampledSweep(system, dim, bound, seed, engine, budget), desc
 
 
+def sweep_extent(mode: str, total_units: int, budget: int | None, chunk_size: int | None) -> tuple[int, int]:
+    """(chunk, units) of a run over `total_units` units: its chunk size, and
+    the units an index sweep checks unless a violation stops it, the budget
+    rounded up to a chunk boundary (`runner.run_sweep`) or all."""
+    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(total_units, 1))
+    units = total_units if budget is None else min(total_units, -(-budget // chunk) * chunk)
+    return chunk, units
+
+
+def _verdict(system: QSystem, dim: int, bound: int | None, mode: str, seed: int | None, engine: str,
+             sweep, outcome: SweepOutcome, defect=None) -> Verdict:
+    """The one status rule, from a question and its sweep's outcome (sweep
+    None when the outcome is known without one): the unit of `outcome.viol`
+    is the witness, else `defect(system)` is the violation; a sampled sweep
+    or an unfinished one is inconclusive, and anything else holds."""
+    witness = None if outcome.viol is None else _build_witness(system, sweep, outcome.viol["key"])
+    # a weight witness is the violation reported, so the defect is read only without one
+    defect = defect(system) if defect is not None and witness is None else None
+    if witness is not None or defect is not None:
+        status = "violated"
+    elif (sweep is not None and mode == "sampled") or not outcome.completed:
+        status = "inconclusive"
+    else:
+        status = "holds"
+    backend = None if sweep is None else weight_backend(system.tower, system.ambient, engine, dim)
+    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed, defect, backend)
+
+
 def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
             workers: int, checkpoint: str | None, engine: str, chunk_size: int | None, *,
             known: SweepOutcome | None = None, defect=None) -> tuple[Verdict, dict | None]:
     """The one path from a question, does some dim-dimensional subspace meet
     U in more than `bound` (None asks for the largest weight), to its verdict
     and first maximum.  It validates every option, fixes the seed, runs the
-    mode's sweep unless the outcome is `known` without one, builds the
-    witness and applies the one status rule: a witness, or else the result
-    of `defect(system)`, is a violation, a sampled sweep or an unfinished one
-    is inconclusive, and anything else holds."""
+    mode's sweep unless the outcome is `known` without one, and applies
+    `_verdict`."""
     _check_options(engine, mode, budget, chunk_size, workers)
     seed = recorded_seed(mode, seed)
-    outcome, witness, backend = known, None, None
+    sweep, outcome = None, known
     if known is None:
         sweep, desc = _build_sweep(system, dim, bound, mode, budget, seed, engine)
-        chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(sweep.total_units, 1))
+        chunk, _ = sweep_extent(mode, sweep.total_units, budget, chunk_size)
         outcome = run_sweep(sweep, desc, chunk, workers=workers, checkpoint=checkpoint,
                             budget_units=budget if mode != "sampled" else None)
-        backend = sweep.backend
-        if outcome.viol is not None:
-            witness = _build_witness(system, sweep, outcome.viol["key"], outcome.viol["weight"])
-    # a weight witness is the violation reported, so the defect is read only without one
-    defect = defect(system) if defect is not None and witness is None else None
-    if witness is not None or defect is not None:
-        status = "violated"
-    elif (known is None and mode == "sampled") or not outcome.completed:
-        status = "inconclusive"
-    else:
-        status = "holds"
-    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed, defect, backend), outcome.best
+    verdict = _verdict(system, dim, bound, mode, seed, engine, sweep, outcome, defect)
+    if verdict.witness is not None and verdict.witness.weight != outcome.viol["weight"]:
+        raise AssertionError("witness does not re-verify")
+    return verdict, outcome.best
 
 
-def _span_defect(system: QSystem) -> dict:
-    """Why a system that fails to span the ambient space is not h-scattered."""
+def span_defect(system: QSystem) -> dict | None:
+    """Why a system that fails to span the ambient space is not
+    h-scattered, or None when it spans."""
+    if system.spans_ambient:
+        return None
     return {
         "reason": "does not span the ambient space over the extension field",
         "span_dim": matrix_rank(system.tower, system.subspace.canonical_generators, system.ambient),
@@ -1078,8 +1099,7 @@ def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", budg
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    defect = None if system.spans_ambient else _span_defect
-    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size, defect=defect)[0]
+    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size, defect=span_defect)[0]
 
 
 def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", budget: int | None = None,
@@ -1095,8 +1115,8 @@ def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    known = SweepOutcome(0, None, None, True) if vacuous(system, r) else None
-    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size, known=known)[0]
+    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size,
+                   known=vacuous(system, r))[0]
 
 
 def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budget: int | None = None,

@@ -131,15 +131,17 @@ def test_sampled_mode_refuses_a_field_past_2_to_the_63_before_any_sweep(monkeypa
 
 def test_recheck_replays_the_sample_stream_through_the_scalar_oracle(tmp_path, monkeypatch, capsys):
     from rankscatter import bitkernel
-    from rankscatter.construction import pseudoregulus_subspace
-    from rankscatter.field import create_field
-    from rankscatter.linalg import sample_subspace
-    from rankscatter.verify import subspace_weight
 
+    # sample 9 of seed 3 is the line e_1, which meets U = F_16 e_1 in 4 > 1
     out = str(tmp_path / "s.json")
-    assert main(PS2 + ["--mode", "sampled", "--budget", "64", "--seed", "3", "--out", out]) == 2
+    argv = ["verify-evasive", "--field", "2,1,4", "--system", "line-control", "--hdim", "1", "--r", "1",
+            "--mode", "sampled", "--budget", "500", "--seed", "3"]
+    assert main(argv + ["--out", out]) == 1
     rep = load(out)
-    rep["result"]["bound"] = 0  # now every sample of positive weight is a missed witness
+    assert rep["result"]["witness"]["tuple_index"] == [9]
+    # a missed witness: the report claims its whole budget found none
+    rep["result"].update(status="inconclusive", witness=None, subspaces_checked=500)
+    rep["counts"]["subspaces_checked"] = 500
     with open(out, "w") as f:
         json.dump(rep, f)
 
@@ -147,12 +149,9 @@ def test_recheck_replays_the_sample_stream_through_the_scalar_oracle(tmp_path, m
         raise AssertionError("recheck ran the batch kernel")
 
     monkeypatch.setattr(bitkernel, "batch_rank", batch_rank)
+    capsys.readouterr()
     assert main(["recheck", out]) == 1
-    assert "sample 1 violates the bound" in capsys.readouterr().err
-    # samples 0 and 1 of seed 3 on PS2 have weights 0 and 1
-    F16 = create_field(2, 1, 4)
-    ps = pseudoregulus_subspace(F16, 2)
-    assert [subspace_weight(ps, sample_subspace(F16, 3, 2, 3, i)) for i in (0, 1)] == [0, 1]
+    assert capsys.readouterr().err == "corrupt report: sample 9 violates the bound but the report found no witness\n"
 
 
 ODD_Q_PROOFS = {
@@ -241,7 +240,7 @@ def test_verify_reports_name_the_backend_that_ran(tmp_path, capsys, argv, backen
         json.dump(rep, f)
     capsys.readouterr()
     assert main(["recheck", out]) == 1
-    assert "is not the one these inputs run" in capsys.readouterr().err
+    assert "result.backend does not reproduce" in capsys.readouterr().err
     # a report from before verdicts named their backend
     del rep["result"]["backend"]
     with open(out, "w") as f:
@@ -441,6 +440,7 @@ def test_report_bodies_match_their_pinned_digests(tmp_path, name):
     out = str(tmp_path / "r.json")
     assert main(argv + ["--out", out]) == rc
     assert hashlib.sha256(reports.body_bytes(load(out))).hexdigest() == digest
+    assert main(["recheck", out]) == 0
 
 
 def test_weights_command_with_csv(tmp_path):
@@ -521,6 +521,8 @@ TAMPER_SOURCES = {
                         "--alphas", "1,1,1", "--force", "--mode", "witness_span"],
     "exhaustive-holds": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                          "--mode", "exhaustive"],
+    "exhaustive-budget": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+                          "--mode", "exhaustive", "--budget", "1", "--chunk-size", "10"],
     # violated at plane 1 of [5, 2]_16 = 17,965,585, too many to sweep again
     "exhaustive-large": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--ambient", "5",
                          "--h", "2", "--mode", "exhaustive"],
@@ -532,6 +534,7 @@ TAMPER_SOURCES = {
                              "--mode", "sampled", "--budget", "64", "--seed", "3"],
     "weights": WEIGHTS_M2,
     "weights-sampled": WEIGHTS_M2 + ["--mode", "sampled", "--budget", "16"],
+    "weights-sampled-long": WEIGHTS_M2 + ["--mode", "sampled", "--budget", "200"],
     # a Grassmannian past one chunk of 16,384 subspaces, so the budget of 1 is
     # rounded up to a chunk and leaves upper bounds
     "weights-budget": ["weights", "--field", "2,1,16", "--system", "pseudoregulus", "--h", "2",
@@ -564,31 +567,40 @@ TAMPERS = (
         ("census-sampled", {"result.seed": 6}, "result.seed does not reproduce"),
         ("census-sampled", {"result.admissible": 7}, "result.admissible does not reproduce"),
     ]
-    + [(source, {f"result.{key}": value}, f"result.{key} is") for source, mode in [
+    + [(source, {f"result.{key}": value}, f"result.{key} does not reproduce") for source, mode in [
         ("span-violated", "exhaustive"), ("exhaustive-holds", "witness_span"), ("sampled-inconclusive", "exhaustive"),
     ] for key, value in [("bound", 5), ("dim", 5), ("mode", mode), ("seed", 7)]]
     + [(source, edits, problem) for source in ("span-violated", "exhaustive-holds", "sampled-inconclusive")
        for edits, problem in [
-           ({"result.status": "x"}, "result.status 'x' is none of"),
-           ({"counts.subspaces_checked": 9}, "counts.subspaces_checked differs"),
+           ({"result.status": "x"}, "result.status does not reproduce"),
+           ({"counts.subspaces_checked": 9}, "counts.subspaces_checked does not reproduce"),
     ]]
     + [
-        ("exhaustive-holds", {"result.witness": {"weight": 3}}, "result.witness is recorded on a 'holds' verdict"),
+        ("exhaustive-holds", {"result.witness": {"weight": 3}}, "result.witness does not reproduce"),
         ("sampled-inconclusive", {"result.subspaces_checked": 63, "counts.subspaces_checked": 63},
-         "result.subspaces_checked of a sampled run is not its budget 64"),
+         "result.subspaces_checked is 63, but the sampled sweep of this config checks 64"),
         ("weights", {"counts.entries": 3}, "counts.entries is not the number of profile entries, 4"),
         # the refusals of recheck itself
         ("construct", {"field.p": 4}, "field descriptor invalid: p must be prime"),
         ("construct", {"command": "frobnicate"}, "unknown command 'frobnicate'"),
         ("construct", {"config.system.kind": "bogus"}, "recheck raised: unknown system kind 'bogus'"),
-        ("exhaustive-holds", {"result.status": "violated"}, "carries neither witness nor span defect"),
+        ("exhaustive-holds", {"result.status": "violated"}, "result.status does not reproduce"),
         ("exhaustive-holds", {"result.status": "violated", "result.span_defect": {"reason": "x", "span_dim": 2}},
-         "span defect recorded but the system spans the ambient space"),
+         "result.span_defect does not reproduce"),
         ("evasive-violated", {"result.witness": None, "result.span_defect": {"reason": "x", "span_dim": 1}},
-         "a span defect is recorded, but evasiveness has no spanning condition"),
+         "result.span_defect does not reproduce"),
+        # a defect beside a witness: the defect is read only without one
+        ("span-violated", {"result.span_defect": {"reason": "x", "span_dim": 1}},
+         "result.span_defect does not reproduce"),
         ("exhaustive-large", {"result.status": "holds", "result.witness": None, "result.subspaces_checked": 5,
                               "counts.subspaces_checked": 5},
-         "an exhaustive 'holds' checks all 17965585 subspaces, not 5"),
+         "result.subspaces_checked is 5, but the exhaustive sweep of this config checks 17965585"),
+        # a budget of 1 runs one chunk of 10 planes
+        ("exhaustive-budget", {"result.subspaces_checked": 7, "counts.subspaces_checked": 7},
+         "result.subspaces_checked is 7, but the exhaustive sweep of this config checks 10"),
+        # an index sweep stops at its witness, plane 0
+        ("exhaustive-violated", {"result.subspaces_checked": 9, "counts.subspaces_checked": 9},
+         "result.subspaces_checked is 9, but the exhaustive sweep of this config checks 1"),
         # a mode no sweep has, also where the verdict needs no sweep
         ("sampled-inconclusive", {"config.mode": "bogus", "result.mode": "bogus", "result.seed": None},
          "unknown mode 'bogus'"),
@@ -596,13 +608,13 @@ TAMPERS = (
          "unknown mode 'bogus'"),
         ("span-violated", {"result.witness.H_basis": [[F16_ZERO, F16_ONE]], "result.witness.weight": 0,
                            "result.witness.intersection_basis": []},
-         "witness weight 0 does not exceed the bound 1"),
+         "result.witness does not reproduce"),
         ("span-violated", {"result.witness.H_basis": [[F16_ONE, F16_ZERO], [F16_ZERO, F16_ONE]]},
-         "witness subspace has dimension 2, more than 1"),
-        ("sampled-inconclusive", {"result.status": "holds"}, "sampled runs cannot prove 'holds'"),
+         "result.witness does not reproduce"),
+        ("sampled-inconclusive", {"result.status": "holds"}, "result.status does not reproduce"),
         ("vacuous-sampled", {"result.subspaces_checked": 5, "counts.subspaces_checked": 5},
-         "a vacuous 'holds' checks no subspace, not 5"),
-        ("vacuous-sampled", {"result.status": "inconclusive"}, "r >= t = 4 holds without a sweep"),
+         "result.subspaces_checked does not reproduce"),
+        ("vacuous-sampled", {"result.status": "inconclusive"}, "result.status does not reproduce"),
         ("span-violated", {"result.witness.intersection_basis.0": [F16_ZERO, F16_ONE]},
          "intersection vector lies outside the subspace"),
         ("family-violated", {"result.witness.intersection_basis.0": FAMILY_U_VECTOR},
@@ -611,7 +623,9 @@ TAMPERS = (
          "intersection basis rows are dependent"),
         ("weights", {"result.t": 7}, "code length mismatch"),
         ("weights", {"counts.subspaces_swept": 11}, "counts.subspaces_swept is not the 10 subspaces"),
-        ("weights", {"result.profile.0.subspaces_checked": 5}, "entry of the dual route records subspaces"),
+        ("weights", {"result.profile.0.subspaces_checked": 5},
+         "d_1 records 5 subspaces checked, but its sweep checks 0"),
+        ("weights", {"result.profile.0.provenance": "upper_bound"}, "d_1 is 'upper_bound', but its sweep is exact"),
         ("weights-sampled", {"counts.subspaces_swept": 48}, "counts.subspaces_swept is not the 49 subspaces"),
         ("weights-sampled", {"result.profile.1.subspaces_checked": 15},
          "d_2 records 15 subspaces checked, but its sweep checks 16"),
@@ -621,16 +635,22 @@ TAMPERS = (
         ("weights-budget", {"result.profile.0.subspaces_checked": 1},
          "d_1 records 1 subspaces checked, but its sweep checks 16384"),
         ("weights-budget", {"counts.subspaces_swept": 16384}, "counts.subspaces_swept is not the 16385 subspaces"),
+        # sampled entries against their first samples, replayed on the oracle:
+        # all 16 of the budget, or the first 50 of 200
+        ("weights-sampled", {"result.profile.1.value": 2}, "d_2 = 2, but its first samples on the oracle give 3"),
+        ("weights-sampled", {"result.profile.0.value": 4}, "d_1 = 4, but its first samples on the oracle give 2"),
+        ("weights-sampled-long", {"result.profile.0.value": 4},
+         "d_1 = 4, but its first samples on the oracle give at most 2"),
         # the witness must be the unit its tuple_index names, found in the
         # report's own mode and against its own bound
-        ("span-violated", {"result.witness.bound": 0}, "result.witness.bound is 0, but the config gives 1"),
-        ("span-violated", {"result.witness.mode": "sampled"},
-         "result.witness.mode is 'sampled', but the config gives 'witness_span'"),
+        ("span-violated", {"result.witness.bound": 0}, "result.witness does not reproduce"),
+        ("span-violated", {"result.witness.mode": "sampled"}, "result.witness does not reproduce"),
         ("span-violated", {"result.witness.tuple_index": [9, 9]}, "names no unit of the witness_span sweep"),
-        ("family-violated", {"result.witness.tuple_index": [2, 273, 547]}, "names another subspace than H_basis"),
-        ("exhaustive-violated", {"result.witness.tuple_index": [1]}, "names another subspace than H_basis"),
+        ("family-violated", {"result.witness.tuple_index": [2, 273, 547]}, "result.witness does not reproduce"),
+        # line 1 misses U: the rebuilt witness is weighed by the oracle
+        ("exhaustive-violated", {"result.witness.tuple_index": [1]}, "witness weight 0 does not exceed the bound 1"),
         ("exhaustive-violated", {"result.witness.tuple_index": [17]}, "names no unit of the exhaustive sweep"),
-        ("sampled-violated", {"result.witness.tuple_index": [8]}, "names another subspace than H_basis"),
+        ("sampled-violated", {"result.witness.tuple_index": [8]}, "result.witness does not reproduce"),
         ("sampled-violated", {"result.witness.tuple_index": [500]}, "names no unit of the sampled sweep"),
         ("weights", {"result.profile.0.rho": 9}, "rho = 9 out of range 1..4"),
     ]
