@@ -6,8 +6,11 @@ Pivots are lowest set bits, matching the scalar BitRows convention, so
 batch and scalar sweeps agree bit for bit.
 
 An F_p batch, for a prime p < 256, is one uint8 array of shape (B, R, W):
-R rows of W residues mod p per matrix.  Products are taken in uint16, where
-(p - 1)^2 + p - 1 < 2^16.
+R rows of W residues mod p per matrix.  All F_p arithmetic is exact
+unsigned integer arithmetic, never float or BLAS: elimination runs in
+uint8 or uint16, where (p - 1)^2 + p - 1 < 2^16, and reduces mod p only as
+often as the dtype requires; `fp_dot` accumulates in the narrowest dtype
+that holds its sums.
 
 Everything here is batched; scalar row elimination is `linalg.BitRows` and
 `linalg.IdxRows`.
@@ -80,14 +83,17 @@ def _inverses(p: int) -> np.ndarray:
     return inv
 
 
-def _axpy(rows: np.ndarray, src: np.ndarray, f: np.ndarray, p: int) -> None:
-    """rows[b, r] += f[b, r] * src mod p in place; f is uint16, src
-    broadcasts against rows."""
-    f %= p
-    t = f[:, :, None] * src
-    t += rows
-    t %= p
-    rows[...] = t
+def fp_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as uint8, for residues mod p in a (..., D) and b (D, M).
+
+    The sums are exact: they accumulate in the narrowest unsigned dtype that
+    holds D (p - 1)^2, through einsum, which runs integer products several
+    times faster than integer matmul and, like it, without BLAS.
+    """
+    acc = np.min_scalar_type(a.shape[-1] * (p - 1) ** 2)
+    out = np.einsum("...i,ij->...j", a.astype(acc, copy=False), b.astype(acc, copy=False))
+    out %= p
+    return out.astype(np.uint8, copy=False)
 
 
 def fp_rank(rows: np.ndarray, p: int) -> np.ndarray:
@@ -96,20 +102,44 @@ def fp_rank(rows: np.ndarray, p: int) -> np.ndarray:
     Elimination runs without row swaps: row i's first nonzero column is its
     pivot, and it is cleared from the later rows.  The batch is left in that
     echelon form, which `fp_reduce_static` takes as a basis.
+
+    The rows are eliminated in one unsigned copy: uint8 when the whole
+    elimination fits in it, as at p = 3 with up to 64 rows, else uint16.
+    i steps add at most i (p - 1)^2 to an entry below p, so a row is
+    reduced mod p when it becomes the pivot row, and the rows below it only
+    when one more step could pass the dtype's maximum: in uint16, never at
+    p = 3 and before every step but the first at p = 251.
     """
     nb, nrows, width = rows.shape
+    if not width:
+        return np.zeros(nb, dtype=np.int64)
     inv = _inverses(p)
     at = np.arange(nb)
-    rank = np.zeros(nb, dtype=np.int64)
-    for i in range(nrows if width else 0):
-        cur = rows[:, i]
+    step = (p - 1) ** 2
+    bound = p - 1
+    work = rows.astype(np.min_scalar_type(min(bound + (nrows - 1) * step, 0xFFFF)))
+    top = np.iinfo(work.dtype).max
+    for i in range(nrows):
+        cur = work[:, i]
+        cur %= p
+        if i + 1 == nrows:
+            break
         piv = (cur != 0).argmax(axis=1)
-        lead = cur[at, piv]
-        rank += lead != 0
-        if i + 1 < nrows:
-            rest = rows[:, i + 1 :]
-            _axpy(rest, cur[:, None, :], (p - rest[at, :, piv]) * inv[lead][:, None], p)
-    return rank
+        rest = work[:, i + 1 :]
+        if bound + step > top:
+            rest %= p
+            bound = p - 1
+        # f = -rest[piv] / lead; a zero row has lead 0, and p - inv[0] = p
+        # makes f = 0
+        f = rest[at, :, piv]
+        f %= p
+        f *= (p - inv[cur[at, piv]])[:, None]
+        f %= p
+        rest += f[:, :, None] * cur[:, None, :]
+        bound += step
+    rows[...] = work
+    # the nonzero rows of an echelon form are independent
+    return np.count_nonzero(rows.any(axis=2), axis=1)
 
 
 def fp_reduce_static(rows: np.ndarray, basis: np.ndarray, p: int) -> None:
@@ -121,4 +151,9 @@ def fp_reduce_static(rows: np.ndarray, basis: np.ndarray, p: int) -> None:
         nz = np.flatnonzero(b)
         if nz.size:
             c = nz[0]
-            _axpy(rows, b, (p - rows[:, :, c]) * inv[b[c]], p)
+            f = (p - rows[:, :, c]) * inv[b[c]]
+            f %= p
+            t = f[:, :, None] * b
+            t += rows
+            t %= p
+            rows[...] = t

@@ -19,6 +19,7 @@ from typing import Sequence
 # Multiplication switches from log tables to raw polynomial arithmetic
 # above this field size.
 TABLE_CAP = 1 << 20
+TABLE_BLOCK = 1 << 12  # powers per numpy block of the log-table build
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -296,6 +297,17 @@ class FieldTower:
 
     @cached_property
     def _tables(self):
+        """(exp, log) lists for the first generator gen in value order:
+        exp[i] = gen^i for 0 <= i < Q - 1, log[exp[i]] = i and log[0] = -1.
+
+        The powers are built as F_p coefficient rows in int64 numpy, not one
+        product per element: row i times the matrix of multiplication by
+        gen^L is row i + L, so each block of L rows doubles the rows until a
+        block holds TABLE_BLOCK, and later blocks follow one product each.
+        Binary fields of at most 2^8 elements take one product per element:
+        there a product is a few shifts and XORs, the loop costs no more than
+        numpy's fixed cost, and it maps no numpy code into the process.
+        """
         if self.order > TABLE_CAP:
             return None
         qm1 = self.order - 1
@@ -307,15 +319,33 @@ class FieldTower:
                 break
         if gen is None:  # pragma: no cover - cannot happen in a field
             raise RuntimeError("no multiplicative generator found")
-        exp = [1] * qm1
-        log = [-1] * self.order
-        log[1] = 0
-        acc = 1
-        for i in range(1, qm1):
-            acc = self._mul_raw(acc, gen)
-            exp[i] = acc
-            log[acc] = i
-        return exp, log
+        if self.p == 2 and self.order <= 1 << 8:
+            exp = [1] * qm1
+            log = [-1] * self.order
+            log[1] = 0
+            for i in range(1, qm1):
+                exp[i] = self._mul_raw(exp[i - 1], gen)
+                log[exp[i]] = i
+            return exp, log
+        import numpy as np  # loaded by `import rankscatter` anyway, see linalg.counter_words
+
+        p, deg = self.p, self.degree
+        # row j: the coefficients of gen * z^j; integer matmul never calls BLAS
+        step = np.array([self.coeffs(self._mul_raw(gen, p**j)) for j in range(deg)], dtype=np.int64)
+        rows = np.zeros((1, deg), dtype=np.int64)
+        rows[0, 0] = 1
+        while len(rows) < min(qm1, TABLE_BLOCK):
+            rows = np.concatenate([rows, rows @ step % p])
+            step = step @ step % p
+        packed = p ** np.arange(deg, dtype=np.int64)
+        exp = np.empty(qm1, dtype=np.int64)
+        for lo in range(0, qm1, len(rows)):
+            if lo:
+                rows = rows @ step % p
+            exp[lo : lo + len(rows)] = (rows @ packed)[: qm1 - lo]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp] = np.arange(qm1)
+        return exp.tolist(), log.tolist()
 
     # -- field operations --
 

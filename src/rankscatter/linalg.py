@@ -597,13 +597,34 @@ def sample_subspace(tower: FieldTower, k: int, d: int, seed: int, index: int) ->
     return _redraw(tower, k, d, seed, index, 0)
 
 
+def sample_subspaces(tower: FieldTower, k: int, d: int, seed: int, lo: int, hi: int) -> Iterator[SubspaceQn]:
+    """Samples lo .. hi-1 of `sample_subspace`, equal to it index by index.
+
+    Attempt 0 of every sample comes from one `sample_values` call; a sample
+    whose attempt-0 matrix is rejected is redrawn alone, from attempt 1 on.
+    """
+    if d < 0 or d > k:
+        raise ValueError("need 0 <= d <= k")
+    vals, accepted = sample_values(tower.order, k, d, seed, lo, hi, 0)
+    for i, (m, ok) in enumerate(zip(vals, accepted.tolist())):
+        H = _full_rank(tower, k, d, m.tolist()) if ok else None
+        yield _redraw(tower, k, d, seed, lo + i, 1) if H is None else H
+
+
+def _full_rank(tower: FieldTower, k: int, d: int, matrix) -> SubspaceQn | None:
+    """The row space of a d x k matrix, canonicalised, or None when its rank
+    is below d."""
+    basis, pivots = rref(tower, matrix, k)
+    return SubspaceQn(tower, k, basis, pivots) if len(pivots) == d else None
+
+
 def _redraw(tower: FieldTower, k: int, d: int, seed: int, index: int, attempt: int) -> SubspaceQn:
     """Sample `index`, from redraw attempt `attempt` on; sweeps start at
     attempt 1 for a sample whose attempt-0 matrix they rejected."""
     while True:
         vals, accepted = sample_values(tower.order, k, d, seed, index, index + 1, attempt)
         if accepted[0]:
-            basis, pivots = rref(tower, vals[0].tolist(), k)
-            if len(pivots) == d:
-                return SubspaceQn(tower, k, basis, pivots)
+            H = _full_rank(tower, k, d, vals[0].tolist())
+            if H is not None:
+                return H
         attempt += 1

@@ -27,7 +27,8 @@ Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
 `subspace(key)` is the one map from a key to its subspace, and a batched
 `_weights` weighs them on a row kernel.  The scalar oracle is the same for
 every mode: where no kernel runs, `_Sweep._stream` weighs `subspace(key)`
-with `subspace_weight` for each key.  The kernel's calls build the
+with `subspace_weight` for each key (a sampled sweep draws a chunk's
+subspaces at once, equal to them).  The kernel's calls build the
 expansion rows of value matrices or of elements of U, raw or reduced mod U
 (element rows also against the echelon basis of a prefix, which another
 call takes), rank a batch, and read kernels of maps linear in the index
@@ -91,6 +92,7 @@ from .linalg import (
     make_rows,
     matrix_rank,
     sample_subspace,
+    sample_subspaces,
     sample_values,
     subspace_fq_rows,
     unexpand_row,
@@ -105,8 +107,8 @@ from .runner import ChunkResult, SweepOutcome, _merge_best, run_sweep
 SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
 EXHAUSTIVE_CAP = 10**9    # max subspaces of an exhaustive sweep without a budget
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
-GF2_BLOCK = 1 << 16       # units, or witness-span maps, per batch of the GF(2) kernel
-FP_BLOCK = 128            # units, or witness-span maps, per batch of the F_p kernel
+GF2_BLOCK = 1 << 16       # matrices per batch of the GF(2) kernel
+FP_BLOCK = 128 * 12 * 54  # bytes of rows per batch of the F_p kernel
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
 ENGINES = ("auto", "scalar")
@@ -300,9 +302,14 @@ def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
 
 def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
     """The `count` lowest base-p digits of each value, least significant
-    first, along a new last axis; an object array of Python ints works too."""
-    powers = p ** np.arange(count, dtype=values.dtype)
-    return (values[..., None] // powers % p).astype(np.uint8)
+    first, along a new last axis; an object array of Python ints works too.
+    One digit at a time, so no temporary holds all digits as int64."""
+    digits = np.empty((*values.shape, count), dtype=np.uint8)
+    rest = values.copy()
+    for j in range(count):
+        digits[..., j] = rest % p
+        rest //= p
+    return digits
 
 
 # --- the row kernel: two batched implementations of the same calls ---
@@ -321,7 +328,8 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 #                                digits span the kernel of
 #                                j -> lambda u_j mod U + prefix
 #   rank(rows)                   rank of each matrix of a batch, as int64
-#   BLOCK                        units, or maps, per batch
+#   block(rows, width)           matrices of `rows` rows of `width` entries
+#                                per batch
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
 # vector v of a matrix; "reduced" rows are taken mod U, and element rows
@@ -359,8 +367,6 @@ class _GF2Rows:
     the columns outside U's pivots in their low w = k * n - dim U bits, so
     an index tag fits above them in the same word.
     """
-
-    BLOCK = GF2_BLOCK
 
     def __init__(self, sweep):
         t, n, U = sweep.tower, sweep.n, sweep.U
@@ -454,6 +460,10 @@ class _GF2Rows:
     def rank(self, rows):
         return bitkernel.batch_rank(rows).astype(np.int64)
 
+    def block(self, rows, width):
+        """GF2_BLOCK, whatever the shape: a packed row is one word."""
+        return GF2_BLOCK
+
 
 class _FpRows:
     """F_p rows as uint8 arrays, for `bitkernel.fp_rank`: a batch is one
@@ -466,8 +476,6 @@ class _FpRows:
     Reduced rows have width w = k * n - dim U.  No table has an entry per
     field element.
     """
-
-    BLOCK = FP_BLOCK
 
     def __init__(self, sweep):
         t, n, k, p = sweep.tower, sweep.n, sweep.k, sweep.tower.p
@@ -500,9 +508,8 @@ class _FpRows:
         """Digits of shape (B, d, D) times a (D, r, w) table, mod p, as a
         (B, d * r, w) batch."""
         size, r, w = table.shape
-        rows = np.matmul(digits, table.reshape(size, r * w), dtype=np.uint32)
-        rows %= self.p
-        return rows.astype(np.uint8).reshape(len(digits), digits.shape[1] * r, w)
+        rows = bitkernel.fp_dot(digits, table.reshape(size, r * w), self.p)
+        return rows.reshape(len(digits), digits.shape[1] * r, w)
 
     def value_rows(self, vals, reduced):
         digits = _digit_array(vals, self.p, self.n)
@@ -535,7 +542,7 @@ class _FpRows:
         # then the tag of digit e; the prefix rows come first, so
         # elimination reduces the images mod the prefix
         gens = self._generators[..., :w].transpose(1, 0, 2).reshape(self.n, -1)
-        image = np.matmul(lambdas, gens, dtype=np.uint32) % p
+        image = bitkernel.fp_dot(lambdas, gens, p)
         rows = np.zeros((L, C, P + dim, w + dim), dtype=np.uint8)
         rows[:, :, :P, :w] = basis[:, None]
         rows[:, :, P:, :w] = image.reshape(C, dim, w)
@@ -546,6 +553,10 @@ class _FpRows:
 
     def rank(self, rows):
         return bitkernel.fp_rank(rows, self.p)
+
+    def block(self, rows, width):
+        """As many matrices as fill FP_BLOCK bytes, and at least one."""
+        return max(1, FP_BLOCK // max(1, rows * width))
 
 
 _KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
@@ -583,8 +594,12 @@ class _Sweep:
         if self.kernel is not None:
             yield from self._weights(lo, hi)
             return
-        for key in self._keys(lo, hi):
-            yield tuple(key[:-1]), key[-1], [subspace_weight(self.U, self.subspace(key))]
+        for key, H in self._subspaces(lo, hi):
+            yield tuple(key[:-1]), key[-1], [subspace_weight(self.U, H)]
+
+    def _subspaces(self, lo, hi):
+        """(key, subspace(key)) for the keys of units [lo, hi)."""
+        return ((key, self.subspace(key)) for key in self._keys(lo, hi))
 
     def _keys(self, lo, hi):
         """Index keys [i], the units of the exhaustive and sampled sweeps."""
@@ -594,10 +609,15 @@ class _Sweep:
         """The unit index of an index key [i], or None when it names none."""
         return key[0] if len(key) == 1 and 0 <= key[0] < self.total_units else None
 
+    def _value_block(self, reduced: bool) -> int:
+        """(dim, k) value matrices per kernel batch, their rows raw or
+        reduced mod U."""
+        return self.kernel.block(self.dim * self.n, self.k * self.n - reduced * self.U.dim)
+
     def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
-        """Rank of the expansion rows of each (d, k) matrix of element
+        """Rank of the expansion rows of each (dim, k) matrix of element
         values in vals, raw or reduced mod U, on the batched kernel."""
-        kern, block = self.kernel, self.kernel.BLOCK
+        kern, block = self.kernel, self._value_block(reduced)
         return np.concatenate(
             [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
         )
@@ -634,12 +654,12 @@ class ExhaustiveSweep(_Sweep):
                 yield from self._batches(gstart, pivots, cells, blo, bhi)
 
     def _batches(self, gstart, pivots, cells, blo, bhi):
-        """Assignments in blocks of at most the kernel's BLOCK, as (B, dim,
+        """Assignments in blocks of at most one kernel batch, as (B, dim,
         k) value matrices: pivot 1s, and the free cells set to the base-Q
         digits of the assignment index, the last cell least significant.
         The last `low` cells take the digits of a numpy range; the others
         are constant in a block."""
-        Q, block = self.tower.order, self.kernel.BLOCK
+        Q, block = self.tower.order, self._value_block(reduced=True)
         low, size = 0, 1
         while low < len(cells) and size < block:
             low, size = low + 1, size * Q
@@ -822,7 +842,8 @@ class SpanSweep(_Sweep):
                     yield from walk((*prefix, j))
 
         prefixes = (p for i1 in firsts for p in walk((i1,)))
-        size = max(1, kern.BLOCK // self._classes)
+        # a prefix's levels take one map of P + dim U rows per class
+        size = max(1, kern.block((d - 1) * self.n + self.U.dim, kern.w + self.U.dim) // self._classes)
         while batch := list(islice(prefixes, size)):
             yield from self._levels(d, batch, 0, self.NU)
 
@@ -856,6 +877,7 @@ class SpanSweep(_Sweep):
         prefix's extension span: a SparseLevel on the kernel route, dense
         blocks on the rank route."""
         kern, n = self.kernel, self.n
+        block = kern.block(n, kern.w)
         prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
         pre = self._first_level if d == 1 else self._prepare(prefixes, hi - starts)
@@ -891,8 +913,8 @@ class SpanSweep(_Sweep):
                 yield head, s, next(sparse)
                 continue
             dep = deps[1][deps[0][i] : deps[0][i + 1]]
-            for b in range(s, hi, kern.BLOCK):
-                e = min(b + kern.BLOCK, hi)
+            for b in range(s, hi, block):
+                e = min(b + block, hi)
                 wts = weights[i] + n - kern.rank(kern.element_rows(b, e, basis[i]))
                 wts[dep[(dep >= b) & (dep < e)] - b] = -1
                 yield head, b, wts
@@ -922,6 +944,10 @@ class SampledSweep(_Sweep):
     def subspace(self, key) -> SubspaceQn | None:
         i = self._index(key)
         return None if i is None else sample_subspace(self.tower, self.k, self.dim, self.seed, i)
+
+    def _subspaces(self, lo, hi):
+        """The same samples as `subspace`, drawn for the range at once."""
+        return zip(self._keys(lo, hi), sample_subspaces(self.tower, self.k, self.dim, self.seed, lo, hi))
 
     def _weights(self, lo, hi):
         t, k, d = self.tower, self.k, self.dim

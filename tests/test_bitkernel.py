@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,3 +55,45 @@ def test_fp_rank_equals_the_scalar_rank(batch):
         again = m[None].copy()
         bitkernel.fp_reduce_static(again, ech, p)
         assert not again.any()
+
+
+def _reference_echelon(rows, p):
+    """The elimination of `fp_rank` with every entry reduced mod p after
+    every step, as it ran before reductions were delayed."""
+    rows = rows.astype(np.int64)
+    nb, nrows, _ = rows.shape
+    at = np.arange(nb)
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)])
+    for i in range(nrows - 1):
+        cur = rows[:, i]
+        piv = (cur != 0).argmax(axis=1)
+        f = (p - rows[at, i + 1 :, piv]) * inv[cur[at, piv]][:, None] % p
+        rows[:, i + 1 :] = (rows[:, i + 1 :] + f[:, :, None] * cur[:, None, :]) % p
+    return rows.astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "p, shape",
+    [
+        # 12 + i * 12^2 passes 2^16 - 1 at i = 455: the rows below are reduced
+        # mid-elimination
+        (13, (3, 470, 24)),
+        # every step passes it
+        (251, (6, 40, 30)),
+        (3, (4, 60, 50)),
+    ],
+)
+def test_fp_rank_reduces_late_to_the_same_echelon_form(p, shape):
+    rng = np.random.default_rng(p)
+    nb, nrows, width = shape
+    # rows spanning a random subspace of each matrix's own dimension
+    mats = []
+    for r in rng.integers(0, width + 1, nb).tolist():
+        coeffs = rng.integers(0, p, (nrows, r))
+        mats.append(coeffs @ rng.integers(0, p, (r, width)) % p)
+    rows = np.array(mats, dtype=np.uint8)
+    expected = [_scalar_rank(p, m.tolist()) for m in rows]
+    work = rows.copy()
+    assert bitkernel.fp_rank(work, p).tolist() == expected
+    assert work.tobytes() == _reference_echelon(rows, p).tobytes()
+    assert len(set(expected)) > 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankscatter.field import FieldTower, create_field, default_modulus, is_irreducible
+from rankscatter.field import FieldTower, create_field, default_modulus, is_irreducible, prime_factors
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +269,40 @@ def test_log_tables_invert_exp_and_turn_products_into_sums(psn, x, y):
     a, b = 1 + x % qm1, 1 + y % qm1
     assert exp[log[a]] == a and 0 <= log[a] < qm1
     assert log[F._mul_raw(a, b)] == (log[a] + log[b]) % qm1
+
+
+def _first_generator(F):
+    qm1 = F.order - 1
+    return next(
+        c for c in range(2, F.order) if all(F._pow_raw(c, qm1 // f) != 1 for f in prime_factors(qm1))
+    )
+
+
+@pytest.mark.parametrize("psn", TABLE_TOWERS + [(2, 1, 8), (2, 1, 10), (3, 1, 6), (5, 1, 4)])
+def test_log_tables_are_the_powers_of_the_first_generator(psn):
+    # the tables come from F_p matrix powers (from products past F_256 for
+    # p = 2); every entry must be the product of the one before and the
+    # generator
+    F = _table_tower(*psn)
+    exp, log = F._tables
+    gen, qm1 = _first_generator(F), F.order - 1
+    assert len(exp) == qm1 and len(log) == F.order and exp[0] == 1 and exp[1] == gen
+    assert all(exp[(i + 1) % qm1] == F._mul_raw(exp[i], gen) for i in range(qm1))
+    assert log[0] == -1 and all(log[exp[i]] == i for i in range(qm1))
+
+
+def test_log_tables_of_a_large_odd_field():
+    # F_{5^8}: 390,624 powers, past one block of the table build
+    F = create_field(5, 1, 8)
+    exp, log = F._tables
+    qm1 = F.order - 1
+    assert len(exp) == qm1 and exp[1] == _first_generator(F)
+    rng = random.Random(8)
+    for i in rng.sample(range(qm1), 300):
+        assert log[exp[i]] == i
+        assert exp[(i + 1) % qm1] == F._mul_raw(exp[i], exp[1])
+    for a in rng.sample(range(1, F.order), 300):
+        assert exp[log[a]] == a
 
 
 # the table towers, and two past TABLE_CAP, whose products are polynomial

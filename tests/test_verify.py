@@ -289,6 +289,27 @@ def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
         assert np.unique(oracle).size > 1
 
 
+def test_scalar_sampled_stream_draws_each_chunk_at_once(monkeypatch):
+    # the scalar engine's samples are sample_subspace's index by index,
+    # rejected words included, from one attempt-0 draw per chunk
+    from rankscatter import linalg
+
+    monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    draws = []
+    sample_values = linalg.sample_values
+    monkeypatch.setattr(
+        linalg, "sample_values", lambda *a: draws.append(a[-1]) or sample_values(*a)
+    )
+    for F, d in ((create_field(2, 1, 2), 2), (create_field(3, 1, 2), 1)):
+        system = explicit_system(F, 3, [(1, 2, 0), (0, 1, 3)])
+        sweep = SampledSweep(system, d, None, 23, "scalar", 300)
+        draws.clear()
+        stream = list(sweep._subspaces(100, 300))
+        assert draws.count(0) == 1 and len(draws) > 20
+        assert [key for key, _ in stream] == [[i] for i in range(100, 300)]
+        assert [H for _, H in stream] == [sample_subspace(F, 3, d, 23, i) for i in range(100, 300)]
+
+
 def test_sampled_sweep_raises_no_numpy_warning(tmp_path):
     # uint64 overflow is the hash's arithmetic; on numpy scalars it would warn
     import os
@@ -705,6 +726,26 @@ def test_weight_backend_choice():
         assert weight_backend(tower, k, engine, 1) == backend, (p, s, n, k, engine)
 
 
+def test_fp_rows_stay_exact_past_a_uint16_accumulator():
+    # F_{251^2} in F^3: a value row sums D = 6 digit products of up to 250^2,
+    # which a uint16 accumulator would wrap
+    F = create_field(251, 1, 2)
+    U = explicit_system(F, 3, [(1, 2, 3), (5, 7, 11)])
+    fast, slow = (ExhaustiveSweep(U, 2, None, e) for e in ("auto", "scalar"))
+    kern = fast.kernel
+    assert fast.backend == "fp" and 3 * F.n * 250**2 > 0xFFFF
+    # the largest values have the largest digits, so the sums reach their bound
+    vals = np.random.default_rng(7).integers(0, F.order, (40, 2, 3))
+    vals[0] = F.order - 1
+    raw, red = (kern.value_rows(vals, reduced=r) for r in (False, True))
+    keep = [c for c in range(3 * F.n) if c not in U.subspace.pivots]
+    for j, i, l in np.ndindex(40, 2, F.n):
+        row = expand_vector(F, tuple(F.mul(F.q_basis[l], int(x)) for x in vals[j, i]))
+        assert raw[j, i * F.n + l].tolist() == list(row)
+        assert red[j, i * F.n + l].tolist() == [U.subspace.reduce_row(row)[c] for c in keep]
+    assert _keyed_weights(fast, 0, 400) == _keyed_weights(slow, 0, 400)
+
+
 def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     # F_{2^16}: a value table per field element would have 65,536 entries
     F = create_field(2, 1, 16)
@@ -733,12 +774,12 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
 def _small_sweeps(draw):
     """(tower, system, mode, dim, seed) with |U| small enough for the
     scalar tuple walk."""
-    q = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.sampled_from({2: [2, 3], 3: [2], 5: [2]}[q]))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.sampled_from({2: [2, 3], 3: [2], 5: [2], 7: [2]}[q]))
     k = draw(st.integers(2, 3))
     F = _field(q, n)
     vec = st.tuples(*[st.integers(0, F.order - 1)] * k)
-    gens = draw(st.lists(vec, min_size=1, max_size={2: 5, 3: 3, 5: 2}[q]))
+    gens = draw(st.lists(vec, min_size=1, max_size={2: 5, 3: 3, 5: 2, 7: 1}[q]))
     mode = draw(st.sampled_from(["exhaustive", "witness_span", "sampled"]))
     # witness-span tuples of two vectors walk one prefix level even at k = 2
     dim = draw(st.integers(1, 2 if mode == "witness_span" else k - 1))
