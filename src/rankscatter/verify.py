@@ -27,8 +27,8 @@ Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
 `subspace(key)` is the one map from a key to its subspace, and a batched
 `_weights` weighs them on a row kernel.  The scalar oracle is the same for
 every mode: where no kernel runs, `_Sweep._stream` weighs `subspace(key)`
-with `subspace_weight` for each key (a sampled sweep draws a chunk's
-subspaces at once, equal to them).  The kernel's calls build the
+with `subspace_weight` for each key (a sampled sweep draws its subspaces
+SAMPLE_BLOCK at a time, equal to them).  The kernel's calls build the
 expansion rows of value matrices or of elements of U, raw or reduced mod U
 (element rows also against the echelon basis of a prefix, which another
 call takes), rank a batch, and read kernels of maps linear in the index
@@ -76,7 +76,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -946,8 +946,13 @@ class SampledSweep(_Sweep):
         return None if i is None else sample_subspace(self.tower, self.k, self.dim, self.seed, i)
 
     def _subspaces(self, lo, hi):
-        """The same samples as `subspace`, drawn for the range at once."""
-        return zip(self._keys(lo, hi), sample_subspaces(self.tower, self.k, self.dim, self.seed, lo, hi))
+        """The same samples as `subspace`, drawn SAMPLE_BLOCK at a time like
+        the batched `_weights`."""
+        t, k, d = self.tower, self.k, self.dim
+        draws = (
+            sample_subspaces(t, k, d, self.seed, b, min(b + SAMPLE_BLOCK, hi)) for b in range(lo, hi, SAMPLE_BLOCK)
+        )
+        return zip(self._keys(lo, hi), chain.from_iterable(draws))
 
     def _weights(self, lo, hi):
         t, k, d = self.tower, self.k, self.dim

@@ -289,12 +289,13 @@ def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
         assert np.unique(oracle).size > 1
 
 
-def test_scalar_sampled_stream_draws_each_chunk_at_once(monkeypatch):
+def test_scalar_sampled_stream_draws_a_block_at_once(monkeypatch):
     # the scalar engine's samples are sample_subspace's index by index,
-    # rejected words included, from one attempt-0 draw per chunk
-    from rankscatter import linalg
+    # rejected words included, from one attempt-0 draw per SAMPLE_BLOCK
+    from rankscatter import linalg, verify
 
     monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 64)
     draws = []
     sample_values = linalg.sample_values
     monkeypatch.setattr(
@@ -305,7 +306,7 @@ def test_scalar_sampled_stream_draws_each_chunk_at_once(monkeypatch):
         sweep = SampledSweep(system, d, None, 23, "scalar", 300)
         draws.clear()
         stream = list(sweep._subspaces(100, 300))
-        assert draws.count(0) == 1 and len(draws) > 20
+        assert draws.count(0) == 4 and len(draws) > 20
         assert [key for key, _ in stream] == [[i] for i in range(100, 300)]
         assert [H for _, H in stream] == [sample_subspace(F, 3, d, 23, i) for i in range(100, 300)]
 
