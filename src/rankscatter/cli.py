@@ -2,8 +2,9 @@
 
 Subcommands: construct, verify-scattered, verify-evasive, weights, compare,
 search, recheck.  Exit codes: 0 holds/complete, 1 violation or corrupt
-report (the report carries the witness), 2 inconclusive (sampled budget
-exhausted), 3 configuration error or unusable path, 4 usage error.
+report (the report carries the witness), 2 inconclusive (a sampled sweep,
+or a budget that stopped one: a verdict short of a proof, or weights not
+all exact), 3 configuration error or unusable path, 4 usage error.
 
 Reports are deterministic: two runs with the same configuration (seed
 included; worker count and checkpointing excluded) produce byte-identical
@@ -18,7 +19,7 @@ import sys
 import time
 
 from . import reports
-from .codes import generalized_weights
+from .codes import EXACT, generalized_weights
 from .construction import (
     ConstructionParams,
     QSystem,
@@ -211,12 +212,6 @@ def _cmd_weights(tower: FieldTower, args):
     if args.csv:
         with open(args.csv, "w") as f:
             f.write(profile.to_csv())
-    result = {
-        "t": system.t,
-        "k": system.ambient,
-        "route": profile.route,
-        "profile": profile.serialize(),
-    }
     config = {
         "system": system_to_desc(system),
         "mode": args.mode,
@@ -224,8 +219,8 @@ def _cmd_weights(tower: FieldTower, args):
         "seed": args.seed,
         "rho": rho_list,
     }
-    counts = {"entries": len(profile.entries), "subspaces_swept": profile.swept}
-    return config, result, counts, EXIT_HOLDS if args.mode == "exhaustive" else EXIT_INCONCLUSIVE
+    code = EXIT_HOLDS if all(e.provenance == EXACT for e in profile.entries) else EXIT_INCONCLUSIVE
+    return config, *reports.weights_result(profile), code
 
 
 def _cmd_compare(tower: FieldTower, args):

@@ -35,7 +35,7 @@ from .linalg import (
     rand_below,
     derive_seed,
 )
-from .verify import max_weight_search
+from .verify import _check_options, max_weight_search, sweep_extent
 
 
 @dataclass(frozen=True)
@@ -226,54 +226,82 @@ def generalized_weights(
     seed: int | None = None,
     workers: int = 1,
 ) -> WeightProfile:
-    """Generalized rank weights of the code attached to a spanning system.
+    """Generalized rank weights of the code attached to a spanning system:
+    the profile `weight_profile` plans, with the values its sweeps find.
+    Sampled entries see only part of the Grassmannian, so their t - max is
+    an upper bound on d_rho.
+    """
+    profile, dual = weight_profile(system, rho_list, mode, budget)
+    k, t = profile.k, profile.t
+    search = dict(mode=mode, budget=budget, seed=seed, workers=workers)
+    if dual is None:
+        runs = [max_weight_search(system, k - e.rho, **search) for e in profile.entries]
+        values = [t - w for w, *_ in runs]
+    else:
+        runs = [max_weight_search(dual, t - k - s, **search) for s in range(1, t - k + 1)]
+        wei = dual_weights([t - w for w, *_ in runs], t)
+        values = [wei[e.rho - 1] for e in profile.entries]
+    # an explicit raise: this guard must also hold under python -O
+    if sum(run[2] for run in runs) != profile.swept:
+        raise AssertionError(f"the weight sweeps did not check the {profile.swept} subspaces their route plans")
+    for e, value in zip(profile.entries, values):
+        e.value = value
+    return profile
 
-    Exhaustive entries are exact.  They come from whichever side sweeps
-    fewer subspaces: this system, one Grassmannian per requested rho, or the
-    system of the nondegenerate dual code, whose full profile fixes every
-    d_rho by Wei-type duality (see `_cheaper_dual`).  A budget that stops a
-    dual sweep short raises ValueError, since a partial dual profile fixes
-    nothing.  Sampled entries only see part of the Grassmannian, so the
-    sampled maximum is a lower bound on the true maximum and the reported
-    value t - max is an upper bound on d_rho.
+
+def weight_profile(system: QSystem, rho_list, mode: str, budget: int | None):
+    """(profile, dual): the profile `generalized_weights` writes for these
+    options, from the options alone, its values None; and the dual code's
+    system when the route is the dual, else None.
+
+    Exhaustive weights take the side that sweeps fewer subspaces: a
+    Grassmannian per requested rho (default all), or the full profile of a
+    nondegenerate dual (Wei-type duality), which no budget may stop and
+    whose entries sweep nothing of their own.  A primal entry sweeps a
+    sampled run's budget, else its Grassmannian or what a budget lets it
+    check, and is exact when it sweeps all of it, as the zero space of
+    rho = k always is.
     """
     if not system.spans_ambient:
         raise ValueError("system does not span the ambient space")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"weights take exhaustive or sampled mode, not {mode!r}")
+    _check_options("auto", mode, budget)
     k = system.ambient
-    t = system.t
     rhos = list(rho_list) if rho_list is not None else list(range(1, k + 1))
     if any(not 1 <= rho <= k for rho in rhos):
         raise ValueError("rho out of range")
     if len(set(rhos)) != len(rhos):
         raise ValueError(f"duplicate rho in {rhos}")
-    search = dict(mode=mode, budget=budget, seed=seed, workers=workers)
-    dual = _cheaper_dual(system, rhos) if mode == "exhaustive" else None
+    sizes = [gaussian_binomial(k, k - rho, system.tower.order) for rho in rhos]
+    dual_sizes = dual_sweep_sizes(system)
+    dual = None
+    if mode == "exhaustive" and 0 < sum(dual_sizes) < sum(sizes):
+        dual = nondegenerate_dual(system)
+    profile = WeightProfile(k, system.t, route="primal" if dual is None else "dual")
     if dual is not None:
-        return _profile_from_dual(dual, k, t, rhos, search)
-    profile = WeightProfile(k, t)
-    for rho in rhos:
-        w, _, checked, exact = max_weight_search(system, k - rho, **search)
-        profile.add(rho, t - w, EXACT if exact else UPPER, checked)
+        # a budget cuts the largest sweep first
+        if sweep_extent(mode, max(dual_sizes), budget, None)[1] < max(dual_sizes):
+            raise ValueError(f"budget {budget} stops the dual sweep; exact weights from it need its full profile")
+        profile.swept = sum(dual_sizes)
+    for rho, size in zip(rhos, sizes):
+        if dual is not None:
+            checked, exact = 0, True
+        elif mode == "sampled" and rho < k:
+            checked, exact = budget, False
+        else:
+            checked = sweep_extent(mode, size, budget, None)[1]
+            exact = checked == size
+        profile.add(rho, None, EXACT if exact else UPPER, checked)
         profile.swept += checked
-    return profile
+    return profile, dual
 
 
-def _cheaper_dual(system: QSystem, rhos) -> QSystem | None:
-    """The dual code's system, when the exhaustive weights should come from it.
-
-    That is when sweeping the dual's full profile, sum over s = 1..t-k of
-    [t-k, t-k-s]_Q subspaces, costs strictly less than the requested primal
-    sweeps, sum over rho of [k, k-rho]_Q, and the dual code is nondegenerate
-    (its system has F_q-dimension t), so that Wei-type duality applies.
-    Otherwise None.
-    """
-    k, t, Q = system.ambient, system.t, system.tower.order
-    kd = t - k
-    primal = sum(gaussian_binomial(k, k - rho, Q) for rho in rhos)
-    dual = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
-    if kd < 1 or dual >= primal:
-        return None
-    return nondegenerate_dual(system)
+def dual_sweep_sizes(system: QSystem) -> list[int]:
+    """[t-k, d]_Q for d = 0..t-k-1: the subspaces that the sweeps of the
+    dual code's full profile check, one Grassmannian per d_s."""
+    kd = system.t - system.ambient
+    return [gaussian_binomial(kd, d, system.tower.order) for d in range(kd)]
 
 
 def nondegenerate_dual(system: QSystem) -> QSystem | None:
@@ -283,33 +311,18 @@ def nondegenerate_dual(system: QSystem) -> QSystem | None:
     return dual_system if dual_system.t == system.t else None
 
 
-def _profile_from_dual(dual_system: QSystem, k: int, t: int, rhos, search: dict) -> WeightProfile:
-    """Exact d_rho read off the sorted complement [t] \\ {t+1-d_s(C^perp)}.
-
-    Derived entries carry no subspace count of their own; the dual sweep's
-    total is the profile's `swept`.
-    """
-    kd = t - k
-    profile = WeightProfile(k, t, route="dual")
-    dual = []
-    for s in range(1, kd + 1):
-        w, _, checked, exact = max_weight_search(dual_system, kd - s, **search)
-        if not exact:
-            raise ValueError(
-                f"budget {search['budget']} stops the dual sweep at s={s}; "
-                "exact weights from the dual side need its full profile"
-            )
-        dual.append(t - w)
-        profile.swept += checked
+def dual_weights(dual, t: int) -> list[int]:
+    """d_1 < ... < d_k by Wei-type duality: the sorted complement [t] \\ {t+1-d_s}
+    of the full profile d_s of the nondegenerate dual."""
     # explicit raises: these guards must also hold under python -O
     if any(b <= a for a, b in zip(dual, dual[1:])):
         raise AssertionError(f"dual profile {dual} is not strictly increasing")
     primal = sorted(set(range(1, t + 1)) - {t + 1 - d for d in dual})
-    if len(primal) != k:
-        raise AssertionError(f"Wei complement of the dual profile {dual} has {len(primal)} entries, not {k}")
-    for rho in rhos:
-        profile.add(rho, primal[rho - 1], EXACT)
-    return profile
+    if len(primal) != t - len(dual):
+        raise AssertionError(
+            f"Wei complement of the dual profile {dual} has {len(primal)} entries, not {t - len(dual)}"
+        )
+    return primal
 
 
 def check_weight_axioms(profile: WeightProfile, dual_profile: WeightProfile, t: int) -> bool:

@@ -14,11 +14,14 @@ import math
 from functools import partial
 
 from .codes import (
-    WeightProfile,
-    _cheaper_dual,
+    EXACT,
+    UPPER,
     compare_with_direct_sum,
+    dual_sweep_sizes,
+    dual_weights,
     nondegenerate_dual,
     predicted_direct_sum_profile,
+    weight_profile,
 )
 from .construction import (
     QSystem,
@@ -44,7 +47,6 @@ from .verify import (
     max_weight_search,
     recorded_seed,
     span_defect,
-    subspace_weight,
     sweep_extent,
     vacuous,
     verify_evasive,
@@ -163,6 +165,12 @@ def verify_result(tower: FieldTower, verdict) -> tuple[dict, dict]:
     return verdict.serialize(tower), {"subspaces_checked": verdict.checked}
 
 
+def weights_result(profile) -> tuple[dict, dict]:
+    """`weights`: the code's length and dimension, the route and the profile."""
+    result = {"t": profile.t, "k": profile.k, "route": profile.route, "profile": profile.serialize()}
+    return result, {"entries": len(profile.entries), "subspaces_swept": profile.swept}
+
+
 # --- recheck ---
 
 
@@ -273,10 +281,9 @@ def _recheck_verdict(tower, report, problems):
         _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
     elif mode == "sampled":
         # a missed witness among the first samples, found on the oracle
-        for i, w in enumerate(_replay(system, sweep, budget)):
-            if w > bound:
-                problems.append(f"sample {i} violates the bound but the report found no witness")
-                break
+        viol = sweep.run_units(0, min(RECHECK_SAMPLES, budget)).viol
+        if viol is not None:
+            problems.append(f"sample {viol['key'][0]} violates the bound but the report found no witness")
     elif verdict.holds:
         # A proof of at most RECHECK_SWEEP_CAP units, sized from the system
         # and not from the claimed count (a witness-span sweep by its |U|^h
@@ -302,12 +309,6 @@ def _recheck_verdict(tower, report, problems):
                             f"checks {units}")
 
 
-def _replay(system, sweep, budget):
-    """The weights of the first RECHECK_SAMPLES samples of a sampled sweep
-    of `budget` samples, on the scalar oracle."""
-    return (subspace_weight(system.subspace, sweep.subspace([i])) for i in range(min(RECHECK_SAMPLES, budget)))
-
-
 def _check_intersection(tower, system, H, wit, problems):
     vectors = [tuple(tower.val(c) for c in v) for v in wit.get("intersection_basis", [])]
     if len(vectors) != wit["weight"]:
@@ -329,94 +330,58 @@ def _check_intersection(tower, system, H, wit, problems):
 
 
 def _recheck_weights(tower, report, problems):
+    """Rebuild the profile that `weight_profile` gives for the config, with
+    the values the report records, which must reproduce key by key; then
+    check those values on paths that did not produce them."""
     system = _system(tower, report)
     cfg = report["config"]
-    res = report["result"]
-    k, t = system.ambient, system.t
-    if res.get("t") != t:
-        problems.append("code length mismatch")
-    if res.get("k") != k:
-        problems.append("code dimension mismatch")
-    rhos = cfg["rho"] if cfg.get("rho") is not None else range(1, k + 1)
-    cheaper = _cheaper_dual(system, rhos) if cfg.get("mode") == "exhaustive" else None
-    if res.get("route") != ("primal" if cheaper is None else "dual"):
-        problems.append(f"route {res.get('route')!r} is not the one these weights take")
-    entries = res.get("profile", [])
-    if report["counts"].get("entries") != len(entries):
-        problems.append(f"counts.entries is not the number of profile entries, {len(entries)}")
-    profile = WeightProfile(k, t)
+    profile, dual = weight_profile(system, cfg["rho"], cfg["mode"], cfg["budget"])
+    recorded = {e["rho"]: e["value"] for e in report["result"]["profile"]}
+    for e in profile.entries:
+        e.value = recorded.get(e.rho)
+    _reproduce(report, weights_result(profile), problems)
+    if problems:  # values are checked only in a profile its producer writes
+        return
     try:
-        for e in entries:
-            profile.add(e["rho"], e["value"], e["provenance"], e.get("subspaces_checked"))
         profile.validate()
-    except ValueError as exc:  # the entries added so far are still swept again
+    except ValueError as exc:
         problems.append(str(exc))
-    Q = tower.order
-    kd = t - k
-    dual_size = sum(gaussian_binomial(kd, kd - s, Q) for s in range(1, kd + 1))
-    _check_swept(cfg, report["counts"], profile, Q, dual_size if cheaper is not None else None, problems)
-    if cfg.get("mode") == "sampled":
+    if cfg["mode"] == "sampled":
         _replay_weights(system, cfg, profile, problems)
     # Every exact entry against Wei duality, when the dual is nondegenerate
-    # and its profile is small: the dual's d_s = t - w_s, swept by the scalar
-    # oracle, leaves {d_rho} = [t] minus {t + 1 - d_s}.
-    dual_system = None
-    if kd >= 1 and dual_size <= RECHECK_SWEEP_CAP:
-        dual_system = cheaper or nondegenerate_dual(system)
-    primal = None
-    if dual_system is not None:
-        taken = {max_weight_search(dual_system, kd - s, engine="scalar")[0] + 1 for s in range(1, kd + 1)}
-        primal = sorted(set(range(1, t + 1)) - taken)
+    # and its profile is small: the dual's full profile, swept by the scalar
+    # oracle, leaves the primal one as its Wei complement.
+    k, t = profile.k, profile.t
+    wei = None
+    if 0 < sum(dual_sweep_sizes(system)) <= RECHECK_SWEEP_CAP:
+        dual = dual or nondegenerate_dual(system)
+        if dual is not None:
+            wei = dual_weights([t - max_weight_search(dual, t - k - s, engine="scalar")[0]
+                                for s in range(1, t - k + 1)], t)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep is already a route that did not produce the entries.
-    engine = "auto" if cheaper is not None and primal is not None else "scalar"
-    for e in sorted((e for e in profile.entries if e.provenance == "exact"), key=lambda e: e.rho):
-        if gaussian_binomial(k, k - e.rho, Q) <= RECHECK_SWEEP_CAP:
+    engine = "auto" if profile.route == "dual" and wei is not None else "scalar"
+    for e in sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho):
+        if gaussian_binomial(k, k - e.rho, tower.order) <= RECHECK_SWEEP_CAP:
             w = max_weight_search(system, k - e.rho, mode="exhaustive", engine=engine)[0]
             if t - w != e.value:
                 problems.append(f"d_{e.rho} mismatch: recorded {e.value}, recomputed {t - w}")
-        if primal is not None and primal[e.rho - 1] != e.value:
-            problems.append(f"d_{e.rho} = {e.value} contradicts the dual profile, which gives {primal[e.rho - 1]}")
+        if wei is not None and wei[e.rho - 1] != e.value:
+            problems.append(f"d_{e.rho} = {e.value} contradicts the dual profile, which gives {wei[e.rho - 1]}")
 
 
 def _replay_weights(system, cfg, profile, problems):
-    """Each sampled entry d_rho = t - max against the first samples of its
-    sweep, replayed on the scalar oracle: equal when those are its whole
-    budget, else at most t minus their maximum."""
+    """Each sampled entry d_rho = t - max against its samples, replayed on
+    the scalar oracle: its whole budget, where the two must be equal, when
+    the sampled entries' budgets add up to at most RECHECK_SWEEP_CAP, else
+    its first RECHECK_SAMPLES, which bound it from above."""
     budget, seed = cfg["budget"], recorded_seed("sampled", cfg["seed"])
-    whole = budget <= RECHECK_SAMPLES
-    for e in (e for e in profile.entries if e.rho < profile.k):
+    sampled = [e for e in profile.entries if e.provenance == UPPER]
+    whole = budget * len(sampled) <= RECHECK_SWEEP_CAP
+    for e in sampled:
         sweep = _build_sweep(system, profile.k - e.rho, None, "sampled", budget, seed, "scalar")[0]
-        top = profile.t - max(_replay(system, sweep, budget))
+        top = profile.t - sweep.run_units(0, budget if whole else min(RECHECK_SAMPLES, budget)).best["weight"]
         if e.value != top if whole else e.value > top:
-            problems.append(f"d_{e.rho} = {e.value}, but its first samples on the oracle give "
-                            f"{'' if whole else 'at most '}{top}")
-
-
-def _check_swept(cfg, counts, profile, Q, dual_size, problems):
-    """Each entry's subspaces_checked and provenance, and
-    counts.subspaces_swept, are what the route sweeps.  On the dual route
-    (dual_size not None) the entries are exact and sweep nothing of their
-    own, and the dual's whole profile of dual_size subspaces is swept, since
-    a budget that stops it is refused.  On the primal route d_rho sweeps the
-    budget of a sampled run, else the Grassmannian of (k - rho)-spaces or
-    what a budget lets it check; the zero space of rho = k is one subspace
-    and exact in either mode."""
-    swept = dual_size or 0
-    for e in profile.entries:
-        if dual_size is not None:
-            checked, exact = 0, True
-        elif cfg["mode"] == "sampled" and e.rho < profile.k:
-            checked, exact = cfg["budget"], False
-        else:
-            size = gaussian_binomial(profile.k, profile.k - e.rho, Q)
-            checked = sweep_extent("exhaustive", size, cfg.get("budget"), None)[1]
-            exact = checked == size
-        swept += checked
-        if e.checked != checked:
-            problems.append(f"d_{e.rho} records {e.checked} subspaces checked, but its sweep checks {checked}")
-        if (e.provenance == "exact") != exact:
-            problems.append(f"d_{e.rho} is {e.provenance!r}, but its sweep is {'' if exact else 'not '}exact")
-    if counts.get("subspaces_swept") != swept:
-        problems.append(f"counts.subspaces_swept is not the {swept} subspaces this route sweeps")
+            problems.append(f"d_{e.rho} = {e.value}, but its {'' if whole else 'first '}samples on the oracle "
+                            f"give {'' if whole else 'at most '}{top}")

@@ -486,9 +486,9 @@ def test_weights_rejects_duplicate_rho(capsys):
 @pytest.mark.parametrize(
     "field, value, problem",
     [
-        (("result", "route"), "primal", "route 'primal'"),
-        (("result", "route"), "sideways", "route 'sideways'"),
-        (("result", "k"), 5, "code dimension mismatch"),
+        (("result", "route"), "primal", "result.route does not reproduce"),
+        (("result", "route"), "sideways", "result.route does not reproduce"),
+        (("result", "k"), 5, "result.k does not reproduce"),
         (("result", "profile", 3, "value"), 7, "d_4 = 7 out of range 1..6"),
     ],
 )
@@ -535,6 +535,7 @@ TAMPER_SOURCES = {
     "weights": WEIGHTS_M2,
     "weights-sampled": WEIGHTS_M2 + ["--mode", "sampled", "--budget", "16"],
     "weights-sampled-long": WEIGHTS_M2 + ["--mode", "sampled", "--budget", "200"],
+    "weights-primal": ["weights", "--field", "2,1,3", "--system", "pseudoregulus", "--h", "2"],
     # a Grassmannian past one chunk of 16,384 subspaces, so the budget of 1 is
     # rounded up to a chunk and leaves upper bounds
     "weights-budget": ["weights", "--field", "2,1,16", "--system", "pseudoregulus", "--h", "2",
@@ -542,6 +543,12 @@ TAMPER_SOURCES = {
 }
 
 F16_ZERO, F16_ONE = [0, 0, 0, 0], [1, 0, 0, 0]
+# the profiles of the "weights" report (dual route) and the "weights-sampled" one
+WEIGHTS_M2_PROFILE = [{"rho": rho, "value": value, "provenance": "exact", "subspaces_checked": 0}
+                      for rho, value in [(1, 2), (2, 3), (3, 5), (4, 6)]]
+SAMPLED_M2_PROFILE = [{"rho": rho, "value": value, "provenance": "upper_bound", "subspaces_checked": 16}
+                      for rho, value in [(1, 2), (2, 3), (3, 5)]]
+SAMPLED_M2_PROFILE.append({"rho": 4, "value": 6, "provenance": "exact", "subspaces_checked": 1})
 # a vector of the F_16, m = 3, h = 2 family outside the witness subspace of its report
 FAMILY_U_VECTOR = [F16_ONE, F16_ZERO, F16_ZERO, F16_ONE, F16_ZERO, F16_ZERO, F16_ONE, F16_ZERO, F16_ONE]
 
@@ -579,7 +586,7 @@ TAMPERS = (
         ("exhaustive-holds", {"result.witness": {"weight": 3}}, "result.witness does not reproduce"),
         ("sampled-inconclusive", {"result.subspaces_checked": 63, "counts.subspaces_checked": 63},
          "result.subspaces_checked is 63, but the sampled sweep of this config checks 64"),
-        ("weights", {"counts.entries": 3}, "counts.entries is not the number of profile entries, 4"),
+        ("weights", {"counts.entries": 3}, "counts.entries does not reproduce"),
         # the refusals of recheck itself
         ("construct", {"field.p": 4}, "field descriptor invalid: p must be prime"),
         ("construct", {"command": "frobnicate"}, "unknown command 'frobnicate'"),
@@ -621,26 +628,35 @@ TAMPERS = (
          "intersection vector lies outside the witness subspace"),
         ("span-violated", {"result.witness.intersection_basis.1": [F16_ONE, F16_ZERO]},
          "intersection basis rows are dependent"),
-        ("weights", {"result.t": 7}, "code length mismatch"),
-        ("weights", {"counts.subspaces_swept": 11}, "counts.subspaces_swept is not the 10 subspaces"),
-        ("weights", {"result.profile.0.subspaces_checked": 5},
-         "d_1 records 5 subspaces checked, but its sweep checks 0"),
-        ("weights", {"result.profile.0.provenance": "upper_bound"}, "d_1 is 'upper_bound', but its sweep is exact"),
-        ("weights-sampled", {"counts.subspaces_swept": 48}, "counts.subspaces_swept is not the 49 subspaces"),
-        ("weights-sampled", {"result.profile.1.subspaces_checked": 15},
-         "d_2 records 15 subspaces checked, but its sweep checks 16"),
-        ("weights-sampled", {"result.profile.3.subspaces_checked": 2},
-         "d_4 records 2 subspaces checked, but its sweep checks 1"),
-        ("weights-sampled", {"result.profile.0.provenance": "exact"}, "d_1 is 'exact', but its sweep is not exact"),
-        ("weights-budget", {"result.profile.0.subspaces_checked": 1},
-         "d_1 records 1 subspaces checked, but its sweep checks 16384"),
-        ("weights-budget", {"counts.subspaces_swept": 16384}, "counts.subspaces_swept is not the 16385 subspaces"),
-        # sampled entries against their first samples, replayed on the oracle:
-        # all 16 of the budget, or the first 50 of 200
-        ("weights-sampled", {"result.profile.1.value": 2}, "d_2 = 2, but its first samples on the oracle give 3"),
-        ("weights-sampled", {"result.profile.0.value": 4}, "d_1 = 4, but its first samples on the oracle give 2"),
-        ("weights-sampled-long", {"result.profile.0.value": 4},
-         "d_1 = 4, but its first samples on the oracle give at most 2"),
+        ("weights", {"result.t": 7}, "result.t does not reproduce"),
+        ("weights", {"counts.subspaces_swept": 11}, "counts.subspaces_swept does not reproduce"),
+        ("weights", {"result.profile.0.subspaces_checked": 5}, "result.profile does not reproduce"),
+        ("weights", {"result.profile.0.provenance": "upper_bound"}, "result.profile does not reproduce"),
+        ("weights-sampled", {"counts.subspaces_swept": 48}, "counts.subspaces_swept does not reproduce"),
+        ("weights-sampled", {"result.profile.1.subspaces_checked": 15}, "result.profile does not reproduce"),
+        ("weights-sampled", {"result.profile.3.subspaces_checked": 2}, "result.profile does not reproduce"),
+        ("weights-sampled", {"result.profile.0.provenance": "exact"}, "result.profile does not reproduce"),
+        ("weights-budget", {"result.profile.0.subspaces_checked": 1}, "result.profile does not reproduce"),
+        ("weights-budget", {"counts.subspaces_swept": 16384}, "counts.subspaces_swept does not reproduce"),
+        # profiles the producer never writes for the config: another rho list,
+        # an entry dropped or repeated with the counts to match, another mode
+        ("weights", {"config.rho": [1]}, "result.profile does not reproduce"),
+        ("weights", {"result.profile": WEIGHTS_M2_PROFILE[1:], "counts.entries": 3},
+         "result.profile does not reproduce"),
+        ("weights", {"result.profile": WEIGHTS_M2_PROFILE[:1] + WEIGHTS_M2_PROFILE, "counts.entries": 5},
+         "result.profile does not reproduce"),
+        ("weights-sampled", {"result.profile": SAMPLED_M2_PROFILE[1:], "counts.entries": 3,
+                             "counts.subspaces_swept": 33}, "result.profile does not reproduce"),
+        ("weights-sampled", {"result.profile": SAMPLED_M2_PROFILE[:1] + SAMPLED_M2_PROFILE, "counts.entries": 5,
+                             "counts.subspaces_swept": 65}, "result.profile does not reproduce"),
+        ("weights-primal", {"config.mode": "bogus"}, "exhaustive or sampled mode, not 'bogus'"),
+        # sampled entries against their whole budget, replayed on the oracle
+        ("weights-sampled", {"result.profile.1.value": 2}, "d_2 = 2, but its samples on the oracle give 3"),
+        ("weights-sampled", {"result.profile.0.value": 4}, "d_1 = 4, but its samples on the oracle give 2"),
+        ("weights-sampled-long", {"result.profile.0.value": 4}, "d_1 = 4, but its samples on the oracle give 2"),
+        ("weights-sampled-long",
+         {"result.profile.0": {**SAMPLED_M2_PROFILE[0], "value": 1, "subspaces_checked": 200}},
+         "d_1 = 1, but its samples on the oracle give 2"),
         # the witness must be the unit its tuple_index names, found in the
         # report's own mode and against its own bound
         ("span-violated", {"result.witness.bound": 0}, "result.witness does not reproduce"),
@@ -652,7 +668,7 @@ TAMPERS = (
         ("exhaustive-violated", {"result.witness.tuple_index": [17]}, "names no unit of the exhaustive sweep"),
         ("sampled-violated", {"result.witness.tuple_index": [8]}, "result.witness does not reproduce"),
         ("sampled-violated", {"result.witness.tuple_index": [500]}, "names no unit of the sampled sweep"),
-        ("weights", {"result.profile.0.rho": 9}, "rho = 9 out of range 1..4"),
+        ("weights", {"result.profile.0.rho": 9}, "result.profile does not reproduce"),
     ]
 )
 
@@ -685,6 +701,47 @@ def test_recheck_refuses_every_tampered_field(tmp_path, capsys, tamper_sources, 
     capsys.readouterr()
     assert main(["recheck", str(out)]) == 1
     assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["weights", "weights-sampled"])
+def test_a_weights_report_missing_an_entry_fails_reproduction(tmp_path, capsys, tamper_sources, source):
+    rep = copy.deepcopy(tamper_sources[source])
+    del rep["result"]["profile"][-1]
+    rep["counts"]["entries"] = 3
+    out = tmp_path / "missing.json"
+    out.write_text(json.dumps(rep))
+    capsys.readouterr()
+    assert main(["recheck", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "corrupt report: result.profile does not reproduce\n" in err and "recheck raised" not in err
+
+
+def test_a_sampled_budget_past_the_cap_bounds_its_entries_from_above(tmp_path, capsys, monkeypatch, tamper_sources):
+    # 3 entries of 200 samples pass a cap of 500: only the first 50 of each
+    # are replayed, which bound d_1 = 2 from above but not from below
+    monkeypatch.setattr(reports, "RECHECK_SWEEP_CAP", 500)
+    out = tmp_path / "long.json"
+    rep = copy.deepcopy(tamper_sources["weights-sampled-long"])
+    for value, rc in [(2, 0), (1, 0), (4, 1)]:
+        rep["result"]["profile"][0]["value"] = value
+        out.write_text(json.dumps(rep))
+        capsys.readouterr()
+        assert main(["recheck", str(out)]) == rc, value
+    assert "d_1 = 4, but its first samples on the oracle give at most 2" in capsys.readouterr().err
+
+
+def test_weights_exit_inconclusive_unless_every_entry_is_exact(tmp_path):
+    # a budget of 10 runs one chunk of the 1,118,481 hyperplanes: an upper bound
+    out = str(tmp_path / "w.json")
+    argv = ["weights", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "1", "--alphas", "1,1,2",
+            "--rho", "1", "--force", "--budget", "10"]
+    assert main(argv + ["--out", out]) == 2
+    (entry,) = load(out)["result"]["profile"]
+    assert (entry["provenance"], entry["subspaces_checked"]) == ("upper_bound", 16_384)
+    assert main(["recheck", out]) == 0
+    # sampled mode with only the zero space of rho = k is exact
+    assert main(WEIGHTS_M2 + ["--mode", "sampled", "--budget", "5", "--rho", "4", "--out", out]) == 0
+    assert main(["recheck", out]) == 0
 
 
 @pytest.mark.parametrize("argv", [
