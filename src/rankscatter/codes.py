@@ -28,14 +28,13 @@ from .field import FieldTower
 from .linalg import (
     FqSubspace,
     expand_vector,
-    gaussian_binomial,
     make_rows,
     matrix_rank,
     nullspace,
     rand_below,
     derive_seed,
 )
-from .verify import _check_options, max_weight_search, sweep_extent
+from .verify import max_weight_search, plan
 
 
 @dataclass(frozen=True)
@@ -190,9 +189,6 @@ class WeightProfile:
             vals.append(v)
         return tuple(vals)
 
-    def is_complete(self) -> bool:
-        return all(self.exact(r) is not None for r in range(1, self.k + 1))
-
     def validate(self):
         prev = 0
         for rho in range(1, self.k + 1):
@@ -254,59 +250,56 @@ def weight_profile(system: QSystem, rho_list, mode: str, budget: int | None):
     options, from the options alone, its values None; and the dual code's
     system when the route is the dual, else None.
 
-    Exhaustive weights take the side that sweeps fewer subspaces: a
-    Grassmannian per requested rho (default all), or the full profile of a
-    nondegenerate dual (Wei-type duality), which no budget may stop and
-    whose entries sweep nothing of their own.  A primal entry sweeps a
-    sampled run's budget, else its Grassmannian or what a budget lets it
-    check, and is exact when it sweeps all of it, as the zero space of
-    rho = k always is.
+    Each sweep is sized by `verify.plan`.  Exhaustive weights take the side
+    whose sweeps have fewer units: a Grassmannian per requested rho (default
+    all), or the full profile of a nondegenerate dual (Wei-type duality),
+    which no budget may stop and whose entries sweep nothing of their own.
+    The plans of the route taken judge the cap on unbudgeted sweeps, before
+    any sweep starts.  A primal entry sweeps the subspaces its plan weighs,
+    and is exact when its plan is complete, as the zero space of rho = k
+    always is.
     """
     if not system.spans_ambient:
         raise ValueError("system does not span the ambient space")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"weights take exhaustive or sampled mode, not {mode!r}")
-    _check_options("auto", mode, budget)
-    k = system.ambient
+    k, t = system.ambient, system.t
+    plan(system, 0, None, mode, budget)  # the options are checked even for an empty rho list
     rhos = list(rho_list) if rho_list is not None else list(range(1, k + 1))
     if any(not 1 <= rho <= k for rho in rhos):
         raise ValueError("rho out of range")
     if len(set(rhos)) != len(rhos):
         raise ValueError(f"duplicate rho in {rhos}")
-    sizes = [gaussian_binomial(k, k - rho, system.tower.order) for rho in rhos]
-    dual_sizes = dual_sweep_sizes(system)
-    dual = None
-    if mode == "exhaustive" and 0 < sum(dual_sizes) < sum(sizes):
-        dual = nondegenerate_dual(system)
-    profile = WeightProfile(k, system.t, route="primal" if dual is None else "dual")
+    plans = [plan(system, k - rho, None, mode, budget) for rho in rhos]
+    # the dual's profile can sweep fewer subspaces only when t - k < k
+    dual = nondegenerate_dual(system) if mode == "exhaustive" and t < 2 * k else None
     if dual is not None:
-        # a budget cuts the largest sweep first
-        if sweep_extent(mode, max(dual_sizes), budget, None)[1] < max(dual_sizes):
-            raise ValueError(f"budget {budget} stops the dual sweep; exact weights from it need its full profile")
-        profile.swept = sum(dual_sizes)
-    for rho, size in zip(rhos, sizes):
-        if dual is not None:
-            checked, exact = 0, True
-        elif mode == "sampled" and rho < k:
-            checked, exact = budget, False
+        dual_plans = [plan(dual, t - k - s, None, mode, budget) for s in range(1, t - k + 1)]
+        if sum(p.total for p in dual_plans) < sum(p.total for p in plans):
+            plans = dual_plans
         else:
-            checked = sweep_extent(mode, size, budget, None)[1]
-            exact = checked == size
-        profile.add(rho, None, EXACT if exact else UPPER, checked)
-        profile.swept += checked
+            dual = None
+    for p in plans:
+        if p.refusal is not None:
+            raise ValueError(p.refusal)
+    if dual is None:
+        entries = [(EXACT if p.complete else UPPER, p.subspaces) for p in plans]
+    elif all(p.complete for p in plans):
+        entries = [(EXACT, 0)] * len(rhos)
+    else:
+        raise ValueError(f"budget {budget} stops the dual sweep; exact weights from it need its full profile")
+    profile = WeightProfile(k, t, route="primal" if dual is None else "dual", swept=sum(p.subspaces for p in plans))
+    for rho, (provenance, checked) in zip(rhos, entries):
+        profile.add(rho, None, provenance, checked)
     return profile, dual
 
 
-def dual_sweep_sizes(system: QSystem) -> list[int]:
-    """[t-k, d]_Q for d = 0..t-k-1: the subspaces that the sweeps of the
-    dual code's full profile check, one Grassmannian per d_s."""
-    kd = system.t - system.ambient
-    return [gaussian_binomial(kd, d, system.tower.order) for d in range(kd)]
-
-
 def nondegenerate_dual(system: QSystem) -> QSystem | None:
-    """The system of the dual code, or None when that code is degenerate
-    (its system has F_q-dimension below t) and Wei-type duality fails."""
+    """The system of the dual code, or None when there is none (t = k) or
+    that code is degenerate (its system has F_q-dimension below t) and
+    Wei-type duality fails."""
+    if system.t == system.ambient:
+        return None
     dual_system = dual_code(code_from_system(system)).system()
     return dual_system if dual_system.t == system.t else None
 
@@ -326,19 +319,13 @@ def dual_weights(dual, t: int) -> list[int]:
 
 
 def check_weight_axioms(profile: WeightProfile, dual_profile: WeightProfile, t: int) -> bool:
-    """Strict monotonicity of both profiles plus Wei-type duality:
-    {d_i} and {t+1-d_j^dual} partition {1, ..., t}."""
-    if not (profile.is_complete() and dual_profile.is_complete()):
-        raise ValueError("both profiles must be complete and exact")
-    p = profile.exact_tuple()
-    pd = dual_profile.exact_tuple()
-    if any(b <= a for a, b in zip(p, p[1:])) or any(b <= a for a, b in zip(pd, pd[1:])):
+    """Wei-type duality: the dual profile strictly increases inside 1..t and
+    the profile is its `dual_weights` complement, so {d_i} and {t+1-d_j^dual}
+    partition {1, ..., t}.  ValueError unless both profiles are complete."""
+    p, pd = profile.exact_tuple(), dual_profile.exact_tuple()
+    if any(b <= a for a, b in zip(pd, pd[1:])) or any(not 1 <= d <= t for d in pd):
         return False
-    if p and (p[0] < 1 or p[-1] > t):
-        return False
-    left = set(p)
-    right = {t + 1 - d for d in pd}
-    return len(left) + len(right) == t and left | right == set(range(1, t + 1))
+    return p == tuple(dual_weights(pd, t))
 
 
 def predicted_direct_sum_profile(m: int, n: int, h: int) -> WeightProfile:

@@ -176,7 +176,8 @@ def family_subspace(params: ConstructionParams) -> QSystem:
             x[i] = b
             gens.append(family_map(params, x))
     sub = FqSubspace(t, params.ambient, gens)
-    assert sub.dim == m * t.n, "defining map lost rank"
+    if sub.dim != m * t.n:
+        raise AssertionError("defining map lost rank")
     return QSystem(t, params.ambient, sub, "family", {"params": params})
 
 
@@ -188,7 +189,8 @@ def pseudoregulus_subspace(tower: FieldTower, h: int) -> QSystem:
     for b in tower.q_basis:
         gens.append(tuple(tower.frobenius(b, j) for j in range(h + 1)))
     sub = FqSubspace(tower, h + 1, gens)
-    assert sub.dim == tower.n
+    if sub.dim != tower.n:
+        raise AssertionError(f"pseudoregulus has F_q-dimension {sub.dim}, not n = {tower.n}")
     return QSystem(tower, h + 1, sub, "pseudoregulus", {"h": h})
 
 

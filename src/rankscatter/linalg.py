@@ -405,7 +405,8 @@ def gaussian_binomial(k: int, d: int, Q: int) -> int:
     for i in range(d):
         num *= Q ** (k - i) - 1
         den *= Q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"[{k}, {d}]_{Q} is not an integer")
     return num // den
 
 

@@ -17,7 +17,6 @@ from .codes import (
     EXACT,
     UPPER,
     compare_with_direct_sum,
-    dual_sweep_sizes,
     dual_weights,
     nondegenerate_dual,
     predicted_direct_sum_profile,
@@ -33,22 +32,14 @@ from .construction import (
     tuple_strongly_admissible,
 )
 from .field import FieldTower
-from .linalg import (
-    expand_vector,
-    gaussian_binomial,
-    make_rows,
-    subspace_fq_rows,
-)
+from .linalg import expand_vector, make_rows, subspace_fq_rows
 from .runner import SweepOutcome
 from .verify import (
     _build_sweep,
-    _check_options,
     _verdict,
     max_weight_search,
-    recorded_seed,
+    plan,
     span_defect,
-    sweep_extent,
-    vacuous,
     verify_evasive,
     verify_h_scattered,
 )
@@ -250,23 +241,21 @@ def _recheck_verdict(tower, report, problems):
     system = _system(tower, report)
     cfg = report["config"]
     res = report["result"]
-    mode, budget = cfg["mode"], cfg["budget"]
     dim, bound, defect, _ = _question(cfg)
-    _check_options("scalar", mode, budget, cfg["chunk_size"])
-    seed = recorded_seed(mode, cfg["seed"])
+    p = plan(system, dim, bound, cfg["mode"], cfg["budget"], cfg["seed"], cfg["chunk_size"], defect)
     checked = res.get("subspaces_checked")
-    sweep, outcome = None, vacuous(system, bound) if "r" in cfg else None
+    sweep, outcome = None, p.known
     if outcome is None:
         # the config's sweep on the scalar oracle: its units and their subspaces
-        sweep = _build_sweep(system, dim, bound, mode, budget, seed, "scalar")[0]
+        sweep = _build_sweep(system, p, "scalar")[0]
         wit, viol = res.get("witness"), None
         index = None if wit is None else wit.get("tuple_index")
         if isinstance(index, list) and all(type(i) is int for i in index) and sweep.subspace(index) is not None:
             viol = {"key": index, "weight": wit.get("weight")}
         elif wit is not None:
-            problems.append(f"witness tuple_index {index!r} names no unit of the {mode} sweep")
+            problems.append(f"witness tuple_index {index!r} names no unit of the {p.mode} sweep")
         outcome = SweepOutcome(checked, viol, None, res.get("status") != "inconclusive")
-    verdict = _verdict(system, dim, bound, mode, seed, "auto", sweep, outcome, defect)
+    verdict = _verdict(system, p, "auto", sweep, outcome, defect)
     result, counts = verify_result(tower, verdict)
     if "backend" not in res:  # written before verdicts named their backend
         del result["backend"]
@@ -279,33 +268,29 @@ def _recheck_verdict(tower, report, problems):
         if verdict.witness.weight <= bound:
             problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {bound}")
         _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
-    elif mode == "sampled":
+    elif p.mode == "sampled":
         # a missed witness among the first samples, found on the oracle
-        viol = sweep.run_units(0, min(RECHECK_SAMPLES, budget)).viol
+        viol = sweep.run_units(0, min(RECHECK_SAMPLES, p.budget)).viol
         if viol is not None:
             problems.append(f"sample {viol['key'][0]} violates the bound but the report found no witness")
-    elif verdict.holds:
-        # A proof of at most RECHECK_SWEEP_CAP units, sized from the system
-        # and not from the claimed count (a witness-span sweep by its |U|^h
-        # tuples), is swept again on the scalar oracle.
-        size = sweep.total_units if mode == "exhaustive" else (system.tower.q**system.t) ** dim
-        if size <= RECHECK_SWEEP_CAP:
-            fresh = run_verify(system, cfg, engine="scalar")
-            if (fresh.status, fresh.checked) != ("holds", checked):
-                problems.append(f"proof does not reproduce: recorded holds after {checked} subspaces, "
-                                f"re-run gives {fresh.status} after {fresh.checked}")
+    elif verdict.holds and p.subspaces <= RECHECK_SWEEP_CAP:
+        # a proof whose plan weighs at most RECHECK_SWEEP_CAP subspaces,
+        # sized from the config and not from the claimed count, is swept
+        # again on the scalar oracle
+        fresh = run_verify(system, cfg, engine="scalar")
+        if (fresh.status, fresh.checked) != ("holds", checked):
+            problems.append(f"proof does not reproduce: recorded holds after {checked} subspaces, "
+                            f"re-run gives {fresh.status} after {fresh.checked}")
     # An index sweep checks every unit up to its witness, else its whole
     # range or what its budget lets it check.  Budgeted witness-span counts
     # skip units, so they are not derived here.
-    if mode != "witness_span":
+    if p.mode != "witness_span":
         if verdict.witness is not None:
             units = verdict.witness.tuple_index[0] + 1
-        elif verdict.holds:
-            units = sweep.total_units
         else:
-            units = sweep_extent(mode, sweep.total_units, budget, cfg["chunk_size"])[1]
+            units = p.total if verdict.holds else p.units
         if checked != units:
-            problems.append(f"result.subspaces_checked is {checked}, but the {mode} sweep of this config "
+            problems.append(f"result.subspaces_checked is {checked}, but the {p.mode} sweep of this config "
                             f"checks {units}")
 
 
@@ -332,7 +317,7 @@ def _check_intersection(tower, system, H, wit, problems):
 def _recheck_weights(tower, report, problems):
     """Rebuild the profile that `weight_profile` gives for the config, with
     the values the report records, which must reproduce key by key; then
-    check those values on paths that did not produce them."""
+    check those values on paths that did not produce them, sized by plans."""
     system = _system(tower, report)
     cfg = report["config"]
     profile, dual = weight_profile(system, cfg["rho"], cfg["mode"], cfg["budget"])
@@ -352,18 +337,17 @@ def _recheck_weights(tower, report, problems):
     # and its profile is small: the dual's full profile, swept by the scalar
     # oracle, leaves the primal one as its Wei complement.
     k, t = profile.k, profile.t
-    wei = None
-    if 0 < sum(dual_sweep_sizes(system)) <= RECHECK_SWEEP_CAP:
-        dual = dual or nondegenerate_dual(system)
-        if dual is not None:
-            wei = dual_weights([t - max_weight_search(dual, t - k - s, engine="scalar")[0]
-                                for s in range(1, t - k + 1)], t)
+    wei, dual = None, dual or nondegenerate_dual(system)
+    if dual is not None and sum(plan(dual, t - k - s, None, "exhaustive").total
+                                for s in range(1, t - k + 1)) <= RECHECK_SWEEP_CAP:
+        wei = dual_weights([t - max_weight_search(dual, t - k - s, engine="scalar")[0]
+                            for s in range(1, t - k + 1)], t)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep is already a route that did not produce the entries.
     engine = "auto" if profile.route == "dual" and wei is not None else "scalar"
     for e in sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho):
-        if gaussian_binomial(k, k - e.rho, tower.order) <= RECHECK_SWEEP_CAP:
+        if plan(system, k - e.rho, None, "exhaustive").total <= RECHECK_SWEEP_CAP:
             w = max_weight_search(system, k - e.rho, mode="exhaustive", engine=engine)[0]
             if t - w != e.value:
                 problems.append(f"d_{e.rho} mismatch: recorded {e.value}, recomputed {t - w}")
@@ -374,14 +358,14 @@ def _recheck_weights(tower, report, problems):
 def _replay_weights(system, cfg, profile, problems):
     """Each sampled entry d_rho = t - max against its samples, replayed on
     the scalar oracle: its whole budget, where the two must be equal, when
-    the sampled entries' budgets add up to at most RECHECK_SWEEP_CAP, else
-    its first RECHECK_SAMPLES, which bound it from above."""
-    budget, seed = cfg["budget"], recorded_seed("sampled", cfg["seed"])
-    sampled = [e for e in profile.entries if e.provenance == UPPER]
-    whole = budget * len(sampled) <= RECHECK_SWEEP_CAP
-    for e in sampled:
-        sweep = _build_sweep(system, profile.k - e.rho, None, "sampled", budget, seed, "scalar")[0]
-        top = profile.t - sweep.run_units(0, budget if whole else min(RECHECK_SAMPLES, budget)).best["weight"]
+    the sampled entries' plans weigh at most RECHECK_SWEEP_CAP subspaces in
+    all, else its first RECHECK_SAMPLES, which bound it from above."""
+    sampled = [(e, plan(system, profile.k - e.rho, None, "sampled", cfg["budget"], cfg["seed"]))
+               for e in profile.entries if e.provenance == UPPER]
+    whole = sum(p.subspaces for _, p in sampled) <= RECHECK_SWEEP_CAP
+    for e, p in sampled:
+        sweep = _build_sweep(system, p, "scalar")[0]
+        top = profile.t - sweep.run_units(0, p.units if whole else min(RECHECK_SAMPLES, p.units)).best["weight"]
         if e.value != top if whole else e.value > top:
             problems.append(f"d_{e.rho} = {e.value}, but its {'' if whole else 'first '}samples on the oracle "
                             f"give {'' if whole else 'at most '}{top}")

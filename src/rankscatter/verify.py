@@ -20,9 +20,6 @@ Three modes feed that scan:
   It needs a budget: without one it is a ValueError, even where no sweep
   would run.
 
-An (h, r)-evasiveness question with r >= t = dim U holds in every mode
-without a sweep (`vacuous`), since no subspace meets U in more than t.
-
 Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
 `subspace(key)` is the one map from a key to its subspace, and a batched
 `_weights` weighs them on a row kernel.  The scalar oracle is the same for
@@ -59,13 +56,12 @@ weight -1 marks a skipped unit that is not counted, the first maximum is
 the chunk's best, and the first weight above the bound ends the chunk once
 the scalar oracle reproduces it on `subspace(key)`.
 
-Every question goes through `_answer`, which validates the options, fixes
-the seed, builds the mode's sweep object from the system it is given, hands
-that object to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
-only names it in checkpoint headers) and applies the one status rule,
-`_verdict`; `recheck` applies it to the outcome a report records.  The
-public verifiers take a mode and the options they pass it: budget, seed,
-workers, checkpoint, engine and chunk_size.
+Every question is sized once, from closed forms, by `plan`.  `_answer`
+builds the planned sweep object, hands it to `runner.run_sweep` (a JSON-safe
+descriptor of the same sweep only names it in checkpoint headers) and
+applies the one status rule, `_verdict`; `recheck` applies it to the
+outcome a report records.  The public verifiers take a mode and the options
+they pass it: budget, seed, workers, checkpoint, engine and chunk_size.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
@@ -76,6 +72,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -255,39 +252,12 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
-def _check_options(engine: str, mode: str | None = None, budget=None, chunk_size=None, workers=1) -> None:
-    """Reject an unknown engine or mode, sampled mode without a budget, a
-    chunk size below 1 (no chunk would be built, and the empty sweep would
-    read as a proof), a budget below 1 (it admits no unit) and a worker
-    count below 1.  A sweep object checks only its engine (mode None)."""
+def _check_engine(engine: str, workers: int = 1) -> None:
+    """Reject an unknown engine and a worker count below 1."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
-    if mode is not None and mode not in DEFAULT_CHUNKS:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and budget is None:
-        raise ValueError("sampled mode requires a budget")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def recorded_seed(mode: str, seed: int | None) -> int | None:
-    """The seed a run in `mode` draws its samples from and records: the
-    given one, or 0 when none is given, in sampled mode; None in the modes
-    that draw nothing."""
-    if mode != "sampled":
-        return None
-    return 0 if seed is None else seed
-
-
-def vacuous(system: QSystem, r: int) -> SweepOutcome | None:
-    """The sweepless outcome of an (h, r)-evasiveness question with r >= t:
-    no subspace meets U in more than t = dim U (Randrianarisoa, DCC 2020),
-    so it holds for want of room.  None when r < t."""
-    return SweepOutcome(0, None, None, True) if r >= system.t else None
 
 
 def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
@@ -571,7 +541,7 @@ class _Sweep:
     kernel in batches (`_weights`)."""
 
     def __init__(self, system: QSystem, dim: int, bound: int | None, engine: str):
-        _check_options(engine)
+        _check_engine(engine)
         self.tower = system.tower
         self.U = system.subspace
         self.k = system.ambient
@@ -965,6 +935,79 @@ class SampledSweep(_Sweep):
             yield (), blo, R - self.ranks(vals, reduced=True)
 
 
+# --- plans ---
+
+
+class Plan(NamedTuple):
+    """A question's sweep as `plan` sizes it, with no sweep object built."""
+
+    mode: str
+    dim: int
+    bound: int | None
+    budget: int | None
+    seed: int | None  # the seed a sampled run draws from and records; None in other modes
+    known: SweepOutcome | None  # the outcome known without a sweep
+    total: int  # units of the whole sweep
+    chunk: int  # units per chunk
+    units: int  # units a run checks unless a violation (or a witness-span budget) stops it
+    subspaces: int  # subspaces those units weigh, at most in witness-span mode
+    refusal: str | None  # why the sweep may not start, or None
+
+    @property
+    def complete(self) -> bool:
+        """Whether the outcome is known, or a run of an exhaustive sweep that
+        no violation stops checks every unit."""
+        return self.known is not None or (self.mode == "exhaustive" and self.units == self.total)
+
+
+def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None = None,
+         seed: int | None = None, chunk_size: int | None = None, defect=None) -> Plan:
+    """The one sizing of a question, does some dim-dimensional subspace meet
+    U in more than `bound` (None asks for the largest weight), from closed
+    forms alone.  It refuses an unknown mode, sampled mode without a budget,
+    and a chunk size or budget below 1 (the empty sweep would read as a
+    proof).  The zero space weighs 0 without a sweep, and a bound r >= t
+    holds without one, since no subspace meets U in more than t = dim U
+    (Randrianarisoa, DCC 2020); h-scatteredness, whose span `defect` is a
+    second way to fail, sweeps whatever its bound.  A budget lets a sweep
+    check units up to a chunk boundary (`runner.run_sweep`)."""
+    if mode not in DEFAULT_CHUNKS:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and budget is None:
+        raise ValueError("sampled mode requires a budget")
+    for name, value in (("chunk size", chunk_size), ("budget", budget)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    seed = (0 if seed is None else seed) if mode == "sampled" else None
+    Q, q, k, t = system.tower.order, system.tower.q, system.ambient, system.t
+    known = None
+    if dim == 0:
+        known = SweepOutcome(1, None, {"weight": 0, "key": [0]}, True)
+    elif bound is not None and bound >= t and defect is None:
+        known = SweepOutcome(0, None, None, True)
+    if known is not None:
+        total = known.checked
+    elif mode == "exhaustive":
+        total = gaussian_binomial(k, dim, Q)
+    elif mode == "witness_span":
+        total = dim * ((q**t - 1) // (q - 1))
+    else:
+        total = budget
+    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(total, 1))
+    # a witness-span budget counts subspaces, not units
+    units = total if budget is None or mode == "witness_span" else min(total, -(-budget // chunk) * chunk)
+    subspaces = units
+    if mode == "witness_span" and known is None:
+        # at most the d-tuples of a first index i in [q^e, 2q^e) and d - 1
+        # later ones: the sum over i of C(q^t - 1 - i, d - 1)
+        subspaces = sum(comb(q**t - q**e, d) - comb(q**t - 2 * q**e, d) for d in range(1, dim + 1) for e in range(t))
+    refusal = None
+    if mode == "exhaustive" and budget is None and total > EXHAUSTIVE_CAP:
+        refusal = (f"an exhaustive sweep of all {total} {dim}-dimensional subspaces of F_{Q}^{k} exceeds "
+                   f"the cap of {EXHAUSTIVE_CAP}; give a budget (--budget) or use sampled mode")
+    return Plan(mode, dim, bound, budget, seed, known, total, chunk, units, subspaces, refusal)
+
+
 # --- verdicts ---
 
 
@@ -1030,78 +1073,61 @@ def _build_witness(system: QSystem, sweep, key) -> Witness:
     return Witness(H, subspace_weight(U, H), vectors, list(key))
 
 
-def _build_sweep(system: QSystem, dim: int, bound, mode: str, budget, seed, engine: str):
-    """The mode's sweep object, and the descriptor that names it in
-    checkpoint headers."""
-    tower = system.tower
+def _build_sweep(system: QSystem, p: Plan, engine: str):
+    """The sweep object of plan `p`, and the descriptor that names it in
+    checkpoint headers; ValueError when `p` refuses the sweep."""
+    if p.refusal is not None:
+        raise ValueError(p.refusal)
     desc = {
-        "field": tower.descriptor(),
+        "field": system.tower.descriptor(),
         "system": system_to_desc(system),
         "engine": engine,
-        "bound": bound,
+        "bound": p.bound,
     }
-    if mode == "exhaustive":
-        size = gaussian_binomial(system.ambient, dim, tower.order)
-        if budget is None and size > EXHAUSTIVE_CAP:
-            raise ValueError(
-                f"an exhaustive sweep of all {size} {dim}-dimensional subspaces of "
-                f"F_{tower.order}^{system.ambient} exceeds the cap of {EXHAUSTIVE_CAP}; "
-                "give a budget (--budget) or use sampled mode"
-            )
-        desc.update(kind="exhaustive", dim=dim)
-        return ExhaustiveSweep(system, dim, bound, engine), desc
-    if mode == "witness_span":
-        desc.update(kind="span", dmax=dim)
-        return SpanSweep(system, dim, bound, engine), desc
-    desc.update(kind="sampled", dim=dim, seed=seed, budget=budget, stream=SAMPLE_STREAM)
-    return SampledSweep(system, dim, bound, seed, engine, budget), desc
+    if p.mode == "exhaustive":
+        desc.update(kind="exhaustive", dim=p.dim)
+        return ExhaustiveSweep(system, p.dim, p.bound, engine), desc
+    if p.mode == "witness_span":
+        desc.update(kind="span", dmax=p.dim)
+        return SpanSweep(system, p.dim, p.bound, engine), desc
+    desc.update(kind="sampled", dim=p.dim, seed=p.seed, budget=p.budget, stream=SAMPLE_STREAM)
+    return SampledSweep(system, p.dim, p.bound, p.seed, engine, p.budget), desc
 
 
-def sweep_extent(mode: str, total_units: int, budget: int | None, chunk_size: int | None) -> tuple[int, int]:
-    """(chunk, units) of a run over `total_units` units: its chunk size, and
-    the units an index sweep checks unless a violation stops it, the budget
-    rounded up to a chunk boundary (`runner.run_sweep`) or all."""
-    chunk = chunk_size or min(DEFAULT_CHUNKS[mode], max(total_units, 1))
-    units = total_units if budget is None else min(total_units, -(-budget // chunk) * chunk)
-    return chunk, units
-
-
-def _verdict(system: QSystem, dim: int, bound: int | None, mode: str, seed: int | None, engine: str,
-             sweep, outcome: SweepOutcome, defect=None) -> Verdict:
-    """The one status rule, from a question and its sweep's outcome (sweep
-    None when the outcome is known without one): the unit of `outcome.viol`
-    is the witness, else `defect(system)` is the violation; a sampled sweep
-    or an unfinished one is inconclusive, and anything else holds."""
+def _verdict(system: QSystem, p: Plan, engine: str, sweep, outcome: SweepOutcome, defect=None) -> Verdict:
+    """The one status rule, from plan `p` and its outcome (sweep None when
+    `p` knows it): the unit of `outcome.viol` is the witness, else
+    `defect(system)` is the violation; a sampled sweep or an unfinished one
+    is inconclusive, and anything else holds."""
     witness = None if outcome.viol is None else _build_witness(system, sweep, outcome.viol["key"])
     # a weight witness is the violation reported, so the defect is read only without one
     defect = defect(system) if defect is not None and witness is None else None
     if witness is not None or defect is not None:
         status = "violated"
-    elif (sweep is not None and mode == "sampled") or not outcome.completed:
+    elif (sweep is not None and p.mode == "sampled") or not outcome.completed:
         status = "inconclusive"
     else:
         status = "holds"
-    backend = None if sweep is None else weight_backend(system.tower, system.ambient, engine, dim)
-    return Verdict(status, mode, bound, dim, outcome.checked, witness, seed, defect, backend)
+    backend = None if sweep is None else weight_backend(system.tower, system.ambient, engine, p.dim)
+    return Verdict(status, p.mode, p.bound, p.dim, outcome.checked, witness, p.seed, defect, backend)
 
 
 def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
-            workers: int, checkpoint: str | None, engine: str, chunk_size: int | None, *,
-            known: SweepOutcome | None = None, defect=None) -> tuple[Verdict, dict | None]:
+            workers: int, checkpoint: str | None, engine: str, chunk_size: int | None,
+            defect=None) -> tuple[Verdict, dict | None]:
     """The one path from a question, does some dim-dimensional subspace meet
     U in more than `bound` (None asks for the largest weight), to its verdict
-    and first maximum.  It validates every option, fixes the seed, runs the
-    mode's sweep unless the outcome is `known` without one, and applies
-    `_verdict`."""
-    _check_options(engine, mode, budget, chunk_size, workers)
-    seed = recorded_seed(mode, seed)
-    sweep, outcome = None, known
-    if known is None:
-        sweep, desc = _build_sweep(system, dim, bound, mode, budget, seed, engine)
-        chunk, _ = sweep_extent(mode, sweep.total_units, budget, chunk_size)
-        outcome = run_sweep(sweep, desc, chunk, workers=workers, checkpoint=checkpoint,
+    and first maximum.  It checks the engine and worker count, runs the
+    sweep that `plan` sizes unless the plan knows the outcome without one,
+    and applies `_verdict`."""
+    _check_engine(engine, workers)
+    p = plan(system, dim, bound, mode, budget, seed, chunk_size, defect)
+    sweep, outcome = None, p.known
+    if outcome is None:
+        sweep, desc = _build_sweep(system, p, engine)
+        outcome = run_sweep(sweep, desc, p.chunk, workers=workers, checkpoint=checkpoint,
                             budget_units=budget if mode != "sampled" else None)
-    verdict = _verdict(system, dim, bound, mode, seed, engine, sweep, outcome, defect)
+    verdict = _verdict(system, p, engine, sweep, outcome, defect)
     if verdict.witness is not None and verdict.witness.weight != outcome.viol["weight"]:
         raise AssertionError("witness does not re-verify")
     return verdict, outcome.best
@@ -1139,15 +1165,14 @@ def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span
     """Decide whether the system is (hdim, r)-evasive.
 
     holds: every hdim-dimensional extension subspace meets U in F_q-dimension
-    at most r.  No spanning requirement.  When r >= t (`vacuous`) it holds
+    at most r.  No spanning requirement.  When r >= t (`plan`) it holds
     with no sweep.
     """
     if not 0 < hdim < system.ambient:
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size,
-                   known=vacuous(system, r))[0]
+    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size)[0]
 
 
 def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budget: int | None = None,
@@ -1161,7 +1186,5 @@ def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budge
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
-    known = SweepOutcome(1, None, {"weight": 0, "key": [0]}, True) if dim == 0 else None
-    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size,
-                            known=known)
+    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size)
     return best["weight"], best["key"], verdict.checked, verdict.holds

@@ -245,6 +245,12 @@ def test_axioms_reject_bad_profiles(ds_code):
     shifted.add(1, 2, EXACT)
     shifted.add(2, 6, EXACT)  # overlaps the complement set
     assert not check_weight_axioms(good, shifted, 6)
+    # a dual entry outside 1..t breaks the partition and is no error
+    for values in ((3, 7), (0, 3)):
+        outside = WeightProfile(2, 6)
+        for rho, value in enumerate(values, 1):
+            outside.add(rho, value, EXACT)
+        assert not check_weight_axioms(good, outside, 6)
     # exact entries must increase across a missing index too
     gap = WeightProfile(4, 6)
     gap.add(1, 5, EXACT)
@@ -392,6 +398,38 @@ def test_dual_derivation_that_breaks_the_partition_raises(ds_code, monkeypatch, 
     monkeypatch.setattr(codes, "max_weight_search", fake_search)
     with pytest.raises(AssertionError, match=message):
         generalized_weights(ds_code.system())
+
+
+def test_the_swept_count_guard_holds_under_python_O():
+    # python -O strips assert statements; the guard is an explicit raise
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import rankscatter.codes as codes\n"
+        "from rankscatter.construction import direct_sum, pseudoregulus_subspace\n"
+        "from rankscatter.field import FieldTower\n"
+        "search = codes.max_weight_search\n"
+        "def miscounted(*args, **kwargs):\n"
+        "    weight, key, checked, exact = search(*args, **kwargs)\n"
+        "    return weight, key, checked + 1, exact\n"
+        "codes.max_weight_search = miscounted\n"
+        "ps = pseudoregulus_subspace(FieldTower(2, 1, 3), 1)\n"
+        "try:\n"
+        "    codes.generalized_weights(direct_sum([ps, ps]))\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 the weight sweeps did not check the 10 subspaces"), proc.stdout
 
 
 def test_dual_route_rejects_a_budget_that_cuts_its_sweep(ds_code, F16):

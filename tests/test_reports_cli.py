@@ -283,6 +283,7 @@ REJECTED = [
     # sampled mode without a budget, where no sweep would run: r >= t, and d_k
     ["verify-evasive", "--system", "pseudoregulus", "--h", "2", "--hdim", "1", "--r", "4", "--mode", "sampled"],
     ["weights", "--system", "pseudoregulus", "--h", "2", "--mode", "sampled", "--rho", "3"],
+    ["weights", "--system", "pseudoregulus", "--h", "2", "--mode", "sampled", "--rho", ","],
 ]
 
 
@@ -1199,16 +1200,21 @@ def test_a_budgeted_sweep_of_a_huge_grassmannian_lists_no_chunks(tmp_path):
     assert main(["recheck", out]) == 0
 
 
+FAMILY_M4 = ["--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, k, dim",
     [
-        ["weights", "--rho", "10", "--force", "--alphas", "1,1,1,1"],
-        ["verify-scattered", "--mode", "exhaustive", "--alphas", "2,1,1,1"],
+        (["weights", *FAMILY_M4, "--rho", "10", "--force", "--alphas", "1,1,1,1"], 12, 2),
+        (["verify-scattered", *FAMILY_M4, "--mode", "exhaustive", "--alphas", "2,1,1,1"], 12, 2),
+        # rho = 5 alone sweeps 1,118,481 lines; rho = 3 is refused before it
+        (["weights", "--field", "2,1,4", "--system", "direct-sum", "--m", "3", "--h", "1", "--rho", "5,3"], 6, 3),
     ],
-    ids=["weights", "verify-exhaustive"],
+    ids=["weights", "verify-exhaustive", "weights-second-rho"],
 )
-def test_an_unbudgeted_exhaustive_sweep_above_the_cap_is_a_config_error(monkeypatch, capsys, argv):
-    # [12, 2]_16 = 1.29e24 planes: refused before any sweep starts
+def test_an_unbudgeted_exhaustive_sweep_above_the_cap_is_a_config_error(monkeypatch, capsys, argv, k, dim):
+    # [12, 2]_16 = 1.29e24 planes, [6, 3]_16 = 1.2e14 solids: refused before any sweep starts
     from rankscatter import verify
     from rankscatter.linalg import gaussian_binomial
 
@@ -1216,9 +1222,32 @@ def test_an_unbudgeted_exhaustive_sweep_above_the_cap_is_a_config_error(monkeypa
         raise AssertionError("a sweep ran")
 
     monkeypatch.setattr(verify, "run_sweep", no_sweep)
-    family = ["--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2"]
-    assert main(argv[:1] + family + argv[1:]) == 3
+    assert main(argv) == 3
     err = capsys.readouterr().err
-    size = gaussian_binomial(12, 2, 16)
+    size = gaussian_binomial(k, dim, 16)
     assert size > verify.EXHAUSTIVE_CAP
-    assert f"all {size} 2-dimensional subspaces" in err and "--budget" in err and "sampled mode" in err
+    assert f"all {size} {dim}-dimensional subspaces" in err and "--budget" in err and "sampled mode" in err
+
+
+@pytest.mark.parametrize("value", [5, 14])
+def test_a_weights_report_the_cap_refuses_fails_recheck(tmp_path, capsys, value):
+    # `weights --rho 10` on C2 with tuple (1,1,1,1) exits 3: its dual is
+    # degenerate, so the primal route would sweep [12, 2]_16 planes.  A
+    # report forged for it must not recheck, whatever d_10 it claims.
+    from rankscatter.codes import EXACT, WeightProfile
+    from rankscatter.construction import ConstructionParams, family_subspace, system_to_desc
+    from rankscatter.field import FieldTower
+    from rankscatter.linalg import gaussian_binomial
+
+    tower = FieldTower(2, 1, 4)
+    system = family_subspace(ConstructionParams(tower, 4, 2, (1, 1, 1, 1)))
+    size = gaussian_binomial(12, 2, 16)
+    profile = WeightProfile(12, 16, swept=size)
+    profile.add(10, value, EXACT, size)
+    config = {"system": system_to_desc(system), "mode": "exhaustive", "budget": None, "seed": 0, "rho": [10],
+              "force": True}
+    report = reports.build_report("weights", config, tower.descriptor(), *reports.weights_result(profile), {})
+    out = str(tmp_path / "forged.json")
+    reports.write_report(report, out)
+    assert main(["recheck", out]) == 1
+    assert f"all {size} 2-dimensional subspaces" in capsys.readouterr().err

@@ -1040,3 +1040,64 @@ def test_pool_stops_once_the_outcome_is_settled(tmp_path):
     # only finished chunks are recorded, each on a whole line
     lines = ck.read_text().split("\n")
     assert lines[-1] == "" and {json.loads(x).get("lo") for x in lines[1:-1]} <= {0, 1, 2}
+
+
+PLAN_SYSTEMS = {"gf2": ((2, 1, 4), 2), "fp": ((3, 1, 3), 2), "scalar": ((2, 2, 2), 1)}
+
+
+@pytest.mark.parametrize(
+    "mode, budget",
+    [("exhaustive", None), ("exhaustive", 5), ("witness_span", None), ("witness_span", 5),
+     ("sampled", 5), ("sampled", 40)],
+)
+@pytest.mark.parametrize("backend", sorted(PLAN_SYSTEMS))
+def test_a_plan_sizes_the_sweep_it_builds(backend, mode, budget):
+    from math import comb
+
+    from rankscatter.verify import _build_sweep, plan
+
+    field, h = PLAN_SYSTEMS[backend]
+    system = pseudoregulus_subspace(create_field(*field), h)
+    p = plan(system, h, None, mode, budget, chunk_size=4)
+    sweep, desc = _build_sweep(system, p, "auto")
+    assert sweep.backend == backend and p.known is None
+    assert p.total == sweep.total_units
+    outcome = run_sweep(sweep, desc, p.chunk, budget_units=budget if mode != "sampled" else None)
+    if mode != "witness_span":
+        # an index sweep checks exactly the units its budget allows
+        assert outcome.checked == p.units == p.subspaces
+        assert (p.units == p.total) == (budget is None or mode == "sampled")
+        return
+    # a witness-span budget counts subspaces, so it may stop the walk early,
+    # and skipped tuples are not weighed: subspaces bound the count from above
+    NU, q = system.tower.q**system.t, system.tower.q
+    firsts = [i for i in range(1, NU) if i // q ** (len(np.base_repr(i, q)) - 1) == 1]
+    assert p.units == p.total
+    assert p.subspaces == sum(comb(NU - 1 - i, d - 1) for d in range(1, h + 1) for i in firsts)
+    assert outcome.checked <= p.subspaces
+    if budget is None and q == 2:
+        # no u_j of the pseudoregulus is an extension multiple of another
+        assert outcome.checked == p.subspaces
+
+
+@pytest.mark.parametrize("backend", sorted(PLAN_SYSTEMS))
+def test_sweepless_plans_build_no_sweep(backend, monkeypatch):
+    from rankscatter import verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was built")
+
+    monkeypatch.setattr(verify, "_build_sweep", no_sweep)
+    field, h = PLAN_SYSTEMS[backend]
+    system = pseudoregulus_subspace(create_field(*field), h)
+    for mode in ("exhaustive", "witness_span", "sampled"):
+        # a bound r >= t holds for want of room, in every mode
+        p = verify.plan(system, h, system.t, mode, 7)
+        v = verify_evasive(system, h, system.t, mode=mode, budget=7)
+        assert p.known == SweepOutcome(0, None, None, True) and p.units == p.subspaces == 0
+        assert (v.status, v.checked, v.backend) == ("holds", 0, None)
+    for mode in ("exhaustive", "sampled"):
+        # the zero space weighs 0
+        p = verify.plan(system, 0, None, mode, 7)
+        assert p.known.best == {"weight": 0, "key": [0]} and p.units == p.subspaces == 1
+        assert max_weight_search(system, 0, mode=mode, budget=7) == (0, [0], 1, True)
