@@ -24,6 +24,7 @@ import numpy as np
 
 U64 = np.uint64
 MAX_WIDTH = 64
+ROW_BLOCK = 1 << 14  # words per numpy call of batch_rank's elimination
 
 
 def reduce_static(rows: list[np.ndarray], basis_rows, basis_pivots) -> None:
@@ -38,23 +39,31 @@ def reduce_static(rows: list[np.ndarray], basis_rows, basis_pivots) -> None:
 
 
 def batch_rank(rows: list[np.ndarray]) -> np.ndarray:
-    """Rank of each matrix in the batch; consumes the row arrays."""
+    """Rank of each matrix in the batch; leaves the rows in echelon form,
+    their nonzero rows with distinct lowest set bits.
+
+    The rows are eliminated in one (R, B) copy: each row's lowest set bit
+    is cleared from all later rows, ROW_BLOCK words of them per numpy call,
+    so a small batch takes a few calls per pivot and no temporary of a
+    large one holds more than ROW_BLOCK words.
+    """
     if not rows:
-        return np.zeros(0, dtype=np.uint8)
-    b = rows[0].shape[0]
-    rank = np.zeros(b, dtype=np.uint8)
-    nrows = len(rows)
-    for i in range(nrows):
-        cur = rows[i]
-        nz = cur != 0
-        rank += nz.astype(np.uint8)
-        if i + 1 == nrows:
-            break
-        low = cur & (np.uint64(0) - cur)
-        for j in range(i + 1, nrows):
-            hit = (rows[j] & low) != 0
-            rows[j] ^= np.where(hit, cur, U64(0))
-    return rank
+        return np.zeros(0, dtype=np.int64)
+    work = np.stack(rows)
+    step = max(1, ROW_BLOCK // max(1, work.shape[1]))
+    for i in range(len(rows) - 1):
+        cur = work[i]
+        low = cur & (U64(0) - cur)
+        for s in range(i + 1, len(rows), step):
+            rest = work[s : s + step]
+            # hit is low or 0, so min(hit, 1) * cur is cur where rest has the pivot bit
+            hit = rest & low
+            np.minimum(hit, U64(1), out=hit)
+            hit *= cur
+            rest ^= hit
+    for r, w in zip(rows, work):
+        r[...] = w
+    return np.count_nonzero(work, axis=0)
 
 
 def subset_xor_table(deltas: np.ndarray, bits: int) -> np.ndarray:

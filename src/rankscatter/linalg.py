@@ -581,8 +581,12 @@ def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: 
         accepted = np.ones(hi - lo, dtype=bool)
     else:
         accepted = (words < np.uint64(limit)).all(axis=(1, 2))
+    if Q & (Q - 1):
+        np.remainder(words, np.uint64(Q), out=words)
+    else:
+        words &= np.uint64(Q - 1)
     # residues below Q <= 2^63 read the same as int64
-    return np.remainder(words, np.uint64(Q), out=words).view(np.int64), accepted
+    return words.view(np.int64), accepted
 
 
 def sample_subspace(tower: FieldTower, k: int, d: int, seed: int, index: int) -> SubspaceQn:

@@ -393,11 +393,9 @@ class _GF2Rows:
 
     def _eliminate(self, rows):
         """Echelon form of a (B, R) batch of mixed rows by `batch_rank`,
-        and the rows' low parts."""
-        ech = rows.T.copy()
-        bitkernel.batch_rank(list(ech))  # reduces the rows of ech in place
-        ech = ech.T
-        return ech, ech & self.low
+        in place, and the rows' low parts."""
+        bitkernel.batch_rank(list(rows.T))
+        return rows, rows & self.low
 
     def _tags(self, ech, low):
         """(matrix, index) of the rows with a zero low part, the index read
@@ -428,7 +426,7 @@ class _GF2Rows:
         return self._tags(ech[:, P:], low[:, P:])
 
     def rank(self, rows):
-        return bitkernel.batch_rank(rows).astype(np.int64)
+        return bitkernel.batch_rank(rows)
 
     def block(self, rows, width):
         """GF2_BLOCK, whatever the shape: a packed row is one word."""
@@ -588,9 +586,8 @@ class _Sweep:
         """Rank of the expansion rows of each (dim, k) matrix of element
         values in vals, raw or reduced mod U, on the batched kernel."""
         kern, block = self.kernel, self._value_block(reduced)
-        return np.concatenate(
-            [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
-        )
+        parts = [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
 # --- exhaustive sweep over the Grassmannian ---
@@ -900,9 +897,10 @@ class SampledSweep(_Sweep):
 
     The batched kernels draw samples SAMPLE_BLOCK at a time from the
     counter stream of `linalg.sample_values` and never canonicalise: they
-    rank the unreduced expansion rows to find rank-deficient matrices,
-    redraw those one at a time, and rank the rows reduced mod U for the
-    weights, which do not depend on the basis of H.
+    rank the rows reduced mod U for the weights, which do not depend on the
+    basis of H.  Since rank mod U <= rank <= d n, only a rejected sample or
+    one short of d n mod U has its unreduced rows ranked; those that fall
+    short there are redrawn one at a time and ranked mod U again.
     """
 
     def __init__(self, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
@@ -929,10 +927,15 @@ class SampledSweep(_Sweep):
         R = d * self.n
         for blo in range(lo, hi, SAMPLE_BLOCK):
             vals, accepted = sample_values(t.order, k, d, self.seed, blo, min(blo + SAMPLE_BLOCK, hi), 0)
-            full = accepted & (self.ranks(vals, reduced=False) == R)
-            for j in np.flatnonzero(~full).tolist():
+            ranks = self.ranks(vals, reduced=True)
+            # rank mod U <= rank <= R, so only a rank mod U below R can hide
+            # a rank-deficient matrix
+            check = np.flatnonzero(~accepted | (ranks < R))
+            redo = check[~accepted[check] | (self.ranks(vals[check], reduced=False) < R)]
+            for j in redo.tolist():
                 vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
-            yield (), blo, R - self.ranks(vals, reduced=True)
+            ranks[redo] = self.ranks(vals[redo], reduced=True)
+            yield (), blo, R - ranks
 
 
 # --- plans ---

@@ -1,6 +1,7 @@
-"""The batched F_p rank kernel against the scalar row containers."""
+"""The batched GF(2) and F_p rank kernels against the scalar row containers."""
 
 from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,40 @@ def _scalar_rank(p, matrix):
     for row in matrix:
         acc.add(sum(x << i for i, x in enumerate(row)) if p == 2 else row)
     return acc.rank
+
+
+@st.composite
+def gf2_batches(draw):
+    """An (R, B) uint64 batch of packed GF(2) rows, with zero rows and rows
+    that sum earlier ones."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 6)))
+    bits = draw(st.sampled_from([1, 3, 8, 64]))
+    words = st.one_of(st.just(0), st.integers(0, (1 << bits) - 1))
+    size = shape[0] * shape[1]
+    rows = np.array(draw(st.lists(words, min_size=size, max_size=size)), dtype=np.uint64).reshape(shape)
+    if shape[0] > 1:
+        cells = st.tuples(st.integers(1, shape[0] - 1), st.integers(0, shape[1] - 1))
+        for i, b in draw(st.lists(cells, max_size=4)):
+            rows[i, b] = rows[i - 1, b] ^ rows[0, b] * (i > 1)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(gf2_batches(), st.sampled_from([1, 5, bitkernel.ROW_BLOCK]))
+def test_batch_rank_equals_the_scalar_rank(rows, block):
+    expected = [_scalar_rank(2, [[(r >> i) & 1 for i in range(64)] for r in m]) for m in rows.T.tolist()]
+    work = list(rows.copy())
+    # blocks of 1 and 5 words split the later rows over several numpy calls
+    with patch.object(bitkernel, "ROW_BLOCK", block):
+        assert bitkernel.batch_rank(work).tolist() == expected
+    for j, m in enumerate(rows.T):
+        basis = [r for r in np.array(work)[:, j].tolist() if r]
+        pivots = [(r & -r).bit_length() - 1 for r in basis]
+        assert len(set(pivots)) == len(basis) == expected[j]
+        # the rows left behind span the input rows
+        again = [m.copy()]
+        bitkernel.reduce_static(again, basis, pivots)
+        assert not again[0].any()
 
 
 @st.composite

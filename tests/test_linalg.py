@@ -285,6 +285,17 @@ def test_sample_values_reject_words_above_the_limit(monkeypatch):
         assert linalg.sample_subspace(F9, 3, 2, 5, i) == SubspaceQn.from_vectors(F9, 3, again[0].tolist())
 
 
+@pytest.mark.parametrize("Q", [4, 16, 1 << 20, 1 << 62, 1 << 63, 9, 27])
+def test_sample_values_are_the_stream_words_mod_q(Q):
+    # a power of two is reduced by a mask, any other Q by division
+    from rankscatter import linalg
+
+    vals, _ = linalg.sample_values(Q, 3, 2, 5, 10, 410, 1)
+    words = linalg.counter_words(linalg.derive_seed(5, "sample", 3, 2, 1), 10 * 6, 400 * 6)
+    assert vals.dtype == np.int64
+    assert vals.reshape(-1).tolist() == np.remainder(words, np.uint64(Q)).tolist()
+
+
 def test_sample_values_refuse_fields_past_2_to_the_63():
     # residues at or past 2^63 would read as negative int64 "elements"
     from rankscatter import linalg

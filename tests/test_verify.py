@@ -311,6 +311,79 @@ def test_scalar_sampled_stream_draws_a_block_at_once(monkeypatch):
         assert [H for _, H in stream] == [sample_subspace(F, 3, d, 23, i) for i in range(100, 300)]
 
 
+def _kernel_draws(monkeypatch, sweep, lo, hi):
+    """Runs units [lo, hi) of a batched sampled sweep; returns the value
+    matrices its kernel built raw rows of and those it built reduced rows of."""
+    built = ([], [])
+    value_rows = sweep.kernel.value_rows
+
+    def record(vals, reduced):
+        built[reduced].extend(vals.tolist())
+        return value_rows(vals, reduced)
+
+    monkeypatch.setattr(sweep.kernel, "value_rows", record)
+    _unit_weights(sweep, lo, hi)
+    return built
+
+
+def _short_mod_u(system, d, seed, lo, hi):
+    """The attempt-0 matrices of samples lo .. hi-1 whose rows reduced mod U
+    have rank below d n (rejected, singular, or meeting U), and the number
+    of those that are redrawn (rejected or singular)."""
+    from rankscatter.linalg import matrix_rank, sample_values
+
+    t, k = system.tower, system.ambient
+    vals, accepted = sample_values(t.order, k, d, seed, lo, hi, 0)
+    short, redrawn = [], 0
+    for m, ok in zip(vals.tolist(), accepted.tolist()):
+        redo = not ok or matrix_rank(t, m, k) < d
+        redrawn += redo
+        if redo or subspace_weight(system, SubspaceQn.from_vectors(t, k, m)) > 0:
+            short.append(m)
+    return short, redrawn
+
+
+SHORT_MOD_U_CASES = {
+    # (system, d, samples, seed, whether words are rejected)
+    "C2-d2": (0, 2, 2500, 17, False),
+    "C2-forced": (0, 2, 600, 17, True),
+    "F4-d3": (2, 3, 2000, 17, False),
+    "F27-forced": (None, 2, 300, 11, True),
+}
+
+
+@pytest.mark.parametrize(
+    "case, backend",
+    [(c, b) for c in SHORT_MOD_U_CASES for b in ("gf2", "fp") if c != "F27-forced" or b == "fp"],
+)
+def test_sampled_sweeps_rank_raw_rows_only_of_samples_short_mod_u(monkeypatch, case, backend):
+    # rank mod U <= rank <= d n: a sample of full rank mod U is never ranked
+    # raw, and only a redrawn one is ranked mod U twice
+    from rankscatter import linalg, verify
+
+    which, d, hi, seed, forced = SHORT_MOD_U_CASES[case]
+    if forced:
+        monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    if which is None:
+        system = explicit_system(create_field(3, 1, 3), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (5, 7, 1)])
+    else:
+        system = _sampled_systems()[which][0]
+    sweep = SampledSweep(system, d, None, seed, "auto", hi)
+    if sweep.backend != backend:
+        sweep.backend, sweep.kernel = backend, verify._FpRows(sweep)
+    raw, reduced = _kernel_draws(monkeypatch, sweep, 0, hi)
+    short, redrawn = _short_mod_u(system, d, seed, 0, hi)
+    assert raw == short
+    assert len(reduced) == hi + redrawn
+    if case == "C2-d2":
+        assert short == []
+    elif case == "C2-forced":
+        # C2's planes all have full rank mod U: the short draws are the rejected ones
+        assert len(short) == redrawn > 0
+    else:
+        assert 0 < redrawn < len(short)
+
+
 def test_sampled_sweep_raises_no_numpy_warning(tmp_path):
     # uint64 overflow is the hash's arithmetic; on numpy scalars it would warn
     import os
