@@ -14,11 +14,9 @@ from .linalg import (
     enumerate_subspaces,
     expand_vector,
     gaussian_binomial,
-    intersection_dim,
     matrix_rank,
     rref,
     sample_subspace,
-    subspace_at,
 )
 from .construction import (
     ConstructionParams,

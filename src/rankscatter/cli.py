@@ -282,11 +282,12 @@ def main(argv=None) -> int:
         if args.command != "recheck":
             return _run(args)
         try:
-            ok, problems = reports.recheck_report(reports.load_report(args.report))
+            problems, unchecked = reports.recheck_report(reports.load_report(args.report))
         except ValueError as exc:  # not a JSON report object of this schema
-            ok, problems = False, [str(exc)]
-        if ok:
-            print(f"report verified: {args.report}")
+            problems, unchecked = [str(exc)], []
+        if not problems:
+            print(f"report {'consistent' if unchecked else 'verified'}: {args.report}",
+                  *(f"not re-derived: {claim}" for claim in unchecked), sep="\n")
             return EXIT_HOLDS
         for p in problems:
             print(f"corrupt report: {p}", file=sys.stderr)

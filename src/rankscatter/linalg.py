@@ -358,20 +358,6 @@ class FqSubspace:
         return cls(tower, k, gens)
 
 
-def sum_dim(S: FqSubspace, T: FqSubspace) -> int:
-    if S.tower != T.tower or S.k != T.k:
-        raise ValueError("subspaces live in different ambient spaces")
-    acc = make_rows(S.tower)
-    for r in (*S.fq_rows, *T.fq_rows):
-        acc.add(r)
-    return acc.rank
-
-
-def intersection_dim(S: FqSubspace, T: FqSubspace) -> int:
-    """dim(S n T) = dim S + dim T - dim(S + T), over F_q."""
-    return S.dim + T.dim - sum_dim(S, T)
-
-
 def intersection_rows(tower: FieldTower, width: int, s_rows, t_rows) -> list:
     """RREF rows of (span s_rows) n (span t_rows) over F_q, Zassenhaus style.
 
@@ -452,15 +438,6 @@ def enumerate_subspaces(tower: FieldTower, k: int, d: int) -> Iterator[SubspaceQ
     for pivots, cells, count in _pivot_blocks(k, d, tower.order):
         for a in range(count):
             yield _subspace_from_assignment(tower, k, pivots, cells, a)
-
-
-def subspace_at(tower: FieldTower, k: int, d: int, index: int) -> SubspaceQn:
-    """Random access into the enumerate_subspaces order."""
-    for pivots, cells, count in _pivot_blocks(k, d, tower.order):
-        if index < count:
-            return _subspace_from_assignment(tower, k, pivots, cells, index)
-        index -= count
-    raise IndexError("subspace index out of range")
 
 
 # --- deterministic sampling ---

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
 
 from .codes import (
     EXACT,
@@ -37,8 +36,8 @@ from .runner import SweepOutcome
 from .verify import (
     _build_sweep,
     _verdict,
-    max_weight_search,
     plan,
+    rederive,
     span_defect,
     verify_evasive,
     verify_h_scattered,
@@ -135,20 +134,20 @@ def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
 
 
 def _question(config: dict):
-    """(dim, bound, defect, verifier) of a verify config: (hdim, r, None,
-    `verify_evasive`) when the config names r, else (h, h, `span_defect`,
-    `verify_h_scattered`).  verifier(system, **options) is the verdict."""
+    """(dim, bound, defect) of a verify config: (hdim, r, None) when the
+    config names r, else (h, h, `span_defect`)."""
     if "r" in config:
-        return config["hdim"], config["r"], None, partial(verify_evasive, hdim=config["hdim"], r=config["r"])
-    return config["h"], config["h"], span_defect, partial(verify_h_scattered, h=config["h"])
+        return config["hdim"], config["r"], None
+    return config["h"], config["h"], span_defect
 
 
 def run_verify(system: QSystem, config: dict, **run):
     """The verdict of a verify config.  `run` holds what the report does not
-    record (workers, checkpoint, engine)."""
-    verifier = _question(config)[3]
-    return verifier(system, mode=config["mode"], budget=config["budget"], seed=config["seed"],
-                    chunk_size=config["chunk_size"], **run)
+    record (workers, checkpoint)."""
+    run.update((key, config[key]) for key in ("mode", "budget", "seed", "chunk_size"))
+    if "r" in config:
+        return verify_evasive(system, config["hdim"], config["r"], **run)
+    return verify_h_scattered(system, config["h"], **run)
 
 
 def verify_result(tower: FieldTower, verdict) -> tuple[dict, dict]:
@@ -165,20 +164,20 @@ def weights_result(profile) -> tuple[dict, dict]:
 # --- recheck ---
 
 
-def recheck_report(report: dict) -> tuple[bool, list[str]]:
+def recheck_report(report: dict) -> tuple[list[str], list[str]]:
     """Re-verify a report from its own contents.
 
-    Returns (ok, problems).  construct, compare and search reports are
-    derived again in full; a verdict is rebuilt from the outcome it records
-    by verify's status rule.  Witnesses are weighed again, sampled runs
-    replay a prefix of their sample stream, and small proofs and small
-    exact weights are re-swept outright.
+    Returns (problems, unchecked claims).  construct, compare and search
+    reports are derived again in full; a verdict is rebuilt from the outcome
+    it records by verify's status rule.  Every re-sweep is one `rederive` of
+    a plan rebuilt from the config; a claim whose plan is past the cap is
+    named, as is a sampled run replayed in part.
     """
-    problems: list[str] = []
+    problems, unchecked = [], []
     try:
         tower = FieldTower.from_descriptor(report["field"])
     except Exception as exc:
-        return False, [f"field descriptor invalid: {exc}"]
+        return [f"field descriptor invalid: {exc}"], []
     command = report.get("command")
     handler = {
         "construct": _recheck_construct,
@@ -189,12 +188,12 @@ def recheck_report(report: dict) -> tuple[bool, list[str]]:
         "search": _recheck_search,
     }.get(command)
     if handler is None:
-        return False, [f"unknown command {command!r}"]
+        return [f"unknown command {command!r}"], []
     try:
-        handler(tower, report, problems)
+        handler(tower, report, problems, unchecked)
     except Exception as exc:
         problems.append(f"recheck raised: {exc}")
-    return not problems, problems
+    return problems, unchecked
 
 
 def _system(tower, report):
@@ -210,15 +209,15 @@ def _reproduce(report, fresh, problems):
                 problems.append(f"{block}.{key} does not reproduce")
 
 
-def _recheck_construct(tower, report, problems):
+def _recheck_construct(tower, report, problems, unchecked):
     _reproduce(report, construct_result(_system(tower, report)), problems)
 
 
-def _recheck_compare(tower, report, problems):
+def _recheck_compare(tower, report, problems, unchecked):
     _reproduce(report, compare_result(_system(tower, report), report["config"]["s_list"]), problems)
 
 
-def _recheck_search(tower, report, problems):
+def _recheck_search(tower, report, problems, unchecked):
     cfg = report["config"]
     res = report["result"]
     _reproduce(report, search_result(tower, cfg), problems)
@@ -233,15 +232,15 @@ def _recheck_search(tower, report, problems):
             problems.append(f"result.admissible is not the closed form (Q-1)^m (g-1)/g = {closed}")
 
 
-def _recheck_verdict(tower, report, problems):
+def _recheck_verdict(tower, report, problems, unchecked):
     """Rebuild the verdict that verify's one status rule gives for the
     outcome the report records, which must reproduce key by key, then
     re-derive what the rule takes from that outcome: the witness's weight
-    and its meet with U, the count of an index sweep and small proofs."""
+    and its meet with U, the count of an index sweep, and the run itself."""
     system = _system(tower, report)
     cfg = report["config"]
     res = report["result"]
-    dim, bound, defect, _ = _question(cfg)
+    dim, bound, defect = _question(cfg)
     p = plan(system, dim, bound, cfg["mode"], cfg["budget"], cfg["seed"], cfg["chunk_size"], defect)
     checked = res.get("subspaces_checked")
     sweep, outcome = None, p.known
@@ -255,43 +254,55 @@ def _recheck_verdict(tower, report, problems):
         elif wit is not None:
             problems.append(f"witness tuple_index {index!r} names no unit of the {p.mode} sweep")
         outcome = SweepOutcome(checked, viol, None, res.get("status") != "inconclusive")
-    verdict = _verdict(system, p, "auto", sweep, outcome, defect)
+    verdict = _verdict(system, p, sweep, outcome, defect)
     result, counts = verify_result(tower, verdict)
     if "backend" not in res:  # written before verdicts named their backend
         del result["backend"]
     _reproduce(report, (result, counts), problems)
     if sweep is None:
         return
+    # re-sweeps run on the scalar oracle, sized from the config, never from the count
     if verdict.witness is not None:
         # the rebuilt witness is weighed by the oracle; the rule takes its
-        # weight above the bound on trust
+        # weight above the bound, and its run, on trust
+        key = verdict.witness.tuple_index
         if verdict.witness.weight <= bound:
             problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {bound}")
         _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
+        if p.subspaces > RECHECK_SWEEP_CAP:
+            unchecked.append(f"the run of {checked} subspaces to the witness: a plan of up to {p.subspaces}, "
+                             "past the recheck cap")
+        else:
+            # the oracle's scan stops at its first violation, at or before the witness's unit
+            fresh = rederive(system, p, p.total)
+            first = None if fresh.viol is None else fresh.viol["key"]
+            if (first, fresh.checked) != (key, checked):
+                problems.append(f"run to the witness does not reproduce: recorded {key} after {checked} "
+                                f"subspaces, the oracle finds {first} after {fresh.checked}")
     elif p.mode == "sampled":
         # a missed witness among the first samples, found on the oracle
-        viol = sweep.run_units(0, min(RECHECK_SAMPLES, p.budget)).viol
+        units = min(RECHECK_SAMPLES, p.units)
+        viol = rederive(system, p, units).viol
         if viol is not None:
             problems.append(f"sample {viol['key'][0]} violates the bound but the report found no witness")
-    elif verdict.holds and p.subspaces <= RECHECK_SWEEP_CAP:
-        # a proof whose plan weighs at most RECHECK_SWEEP_CAP subspaces,
-        # sized from the config and not from the claimed count, is swept
-        # again on the scalar oracle
-        fresh = run_verify(system, cfg, engine="scalar")
-        if (fresh.status, fresh.checked) != ("holds", checked):
-            problems.append(f"proof does not reproduce: recorded holds after {checked} subspaces, "
-                            f"re-run gives {fresh.status} after {fresh.checked}")
+        if units < p.units:
+            unchecked.append(f"a sampled run of {p.units} samples, replayed in its first {units}")
+    elif verdict.holds and p.subspaces > RECHECK_SWEEP_CAP:
+        unchecked.append(f"the proof over {checked} subspaces: a plan of up to {p.subspaces}, past the recheck cap")
+    elif verdict.holds:
+        # the whole sweep, which a budget met before its last chunk would cut
+        fresh = rederive(system, p, p.total)
+        cut = p.budget is not None and rederive(system, p, (p.total - 1) // p.chunk * p.chunk).checked >= p.budget
+        why = "finds a violation" if fresh.viol else "stops at the budget" if cut else f"checks {fresh.checked}"
+        if fresh.viol is not None or fresh.checked != checked or cut:
+            problems.append(f"proof does not reproduce: recorded holds after {checked} subspaces, the oracle {why}")
     # An index sweep checks every unit up to its witness, else its whole
     # range or what its budget lets it check.  Budgeted witness-span counts
     # skip units, so they are not derived here.
-    if p.mode != "witness_span":
-        if verdict.witness is not None:
-            units = verdict.witness.tuple_index[0] + 1
-        else:
-            units = p.total if verdict.holds else p.units
-        if checked != units:
-            problems.append(f"result.subspaces_checked is {checked}, but the {p.mode} sweep of this config "
-                            f"checks {units}")
+    units = verdict.witness.tuple_index[0] + 1 if verdict.witness else p.total if verdict.holds else p.units
+    if p.mode != "witness_span" and checked != units:
+        problems.append(f"result.subspaces_checked is {checked}, but the {p.mode} sweep of this config "
+                        f"checks {units}")
 
 
 def _check_intersection(tower, system, H, wit, problems):
@@ -314,7 +325,7 @@ def _check_intersection(tower, system, H, wit, problems):
             return
 
 
-def _recheck_weights(tower, report, problems):
+def _recheck_weights(tower, report, problems, unchecked):
     """Rebuild the profile that `weight_profile` gives for the config, with
     the values the report records, which must reproduce key by key; then
     check those values on paths that did not produce them, sized by plans."""
@@ -332,30 +343,32 @@ def _recheck_weights(tower, report, problems):
     except ValueError as exc:
         problems.append(str(exc))
     if cfg["mode"] == "sampled":
-        _replay_weights(system, cfg, profile, problems)
+        _replay_weights(system, cfg, profile, problems, unchecked)
     # Every exact entry against Wei duality, when the dual is nondegenerate
     # and its profile is small: the dual's full profile, swept by the scalar
     # oracle, leaves the primal one as its Wei complement.
     k, t = profile.k, profile.t
     wei, dual = None, dual or nondegenerate_dual(system)
-    if dual is not None and sum(plan(dual, t - k - s, None, "exhaustive").total
-                                for s in range(1, t - k + 1)) <= RECHECK_SWEEP_CAP:
-        wei = dual_weights([t - max_weight_search(dual, t - k - s, engine="scalar")[0]
-                            for s in range(1, t - k + 1)], t)
+    plans = [] if dual is None else [plan(dual, t - k - s, None, "exhaustive") for s in range(1, t - k + 1)]
+    if plans and sum(p.total for p in plans) <= RECHECK_SWEEP_CAP:
+        wei = dual_weights([t - rederive(dual, p, p.total).best["weight"] for p in plans], t)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep is already a route that did not produce the entries.
     engine = "auto" if profile.route == "dual" and wei is not None else "scalar"
     for e in sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho):
-        if plan(system, k - e.rho, None, "exhaustive").total <= RECHECK_SWEEP_CAP:
-            w = max_weight_search(system, k - e.rho, mode="exhaustive", engine=engine)[0]
+        p = plan(system, k - e.rho, None, "exhaustive")
+        if p.total <= RECHECK_SWEEP_CAP:
+            w = rederive(system, p, p.total, engine).best["weight"]
             if t - w != e.value:
                 problems.append(f"d_{e.rho} mismatch: recorded {e.value}, recomputed {t - w}")
+        elif wei is None:
+            unchecked.append(f"d_{e.rho} = {e.value}: {p.total} subspaces and the dual profile past the recheck cap")
         if wei is not None and wei[e.rho - 1] != e.value:
             problems.append(f"d_{e.rho} = {e.value} contradicts the dual profile, which gives {wei[e.rho - 1]}")
 
 
-def _replay_weights(system, cfg, profile, problems):
+def _replay_weights(system, cfg, profile, problems, unchecked):
     """Each sampled entry d_rho = t - max against its samples, replayed on
     the scalar oracle: its whole budget, where the two must be equal, when
     the sampled entries' plans weigh at most RECHECK_SWEEP_CAP subspaces in
@@ -364,8 +377,10 @@ def _replay_weights(system, cfg, profile, problems):
                for e in profile.entries if e.provenance == UPPER]
     whole = sum(p.subspaces for _, p in sampled) <= RECHECK_SWEEP_CAP
     for e, p in sampled:
-        sweep = _build_sweep(system, p, "scalar")[0]
-        top = profile.t - sweep.run_units(0, p.units if whole else min(RECHECK_SAMPLES, p.units)).best["weight"]
+        units = p.units if whole else min(RECHECK_SAMPLES, p.units)
+        top = profile.t - rederive(system, p, units).best["weight"]
         if e.value != top if whole else e.value > top:
             problems.append(f"d_{e.rho} = {e.value}, but its {'' if whole else 'first '}samples on the oracle "
                             f"give {'' if whole else 'at most '}{top}")
+        if units < p.units:
+            unchecked.append(f"d_{e.rho} = {e.value} from {p.units} samples, replayed in the first {units}")

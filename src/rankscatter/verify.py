@@ -45,7 +45,7 @@ batch of levels at once.  A sweep picks its backend once
 * "fp" - `_FpRows`, uint8 row arrays and `bitkernel.fp_rank`, for any
   other prime q < 256 (odd q, and q = 2 with k*n > 64);
 * "scalar" - no kernel: the oracle, one weight per unit key, for q = p^s
-  with s > 1, for p > 255, and whenever engine="scalar".
+  with s > 1, for p > 255, and for a sweep built on engine "scalar".
 
 Rows are linear over F_p in the base-p digits of the entries, so both
 kernels build them from tables with one entry per digit or digit group,
@@ -60,8 +60,8 @@ Every question is sized once, from closed forms, by `plan`.  `_answer`
 builds the planned sweep object, hands it to `runner.run_sweep` (a JSON-safe
 descriptor of the same sweep only names it in checkpoint headers) and
 applies the one status rule, `_verdict`; `recheck` applies it to the
-outcome a report records.  The public verifiers take a mode and the options
-they pass it: budget, seed, workers, checkpoint, engine and chunk_size.
+outcome a report records, and re-sweeps a plan on the oracle by `rederive`.
+The verifiers take a mode, budget, seed, workers, checkpoint and chunk_size.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
@@ -108,7 +108,6 @@ GF2_BLOCK = 1 << 16       # matrices per batch of the GF(2) kernel
 FP_BLOCK = 128 * 12 * 54  # bytes of rows per batch of the F_p kernel
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
-ENGINES = ("auto", "scalar")
 
 
 def scattered_dim_bound(r: int, n: int, h: int) -> int:
@@ -250,14 +249,6 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
                 raise AssertionError(f"batch/scalar weight mismatch at unit key {top['key']}")
             return ChunkResult(lo, hi, checked, top, best)
     return ChunkResult(lo, hi, checked, None, best)
-
-
-def _check_engine(engine: str, workers: int = 1) -> None:
-    """Reject an unknown engine and a worker count below 1."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose one of {', '.join(ENGINES)}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
@@ -539,7 +530,6 @@ class _Sweep:
     kernel in batches (`_weights`)."""
 
     def __init__(self, system: QSystem, dim: int, bound: int | None, engine: str):
-        _check_engine(engine)
         self.tower = system.tower
         self.U = system.subspace
         self.k = system.ambient
@@ -606,7 +596,7 @@ class ExhaustiveSweep(_Sweep):
         self.total_units = start
 
     def subspace(self, key) -> SubspaceQn | None:
-        """Subspace i of the frozen order, as `subspace_at` builds it."""
+        """Subspace i of the frozen order, as `enumerate_subspaces` lists it."""
         i = self._index(key)
         if i is None:
             return None
@@ -1011,6 +1001,14 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
     return Plan(mode, dim, bound, budget, seed, known, total, chunk, units, subspaces, refusal)
 
 
+def rederive(system: QSystem, p: Plan, units: int, engine: str = "scalar") -> ChunkResult | SweepOutcome:
+    """Units [0, units) of plan `p`'s sweep run in process on `engine`, or the
+    outcome `p` knows without a sweep: every re-sweep of `recheck`."""
+    if p.known is not None:
+        return p.known
+    return _build_sweep(system, p, engine)[0].run_units(0, units)
+
+
 # --- verdicts ---
 
 
@@ -1097,7 +1095,7 @@ def _build_sweep(system: QSystem, p: Plan, engine: str):
     return SampledSweep(system, p.dim, p.bound, p.seed, engine, p.budget), desc
 
 
-def _verdict(system: QSystem, p: Plan, engine: str, sweep, outcome: SweepOutcome, defect=None) -> Verdict:
+def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome, defect=None) -> Verdict:
     """The one status rule, from plan `p` and its outcome (sweep None when
     `p` knows it): the unit of `outcome.viol` is the witness, else
     `defect(system)` is the violation; a sampled sweep or an unfinished one
@@ -1111,26 +1109,27 @@ def _verdict(system: QSystem, p: Plan, engine: str, sweep, outcome: SweepOutcome
         status = "inconclusive"
     else:
         status = "holds"
-    backend = None if sweep is None else weight_backend(system.tower, system.ambient, engine, p.dim)
+    backend = None if sweep is None else weight_backend(system.tower, system.ambient, "auto", p.dim)
     return Verdict(status, p.mode, p.bound, p.dim, outcome.checked, witness, p.seed, defect, backend)
 
 
 def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
-            workers: int, checkpoint: str | None, engine: str, chunk_size: int | None,
+            workers: int, checkpoint: str | None, chunk_size: int | None,
             defect=None) -> tuple[Verdict, dict | None]:
     """The one path from a question, does some dim-dimensional subspace meet
     U in more than `bound` (None asks for the largest weight), to its verdict
-    and first maximum.  It checks the engine and worker count, runs the
-    sweep that `plan` sizes unless the plan knows the outcome without one,
-    and applies `_verdict`."""
-    _check_engine(engine, workers)
+    and first maximum.  It checks the worker count, runs the sweep that
+    `plan` sizes unless the plan knows the outcome without one, and applies
+    `_verdict`."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     p = plan(system, dim, bound, mode, budget, seed, chunk_size, defect)
     sweep, outcome = None, p.known
     if outcome is None:
-        sweep, desc = _build_sweep(system, p, engine)
+        sweep, desc = _build_sweep(system, p, "auto")
         outcome = run_sweep(sweep, desc, p.chunk, workers=workers, checkpoint=checkpoint,
                             budget_units=budget if mode != "sampled" else None)
-    verdict = _verdict(system, p, engine, sweep, outcome, defect)
+    verdict = _verdict(system, p, sweep, outcome, defect)
     if verdict.witness is not None and verdict.witness.weight != outcome.viol["weight"]:
         raise AssertionError("witness does not re-verify")
     return verdict, outcome.best
@@ -1149,7 +1148,7 @@ def span_defect(system: QSystem) -> dict | None:
 
 def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", budget: int | None = None,
                        seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
-                       engine: str = "auto", chunk_size: int | None = None) -> Verdict:
+                       chunk_size: int | None = None) -> Verdict:
     """Decide whether the system is h-scattered.
 
     holds: every dim-h extension subspace meets U in F_q-dimension <= h and
@@ -1159,12 +1158,12 @@ def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", budg
     """
     if not 1 <= h < system.ambient:
         raise ValueError("need 1 <= h < ambient dimension")
-    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, engine, chunk_size, defect=span_defect)[0]
+    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, chunk_size, defect=span_defect)[0]
 
 
 def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", budget: int | None = None,
                    seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
-                   engine: str = "auto", chunk_size: int | None = None) -> Verdict:
+                   chunk_size: int | None = None) -> Verdict:
     """Decide whether the system is (hdim, r)-evasive.
 
     holds: every hdim-dimensional extension subspace meets U in F_q-dimension
@@ -1175,12 +1174,12 @@ def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span
         raise ValueError("need 0 < hdim < ambient dimension")
     if r < hdim:
         raise ValueError("need r >= hdim")
-    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, engine, chunk_size)[0]
+    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, chunk_size)[0]
 
 
 def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budget: int | None = None,
                       seed: int | None = None, workers: int = 1, checkpoint: str | None = None,
-                      engine: str = "auto", chunk_size: int | None = None):
+                      chunk_size: int | None = None):
     """Max of wt_U(H) over dim-dimensional subspaces H.
 
     Returns (max_weight, key, checked, exact).  Exhaustive sweeps are exact;
@@ -1189,5 +1188,5 @@ def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budge
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
-    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, engine, chunk_size)
+    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, chunk_size)
     return best["weight"], best["key"], verdict.checked, verdict.holds

@@ -34,7 +34,7 @@ from rankscatter.codes import (
     singleton_bound_rhs,
 )
 from rankscatter.linalg import gaussian_binomial
-from rankscatter.verify import max_weight_search
+from rankscatter.verify import max_weight_search, plan, rederive
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +101,8 @@ def _assert_d1_is_the_codeword_distance(code):
     assert min_distance(code).value == d
     # d_1 = t - the largest weight of a (k-1)-space, on the scalar oracle
     system = code.system()
-    w, _, _, exact = max_weight_search(system, code.k - 1, engine="scalar")
-    assert exact and system.t - w == d
+    p = plan(system, code.k - 1, None, "exhaustive")
+    assert p.complete and system.t - rederive(system, p, p.total).best["weight"] == d
     return d
 
 

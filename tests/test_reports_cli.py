@@ -28,8 +28,8 @@ def test_construct_report_fields(tmp_path):
     assert rep["result"]["ambient"] == 12
     assert rep["result"]["spans_ambient"] is True
     assert rep["result"]["admissible"] is True
-    ok, problems = reports.recheck_report(rep)
-    assert ok, problems
+    problems, unchecked = reports.recheck_report(rep)
+    assert (problems, unchecked) == ([], [])
 
 
 def test_construct_over_a_large_subfield_tower(tmp_path):
@@ -38,8 +38,8 @@ def test_construct_over_a_large_subfield_tower(tmp_path):
     assert main(["construct", "--field", "2,2,12", "--system", "line-control", "--out", out]) == 0
     rep = load(out)
     assert rep["result"]["fq_dim"] == 12
-    ok, problems = reports.recheck_report(rep)
-    assert ok, problems
+    problems, unchecked = reports.recheck_report(rep)
+    assert (problems, unchecked) == ([], [])
 
 
 def test_verify_exit_codes_and_witness_roundtrip(tmp_path):
@@ -524,6 +524,9 @@ TAMPER_SOURCES = {
                          "--mode", "exhaustive"],
     "exhaustive-budget": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
                           "--mode", "exhaustive", "--budget", "1", "--chunk-size", "10"],
+    # cut after 75 of its 120 subspaces
+    "span-budget": ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
+                    "--mode", "witness_span", "--budget", "50", "--chunk-size", "10"],
     # violated at plane 1 of [5, 2]_16 = 17,965,585, too many to sweep again
     "exhaustive-large": ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--ambient", "5",
                          "--h", "2", "--mode", "exhaustive"],
@@ -670,6 +673,11 @@ TAMPERS = (
         ("sampled-violated", {"result.witness.tuple_index": [8]}, "result.witness does not reproduce"),
         ("sampled-violated", {"result.witness.tuple_index": [500]}, "names no unit of the sampled sweep"),
         ("weights", {"result.profile.0.rho": 9}, "result.profile does not reproduce"),
+        # a proof whose budget cuts the run before its last chunk
+        ("exhaustive-budget", {"result.status": "holds", "result.subspaces_checked": 273,
+                               "counts.subspaces_checked": 273}, "the oracle stops at the budget"),
+        ("span-budget", {"result.status": "holds", "result.subspaces_checked": 120, "counts.subspaces_checked": 120},
+         "the oracle stops at the budget"),
     ]
 )
 
@@ -1251,3 +1259,139 @@ def test_a_weights_report_the_cap_refuses_fails_recheck(tmp_path, capsys, value)
     reports.write_report(report, out)
     assert main(["recheck", out]) == 1
     assert f"all {size} 2-dimensional subspaces" in capsys.readouterr().err
+
+
+# --- what recheck re-derives, and what it names ---
+
+
+def _set_count(rep, checked):
+    rep["result"]["subspaces_checked"] = rep["counts"]["subspaces_checked"] = checked
+    return rep
+
+
+def _second_plane(rep):
+    """The line-control exhaustive report with the second violating plane
+    [1] as its witness and a count of 2; a true run names [0] after 1."""
+    from rankscatter.construction import system_from_desc
+    from rankscatter.field import FieldTower
+    from rankscatter.verify import ExhaustiveSweep, _build_witness
+
+    tower = FieldTower.from_descriptor(rep["field"])
+    system = system_from_desc(tower, rep["config"]["system"])
+    witness = _build_witness(system, ExhaustiveSweep(system, 2, 2, "scalar"), [1])
+    rep["result"]["witness"] = witness.serialize(tower, "exhaustive", 2)
+    return _set_count(rep, 2)
+
+
+LINE_CONTROL_3 = ["verify-scattered", "--field", "2,1,4", "--system", "line-control", "--ambient", "3", "--h", "2"]
+RUN_TO_WITNESS_FORGERIES = {
+    "span-count": (LINE_CONTROL_3 + ["--mode", "witness_span"], lambda rep: _set_count(rep, 6),
+                   "recorded [1, 1] after 6 subspaces, the oracle finds [1, 1] after 1"),
+    "family-count": (["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "1",
+                      "--alphas", "1,1,1", "--force", "--mode", "witness_span"], lambda rep: _set_count(rep, 1643),
+                     "recorded [1, 1638] after 1643 subspaces, the oracle finds [1, 1638] after 1638"),
+    "second-plane": (LINE_CONTROL_3 + ["--mode", "exhaustive"], _second_plane,
+                     "recorded [1] after 2 subspaces, the oracle finds [0] after 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TO_WITNESS_FORGERIES))
+def test_recheck_rederives_a_violated_run_up_to_its_witness(tmp_path, capsys, name):
+    argv, forge, problem = RUN_TO_WITNESS_FORGERIES[name]
+    out = str(tmp_path / "v.json")
+    assert main(argv + ["--out", out]) == 1
+    assert main(["recheck", out]) == 0
+    assert capsys.readouterr().out == f"report verified: {out}\n"
+    rep = forge(load(out))
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    assert main(["recheck", out]) == 1
+    assert capsys.readouterr().err == f"corrupt report: run to the witness does not reproduce: {problem}\n"
+
+
+def _forged_d1(tmp_path, sources):
+    """`weights --field 2,1,4 --system family --m 3 --h 1 --alphas 1,1,2
+    --rho 1 --force` with d_1 edited from 2 to 3.  Its 1,118,481 hyperplanes
+    are not swept here: the report is built from the profile the config plans."""
+    from rankscatter.codes import weight_profile
+    from rankscatter.construction import ConstructionParams, family_subspace, system_to_desc
+    from rankscatter.field import FieldTower
+
+    tower = FieldTower(2, 1, 4)
+    system = family_subspace(ConstructionParams(tower, 3, 1, (1, 1, 2)))
+    profile, _ = weight_profile(system, [1], "exhaustive", None)
+    profile.entries[0].value = 3
+    config = {"system": system_to_desc(system), "mode": "exhaustive", "budget": None, "seed": 0, "rho": [1],
+              "force": True}
+    return reports.build_report("weights", config, tower.descriptor(), *reports.weights_result(profile), {})
+
+
+def _proof_without_witness(tmp_path, sources):
+    """C2 with tuple (1,1,1,1), violated after 276,784,888 tuples, set to
+    holds with its witness dropped."""
+    out = str(tmp_path / "c2.json")
+    argv = ["verify-scattered", *FAMILY_M4, "--alphas", "1,1,1,1", "--mode", "witness_span"]
+    assert main(argv + ["--out", out]) == 1
+    rep = load(out)
+    assert rep["result"]["subspaces_checked"] == 276_784_888
+    rep["result"].update(status="holds", witness=None)
+    return rep
+
+
+def _count_of_five(tmp_path, sources):
+    """The F_16, m = 3, h = 2 witness-span report, violated after 1,081,080
+    tuples, with its count set to 5."""
+    return _set_count(copy.deepcopy(sources["family-violated"]), 5)
+
+
+@pytest.mark.parametrize("forgery, claim", [
+    (_proof_without_witness, "the proof over 276784888 subspaces: a plan of up to 2147450880, past the recheck cap"),
+    (_count_of_five, "the run of 5 subspaces to the witness: a plan of up to 8386560, past the recheck cap"),
+    (_forged_d1, "d_1 = 3: 1118481 subspaces and the dual profile past the recheck cap"),
+], ids=["C2-holds", "F16-m3-count", "weights-d1"])
+def test_recheck_names_each_claim_past_the_cap(tmp_path, capsys, tamper_sources, forgery, claim):
+    rep = forgery(tmp_path, tamper_sources)
+    out = str(tmp_path / "forged.json")
+    with open(out, "w") as f:
+        json.dump(rep, f)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 0
+    assert capsys.readouterr() == (f"report consistent: {out}\nnot re-derived: {claim}\n", "")
+
+
+@pytest.mark.parametrize("source, claims", [
+    ("sampled-inconclusive", ["a sampled run of 64 samples, replayed in its first 50"]),
+    ("sampled-violated", []),
+    ("exhaustive-holds", []),
+    ("weights-sampled", []),
+])
+def test_recheck_names_only_what_it_did_not_rederive(tamper_sources, source, claims):
+    assert reports.recheck_report(copy.deepcopy(tamper_sources[source])) == ([], claims)
+
+
+@pytest.mark.parametrize("source", [
+    "span-violated", "exhaustive-violated", "sampled-violated", "evasive-violated", "exhaustive-holds",
+    "sampled-inconclusive", "weights-primal", "weights-sampled", "weights-sampled-long", "weights",
+])
+def test_every_rederivation_runs_on_the_scalar_oracle(monkeypatch, tamper_sources, source):
+    from rankscatter import bitkernel
+
+    engines = []
+    rederive = reports.rederive
+
+    def spy(system, p, units, engine="scalar"):
+        engines.append(engine)
+        return rederive(system, p, units, engine)
+
+    def kernel(*args):
+        raise AssertionError("recheck ran a kernel")
+
+    monkeypatch.setattr(reports, "rederive", spy)
+    # the one exception: the primal re-sweep of a dual-route profile, which
+    # the Wei check has re-derived on the oracle, runs the kernels
+    dual = tamper_sources[source]["result"].get("route") == "dual"
+    if not dual:
+        monkeypatch.setattr(bitkernel, "batch_rank", kernel)
+        monkeypatch.setattr(bitkernel, "fp_rank", kernel)
+    assert reports.recheck_report(copy.deepcopy(tamper_sources[source]))[0] == []
+    assert set(engines) == ({"scalar", "auto"} if dual else {"scalar"})

@@ -1,4 +1,4 @@
-"""Verifier correctness: weights, modes, engines, witnesses, resume."""
+"""Verifier correctness: weights, modes, backends, witnesses, resume."""
 
 import json
 import multiprocessing
@@ -28,6 +28,8 @@ from rankscatter.verify import (
     SparseLevel,
     SpanSweep,
     max_weight_search,
+    plan,
+    rederive,
     scattered_dim_bound,
     subspace_weight,
     verify_evasive,
@@ -182,6 +184,19 @@ def test_budget_truncates_proof_modes(ps2):
     assert 50 <= v.checked < 273
 
 
+def _rederived(system, v, budget=None):
+    """(checked, witness key) of verdict v's plan rerun by `rederive` on the
+    scalar oracle, over the units a run checks when no violation stops it."""
+    p = plan(system, v.dim, v.bound, v.mode, budget, v.seed)
+    fresh = rederive(system, p, p.units)
+    return fresh.checked, None if fresh.viol is None else fresh.viol["key"]
+
+
+def _seen(v):
+    """(checked, witness key) of verdict v."""
+    return v.checked, None if v.witness is None else v.witness.tuple_index
+
+
 def test_engines_agree_exactly(F16, F8):
     systems = [
         (pseudoregulus_subspace(F16, 2), 2),
@@ -191,25 +206,19 @@ def test_engines_agree_exactly(F16, F8):
     ]
     for system, h in systems:
         for mode in ("exhaustive", "witness_span"):
-            fast = verify_h_scattered(system, h, mode=mode, engine="auto")
-            slow = verify_h_scattered(system, h, mode=mode, engine="scalar")
-            assert fast.status == slow.status
-            assert fast.checked == slow.checked
-            if fast.witness is not None:
-                assert fast.witness.weight == slow.witness.weight
-                assert fast.witness.tuple_index == slow.witness.tuple_index
+            v = verify_h_scattered(system, h, mode=mode)
+            assert v.status in ("holds", "violated") and _seen(v) == _rederived(system, v)
 
 
 def test_engines_agree_on_sampled(F16):
     ps = pseudoregulus_subspace(F16, 2)
-    fast = verify_h_scattered(ps, 2, mode="sampled", budget=64, seed=9)
-    slow = verify_h_scattered(ps, 2, mode="sampled", budget=64, seed=9, engine="scalar")
-    assert (fast.status, fast.checked) == (slow.status, slow.checked)
-    # a violation: both engines cut at the same first witness
+    v = verify_h_scattered(ps, 2, mode="sampled", budget=64, seed=9)
+    assert (v.status, *_seen(v)) == ("inconclusive", *_rederived(ps, v, 64))
+    # a violation: the kernel and the oracle cut at the same first witness
     lc = line_control_subspace(F16, 2)
-    for engine in ("auto", "scalar"):
-        v = verify_h_scattered(lc, 1, mode="sampled", budget=500, seed=3, engine=engine)
-        assert (v.status, v.checked, v.witness.tuple_index) == ("violated", 10, [9])
+    v = verify_h_scattered(lc, 1, mode="sampled", budget=500, seed=3)
+    assert (v.status, *_seen(v)) == ("violated", 10, [9])
+    assert _rederived(lc, v, 500) == (10, [9])
 
 
 def _dense(wts) -> np.ndarray:
@@ -422,30 +431,23 @@ def test_max_weight_search_exact_and_sampled(ps2, F16):
 
 
 def test_witness_span_engine_agreement_on_direct_sum(F8):
-    # |U| = 2^6 here, small enough for the scalar engine to cross-validate
+    # |U| = 2^6 here, small enough for the scalar oracle to cross-validate
     from rankscatter.construction import direct_sum
 
     ds = direct_sum([pseudoregulus_subspace(F8, 1), pseudoregulus_subspace(F8, 1)])
-    fast = verify_h_scattered(ds, 1, mode="witness_span")
-    slow = verify_h_scattered(ds, 1, mode="witness_span", engine="scalar")
-    assert fast.status == slow.status == "holds"
-    assert fast.checked == slow.checked
+    v = verify_h_scattered(ds, 1, mode="witness_span")
+    assert v.status == "holds" and _seen(v) == _rederived(ds, v)
 
 
 def test_witness_span_engines_agree_at_depth_three(F16):
     # h = 3 exercises the recursive prefix walk (d = 3 tuples)
     ps3 = pseudoregulus_subspace(F16, 3)
-    fast = verify_h_scattered(ps3, 3, mode="witness_span")
-    slow = verify_h_scattered(ps3, 3, mode="witness_span", engine="scalar")
-    assert fast.status == slow.status == "holds"
-    assert fast.checked == slow.checked
+    v = verify_h_scattered(ps3, 3, mode="witness_span")
+    assert v.status == "holds" and _seen(v) == _rederived(ps3, v)
     lc = line_control_subspace(F16, 4)
-    fast = verify_h_scattered(lc, 3, mode="witness_span")
-    slow = verify_h_scattered(lc, 3, mode="witness_span", engine="scalar")
-    assert fast.status == slow.status == "violated"
-    assert fast.checked == slow.checked
-    assert fast.witness.tuple_index == slow.witness.tuple_index
-    assert fast.witness.weight == slow.witness.weight
+    v = verify_h_scattered(lc, 3, mode="witness_span")
+    assert v.status == "violated" and _seen(v) == _rederived(lc, v)
+    assert v.witness.weight == subspace_weight(lc, v.witness.H) > 3
 
 
 def _sampled_job(F16, seed):
@@ -539,7 +541,7 @@ def test_sweep_objects_run_their_own_units(ps2_job):
 
 def test_sweep_keys_name_the_subspaces_of_their_units(F8, F16, ps2):
     from rankscatter.construction import direct_sum
-    from rankscatter.linalg import subspace_at
+    from rankscatter.linalg import enumerate_subspaces
 
     # every Grassmannian index, over F_8^4 and F_16^3, and the zero space
     ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
@@ -547,7 +549,8 @@ def test_sweep_keys_name_the_subspaces_of_their_units(F8, F16, ps2):
         sweep = ExhaustiveSweep(system, dim, None, "auto")
         k, total = system.ambient, sweep.total_units
         assert total == gaussian_binomial(k, dim, system.tower.order)
-        assert all(sweep.subspace([i]) == subspace_at(system.tower, k, dim, i) for i in range(total))
+        listed = list(enumerate_subspaces(system.tower, k, dim))
+        assert [sweep.subspace([i]) for i in range(total)] == listed
         for key in ([total], [-1], [0, 0], []):
             assert sweep.subspace(key) is None, (dim, key)
     sampled = SampledSweep(ps2, 2, 2, 3, "auto", 10)
@@ -591,17 +594,19 @@ def test_checkpoint_malformed_lines_name_the_line(tmp_path, ps2_job):
 
 
 def test_unknown_engine_is_rejected(F16):
+    from rankscatter.reports import run_verify
+
+    # the verifiers run the kernels; only sweeps built by `rederive` take an engine
     ps = pseudoregulus_subspace(F16, 2)
-    for engine in ("batch", "Scalar", "numpy"):
-        with pytest.raises(ValueError, match="unknown engine"):
-            verify_h_scattered(ps, 2, mode="exhaustive", engine=engine)
-        with pytest.raises(ValueError, match="unknown engine"):
-            ExhaustiveSweep(ps, 2, 2, engine)
-        # calls that return before any sweep is built check the engine too
-        with pytest.raises(ValueError, match="unknown engine"):
-            verify_evasive(ps, 1, ps.t, engine=engine)
-        with pytest.raises(ValueError, match="unknown engine"):
-            max_weight_search(ps, 0, engine=engine)
+    config = {"h": 2, "mode": "exhaustive", "budget": None, "seed": None, "chunk_size": None}
+    for call in [
+        lambda: verify_h_scattered(ps, 2, mode="exhaustive", engine="scalar"),
+        lambda: verify_evasive(ps, 1, ps.t, engine="scalar"),
+        lambda: max_weight_search(ps, 0, engine="scalar"),
+        lambda: run_verify(ps, config, engine="scalar"),
+    ]:
+        with pytest.raises(TypeError, match="engine"):
+            call()
     # and they refuse an unknown mode, and sampled mode without a budget
     for call, match in [
         (lambda: verify_evasive(ps, 1, ps.t, mode="bogus"), "unknown mode 'bogus'"),
@@ -621,7 +626,7 @@ def test_unknown_engine_is_rejected(F16):
 
 
 def test_max_weight_search_keeps_the_earliest_maximum(F8):
-    # every engine, worker count and chunking reports the same first maximum
+    # the oracle, every worker count and chunking report the same first maximum
     from rankscatter.construction import direct_sum
 
     ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
@@ -633,11 +638,12 @@ def test_max_weight_search_keeps_the_earliest_maximum(F8):
         bests = [sweep.run_units(lo, min(lo + half, total)).best for lo in (0, half)]
         assert bests[0] == {"key": key, "weight": weight} and bests[1]["weight"] == weight
         results = [
-            max_weight_search(ds, dim, engine=engine, workers=workers, chunk_size=chunk)[:3]
-            for engine in ("auto", "scalar")
+            max_weight_search(ds, dim, workers=workers, chunk_size=chunk)[:3]
             for workers in (1, 2)
             for chunk in (half, None)
         ]
+        oracle = rederive(ds, plan(ds, dim, None, "exhaustive"), total)
+        results.append((oracle.best["weight"], oracle.best["key"], oracle.checked))
         assert all(r == expected[dim] for r in results), (dim, results)
 
 
@@ -655,10 +661,12 @@ def test_odd_q_line_control_witnesses():
 
 @pytest.mark.parametrize("engine", ["auto", "scalar"])
 def test_odd_q_span_proof_over_pairs(engine):
-    # d = 2 tuples over F_27 start at every class representative in [3^e, 2*3^e)
+    # d = 2 tuples over F_27 start at every class representative in [3^e, 2*3^e);
+    # "auto" is the verifier's kernel run, "scalar" its plan rerun by `rederive`
     ps = pseudoregulus_subspace(create_field(3, 1, 3), 2)
-    v = verify_h_scattered(ps, 2, mode="witness_span", engine=engine)
-    assert (v.status, v.checked) == ("holds", 208)
+    v = verify_h_scattered(ps, 2, mode="witness_span")
+    seen = _seen(v) if engine == "auto" else _rederived(ps, v)
+    assert (v.status, *seen) == ("holds", 208, None)
 
 
 # --- the F_p backend against the scalar oracle, unit by unit ---
@@ -772,13 +780,10 @@ def test_fp_backend_runs_q2_above_the_packed_width():
     fast, slow = _fp_and_scalar(lambda e: SampledSweep(fam, 2, None, 4, e, 100))
     assert _keyed_weights(fast, 0, 100) == _keyed_weights(slow, 0, 100)
     for mode in ("exhaustive", "sampled"):
-        v = [
-            verify_h_scattered(fam, 2, mode=mode, budget=200, seed=4, engine=e, chunk_size=50)
-            for e in ("auto", "scalar")
-        ]
-        assert [(x.status, x.checked, x.backend) for x in v] == [
-            ("inconclusive", 200, "fp"), ("inconclusive", 200, "scalar")
-        ]
+        v = verify_h_scattered(fam, 2, mode=mode, budget=200, seed=4, chunk_size=50)
+        p = plan(fam, 2, 2, mode, 200, 4, 50)
+        assert (v.status, v.checked, v.backend) == ("inconclusive", 200, "fp")
+        assert rederive(fam, p, p.units).checked == 200 and p.units == 200
 
 
 def test_weight_backend_choice():
@@ -913,8 +918,8 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     assert {w for _, w in weights} == {n} and len(weights) == fast.R
     forced = _force_route(SpanSweep(U, 2, None, "auto"), True)
     assert _keyed_weights(forced, 0, forced.total_units) == weights
-    verdicts = [verify_h_scattered(U, 1, mode="witness_span", engine=e) for e in ("auto", "scalar")]
-    assert [(v.status, v.checked, v.witness.tuple_index) for v in verdicts] == [("violated", 1, [1, 1])] * 2
+    v = verify_h_scattered(U, 1, mode="witness_span")
+    assert (v.status, *_seen(v)) == ("violated", 1, [1, 1]) and _rederived(U, v) == (1, [1, 1])
 
 
 def test_span_routes_agree_past_a_subfield_line():
