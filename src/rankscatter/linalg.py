@@ -127,11 +127,6 @@ class SubspaceQn:
         t = self.tower
         return [[list(t.coeffs(e)) for e in row] for row in self.basis]
 
-    @classmethod
-    def deserialize(cls, tower: FieldTower, k: int, data) -> "SubspaceQn":
-        vecs = [tuple(tower.val(c) for c in row) for row in data]
-        return cls.from_vectors(tower, k, vecs)
-
 
 # --- F_q row containers ---
 
@@ -530,13 +525,6 @@ def _word_limit(Q: int) -> int:
     return (1 << 64) // Q * Q
 
 
-def _check_sample_order(Q: int) -> None:
-    """Samples are int64 residues of 64-bit words, so the field may have at
-    most 2^63 elements."""
-    if Q > 1 << 63:
-        raise ValueError(f"sampled mode needs a field of at most 2^63 elements, not {Q}")
-
-
 def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: int):
     """The d x k matrices of samples lo .. hi-1 at a redraw attempt.
 
@@ -549,7 +537,8 @@ def sample_values(Q: int, k: int, d: int, seed: int, lo: int, hi: int, attempt: 
     """
     import numpy as np
 
-    _check_sample_order(Q)
+    if Q > 1 << 63:
+        raise ValueError(f"sampled mode needs a field of at most 2^63 elements, not {Q}")
     dk = d * k
     words = counter_words(derive_seed(seed, "sample", k, d, attempt), lo * dk, (hi - lo) * dk)
     words = words.reshape(hi - lo, d, k)

@@ -170,8 +170,9 @@ def recheck_report(report: dict) -> tuple[list[str], list[str]]:
     Returns (problems, unchecked claims).  construct, compare and search
     reports are derived again in full; a verdict is rebuilt from the outcome
     it records by verify's status rule.  Every re-sweep is one `rederive` of
-    a plan rebuilt from the config; a claim whose plan is past the cap is
-    named, as is a sampled run replayed in part.
+    a plan rebuilt from the config, on the scalar oracle, but for the one
+    `_recheck_weights` names; a claim whose plan is past the cap is named,
+    as is a sampled run replayed in part.
     """
     problems, unchecked = [], []
     try:
@@ -245,8 +246,8 @@ def _recheck_verdict(tower, report, problems, unchecked):
     checked = res.get("subspaces_checked")
     sweep, outcome = None, p.known
     if outcome is None:
-        # the config's sweep on the scalar oracle: its units and their subspaces
-        sweep = _build_sweep(system, p, "scalar")[0]
+        # the config's sweep: its units and their subspaces
+        sweep = _build_sweep(system, p)[0]
         wit, viol = res.get("witness"), None
         index = None if wit is None else wit.get("tuple_index")
         if isinstance(index, list) and all(type(i) is int for i in index) and sweep.subspace(index) is not None:
@@ -269,12 +270,16 @@ def _recheck_verdict(tower, report, problems, unchecked):
         if verdict.witness.weight <= bound:
             problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {bound}")
         _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
-        if p.subspaces > RECHECK_SWEEP_CAP:
-            unchecked.append(f"the run of {checked} subspaces to the witness: a plan of up to {p.subspaces}, "
+        # an index sweep weighs one subspace a unit, up to its witness's
+        # unit inside the plan; a witness-span sweep runs in full
+        units = p.total if p.mode == "witness_span" else min(key[0] + 1, p.units)
+        weighed = p.subspaces if p.mode == "witness_span" else units
+        if weighed > RECHECK_SWEEP_CAP:
+            unchecked.append(f"the run of {checked} subspaces to the witness: a plan of up to {weighed}, "
                              "past the recheck cap")
         else:
             # the oracle's scan stops at its first violation, at or before the witness's unit
-            fresh = rederive(system, p, p.total)
+            fresh = rederive(system, p, units)
             first = None if fresh.viol is None else fresh.viol["key"]
             if (first, fresh.checked) != (key, checked):
                 problems.append(f"run to the witness does not reproduce: recorded {key} after {checked} "
@@ -354,12 +359,14 @@ def _recheck_weights(tower, report, problems, unchecked):
         wei = dual_weights([t - rederive(dual, p, p.total).best["weight"] for p in plans], t)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
-    # sweep is already a route that did not produce the entries.
-    engine = "auto" if profile.route == "dual" and wei is not None else "scalar"
+    # sweep on its planned backend is already a route that did not produce
+    # the entries.
+    planned = profile.route == "dual" and wei is not None
     for e in sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho):
         p = plan(system, k - e.rho, None, "exhaustive")
         if p.total <= RECHECK_SWEEP_CAP:
-            w = rederive(system, p, p.total, engine).best["weight"]
+            fresh = _build_sweep(system, p)[0].run_units(0, p.total) if planned else rederive(system, p, p.total)
+            w = fresh.best["weight"]
             if t - w != e.value:
                 problems.append(f"d_{e.rho} mismatch: recorded {e.value}, recomputed {t - w}")
         elif wei is None:

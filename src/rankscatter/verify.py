@@ -23,8 +23,8 @@ Three modes feed that scan:
 Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
 `subspace(key)` is the one map from a key to its subspace, and a batched
 `_weights` weighs them on a row kernel.  The scalar oracle is the same for
-every mode: where no kernel runs, `_Sweep._stream` weighs `subspace(key)`
-with `subspace_weight` for each key (a sampled sweep draws its subspaces
+every mode: `_Sweep._oracle` weighs `subspace(key)` with
+`subspace_weight` for each key (a sampled sweep draws its subspaces
 SAMPLE_BLOCK at a time, equal to them).  The kernel's calls build the
 expansion rows of value matrices or of elements of U, raw or reduced mod U
 (element rows also against the echelon basis of a prefix, which another
@@ -38,14 +38,14 @@ has a large extension-linear part.  A level read from its kernels is
 sparse: every unit weighs wt(P) + 1 but the few in some kernel and the
 skipped ones, so it travels as a `SparseLevel`, its summary computed for a
 batch of levels at once.  A sweep picks its backend once
-(`weight_backend`):
+(`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
 * "fp" - `_FpRows`, uint8 row arrays and `bitkernel.fp_rank`, for any
   other prime q < 256 (odd q, and q = 2 with k*n > 64);
 * "scalar" - no kernel: the oracle, one weight per unit key, for q = p^s
-  with s > 1, for p > 255, and for a sweep built on engine "scalar".
+  with s > 1 and for p > 255; `rederive` runs it on any sweep.
 
 Rows are linear over F_p in the base-p digits of the entries, so both
 kernels build them from tables with one entry per digit or digit group,
@@ -56,11 +56,13 @@ weight -1 marks a skipped unit that is not counted, the first maximum is
 the chunk's best, and the first weight above the bound ends the chunk once
 the scalar oracle reproduces it on `subspace(key)`.
 
-Every question is sized once, from closed forms, by `plan`.  `_answer`
-builds the planned sweep object, hands it to `runner.run_sweep` (a JSON-safe
-descriptor of the same sweep only names it in checkpoint headers) and
-applies the one status rule, `_verdict`; `recheck` applies it to the
-outcome a report records, and re-sweeps a plan on the oracle by `rederive`.
+Every question is sized once, from closed forms, by `plan`, the one place
+that refuses a sweep (`Plan.refusal`, which `_build_sweep` raises), and its
+sweep object is built from the system and that plan alone.  `_answer`
+hands it to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
+only names it in checkpoint headers) and applies the one status rule,
+`_verdict`; `recheck` applies that rule to the outcome a report records,
+and re-sweeps a plan on the scalar oracle by `rederive`.
 The verifiers take a mode, budget, seed, workers, checkpoint and chunk_size.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
@@ -93,7 +95,6 @@ from .linalg import (
     sample_values,
     subspace_fq_rows,
     unexpand_row,
-    _check_sample_order,
     _pivot_blocks,
     _redraw,
     _subspace_from_assignment,
@@ -101,7 +102,7 @@ from .linalg import (
 from .construction import QSystem, system_to_desc
 from .runner import ChunkResult, SweepOutcome, _merge_best, run_sweep
 
-SPAN_TABLE_CAP = 1 << 20  # max |U| for the batched tuple sweep
+SPAN_TABLE_CAP = 1 << 20  # max |U| of a witness-span sweep
 EXHAUSTIVE_CAP = 10**9    # max subspaces of an exhaustive sweep without a budget
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
 GF2_BLOCK = 1 << 16       # matrices per batch of the GF(2) kernel
@@ -193,19 +194,19 @@ def _sparse_levels(sizes, bases, level, pos, wts, bound) -> list[SparseLevel]:
     ]
 
 
-def _scan(sweep, lo: int, hi: int) -> ChunkResult:
-    """Fold the sweep's weight stream over units [lo, hi) into a chunk result.
+def _scan(sweep, blocks, lo: int, hi: int) -> ChunkResult:
+    """Fold a weight stream of the sweep's units [lo, hi) into a chunk result.
 
-    `sweep._stream(lo, hi)` yields (head, start, wts) in unit order, where
-    wts is a SparseLevel or a dense block: wts[i] is the weight of the unit
-    keyed [*head, start + i], or -1 for a skipped unit that is not counted.
-    A block's best is its first maximum; its first weight above the bound
-    ends the chunk once the scalar oracle reproduces it.
+    `blocks` yields (head, start, wts) in unit order, where wts is a
+    SparseLevel or a dense block: wts[i] is the weight of the unit keyed
+    [*head, start + i], or -1 for a skipped unit that is not counted.  A
+    block's best is its first maximum; its first weight above the bound ends
+    the chunk once the scalar oracle reproduces it.
     """
     bound = sweep.bound
     checked = 0
     best = None
-    for head, start, wts in sweep._stream(lo, hi):
+    for head, start, wts in blocks:
         if isinstance(wts, SparseLevel):
             # the first unit above the bound is the first exception above
             # it or, when the base is, the first plain unit
@@ -251,10 +252,10 @@ def _scan(sweep, lo: int, hi: int) -> ChunkResult:
     return ChunkResult(lo, hi, checked, None, best)
 
 
-def weight_backend(tower: FieldTower, k: int, engine: str, dim: int) -> str:
+def weight_backend(tower: FieldTower, k: int, dim: int) -> str:
     """The backend a sweep of dim-dimensional subspaces of F_{q^n}^k runs:
     "gf2", "fp" or "scalar" (see the module docstring)."""
-    if engine == "scalar" or dim < 1 or tower.s > 1 or tower.p > 255:
+    if dim < 1 or tower.s > 1 or tower.p > 255:
         return "scalar"
     if tower.q == 2 and k * tower.n <= bitkernel.MAX_WIDTH:
         return "gf2"
@@ -522,36 +523,40 @@ _KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
 
 
 class _Sweep:
-    """What every sweep shares: the system, the `dim` and `bound` of its
-    question, the backend `weight_backend` picks and its row kernel (None
-    on the scalar backend), and `_stream`.  A subclass lists the keys of
-    its counted units in unit order (`_keys`), maps a key to its subspace,
-    or to None when it names no unit (`subspace`), and weighs units on the
-    kernel in batches (`_weights`)."""
+    """What every sweep shares, built from the system and the `Plan` of its
+    question alone: the plan's `dim`, `bound`, `seed` and `total` units, and
+    the backend `weight_backend` picks, whose row `kernel` is built on first
+    use.  A subclass lists the keys of its counted units in unit order
+    (`_keys`), maps a key to its subspace, or to None when it names no unit
+    (`subspace`), and weighs units on the kernel in batches (`_weights`)."""
 
-    def __init__(self, system: QSystem, dim: int, bound: int | None, engine: str):
+    def __init__(self, system: QSystem, p: Plan):
         self.tower = system.tower
         self.U = system.subspace
         self.k = system.ambient
         self.n = self.tower.n
-        self.dim = dim
-        self.bound = bound
+        self.dim = p.dim
+        self.bound = p.bound
+        self.total_units = p.total
         # element values are int64 up to Q = 2^63, Python ints past it
         # (only the F_p kernel meets such fields)
         self.dtype = np.int64 if self.tower.order <= 1 << 63 else object
-        self.backend = weight_backend(self.tower, self.k, engine, dim)
-        self.kernel = _KERNELS[self.backend](self) if self.backend in _KERNELS else None
+        self.seed = p.seed  # None outside sampled mode
+        self.backend = weight_backend(self.tower, self.k, p.dim)
+
+    @cached_property
+    def kernel(self):
+        """The row kernel of the backend, or None on the scalar backend; a
+        run on the scalar oracle never builds its tables."""
+        return _KERNELS[self.backend](self) if self.backend in _KERNELS else None
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
-        return _scan(self, lo, hi)
+        """Units [lo, hi) on the planned backend."""
+        return _scan(self, self._oracle(lo, hi) if self.kernel is None else self._weights(lo, hi), lo, hi)
 
-    def _stream(self, lo, hi):
-        """The (head, start, wts) blocks of units [lo, hi) that `_scan`
-        reads: the kernel's batches, or else one weight per unit key from
-        the scalar oracle."""
-        if self.kernel is not None:
-            yield from self._weights(lo, hi)
-            return
+    def _oracle(self, lo, hi):
+        """The (head, start, wts) blocks of units [lo, hi) on the scalar
+        oracle: one weight per unit key."""
         for key, H in self._subspaces(lo, hi):
             yield tuple(key[:-1]), key[-1], [subspace_weight(self.U, H)]
 
@@ -586,14 +591,13 @@ class _Sweep:
 class ExhaustiveSweep(_Sweep):
     """Units are subspace indices in the frozen enumeration order."""
 
-    def __init__(self, system, dim: int, bound: int | None, engine: str):
-        super().__init__(system, dim, bound, engine)
+    def __init__(self, system, p: Plan):
+        super().__init__(system, p)
         self.blocks = []
         start = 0
-        for pivots, cells, count in _pivot_blocks(self.k, dim, self.tower.order):
+        for pivots, cells, count in _pivot_blocks(self.k, self.dim, self.tower.order):
             self.blocks.append((start, pivots, cells, count))
             start += count
-        self.total_units = start
 
     def subspace(self, key) -> SubspaceQn | None:
         """Subspace i of the frozen order, as `enumerate_subspaces` lists it."""
@@ -645,19 +649,12 @@ class SpanSweep(_Sweep):
     extension field are skipped and not counted.
     """
 
-    def __init__(self, system, dmax: int, bound: int | None, engine: str):
-        super().__init__(system, dmax, bound, engine)
-        t = self.tower
-        self.NU = t.q**self.U.dim
-        if self.NU > SPAN_TABLE_CAP and engine != "scalar":
-            raise ValueError(
-                f"witness-span sweep over {self.NU} subspace elements exceeds the cap; "
-                "use sampled mode"
-            )
+    def __init__(self, system, p: Plan):
+        super().__init__(system, p)
+        self.NU = self.tower.q**self.U.dim
         # scalar-class representatives are the indices whose top base-q digit
         # is 1: the ranges [q^e, 2q^e) for e < dim U
-        self.R = (self.NU - 1) // (t.q - 1)
-        self.total_units = self.dim * self.R
+        self.R = (self.NU - 1) // (self.tower.q - 1)
 
     def _firsts(self, lo, hi):
         """(d, runs) for each tuple length d of units [lo, hi), the first
@@ -893,12 +890,6 @@ class SampledSweep(_Sweep):
     short there are redrawn one at a time and ranked mod U again.
     """
 
-    def __init__(self, system, dim: int, bound: int | None, seed: int, engine: str, budget: int):
-        _check_sample_order(system.tower.order)
-        super().__init__(system, dim, bound, engine)
-        self.seed = seed
-        self.total_units = budget
-
     def subspace(self, key) -> SubspaceQn | None:
         i = self._index(key)
         return None if i is None else sample_subspace(self.tower, self.k, self.dim, self.seed, i)
@@ -963,7 +954,9 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
     holds without one, since no subspace meets U in more than t = dim U
     (Randrianarisoa, DCC 2020); h-scatteredness, whose span `defect` is a
     second way to fail, sweeps whatever its bound.  A budget lets a sweep
-    check units up to a chunk boundary (`runner.run_sweep`)."""
+    check units up to a chunk boundary (`runner.run_sweep`).  `refusal` is
+    an exhaustive sweep past EXHAUSTIVE_CAP without a budget, a witness-span
+    table past SPAN_TABLE_CAP, or samples over a field past 2^63 elements."""
     if mode not in DEFAULT_CHUNKS:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and budget is None:
@@ -998,15 +991,22 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
     if mode == "exhaustive" and budget is None and total > EXHAUSTIVE_CAP:
         refusal = (f"an exhaustive sweep of all {total} {dim}-dimensional subspaces of F_{Q}^{k} exceeds "
                    f"the cap of {EXHAUSTIVE_CAP}; give a budget (--budget) or use sampled mode")
+    elif known is None and mode == "witness_span" and q**t > SPAN_TABLE_CAP:
+        refusal = f"witness-span sweep over {q**t} subspace elements exceeds the cap; use sampled mode"
+    elif known is None and mode == "sampled" and Q > 1 << 63:
+        # samples are int64 residues of 64-bit words
+        refusal = f"sampled mode needs a field of at most 2^63 elements, not {Q}"
     return Plan(mode, dim, bound, budget, seed, known, total, chunk, units, subspaces, refusal)
 
 
-def rederive(system: QSystem, p: Plan, units: int, engine: str = "scalar") -> ChunkResult | SweepOutcome:
-    """Units [0, units) of plan `p`'s sweep run in process on `engine`, or the
-    outcome `p` knows without a sweep: every re-sweep of `recheck`."""
+def rederive(system: QSystem, p: Plan, units: int) -> SweepOutcome:
+    """Units [0, units) of plan `p`'s sweep run in process on the scalar
+    oracle, or the outcome `p` knows without a sweep: recheck's re-sweeps."""
     if p.known is not None:
         return p.known
-    return _build_sweep(system, p, engine)[0].run_units(0, units)
+    sweep = _build_sweep(system, p)[0]
+    r = _scan(sweep, sweep._oracle(0, units), 0, units)
+    return SweepOutcome(r.checked, r.viol, r.best, r.viol is not None or units >= p.total)
 
 
 # --- verdicts ---
@@ -1074,25 +1074,26 @@ def _build_witness(system: QSystem, sweep, key) -> Witness:
     return Witness(H, subspace_weight(U, H), vectors, list(key))
 
 
-def _build_sweep(system: QSystem, p: Plan, engine: str):
+def _build_sweep(system: QSystem, p: Plan):
     """The sweep object of plan `p`, and the descriptor that names it in
-    checkpoint headers; ValueError when `p` refuses the sweep."""
+    checkpoint headers; ValueError when `p` refuses the sweep.  One constant
+    entry of the descriptor keeps the hashes of earlier checkpoints."""
     if p.refusal is not None:
         raise ValueError(p.refusal)
     desc = {
         "field": system.tower.descriptor(),
         "system": system_to_desc(system),
-        "engine": engine,
+        "engine": "auto",
         "bound": p.bound,
     }
     if p.mode == "exhaustive":
         desc.update(kind="exhaustive", dim=p.dim)
-        return ExhaustiveSweep(system, p.dim, p.bound, engine), desc
+        return ExhaustiveSweep(system, p), desc
     if p.mode == "witness_span":
         desc.update(kind="span", dmax=p.dim)
-        return SpanSweep(system, p.dim, p.bound, engine), desc
+        return SpanSweep(system, p), desc
     desc.update(kind="sampled", dim=p.dim, seed=p.seed, budget=p.budget, stream=SAMPLE_STREAM)
-    return SampledSweep(system, p.dim, p.bound, p.seed, engine, p.budget), desc
+    return SampledSweep(system, p), desc
 
 
 def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome, defect=None) -> Verdict:
@@ -1109,7 +1110,7 @@ def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome, defect=None
         status = "inconclusive"
     else:
         status = "holds"
-    backend = None if sweep is None else weight_backend(system.tower, system.ambient, "auto", p.dim)
+    backend = None if sweep is None else sweep.backend
     return Verdict(status, p.mode, p.bound, p.dim, outcome.checked, witness, p.seed, defect, backend)
 
 
@@ -1126,7 +1127,8 @@ def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int
     p = plan(system, dim, bound, mode, budget, seed, chunk_size, defect)
     sweep, outcome = None, p.known
     if outcome is None:
-        sweep, desc = _build_sweep(system, p, "auto")
+        sweep, desc = _build_sweep(system, p)
+        sweep.kernel  # its tables are built here, once, and not in each pool worker
         outcome = run_sweep(sweep, desc, p.chunk, workers=workers, checkpoint=checkpoint,
                             budget_units=budget if mode != "sampled" else None)
     verdict = _verdict(system, p, sweep, outcome, defect)

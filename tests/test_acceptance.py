@@ -33,7 +33,7 @@ from rankscatter.codes import (
     min_distance,
     random_code,
 )
-from rankscatter.verify import SampledSweep, SpanSweep, verify_evasive, verify_h_scattered
+from rankscatter.verify import SampledSweep, SpanSweep, plan, verify_evasive, verify_h_scattered
 
 
 def ok(criterion: str, detail: str):
@@ -132,7 +132,7 @@ def test_criterion_03_point_scatteredness_h1(F16, family_params):
     assert sysV1.t == 16
     t0 = time.perf_counter()
     v = verify_h_scattered(sysV1, 1, mode="witness_span")
-    sweep = SpanSweep(sysV1, 1, 1, "auto")
+    sweep = SpanSweep(sysV1, plan(sysV1, 1, 1, "witness_span"))
     out = sweep.run_units(0, sweep.total_units)
     elapsed = time.perf_counter() - t0
     assert v.status == "holds"

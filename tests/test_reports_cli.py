@@ -895,10 +895,11 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path, killed_after):
     from rankscatter.construction import pseudoregulus_subspace
     from rankscatter.field import create_field
     from rankscatter.runner import run_sweep
-    from rankscatter.verify import SampledSweep
+    from rankscatter.verify import SampledSweep, plan
 
     F16 = create_field(2, 1, 4)
-    sweep = SampledSweep(pseudoregulus_subspace(F16, 2), 2, 2, 21, "auto", 300)
+    ps = pseudoregulus_subspace(F16, 2)
+    sweep = SampledSweep(ps, plan(ps, 2, 2, "sampled", 300, 21))
     desc = {
         "kind": "sampled",
         "field": F16.descriptor(),
@@ -1274,11 +1275,11 @@ def _second_plane(rep):
     [1] as its witness and a count of 2; a true run names [0] after 1."""
     from rankscatter.construction import system_from_desc
     from rankscatter.field import FieldTower
-    from rankscatter.verify import ExhaustiveSweep, _build_witness
+    from rankscatter.verify import ExhaustiveSweep, _build_witness, plan
 
     tower = FieldTower.from_descriptor(rep["field"])
     system = system_from_desc(tower, rep["config"]["system"])
-    witness = _build_witness(system, ExhaustiveSweep(system, 2, 2, "scalar"), [1])
+    witness = _build_witness(system, ExhaustiveSweep(system, plan(system, 2, 2, "exhaustive")), [1])
     rep["result"]["witness"] = witness.serialize(tower, "exhaustive", 2)
     return _set_count(rep, 2)
 
@@ -1307,6 +1308,32 @@ def test_recheck_rederives_a_violated_run_up_to_its_witness(tmp_path, capsys, na
         json.dump(rep, f)
     assert main(["recheck", out]) == 1
     assert capsys.readouterr().err == f"corrupt report: run to the witness does not reproduce: {problem}\n"
+
+
+def test_recheck_rederives_an_index_sweep_up_to_its_witness_inside_a_plan_past_the_cap(tmp_path, capsys):
+    # violated at hyperplane [71270] of [6, 1]_16 = 1,118,481: the plan is
+    # past the recheck cap, the run to its witness is not
+    out = str(tmp_path / "v.json")
+    argv = ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "1",
+            "--alphas", "1,1,1", "--force", "--mode", "exhaustive", "--out", out]
+    assert main(argv) == 1
+    rep = load(out)
+    assert (rep["result"]["witness"]["tuple_index"], rep["result"]["subspaces_checked"]) == ([71270], 71271)
+    capsys.readouterr()
+    assert main(["recheck", out]) == 0
+    assert capsys.readouterr().out == f"report verified: {out}\n"
+    for edit, problem in [
+        (lambda rep: _set_count(rep, 71272),
+         "recorded [71270] after 71272 subspaces, the oracle finds [71270] after 71271"),
+        (lambda rep: _set_count(rep, 1001)["result"]["witness"].update(tuple_index=[1000]),
+         "recorded [1000] after 1001 subspaces, the oracle finds None after 1001"),
+    ]:
+        forged = copy.deepcopy(rep)
+        edit(forged)
+        with open(out, "w") as f:
+            json.dump(forged, f)
+        assert main(["recheck", out]) == 1
+        assert f"corrupt report: run to the witness does not reproduce: {problem}\n" in capsys.readouterr().err
 
 
 def _forged_d1(tmp_path, sources):
@@ -1374,24 +1401,29 @@ def test_recheck_names_only_what_it_did_not_rederive(tamper_sources, source, cla
     "sampled-inconclusive", "weights-primal", "weights-sampled", "weights-sampled-long", "weights",
 ])
 def test_every_rederivation_runs_on_the_scalar_oracle(monkeypatch, tamper_sources, source):
-    from rankscatter import bitkernel
+    from rankscatter import bitkernel, verify
 
-    engines = []
-    rederive = reports.rederive
+    runs = {"rederive": 0, "run_units": 0}
+    rederive, run_units = reports.rederive, verify._Sweep.run_units
 
-    def spy(system, p, units, engine="scalar"):
-        engines.append(engine)
-        return rederive(system, p, units, engine)
+    def spy(system, p, units):
+        runs["rederive"] += 1
+        return rederive(system, p, units)
+
+    def planned(sweep, lo, hi):
+        runs["run_units"] += 1
+        return run_units(sweep, lo, hi)
 
     def kernel(*args):
         raise AssertionError("recheck ran a kernel")
 
     monkeypatch.setattr(reports, "rederive", spy)
+    monkeypatch.setattr(verify._Sweep, "run_units", planned)
     # the one exception: the primal re-sweep of a dual-route profile, which
-    # the Wei check has re-derived on the oracle, runs the kernels
+    # the Wei check has re-derived on the oracle, runs the planned sweep
     dual = tamper_sources[source]["result"].get("route") == "dual"
     if not dual:
         monkeypatch.setattr(bitkernel, "batch_rank", kernel)
         monkeypatch.setattr(bitkernel, "fp_rank", kernel)
     assert reports.recheck_report(copy.deepcopy(tamper_sources[source]))[0] == []
-    assert set(engines) == ({"scalar", "auto"} if dual else {"scalar"})
+    assert runs["rederive"] > 0 and (runs["run_units"] > 0) == dual

@@ -27,6 +27,7 @@ from rankscatter.verify import (
     SampledSweep,
     SparseLevel,
     SpanSweep,
+    _build_sweep,
     max_weight_search,
     plan,
     rederive,
@@ -197,6 +198,11 @@ def _seen(v):
     return v.checked, None if v.witness is None else v.witness.tuple_index
 
 
+def _sweep(system, mode, dim, bound=None, budget=None, seed=None):
+    """The sweep object that the plan of this question builds."""
+    return _build_sweep(system, plan(system, dim, bound, mode, budget, seed))[0]
+
+
 def test_engines_agree_exactly(F16, F8):
     systems = [
         (pseudoregulus_subspace(F16, 2), 2),
@@ -231,10 +237,10 @@ def _dense(wts) -> np.ndarray:
     return np.asarray(wts, dtype=np.int64)
 
 
-def _unit_weights(sweep, lo, hi):
-    """The weight of every unit in [lo, hi), as the sweep's engine yields it."""
-    blocks = [_dense(w) for _, _, w in sweep._stream(lo, hi)]
-    return np.concatenate(blocks).tolist()
+def _unit_weights(blocks):
+    """The weight of every unit of a sweep's stream of blocks, its kernel's
+    (`_weights`) or its scalar oracle's (`_oracle`)."""
+    return np.concatenate([_dense(w) for _, _, w in blocks]).tolist()
 
 
 def _sampled_systems():
@@ -261,11 +267,10 @@ def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
     from rankscatter.linalg import matrix_rank, sample_values
 
     system, d, lo, hi, varied = _sampled_systems()[case]
-    batch = SampledSweep(system, d, None, 17, "auto", hi)
-    scalar = SampledSweep(system, d, None, 17, "scalar", hi)
-    assert (batch.backend, scalar.backend) == ("gf2", "scalar")
-    fast = _unit_weights(batch, lo, hi)
-    assert fast == _unit_weights(scalar, lo, hi)
+    sweep = _sweep(system, "sampled", d, budget=hi, seed=17)
+    assert sweep.backend == "gf2"
+    fast = _unit_weights(sweep._weights(lo, hi))
+    assert fast == _unit_weights(sweep._oracle(lo, hi))
     assert len(fast) == hi - lo and (len(set(fast)) > 1) == varied
     if system.tower.order == 4:
         # over F_4 about 31% of 3 x 3 and 8% of 2 x 3 matrices are singular
@@ -276,7 +281,7 @@ def test_sampled_batch_weights_equal_scalar_weights_unit_by_unit(case):
 
 def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
     # a limit an eighth below 2^64 rejects words at q = 2 as well: every
-    # engine and the scalar oracle must redraw the same samples
+    # kernel and the scalar oracle must redraw the same samples
     from rankscatter import linalg
 
     monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
@@ -292,14 +297,14 @@ def test_sampled_engines_redraw_rejected_words_alike(monkeypatch):
             subspace_weight(system, linalg.sample_subspace(system.tower, 3, d, 23, i))
             for i in range(400)
         ]
-        for engine in ("auto", "scalar"):
-            sweep = SampledSweep(system, d, None, 23, engine, 400)
-            assert _unit_weights(sweep, 0, 400) == oracle, (system.tower.order, engine)
+        sweep = _sweep(system, "sampled", d, budget=400, seed=23)
+        assert _unit_weights(sweep._weights(0, 400)) == oracle, system.tower.order
+        assert _unit_weights(sweep._oracle(0, 400)) == oracle, system.tower.order
         assert np.unique(oracle).size > 1
 
 
 def test_scalar_sampled_stream_draws_a_block_at_once(monkeypatch):
-    # the scalar engine's samples are sample_subspace's index by index,
+    # the scalar oracle's samples are sample_subspace's index by index,
     # rejected words included, from one attempt-0 draw per SAMPLE_BLOCK
     from rankscatter import linalg, verify
 
@@ -312,7 +317,7 @@ def test_scalar_sampled_stream_draws_a_block_at_once(monkeypatch):
     )
     for F, d in ((create_field(2, 1, 2), 2), (create_field(3, 1, 2), 1)):
         system = explicit_system(F, 3, [(1, 2, 0), (0, 1, 3)])
-        sweep = SampledSweep(system, d, None, 23, "scalar", 300)
+        sweep = _sweep(system, "sampled", d, budget=300, seed=23)
         draws.clear()
         stream = list(sweep._subspaces(100, 300))
         assert draws.count(0) == 4 and len(draws) > 20
@@ -331,7 +336,7 @@ def _kernel_draws(monkeypatch, sweep, lo, hi):
         return value_rows(vals, reduced)
 
     monkeypatch.setattr(sweep.kernel, "value_rows", record)
-    _unit_weights(sweep, lo, hi)
+    _unit_weights(sweep._weights(lo, hi))
     return built
 
 
@@ -377,7 +382,7 @@ def test_sampled_sweeps_rank_raw_rows_only_of_samples_short_mod_u(monkeypatch, c
         system = explicit_system(create_field(3, 1, 3), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (5, 7, 1)])
     else:
         system = _sampled_systems()[which][0]
-    sweep = SampledSweep(system, d, None, seed, "auto", hi)
+    sweep = _sweep(system, "sampled", d, budget=hi, seed=seed)
     if sweep.backend != backend:
         sweep.backend, sweep.kernel = backend, verify._FpRows(sweep)
     raw, reduced = _kernel_draws(monkeypatch, sweep, 0, hi)
@@ -463,7 +468,7 @@ def _sampled_job(F16, seed):
         "budget": 200,
         "engine": "auto",
     }
-    return SampledSweep(ps, 2, 2, seed, "auto", 200), desc
+    return _sweep(ps, "sampled", 2, 2, 200, seed), desc
 
 
 def test_checkpoint_resume_is_exact(tmp_path, F16, killed_after):
@@ -513,7 +518,7 @@ def test_verdict_serialization_roundtrip(F16):
     data = v.serialize(F16)
     assert data["status"] == "violated"
     wit = data["witness"]
-    H = SubspaceQn.deserialize(F16, 2, wit["H_basis"])
+    H = SubspaceQn.from_vectors(F16, 2, [tuple(F16.val(c) for c in row) for row in wit["H_basis"]])
     assert subspace_weight(lc, H) == wit["weight"] > wit["bound"]
     json.dumps(data)  # JSON-safe
 
@@ -528,7 +533,7 @@ def ps2_job(F16, ps2):
         "bound": 2,
         "engine": "auto",
     }
-    return ExhaustiveSweep(ps2, 2, 2, "auto"), desc
+    return _sweep(ps2, "exhaustive", 2, 2), desc
 
 
 def test_sweep_objects_run_their_own_units(ps2_job):
@@ -543,21 +548,24 @@ def test_sweep_keys_name_the_subspaces_of_their_units(F8, F16, ps2):
     from rankscatter.construction import direct_sum
     from rankscatter.linalg import enumerate_subspaces
 
-    # every Grassmannian index, over F_8^4 and F_16^3, and the zero space
+    # every Grassmannian index, over F_8^4 and F_16^3, and the zero space;
+    # the pivot blocks of the sweep add up to the units its plan counts
     ds = direct_sum([pseudoregulus_subspace(F8, 1)] * 2)
     for system, dim in ((ds, 2), (ps2, 2), (ps2, 0)):
-        sweep = ExhaustiveSweep(system, dim, None, "auto")
+        p = plan(system, dim, None, "exhaustive")
+        sweep = ExhaustiveSweep(system, p)
         k, total = system.ambient, sweep.total_units
+        assert total == p.total == sum(count for *_, count in sweep.blocks)
         assert total == gaussian_binomial(k, dim, system.tower.order)
         listed = list(enumerate_subspaces(system.tower, k, dim))
         assert [sweep.subspace([i]) for i in range(total)] == listed
         for key in ([total], [-1], [0, 0], []):
             assert sweep.subspace(key) is None, (dim, key)
-    sampled = SampledSweep(ps2, 2, 2, 3, "auto", 10)
+    sampled = SampledSweep(ps2, plan(ps2, 2, 2, "sampled", 10, 3))
     assert sampled.subspace([9]) == sample_subspace(F16, 3, 2, 3, 9)
     for key in ([10], [-1], [1, 1], []):
         assert sampled.subspace(key) is None, key
-    span = SpanSweep(ps2, 2, 2, "auto")
+    span = SpanSweep(ps2, plan(ps2, 2, 2, "witness_span"))
     U = ps2.subspace
     assert span.subspace([2, 3, 8]) == SubspaceQn.from_vectors(F16, 3, [U.element(3), U.element(8)])
     for key in ([0], [1], [2, 3], [3, 1, 2, 3], [1, span.NU], [1, -1], [9, 9], []):
@@ -596,14 +604,21 @@ def test_checkpoint_malformed_lines_name_the_line(tmp_path, ps2_job):
 def test_unknown_engine_is_rejected(F16):
     from rankscatter.reports import run_verify
 
-    # the verifiers run the kernels; only sweeps built by `rederive` take an engine
+    # a sweep runs its planned backend, and `rederive` the scalar oracle:
+    # nothing takes an engine
     ps = pseudoregulus_subspace(F16, 2)
     config = {"h": 2, "mode": "exhaustive", "budget": None, "seed": None, "chunk_size": None}
+    p = plan(ps, 2, 2, "exhaustive")
     for call in [
         lambda: verify_h_scattered(ps, 2, mode="exhaustive", engine="scalar"),
         lambda: verify_evasive(ps, 1, ps.t, engine="scalar"),
         lambda: max_weight_search(ps, 0, engine="scalar"),
         lambda: run_verify(ps, config, engine="scalar"),
+        lambda: ExhaustiveSweep(ps, p, engine="scalar"),
+        lambda: SpanSweep(ps, plan(ps, 2, 2, "witness_span"), engine="scalar"),
+        lambda: SampledSweep(ps, plan(ps, 2, 2, "sampled", 5), engine="scalar"),
+        lambda: _build_sweep(ps, p, engine="scalar"),
+        lambda: rederive(ps, p, 1, engine="scalar"),
     ]:
         with pytest.raises(TypeError, match="engine"):
             call()
@@ -634,7 +649,7 @@ def test_max_weight_search_keeps_the_earliest_maximum(F8):
     for dim, (weight, key, total) in expected.items():
         # two chunks that each hold a maximum: the merge keeps the first one
         half = -(-total // 2)
-        sweep = ExhaustiveSweep(ds, dim, None, "auto")
+        sweep = _sweep(ds, "exhaustive", dim)
         bests = [sweep.run_units(lo, min(lo + half, total)).best for lo in (0, half)]
         assert bests[0] == {"key": key, "weight": weight} and bests[1]["weight"] == weight
         results = [
@@ -672,24 +687,25 @@ def test_odd_q_span_proof_over_pairs(engine):
 # --- the F_p backend against the scalar oracle, unit by unit ---
 
 
-def _keyed_weights(sweep, lo, hi):
-    """(unit key, weight) of every counted unit in [lo, hi): skipped units,
-    which a batched backend marks -1 and the scalar one never yields, drop
-    out."""
+def _keyed_weights(blocks):
+    """(unit key, weight) of every counted unit of a stream of blocks:
+    skipped units, which a kernel marks -1 and the scalar oracle never
+    yields, drop out."""
     out = []
-    for head, start, wts in sweep._stream(lo, hi):
+    for head, start, wts in blocks:
         out += [((*head, start + i), w) for i, w in enumerate(_dense(wts).tolist()) if w >= 0]
     return out
 
 
 def _skipped(sweep, lo, hi):
-    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._stream(lo, hi))
+    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._weights(lo, hi))
 
 
-def _fp_and_scalar(make):
-    fast, slow = make("auto"), make("scalar")
-    assert (fast.backend, slow.backend) == ("fp", "scalar")
-    return fast, slow
+def _kernel_and_oracle(sweep, lo, hi, backend="fp"):
+    """The keyed weights of units [lo, hi) of one sweep on its `backend`
+    kernel and on its scalar oracle."""
+    assert sweep.backend == backend
+    return _keyed_weights(sweep._weights(lo, hi)), _keyed_weights(sweep._oracle(lo, hi))
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -703,9 +719,9 @@ def test_fp_exhaustive_weights_equal_scalar_weights_unit_by_unit(q):
     seen = set()
     for system in systems:
         for dim in range(1, system.ambient):
-            fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(system, dim, None, e))
-            weights = _keyed_weights(fast, 0, fast.total_units)
-            assert weights == _keyed_weights(slow, 0, slow.total_units), (system.tag, dim)
+            sweep = _sweep(system, "exhaustive", dim)
+            weights, oracle = _kernel_and_oracle(sweep, 0, sweep.total_units)
+            assert weights == oracle, (system.tag, dim)
             assert len(weights) == gaussian_binomial(system.ambient, dim, F.order)
             seen.update(w for _, w in weights)
     assert len(seen) >= 3
@@ -717,23 +733,23 @@ def test_fp_span_weights_equal_scalar_weights_unit_by_unit(system):
     # with the prefixes inside the extension span of the first vector skipped
     F27 = create_field(3, 1, 3)
     U = pseudoregulus_subspace(F27, 2) if system == "pseudoregulus" else line_control_subspace(F27, 3)
-    fast, slow = _fp_and_scalar(lambda e: SpanSweep(U, 2, None, e))
+    sweep = _sweep(U, "witness_span", 2)
     for d in (1, 2):
-        lo, hi = (d - 1) * fast.R, d * fast.R
-        weights = _keyed_weights(fast, lo, hi)
-        assert weights == _keyed_weights(slow, lo, hi), d
+        weights, oracle = _kernel_and_oracle(sweep, (d - 1) * sweep.R, d * sweep.R)
+        assert weights == oracle, d
         assert all(k[0] == d for k, _ in weights)
     # a chunk boundary inside a run of representatives changes nothing
-    assert _keyed_weights(fast, 5, 19) == _keyed_weights(slow, 5, 19)
-    assert _skipped(fast, fast.R, 2 * fast.R) == {"pseudoregulus": 13, "line-control": 208}[system]
+    weights, oracle = _kernel_and_oracle(sweep, 5, 19)
+    assert weights == oracle
+    assert _skipped(sweep, sweep.R, 2 * sweep.R) == {"pseudoregulus": 13, "line-control": 208}[system]
 
 
 def test_fp_span_walks_prefixes_at_depth_three():
     F9 = create_field(3, 1, 2)
     U = explicit_system(F9, 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)])
-    fast, slow = _fp_and_scalar(lambda e: SpanSweep(U, 3, None, e))
-    weights = _keyed_weights(fast, 0, fast.total_units)
-    assert weights == _keyed_weights(slow, 0, slow.total_units)
+    sweep = _sweep(U, "witness_span", 3)
+    weights, oracle = _kernel_and_oracle(sweep, 0, sweep.total_units)
+    assert weights == oracle
     assert {k[0] for k, _ in weights} == {1, 2, 3}
 
 
@@ -744,13 +760,12 @@ def test_span_skips_extension_multiples_of_u1_past_its_f_q_multiples(q, n, backe
     # extension span, and the depth-1 shortcut must not apply
     F = create_field(q, 1, n)
     U = explicit_system(F, 3, [(1, 0, 0), (q, 0, 0), (1, 1, 1)])
-    fast, slow = (SpanSweep(U, 3, None, e) for e in ("auto", "scalar"))
-    assert fast.backend == backend
-    weights = _keyed_weights(fast, 0, fast.total_units)
-    assert weights == _keyed_weights(slow, 0, slow.total_units)
+    sweep = _sweep(U, "witness_span", 3)
+    weights, oracle = _kernel_and_oracle(sweep, 0, sweep.total_units, backend)
+    assert weights == oracle
     # U spans only a plane over the extension: no 3-tuple is independent
     assert {k[0] for k, _ in weights} == {1, 2}
-    assert _skipped(fast, fast.R, 2 * fast.R) > q - 2
+    assert _skipped(sweep, sweep.R, 2 * sweep.R) > q - 2
 
 
 def test_fp_sampled_weights_equal_scalar_weights_with_forced_redraws(monkeypatch):
@@ -761,9 +776,8 @@ def test_fp_sampled_weights_equal_scalar_weights_with_forced_redraws(monkeypatch
     U = explicit_system(F27, 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (5, 7, 1)])
     _, accepted = linalg.sample_values(27, 3, 2, 11, 0, 300, 0)
     assert 0.3 < 1 - accepted.mean() < 0.7
-    fast, slow = _fp_and_scalar(lambda e: SampledSweep(U, 2, None, 11, e, 300))
-    weights = _keyed_weights(fast, 0, 300)
-    assert weights == _keyed_weights(slow, 0, 300)
+    weights, oracle_weights = _kernel_and_oracle(_sweep(U, "sampled", 2, budget=300, seed=11), 0, 300)
+    assert weights == oracle_weights
     oracle = [subspace_weight(U, linalg.sample_subspace(F27, 3, 2, 11, i)) for i in range(300)]
     assert [w for _, w in weights] == oracle and len(set(oracle)) > 1
 
@@ -775,10 +789,10 @@ def test_fp_backend_runs_q2_above_the_packed_width():
     F256 = create_field(2, 1, 8)
     fam = family_subspace(ConstructionParams(F256, 3, 2, (1, 1, 2)))
     for dim, units in ((1, 600), (2, 300)):
-        fast, slow = _fp_and_scalar(lambda e: ExhaustiveSweep(fam, dim, None, e))
-        assert _keyed_weights(fast, 0, units) == _keyed_weights(slow, 0, units)
-    fast, slow = _fp_and_scalar(lambda e: SampledSweep(fam, 2, None, 4, e, 100))
-    assert _keyed_weights(fast, 0, 100) == _keyed_weights(slow, 0, 100)
+        weights, oracle = _kernel_and_oracle(_sweep(fam, "exhaustive", dim, budget=units), 0, units)
+        assert weights == oracle
+    weights, oracle = _kernel_and_oracle(_sweep(fam, "sampled", 2, budget=100, seed=4), 0, 100)
+    assert weights == oracle
     for mode in ("exhaustive", "sampled"):
         v = verify_h_scattered(fam, 2, mode=mode, budget=200, seed=4, chunk_size=50)
         p = plan(fam, 2, 2, mode, 200, 4, 50)
@@ -790,19 +804,17 @@ def test_weight_backend_choice():
     from rankscatter.verify import weight_backend
 
     cases = [
-        ((2, 1, 4), 16, "auto", "gf2"),
-        ((2, 1, 8), 8, "auto", "gf2"),
-        ((2, 1, 8), 9, "auto", "fp"),
-        ((3, 1, 2), 3, "auto", "fp"),
-        ((251, 1, 2), 3, "auto", "fp"),
-        ((257, 1, 2), 3, "auto", "scalar"),
-        ((2, 2, 3), 2, "auto", "scalar"),
-        ((3, 1, 2), 3, "scalar", "scalar"),
-        ((2, 1, 4), 3, "scalar", "scalar"),
+        ((2, 1, 4), 16, "gf2"),
+        ((2, 1, 8), 8, "gf2"),
+        ((2, 1, 8), 9, "fp"),
+        ((3, 1, 2), 3, "fp"),
+        ((251, 1, 2), 3, "fp"),
+        ((257, 1, 2), 3, "scalar"),
+        ((2, 2, 3), 2, "scalar"),
     ]
-    for (p, s, n), k, engine, backend in cases:
+    for (p, s, n), k, backend in cases:
         tower = type("Tower", (), {"p": p, "s": s, "n": n, "q": p**s})
-        assert weight_backend(tower, k, engine, 1) == backend, (p, s, n, k, engine)
+        assert weight_backend(tower, k, 1) == backend, (p, s, n, k)
 
 
 def test_fp_rows_stay_exact_past_a_uint16_accumulator():
@@ -810,9 +822,9 @@ def test_fp_rows_stay_exact_past_a_uint16_accumulator():
     # which a uint16 accumulator would wrap
     F = create_field(251, 1, 2)
     U = explicit_system(F, 3, [(1, 2, 3), (5, 7, 11)])
-    fast, slow = (ExhaustiveSweep(U, 2, None, e) for e in ("auto", "scalar"))
-    kern = fast.kernel
-    assert fast.backend == "fp" and 3 * F.n * 250**2 > 0xFFFF
+    sweep = _sweep(U, "exhaustive", 2, budget=400)
+    kern = sweep.kernel
+    assert 3 * F.n * 250**2 > 0xFFFF
     # the largest values have the largest digits, so the sums reach their bound
     vals = np.random.default_rng(7).integers(0, F.order, (40, 2, 3))
     vals[0] = F.order - 1
@@ -822,17 +834,18 @@ def test_fp_rows_stay_exact_past_a_uint16_accumulator():
         row = expand_vector(F, tuple(F.mul(F.q_basis[l], int(x)) for x in vals[j, i]))
         assert raw[j, i * F.n + l].tolist() == list(row)
         assert red[j, i * F.n + l].tolist() == [U.subspace.reduce_row(row)[c] for c in keep]
-    assert _keyed_weights(fast, 0, 400) == _keyed_weights(slow, 0, 400)
+    weights, oracle = _kernel_and_oracle(sweep, 0, 400)
+    assert weights == oracle
 
 
 def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     # F_{2^16}: a value table per field element would have 65,536 entries
     F = create_field(2, 1, 16)
     ps = pseudoregulus_subspace(F, 2)
-    fast, slow = (ExhaustiveSweep(ps, 2, None, e) for e in ("auto", "scalar"))
-    kern = fast.kernel
+    sweep = _sweep(ps, "exhaustive", 2, budget=65542)
+    kern = sweep.kernel
     # (raw, reduced) tables of shape (k, digit groups, n, digit values)
-    assert fast.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
+    assert sweep.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
     # the rows of b_l * v for random planes, from both digit bytes of v
     vals = np.random.default_rng(5).integers(0, F.order, (40, 2, 3))
     rows = kern.value_rows(vals, reduced=False)
@@ -841,8 +854,9 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
         assert int(rows[l * 2 + i][j]) == row
     # units around the byte boundary of the last cell and the block boundary
     for lo, hi in ((250, 262), (65530, 65542)):
-        assert _keyed_weights(fast, lo, hi) == _keyed_weights(slow, lo, hi)
-    span = SpanSweep(ps, 1, None, "auto")
+        weights, oracle = _kernel_and_oracle(sweep, lo, hi, "gf2")
+        assert weights == oracle
+    span = _sweep(ps, "witness_span", 1)
     assert span.kernel._element_table.shape[-1] == 256
 
 
@@ -876,22 +890,21 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
     from rankscatter import verify
 
     F, system, mode, dim, seed = case
-    make = {
-        "exhaustive": lambda e: ExhaustiveSweep(system, dim, None, e),
-        "witness_span": lambda e: SpanSweep(system, dim, None, e),
-        "sampled": lambda e: SampledSweep(system, dim, None, seed, e, 150),
-    }[mode]
-    slow = make("scalar")
-    oracle = _keyed_weights(slow, 0, slow.total_units)
+    p = plan(system, dim, None, mode, 150 if mode == "sampled" else None, seed)
+    sweep = _build_sweep(system, p)[0]
+    blocks = list(sweep._oracle(0, p.total))
+    oracle = _keyed_weights(blocks)
+    # the planned backend's run of the sweep folds to what the oracle's does
+    assert sweep.run_units(0, p.total) == verify._scan(sweep, blocks, 0, p.total)
     kernels = [verify._FpRows] + ([verify._GF2Rows] if F.q == 2 else [])
     routes = (True, False) if mode == "witness_span" else (None,)
     for kernel in kernels:
         for route in routes:
-            fast = make("auto")
+            fast = _build_sweep(system, p)[0]
             fast.kernel = kernel(fast)
             if route is not None:
                 _force_route(fast, route)
-            assert _keyed_weights(fast, 0, fast.total_units) == oracle, (kernel.__name__, route)
+            assert _keyed_weights(fast._weights(0, p.total)) == oracle, (kernel.__name__, route)
 
 
 def _force_route(sweep, kernel_route: bool):
@@ -906,18 +919,18 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     # add up to more elements than it has units, and each u_j ranks
     F = create_field(q, 1, n)
     U = line_control_subspace(F, 2)
-    fast, slow = (SpanSweep(U, 2, None, e) for e in ("auto", "scalar"))
-    kern = fast.kernel
+    sweep = _sweep(U, "witness_span", 2)
+    kern = sweep.kernel
     ranked = []
     element_rows = kern.element_rows
     kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
-    blocks = [(h, s, _dense(w)) for h, s, w in fast._weights(0, fast.total_units)]
+    blocks = [(h, s, _dense(w)) for h, s, w in sweep._weights(0, sweep.total_units)]
     assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
-    weights = [((*h, s + i), w) for h, s, wts in blocks for i, w in enumerate(wts.tolist()) if w >= 0]
-    assert weights == _keyed_weights(slow, 0, slow.total_units)
-    assert {w for _, w in weights} == {n} and len(weights) == fast.R
-    forced = _force_route(SpanSweep(U, 2, None, "auto"), True)
-    assert _keyed_weights(forced, 0, forced.total_units) == weights
+    weights = _keyed_weights(blocks)
+    assert weights == _keyed_weights(sweep._oracle(0, sweep.total_units))
+    assert {w for _, w in weights} == {n} and len(weights) == sweep.R
+    forced = _force_route(_sweep(U, "witness_span", 2), True)
+    assert _keyed_weights(forced._weights(0, forced.total_units)) == weights
     v = verify_h_scattered(U, 1, mode="witness_span")
     assert (v.status, *_seen(v)) == ("violated", 1, [1, 1]) and _rederived(U, v) == (1, [1, 1])
 
@@ -930,11 +943,11 @@ def test_span_routes_agree_past_a_subfield_line():
     sub = [x for x in range(1, 64) if F.pow(x, 8) == x]
     U = explicit_system(F, 2, [(x, 0) for x in sub] + [(1, 1), (F.q_basis[1], 9)])
     assert U.t == 5
-    oracle = _keyed_weights(SpanSweep(U, 2, None, "scalar"), 0, 2 * 31)
+    oracle = _keyed_weights(_sweep(U, "witness_span", 2)._oracle(0, 2 * 31))
     assert {w for k, w in oracle if k[0] == 1} == {1, 2, 3}
     for route in (True, False):
-        sweep = _force_route(SpanSweep(U, 2, None, "auto"), route)
-        assert _keyed_weights(sweep, 0, sweep.total_units) == oracle, route
+        sweep = _force_route(_sweep(U, "witness_span", 2), route)
+        assert _keyed_weights(sweep._weights(0, sweep.total_units)) == oracle, route
 
 
 def _level_weights(sweep, firsts):
@@ -952,7 +965,7 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     # 4369 holds the first weight-3 span, at j = 8738
     U = family_subspace(ConstructionParams(F16, 4, 2, (1, 1, 1, 1)))
     firsts = [*range(1, 51), 4369]
-    sweeps = (_force_route(SpanSweep(U, 2, None, "auto"), route) for route in (True, False))
+    sweeps = (_force_route(_sweep(U, "witness_span", 2), route) for route in (True, False))
     kernel, rank = (_level_weights(sweep, firsts) for sweep in sweeps)
     assert list(kernel) == list(rank) == [(2, i) for i in firsts]
     for head, (start, wts) in kernel.items():
@@ -962,16 +975,12 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     assert set(np.concatenate([w for _, w in kernel.values()]).tolist()) == {2, 3}
 
 
-class _StreamSweep:
-    """A sweep that yields given blocks, and whose oracle reads the weight
-    of a unit key off a table."""
+class _TableSweep:
+    """A sweep whose oracle reads the weight of a unit key off a table."""
 
-    def __init__(self, blocks, bound, table):
-        self.blocks, self.bound, self.table = blocks, bound, table
+    def __init__(self, bound, table):
+        self.bound, self.table = bound, table
         self.U = None
-
-    def _stream(self, lo, hi):
-        return iter(self.blocks)
 
     def subspace(self, key):
         return self.table[tuple(key)]
@@ -1013,7 +1022,7 @@ def test_scan_of_sparse_levels_equals_scan_of_their_dense_expansions(levels, bou
     table = {(2, i, i + 1 + u): w for i, d in enumerate(dense) for u, w in enumerate(d.tolist())}
     with mock.patch.object(verify, "subspace_weight", lambda U, H: H):
         results = [
-            verify._scan(_StreamSweep([((2, i), i + 1, b) for i, b in enumerate(blocks)], bound, table), 0, 1)
+            verify._scan(_TableSweep(bound, table), [((2, i), i + 1, b) for i, b in enumerate(blocks)], 0, 1)
             for blocks in (sparse, dense)
         ]
     assert results[0] == results[1]
@@ -1132,12 +1141,10 @@ PLAN_SYSTEMS = {"gf2": ((2, 1, 4), 2), "fp": ((3, 1, 3), 2), "scalar": ((2, 2, 2
 def test_a_plan_sizes_the_sweep_it_builds(backend, mode, budget):
     from math import comb
 
-    from rankscatter.verify import _build_sweep, plan
-
     field, h = PLAN_SYSTEMS[backend]
     system = pseudoregulus_subspace(create_field(*field), h)
     p = plan(system, h, None, mode, budget, chunk_size=4)
-    sweep, desc = _build_sweep(system, p, "auto")
+    sweep, desc = _build_sweep(system, p)
     assert sweep.backend == backend and p.known is None
     assert p.total == sweep.total_units
     outcome = run_sweep(sweep, desc, p.chunk, budget_units=budget if mode != "sampled" else None)
@@ -1179,3 +1186,30 @@ def test_sweepless_plans_build_no_sweep(backend, monkeypatch):
         p = verify.plan(system, 0, None, mode, 7)
         assert p.known.best == {"weight": 0, "key": [0]} and p.units == p.subspaces == 1
         assert max_weight_search(system, 0, mode=mode, budget=7) == (0, [0], 1, True)
+
+
+def test_plans_refuse_a_span_table_or_a_sample_field_past_its_limit(monkeypatch):
+    # the witness-span table past SPAN_TABLE_CAP and a sampled field past
+    # 2^63 are refusals of the plan: no sweep object is built for either
+    from rankscatter import verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was built")
+
+    cases = [
+        (create_field(2, 1, 21), "witness_span", None,
+         f"witness-span sweep over {1 << 21} subspace elements exceeds the cap; use sampled mode"),
+        (create_field(2, 1, 66), "sampled", 1, f"sampled mode needs a field of at most 2^63 elements, not {1 << 66}"),
+    ]
+    for cls in ("ExhaustiveSweep", "SpanSweep", "SampledSweep"):
+        monkeypatch.setattr(verify, cls, no_sweep)
+    for F, mode, budget, refusal in cases:
+        lc = line_control_subspace(F, 2)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_build_sweep", no_sweep)
+            assert verify.plan(lc, 1, 1, mode, budget).refusal == refusal
+            # a plan that knows its outcome refuses nothing
+            assert verify.plan(lc, 1, lc.t, mode, budget).refusal is None
+        with pytest.raises(ValueError) as raised:
+            verify_h_scattered(lc, 1, mode=mode, budget=budget)
+        assert str(raised.value) == refusal
