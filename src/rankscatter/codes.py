@@ -223,19 +223,16 @@ def generalized_weights(
     workers: int = 1,
 ) -> WeightProfile:
     """Generalized rank weights of the code attached to a spanning system:
-    the profile `weight_profile` plans, with the values its sweeps find.
-    Sampled entries see only part of the Grassmannian, so their t - max is
-    an upper bound on d_rho.
+    the profile `weight_profile` plans, with the values found by running
+    the plans it returns.  Sampled entries see only part of the
+    Grassmannian, so their t - max is an upper bound on d_rho.
     """
-    profile, dual = weight_profile(system, rho_list, mode, budget)
-    k, t = profile.k, profile.t
+    profile, dual, plans = weight_profile(system, rho_list, mode, budget, seed)
     search = dict(mode=mode, budget=budget, seed=seed, workers=workers)
-    if dual is None:
-        runs = [max_weight_search(system, k - e.rho, **search) for e in profile.entries]
-        values = [t - w for w, *_ in runs]
-    else:
-        runs = [max_weight_search(dual, t - k - s, **search) for s in range(1, t - k + 1)]
-        wei = dual_weights([t - w for w, *_ in runs], t)
+    runs = [max_weight_search(dual or system, p.dim, **search) for p in plans]
+    values = [profile.t - w for w, *_ in runs]
+    if dual is not None:
+        wei = dual_weights(values, profile.t)
         values = [wei[e.rho - 1] for e in profile.entries]
     # an explicit raise: this guard must also hold under python -O
     if sum(run[2] for run in runs) != profile.swept:
@@ -245,36 +242,45 @@ def generalized_weights(
     return profile
 
 
-def weight_profile(system: QSystem, rho_list, mode: str, budget: int | None):
-    """(profile, dual): the profile `generalized_weights` writes for these
-    options, from the options alone, its values None; and the dual code's
-    system when the route is the dual, else None.
+def weight_plans(system: QSystem, rhos, mode: str, budget: int | None = None, seed: int | None = None):
+    """The plan of each entry d_rho = t - max{wt_U(H) : dim H = k - rho}, for
+    rho in `rhos` or, when None, the full profile 1..k: on the dual's
+    system, whose k is t - k, the dims t - k - s of the dual route."""
+    k = system.ambient
+    return [plan(system, k - rho, None, mode, budget, seed) for rho in (range(1, k + 1) if rhos is None else rhos)]
 
-    Each sweep is sized by `verify.plan`.  Exhaustive weights take the side
-    whose sweeps have fewer units: a Grassmannian per requested rho (default
-    all), or the full profile of a nondegenerate dual (Wei-type duality),
-    which no budget may stop and whose entries sweep nothing of their own.
-    The plans of the route taken judge the cap on unbudgeted sweeps, before
-    any sweep starts.  A primal entry sweeps the subspaces its plan weighs,
-    and is exact when its plan is complete, as the zero space of rho = k
-    always is.
+
+def weight_profile(system: QSystem, rho_list, mode: str, budget: int | None, seed: int | None = None):
+    """(profile, dual, plans): the profile `generalized_weights` writes for
+    these options, from the options alone, its values None; the dual
+    code's system when the route is the dual, else None; and the plans of
+    the route's sweeps, on the dual's system when it is the route.
+
+    Each sweep is sized by `verify.plan` (`weight_plans`).  Exhaustive
+    weights take the side whose sweeps have fewer units: a Grassmannian per
+    requested rho (default all), or the full profile of a nondegenerate
+    dual (Wei-type duality), which no budget may stop and whose entries
+    sweep nothing of their own.  The plans of the route taken judge the cap
+    on unbudgeted sweeps, before any sweep starts.  A primal entry sweeps
+    the subspaces its plan weighs, and is exact when its plan is complete,
+    as the zero space of rho = k always is.
     """
     if not system.spans_ambient:
         raise ValueError("system does not span the ambient space")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"weights take exhaustive or sampled mode, not {mode!r}")
     k, t = system.ambient, system.t
-    plan(system, 0, None, mode, budget)  # the options are checked even for an empty rho list
+    plan(system, 0, None, mode, budget, seed)  # the options are checked even for an empty rho list
     rhos = list(rho_list) if rho_list is not None else list(range(1, k + 1))
     if any(not 1 <= rho <= k for rho in rhos):
         raise ValueError("rho out of range")
     if len(set(rhos)) != len(rhos):
         raise ValueError(f"duplicate rho in {rhos}")
-    plans = [plan(system, k - rho, None, mode, budget) for rho in rhos]
+    plans = weight_plans(system, rhos, mode, budget, seed)
     # the dual's profile can sweep fewer subspaces only when t - k < k
     dual = nondegenerate_dual(system) if mode == "exhaustive" and t < 2 * k else None
     if dual is not None:
-        dual_plans = [plan(dual, t - k - s, None, mode, budget) for s in range(1, t - k + 1)]
+        dual_plans = weight_plans(dual, None, mode, budget, seed)
         if sum(p.total for p in dual_plans) < sum(p.total for p in plans):
             plans = dual_plans
         else:
@@ -291,7 +297,7 @@ def weight_profile(system: QSystem, rho_list, mode: str, budget: int | None):
     profile = WeightProfile(k, t, route="primal" if dual is None else "dual", swept=sum(p.subspaces for p in plans))
     for rho, (provenance, checked) in zip(rhos, entries):
         profile.add(rho, None, provenance, checked)
-    return profile, dual
+    return profile, dual, plans
 
 
 def nondegenerate_dual(system: QSystem) -> QSystem | None:

@@ -574,8 +574,6 @@ def sample_subspaces(tower: FieldTower, k: int, d: int, seed: int, lo: int, hi: 
     Attempt 0 of every sample comes from one `sample_values` call; a sample
     whose attempt-0 matrix is rejected is redrawn alone, from attempt 1 on.
     """
-    if d < 0 or d > k:
-        raise ValueError("need 0 <= d <= k")
     vals, accepted = sample_values(tower.order, k, d, seed, lo, hi, 0)
     for i, (m, ok) in enumerate(zip(vals, accepted.tolist())):
         H = _full_rank(tower, k, d, m.tolist()) if ok else None

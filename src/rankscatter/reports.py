@@ -19,6 +19,7 @@ from .codes import (
     dual_weights,
     nondegenerate_dual,
     predicted_direct_sum_profile,
+    weight_plans,
     weight_profile,
 )
 from .construction import (
@@ -133,14 +134,6 @@ def search_result(tower: FieldTower, config: dict) -> tuple[dict, dict]:
     return result, {"tuples_checked": result["tuples_checked"]}
 
 
-def _question(config: dict):
-    """(dim, bound, defect) of a verify config: (hdim, r, None) when the
-    config names r, else (h, h, `span_defect`)."""
-    if "r" in config:
-        return config["hdim"], config["r"], None
-    return config["h"], config["h"], span_defect
-
-
 def run_verify(system: QSystem, config: dict, **run):
     """The verdict of a verify config.  `run` holds what the report does not
     record (workers, checkpoint)."""
@@ -241,7 +234,8 @@ def _recheck_verdict(tower, report, problems, unchecked):
     system = _system(tower, report)
     cfg = report["config"]
     res = report["result"]
-    dim, bound, defect = _question(cfg)
+    # the question of the config: (hdim, r), or (h, h) with the span defect
+    dim, bound, defect = (cfg["hdim"], cfg["r"], None) if "r" in cfg else (cfg["h"], cfg["h"], span_defect)
     p = plan(system, dim, bound, cfg["mode"], cfg["budget"], cfg["seed"], cfg["chunk_size"], defect)
     checked = res.get("subspaces_checked")
     sweep, outcome = None, p.known
@@ -255,7 +249,7 @@ def _recheck_verdict(tower, report, problems, unchecked):
         elif wit is not None:
             problems.append(f"witness tuple_index {index!r} names no unit of the {p.mode} sweep")
         outcome = SweepOutcome(checked, viol, None, res.get("status") != "inconclusive")
-    verdict = _verdict(system, p, sweep, outcome, defect)
+    verdict = _verdict(system, p, sweep, outcome)
     result, counts = verify_result(tower, verdict)
     if "backend" not in res:  # written before verdicts named their backend
         del result["backend"]
@@ -267,8 +261,8 @@ def _recheck_verdict(tower, report, problems, unchecked):
         # the rebuilt witness is weighed by the oracle; the rule takes its
         # weight above the bound, and its run, on trust
         key = verdict.witness.tuple_index
-        if verdict.witness.weight <= bound:
-            problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {bound}")
+        if verdict.witness.weight <= p.bound:
+            problems.append(f"witness weight {verdict.witness.weight} does not exceed the bound {p.bound}")
         _check_intersection(tower, system, verdict.witness.H, res["witness"], problems)
         # an index sweep weighs one subspace a unit, up to its witness's
         # unit inside the plan; a witness-span sweep runs in full
@@ -336,7 +330,7 @@ def _recheck_weights(tower, report, problems, unchecked):
     check those values on paths that did not produce them, sized by plans."""
     system = _system(tower, report)
     cfg = report["config"]
-    profile, dual = weight_profile(system, cfg["rho"], cfg["mode"], cfg["budget"])
+    profile, dual, plans = weight_profile(system, cfg["rho"], cfg["mode"], cfg["budget"], cfg["seed"])
     recorded = {e["rho"]: e["value"] for e in report["result"]["profile"]}
     for e in profile.entries:
         e.value = recorded.get(e.rho)
@@ -348,22 +342,22 @@ def _recheck_weights(tower, report, problems, unchecked):
     except ValueError as exc:
         problems.append(str(exc))
     if cfg["mode"] == "sampled":
-        _replay_weights(system, cfg, profile, problems, unchecked)
+        _replay_weights(system, profile, plans, problems, unchecked)
     # Every exact entry against Wei duality, when the dual is nondegenerate
     # and its profile is small: the dual's full profile, swept by the scalar
     # oracle, leaves the primal one as its Wei complement.
-    k, t = profile.k, profile.t
+    t = profile.t
     wei, dual = None, dual or nondegenerate_dual(system)
-    plans = [] if dual is None else [plan(dual, t - k - s, None, "exhaustive") for s in range(1, t - k + 1)]
-    if plans and sum(p.total for p in plans) <= RECHECK_SWEEP_CAP:
-        wei = dual_weights([t - rederive(dual, p, p.total).best["weight"] for p in plans], t)
+    dual_plans = [] if dual is None else weight_plans(dual, None, "exhaustive")
+    if dual_plans and sum(p.total for p in dual_plans) <= RECHECK_SWEEP_CAP:
+        wei = dual_weights([t - rederive(dual, p, p.total).best["weight"] for p in dual_plans], t)
     # The primal re-sweep runs on the scalar oracle, except for a dual-route
     # profile that the Wei check re-derives on the oracle: there the primal
     # sweep on its planned backend is already a route that did not produce
     # the entries.
     planned = profile.route == "dual" and wei is not None
-    for e in sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho):
-        p = plan(system, k - e.rho, None, "exhaustive")
+    exact = sorted((e for e in profile.entries if e.provenance == EXACT), key=lambda e: e.rho)
+    for e, p in zip(exact, weight_plans(system, [e.rho for e in exact], "exhaustive")):
         if p.total <= RECHECK_SWEEP_CAP:
             fresh = _build_sweep(system, p)[0].run_units(0, p.total) if planned else rederive(system, p, p.total)
             w = fresh.best["weight"]
@@ -375,13 +369,12 @@ def _recheck_weights(tower, report, problems, unchecked):
             problems.append(f"d_{e.rho} = {e.value} contradicts the dual profile, which gives {wei[e.rho - 1]}")
 
 
-def _replay_weights(system, cfg, profile, problems, unchecked):
-    """Each sampled entry d_rho = t - max against its samples, replayed on
-    the scalar oracle: its whole budget, where the two must be equal, when
-    the sampled entries' plans weigh at most RECHECK_SWEEP_CAP subspaces in
-    all, else its first RECHECK_SAMPLES, which bound it from above."""
-    sampled = [(e, plan(system, profile.k - e.rho, None, "sampled", cfg["budget"], cfg["seed"]))
-               for e in profile.entries if e.provenance == UPPER]
+def _replay_weights(system, profile, plans, problems, unchecked):
+    """Each sampled entry d_rho = t - max against its plan's samples,
+    replayed on the scalar oracle: its whole budget, where the two must be
+    equal, when the sampled entries' plans weigh at most RECHECK_SWEEP_CAP
+    subspaces in all, else its first RECHECK_SAMPLES, which bound it from above."""
+    sampled = [(e, p) for e, p in zip(profile.entries, plans) if e.provenance == UPPER]
     whole = sum(p.subspaces for _, p in sampled) <= RECHECK_SWEEP_CAP
     for e, p in sampled:
         units = p.units if whole else min(RECHECK_SAMPLES, p.units)

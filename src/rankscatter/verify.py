@@ -56,14 +56,14 @@ weight -1 marks a skipped unit that is not counted, the first maximum is
 the chunk's best, and the first weight above the bound ends the chunk once
 the scalar oracle reproduces it on `subspace(key)`.
 
-Every question is sized once, from closed forms, by `plan`, the one place
-that refuses a sweep (`Plan.refusal`, which `_build_sweep` raises), and its
-sweep object is built from the system and that plan alone.  `_answer`
-hands it to `runner.run_sweep` (a JSON-safe descriptor of the same sweep
-only names it in checkpoint headers) and applies the one status rule,
-`_verdict`; `recheck` applies that rule to the outcome a report records,
-and re-sweeps a plan on the scalar oracle by `rederive`.
-The verifiers take a mode, budget, seed, workers, checkpoint and chunk_size.
+Every question is checked and sized once, from closed forms, by `plan`,
+which takes its mode, budget, seed, chunk size and defect rule and is the
+one place that refuses a question or its sweep (`Plan.refusal`, which
+`_build_sweep` raises).  `_answer` runs a `Plan`: it builds the sweep from
+the system and the plan alone, hands it to `runner.run_sweep` (a JSON-safe
+descriptor only names it in checkpoint headers) and applies the one status
+rule, `_verdict`; `recheck` applies that rule to the outcome a report
+records, and re-sweeps a plan on the scalar oracle by `rederive`.
 
 Violations always carry a machine-checkable witness (subspace basis plus an
 F_q-basis of the offending intersection) that re-verifies independently.
@@ -928,6 +928,7 @@ class Plan(NamedTuple):
     mode: str
     dim: int
     bound: int | None
+    defect: object  # the question's second way to fail, a function of the system, or None
     budget: int | None
     seed: int | None  # the seed a sampled run draws from and records; None in other modes
     known: SweepOutcome | None  # the outcome known without a sweep
@@ -946,17 +947,23 @@ class Plan(NamedTuple):
 
 def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None = None,
          seed: int | None = None, chunk_size: int | None = None, defect=None) -> Plan:
-    """The one sizing of a question, does some dim-dimensional subspace meet
-    U in more than `bound` (None asks for the largest weight), from closed
-    forms alone.  It refuses an unknown mode, sampled mode without a budget,
-    and a chunk size or budget below 1 (the empty sweep would read as a
-    proof).  The zero space weighs 0 without a sweep, and a bound r >= t
-    holds without one, since no subspace meets U in more than t = dim U
-    (Randrianarisoa, DCC 2020); h-scatteredness, whose span `defect` is a
-    second way to fail, sweeps whatever its bound.  A budget lets a sweep
-    check units up to a chunk boundary (`runner.run_sweep`).  `refusal` is
+    """The one check and sizing of a question, does some dim-dimensional
+    subspace meet U in more than `bound` (None asks for the largest weight),
+    from closed forms alone.  It refuses a dim outside 0..k, a bound unless
+    0 < dim < k and bound >= dim (evasiveness asks r >= h), an unknown mode,
+    sampled mode without a budget, and a chunk size or budget below 1 (the
+    empty sweep would read as a proof).  The zero space weighs 0 without a
+    sweep, and a bound r >= t holds without one, since no subspace meets U
+    in more than t = dim U (Randrianarisoa, DCC 2020); h-scatteredness,
+    whose span `defect` is a second way to fail, sweeps whatever its bound.
+    A budget lets a sweep check units up to a chunk boundary.  `refusal` is
     an exhaustive sweep past EXHAUSTIVE_CAP without a budget, a witness-span
     table past SPAN_TABLE_CAP, or samples over a field past 2^63 elements."""
+    Q, q, k, t = system.tower.order, system.tower.q, system.ambient, system.t
+    if not 0 <= dim <= k:
+        raise ValueError(f"need 0 <= dim <= {k}, got {dim}")
+    if bound is not None and not (0 < dim < k and bound >= dim):
+        raise ValueError(f"need 0 < dim < {k} and bound >= dim, got dim {dim} and bound {bound}")
     if mode not in DEFAULT_CHUNKS:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "sampled" and budget is None:
@@ -965,7 +972,6 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     seed = (0 if seed is None else seed) if mode == "sampled" else None
-    Q, q, k, t = system.tower.order, system.tower.q, system.ambient, system.t
     known = None
     if dim == 0:
         known = SweepOutcome(1, None, {"weight": 0, "key": [0]}, True)
@@ -996,7 +1002,7 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
     elif known is None and mode == "sampled" and Q > 1 << 63:
         # samples are int64 residues of 64-bit words
         refusal = f"sampled mode needs a field of at most 2^63 elements, not {Q}"
-    return Plan(mode, dim, bound, budget, seed, known, total, chunk, units, subspaces, refusal)
+    return Plan(mode, dim, bound, defect, budget, seed, known, total, chunk, units, subspaces, refusal)
 
 
 def rederive(system: QSystem, p: Plan, units: int) -> SweepOutcome:
@@ -1096,14 +1102,14 @@ def _build_sweep(system: QSystem, p: Plan):
     return SampledSweep(system, p), desc
 
 
-def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome, defect=None) -> Verdict:
+def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome) -> Verdict:
     """The one status rule, from plan `p` and its outcome (sweep None when
-    `p` knows it): the unit of `outcome.viol` is the witness, else
-    `defect(system)` is the violation; a sampled sweep or an unfinished one
-    is inconclusive, and anything else holds."""
+    `p` knows it): the unit of `outcome.viol` is the witness, else the
+    plan's `defect(system)` is the violation; a sampled sweep or an
+    unfinished one is inconclusive, and anything else holds."""
     witness = None if outcome.viol is None else _build_witness(system, sweep, outcome.viol["key"])
     # a weight witness is the violation reported, so the defect is read only without one
-    defect = defect(system) if defect is not None and witness is None else None
+    defect = p.defect(system) if p.defect is not None and witness is None else None
     if witness is not None or defect is not None:
         status = "violated"
     elif (sweep is not None and p.mode == "sampled") or not outcome.completed:
@@ -1114,24 +1120,19 @@ def _verdict(system: QSystem, p: Plan, sweep, outcome: SweepOutcome, defect=None
     return Verdict(status, p.mode, p.bound, p.dim, outcome.checked, witness, p.seed, defect, backend)
 
 
-def _answer(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | None, seed: int | None,
-            workers: int, checkpoint: str | None, chunk_size: int | None,
-            defect=None) -> tuple[Verdict, dict | None]:
-    """The one path from a question, does some dim-dimensional subspace meet
-    U in more than `bound` (None asks for the largest weight), to its verdict
-    and first maximum.  It checks the worker count, runs the sweep that
-    `plan` sizes unless the plan knows the outcome without one, and applies
-    `_verdict`."""
+def _answer(system: QSystem, p: Plan, workers: int, checkpoint: str | None) -> tuple[Verdict, dict | None]:
+    """The one path from the `Plan` of a question to its verdict and first
+    maximum.  It checks the worker count, runs the plan's sweep unless the
+    plan knows the outcome without one, and applies `_verdict`."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    p = plan(system, dim, bound, mode, budget, seed, chunk_size, defect)
     sweep, outcome = None, p.known
     if outcome is None:
         sweep, desc = _build_sweep(system, p)
         sweep.kernel  # its tables are built here, once, and not in each pool worker
         outcome = run_sweep(sweep, desc, p.chunk, workers=workers, checkpoint=checkpoint,
-                            budget_units=budget if mode != "sampled" else None)
-    verdict = _verdict(system, p, sweep, outcome, defect)
+                            budget_units=p.budget if p.mode != "sampled" else None)
+    verdict = _verdict(system, p, sweep, outcome)
     if verdict.witness is not None and verdict.witness.weight != outcome.viol["weight"]:
         raise AssertionError("witness does not re-verify")
     return verdict, outcome.best
@@ -1158,9 +1159,7 @@ def verify_h_scattered(system: QSystem, h: int, mode: str = "witness_span", budg
     h-scattered; the sweep still runs so the verdict carries a concrete
     weight witness whenever one exists.
     """
-    if not 1 <= h < system.ambient:
-        raise ValueError("need 1 <= h < ambient dimension")
-    return _answer(system, h, h, mode, budget, seed, workers, checkpoint, chunk_size, defect=span_defect)[0]
+    return _answer(system, plan(system, h, h, mode, budget, seed, chunk_size, span_defect), workers, checkpoint)[0]
 
 
 def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span", budget: int | None = None,
@@ -1172,11 +1171,7 @@ def verify_evasive(system: QSystem, hdim: int, r: int, mode: str = "witness_span
     at most r.  No spanning requirement.  When r >= t (`plan`) it holds
     with no sweep.
     """
-    if not 0 < hdim < system.ambient:
-        raise ValueError("need 0 < hdim < ambient dimension")
-    if r < hdim:
-        raise ValueError("need r >= hdim")
-    return _answer(system, hdim, r, mode, budget, seed, workers, checkpoint, chunk_size)[0]
+    return _answer(system, plan(system, hdim, r, mode, budget, seed, chunk_size), workers, checkpoint)[0]
 
 
 def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budget: int | None = None,
@@ -1190,5 +1185,5 @@ def max_weight_search(system: QSystem, dim: int, mode: str = "exhaustive", budge
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"max-weight search supports exhaustive or sampled mode, not {mode!r}")
-    verdict, best = _answer(system, dim, None, mode, budget, seed, workers, checkpoint, chunk_size)
+    verdict, best = _answer(system, plan(system, dim, None, mode, budget, seed, chunk_size), workers, checkpoint)
     return best["weight"], best["key"], verdict.checked, verdict.holds

@@ -670,6 +670,9 @@ TAMPERS = (
         # line 1 misses U: the rebuilt witness is weighed by the oracle
         ("exhaustive-violated", {"result.witness.tuple_index": [1]}, "witness weight 0 does not exceed the bound 1"),
         ("exhaustive-violated", {"result.witness.tuple_index": [17]}, "names no unit of the exhaustive sweep"),
+        # a question the verifiers refuse, (1, 0)-evasiveness: r < hdim
+        ("evasive-violated", {"config.r": 0, "result.bound": 0, "result.witness.bound": 0},
+         "recheck raised: need 0 < dim < 3 and bound >= dim, got dim 1 and bound 0"),
         ("sampled-violated", {"result.witness.tuple_index": [8]}, "result.witness does not reproduce"),
         ("sampled-violated", {"result.witness.tuple_index": [500]}, "names no unit of the sampled sweep"),
         ("weights", {"result.profile.0.rho": 9}, "result.profile does not reproduce"),
@@ -1346,7 +1349,7 @@ def _forged_d1(tmp_path, sources):
 
     tower = FieldTower(2, 1, 4)
     system = family_subspace(ConstructionParams(tower, 3, 1, (1, 1, 2)))
-    profile, _ = weight_profile(system, [1], "exhaustive", None)
+    profile = weight_profile(system, [1], "exhaustive", None)[0]
     profile.entries[0].value = 3
     config = {"system": system_to_desc(system), "mode": "exhaustive", "budget": None, "seed": 0, "rho": [1],
               "force": True}

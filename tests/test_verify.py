@@ -1213,3 +1213,63 @@ def test_plans_refuse_a_span_table_or_a_sample_field_past_its_limit(monkeypatch)
         with pytest.raises(ValueError) as raised:
             verify_h_scattered(lc, 1, mode=mode, budget=budget)
         assert str(raised.value) == refusal
+
+
+def test_every_entry_point_refuses_the_same_questions(F16, monkeypatch, capsys):
+    # `plan` is the one gate of a question: every entry point raises its
+    # ValueError, naming the values it got, before a sweep is built, and
+    # the CLI exits 3 with it
+    from rankscatter import verify
+    from rankscatter.cli import main
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was built")
+
+    def refusal(dim, bound):
+        if not 0 <= dim <= 3:
+            return f"need 0 <= dim <= 3, got {dim}"
+        return f"need 0 < dim < 3 and bound >= dim, got dim {dim} and bound {bound}"
+
+    monkeypatch.setattr(verify, "_build_sweep", no_sweep)
+    ps = pseudoregulus_subspace(F16, 2)  # k = 3
+    table = [
+        *[(lambda h=h: verify_h_scattered(ps, h), h, h) for h in (0, 3)],
+        *[(lambda d=d, r=r: verify_evasive(ps, d, r), d, r) for d, r in [(0, 2), (3, 4), (2, 1)]],
+        *[(lambda d=d, mode=mode: max_weight_search(ps, d, mode=mode, budget=3), d, None)
+          for mode in ("exhaustive", "sampled") for d in (-1, 4)],
+    ]
+    for call, dim, bound in table:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == refusal(dim, bound)
+    argv = ["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2", "--hdim", "1", "--r", "0"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"configuration error: {refusal(1, 0)}\n"
+
+
+def test_a_sampled_search_past_the_ambient_dimension_raises_at_once():
+    # a sampled sweep of 4-dimensional subspaces of F_16^3 would redraw a
+    # full-rank 4 x 3 matrix forever; in a subprocess, so that a hang fails
+    # the test at its timeout instead of stalling the suite
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "from rankscatter.construction import pseudoregulus_subspace\n"
+        "from rankscatter.field import FieldTower\n"
+        "from rankscatter.verify import max_weight_search\n"
+        "try:\n"
+        "    max_weight_search(pseudoregulus_subspace(FieldTower(2, 1, 4), 2), 4, mode='sampled', budget=3)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "need 0 <= dim <= 3, got 4\n"
