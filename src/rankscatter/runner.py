@@ -8,7 +8,7 @@ prefix merges finished chunks in unit order, so the outcome is independent
 of worker count and of how a run was interrupted and resumed.
 
 Chunks run in process unless more than one can run at once: a pool of
-min(workers, pending chunks, CPU count) processes receives the sweep once
+min(workers, pending chunks, usable CPUs) processes receives the sweep once
 per worker, when the worker starts.  Once the outcome is settled, chunks
 that have not started are cancelled and the workers still running one are
 stopped.
@@ -225,7 +225,9 @@ def _execute(sweep, total_units, ckpt, prefix, workers):
         ckpt.record(rec)
         return prefix.add(rec)
 
-    procs = min(workers, prefix.nchunks - len(ckpt.done), os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform tells them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    procs = min(workers, prefix.nchunks - len(ckpt.done), cpus)
     if procs <= 1:
         for lo, hi in pending:
             if finish(sweep.run_units(lo, hi)):

@@ -28,8 +28,12 @@ every mode: `_Sweep._oracle` weighs `subspace(key)` with
 SAMPLE_BLOCK at a time, equal to them).  The kernel's calls build the
 expansion rows of value matrices or of elements of U, raw or reduced mod U
 (element rows also against the echelon basis of a prefix, which another
-call takes), rank a batch, and read kernels of maps linear in the index
-digits of U's elements.
+call takes), or the rows of MU for annihilators M, rank a batch, and read
+kernels of maps linear in the index digits of U's elements.  An exhaustive
+sweep ranks one of two shapes of rows, whichever its kernel's `cost` of a
+matrix rates lower, value rows on a tie: the d n value rows of H reduced
+mod U, of k n - t entries, or the (k - d) n rows of MU, of t entries, for
+the annihilator M of H (wt_U(H) = t - rank(MU)).
 Witness-span levels take their weights from those kernels: one map per
 F_q^*-class of a scalar lambda, not one rank per element.  A level ranks its
 elements' rows instead only when the kernels, whose sizes are known after
@@ -274,9 +278,23 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
     return digits
 
 
+def _annihilator_table(tower: FieldTower, U: FqSubspace, k: int) -> np.ndarray:
+    """The F_p table of the annihilator rows, shape (k * n, n, t): entry
+    [c * n + j, l, e] is coordinate l of z^j * g_e[c] on the F_q-basis, for
+    the canonical generators g_e of U.  The base-p digits of a vector y
+    times it are the n rows of the map U -> F_{q^n}, u -> y . u: row l,
+    entry e is coordinate l of y . g_e."""
+    n, p, gens = tower.n, tower.p, U.canonical_generators
+    rows = [[tower.expand_scalar(tower.mul(p**j, g[c])) for g in gens] for c in range(k) for j in range(n)]
+    return np.array(rows, dtype=np.uint8).reshape(k * n, len(gens), n).transpose(0, 2, 1)
+
+
 # --- the row kernel: two batched implementations of the same calls ---
 #
 #   value_rows(vals, reduced)    rows of a (B, d, k) block of value matrices
+#   table_rows(vals, table)      the same through one table; through
+#                                `annihilator`, the rows of M U for a (B, k - d,
+#                                k) block of annihilators M
 #   element_rows(lo, hi, basis)  rows of the elements lo .. hi-1 of U reduced
 #                                mod U and against a prefix basis
 #   basis(prefixes)              for an (L, P) batch of prefixes: their rows
@@ -292,6 +310,7 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 #   rank(rows)                   rank of each matrix of a batch, as int64
 #   block(rows, width)           matrices of `rows` rows of `width` entries
 #                                per batch
+#   cost(rows, width)            the elimination cost of one such matrix
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
 # vector v of a matrix; "reduced" rows are taken mod U, and element rows
@@ -304,7 +323,8 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
 # of coordinates keeps ranks, and an echelon form of [image | index tag]
 # rows has the kernel of the map in the tags of its rows whose image is
 # zero; `basis` and `kernels` read kernels so, from `bitkernel.batch_rank`
-# or `fp_rank`.
+# or `fp_rank`.  Annihilator rows have t = dim U entries: row l of a vector y
+# holds coordinate l of y . g_e at entry e.
 
 
 def _gather(a: np.ndarray, cols) -> np.ndarray:
@@ -322,7 +342,8 @@ class _GF2Rows:
 
     Rows are F_2-linear in the bits of the entries, so they are XORs of
     subset tables over digit groups of at most 8 bits: one table per
-    (coordinate, digit group) of value bits, of the rows of b_l * z^j, and
+    (coordinate, digit group) of value bits, of the rows of b_l * z^j (or
+    of the annihilator rows of z^j at that coordinate, t bits a word), and
     one per byte of an element index of U, of the rows of b_l * g_j for the
     canonical generators g_j.  For n <= 8 a value table has one entry per
     field element; past that no table does.  Rows of elements of U keep
@@ -331,16 +352,33 @@ class _GF2Rows:
     """
 
     def __init__(self, sweep):
-        t, n, U = sweep.tower, sweep.n, sweep.U
-        self.n, self.k, self.U = n, sweep.k, U
-        self.w = sweep.k * n - U.dim
+        self.tower, self.n, self.k, self.U = sweep.tower, sweep.n, sweep.k, sweep.U
+        self.w = sweep.k * sweep.n - sweep.U.dim
         self.low = np.uint64((1 << self.w) - 1)
+
+    def _subset_tables(self, deltas):
+        """Subset-XOR tables of (..., k, n, n) row deltas, the last axis the
+        digit, as (..., k, digit groups, n, digit values)."""
+        return np.ascontiguousarray(bitkernel.subset_xor_table(deltas, min(self.n, 8)).swapaxes(-3, -2))
+
+    @cached_property
+    def tables(self):
+        """The (raw, reduced) value tables."""
+        t, n, k = self.tower, self.n, self.k
         e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
-        raw = [[[x << c * n for x in row] for row in e] for c in range(sweep.k)]
-        red = [[[U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
-        # (raw, reduced) tables of shape (k, digit groups, n, digit values)
-        tables = bitkernel.subset_xor_table(np.array([raw, red], dtype=np.uint64), min(n, 8))
-        self.tables = tuple(np.ascontiguousarray(tab.transpose(0, 2, 1, 3)) for tab in tables)
+        raw = [[[x << c * n for x in row] for row in e] for c in range(k)]
+        red = [[[self.U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
+        return tuple(self._subset_tables(np.array([raw, red], dtype=np.uint64)))
+
+    @cached_property
+    def annihilator(self):
+        """The annihilator table: `_annihilator_table` with each row's t
+        entries packed into one word, entry e at bit e.  It is packed in
+        Python: numpy's packing calls, which nothing else here makes, map
+        more code than the small table takes."""
+        table = _annihilator_table(self.tower, self.U, self.k).tolist()
+        words = np.array([[sum(b << e for e, b in enumerate(row)) for row in per] for per in table], dtype=np.uint64)
+        return self._subset_tables(words.reshape(self.k, self.n, self.n).swapaxes(1, 2))
 
     @cached_property
     def _generators(self):
@@ -361,7 +399,11 @@ class _GF2Rows:
         return np.ascontiguousarray(bitkernel.subset_xor_table(self._generators & self.low, 8).transpose(1, 0, 2))
 
     def value_rows(self, vals, reduced):
-        tabs = self.tables[reduced]
+        return self.table_rows(vals, self.tables[reduced])
+
+    def table_rows(self, vals, tabs):
+        """The rows of a (B, d, k) block of values through one table: n
+        rows per vector."""
         size = tabs.shape[-1]
         idx = vals.transpose(2, 1, 0)  # (k, d, B); a view, never written
         rows = np.zeros((self.n, *idx.shape[1:]), dtype=np.uint64)
@@ -424,6 +466,11 @@ class _GF2Rows:
         """GF2_BLOCK, whatever the shape: a packed row is one word."""
         return GF2_BLOCK
 
+    @staticmethod
+    def cost(rows, width):
+        """Word operations of an elimination: a row is one word."""
+        return rows * rows
+
 
 class _FpRows:
     """F_p rows as uint8 arrays, for `bitkernel.fp_rank`: a batch is one
@@ -431,29 +478,40 @@ class _FpRows:
 
     Rows are F_p-linear in the base-p digits of the entries, so a batch's
     rows are its digits times a table: entry [c * n + j, l] of a value table
-    is the row of b_l * z^j at coordinate c, and entry [j, l] of an element
-    table the row of b_l * g_j for the canonical generators g_j of U.
+    is the row of b_l * z^j at coordinate c, entry [j, l] of an element
+    table the row of b_l * g_j for the canonical generators g_j of U, and
+    the annihilator table is `_annihilator_table`.
     Reduced rows have width w = k * n - dim U.  No table has an entry per
     field element.
     """
 
     def __init__(self, sweep):
-        t, n, k, p = sweep.tower, sweep.n, sweep.k, sweep.tower.p
-        self.n, self.k, self.p, self.U, self.dtype = n, k, p, sweep.U, sweep.dtype
-        self.w = k * n - sweep.U.dim
+        self.tower, self.n, self.k, self.p, self.U, self.dtype = (
+            sweep.tower, sweep.n, sweep.k, sweep.tower.p, sweep.U, sweep.dtype)
+        self.w = sweep.k * sweep.n - sweep.U.dim
+
+    @cached_property
+    def tables(self):
+        """The (raw, reduced) value tables."""
+        t, n, k, p = self.tower, self.n, self.k, self.p
         e = np.array([[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8)
         raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
         for c in range(k):
             raw[c, :, :, c, :] = e
         raw = raw.reshape(k * n, n, k * n)
-        gens = [[x for v in g for x in t.expand_scalar(v)] for g in sweep.U.canonical_generators]
+        gens = [[x for v in g for x in t.expand_scalar(v)] for g in self.U.canonical_generators]
         basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
         bitkernel.fp_rank(basis, p)
         red = raw.reshape(1, -1, k * n).copy()
         bitkernel.fp_reduce_static(red, basis[0], p)
         keep = np.ones(k * n, dtype=bool)
-        keep[sweep.U.pivots] = False
-        self.tables = (raw, red[0][:, keep].reshape(k * n, n, -1))
+        keep[self.U.pivots] = False
+        return raw, red[0][:, keep].reshape(k * n, n, -1)
+
+    @cached_property
+    def annihilator(self):
+        """The annihilator table, `_annihilator_table` as it is."""
+        return _annihilator_table(self.tower, self.U, self.k)
 
     @cached_property
     def _generators(self):
@@ -472,8 +530,13 @@ class _FpRows:
         return rows.reshape(len(digits), digits.shape[1] * r, w)
 
     def value_rows(self, vals, reduced):
+        return self.table_rows(vals, self.tables[reduced])
+
+    def table_rows(self, vals, table):
+        """The rows of a (B, d, k) block of values through one table: n
+        rows per vector."""
         digits = _digit_array(vals, self.p, self.n)
-        return self._rows(digits.reshape(*vals.shape[:2], -1), self.tables[reduced])
+        return self._rows(digits.reshape(*vals.shape[:2], -1), table)
 
     def element_rows(self, lo, hi, basis):
         table = self._generators[..., : self.w].copy()
@@ -518,6 +581,11 @@ class _FpRows:
         """As many matrices as fill FP_BLOCK bytes, and at least one."""
         return max(1, FP_BLOCK // max(1, rows * width))
 
+    @staticmethod
+    def cost(rows, width):
+        """Entry operations of an elimination."""
+        return rows * rows * width
+
 
 _KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
 
@@ -529,6 +597,8 @@ class _Sweep:
     use.  A subclass lists the keys of its counted units in unit order
     (`_keys`), maps a key to its subspace, or to None when it names no unit
     (`subspace`), and weighs units on the kernel in batches (`_weights`)."""
+
+    shape = "value"  # the rows an exhaustive sweep ranks: "value" or "annihilator"
 
     def __init__(self, system: QSystem, p: Plan):
         self.tower = system.tower
@@ -546,9 +616,14 @@ class _Sweep:
 
     @cached_property
     def kernel(self):
-        """The row kernel of the backend, or None on the scalar backend; a
-        run on the scalar oracle never builds its tables."""
-        return _KERNELS[self.backend](self) if self.backend in _KERNELS else None
+        """The row kernel of the backend with the tables of the sweep's
+        shape built, or None on the scalar backend; a run on the scalar
+        oracle never builds them."""
+        if self.backend not in _KERNELS:
+            return None
+        kern = _KERNELS[self.backend](self)
+        kern.annihilator if self.shape == "annihilator" else kern.tables
+        return kern
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
         """Units [lo, hi) on the planned backend."""
@@ -572,15 +647,11 @@ class _Sweep:
         """The unit index of an index key [i], or None when it names none."""
         return key[0] if len(key) == 1 and 0 <= key[0] < self.total_units else None
 
-    def _value_block(self, reduced: bool) -> int:
-        """(dim, k) value matrices per kernel batch, their rows raw or
-        reduced mod U."""
-        return self.kernel.block(self.dim * self.n, self.k * self.n - reduced * self.U.dim)
-
     def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
         """Rank of the expansion rows of each (dim, k) matrix of element
         values in vals, raw or reduced mod U, on the batched kernel."""
-        kern, block = self.kernel, self._value_block(reduced)
+        kern = self.kernel
+        block = kern.block(self.dim * self.n, self.k * self.n - reduced * self.U.dim)
         parts = [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
         return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
@@ -589,10 +660,22 @@ class _Sweep:
 
 
 class ExhaustiveSweep(_Sweep):
-    """Units are subspace indices in the frozen enumeration order."""
+    """Units are subspace indices in the frozen enumeration order.
+
+    H = ker M for the k - d rows y_c of its annihilator, one per column c
+    outside the pivots of H's echelon form A: 1 at c and -A[i][c] at pivot
+    p_i.  So U n H is the kernel of u -> M u on U, and wt_U(H) = t -
+    rank(MU) (Randrianarisoa, DCC 2020).  `shape` names the rows the sweep
+    ranks, picked by the rule of the module docstring.
+    """
 
     def __init__(self, system, p: Plan):
         super().__init__(system, p)
+        rows, n, t = _KERNELS.get(self.backend), self.n, self.U.dim
+        self.sizes = {"value": (self.dim * n, self.k * n - t), "annihilator": ((self.k - self.dim) * n, t)}
+        # a gf2 batch of no rows has no matrices, so H = F^k keeps value rows
+        if rows and self.dim < self.k and rows.cost(*self.sizes["annihilator"]) < rows.cost(*self.sizes["value"]):
+            self.shape = "annihilator"
         self.blocks = []
         start = 0
         for pivots, cells, count in _pivot_blocks(self.k, self.dim, self.tower.order):
@@ -615,12 +698,21 @@ class ExhaustiveSweep(_Sweep):
                 yield from self._batches(gstart, pivots, cells, blo, bhi)
 
     def _batches(self, gstart, pivots, cells, blo, bhi):
-        """Assignments in blocks of at most one kernel batch, as (B, dim,
-        k) value matrices: pivot 1s, and the free cells set to the base-Q
-        digits of the assignment index, the last cell least significant.
-        The last `low` cells take the digits of a numpy range; the others
-        are constant in a block."""
-        Q, block = self.tower.order, self._value_block(reduced=True)
+        """Assignments in blocks of at most one kernel batch, as matrices
+        of the sweep's shape with the free cells set to the base-Q digits
+        of the assignment index, the last cell least significant: (B, dim,
+        k) value matrices with pivot 1s, or (B, k - dim, k) matrices of the
+        rows -y_c, -1 at c and cell (i, c) at pivot p_i.  The last `low`
+        cells take the digits of a numpy range; the others are constant in
+        a block."""
+        kern, Q = self.kernel, self.tower.order
+        block = kern.block(*self.sizes[self.shape])
+        if self.shape == "annihilator":
+            ones = [c for c in range(self.k) if c not in pivots]
+            one, table, base = self.tower.p - 1, kern.annihilator, self.U.dim
+            cells = [(ones.index(c), pivots[i]) for i, c in cells]
+        else:
+            ones, one, table, base = list(pivots), 1, kern.tables[True], self.dim * self.n
         low, size = 0, 1
         while low < len(cells) and size < block:
             low, size = low + 1, size * Q
@@ -628,12 +720,12 @@ class ExhaustiveSweep(_Sweep):
         while a < bhi:
             high, start = divmod(a, size)
             count = min(block, bhi - a, size - start)
-            vals = np.zeros((count, self.dim, self.k), dtype=self.dtype)
-            vals[:, np.arange(self.dim), list(pivots)] = 1
+            vals = np.zeros((count, len(ones), self.k), dtype=self.dtype)
+            vals[:, np.arange(len(ones)), ones] = one
             r = start + np.arange(count).astype(self.dtype)
             for e, (i, c) in enumerate(reversed(cells)):
                 vals[:, i, c] = r // Q**e % Q if e < low else high // Q ** (e - low) % Q
-            yield (), gstart + a, self.dim * self.n - self.ranks(vals, reduced=True)
+            yield (), gstart + a, base - kern.rank(kern.table_rows(vals, table))
             a += count
 
 

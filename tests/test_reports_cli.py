@@ -927,6 +927,41 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path, killed_after):
     )
 
 
+@pytest.mark.parametrize(
+    "name, chunk, kill", [("gf2-exhaustive-holds", 30, 120), ("fp-exhaustive-F9-violated", 10, 30)]
+)
+def test_annihilator_sweeps_report_alike_across_workers_and_resumes(
+    tmp_path, monkeypatch, killed_after, name, chunk, kill
+):
+    # both sweeps rank annihilator rows: one worker, two, a resume from a
+    # checkpoint written partway and a run forced onto value rows write the
+    # same body
+    from rankscatter import verify
+
+    shapes = []
+    build = verify._build_sweep
+    monkeypatch.setattr(verify, "_build_sweep", lambda *a: shapes.append(build(*a)[0].shape) or build(*a))
+    argv = PINNED_BODIES[name][0] + ["--chunk-size", str(chunk)]
+
+    def body(*extra):
+        out = str(tmp_path / "r.json")
+        assert main(argv + list(extra) + ["--out", out]) == PINNED_BODIES[name][1]
+        return reports.body_bytes(load(out))
+
+    bodies = [body(), body("--workers", "2")]
+    ck = tmp_path / "ck.jsonl"
+    with killed_after(verify.ExhaustiveSweep, kill):
+        main(argv + ["--checkpoint", str(ck), "--out", str(tmp_path / "killed.json")])
+    assert len(ck.read_text().splitlines()) == 1 + kill // chunk
+    bodies.append(body("--checkpoint", str(ck)))
+    assert set(shapes) == {"annihilator"}
+    shapes.clear()
+    for kern in verify._KERNELS.values():
+        monkeypatch.setattr(kern, "cost", staticmethod(lambda rows, width: 0))
+    bodies.append(body())
+    assert set(shapes) == {"value"}
+    assert bodies[1:] == bodies[:-1]
+
 def test_cli_resumes_from_a_torn_checkpoint(tmp_path, capsys):
     """A kill in mid-append tears the last checkpoint line; resume reruns that chunk."""
     argv = [

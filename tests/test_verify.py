@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import time
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -863,6 +864,83 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
 # --- kernel agreement: every batched driver against the scalar oracle ---
 
 
+def _forced_shape(system, p, shape, kernel):
+    """The sweep of plan `p`, ranking `shape` rows on `kernel`."""
+    sweep = _build_sweep(system, p)[0]
+    sweep.shape = shape
+    sweep.kernel = kernel(sweep)
+    return sweep
+
+
+ANNIHILATOR_CASES = {
+    # (q, n, k, dim, generators): gf2 and fp hyperplanes, 1 < dim < k - 1,
+    # q = 2 past 64 bits (fp at p = 2), and the zero subspace at q = 2 and 3
+    "F16-hyperplanes": (2, 4, 3, 2, 4),
+    "F4-k5-d3": (2, 2, 5, 3, 5),
+    "F9-hyperplanes": (3, 2, 4, 3, 3),
+    "F27-k4-d2": (3, 3, 4, 2, 5),
+    "F2^17-k4-d3": (2, 17, 4, 3, 3),
+    "F4-zero": (2, 2, 4, 2, 0),
+    "F9-zero": (3, 2, 3, 2, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANNIHILATOR_CASES))
+def test_annihilator_and_value_rows_agree_on_every_pivot_block(case):
+    # wt_U(H) = t - rank(MU) for the annihilator rows M of H: both shapes
+    # weigh the first and last units of every pivot block alike on every
+    # kernel the field has, and as the scalar oracle does
+    from rankscatter import verify
+
+    q, n, k, dim, gens = ANNIHILATOR_CASES[case]
+    F = _field(q, n)
+    rng = np.random.default_rng(sum(map(ord, case)))
+    system = explicit_system(F, k, [tuple(int(x) for x in rng.integers(0, F.order, k)) for _ in range(gens)])
+    assert system.t == gens
+    p = plan(system, dim, None, "exhaustive", budget=1)
+    kernels = [verify._FpRows] + ([verify._GF2Rows] if n * k <= 64 and q == 2 else [])
+    assert _build_sweep(system, p)[0].backend == ("gf2" if len(kernels) == 2 else "fp")
+    sweeps = {(s, kern): _forced_shape(system, p, s, kern) for s in ("value", "annihilator") for kern in kernels}
+    blocks = _build_sweep(system, p)[0].blocks
+    assert len(blocks) == comb(k, dim)
+    for start, _, _, count in blocks:
+        for lo, hi in {(start, start + min(count, 30)), (start + max(count - 30, 0), start + count)}:
+            oracle = _keyed_weights(_build_sweep(system, p)[0]._oracle(lo, hi))
+            for key, sweep in sweeps.items():
+                assert _keyed_weights(sweep._weights(lo, hi)) == oracle, (key, lo)
+
+
+def test_benchmark_instances_keep_their_rank_shapes(monkeypatch, F16):
+    # the F_81 planes of the odd_q benchmark and the F_64 dual hyperplanes
+    # rank annihilator rows; the C2 sampled probe and the k = 2, d = 1
+    # sweeps of random codes over F_8 (equal costs) keep value rows
+    from rankscatter import verify
+    from rankscatter.codes import generalized_weights, nondegenerate_dual, random_code
+
+    built = []
+    build = verify._build_sweep
+
+    def record(system, p):
+        sweep, desc = build(system, p)
+        built.append((p.mode, system.ambient, p.dim, sweep.backend, sweep.shape))
+        return sweep, desc
+
+    monkeypatch.setattr(verify, "_build_sweep", record)
+    v = verify_h_scattered(pseudoregulus_subspace(create_field(3, 1, 4), 2), 2, mode="exhaustive")
+    assert (v.status, v.checked, built) == ("holds", 6643, [("exhaustive", 3, 2, "fp", "annihilator")])
+    built.clear()
+    c2 = family_subspace(ConstructionParams(F16, 4, 2, (2, 1, 1, 1)))
+    verify_h_scattered(c2, 2, mode="sampled", budget=50, seed=1)
+    assert built == [("sampled", 12, 2, "gf2", "value")]
+    built.clear()
+    code = random_code(create_field(2, 1, 3), 2, 4, seed=100)
+    generalized_weights(code.system(), workers=1)
+    assert built and set(built) == {("exhaustive", 2, 1, "gf2", "value")}
+    dual = nondegenerate_dual(family_subspace(ConstructionParams(create_field(2, 1, 6), 3, 3, (1, 1, 2))))
+    sweep = build(dual, plan(dual, 5, None, "exhaustive", budget=1))[0]
+    assert (dual.ambient, sweep.backend, sweep.shape) == (6, "gf2", "annihilator")
+
+
 @st.composite
 def _small_sweeps(draw):
     """(tower, system, mode, dim, seed) with |U| small enough for the
@@ -886,6 +964,9 @@ def _field(q, n):
 
 @settings(max_examples=100, deadline=None)
 @given(_small_sweeps())
+# the zero subspace, whose annihilator rows have no entries
+@example((_field(3, 2), explicit_system(_field(3, 2), 3, [(0, 0, 0)]), "exhaustive", 2, 0))
+@example((_field(2, 3), explicit_system(_field(2, 3), 3, [(0, 0, 0)]), "exhaustive", 2, 0))
 def test_batched_weight_streams_equal_the_scalar_oracle(case):
     from rankscatter import verify
 
@@ -897,13 +978,15 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
     # the planned backend's run of the sweep folds to what the oracle's does
     assert sweep.run_units(0, p.total) == verify._scan(sweep, blocks, 0, p.total)
     kernels = [verify._FpRows] + ([verify._GF2Rows] if F.q == 2 else [])
-    routes = (True, False) if mode == "witness_span" else (None,)
+    routes = {"witness_span": (True, False), "exhaustive": ("value", "annihilator")}.get(mode, (None,))
     for kernel in kernels:
         for route in routes:
             fast = _build_sweep(system, p)[0]
-            fast.kernel = kernel(fast)
-            if route is not None:
+            if mode == "exhaustive":
+                fast.shape = route
+            elif route is not None:
                 _force_route(fast, route)
+            fast.kernel = kernel(fast)
             assert _keyed_weights(fast._weights(0, p.total)) == oracle, (kernel.__name__, route)
 
 
@@ -1081,7 +1164,7 @@ def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job, killed_after):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(runner, "_worker_sweep", None)
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(8)))
     straight = run_sweep(*ps2_job, 20)
     # min(workers, pending chunks, CPUs); one process runs in process
     for workers, chunk, size in ((64, 20, 8), (64, 100, 3), (3, 20, 3), (64, 273, None), (1, 20, None)):
