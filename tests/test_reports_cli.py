@@ -940,7 +940,13 @@ def test_annihilator_sweeps_report_alike_across_workers_and_resumes(
 
     shapes = []
     build = verify._build_sweep
-    monkeypatch.setattr(verify, "_build_sweep", lambda *a: shapes.append(build(*a)[0].shape) or build(*a))
+
+    def record(system, p):
+        sweep, desc = build(system, p)
+        shapes.append(sweep.shape)
+        return sweep, desc
+
+    monkeypatch.setattr(verify, "_build_sweep", record)
     argv = PINNED_BODIES[name][0] + ["--chunk-size", str(chunk)]
 
     def body(*extra):
