@@ -52,8 +52,9 @@ batch of levels at once.  A sweep picks its backend once
   with s > 1 and for p > 255; `rederive` runs it on any sweep.
 
 Rows are linear over F_p in the base-p digits of the entries, so both
-kernels build them from tables with one entry per digit or digit group,
-never one per field element.
+kernels read them from tables with one entry per digit or digit group,
+never one per field element: `_row_table` builds the F_p table of each
+kind of row, which "fp" uses as it is and "gf2" packs a row to a word.
 
 `_scan` alone applies the rules, to dense blocks and sparse levels alike:
 weight -1 marks a skipped unit that is not counted, the first maximum is
@@ -77,9 +78,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +90,6 @@ from .field import FieldTower
 from .linalg import (
     FqSubspace,
     SubspaceQn,
-    expand_vector,
     gaussian_binomial,
     intersection_rows,
     make_rows,
@@ -278,15 +278,52 @@ def _digit_array(values: np.ndarray, p: int, count: int) -> np.ndarray:
     return digits
 
 
-def _annihilator_table(tower: FieldTower, U: FqSubspace, k: int) -> np.ndarray:
-    """The F_p table of the annihilator rows, shape (k * n, n, t): entry
-    [c * n + j, l, e] is coordinate l of z^j * g_e[c] on the F_q-basis, for
-    the canonical generators g_e of U.  The base-p digits of a vector y
-    times it are the n rows of the map U -> F_{q^n}, u -> y . u: row l,
-    entry e is coordinate l of y . g_e."""
-    n, p, gens = tower.n, tower.p, U.canonical_generators
-    rows = [[tower.expand_scalar(tower.mul(p**j, g[c])) for g in gens] for c in range(k) for j in range(n)]
-    return np.array(rows, dtype=np.uint8).reshape(k * n, len(gens), n).transpose(0, 2, 1)
+def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarray:
+    """The uint8 F_p table of one kind of row, shape (digits, n, width):
+    the base-p digits of a vector (of k values, or the index digits of an
+    element of U) times it, mod p, are its n rows, row l from entry [:, l].
+
+    * "raw": entry [c * n + j, l] is the expansion of b_l * z^j at
+      coordinate c; "reduced": that row mod U without U's pivot columns;
+    * "generators": entry [e, l] is the row of b_l * g_e, its reduced
+      entries and then those at U's pivots (mixed coordinates);
+    * "annihilator": entry [c * n + j, l, e] is coordinate l of z^j * g_e[c].
+
+    U's canonical generators g_e, the rows of its expansion RREF, have the
+    identity at U's pivots: x mod U = x - sum_e x[pivot e] g_e, with no
+    elimination.  Rows are bytes (p < 256), joined into one read-only array:
+    numpy's reading of nested lists or long lists of ints, like numpy calls
+    a process makes nowhere else, raises a small process's peak memory."""
+    n, p, t, pivots = tower.n, tower.p, U.dim, U.pivots
+    expand = lru_cache(maxsize=None)(tower.expand_scalar)  # small fields repeat values
+    if kind in ("raw", "reduced"):
+        # b_l * z^j = z^(l + j): rows[c][m] is the row of z^m at coordinate c
+        powers = [expand(tower.mul(p ** (m // 2), p ** (m - m // 2))) for m in range(2 * n - 1)]
+        rows = [[bytes(c * n) + bytes(z) + bytes((k - 1 - c) * n) for z in powers] for c in range(k)]
+    else:
+        # prod[e][j][c] is z^j * g_e[c], and rows[e][l] the row of b_l * g_e
+        prod = [[[expand(tower.mul(p**j, v)) for v in g] for j in range(n)] for g in U.canonical_generators]
+        if kind == "annihilator":
+            rows = [[bytes(z[j][c][l] for z in prod) for l in range(n)] for c in range(k) for j in range(n)]
+        else:
+            rows = [[b"".join(map(bytes, z[l])) for l in range(n)] for z in prod]
+    if kind in ("reduced", "generators"):
+        keep = sorted(set(range(k * n)) - set(pivots))
+        outside = [[g[c] for c in keep] for g in (b"".join(map(bytes, map(expand, g))) for g in U.canonical_generators)]
+
+        def reduce(x):
+            out = [x[c] for c in keep]
+            for a, g in zip([x[c] for c in pivots], outside):
+                if a:
+                    out = [o - a * y for o, y in zip(out, g)]
+            return bytes([o % p for o in out])
+
+        tags = pivots if kind == "generators" else []
+        rows = [[reduce(x) + bytes([x[c] for c in tags]) for x in per] for per in rows]
+    if kind in ("raw", "reduced"):
+        rows = [[per[j + l] for l in range(n)] for per in rows for j in range(n)]
+    width = {"reduced": k * n - t, "annihilator": t}.get(kind, k * n)
+    return np.frombuffer(b"".join(row for per in rows for row in per), dtype=np.uint8).reshape(len(rows), n, width)
 
 
 # --- the row kernel: two batched implementations of the same calls ---
@@ -313,93 +350,93 @@ def _annihilator_table(tower: FieldTower, U: FqSubspace, k: int) -> np.ndarray:
 #   cost(rows, width)            the elimination cost of one such matrix
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
-# vector v of a matrix; "reduced" rows are taken mod U, and element rows
-# (all `fp` rows) drop U's pivot columns, where they are zero.  Element rows
-# are linear in the index digits j_e of u_j = sum_e j_e g_e, and so is
-# reduction against a fixed basis: a prefix basis is cleared from the
-# generator rows, not from the rows built from them.  The generator rows are
-# kept in mixed coordinates: the reduced row first, then the entries at U's
-# pivot columns, which are the index digits of any element of U.  A change
+# vector v of a matrix; "reduced" rows are taken mod U and drop U's pivot
+# columns, where they are zero, on both kernels.  Element rows are linear
+# in the index digits j_e of u_j = sum_e j_e g_e, and so is reduction
+# against a fixed basis: a prefix basis is cleared from the generator rows,
+# not from the rows built from them.  The generator rows are kept in mixed
+# coordinates: the reduced row first, then the entries at U's pivot
+# columns, which are the index digits of any element of U.  A change
 # of coordinates keeps ranks, and an echelon form of [image | index tag]
 # rows has the kernel of the map in the tags of its rows whose image is
 # zero; `basis` and `kernels` read kernels so, from `bitkernel.batch_rank`
-# or `fp_rank`.  Annihilator rows have t = dim U entries: row l of a vector y
-# holds coordinate l of y . g_e at entry e.
+# or `fp_rank`.
 
 
-def _gather(a: np.ndarray, cols) -> np.ndarray:
-    """Bits cols[0], cols[1], ... of each uint64 entry, moved to bits 0, 1, ..."""
-    out = np.zeros_like(a)
-    for i, c in enumerate(cols):
-        out |= ((a >> np.uint64(c)) & np.uint64(1)) << np.uint64(i)
-    return out
+class _Rows:
+    """What both row kernels share: the sweep's field and U, the width w =
+    k * n - dim U of reduced rows, and one table per row kind, built on
+    first use by `_table` from `_row_table`."""
+
+    def __init__(self, sweep):
+        self.tower, self.n, self.k, self.p, self.U = sweep.tower, sweep.n, sweep.k, sweep.tower.p, sweep.U
+        self.w = sweep.k * sweep.n - sweep.U.dim
+
+    def _table(self, kind):
+        return _row_table(self.tower, self.U, self.k, kind)
+
+    @cached_property
+    def raw(self):
+        return self._table("raw")
+
+    @cached_property
+    def reduced(self):
+        return self._table("reduced")
+
+    @property
+    def tables(self):
+        """The (raw, reduced) value tables."""
+        return self.raw, self.reduced
+
+    @cached_property
+    def annihilator(self):
+        return self._table("annihilator")
+
+    @cached_property
+    def _generators(self):
+        return self._table("generators")
+
+    def value_rows(self, vals, reduced):
+        return self.table_rows(vals, self.reduced if reduced else self.raw)
 
 
-class _GF2Rows:
+class _GF2Rows(_Rows):
     """GF(2) rows packed into uint64 words, for `bitkernel.batch_rank`: a
     batch is a list of R arrays of shape (B,), row r of matrix j at entry j
     of array r.
 
-    Rows are F_2-linear in the bits of the entries, so they are XORs of
-    subset tables over digit groups of at most 8 bits: one table per
-    (coordinate, digit group) of value bits, of the rows of b_l * z^j (or
-    of the annihilator rows of z^j at that coordinate, t bits a word), and
-    one per byte of an element index of U, of the rows of b_l * g_j for the
-    canonical generators g_j.  For n <= 8 a value table has one entry per
-    field element; past that no table does.  Rows of elements of U keep
-    the columns outside U's pivots in their low w = k * n - dim U bits, so
-    an index tag fits above them in the same word.
+    A row of a `_row_table` is one word, entry e at bit e.  Rows are
+    F_2-linear in the bits of the entries, so they are XORs of subset
+    tables over digit groups of at most 8 bits: one per (coordinate, digit
+    group) of value bits, and one per byte of an element index of U, of the
+    reduced generator rows.  For n <= 8 a value table has one entry per
+    field element; past that no table does.  Generator rows keep their w
+    reduced entries in the low bits, so an index tag fits above them.
     """
 
     def __init__(self, sweep):
-        self.tower, self.n, self.k, self.U = sweep.tower, sweep.n, sweep.k, sweep.U
-        self.w = sweep.k * sweep.n - sweep.U.dim
+        super().__init__(sweep)
         self.low = np.uint64((1 << self.w) - 1)
 
-    def _subset_tables(self, deltas):
-        """Subset-XOR tables of (..., k, n, n) row deltas, the last axis the
-        digit, as (..., k, digit groups, n, digit values)."""
-        return np.ascontiguousarray(bitkernel.subset_xor_table(deltas, min(self.n, 8)).swapaxes(-3, -2))
-
-    @cached_property
-    def tables(self):
-        """The (raw, reduced) value tables."""
-        t, n, k = self.tower, self.n, self.k
-        e = [[expand_vector(t, (t.mul(b, 1 << j),)) for j in range(n)] for b in t.q_basis]
-        raw = [[[x << c * n for x in row] for row in e] for c in range(k)]
-        red = [[[self.U.reduce_row(x) for x in row] for row in per_c] for per_c in raw]
-        return tuple(self._subset_tables(np.array([raw, red], dtype=np.uint64)))
-
-    @cached_property
-    def annihilator(self):
-        """The annihilator table: `_annihilator_table` with each row's t
-        entries packed into one word, entry e at bit e.  It is packed in
-        Python: numpy's packing calls, which nothing else here makes, map
-        more code than the small table takes."""
-        table = _annihilator_table(self.tower, self.U, self.k).tolist()
-        words = np.array([[sum(b << e for e, b in enumerate(row)) for row in per] for per in table], dtype=np.uint64)
-        return self._subset_tables(words.reshape(self.k, self.n, self.n).swapaxes(1, 2))
-
-    @cached_property
-    def _generators(self):
-        """Rows of b_l * g_e in mixed coordinates, shape (n, dim U): the
-        reduced row's columns outside U's pivots in the low w bits, the
-        entries at U's pivots above them."""
-        gens = np.array(self.U.canonical_generators, dtype=np.int64).reshape(-1, 1, self.k)
-        raw, red = (np.array(self.value_rows(gens, r)) for r in (False, True))
-        pivots = self.U.pivots
-        outside = sorted(set(range(self.k * self.n)) - set(pivots))
-        # reduced rows are zero at U's pivots
-        return _gather(red | raw & np.uint64(sum(1 << c for c in pivots)), outside + pivots)
+    def _table(self, kind):
+        """The packed `_row_table` of a kind: generator words as (n, dim U),
+        others as subset-XOR tables (k, digit groups, n, digit values).
+        Packed in Python: numpy's packing calls map more code than it takes."""
+        table = super()._table(kind)
+        digits, n, width = table.shape
+        data, bits = table.tobytes(), [1 << e for e in range(width)]
+        words = [sum(compress(bits, data[i * width : (i + 1) * width])) for i in range(digits * n)]
+        words = np.array(words, dtype=np.uint64)
+        if kind == "generators":
+            return np.ascontiguousarray(words.reshape(digits, n).T)
+        deltas = words.reshape(self.k, n, n).swapaxes(1, 2)
+        return np.ascontiguousarray(bitkernel.subset_xor_table(deltas, min(n, 8)).swapaxes(-3, -2))
 
     @cached_property
     def _element_table(self):
         """Reduced rows of the elements of U as subset-XOR tables, shape
         (index bytes, n, 256)."""
         return np.ascontiguousarray(bitkernel.subset_xor_table(self._generators & self.low, 8).transpose(1, 0, 2))
-
-    def value_rows(self, vals, reduced):
-        return self.table_rows(vals, self.tables[reduced])
 
     def table_rows(self, vals, tabs):
         """The rows of a (B, d, k) block of values through one table: n
@@ -472,55 +509,14 @@ class _GF2Rows:
         return rows * rows
 
 
-class _FpRows:
+class _FpRows(_Rows):
     """F_p rows as uint8 arrays, for `bitkernel.fp_rank`: a batch is one
     array of shape (B, R, W).
 
     Rows are F_p-linear in the base-p digits of the entries, so a batch's
-    rows are its digits times a table: entry [c * n + j, l] of a value table
-    is the row of b_l * z^j at coordinate c, entry [j, l] of an element
-    table the row of b_l * g_j for the canonical generators g_j of U, and
-    the annihilator table is `_annihilator_table`.
-    Reduced rows have width w = k * n - dim U.  No table has an entry per
-    field element.
+    rows are its digits times a table, a `_row_table` as it is.  No table
+    has an entry per field element.
     """
-
-    def __init__(self, sweep):
-        self.tower, self.n, self.k, self.p, self.U, self.dtype = (
-            sweep.tower, sweep.n, sweep.k, sweep.tower.p, sweep.U, sweep.dtype)
-        self.w = sweep.k * sweep.n - sweep.U.dim
-
-    @cached_property
-    def tables(self):
-        """The (raw, reduced) value tables."""
-        t, n, k, p = self.tower, self.n, self.k, self.p
-        e = np.array([[t.expand_scalar(t.mul(b, p**j)) for b in t.q_basis] for j in range(n)], dtype=np.uint8)
-        raw = np.zeros((k, n, n, k, n), dtype=np.uint8)
-        for c in range(k):
-            raw[c, :, :, c, :] = e
-        raw = raw.reshape(k * n, n, k * n)
-        gens = [[x for v in g for x in t.expand_scalar(v)] for g in self.U.canonical_generators]
-        basis = np.array(gens, dtype=np.uint8).reshape(1, -1, k * n)
-        bitkernel.fp_rank(basis, p)
-        red = raw.reshape(1, -1, k * n).copy()
-        bitkernel.fp_reduce_static(red, basis[0], p)
-        keep = np.ones(k * n, dtype=bool)
-        keep[self.U.pivots] = False
-        return raw, red[0][:, keep].reshape(k * n, n, -1)
-
-    @cached_property
-    def annihilator(self):
-        """The annihilator table, `_annihilator_table` as it is."""
-        return _annihilator_table(self.tower, self.U, self.k)
-
-    @cached_property
-    def _generators(self):
-        """Rows of b_l * g_e in mixed coordinates, shape (dim U, n, k * n):
-        the reduced row in the first w columns, the entries at U's pivots
-        after them."""
-        gens = np.array(self.U.canonical_generators, dtype=self.dtype).reshape(-1, 1, self.k)
-        raw, red = (self.value_rows(gens, r) for r in (False, True))
-        return np.concatenate([red, raw[..., self.U.pivots]], axis=2)
 
     def _rows(self, digits, table):
         """Digits of shape (B, d, D) times a (D, r, w) table, mod p, as a
@@ -528,9 +524,6 @@ class _FpRows:
         size, r, w = table.shape
         rows = bitkernel.fp_dot(digits, table.reshape(size, r * w), self.p)
         return rows.reshape(len(digits), digits.shape[1] * r, w)
-
-    def value_rows(self, vals, reduced):
-        return self.table_rows(vals, self.tables[reduced])
 
     def table_rows(self, vals, table):
         """The rows of a (B, d, k) block of values through one table: n
@@ -599,6 +592,9 @@ class _Sweep:
     (`subspace`), and weighs units on the kernel in batches (`_weights`)."""
 
     shape = "value"  # the rows an exhaustive sweep ranks: "value" or "annihilator"
+    # the kernel tables every run of the sweep reads; a sampled sweep reads
+    # the raw table too, for samples short mod U, and builds it on first use
+    reads = ("reduced",)
 
     def __init__(self, system: QSystem, p: Plan):
         self.tower = system.tower
@@ -616,13 +612,14 @@ class _Sweep:
 
     @cached_property
     def kernel(self):
-        """The row kernel of the backend with the tables of the sweep's
-        shape built, or None on the scalar backend; a run on the scalar
-        oracle never builds them."""
+        """The row kernel of the backend with the tables the sweep `reads`
+        built, or None on the scalar backend; a run on the scalar oracle
+        never builds them."""
         if self.backend not in _KERNELS:
             return None
         kern = _KERNELS[self.backend](self)
-        kern.annihilator if self.shape == "annihilator" else kern.tables
+        for table in self.reads:
+            getattr(kern, table)
         return kern
 
     def run_units(self, lo: int, hi: int) -> ChunkResult:
@@ -675,7 +672,7 @@ class ExhaustiveSweep(_Sweep):
         self.sizes = {"value": (self.dim * n, self.k * n - t), "annihilator": ((self.k - self.dim) * n, t)}
         # a gf2 batch of no rows has no matrices, so H = F^k keeps value rows
         if rows and self.dim < self.k and rows.cost(*self.sizes["annihilator"]) < rows.cost(*self.sizes["value"]):
-            self.shape = "annihilator"
+            self.shape, self.reads = "annihilator", ("annihilator",)
         self.blocks = []
         start = 0
         for pivots, cells, count in _pivot_blocks(self.k, self.dim, self.tower.order):
@@ -712,7 +709,7 @@ class ExhaustiveSweep(_Sweep):
             one, table, base = self.tower.p - 1, kern.annihilator, self.U.dim
             cells = [(ones.index(c), pivots[i]) for i, c in cells]
         else:
-            ones, one, table, base = list(pivots), 1, kern.tables[True], self.dim * self.n
+            ones, one, table, base = list(pivots), 1, kern.reduced, self.dim * self.n
         low, size = 0, 1
         while low < len(cells) and size < block:
             low, size = low + 1, size * Q
@@ -740,6 +737,8 @@ class SpanSweep(_Sweep):
     tuple indices increase strictly; prefixes that are dependent over the
     extension field are skipped and not counted.
     """
+
+    reads = ("_generators",)
 
     def __init__(self, system, p: Plan):
         super().__init__(system, p)

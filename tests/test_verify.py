@@ -850,15 +850,112 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     # the rows of b_l * v for random planes, from both digit bytes of v
     vals = np.random.default_rng(5).integers(0, F.order, (40, 2, 3))
     rows = kern.value_rows(vals, reduced=False)
+    # reduced words keep the columns outside U's pivots, column keep[e] at bit e
+    reduced = kern.value_rows(vals, reduced=True)
+    keep = [c for c in range(3 * F.n) if c not in ps.subspace.pivots]
     for j, i, l in np.ndindex(40, 2, F.n):
         row = expand_vector(F, tuple(F.mul(F.q_basis[l], int(x)) for x in vals[j, i]))
         assert int(rows[l * 2 + i][j]) == row
+        word, red = int(reduced[l * 2 + i][j]), ps.subspace.reduce_row(row)
+        assert [word >> e & 1 for e in range(len(keep))] == [red >> c & 1 for c in keep]
+        assert word >> len(keep) == 0
     # units around the byte boundary of the last cell and the block boundary
     for lo, hi in ((250, 262), (65530, 65542)):
         weights, oracle = _kernel_and_oracle(sweep, lo, hi, "gf2")
         assert weights == oracle
     span = _sweep(ps, "witness_span", 1)
     assert span.kernel._element_table.shape[-1] == 256
+    # every gf2 table, unpacked, is the fp table of its row kind
+    from rankscatter import verify
+
+    for case, (q, n, k, dim, gens) in ANNIHILATOR_CASES.items():
+        if q != 2 or n * k > 64:
+            continue
+        F = _field(q, n)
+        rng = np.random.default_rng(sum(map(ord, case)))
+        system = explicit_system(F, k, [tuple(int(x) for x in rng.integers(0, F.order, k)) for _ in range(gens)])
+        sweep = _sweep(system, "exhaustive", dim, budget=1)
+        gf2, fp = verify._GF2Rows(sweep), verify._FpRows(sweep)
+        bits = min(n, 8)
+        for packed, table in zip((*gf2.tables, gf2.annihilator), (*fp.tables, fp.annihilator)):
+            # the word of digit j of coordinate c is the subset of that one digit
+            words = [[packed[c, j // bits, l, 1 << j % bits] for l in range(n)] for c in range(k) for j in range(n)]
+            assert _unpacked(words, table.shape[-1]) == table.tolist(), case
+        assert _unpacked(gf2._generators.T, k * n) == fp._generators.tolist(), case
+
+
+def _unpacked(words, width):
+    """The bits 0 .. width - 1 of each word of a nested sequence."""
+    return [[[int(w) >> e & 1 for e in range(width)] for w in per] for per in words]
+
+
+# the kernel tables a sweep may build, by attribute
+_TABLES = {"raw", "reduced", "annihilator", "_generators", "_element_table"}
+
+
+def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16, ps2):
+    # `_answer` builds the tables every run of a sweep reads before any
+    # worker starts: the generator table of a witness-span sweep, the
+    # annihilator or reduced value table of an exhaustive one, and the
+    # reduced value table of a sampled one
+    from rankscatter import verify
+
+    built = []
+    run_sweep = verify.run_sweep
+
+    def record(sweep, *args, **kwargs):
+        built.append((sweep.backend, sweep.shape, sorted(vars(sweep.kernel).keys() & _TABLES)))
+        return run_sweep(sweep, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "run_sweep", record)
+    F27 = create_field(3, 1, 3)
+    f27 = family_subspace(ConstructionParams(F27, 3, 1, (1, 1, 3)))
+    verify_h_scattered(ps2, 2, mode="witness_span")
+    verify_h_scattered(f27, 1, mode="witness_span")
+    verify_h_scattered(ps2, 2, mode="exhaustive")
+    verify_h_scattered(pseudoregulus_subspace(F27, 2), 2, mode="exhaustive")
+    max_weight_search(line_control_subspace(F16, 2), 1)
+    max_weight_search(line_control_subspace(F27, 2), 1)
+    verify_h_scattered(ps2, 2, mode="sampled", budget=100)
+    verify_h_scattered(f27, 1, mode="sampled", budget=100)
+    assert built == [
+        ("gf2", "value", ["_generators"]),
+        ("fp", "value", ["_generators"]),
+        ("gf2", "annihilator", ["annihilator"]),
+        ("fp", "annihilator", ["annihilator"]),
+        ("gf2", "value", ["reduced"]),
+        ("fp", "value", ["reduced"]),
+        ("gf2", "value", ["reduced"]),
+        ("fp", "value", ["reduced"]),
+    ]
+
+
+def test_gf2_runs_call_no_fp_routine(monkeypatch, F16, ps2):
+    # an F_p routine called once maps numpy code that shows in the peak
+    # resident memory of a gf2 process; these runs give their verdicts
+    # without one
+    from rankscatter import bitkernel
+
+    line = line_control_subspace(F16, 2)
+    assert (_sweep(ps2, "exhaustive", 2).shape, _sweep(line, "exhaustive", 1).shape) == ("annihilator", "value")
+    c2 = family_subspace(ConstructionParams(F16, 4, 2, (2, 1, 1, 1)))
+    runs = [
+        lambda: verify_h_scattered(c2, 2, mode="sampled", budget=3000, seed=5),
+        # its samples that meet U have their raw rows ranked too
+        lambda: verify_h_scattered(line, 1, mode="sampled", budget=500, seed=3),
+        lambda: verify_h_scattered(ps2, 2, mode="witness_span"),
+        lambda: verify_h_scattered(ps2, 2, mode="exhaustive"),
+        lambda: max_weight_search(line, 1),
+    ]
+    verdicts = [run() for run in runs]
+    assert [v.backend for v in verdicts[:4]] == ["gf2"] * 4 and verdicts[1].status == "violated"
+
+    def refuse(*args):
+        raise AssertionError("an F_p routine ran in a gf2 process")
+
+    for name in ("fp_rank", "fp_reduce_static", "fp_dot"):
+        monkeypatch.setattr(bitkernel, name, refuse)
+    assert [run() for run in runs] == verdicts
 
 
 # --- kernel agreement: every batched driver against the scalar oracle ---
