@@ -4,7 +4,9 @@ Subcommands: construct, verify-scattered, verify-evasive, weights, compare,
 search, recheck.  Exit codes: 0 holds/complete, 1 violation or corrupt
 report (the report carries the witness), 2 inconclusive (a sampled sweep,
 or a budget that stopped one: a verdict short of a proof, or weights not
-all exact), 3 configuration error or unusable path, 4 usage error.
+all exact), 3 configuration error or unusable path, 4 usage error, 5 a
+worker process that ended without its chunk's result (a resume from the
+checkpoint, if one was given, reruns only the unfinished chunks).
 
 Reports are deterministic: two runs with the same configuration (seed
 included; worker count and checkpointing excluded) produce byte-identical
@@ -32,12 +34,14 @@ from .construction import (
     tuple_admissible,
 )
 from .field import FieldTower
+from .runner import WorkerError
 
 EXIT_HOLDS = 0
 EXIT_VIOLATED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_CONFIG = 3
 EXIT_USAGE = 4
+EXIT_WORKER = 5
 
 
 class UsageError(Exception):
@@ -275,8 +279,9 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     """Exit code of one command line.  Besides the usage errors of the
     parser, a ValueError (a parameter the library rejects) and an OSError
-    (a path it cannot use) are the configuration errors; any other
-    exception is a broken invariant and propagates."""
+    (a path it cannot use) are the configuration errors, and a
+    WorkerError is exit 5; any other exception is a broken invariant and
+    propagates."""
     try:
         args = build_parser().parse_args(argv)
         if args.command != "recheck":
@@ -298,6 +303,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

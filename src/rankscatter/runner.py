@@ -7,11 +7,14 @@ violation inside it (if any) and its max-weight record.  One incremental
 prefix merges finished chunks in unit order, so the outcome is independent
 of worker count and of how a run was interrupted and resumed.
 
-Chunks run in process unless more than one can run at once: a pool of
-min(workers, pending chunks, usable CPUs) processes receives the sweep once
-per worker, when the worker starts.  Once the outcome is settled, chunks
-that have not started are cancelled and the workers still running one are
-stopped.
+Chunks run in process unless more than one can run at once: then a pool
+of min(workers, pending chunks, usable CPUs) worker processes starts, each
+holding the sweep from its start (inherited under fork, pickled under
+spawn) and serving chunks over its own pipe, two in flight at a time.  Once
+the outcome is settled no chunk is sent, and every worker is stopped, also
+one still running a chunk.  A worker that ends without answering raises
+`WorkerError`; an exception raised by `run_units` in a worker is raised
+again in the caller.
 
 Checkpoint files are append-only, newline-delimited JSON: a header line
 binding the sweep's JSON-safe descriptor (by hash), then one line per
@@ -23,10 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
 from dataclasses import dataclass
+from itertools import takewhile
 
 
 @dataclass
@@ -57,16 +60,13 @@ def desc_hash(desc: dict) -> str:
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-_worker_sweep = None  # the sweep of a pool worker, set once when it starts
+class WorkerError(Exception):
+    """A pool worker ended without the result of a chunk it was sent."""
 
 
-def _init_worker(sweep) -> None:
-    global _worker_sweep
-    _worker_sweep = sweep
-
-
-def _run_chunk(lo: int, hi: int) -> ChunkResult:
-    return _worker_sweep.run_units(lo, hi)
+class _RemoteTraceback(Exception):
+    """The traceback of an exception raised in a pool worker, raised with
+    that exception as its cause."""
 
 
 def _merge_best(a: dict | None, b: dict | None) -> dict | None:
@@ -122,18 +122,27 @@ class _Checkpoint:
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"checkpoint {self.path} line {no} is malformed: {exc}") from None
 
-    def open(self):
-        if not self.path:
-            return
-        if not os.path.exists(self.path) or os.path.getsize(self.path) == 0:
-            with open(self.path, "w") as f:
-                f.write(json.dumps(self.header, sort_keys=True) + "\n")
+    def __enter__(self):
+        """Open the one append handle of this sweep, writing the header to a
+        new or empty file."""
+        self.file = open(self.path, "a") if self.path else None
+        if self.file is not None and self.file.tell() == 0:
+            self._append(self.header)
+        return self
+
+    def __exit__(self, *exc):
+        if self.file is not None:
+            self.file.close()
+
+    def _append(self, obj: dict):
+        # one whole line per write, flushed, so a kill can tear only the last
+        self.file.write(json.dumps(obj, sort_keys=True) + "\n")
+        self.file.flush()
 
     def record(self, rec: ChunkResult):
         self.done[rec.lo] = rec
-        if self.path:
-            with open(self.path, "a") as f:
-                f.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+        if self.file is not None:
+            self._append(rec.to_json())
 
 
 class _Prefix:
@@ -201,10 +210,9 @@ def run_sweep(
     """
     total_units = sweep.total_units
     nchunks = -(-total_units // chunk_size)
-    ckpt = _Checkpoint(checkpoint, desc, chunk_size, total_units)
-    ckpt.open()
-    prefix = _Prefix(nchunks, chunk_size, ckpt.done, budget_units)
-    _execute(sweep, total_units, ckpt, prefix, workers)
+    with _Checkpoint(checkpoint, desc, chunk_size, total_units) as ckpt:
+        prefix = _Prefix(nchunks, chunk_size, ckpt.done, budget_units)
+        _execute(sweep, total_units, ckpt, prefix, workers)
     completed = prefix.viol is not None or prefix.merged == nchunks
     return SweepOutcome(prefix.checked, prefix.viol, prefix.best, completed)
 
@@ -233,31 +241,80 @@ def _execute(sweep, total_units, ckpt, prefix, workers):
             if finish(sweep.run_units(lo, hi)):
                 return
         return
+    # chunks come in unit order and cap only falls: none past it is sent
+    below_cap = takewhile(lambda ch: prefix.cap is None or ch[0] <= prefix.cap, pending)
+    _run_pool(sweep, procs, below_cap, finish)
 
-    others = set(multiprocessing.active_children())
-    with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker, initargs=(sweep,)) as pool:
-        inflight = set()
-        stop = False
-        while True:
-            while not stop and len(inflight) < procs * 2:
-                nxt = next(pending, None)
-                if nxt is None:
-                    break
-                if prefix.cap is not None and nxt[0] > prefix.cap:
-                    # chunks come in unit order and cap only falls
-                    stop = True
-                    break
-                inflight.add(pool.submit(_run_chunk, *nxt))
-            if not inflight:
-                return
-            done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-            for fut in done:
-                if finish(fut.result()):
-                    if inflight:
-                        # the chunks still in flight cannot change the
-                        # outcome: end the workers that run them, and let
-                        # the pool drop the queued ones; no result is read
-                        for proc in set(multiprocessing.active_children()) - others:
-                            proc.terminate()
-                        pool.shutdown(cancel_futures=True)
+
+def _run_pool(sweep, procs, chunks, finish):
+    """Run `chunks` on `procs` worker processes, passing each result to
+    `finish` until it returns True or no chunk is left; every worker is
+    stopped and reaped on return and on every error."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    sent = {}  # a worker's end of its pipe -> (its process, chunks it has not answered, oldest first)
+
+    def send(conn):
+        lo_hi = next(chunks, None)
+        if lo_hi is not None:
+            sent[conn][1].append(lo_hi)
+            try:
+                conn.send(lo_hi)
+            except ConnectionError:
+                pass  # the worker is gone: reading its pipe names its chunk
+
+    try:
+        for _ in range(procs):
+            conn, child = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(child, sweep))
+            sent[conn] = (proc, deque())
+            proc.start()
+            child.close()
+        for _ in range(2):
+            for conn in sent:
+                send(conn)
+        while busy := [conn for conn, (_, queue) in sent.items() if queue]:
+            for conn in wait(busy):
+                proc, queue = sent[conn]
+                try:
+                    out = conn.recv()
+                except (EOFError, ConnectionError):
+                    proc.join(1)  # its pipe is closed: it has ended or is ending
+                    lo, hi = queue[0]
+                    raise WorkerError(
+                        f"worker process {proc.pid} ended (exit code {proc.exitcode}) "
+                        f"without the result of chunk [{lo}, {hi})"
+                    ) from None
+                queue.popleft()
+                if isinstance(out, tuple):  # what run_units raised, and its traceback
+                    raise out[0] from _RemoteTraceback(out[1])
+                if finish(out):
                     return
+                send(conn)
+    finally:
+        for conn, (proc, _) in sent.items():
+            if proc.pid is not None:
+                proc.terminate()
+        for conn, (proc, _) in sent.items():
+            if proc.pid is not None:
+                proc.join()
+            conn.close()
+
+
+def _serve(conn, sweep) -> None:
+    """A pool worker: answer each (lo, hi) read from `conn` with the chunk's
+    result, or with what its run raised and the traceback, until the pipe
+    closes."""
+    try:
+        while True:
+            lo, hi = conn.recv()
+            try:
+                out = sweep.run_units(lo, hi)
+            except Exception as exc:
+                import traceback
+
+                out = (exc, "".join(traceback.format_exception(exc)))
+            conn.send(out)
+    except (EOFError, ConnectionError):
+        pass  # the parent closed its end or ended

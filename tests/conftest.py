@@ -1,7 +1,21 @@
 import contextlib
+import multiprocessing
 from unittest import mock
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Fail a test that leaves a `multiprocessing` child it started running;
+    the child is stopped first, so the next test starts clean."""
+    before = set(multiprocessing.active_children())
+    yield
+    left = [proc for proc in multiprocessing.active_children() if proc not in before]
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert not left, f"worker processes left running: {left}"
 
 
 class Killed(Exception):

@@ -968,6 +968,75 @@ def test_annihilator_sweeps_report_alike_across_workers_and_resumes(
     assert set(shapes) == {"value"}
     assert bodies[1:] == bodies[:-1]
 
+C2_SPAN = ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "4", "--h", "2",
+           "--alphas", "1,1,1,1", "--mode", "witness_span"]
+
+
+def test_witness_span_reports_alike_across_workers_and_resumes(tmp_path, monkeypatch, killed_after):
+    # C2 with tuple (1,1,1,1), violated in chunk 137 of 512 units: one,
+    # two and three workers, and two workers resuming a checkpoint written
+    # partway, reach the same outcome and write the same body
+    from rankscatter import runner, verify
+
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    outcomes = []
+    run_sweep = verify.run_sweep
+
+    def record(*args, **kwargs):
+        outcomes.append(run_sweep(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(verify, "run_sweep", record)
+
+    def body(*extra):
+        out = str(tmp_path / "r.json")
+        assert main(C2_SPAN + list(extra) + ["--out", out]) == 1
+        return reports.body_bytes(load(out))
+
+    bodies = [body("--workers", w) for w in ("1", "2", "3")]
+    ck = tmp_path / "ck.jsonl"
+    with killed_after(verify.SpanSweep, 80 * 512):
+        main(C2_SPAN + ["--checkpoint", str(ck), "--out", str(tmp_path / "killed.json")])
+    assert len(ck.read_text().splitlines()) == 1 + 80
+    bodies.append(body("--workers", "2", "--checkpoint", str(ck)))
+    assert outcomes[0].checked == 276_784_888 and outcomes[0].viol["key"] == [2, 4369, 8738]
+    assert outcomes[1:] == outcomes[:-1] and len(outcomes) == 4
+    assert bodies[1:] == bodies[:-1]
+
+
+def test_a_dead_worker_is_exit_5_and_a_rerun_resumes(tmp_path, monkeypatch, capsys):
+    import os
+    import signal
+
+    from rankscatter import runner, verify
+
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+    straight = str(tmp_path / "straight.json")
+    assert main(C2_SPAN + ["--out", straight]) == 1
+    parent, run_units = os.getpid(), verify._Sweep.run_units
+
+    def dies(self, lo, hi):
+        # chunk 40 kills the worker that runs it
+        if lo == 40 * 512 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_units(self, lo, hi)
+
+    monkeypatch.setattr(verify._Sweep, "run_units", dies)
+    ck = tmp_path / "ck.jsonl"
+    out = str(tmp_path / "r.json")
+    capsys.readouterr()
+    assert main(C2_SPAN + ["--workers", "2", "--checkpoint", str(ck), "--out", out]) == 5
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("worker error: worker process ") and err.endswith("chunk [20480, 20992)")
+    assert not os.path.exists(out)
+    kept = {json.loads(line)["lo"] for line in ck.read_text().splitlines()[1:]}
+    # the chunks answered before the death are kept, one of the dead worker's among them
+    assert kept and 20480 not in kept
+    monkeypatch.setattr(verify._Sweep, "run_units", run_units)
+    assert main(C2_SPAN + ["--workers", "2", "--checkpoint", str(ck), "--out", out]) == 1
+    assert reports.body_bytes(load(out)) == reports.body_bytes(load(straight))
+
+
 def test_cli_resumes_from_a_torn_checkpoint(tmp_path, capsys):
     """A kill in mid-append tears the last checkpoint line; resume reruns that chunk."""
     argv = [

@@ -3,6 +3,8 @@
 import json
 import multiprocessing
 import multiprocessing.connection
+import os
+import signal
 import time
 from functools import lru_cache
 from math import comb
@@ -1227,56 +1229,47 @@ def test_in_process_runs_never_rebuild_from_descriptors(monkeypatch, ps2, F8):
     assert generalized_weights(ds).exact_tuple() == (2, 3, 5, 6)
 
 
-def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started for a single chunk")
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes started while a test runs, every kind of
+    `multiprocessing` process counted."""
+    procs = []
+    start = multiprocessing.process.BaseProcess.start
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    def record(self):
+        procs.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    return procs
+
+
+def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
+    def no_start(self):
+        raise AssertionError("a worker process was started for a single chunk")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     v = verify_h_scattered(ps2, 2, mode="exhaustive", workers=2)
     assert (v.status, v.checked) == ("holds", 273)
 
 
-def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job, killed_after):
-    from concurrent.futures import Future
-
-    sizes = []
-
-    class InlinePool:
-        """Records the pool size and runs every chunk in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(runner, "_worker_sweep", None)
+def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job, killed_after, started):
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(8)))
     straight = run_sweep(*ps2_job, 20)
     # min(workers, pending chunks, CPUs); one process runs in process
-    for workers, chunk, size in ((64, 20, 8), (64, 100, 3), (3, 20, 3), (64, 273, None), (1, 20, None)):
-        sizes.clear()
+    for workers, chunk, size in ((64, 20, 8), (64, 100, 3), (3, 20, 3), (64, 273, 0), (1, 20, 0)):
+        started.clear()
         out = run_sweep(*ps2_job, chunk, workers=workers)
         assert (out.checked, out.viol, out.completed) == (273, None, True)
-        assert sizes == ([] if size is None else [size]), (workers, chunk)
+        assert len(started) == size, (workers, chunk)
     # chunks already in the checkpoint are not pending
     ck = tmp_path / "ck.jsonl"
     with killed_after(ExhaustiveSweep, 240):
         run_sweep(*ps2_job, 20, checkpoint=str(ck))
     assert len(ck.read_text().splitlines()) == 1 + 12  # of 14 chunks
-    sizes.clear()
+    started.clear()
     assert run_sweep(*ps2_job, 20, workers=64, checkpoint=str(ck)) == straight
-    assert sizes == [2]
+    assert len(started) == 2
 
 
 class _BlockingSweep:
@@ -1307,6 +1300,131 @@ def test_pool_stops_once_the_outcome_is_settled(tmp_path):
     # only finished chunks are recorded, each on a whole line
     lines = ck.read_text().split("\n")
     assert lines[-1] == "" and {json.loads(x).get("lo") for x in lines[1:-1]} <= {0, 1, 2}
+
+
+class _LateFirstSweep:
+    """Eight one-unit chunks: chunk 0 takes half a second, and chunk 1
+    holds a violation."""
+
+    total_units = 8
+
+    def run_units(self, lo, hi):
+        if lo == 0:
+            time.sleep(0.5)
+        viol = {"key": [lo], "weight": 5} if lo == 1 else None
+        return runner.ChunkResult(lo, hi, hi - lo, viol, viol or {"key": [lo], "weight": 1})
+
+
+def test_no_chunk_past_a_known_violation_is_sent(monkeypatch, tmp_path):
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+    ck = tmp_path / "ck.jsonl"
+    out = run_sweep(_LateFirstSweep(), {"kind": "late"}, 1, workers=2, checkpoint=str(ck))
+    assert (out.checked, out.viol) == (2, {"key": [1], "weight": 5})
+    # the first four chunks are sent at once; while chunk 0 runs, the
+    # worker that found chunk 1's violation gets no chunk past it
+    assert {json.loads(x)["lo"] for x in ck.read_text().splitlines()[1:]} <= {0, 1, 2, 3}
+
+
+def test_a_killed_run_keeps_every_chunk_it_recorded(tmp_path):
+    import subprocess
+    import sys
+
+    # the process running the sweep kills itself as chunk 5 of 14 starts:
+    # the five records before it are already in the file
+    ck = tmp_path / "ck.jsonl"
+    code = (
+        "import os, signal; from rankscatter import verify; from rankscatter.cli import main\n"
+        "run_units = verify._Sweep.run_units\n"
+        "def dies(self, lo, hi):\n"
+        "    if lo == 100: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return run_units(self, lo, hi)\n"
+        "verify._Sweep.run_units = dies\n"
+        "main(['verify-scattered', '--field', '2,1,4', '--system', 'pseudoregulus', '--h', '2', "
+        f"'--mode', 'exhaustive', '--chunk-size', '20', '--checkpoint', {str(ck)!r}])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.returncode == -signal.SIGKILL, run.stderr
+    lines = ck.read_text().split("\n")
+    assert lines[-1] == "" and [json.loads(x)["lo"] for x in lines[1:-1]] == [0, 20, 40, 60, 80]
+
+
+class _Broke(Exception):
+    pass
+
+
+class _FailingSweep:
+    """Eight one-unit chunks, each of weight 1 but chunk 3: a pool worker
+    that reaches it dies there, as by SIGKILL, or raises _Broke.  In the
+    process that made the sweep, chunk 3 runs like the others."""
+
+    total_units = 8
+
+    def __init__(self, how):
+        self.how = how
+        self.parent = os.getpid()
+
+    def run_units(self, lo, hi):
+        if lo == 3 and os.getpid() != self.parent:
+            if self.how == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise _Broke(f"chunk {lo} broke")
+        return runner.ChunkResult(lo, hi, hi - lo, None, {"key": [lo], "weight": 1})
+
+
+@pytest.mark.parametrize("how, error, message", [
+    ("dies", runner.WorkerError, r"worker process \d+ ended \(exit code -9\) without the result of chunk \[3, 4\)"),
+    ("raises", _Broke, "chunk 3 broke"),
+])
+def test_a_failing_worker_ends_the_sweep_and_keeps_the_checkpoint(
+    monkeypatch, tmp_path, started, how, error, message
+):
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+    ck = tmp_path / "ck.jsonl"
+    t0 = time.monotonic()
+    with pytest.raises(error, match=message) as raised:
+        run_sweep(_FailingSweep(how), {"kind": "failing"}, 1, workers=2, checkpoint=str(ck))
+    assert time.monotonic() - t0 < 30
+    assert len(started) == 2 and not any(proc.is_alive() for proc in started)
+    if how == "raises":
+        # the worker's traceback comes along as the cause
+        assert "in run_units" in str(raised.value.__cause__)
+    # finished chunks are kept, chunk 1 among them (the failing worker
+    # answered it before chunk 3), and a rerun runs only the others
+    lines = ck.read_text().split("\n")
+    assert lines[-1] == ""
+    kept = {json.loads(x)["lo"] for x in lines[1:-1]}
+    assert 1 in kept and 3 not in kept
+    ran = []
+    sweep = _FailingSweep(how)
+    run_units = sweep.run_units
+    monkeypatch.setattr(sweep, "run_units", lambda lo, hi: ran.append(lo) or run_units(lo, hi))
+    assert run_sweep(sweep, {"kind": "failing"}, 1, checkpoint=str(ck)) == run_sweep(
+        _FailingSweep(how), {"kind": "failing"}, 1
+    )
+    assert sorted(ran) == sorted(set(range(8)) - kept)
+
+
+def test_a_worker_whose_pipe_closes_exits_quietly():
+    parent_end, worker_end = multiprocessing.Pipe()
+    parent_end.send((0, 1))
+    parent_end.close()
+    # it answers the chunk it was sent into a pipe no one reads, then stops
+    assert runner._serve(worker_end, _FailingSweep("raises")) is None
+    worker_end.close()
+
+
+def test_import_and_a_one_worker_run_load_no_pool_module():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys; from rankscatter.cli import main; "
+        "main(['verify-scattered', '--field', '2,1,4', '--system', 'pseudoregulus', '--h', '2', "
+        "'--mode', 'exhaustive', '--chunk-size', '20', '--out', __import__('os').devnull]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert run.stdout == "[]\n", run.stderr
 
 
 PLAN_SYSTEMS = {"gf2": ((2, 1, 4), 2), "fp": ((3, 1, 3), 2), "scalar": ((2, 2, 2), 1)}
