@@ -35,14 +35,14 @@ matrix rates lower, value rows on a tie: the d n value rows of H reduced
 mod U, of k n - t entries, or the (k - d) n rows of MU, of t entries, for
 the annihilator M of H (wt_U(H) = t - rank(MU)).
 Witness-span levels take their weights from those kernels: one map per
-F_q^*-class of a scalar lambda, not one rank per element.  A level ranks its
-elements' rows instead only when the kernels, whose sizes are known after
-elimination, add up to more elements than the level has units, as when U
-has a large extension-linear part.  A level read from its kernels is
-sparse: every unit weighs wt(P) + 1 but the few in some kernel and the
-skipped ones, so it travels as a `SparseLevel`, its summary computed for a
-batch of levels at once.  A sweep picks its backend once
-(`weight_backend`), which `run_units` runs:
+F_q^*-class of a scalar lambda, eliminated once per sweep, not one rank per
+element.  A level ranks its elements' rows instead only when the kernels,
+whose sizes are known after elimination, add up to more elements than the
+level has units, as when U has a large extension-linear part.  A level read
+from its kernels is sparse: every unit weighs wt(P) + 1 but the few in some
+kernel and the skipped ones, so it travels as a `SparseLevel`, its summary
+computed for a batch of levels at once; d = 1 is one level per process.  A
+sweep picks its backend once (`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
@@ -127,19 +127,8 @@ def subspace_weight(U, H: SubspaceQn) -> int:
     sub = U.subspace if isinstance(U, QSystem) else U
     if H.k != sub.k or H.tower != sub.tower:
         raise ValueError("subspace and ambient space mismatch")
-    rows = subspace_fq_rows(sub.tower, H)
-    added = _added_rank(sub, rows)
-    return sub.tower.n * H.dim - added
-
-
-def _added_rank(sub: FqSubspace, rows) -> int:
     acc = make_rows(sub.tower)
-    added = 0
-    for r in rows:
-        r = sub.reduce_row(r)
-        if acc.add(r):
-            added += 1
-    return added
+    return sub.tower.n * H.dim - sum(map(acc.add, map(sub.reduce_row, subspace_fq_rows(sub.tower, H))))
 
 
 # --- the one scan ---
@@ -335,15 +324,15 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #   element_rows(lo, hi, basis)  rows of the elements lo .. hi-1 of U reduced
 #                                mod U and against a prefix basis
 #   basis(prefixes)              for an (L, P) batch of prefixes: their rows
-#                                reduced mod U in echelon form, their ranks,
-#                                and (prefix, index) pairs whose index digits
-#                                span the j with u_j in the prefix's
-#                                extension span
-#   kernels(basis, lambdas)      for each prefix of that batch and each
-#                                lambda, a row of coordinates on the
-#                                F_q-basis: (map, index) pairs whose index
-#                                digits span the kernel of
-#                                j -> lambda u_j mod U + prefix
+#                                reduced mod U in echelon form and tag
+#                                indices (0 for none) whose digits span the
+#                                j with u_j in the prefix's extension span
+#   _class_echelon               each class's map rows [lambda g_e mod U |
+#                                tag e] in echelon form, once per sweep
+#   kernels(basis)               for each prefix of that batch and each
+#                                class, tag indices (0 for none) whose digits
+#                                span the kernel of j -> lambda u_j mod U +
+#                                prefix, read with the class's echelon
 #   rank(rows)                   rank of each matrix of a batch, as int64
 #   block(rows, width)           matrices of `rows` rows of `width` entries
 #                                per batch
@@ -359,8 +348,10 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 # columns, which are the index digits of any element of U.  A change
 # of coordinates keeps ranks, and an echelon form of [image | index tag]
 # rows has the kernel of the map in the tags of its rows whose image is
-# zero; `basis` and `kernels` read kernels so, from `bitkernel.batch_rank`
-# or `fp_rank`.
+# zero; `basis` and `_class_echelon` read kernels so, from
+# `bitkernel.batch_rank` or `fp_rank`.  {y : f(y) in <b>} for a class map f
+# is ker f plus the tags of the prefix rows b reduced by f's pivots that are
+# zero after elimination, as a residue in the image of f is zero.
 
 
 class _Rows:
@@ -383,11 +374,6 @@ class _Rows:
     def reduced(self):
         return self._table("reduced")
 
-    @property
-    def tables(self):
-        """The (raw, reduced) value tables."""
-        return self.raw, self.reduced
-
     @cached_property
     def annihilator(self):
         return self._table("annihilator")
@@ -398,6 +384,30 @@ class _Rows:
 
     def value_rows(self, vals, reduced):
         return self.table_rows(vals, self.reduced if reduced else self.raw)
+
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """Coordinates on the F_q-basis of one lambda per F_q^*-class of
+        the nonzero elements of a complement of F_q in the extension."""
+        q, n = self.tower.q, self.n
+        one = next(l for l, x in enumerate(self.tower.expand_scalar(1)) if x)
+        c = _digit_array(np.arange(1, q ** (n - 1)), q, n - 1)
+        c = c[c[np.arange(len(c)), (c != 0).argmax(axis=1)] == 1]
+        return np.insert(c, one, 0, axis=1)
+
+    @cached_property
+    def _class_echelon(self):
+        """Each class's echelon map rows: those of nonzero image in order
+        (zero elsewhere), the tag indices of its kernel (0 elsewhere), less
+        the columns that are zero in every class."""
+        ech = self._class_maps()
+        index = self._tag_index(ech)
+        ech[index != 0] = 0
+        return ech[:, (index == 0).any(axis=0)], index[:, (index != 0).any(axis=0)]
+
+    def kernels(self, basis):
+        pivots, own = self._class_echelon
+        return np.concatenate([self._residue_tags(basis, pivots), np.broadcast_to(own, (len(basis), *own.shape))], 2)
 
 
 class _GF2Rows(_Rows):
@@ -462,39 +472,35 @@ class _GF2Rows(_Rows):
         rows = (high[:, :, None] ^ tabs[0][:, None, :]).reshape(self.n, -1)
         return list(rows[:, (lo & 255) : (lo & 255) + hi - lo])
 
-    def _eliminate(self, rows):
-        """Echelon form of a (B, R) batch of mixed rows by `batch_rank`,
-        in place, and the rows' low parts."""
-        bitkernel.batch_rank(list(rows.T))
-        return rows, rows & self.low
-
-    def _tags(self, ech, low):
-        """(matrix, index) of the rows with a zero low part, the index read
-        off the row's tag."""
-        owners, _ = np.nonzero(low == 0)
-        return owners, (ech[low == 0] >> np.uint64(self.w)).astype(np.int64)
+    def _tag_index(self, rows):
+        """The tag index of each row with a zero low part, 0 for others."""
+        return np.where(rows & self.low == 0, rows >> np.uint64(self.w), np.uint64(0)).astype(np.int64)
 
     def basis(self, prefixes):
         digits = _digit_array(prefixes, 2, self.U.dim)
-        rows = np.bitwise_xor.reduce(
-            np.where(digits[:, :, None, :] != 0, self._generators, np.uint64(0)), axis=3
-        )
-        ech, low = self._eliminate(rows.reshape(len(prefixes), -1))
-        return low, np.count_nonzero(low, axis=1), self._tags(ech, low)
+        rows = np.bitwise_xor.reduce(np.where(digits[:, :, None, :] != 0, self._generators, np.uint64(0)), axis=3)
+        rows = rows.reshape(len(prefixes), -1)
+        bitkernel.batch_rank(list(rows.T))
+        return rows & self.low, self._tag_index(rows)
 
-    def kernels(self, basis, lambdas):
-        gens = self._generators & self.low
-        # row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
-        # the tag of digit e above it; the prefix rows come first, so
-        # elimination reduces the images mod the prefix
-        maps = np.bitwise_xor.reduce(np.where(lambdas[:, :, None] != 0, gens, np.uint64(0)), axis=1)
+    def _class_maps(self):
+        """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
+        the tag of digit e above it, eliminated for every class at once."""
+        maps = np.bitwise_xor.reduce(np.where(self.lambdas[:, :, None] != 0, self._generators & self.low, 0), axis=1)
         maps |= np.uint64(1) << np.arange(self.w, self.w + self.U.dim, dtype=np.uint64)
-        L, C, P = len(basis), len(lambdas), basis.shape[1]
-        rows = np.concatenate(
-            [np.broadcast_to(basis[:, None, :], (L, C, P)), np.broadcast_to(maps, (L, C, maps.shape[1]))], axis=2
-        )
-        ech, low = self._eliminate(rows.reshape(L * C, -1))
-        return self._tags(ech[:, P:], low[:, P:])
+        bitkernel.batch_rank(list(maps.T))
+        return maps
+
+    def _residue_tags(self, basis, pivots):
+        """The (L, C, P) tag indices of the prefix rows, as (P, L, C) words,
+        reduced by each class's pivots' lowest bits and then eliminated."""
+        rows = np.repeat(basis.T[:, :, None], len(pivots), axis=2)
+        for piv in pivots.T:
+            hit = rows & (piv & self.low & (np.uint64(0) - piv))
+            np.minimum(hit, np.uint64(1), out=hit)
+            rows ^= hit * piv
+        bitkernel.batch_rank([r.ravel() for r in rows])
+        return self._tag_index(rows).transpose(1, 2, 0)
 
     def rank(self, rows):
         return bitkernel.batch_rank(rows)
@@ -537,35 +543,35 @@ class _FpRows(_Rows):
         digits = _digit_array(np.arange(lo, hi), self.p, self.U.dim)
         return self._rows(digits[:, None, :], table)
 
-    def _tags(self, rows):
-        """(matrix, index) of the rows with a zero low part, the index read
-        off the row's tag."""
-        zero = ~rows[..., : self.w].any(axis=-1)
-        owners, _ = np.nonzero(zero)
-        return owners, rows[zero][:, self.w :] @ self.p ** np.arange(self.U.dim, dtype=np.int64)
+    def _tag_index(self, rows):
+        """The tag index of each row with a zero low part, 0 for others."""
+        flat = rows.reshape(-1, rows.shape[-1])  # 2-D: an N-D matmul maps more numpy code
+        index = flat[:, self.w :] @ self.p ** np.arange(self.U.dim, dtype=np.int64)
+        return np.where(flat[:, : self.w].any(axis=-1), 0, index).reshape(rows.shape[:-1])
 
     def basis(self, prefixes):
         digits = _digit_array(prefixes, self.p, self.U.dim)
         rows = self._rows(digits, self._generators)
         bitkernel.fp_rank(rows, self.p)
-        low = rows[..., : self.w]
-        return low, np.count_nonzero(low.any(axis=-1), axis=1), self._tags(rows)
+        return rows[..., : self.w], self._tag_index(rows)
 
-    def kernels(self, basis, lambdas):
-        dim, w, p = self.U.dim, self.w, self.p
-        L, C, P = len(basis), len(lambdas), basis.shape[1]
-        # row (lambda, e): the image of g_e under lambda = sum_l c_l b_l,
-        # then the tag of digit e; the prefix rows come first, so
-        # elimination reduces the images mod the prefix
-        gens = self._generators[..., :w].transpose(1, 0, 2).reshape(self.n, -1)
-        image = bitkernel.fp_dot(lambdas, gens, p)
-        rows = np.zeros((L, C, P + dim, w + dim), dtype=np.uint8)
-        rows[:, :, :P, :w] = basis[:, None]
-        rows[:, :, P:, :w] = image.reshape(C, dim, w)
-        rows[:, :, P:, w:] = np.eye(dim, dtype=np.uint8)
-        rows = rows.reshape(L * C, P + dim, w + dim)
-        bitkernel.fp_rank(rows, p)
-        return self._tags(rows[:, P:])
+    def _class_maps(self):
+        """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
+        the tag of digit e after it, eliminated for every class at once."""
+        image, dim = self._rows(self.lambdas[:, None], self._generators[..., : self.w].transpose(1, 0, 2)), self.U.dim
+        rows = np.concatenate([image, np.broadcast_to(np.eye(dim, dtype=np.uint8), (len(image), dim, dim))], axis=2)
+        bitkernel.fp_rank(rows, self.p)
+        return rows
+
+    def _residue_tags(self, basis, pivots):
+        """The (L, C, P) tag indices of the prefix rows, by one `fp_rank` of
+        each class's pivots, an echelon form already, stacked above them."""
+        (L, P, w), (C, r, W) = basis.shape, pivots.shape
+        rows = np.zeros((L, C, r + P, W), dtype=np.uint8)
+        rows[:, :, :r] = pivots
+        rows[:, :, r:, :w] = basis[:, None]
+        bitkernel.fp_rank(rows.reshape(L * C, r + P, W), self.p)
+        return self._tag_index(rows[:, :, r:])
 
     def rank(self, rows):
         return bitkernel.fp_rank(rows, self.p)
@@ -738,7 +744,7 @@ class SpanSweep(_Sweep):
     extension field are skipped and not counted.
     """
 
-    reads = ("_generators",)
+    reads = ("_generators", "_class_echelon")
 
     def __init__(self, system, p: Plan):
         super().__init__(system, p)
@@ -796,11 +802,18 @@ class SpanSweep(_Sweep):
 
     def _weights(self, lo, hi):
         for d, runs in self._firsts(lo, hi):
-            if d == 1:
+            if d > 1:
+                yield from self._tuples(d, [i for a, b in runs for i in range(a, b)])
+            elif (lv := self._first_level) is None:
                 for a, b in runs:
                     yield from self._levels(1, [()], a, b)
             else:
-                yield from self._tuples(d, [i for a, b in runs for i in range(a, b)])
+                # a run of first indices is a dense slice of the d = 1 level
+                for a, b in runs:
+                    i, j = np.searchsorted(lv.pos, [a - 1, b - 1]).tolist()
+                    wts = np.full(b - a, lv.base, dtype=np.int64)
+                    wts[lv.pos[i:j] + 1 - a] = lv.wts[i:j]
+                    yield (1,), a, wts
 
     # batched tuple walk: one level of weights per (d-1)-prefix
     #
@@ -810,10 +823,11 @@ class SpanSweep(_Sweep):
     # complement of F_q: q^(e_j - 1) = 1 + (q - 1) * c_j, where c_j counts
     # the F_q^*-classes of lambda in the complement whose kernel K_lambda =
     # {j : lambda u_j in V} holds j.  Each K_lambda is the kernel of a map
-    # linear in the index digits of j, so a level costs one elimination per
-    # class and a pass over the elements of the kernels, unless those add
-    # up to more elements than the level has units: then, as when U has a
-    # large extension-linear part, the level ranks the rows of every unit.
+    # linear in the index digits of j, so a level costs a reduction of its
+    # prefix rows against each class's pivots, eliminated once per sweep,
+    # and a pass over the elements of the kernels, unless those add up to
+    # more elements than the level has units: then, as when U has a large
+    # extension-linear part, the level ranks the rows of every unit.
     # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
     # q^wt(P) elements.  Eliminations run for a batch of levels at once, and
     # so does the sorting of kernel elements into each level's exceptions.
@@ -824,35 +838,19 @@ class SpanSweep(_Sweep):
         return size <= units
 
     @cached_property
-    def _classes(self) -> int:
-        """How many F_q^*-classes of lambda a level has maps for."""
-        return len(self._lambdas)
-
-    @cached_property
-    def _lambdas(self) -> np.ndarray:
-        """Coordinates on the F_q-basis of one lambda per F_q^*-class of
-        the nonzero elements of a complement of F_q in the extension."""
-        t = self.tower
-        q, n = t.q, t.n
-        one = next(l for l, x in enumerate(t.expand_scalar(1)) if x)
-        c = _digit_array(np.arange(1, q ** (n - 1)), q, n - 1)
-        c = c[c[np.arange(len(c)), (c != 0).argmax(axis=1)] == 1]
-        return np.insert(c, one, 0, axis=1)
-
-    @cached_property
     def _extension(self) -> np.ndarray:
         """e_j by the count c_j of classes whose kernel holds j."""
         q, n = self.tower.q, self.n
-        table = np.full(self._classes + 1, -1, dtype=np.int64)
+        table = np.full(len(self.kernel.lambdas) + 1, -1, dtype=np.int64)
         table[[(q**e - 1) // (q - 1) for e in range(n)]] = np.arange(1, n + 1)
         return table
 
-    def _spans(self, owners, tags, count):
-        """Elements of the F_q-span of the index digits of the tags of each
-        owner 0..count-1, grouped by owner: (bounds, elements), the elements
-        of owner i at bounds[i]:bounds[i + 1].  Tags come sorted by owner."""
+    def _spans(self, index):
+        """Elements of the F_q-span of the index digits of the nonzero tag
+        indices of each row of `index`, grouped by row: (bounds, elements),
+        the elements of row i at bounds[i]:bounds[i + 1]."""
         q, dim = self.tower.q, self.U.dim
-        kappa = np.bincount(owners, minlength=count)
+        kappa, tags = (index != 0).sum(axis=1), index[index != 0]
         first = np.cumsum(kappa) - kappa
         bounds = np.concatenate([[0], np.cumsum(q**kappa)])
         elements = np.empty(bounds[-1], dtype=np.int64)
@@ -880,15 +878,14 @@ class SpanSweep(_Sweep):
             if len(prefix) == d - 1:
                 yield prefix
                 return
-            _, _, dependent = kern.basis(np.array([prefix]))
-            skip = set(self._spans(*dependent, 1)[1].tolist())
+            skip = set(self._spans(kern.basis(np.array([prefix]))[1])[1].tolist())
             for j in range(prefix[-1] + 1, self.NU):
                 if j not in skip:
                     yield from walk((*prefix, j))
 
         prefixes = (p for i1 in firsts for p in walk((i1,)))
         # a prefix's levels take one map of P + dim U rows per class
-        size = max(1, kern.block((d - 1) * self.n + self.U.dim, kern.w + self.U.dim) // self._classes)
+        size = max(1, kern.block((d - 1) * self.n + self.U.dim, kern.w + self.U.dim) // len(kern.lambdas))
         while batch := list(islice(prefixes, size)):
             yield from self._levels(d, batch, 0, self.NU)
 
@@ -898,23 +895,27 @@ class SpanSweep(_Sweep):
         prefix's span, the total size of each level's kernels (at least the
         class count when none were computed) and, for levels that take the
         kernel route, their elements, grouped by level as `_spans` does."""
-        kern, q, L, C = self.kernel, self.tower.q, len(prefixes), self._classes
-        basis, ranks, dependent = kern.basis(prefixes)
-        weights = prefixes.shape[1] * self.n - ranks
+        kern, q, L, C = self.kernel, self.tower.q, len(prefixes), len(self.kernel.lambdas)
+        # the prefix rows are F_q-independent, so wt(P) tags span U n <P>
+        basis, dependent = kern.basis(prefixes)
+        weights = (dependent != 0).sum(axis=1)
         sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if self._kernel_route(C, units.max()):
-            owners, tags = kern.kernels(basis, self._lambdas)
-            sizes = (q ** np.bincount(owners, minlength=L * C)).reshape(L, C).sum(axis=1)
-            keep = self._kernel_route(sizes, units)[owners // C]
-            bounds, elements = self._spans(owners[keep], tags[keep], L * C)
+            index = kern.kernels(basis)
+            # sums and a product map less numpy code than count_nonzero and a masked store
+            sizes = (q ** (index != 0).sum(axis=2)).sum(axis=1)
+            index *= self._kernel_route(sizes, units)[:, None, None]
+            bounds, elements = self._spans(index.reshape(L * C, -1))
             hits = bounds[::C], elements
-        return basis, weights, self._spans(*dependent, L), sizes, hits
+        return basis, weights, self._spans(dependent), sizes, hits
 
     @cached_property
     def _first_level(self):
-        """_prepare of the empty prefix, shared by the d = 1 runs, of at
-        most q^(dim U - 1) units each."""
-        return self._prepare(np.zeros((1, 0), dtype=np.int64), np.array([self.NU // self.tower.q]))
+        """The d = 1 level, of the empty prefix over j in [1, NU): one
+        SparseLevel per process on the kernel route, else None."""
+        units = np.array([self.NU - 1])
+        if self._kernel_route(self._prepare(np.zeros((1, 0), dtype=np.int64), units)[3], units)[0]:
+            return next(self._levels(1, [()], 1, self.NU))[2]
 
     def _levels(self, d, prefixes, lo, hi):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
@@ -925,8 +926,7 @@ class SpanSweep(_Sweep):
         block = kern.block(n, kern.w)
         prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
-        pre = self._first_level if d == 1 else self._prepare(prefixes, hi - starts)
-        basis, weights, deps, sizes, hits = pre
+        basis, weights, deps, sizes, hits = self._prepare(prefixes, hi - starts)
         route = self._kernel_route(sizes, hi - starts) & (starts < hi)
 
         def keys(grouped):

@@ -848,7 +848,7 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
     sweep = _sweep(ps, "exhaustive", 2, budget=65542)
     kern = sweep.kernel
     # (raw, reduced) tables of shape (k, digit groups, n, digit values)
-    assert sweep.backend == "gf2" and [t.shape for t in kern.tables] == [(3, 2, 16, 256)] * 2
+    assert sweep.backend == "gf2" and [t.shape for t in (kern.raw, kern.reduced)] == [(3, 2, 16, 256)] * 2
     # the rows of b_l * v for random planes, from both digit bytes of v
     vals = np.random.default_rng(5).integers(0, F.order, (40, 2, 3))
     rows = kern.value_rows(vals, reduced=False)
@@ -879,7 +879,7 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
         sweep = _sweep(system, "exhaustive", dim, budget=1)
         gf2, fp = verify._GF2Rows(sweep), verify._FpRows(sweep)
         bits = min(n, 8)
-        for packed, table in zip((*gf2.tables, gf2.annihilator), (*fp.tables, fp.annihilator)):
+        for packed, table in zip((gf2.raw, gf2.reduced, gf2.annihilator), (fp.raw, fp.reduced, fp.annihilator)):
             # the word of digit j of coordinate c is the subset of that one digit
             words = [[packed[c, j // bits, l, 1 << j % bits] for l in range(n)] for c in range(k) for j in range(n)]
             assert _unpacked(words, table.shape[-1]) == table.tolist(), case
@@ -892,14 +892,14 @@ def _unpacked(words, width):
 
 
 # the kernel tables a sweep may build, by attribute
-_TABLES = {"raw", "reduced", "annihilator", "_generators", "_element_table"}
+_TABLES = {"raw", "reduced", "annihilator", "_generators", "_element_table", "_class_echelon"}
 
 
 def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16, ps2):
     # `_answer` builds the tables every run of a sweep reads before any
-    # worker starts: the generator table of a witness-span sweep, the
-    # annihilator or reduced value table of an exhaustive one, and the
-    # reduced value table of a sampled one
+    # worker starts: the generator table and the class echelon of a
+    # witness-span sweep, the annihilator or reduced value table of an
+    # exhaustive one, and the reduced value table of a sampled one
     from rankscatter import verify
 
     built = []
@@ -921,8 +921,8 @@ def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16
     verify_h_scattered(ps2, 2, mode="sampled", budget=100)
     verify_h_scattered(f27, 1, mode="sampled", budget=100)
     assert built == [
-        ("gf2", "value", ["_generators"]),
-        ("fp", "value", ["_generators"]),
+        ("gf2", "value", ["_class_echelon", "_generators"]),
+        ("fp", "value", ["_class_echelon", "_generators"]),
         ("gf2", "annihilator", ["annihilator"]),
         ("fp", "annihilator", ["annihilator"]),
         ("gf2", "value", ["reduced"]),
@@ -1155,6 +1155,129 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     start, wts = kernel[(2, 4369)]
     assert start + int(np.argmax(wts == 3)) == 8738
     assert set(np.concatenate([w for _, w in kernel.values()]).tolist()) == {2, 3}
+
+
+def _stacked_kernels(sweep, basis):
+    """The kernels of j -> lambda u_j mod U + prefix by one elimination of
+    the stacked rows [prefix rows; map rows [lambda g_e mod U | tag e]] per
+    (prefix, class), as F_p rows: the tag index of each map row left with a
+    zero image, 0 for the others.  `basis` is a kernel's prefix rows."""
+    from rankscatter import bitkernel, verify
+
+    fp = verify._FpRows(sweep)
+    p, w, dim = fp.p, fp.w, sweep.U.dim
+    if basis.dtype == np.uint64:
+        # gf2 words, entry e at bit e
+        basis = (basis[..., None] >> np.arange(w, dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
+    gens = fp._generators[..., :w].transpose(1, 0, 2).reshape(fp.n, -1)
+    maps = bitkernel.fp_dot(fp.lambdas, gens, p).reshape(-1, dim, w)
+    (L, P, _), C = basis.shape, len(maps)
+    rows = np.zeros((L, C, P + dim, w + dim), dtype=np.uint8)
+    rows[:, :, :P, :w] = basis[:, None]
+    rows[:, :, P:, :w] = maps
+    rows[:, :, P:, w:] = np.eye(dim, dtype=np.uint8)
+    bitkernel.fp_rank(rows.reshape(L * C, P + dim, w + dim), p)
+    index = rows[:, :, P:, w:] @ p ** np.arange(dim, dtype=np.int64)
+    return np.where(rows[:, :, P:, :w].any(axis=-1), 0, index)
+
+
+def _span(q, dim, tags):
+    """The F_q-span of the index digits of the nonzero tag indices, as a set
+    of digit tuples."""
+    span = {(0,) * dim}
+    for t in (int(t) for t in tags if t):
+        v = [t // q**i % q for i in range(dim)]
+        span = {tuple((a + c * b) % q for a, b in zip(s, v)) for s in span for c in range(q)}
+    return span
+
+
+def _subfield_line():
+    # F_8 e_1 inside U over F_64: the classes of lambda in F_8 map U's F_8
+    # e_1 part into U, so their maps have a kernel
+    F = create_field(2, 1, 6)
+    sub = [x for x in range(1, 64) if F.pow(x, 8) == x]
+    return explicit_system(F, 2, [(x, 0) for x in sub] + [(1, 1), (F.q_basis[1], 9)])
+
+
+SPAN_KERNEL_CASES = {
+    # (system, tuple length): q = 2, 3 and 5; F_9 at depth 3 has prefixes
+    # whose rows are F_q-dependent, so their echelon rows hold zero rows
+    "F16-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(2, 1, 4), 2), 2),
+    "F64-subfield-line": (_subfield_line, 2),
+    "F27-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), 2),
+    "F9-depth-3": (lambda: explicit_system(create_field(3, 1, 2), 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)]), 3),
+    "F25-random": (lambda: explicit_system(create_field(5, 1, 2), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (7, 3, 1)]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPAN_KERNEL_CASES))
+def test_span_kernels_equal_the_stacked_elimination(case):
+    # each class's map is eliminated once, and a prefix's rows are reduced
+    # against its pivots: the kernels of j -> lambda u_j mod U + prefix span
+    # what one elimination of the stacked rows gives, with independent tags,
+    # for the empty prefix (P = 0) and for prefixes of one and two vectors
+    from rankscatter import verify
+
+    build, d = SPAN_KERNEL_CASES[case]
+    U = build()
+    sweep = _sweep(U, "witness_span", d)
+    q, dim, NU = U.tower.q, U.t, sweep.NU
+    singles = np.arange(1, NU)[:, None]
+    pairs = np.array([(i, j) for i in range(1, NU) for j in range(i + 1, NU)][:600])
+    prefixes = [np.zeros((1, 0), dtype=np.int64), singles] + ([pairs] if d == 3 else [])
+    kernels = [verify._FpRows] + ([verify._GF2Rows] if q == 2 else [])
+    zero_rows = class_kernels = 0
+    for kernel in kernels:
+        kern = kernel(sweep)
+        class_kernels += int(np.count_nonzero(kern._class_echelon[1]))
+        for pre in prefixes:
+            basis, dependent = kern.basis(pre)
+            low = basis != 0 if basis.dtype == np.uint64 else basis.any(axis=-1)
+            zero_rows += int(np.count_nonzero(~low & (dependent == 0)))
+            new, old = kern.kernels(basis), _stacked_kernels(sweep, basis)
+            assert new.shape[:2] == old.shape[:2] == (len(pre), len(kern.lambdas))
+            for i, c in np.ndindex(*new.shape[:2]):
+                span = _span(q, dim, new[i, c])
+                assert len(span) == q ** np.count_nonzero(new[i, c]), (case, kernel, pre.shape, i, c)
+                assert span == _span(q, dim, old[i, c]), (case, kernel, pre.shape, i, c)
+    if case == "F64-subfield-line":
+        assert class_kernels > 0
+    if case == "F9-depth-3":
+        assert zero_rows > 0
+
+
+FIRST_LEVEL_CASES = {
+    # (q, n, generators in F_{q^n}^3): (1, 0, 0) and (z, 0, 0) both lie in
+    # U, so the point of (1, 0, 0) weighs 2, past the bound 1
+    "gf2": (2, 4, [(1, 0, 0), (2, 0, 0), (1, 1, 0), (0, 1, 1), (3, 5, 7), (9, 1, 4)]),
+    "fp": (3, 3, [(1, 0, 0), (3, 0, 0), (1, 1, 0), (0, 1, 1), (2, 5, 7)]),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(FIRST_LEVEL_CASES))
+def test_first_level_slices_equal_the_scalar_oracle(backend):
+    # the d = 1 units are slices of the one level of the empty prefix;
+    # chunks of 1, 5 and 97 units cut the runs [q^e, 2q^e) inside, and each
+    # chunk weighs and folds as on the scalar oracle: its count, first
+    # maximum and first violation
+    from rankscatter.verify import _scan
+
+    q, n, gens = FIRST_LEVEL_CASES[backend]
+    F = create_field(q, 1, n)
+    for U, dim, bound in ((pseudoregulus_subspace(F, 2), 2, None), (explicit_system(F, 3, gens), 1, 1)):
+        sweep = _sweep(U, "witness_span", dim, bound)
+        assert sweep._first_level is not None and sweep._first_level.size == sweep.NU - 1
+        starts, inside, viols = {q**e for e in range(U.t)}, 0, 0
+        for chunk in (1, 5, 97):
+            for lo in range(0, sweep.R, chunk):
+                hi = min(lo + chunk, sweep.R)
+                inside += any(a not in starts for a, _ in next(sweep._firsts(lo, hi))[1])
+                weights, oracle = _kernel_and_oracle(sweep, lo, hi, backend)
+                assert weights == oracle, (chunk, lo)
+                result = sweep.run_units(lo, hi)
+                assert result == _scan(sweep, sweep._oracle(lo, hi), lo, hi), (chunk, lo)
+                viols += result.viol is not None
+        assert inside > 0 and (viols > 0 if bound else viols == 0)
 
 
 class _TableSweep:
