@@ -40,9 +40,10 @@ element.  A level ranks its elements' rows instead only when the kernels,
 whose sizes are known after elimination, add up to more elements than the
 level has units, as when U has a large extension-linear part.  A level read
 from its kernels is sparse: every unit weighs wt(P) + 1 but the few in some
-kernel and the skipped ones, so it travels as a `SparseLevel`, its summary
-computed for a batch of levels at once; d = 1 is one level per process.  A
-sweep picks its backend once (`weight_backend`), which `run_units` runs:
+kernel and the skipped ones, so a run of such levels travels as one
+`Levels`, which lists only those and each level's first plain unit; d = 1
+is one level per process.  A sweep picks its backend once
+(`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
@@ -56,10 +57,11 @@ kernels read them from tables with one entry per digit or digit group,
 never one per field element: `_row_table` builds the F_p table of each
 kind of row, which "fp" uses as it is and "gf2" packs a row to a word.
 
-`_scan` alone applies the rules, to dense blocks and sparse levels alike:
-weight -1 marks a skipped unit that is not counted, the first maximum is
-the chunk's best, and the first weight above the bound ends the chunk once
-the scalar oracle reproduces it on `subspace(key)`.
+`_scan` alone applies the rules, in one fold over the listed units of
+`Levels` and of dense blocks, whose every unit is listed: weight -1 marks a
+skipped unit that is not counted, the first maximum is the chunk's best,
+and the first weight above the bound ends the chunk once the scalar oracle
+reproduces it on `subspace(key)`.
 
 Every question is checked and sized once, from closed forms, by `plan`,
 which takes its mode, budget, seed, chunk size and defect rule and is the
@@ -134,113 +136,86 @@ def subspace_weight(U, H: SubspaceQn) -> int:
 # --- the one scan ---
 
 
-class SparseLevel(NamedTuple):
-    """A witness-span level of `size` units, as `_levels` yields it: every
-    unit weighs `base` except those at the sorted positions `pos`, which
-    weigh `wts` (-1 for a skipped unit).  Its summary, made for a whole
-    batch of levels by `_sparse_levels`: `skips` of the exceptions are -1,
-    `plain` is the first position not in `pos` (`size` if there is none),
-    and `top` and `over` index the first maximal exception and the first
-    exception above the sweep's bound (-1 if there is none)."""
+class Levels(NamedTuple):
+    """A batch of levels in unit order, as `SpanSweep._levels` yields it:
+    level i holds sizes[i] units keyed [*heads[i], starts[i] + position].
+    The listed units (level, pos, wts), sorted by level and position, are
+    every unit that does not weigh bases[i] (-1 for a skipped unit) and
+    each level's first plain unit, the first position not among those.  So
+    every unlisted unit is counted and weighs what a listed unit before it
+    weighs."""
 
-    size: int
-    base: int
+    heads: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    bases: np.ndarray
+    level: np.ndarray
     pos: np.ndarray
     wts: np.ndarray
-    skips: int
-    plain: int
-    top: int
-    over: int
 
 
-def _first_true(cond: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Offset in each segment bounds[i]:bounds[i + 1] of cond of its first
-    true entry, or -1."""
-    idx = np.append(np.flatnonzero(cond), len(cond))
-    at = idx[np.searchsorted(idx, bounds[:-1])]
-    return np.where(at < bounds[1:], at - bounds[:-1], -1)
-
-
-def _sparse_levels(sizes, bases, level, pos, wts, bound) -> list[SparseLevel]:
-    """The SparseLevel of each level i of sizes[i] units weighing bases[i],
-    but for the exceptions (level, pos, wts), sorted by level and then by
-    position.  The summaries take a fixed number of numpy calls per batch,
-    and each level a fixed number of Python steps."""
-    L = len(sizes)
-    count = np.bincount(level, minlength=L)
-    bounds = np.concatenate([[0], np.cumsum(count)])
+def _listed(heads, starts, sizes, bases, level, pos, wts) -> Levels:
+    """The Levels of a batch whose units of another weight than their
+    level's base are (level, pos, wts), sorted by level and position: those
+    and each level's first plain unit, listed by one stable sort of packed
+    (level, position, weight + 1) keys.  Weights are at most dim U <= 20
+    under SPAN_TABLE_CAP, so weight + 1 fits in 6 bits."""
+    span = int(sizes.max()) + 1
     # distinct sorted positions from 0 meet their rank up to the first gap
-    plain = np.bincount(level[pos == np.arange(len(pos)) - bounds[level]], minlength=L)
-    peak = np.zeros(L, dtype=np.int64)
-    if len(pos):
-        peak[count > 0] = np.maximum.reduceat(wts, bounds[:-1][count > 0])
-    top = _first_true(wts == peak[level], bounds)
-    over = _first_true(wts > bound, bounds) if bound is not None else np.full(L, -1)
-    skips = np.bincount(level[wts < 0], minlength=L)
-    cuts = bounds.tolist()
-    return [
-        SparseLevel(size, base, pos[a:b], wts[a:b], *summary)
-        for size, base, a, b, *summary in zip(
-            sizes.tolist(), bases.tolist(), cuts, cuts[1:],
-            skips.tolist(), plain.tolist(), top.tolist(), over.tolist(),
-        )
-    ]
+    first = np.searchsorted(level, np.arange(len(sizes)))
+    plain = np.bincount(level[pos == np.arange(len(pos)) - first[level]], minlength=len(sizes))
+    free = np.flatnonzero(plain < sizes)
+    packed = np.concatenate([(level * span + pos) * 64 + wts + 1, (free * span + plain[free]) * 64 + bases[free] + 1])
+    packed = np.sort(packed, kind="stable")
+    return Levels(heads, starts, sizes, bases, packed // 64 // span, packed // 64 % span, packed % 64 - 1)
 
 
 def _scan(sweep, blocks, lo: int, hi: int) -> ChunkResult:
     """Fold a weight stream of the sweep's units [lo, hi) into a chunk result.
 
-    `blocks` yields (head, start, wts) in unit order, where wts is a
-    SparseLevel or a dense block: wts[i] is the weight of the unit keyed
-    [*head, start + i], or -1 for a skipped unit that is not counted.  A
-    block's best is its first maximum; its first weight above the bound ends
-    the chunk once the scalar oracle reproduces it.
+    `blocks` yields `Levels` and dense blocks (head, start, wts) in unit
+    order.  A dense block is one level whose every unit is listed at its
+    own position: wts[i] weighs the unit keyed [*head, start + i].  So one
+    fold over the listed weights gives the chunk's answers, -1 marking a
+    skipped unit that is not counted: the first listed maximum is the best,
+    and the first listed weight above the bound ends the chunk once the
+    scalar oracle reproduces it.
     """
     bound = sweep.bound
     checked = 0
     best = None
-    for head, start, wts in blocks:
-        if isinstance(wts, SparseLevel):
-            # the first unit above the bound is the first exception above
-            # it or, when the base is, the first plain unit
-            lv = wts
-            off = lv.pos.item(lv.over) if lv.over >= 0 else lv.size
-            if bound is not None and lv.base > bound and lv.plain < off:
-                off, weight, before = lv.plain, lv.base, lv.plain
-            elif off < lv.size:
-                weight, before = lv.wts.item(lv.over), lv.over
-            viol = off < lv.size
-            if viol:
-                # `before` exceptions lie below off, the other units there
-                # are plain and counted
-                count = off + 1 - int(np.count_nonzero(lv.wts[:before] < 0))
-            else:
-                count = lv.size - lv.skips
-                off, weight = lv.plain, lv.base
-                if lv.top >= 0:
-                    t_off, t_wt = lv.pos.item(lv.top), lv.wts.item(lv.top)
-                    if off == lv.size or (t_wt, -t_off) > (weight, -off):
-                        off, weight = t_off, t_wt
+    for block in blocks:
+        if isinstance(block, Levels):
+            heads, starts, sizes, _, level, pos, wts = block
         else:
-            # ndarray methods, and a count only for blocks with skipped
-            # units: the scalar oracle sends one weight per block, where
-            # call overhead is the whole cost
+            # no position arrays, and ndarray methods: the scalar oracle
+            # sends one weight per block, where call overhead is the cost
+            (head, start, wts), level = block, None
             wts = np.asarray(wts, dtype=np.int64)
-            off = int(wts.argmax())
-            viol = bound is not None and wts.item(off) > bound
-            if viol:
-                wts = wts[: int((wts > bound).argmax()) + 1]
-                off = len(wts) - 1
-            skips = wts.item(wts.argmin()) < 0
-            count = int(np.count_nonzero(wts >= 0)) if skips else len(wts)
-            weight = wts.item(off)
-        checked += count
-        top = {"key": [*head, start + off], "weight": weight}
+        if not len(wts):
+            continue
+        m = int(wts.argmax())
+        viol = bound is not None and wts.item(m) > bound
+        if viol:
+            wts = wts[: int((wts > bound).argmax()) + 1]
+            m = len(wts) - 1
+        if level is None:
+            key, units = [*head, start + m], len(wts)
+        else:
+            i, p = level.item(m), pos.item(m)
+            key = [*heads[i].tolist(), starts.item(i) + p]
+            units = int(sizes[:i].sum()) + p + 1 if viol else int(sizes.sum())
+        # every skipped unit is listed
+        if wts.item(wts.argmin()) < 0:
+            units -= int(np.count_nonzero(wts < 0))
+        checked += units
+        weight = wts.item(m)
+        top = {"key": key, "weight": weight}
         if weight >= 0:
             best = _merge_best(best, top)
         if viol:
-            if subspace_weight(sweep.U, sweep.subspace(top["key"])) != weight:
-                raise AssertionError(f"batch/scalar weight mismatch at unit key {top['key']}")
+            if subspace_weight(sweep.U, sweep.subspace(key)) != weight:
+                raise AssertionError(f"batch/scalar weight mismatch at unit key {key}")
             return ChunkResult(lo, hi, checked, top, best)
     return ChunkResult(lo, hi, checked, None, best)
 
@@ -650,14 +625,6 @@ class _Sweep:
         """The unit index of an index key [i], or None when it names none."""
         return key[0] if len(key) == 1 and 0 <= key[0] < self.total_units else None
 
-    def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
-        """Rank of the expansion rows of each (dim, k) matrix of element
-        values in vals, raw or reduced mod U, on the batched kernel."""
-        kern = self.kernel
-        block = kern.block(self.dim * self.n, self.k * self.n - reduced * self.U.dim)
-        parts = [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
-        return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
-
 
 # --- exhaustive sweep over the Grassmannian ---
 
@@ -811,7 +778,7 @@ class SpanSweep(_Sweep):
                 # a run of first indices is a dense slice of the d = 1 level
                 for a, b in runs:
                     i, j = np.searchsorted(lv.pos, [a - 1, b - 1]).tolist()
-                    wts = np.full(b - a, lv.base, dtype=np.int64)
+                    wts = np.full(b - a, lv.bases.item(0), dtype=np.int64)
                     wts[lv.pos[i:j] + 1 - a] = lv.wts[i:j]
                     yield (1,), a, wts
 
@@ -911,29 +878,30 @@ class SpanSweep(_Sweep):
 
     @cached_property
     def _first_level(self):
-        """The d = 1 level, of the empty prefix over j in [1, NU): one
-        SparseLevel per process on the kernel route, else None."""
+        """The d = 1 level, of the empty prefix over j in [1, NU): a
+        one-level Levels per process on the kernel route, else None."""
         units = np.array([self.NU - 1])
         if self._kernel_route(self._prepare(np.zeros((1, 0), dtype=np.int64), units)[3], units)[0]:
-            return next(self._levels(1, [()], 1, self.NU))[2]
+            return next(self._levels(1, [()], 1, self.NU))
 
     def _levels(self, d, prefixes, lo, hi):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
         lo..hi-1 past the prefix's last index, with -1 for a u_j inside the
-        prefix's extension span: a SparseLevel on the kernel route, dense
-        blocks on the rank route."""
-        kern, n = self.kernel, self.n
+        prefix's extension span, in unit order: one Levels for each run of
+        kernel-route levels, and dense blocks for each rank-route level."""
+        kern, n, L = self.kernel, self.n, len(prefixes)
         block = kern.block(n, kern.w)
-        prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), d - 1)
-        starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(len(prefixes), lo)
-        basis, weights, deps, sizes, hits = self._prepare(prefixes, hi - starts)
-        route = self._kernel_route(sizes, hi - starts) & (starts < hi)
+        prefixes = np.array(prefixes, dtype=np.int64).reshape(L, d - 1)
+        starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(L, lo)
+        units = hi - starts
+        basis, weights, deps, sizes, hits = self._prepare(prefixes, units)
+        route = self._kernel_route(sizes, units) | (units == 0)
 
         def keys(grouped):
             """Level * NU + j of the grouped elements j in range on a
             kernel-route level."""
             bounds, elements = grouped
-            level = np.repeat(np.arange(len(starts)), np.diff(bounds))
+            level = np.repeat(np.arange(L), np.diff(bounds))
             keep = route[level] & (elements >= starts[level]) & (elements < hi)
             return level[keep] * self.NU + elements[keep]
 
@@ -948,21 +916,22 @@ class SpanSweep(_Sweep):
         count = last - np.append(-1, last[:-1]) - dependent
         level = found // self.NU
         wts = np.where(dependent, -1, weights[level] + self._extension[count])
-        on = np.flatnonzero(route)
-        pos = found % self.NU - starts[level]
-        levels = _sparse_levels(hi - starts[on], weights[on] + 1, np.searchsorted(on, level), pos, wts, self.bound)
-        sparse = iter(levels)
-        for i, s in enumerate(starts.tolist()):
-            head = (d, *prefixes[i].tolist())
-            if route[i]:
-                yield head, s, next(sparse)
-                continue
-            dep = deps[1][deps[0][i] : deps[0][i + 1]]
-            for b in range(s, hi, block):
-                e = min(b + block, hi)
-                wts = weights[i] + n - kern.rank(kern.element_rows(b, e, basis[i]))
-                wts[dep[(dep >= b) & (dep < e)] - b] = -1
-                yield head, b, wts
+        heads = np.concatenate([np.full((L, 1), d), prefixes], axis=1)
+        # a rank-route level has no listed unit
+        lv = _listed(heads, starts, units * route, weights + 1, level, found % self.NU - starts[level], wts)
+        a = 0
+        for r in [*np.flatnonzero(~route).tolist(), L]:
+            if a < r:
+                i, j = np.searchsorted(lv.level, [a, r]).tolist()
+                yield Levels(heads[a:r], starts[a:r], lv.sizes[a:r], lv.bases[a:r], lv.level[i:j] - a, lv.pos[i:j], lv.wts[i:j])
+            if r < L:
+                head, dep = (d, *prefixes[r].tolist()), deps[1][deps[0][r] : deps[0][r + 1]]
+                for b in range(starts.item(r), hi, block):
+                    e = min(b + block, hi)
+                    wts = weights[r] + n - kern.rank(kern.element_rows(b, e, basis[r]))
+                    wts[dep[(dep >= b) & (dep < e)] - b] = -1
+                    yield head, b, wts
+            a = r + 1
 
 
 # --- sampled sweep ---
@@ -1008,6 +977,14 @@ class SampledSweep(_Sweep):
                 vals[j] = _redraw(t, k, d, self.seed, blo + j, 1).basis
             ranks[redo] = self.ranks(vals[redo], reduced=True)
             yield (), blo, R - ranks
+
+    def ranks(self, vals: np.ndarray, reduced: bool) -> np.ndarray:
+        """Rank of the expansion rows of each (dim, k) matrix of element
+        values in vals, raw or reduced mod U, on the batched kernel."""
+        kern = self.kernel
+        block = kern.block(self.dim * self.n, self.k * self.n - reduced * self.U.dim)
+        parts = [kern.rank(kern.value_rows(vals[s : s + block], reduced)) for s in range(0, len(vals), block)]
+        return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
 
 
 # --- plans ---

@@ -27,8 +27,8 @@ from rankscatter import runner
 from rankscatter.runner import SweepOutcome, run_sweep, desc_hash
 from rankscatter.verify import (
     ExhaustiveSweep,
+    Levels,
     SampledSweep,
-    SparseLevel,
     SpanSweep,
     _build_sweep,
     max_weight_search,
@@ -230,20 +230,27 @@ def test_engines_agree_on_sampled(F16):
     assert _rederived(lc, v, 500) == (10, [9])
 
 
-def _dense(wts) -> np.ndarray:
-    """The per-unit weights of a yielded block: a SparseLevel expanded,
-    a dense block as it is."""
-    if isinstance(wts, SparseLevel):
-        out = np.full(wts.size, wts.base, dtype=np.int64)
-        out[wts.pos] = wts.wts
-        return out
-    return np.asarray(wts, dtype=np.int64)
+def _expand(blocks):
+    """Each level of a stream of blocks as (head, start, weights): a dense
+    block as it is, and each level of a Levels with its unlisted units at
+    the level's base weight."""
+    for block in blocks:
+        if isinstance(block, Levels):
+            for i, (head, start, size, base) in enumerate(
+                zip(block.heads.tolist(), block.starts.tolist(), block.sizes.tolist(), block.bases.tolist())
+            ):
+                wts = np.full(size, base, dtype=np.int64)
+                wts[block.pos[block.level == i]] = block.wts[block.level == i]
+                yield tuple(head), start, wts
+        else:
+            head, start, wts = block
+            yield head, start, np.asarray(wts, dtype=np.int64)
 
 
 def _unit_weights(blocks):
     """The weight of every unit of a sweep's stream of blocks, its kernel's
     (`_weights`) or its scalar oracle's (`_oracle`)."""
-    return np.concatenate([_dense(w) for _, _, w in blocks]).tolist()
+    return np.concatenate([w for _, _, w in _expand(blocks)]).tolist()
 
 
 def _sampled_systems():
@@ -695,13 +702,13 @@ def _keyed_weights(blocks):
     skipped units, which a kernel marks -1 and the scalar oracle never
     yields, drop out."""
     out = []
-    for head, start, wts in blocks:
-        out += [((*head, start + i), w) for i, w in enumerate(_dense(wts).tolist()) if w >= 0]
+    for head, start, wts in _expand(blocks):
+        out += [((*head, start + i), w) for i, w in enumerate(wts.tolist()) if w >= 0]
     return out
 
 
 def _skipped(sweep, lo, hi):
-    return sum(int(np.count_nonzero(_dense(w) < 0)) for _, _, w in sweep._weights(lo, hi))
+    return sum(int(np.count_nonzero(w < 0)) for _, _, w in _expand(sweep._weights(lo, hi)))
 
 
 def _kernel_and_oracle(sweep, lo, hi, backend="fp"):
@@ -1106,7 +1113,7 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     ranked = []
     element_rows = kern.element_rows
     kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
-    blocks = [(h, s, _dense(w)) for h, s, w in sweep._weights(0, sweep.total_units)]
+    blocks = list(_expand(sweep._weights(0, sweep.total_units)))
     assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
     weights = _keyed_weights(blocks)
     assert weights == _keyed_weights(sweep._oracle(0, sweep.total_units))
@@ -1135,10 +1142,10 @@ def test_span_routes_agree_past_a_subfield_line():
 def _level_weights(sweep, firsts):
     """Weights of the d = 2 levels of the first indices, one array each."""
     out = {}
-    for head, start, wts in sweep._tuples(2, firsts):
+    for head, start, wts in _expand(sweep._tuples(2, firsts)):
         first, parts = out.setdefault(head, (start, []))
         assert start == first + sum(map(len, parts))
-        parts.append(_dense(wts))
+        parts.append(wts)
     return {head: (start, np.concatenate(parts)) for head, (start, parts) in out.items()}
 
 
@@ -1155,6 +1162,41 @@ def test_c2_span_levels_agree_on_both_routes(F16):
     start, wts = kernel[(2, 4369)]
     assert start + int(np.argmax(wts == 3)) == 8738
     assert set(np.concatenate([w for _, w in kernel.values()]).tolist()) == {2, 3}
+
+
+MIXED_ROUTE_CASES = {
+    # (q, n, generators in F_{q^n}^3): the first weight-3 span, past the
+    # bound 2, extends the prefix (3,) over F_16 and (5,) over F_27, whose
+    # levels have 12 and 75 units
+    "F16": (2, 4, [(13, 6, 8), (12, 9, 7), (10, 4, 3), (8, 2, 11)]),
+    "F27": (3, 3, [(5, 13, 25), (22, 19, 17), (1, 20, 12), (2, 6, 14)]),
+}
+
+
+@pytest.mark.parametrize("case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows")])
+def test_mixed_routes_in_one_batch_equal_the_scalar_oracle(case, kernel):
+    # a level takes the kernel route unless its unit count is a multiple of
+    # 3, so a batch holds runs of kernel-route levels with rank-route levels
+    # between them; the batch-wide call in `_prepare` keeps the kernels
+    from rankscatter import verify
+
+    q, n, gens = MIXED_ROUTE_CASES[case]
+    U = explicit_system(create_field(q, 1, n), 3, gens)
+    p = plan(U, 2, 2, "witness_span", chunk_size=37)
+    sweep = _build_sweep(U, p)[0]
+    sweep._kernel_route = lambda size, units: units % 3 != 0 if np.ndim(units) else True
+    sweep.kernel = getattr(verify, kernel)(sweep)
+    assert _keyed_weights(sweep._weights(0, p.total)) == _keyed_weights(sweep._oracle(0, p.total))
+    results = [sweep.run_units(lo, min(lo + 37, p.total)) for lo in range(0, p.total, 37)]
+    assert results == [verify._scan(sweep, sweep._oracle(r.lo, r.hi), r.lo, r.hi) for r in results]
+    # the first violation lies in a rank-route level that follows
+    # kernel-route levels of its batch
+    first = next(r for r in results if r.viol is not None)
+    head = tuple(first.viol["key"][:2])
+    assert head == {"F16": (2, 3), "F27": (2, 5)}[case] and first.viol["weight"] == 3
+    blocks = list(sweep._weights(first.lo, first.hi))
+    at = next(i for i, b in enumerate(blocks) if not isinstance(b, Levels) and b[0] == head)
+    assert any(isinstance(b, Levels) and b.heads[0, 0] == 2 for b in blocks[:at])
 
 
 def _stacked_kernels(sweep, basis):
@@ -1266,7 +1308,7 @@ def test_first_level_slices_equal_the_scalar_oracle(backend):
     F = create_field(q, 1, n)
     for U, dim, bound in ((pseudoregulus_subspace(F, 2), 2, None), (explicit_system(F, 3, gens), 1, 1)):
         sweep = _sweep(U, "witness_span", dim, bound)
-        assert sweep._first_level is not None and sweep._first_level.size == sweep.NU - 1
+        assert sweep._first_level is not None and sweep._first_level.sizes.tolist() == [sweep.NU - 1]
         starts, inside, viols = {q**e for e in range(U.t)}, 0, 0
         for chunk in (1, 5, 97):
             for lo in range(0, sweep.R, chunk):
@@ -1310,6 +1352,12 @@ _sparse_level = st.integers(1, 9).flatmap(
 @example([(7, 1, {0: -1, 2: 3, 4: -1, 6: 5})], 2)
 # a base above the bound: the first plain unit violates, past skips
 @example([(2, 0, {1: -1}), (4, 2, {0: -1, 1: 0})], 1)
+# an empty level between two others
+@example([(3, 1, {1: 4}), (0, 5, {}), (2, 3, {0: -1})], 2)
+# a level with no plain unit, whose base alone is above the bound
+@example([(2, 4, {0: 1, 1: -1}), (3, 1, {2: 2})], 3)
+# a first plain unit after a run of skipped exceptions
+@example([(6, 3, {0: -1, 1: -1, 2: -1, 4: 1})], 2)
 def test_scan_of_sparse_levels_equals_scan_of_their_dense_expansions(levels, bound):
     from unittest import mock
 
@@ -1318,17 +1366,21 @@ def test_scan_of_sparse_levels_equals_scan_of_their_dense_expansions(levels, bou
     sizes, bases, excs = zip(*levels)
     rows = [(i, p, w) for i, e in enumerate(excs) for p, w in sorted(e.items())]
     owner, pos, wts = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    sparse = verify._sparse_levels(np.array(sizes), np.array(bases), owner, pos, wts, bound)
-    for lv, (size, base, exc) in zip(sparse, levels):
-        assert (lv.size, lv.base, dict(zip(lv.pos.tolist(), lv.wts.tolist()))) == (size, base, exc)
+    heads = np.array([(2, i) for i in range(len(levels))]).reshape(-1, 2)
+    batch = verify._listed(heads, np.arange(len(levels)) + 1, np.array(sizes), np.array(bases), owner, pos, wts)
+    # the exceptions are listed, and so is each level's first plain unit
+    plain = [(i, min(set(range(size)) - set(exc)), base) for i, (size, base, exc) in enumerate(levels) if len(exc) < size]
+    assert list(zip(batch.level.tolist(), batch.pos.tolist(), batch.wts.tolist())) == sorted(rows + plain)
+    dense = [wts for _, _, wts in _expand([batch])]
+    for d, (size, base, exc) in zip(dense, levels):
+        assert d.tolist() == [exc.get(u, base) for u in range(size)]
     # level i is keyed (2, i, i + 1 + position); the oracle re-check reads
     # the weight of a key off a table, through `subspace`
-    dense = [_dense(lv) for lv in sparse]
     table = {(2, i, i + 1 + u): w for i, d in enumerate(dense) for u, w in enumerate(d.tolist())}
     with mock.patch.object(verify, "subspace_weight", lambda U, H: H):
         results = [
-            verify._scan(_TableSweep(bound, table), [((2, i), i + 1, b) for i, b in enumerate(blocks)], 0, 1)
-            for blocks in (sparse, dense)
+            verify._scan(_TableSweep(bound, table), blocks, 0, 1)
+            for blocks in ([batch], [((2, i), i + 1, d) for i, d in enumerate(dense)])
         ]
     assert results[0] == results[1]
 
