@@ -27,17 +27,6 @@ MAX_WIDTH = 64
 ROW_BLOCK = 1 << 14  # words per numpy call of batch_rank's elimination
 
 
-def reduce_static(rows: list[np.ndarray], basis_rows, basis_pivots) -> None:
-    """Reduce every batch row in place against a fixed pivot basis."""
-    one = U64(1)
-    for brow, p in zip(basis_rows, basis_pivots):
-        brow = U64(brow)
-        sp = U64(p)
-        for r in rows:
-            mask = (r >> sp) & one
-            r ^= mask * brow
-
-
 def batch_rank(rows: list[np.ndarray]) -> np.ndarray:
     """Rank of each matrix in the batch; leaves the rows in echelon form,
     their nonzero rows with distinct lowest set bits.
@@ -110,7 +99,7 @@ def fp_rank(rows: np.ndarray, p: int) -> np.ndarray:
 
     Elimination runs without row swaps: row i's first nonzero column is its
     pivot, and it is cleared from the later rows.  The batch is left in that
-    echelon form, which `fp_reduce_static` takes as a basis.
+    echelon form, whose rows the witness-span kernels read.
 
     The rows are eliminated in one unsigned copy: uint8 when the whole
     elimination fits in it, as at p = 3 with up to 64 rows, else uint16.
@@ -150,19 +139,3 @@ def fp_rank(rows: np.ndarray, p: int) -> np.ndarray:
     # the nonzero rows of an echelon form are independent
     return np.count_nonzero(rows.any(axis=2), axis=1)
 
-
-def fp_reduce_static(rows: np.ndarray, basis: np.ndarray, p: int) -> None:
-    """Reduce every row of a (B, R, W) batch in place against one (r, W)
-    basis in the echelon form `fp_rank` leaves: afterwards each row is zero
-    in every pivot column of the basis, and zero iff it lay in its span."""
-    inv = _inverses(p)
-    for b in basis:
-        nz = np.flatnonzero(b)
-        if nz.size:
-            c = nz[0]
-            f = (p - rows[:, :, c]) * inv[b[c]]
-            f %= p
-            t = f[:, :, None] * b
-            t += rows
-            t %= p
-            rows[...] = t

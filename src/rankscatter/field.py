@@ -210,6 +210,9 @@ class FieldTower:
             modulus = default_modulus(p, self.degree)
         else:
             if isinstance(modulus, int):
+                # a packed modulus of degree sn lies in [p^sn, p^(sn+1))
+                if not p**self.degree <= modulus < p ** (self.degree + 1):
+                    raise ValueError(f"modulus degree must be {self.degree}, got the packed value {modulus}")
                 modulus = _digits(modulus, p, self.degree + 1)
             modulus = _trim([c % p for c in modulus])
             if len(modulus) - 1 != self.degree:

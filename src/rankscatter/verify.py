@@ -26,19 +26,20 @@ Each mode is a `_Sweep` that names its units: `_keys` lists their keys,
 every mode: `_Sweep._oracle` weighs `subspace(key)` with
 `subspace_weight` for each key (a sampled sweep draws its subspaces
 SAMPLE_BLOCK at a time, equal to them).  The kernel's calls build the
-expansion rows of value matrices or of elements of U, raw or reduced mod U
-(element rows also against the echelon basis of a prefix, which another
-call takes), or the rows of MU for annihilators M, rank a batch, and read
-kernels of maps linear in the index digits of U's elements.  An exhaustive
+expansion rows of value matrices, raw or reduced mod U, or the rows of MU
+for annihilators M, and rank a batch; for spans of elements of U they put
+the rows in echelon form, which reads their weights, and read kernels of
+maps linear in the index digits of U's elements.  An exhaustive
 sweep ranks one of two shapes of rows, whichever its kernel's `cost` of a
 matrix rates lower, value rows on a tie: the d n value rows of H reduced
 mod U, of k n - t entries, or the (k - d) n rows of MU, of t entries, for
 the annihilator M of H (wt_U(H) = t - rank(MU)).
 Witness-span levels take their weights from those kernels: one map per
 F_q^*-class of a scalar lambda, eliminated once per sweep, not one rank per
-element.  A level ranks its elements' rows instead only when the kernels,
-whose sizes are known after elimination, add up to more elements than the
-level has units, as when U has a large extension-linear part.  A level read
+element.  A level weighs each of its spans [P, u_j] as it weighs its
+prefix P instead only when the kernels, whose sizes are known after
+elimination, add up to more elements than the level has units, as when U
+has a large extension-linear part.  A level read
 from its kernels is sparse: every unit weighs wt(P) + 1 but the few in some
 kernel and the skipped ones, so a run of such levels travels as one
 `Levels`, which lists only those and each level's first plain unit; d = 1
@@ -296,12 +297,12 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #   table_rows(vals, table)      the same through one table; through
 #                                `annihilator`, the rows of M U for a (B, k - d,
 #                                k) block of annihilators M
-#   element_rows(lo, hi, basis)  rows of the elements lo .. hi-1 of U reduced
-#                                mod U and against a prefix basis
 #   basis(prefixes)              for an (L, P) batch of prefixes: their rows
 #                                reduced mod U in echelon form and tag
 #                                indices (0 for none) whose digits span the
-#                                j with u_j in the prefix's extension span
+#                                j with u_j in the prefix's extension span;
+#                                of F_q-independent rows, wt(P) tags are
+#                                nonzero
 #   _class_echelon               each class's map rows [lambda g_e mod U |
 #                                tag e] in echelon form, once per sweep
 #   kernels(basis)               for each prefix of that batch and each
@@ -315,10 +316,9 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
 # vector v of a matrix; "reduced" rows are taken mod U and drop U's pivot
-# columns, where they are zero, on both kernels.  Element rows are linear
-# in the index digits j_e of u_j = sum_e j_e g_e, and so is reduction
-# against a fixed basis: a prefix basis is cleared from the generator rows,
-# not from the rows built from them.  The generator rows are kept in mixed
+# columns, where they are zero, on both kernels.  The rows of an element
+# u_j = sum_e j_e g_e of U are linear in its index digits j_e, so both
+# kernels build them from the generator rows alone.  Those are kept in mixed
 # coordinates: the reduced row first, then the entries at U's pivot
 # columns, which are the index digits of any element of U.  A change
 # of coordinates keeps ranks, and an echelon form of [image | index tag]
@@ -394,7 +394,7 @@ class _GF2Rows(_Rows):
     F_2-linear in the bits of the entries, so they are XORs of subset
     tables over digit groups of at most 8 bits: one per (coordinate, digit
     group) of value bits, and one per byte of an element index of U, of the
-    reduced generator rows.  For n <= 8 a value table has one entry per
+    generator rows.  For n <= 8 a value table has one entry per
     field element; past that no table does.  Generator rows keep their w
     reduced entries in the low bits, so an index tag fits above them.
     """
@@ -404,24 +404,19 @@ class _GF2Rows(_Rows):
         self.low = np.uint64((1 << self.w) - 1)
 
     def _table(self, kind):
-        """The packed `_row_table` of a kind: generator words as (n, dim U),
-        others as subset-XOR tables (k, digit groups, n, digit values).
-        Packed in Python: numpy's packing calls map more code than it takes."""
+        """The packed `_row_table` of a kind as subset-XOR tables: generator
+        words over the bytes of an element index as (index bytes, n, 256),
+        others as (k, digit groups, n, digit values).  Packed in Python:
+        numpy's packing calls map more code than it takes."""
         table = super()._table(kind)
         digits, n, width = table.shape
         data, bits = table.tobytes(), [1 << e for e in range(width)]
         words = [sum(compress(bits, data[i * width : (i + 1) * width])) for i in range(digits * n)]
         words = np.array(words, dtype=np.uint64)
         if kind == "generators":
-            return np.ascontiguousarray(words.reshape(digits, n).T)
+            return np.ascontiguousarray(bitkernel.subset_xor_table(words.reshape(digits, n).T, 8).transpose(1, 0, 2))
         deltas = words.reshape(self.k, n, n).swapaxes(1, 2)
         return np.ascontiguousarray(bitkernel.subset_xor_table(deltas, min(n, 8)).swapaxes(-3, -2))
-
-    @cached_property
-    def _element_table(self):
-        """Reduced rows of the elements of U as subset-XOR tables, shape
-        (index bytes, n, 256)."""
-        return np.ascontiguousarray(bitkernel.subset_xor_table(self._generators & self.low, 8).transpose(1, 0, 2))
 
     def table_rows(self, vals, tabs):
         """The rows of a (B, d, k) block of values through one table: n
@@ -434,34 +429,25 @@ class _GF2Rows(_Rows):
                 rows ^= np.take(tab, (idx[c] >> 8 * g) & (size - 1), axis=1)
         return list(rows.reshape(-1, len(vals)))
 
-    def element_rows(self, lo, hi, basis):
-        tabs = self._element_table.copy()
-        rows = [r for r in basis.tolist() if r]
-        bitkernel.reduce_static([tabs.reshape(-1)], rows, [(r & -r).bit_length() - 1 for r in rows])
-        # index j = 256 h + x: the low byte x runs through the first table
-        # whole, so one broadcast XOR builds the rows of the range
-        h = np.arange(lo >> 8, ((hi - 1) >> 8) + 1)
-        high = np.zeros((self.n, len(h)), dtype=np.uint64)
-        for g in range(1, len(tabs)):
-            high ^= np.take(tabs[g], (h >> 8 * (g - 1)) & 255, axis=1)
-        rows = (high[:, :, None] ^ tabs[0][:, None, :]).reshape(self.n, -1)
-        return list(rows[:, (lo & 255) : (lo & 255) + hi - lo])
-
     def _tag_index(self, rows):
         """The tag index of each row with a zero low part, 0 for others."""
         return np.where(rows & self.low == 0, rows >> np.uint64(self.w), np.uint64(0)).astype(np.int64)
 
     def basis(self, prefixes):
-        digits = _digit_array(prefixes, 2, self.U.dim)
-        rows = np.bitwise_xor.reduce(np.where(digits[:, :, None, :] != 0, self._generators, np.uint64(0)), axis=3)
-        rows = rows.reshape(len(prefixes), -1)
-        bitkernel.batch_rank(list(rows.T))
-        return rows & self.low, self._tag_index(rows)
+        # built as (P, n, L) words, so the rows batch_rank reads are contiguous
+        rows = np.zeros((prefixes.shape[1], self.n, len(prefixes)), dtype=np.uint64)
+        for g, tab in enumerate(self._generators):
+            rows ^= np.take(tab, (prefixes.T >> 8 * g) & 255, axis=1).swapaxes(0, 1)
+        rows = rows.reshape(-1, len(prefixes))
+        bitkernel.batch_rank(list(rows))
+        return rows.T & self.low, self._tag_index(rows.T)
 
     def _class_maps(self):
         """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
         the tag of digit e above it, eliminated for every class at once."""
-        maps = np.bitwise_xor.reduce(np.where(self.lambdas[:, :, None] != 0, self._generators & self.low, 0), axis=1)
+        e = np.arange(self.U.dim)
+        gens = self._generators[e // 8, :, 1 << e % 8].T & self.low
+        maps = np.bitwise_xor.reduce(np.where(self.lambdas[:, :, None] != 0, gens, 0), axis=1)
         maps |= np.uint64(1) << np.arange(self.w, self.w + self.U.dim, dtype=np.uint64)
         bitkernel.batch_rank(list(maps.T))
         return maps
@@ -511,12 +497,6 @@ class _FpRows(_Rows):
         rows per vector."""
         digits = _digit_array(vals, self.p, self.n)
         return self._rows(digits.reshape(*vals.shape[:2], -1), table)
-
-    def element_rows(self, lo, hi, basis):
-        table = self._generators[..., : self.w].copy()
-        bitkernel.fp_reduce_static(table, basis, self.p)
-        digits = _digit_array(np.arange(lo, hi), self.p, self.U.dim)
-        return self._rows(digits[:, None, :], table)
 
     def _tag_index(self, rows):
         """The tag index of each row with a zero low part, 0 for others."""
@@ -794,7 +774,7 @@ class SpanSweep(_Sweep):
     # prefix rows against each class's pivots, eliminated once per sweep,
     # and a pass over the elements of the kernels, unless those add up to
     # more elements than the level has units: then, as when U has a large
-    # extension-linear part, the level ranks the rows of every unit.
+    # extension-linear part, `basis` weighs the span of every unit.
     # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
     # q^wt(P) elements.  Eliminations run for a batch of levels at once, and
     # so does the sorting of kernel elements into each level's exceptions.
@@ -858,10 +838,10 @@ class SpanSweep(_Sweep):
 
     def _prepare(self, prefixes, units):
         """What the levels of a batch of (d-1)-prefixes with `units` units
-        each need: reduced bases, weights, the elements inside each
-        prefix's span, the total size of each level's kernels (at least the
-        class count when none were computed) and, for levels that take the
-        kernel route, their elements, grouped by level as `_spans` does."""
+        each need: weights, the elements inside each prefix's span, the
+        total size of each level's kernels (at least the class count when
+        none were computed) and, for levels that take the kernel route,
+        their elements, grouped by level as `_spans` does."""
         kern, q, L, C = self.kernel, self.tower.q, len(prefixes), len(self.kernel.lambdas)
         # the prefix rows are F_q-independent, so wt(P) tags span U n <P>
         basis, dependent = kern.basis(prefixes)
@@ -874,14 +854,14 @@ class SpanSweep(_Sweep):
             index *= self._kernel_route(sizes, units)[:, None, None]
             bounds, elements = self._spans(index.reshape(L * C, -1))
             hits = bounds[::C], elements
-        return basis, weights, self._spans(dependent), sizes, hits
+        return weights, self._spans(dependent), sizes, hits
 
     @cached_property
     def _first_level(self):
         """The d = 1 level, of the empty prefix over j in [1, NU): a
         one-level Levels per process on the kernel route, else None."""
         units = np.array([self.NU - 1])
-        if self._kernel_route(self._prepare(np.zeros((1, 0), dtype=np.int64), units)[3], units)[0]:
+        if self._kernel_route(self._prepare(np.zeros((1, 0), dtype=np.int64), units)[2], units)[0]:
             return next(self._levels(1, [()], 1, self.NU))
 
     def _levels(self, d, prefixes, lo, hi):
@@ -890,11 +870,12 @@ class SpanSweep(_Sweep):
         prefix's extension span, in unit order: one Levels for each run of
         kernel-route levels, and dense blocks for each rank-route level."""
         kern, n, L = self.kernel, self.n, len(prefixes)
-        block = kern.block(n, kern.w)
+        # a span is d n rows of w reduced entries and dim U tag entries
+        block = kern.block(d * n, kern.w + self.U.dim)
         prefixes = np.array(prefixes, dtype=np.int64).reshape(L, d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(L, lo)
         units = hi - starts
-        basis, weights, deps, sizes, hits = self._prepare(prefixes, units)
+        weights, deps, sizes, hits = self._prepare(prefixes, units)
         route = self._kernel_route(sizes, units) | (units == 0)
 
         def keys(grouped):
@@ -928,7 +909,9 @@ class SpanSweep(_Sweep):
                 head, dep = (d, *prefixes[r].tolist()), deps[1][deps[0][r] : deps[0][r + 1]]
                 for b in range(starts.item(r), hi, block):
                     e = min(b + block, hi)
-                    wts = weights[r] + n - kern.rank(kern.element_rows(b, e, basis[r]))
+                    # the span [P, j] weighs its nonzero tags, as a prefix does
+                    spans = np.concatenate([np.broadcast_to(prefixes[r], (e - b, d - 1)), np.arange(b, e)[:, None]], axis=1)
+                    wts = (kern.basis(spans)[1] != 0).sum(axis=1)
                     wts[dep[(dep >= b) & (dep < e)] - b] = -1
                     yield head, b, wts
             a = r + 1

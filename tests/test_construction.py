@@ -255,14 +255,19 @@ def test_census_random_mode_is_seeded(F64):
 
 
 def test_system_descriptors_roundtrip(F16):
+    from rankscatter.codes import nondegenerate_dual
+
     params = ConstructionParams(F16, 4, 2, (F16.p, 1, 1, 1))
     for system in (
         family_subspace(params),
         pseudoregulus_subspace(F16, 2),
         line_control_subspace(F16, 3),
         direct_sum([pseudoregulus_subspace(F16, 1)] * 2),
+        # a dual code's system is described by its generators, as "explicit"
+        nondegenerate_dual(pseudoregulus_subspace(F16, 1)),
     ):
         desc = system_to_desc(system)
         clone = system_from_desc(F16, desc)
         assert clone.subspace == system.subspace
         assert clone.ambient == system.ambient
+        assert clone.tag == system.tag

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankscatter.field import FieldTower, create_field, default_modulus, is_irreducible, prime_factors
+from rankscatter.field import FieldTower, create_field, default_modulus, is_irreducible, is_prime, prime_factors
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,26 @@ def test_create_field_rejects_bad_input():
         create_field(2, 1, 4, modulus=(1, 0, 0, 0, 1))  # z^4+1 = (z+1)^4
     with pytest.raises(ValueError):
         create_field(2, 1, 4, modulus=(1, 1, 1))  # wrong degree
+
+
+def test_an_integer_modulus_outside_its_degree_is_refused():
+    # a packed modulus of degree 4 over F_2 lies in [16, 32): the low five
+    # digits of 51 and 83 read z^4 + z + 1, and those of -1 and -13 read
+    # z^4 + z^3 + z^2 + z + 1 and z^4 + z^3 + z + 1, but none is of degree 4
+    for value in (51, 83, -1, -13):
+        with pytest.raises(ValueError, match="modulus degree must be 4"):
+            create_field(2, 1, 4, modulus=value)
+    assert create_field(2, 1, 4, modulus=19).modulus == (1, 1, 0, 0, 1)
+    assert create_field(2, 1, 4, modulus=[1, 1, 0, 0, 1]).modulus == (1, 1, 0, 0, 1)
+
+
+def test_is_prime_past_the_trial_divisions():
+    # none of these has a factor among the Miller-Rabin bases; the composites
+    # are strong pseudoprimes to small bases (3825123056546413051 to every
+    # prime base up to 23), which the larger bases expose
+    assert is_prime(2**61 - 1)
+    for n in (1763, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
 
 
 def test_irreducibility_tester_agrees_with_factor_scan():

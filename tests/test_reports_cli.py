@@ -309,6 +309,40 @@ def test_config_and_usage_errors(tmp_path, capsys):
     assert main(["verify-evasive", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "1"]) == 4
 
 
+# configuration errors of the command line itself: a system missing the
+# options it is built from, compare on another system, a list that is not
+# of integers, and a packed modulus outside [p^sn, p^(sn+1))
+CLI_CONFIG_ERRORS = [
+    (["construct", "--system", "family", "--h", "2", "--alphas", "1,1,1,1"], "family system needs --m, --h and --alphas"),
+    (["construct", "--system", "family", "--m", "4", "--alphas", "1,1,1,1"], "family system needs --m, --h and --alphas"),
+    (["construct", "--system", "family", "--m", "4", "--h", "2"], "family system needs --m, --h and --alphas"),
+    (["construct", "--system", "pseudoregulus"], "pseudoregulus needs --h"),
+    (["construct", "--system", "direct-sum", "--h", "1"], "direct-sum baseline needs --m and --h"),
+    (["construct", "--system", "direct-sum", "--m", "2"], "direct-sum baseline needs --m and --h"),
+    (["compare", "--system", "pseudoregulus", "--h", "1"], "compare applies to the family system"),
+    (["construct", "--system", "family", "--m", "4", "--h", "2", "--alphas", "1,x,1,1"],
+     "expected comma-separated integers, got '1,x,1,1'"),
+    *((["construct", f"--field=2,1,4,{v}", "--system", "pseudoregulus", "--h", "1"], "modulus degree must be 4")
+      for v in (51, 83, -1, -13)),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_CONFIG_ERRORS)
+def test_cli_configuration_errors_exit_3_with_their_message(tmp_path, capsys, argv, message):
+    field = [] if any(a.startswith("--field") for a in argv) else ["--field", "2,1,4"]
+    out = tmp_path / "r.json"
+    assert main(argv[:1] + field + ["--out", str(out)] + argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_packed_modulus_in_range_builds_its_field(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["construct", "--field", "2,1,4,19", "--system", "pseudoregulus", "--h", "1", "--out", str(out)]) == 0
+    assert load(out)["field"]["modulus"] == [1, 1, 0, 0, 1]
+
+
 def test_report_bodies_are_deterministic(tmp_path):
     args = [
         "verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus",

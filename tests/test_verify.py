@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
+import sys
 import time
 from functools import lru_cache
 from math import comb
@@ -873,7 +874,8 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
         weights, oracle = _kernel_and_oracle(sweep, lo, hi, "gf2")
         assert weights == oracle
     span = _sweep(ps, "witness_span", 1)
-    assert span.kernel._element_table.shape[-1] == 256
+    # the generator words are subset-XOR tables over the bytes of an index
+    assert span.kernel._generators.shape[-1] == 256
     # every gf2 table, unpacked, is the fp table of its row kind
     from rankscatter import verify
 
@@ -890,7 +892,9 @@ def test_gf2_tables_have_at_most_256_entries_per_digit_group():
             # the word of digit j of coordinate c is the subset of that one digit
             words = [[packed[c, j // bits, l, 1 << j % bits] for l in range(n)] for c in range(k) for j in range(n)]
             assert _unpacked(words, table.shape[-1]) == table.tolist(), case
-        assert _unpacked(gf2._generators.T, k * n) == fp._generators.tolist(), case
+        # the word of index digit e is the subset of that one bit of its byte
+        words = [[gf2._generators[e // 8, l, 1 << e % 8] for l in range(n)] for e in range(system.t)]
+        assert _unpacked(words, k * n) == fp._generators.tolist(), case
 
 
 def _unpacked(words, width):
@@ -899,7 +903,7 @@ def _unpacked(words, width):
 
 
 # the kernel tables a sweep may build, by attribute
-_TABLES = {"raw", "reduced", "annihilator", "_generators", "_element_table", "_class_echelon"}
+_TABLES = {"raw", "reduced", "annihilator", "_generators", "_class_echelon"}
 
 
 def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16, ps2):
@@ -962,7 +966,7 @@ def test_gf2_runs_call_no_fp_routine(monkeypatch, F16, ps2):
     def refuse(*args):
         raise AssertionError("an F_p routine ran in a gf2 process")
 
-    for name in ("fp_rank", "fp_reduce_static", "fp_dot"):
+    for name in ("fp_rank", "fp_dot"):
         monkeypatch.setattr(bitkernel, name, refuse)
     assert [run() for run in runs] == verdicts
 
@@ -1110,9 +1114,15 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     U = line_control_subspace(F, 2)
     sweep = _sweep(U, "witness_span", 2)
     kern = sweep.kernel
-    ranked = []
-    element_rows = kern.element_rows
-    kern.element_rows = lambda lo, hi, basis: ranked.append(hi - lo) or element_rows(lo, hi, basis)
+    ranked, basis = [], kern.basis
+
+    def spans(rows):
+        # a span batch `_levels` passes to `basis` holds one span per unit
+        if sys._getframe(1).f_code.co_name == "_levels":
+            ranked.append(len(rows))
+        return basis(rows)
+
+    kern.basis = spans
     blocks = list(_expand(sweep._weights(0, sweep.total_units)))
     assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
     weights = _keyed_weights(blocks)
