@@ -298,11 +298,11 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #                                `annihilator`, the rows of M U for a (B, k - d,
 #                                k) block of annihilators M
 #   basis(prefixes)              for an (L, P) batch of prefixes: their rows
-#                                reduced mod U in echelon form and tag
-#                                indices (0 for none) whose digits span the
-#                                j with u_j in the prefix's extension span;
-#                                of F_q-independent rows, wt(P) tags are
-#                                nonzero
+#                                [reduced mod U | index tag] in echelon form
+#                                and tag indices (0 for none) whose digits
+#                                span the j with u_j in the prefix's
+#                                extension span; of F_q-independent rows,
+#                                wt(P) tags are nonzero
 #   _class_echelon               each class's map rows [lambda g_e mod U |
 #                                tag e] in echelon form, once per sweep
 #   kernels(basis)               for each prefix of that batch and each
@@ -440,7 +440,7 @@ class _GF2Rows(_Rows):
             rows ^= np.take(tab, (prefixes.T >> 8 * g) & 255, axis=1).swapaxes(0, 1)
         rows = rows.reshape(-1, len(prefixes))
         bitkernel.batch_rank(list(rows))
-        return rows.T & self.low, self._tag_index(rows.T)
+        return rows.T, self._tag_index(rows.T)
 
     def _class_maps(self):
         """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
@@ -453,9 +453,10 @@ class _GF2Rows(_Rows):
         return maps
 
     def _residue_tags(self, basis, pivots):
-        """The (L, C, P) tag indices of the prefix rows, as (P, L, C) words,
-        reduced by each class's pivots' lowest bits and then eliminated."""
-        rows = np.repeat(basis.T[:, :, None], len(pivots), axis=2)
+        """The (L, C, P) tag indices of the prefix rows' reduced parts, as
+        (P, L, C) words, reduced by each class's pivots' lowest bits and
+        then eliminated."""
+        rows = np.repeat(basis.T[:, :, None] & self.low, len(pivots), axis=2)
         for piv in pivots.T:
             hit = rows & (piv & self.low & (np.uint64(0) - piv))
             np.minimum(hit, np.uint64(1), out=hit)
@@ -508,7 +509,7 @@ class _FpRows(_Rows):
         digits = _digit_array(prefixes, self.p, self.U.dim)
         rows = self._rows(digits, self._generators)
         bitkernel.fp_rank(rows, self.p)
-        return rows[..., : self.w], self._tag_index(rows)
+        return rows, self._tag_index(rows)
 
     def _class_maps(self):
         """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
@@ -519,12 +520,13 @@ class _FpRows(_Rows):
         return rows
 
     def _residue_tags(self, basis, pivots):
-        """The (L, C, P) tag indices of the prefix rows, by one `fp_rank` of
-        each class's pivots, an echelon form already, stacked above them."""
-        (L, P, w), (C, r, W) = basis.shape, pivots.shape
+        """The (L, C, P) tag indices of the prefix rows' reduced parts, by
+        one `fp_rank` of each class's pivots, an echelon form already,
+        stacked above them."""
+        (L, P, _), (C, r, W) = basis.shape, pivots.shape
         rows = np.zeros((L, C, r + P, W), dtype=np.uint8)
         rows[:, :, :r] = pivots
-        rows[:, :, r:, :w] = basis[:, None]
+        rows[:, :, r:, : self.w] = basis[:, None, :, : self.w]
         bitkernel.fp_rank(rows.reshape(L * C, r + P, W), self.p)
         return self._tag_index(rows[:, :, r:])
 
@@ -870,8 +872,9 @@ class SpanSweep(_Sweep):
         prefix's extension span, in unit order: one Levels for each run of
         kernel-route levels, and dense blocks for each rank-route level."""
         kern, n, L = self.kernel, self.n, len(prefixes)
-        # a span is d n rows of w reduced entries and dim U tag entries
-        block = kern.block(d * n, kern.w + self.U.dim)
+        # a span is d n rows of w reduced entries and dim U tag entries; a
+        # block of spans holds as many rows as one of n-row matrices
+        block = max(1, kern.block(n, kern.w + self.U.dim) // d)
         prefixes = np.array(prefixes, dtype=np.int64).reshape(L, d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(L, lo)
         units = hi - starts

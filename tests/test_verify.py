@@ -5,7 +5,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import sys
 import time
 from functools import lru_cache
 from math import comb
@@ -1114,17 +1113,13 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
     U = line_control_subspace(F, 2)
     sweep = _sweep(U, "witness_span", 2)
     kern = sweep.kernel
-    ranked, basis = [], kern.basis
-
-    def spans(rows):
-        # a span batch `_levels` passes to `basis` holds one span per unit
-        if sys._getframe(1).f_code.co_name == "_levels":
-            ranked.append(len(rows))
-        return basis(rows)
-
-    kern.basis = spans
+    # `_prepare` passes `basis` one batch of prefixes; every other batch
+    # holds one span [P, u_j] per ranked unit
+    rows, prefixes, basis, prepare = [], [], kern.basis, sweep._prepare
+    kern.basis = lambda batch: rows.append(len(batch)) or basis(batch)
+    sweep._prepare = lambda batch, units: prefixes.append(len(batch)) or prepare(batch, units)
     blocks = list(_expand(sweep._weights(0, sweep.total_units)))
-    assert sum(ranked) == sum(len(w) for *_, w in blocks) > 0
+    assert sum(rows) - sum(prefixes) == sum(len(w) for *_, w in blocks) > 0
     weights = _keyed_weights(blocks)
     assert weights == _keyed_weights(sweep._oracle(0, sweep.total_units))
     assert {w for _, w in weights} == {n} and len(weights) == sweep.R
@@ -1213,7 +1208,8 @@ def _stacked_kernels(sweep, basis):
     """The kernels of j -> lambda u_j mod U + prefix by one elimination of
     the stacked rows [prefix rows; map rows [lambda g_e mod U | tag e]] per
     (prefix, class), as F_p rows: the tag index of each map row left with a
-    zero image, 0 for the others.  `basis` is a kernel's prefix rows."""
+    zero image, 0 for the others.  `basis` is a kernel's prefix rows
+    [reduced | tag], of which the reduced part is read."""
     from rankscatter import bitkernel, verify
 
     fp = verify._FpRows(sweep)
@@ -1225,7 +1221,7 @@ def _stacked_kernels(sweep, basis):
     maps = bitkernel.fp_dot(fp.lambdas, gens, p).reshape(-1, dim, w)
     (L, P, _), C = basis.shape, len(maps)
     rows = np.zeros((L, C, P + dim, w + dim), dtype=np.uint8)
-    rows[:, :, :P, :w] = basis[:, None]
+    rows[:, :, :P, :w] = basis[:, None, :, :w]
     rows[:, :, P:, :w] = maps
     rows[:, :, P:, w:] = np.eye(dim, dtype=np.uint8)
     bitkernel.fp_rank(rows.reshape(L * C, P + dim, w + dim), p)
