@@ -7,12 +7,15 @@ violation inside it (if any) and its max-weight record.  One incremental
 prefix merges finished chunks in unit order, so the outcome is independent
 of worker count and of how a run was interrupted and resumed.
 
-Chunks run in process unless more than one can run at once: then a pool
-of min(workers, pending chunks, usable CPUs) worker processes starts, each
-holding the sweep from its start (inherited under fork, pickled under
-spawn) and serving chunks over its own pipe, two in flight at a time.  Once
-the outcome is settled no chunk is sent, and every worker is stopped, also
-one still running a chunk.  A worker that ends without answering raises
+Chunks run in process, in unit order, until POOL_AFTER_S seconds have
+passed since the sweep started: a shorter sweep would lose more to starting
+a pool than it could gain.  From then on, if more than one can run at once,
+a pool of min(workers, pending chunks, usable CPUs) worker processes takes
+the pending chunks, each worker holding the sweep as it then is (inherited
+under fork, with what the parent built, pickled under spawn) and serving
+chunks over its own pipe, two in flight at a time.  Once the outcome is
+settled no chunk is sent, and every worker is stopped, also one still
+running a chunk.  A worker that ends without answering raises
 `WorkerError`; an exception raised by `run_units` in a worker is raised
 again in the caller.
 
@@ -27,9 +30,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
+
+# Seconds of in-process chunks before a pool may start.  On a 2-core host,
+# importing `multiprocessing` and forking take about 16 ms before the first
+# chunk, and the workers' warm-up about 35 ms in all: a sweep longer than
+# this gives up at most about 0.05 s of its parallel gain.
+POOL_AFTER_S = 0.1
 
 
 @dataclass
@@ -218,6 +228,7 @@ def run_sweep(
 
 
 def _execute(sweep, total_units, ckpt, prefix, workers):
+    begun = time.monotonic()
     if prefix.advance():
         return
     # Chunk i is [i*c, min((i+1)*c, total)), computed on demand: a sweep can
@@ -233,17 +244,19 @@ def _execute(sweep, total_units, ckpt, prefix, workers):
         ckpt.record(rec)
         return prefix.add(rec)
 
-    # the CPUs this process may run on, where the platform tells them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    procs = min(workers, prefix.nchunks - len(ckpt.done), cpus)
-    if procs <= 1:
-        for lo, hi in pending:
-            if finish(sweep.run_units(lo, hi)):
+    for lo, hi in pending:
+        if workers > 1 and time.monotonic() - begun >= POOL_AFTER_S:
+            # the CPUs this process may run on, where the platform tells them
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            procs = min(workers, prefix.nchunks - len(ckpt.done), cpus)
+            if procs > 1:
+                # chunks come in unit order and cap only falls: none past it is sent
+                below_cap = takewhile(lambda ch: prefix.cap is None or ch[0] <= prefix.cap, chain([(lo, hi)], pending))
+                _run_pool(sweep, procs, below_cap, finish)
                 return
-        return
-    # chunks come in unit order and cap only falls: none past it is sent
-    below_cap = takewhile(lambda ch: prefix.cap is None or ch[0] <= prefix.cap, pending)
-    _run_pool(sweep, procs, below_cap, finish)
+            workers = 1  # no pool can start later: fewer chunks are left
+        if finish(sweep.run_units(lo, hi)):
+            return
 
 
 def _run_pool(sweep, procs, chunks, finish):

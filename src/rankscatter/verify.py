@@ -304,7 +304,13 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #                                extension span; of F_q-independent rows,
 #                                wt(P) tags are nonzero
 #   _class_echelon               each class's map rows [lambda g_e mod U |
-#                                tag e] in echelon form, once per sweep
+#                                tag e] in echelon form, once per sweep: the
+#                                tags of its kernel, and its pivot rows as
+#                                `_residue_tags` reads them, fp as they are,
+#                                gf2 as a residue table (`_reducer`)
+#   _residue_tags(basis, ...)    the tags of the prefix rows reduced by each
+#                                class's pivots and eliminated: on gf2, one
+#                                table lookup per byte of reduced part
 #   kernels(basis)               for each prefix of that batch and each
 #                                class, tag indices (0 for none) whose digits
 #                                span the kernel of j -> lambda u_j mod U +
@@ -373,12 +379,18 @@ class _Rows:
     @cached_property
     def _class_echelon(self):
         """Each class's echelon map rows: those of nonzero image in order
-        (zero elsewhere), the tag indices of its kernel (0 elsewhere), less
-        the columns that are zero in every class."""
+        (zero elsewhere) as `_reducer` reads them, and the tag indices of
+        its kernel (0 elsewhere), less the columns that are zero in every
+        class."""
         ech = self._class_maps()
         index = self._tag_index(ech)
         ech[index != 0] = 0
-        return ech[:, (index == 0).any(axis=0)], index[:, (index != 0).any(axis=0)]
+        return self._reducer(ech[:, (index == 0).any(axis=0)]), index[:, (index != 0).any(axis=0)]
+
+    def _reducer(self, pivots):
+        """What `_residue_tags` reads of each class's pivots: the rows as
+        they are."""
+        return pivots
 
     def kernels(self, basis):
         pivots, own = self._class_echelon
@@ -452,15 +464,27 @@ class _GF2Rows(_Rows):
         bitkernel.batch_rank(list(maps.T))
         return maps
 
-    def _residue_tags(self, basis, pivots):
-        """The (L, C, P) tag indices of the prefix rows' reduced parts, as
-        (P, L, C) words, reduced by each class's pivots' lowest bits and
-        then eliminated."""
-        rows = np.repeat(basis.T[:, :, None] & self.low, len(pivots), axis=2)
+    def _reducer(self, pivots):
+        """Each class's residue map as (w/8 byte groups, 256, C) subset-XOR
+        tables of words.  Reducing a reduced part by a class's pivots'
+        lowest bits in order adds each pivot times one bit of the row, so
+        it is F_2-linear, tags included: a row's residue is the XOR of the
+        residues of its bits."""
+        rows = np.repeat((np.uint64(1) << np.arange(self.w, dtype=np.uint64))[:, None], len(pivots), axis=1)
         for piv in pivots.T:
             hit = rows & (piv & self.low & (np.uint64(0) - piv))
             np.minimum(hit, np.uint64(1), out=hit)
             rows ^= hit * piv
+        return np.ascontiguousarray(bitkernel.subset_xor_table(rows.T, 8).transpose(1, 2, 0))
+
+    def _residue_tags(self, basis, table):
+        """The (L, C, P) tag indices of the prefix rows' reduced parts, as
+        (P, L, C) words, reduced through each class's residue table a byte
+        at a time and then eliminated.  The table is zero past bit w, so
+        the tags above it add nothing."""
+        rows = np.zeros((basis.shape[1], len(basis), table.shape[-1]), dtype=np.uint64)
+        for g, tab in enumerate(table):
+            rows ^= np.take(tab, (basis.T >> 8 * g) & 255, axis=0)
         bitkernel.batch_rank([r.ravel() for r in rows])
         return self._tag_index(rows).transpose(1, 2, 0)
 

@@ -18,6 +18,21 @@ def no_worker_left_running():
     assert not left, f"worker processes left running: {left}"
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The worker processes started while a test runs, every kind of
+    `multiprocessing` process counted."""
+    procs = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def record(self):
+        procs.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
+    return procs
+
+
 class Killed(Exception):
     """A simulated kill of the process that runs a sweep."""
 
@@ -45,3 +60,12 @@ def killed_after():
             yield
 
     return kill
+
+
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    """Start a sweep's pool before its first chunk, as a sweep past the
+    runner's in-process time does, so a short test sweep runs one."""
+    from rankscatter import runner
+
+    monkeypatch.setattr(runner, "POOL_AFTER_S", 0)

@@ -112,6 +112,7 @@ def test_criterion_02_full_witness_span(F16, family_params):
     ok("C2-long", f"full d<=2 tuple sweep holds; {v.checked} tuples in {elapsed:.0f}s")
 
 
+@pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.slow
 def test_f64_family_member_is_2_scattered_by_witness_span(tmp_path):
     # F_64, m=3, h=2, tuple (1,1,2): the first q = 2 member where the
@@ -269,6 +270,7 @@ def test_criterion_09_admissibility_census(F16):
     ok("C9", f"census 47250/50625 in {elapsed:.2f}s; residue-enumeration recount agrees")
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_criterion_10_determinism_and_resume(sampled_report, tmp_path, F16, family_params, killed_after):
     rc, straight = sampled_report
     assert rc == 2

@@ -343,6 +343,7 @@ def test_a_packed_modulus_in_range_builds_its_field(tmp_path):
     assert load(out)["field"]["modulus"] == [1, 1, 0, 0, 1]
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_report_bodies_are_deterministic(tmp_path):
     args = [
         "verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus",
@@ -467,6 +468,7 @@ PINNED_BODIES = {
 }
 
 
+@pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
 def test_report_bodies_match_their_pinned_digests(tmp_path, name):
     import hashlib
@@ -961,6 +963,7 @@ def test_checkpoint_resume_via_cli_is_byte_identical(tmp_path, killed_after):
     )
 
 
+@pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize(
     "name, chunk, kill", [("gf2-exhaustive-holds", 30, 120), ("fp-exhaustive-F9-violated", 10, 30)]
 )
@@ -1006,6 +1009,7 @@ C2_SPAN = ["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", 
            "--alphas", "1,1,1,1", "--mode", "witness_span"]
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_witness_span_reports_alike_across_workers_and_resumes(tmp_path, monkeypatch, killed_after):
     # C2 with tuple (1,1,1,1), violated in chunk 137 of 512 units: one,
     # two and three workers, and two workers resuming a checkpoint written
@@ -1038,6 +1042,18 @@ def test_witness_span_reports_alike_across_workers_and_resumes(tmp_path, monkeyp
     assert bodies[1:] == bodies[:-1]
 
 
+def test_a_short_two_worker_proof_runs_in_process(tmp_path, started):
+    # the C2 proof ends long before a pool would pay off: two workers
+    # start no process and write the body of one
+    bodies = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}.json")
+        assert main(C2_SPAN + ["--workers", workers, "--out", out]) == 1
+        bodies.append(reports.body_bytes(load(out)))
+    assert started == [] and bodies[0] == bodies[1]
+
+
+@pytest.mark.usefixtures("pool_at_once")
 def test_a_dead_worker_is_exit_5_and_a_rerun_resumes(tmp_path, monkeypatch, capsys):
     import os
     import signal

@@ -506,6 +506,7 @@ def test_checkpoint_rejects_other_jobs(tmp_path, F16, killed_after):
         run_sweep(*_sampled_job(F16, 12), 25, checkpoint=ck)
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_parallel_workers_match_serial(F16):
     ps = pseudoregulus_subspace(F16, 2)
     serial = verify_h_scattered(ps, 2, mode="exhaustive", chunk_size=32)
@@ -514,6 +515,7 @@ def test_parallel_workers_match_serial(F16):
     assert serial.checked == parallel.checked
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_violation_key_is_minimal_under_parallelism(F16):
     lc = line_control_subspace(F16, 2)
     serial = verify_h_scattered(lc, 1, mode="exhaustive", chunk_size=2)
@@ -650,6 +652,7 @@ def test_unknown_engine_is_rejected(F16):
             call()
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_max_weight_search_keeps_the_earliest_maximum(F8):
     # the oracle, every worker count and chunking report the same first maximum
     from rankscatter.construction import direct_sum
@@ -912,11 +915,14 @@ def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16
     # exhaustive one, and the reduced value table of a sampled one
     from rankscatter import verify
 
-    built = []
+    built, echelons = [], []
     run_sweep = verify.run_sweep
 
     def record(sweep, *args, **kwargs):
-        built.append((sweep.backend, sweep.shape, sorted(vars(sweep.kernel).keys() & _TABLES)))
+        tables = vars(sweep.kernel)
+        built.append((sweep.backend, sweep.shape, sorted(tables.keys() & _TABLES)))
+        if "_class_echelon" in tables:
+            echelons.append(tables["_class_echelon"][0].shape)
         return run_sweep(sweep, *args, **kwargs)
 
     monkeypatch.setattr(verify, "run_sweep", record)
@@ -940,6 +946,10 @@ def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16
         ("gf2", "value", ["reduced"]),
         ("fp", "value", ["reduced"]),
     ]
+    # the class pivots as `_residue_tags` reads them: the gf2 residue table
+    # of one byte of reduced part (w = 8), 256 entries and 7 classes, and
+    # the fp pivot rows as they are
+    assert echelons[0] == (1, 256, 7) and len(echelons[1]) == 3
 
 
 def test_gf2_runs_call_no_fp_routine(monkeypatch, F16, ps2):
@@ -1248,13 +1258,18 @@ def _subfield_line():
 
 
 SPAN_KERNEL_CASES = {
-    # (system, tuple length): q = 2, 3 and 5; F_9 at depth 3 has prefixes
-    # whose rows are F_q-dependent, so their echelon rows hold zero rows
-    "F16-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(2, 1, 4), 2), 2),
-    "F64-subfield-line": (_subfield_line, 2),
-    "F27-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), 2),
-    "F9-depth-3": (lambda: explicit_system(create_field(3, 1, 2), 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)]), 3),
-    "F25-random": (lambda: explicit_system(create_field(5, 1, 2), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (7, 3, 1)]), 2),
+    # (system, tuple length, prefixes drawn of each length or None for
+    # all): q = 2, 3 and 5; F_9 at depth 3 has prefixes whose rows are
+    # F_q-dependent, so their echelon rows hold zero rows; C2 (1,1,1,1) has
+    # 32-bit reduced parts, four bytes of gf2 residue tables
+    "F16-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(2, 1, 4), 2), 2, None),
+    "F64-subfield-line": (_subfield_line, 2, None),
+    "F27-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), 2, None),
+    "F9-depth-3": (lambda: explicit_system(create_field(3, 1, 2), 3, [(1, 0, 0), (3, 1, 0), (1, 1, 1)]), 3, None),
+    "F25-random": (
+        lambda: explicit_system(create_field(5, 1, 2), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (7, 3, 1)]), 2, None
+    ),
+    "C2-(1,1,1,1)": (lambda: family_subspace(ConstructionParams(create_field(2, 1, 4), 4, 2, (1, 1, 1, 1))), 3, 200),
 }
 
 
@@ -1266,12 +1281,17 @@ def test_span_kernels_equal_the_stacked_elimination(case):
     # for the empty prefix (P = 0) and for prefixes of one and two vectors
     from rankscatter import verify
 
-    build, d = SPAN_KERNEL_CASES[case]
+    build, d, drawn = SPAN_KERNEL_CASES[case]
     U = build()
     sweep = _sweep(U, "witness_span", d)
     q, dim, NU = U.tower.q, U.t, sweep.NU
-    singles = np.arange(1, NU)[:, None]
-    pairs = np.array([(i, j) for i in range(1, NU) for j in range(i + 1, NU)][:600])
+    if drawn is None:
+        singles = np.arange(1, NU)[:, None]
+        pairs = np.array([(i, j) for i in range(1, NU) for j in range(i + 1, NU)][:600])
+    else:
+        rng = np.random.default_rng(sum(map(ord, case)))
+        singles = rng.integers(1, NU, (drawn, 1))
+        pairs = np.sort([rng.choice(NU - 1, 2, replace=False) + 1 for _ in range(drawn)], axis=1)
     prefixes = [np.zeros((1, 0), dtype=np.int64), singles] + ([pairs] if d == 3 else [])
     kernels = [verify._FpRows] + ([verify._GF2Rows] if q == 2 else [])
     zero_rows = class_kernels = 0
@@ -1410,21 +1430,7 @@ def test_in_process_runs_never_rebuild_from_descriptors(monkeypatch, ps2, F8):
     assert generalized_weights(ds).exact_tuple() == (2, 3, 5, 6)
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """The worker processes started while a test runs, every kind of
-    `multiprocessing` process counted."""
-    procs = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def record(self):
-        procs.append(self)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record)
-    return procs
-
-
+@pytest.mark.usefixtures("pool_at_once")
 def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
     def no_start(self):
         raise AssertionError("a worker process was started for a single chunk")
@@ -1434,6 +1440,7 @@ def test_one_chunk_sweep_runs_in_process(monkeypatch, ps2):
     assert (v.status, v.checked) == ("holds", 273)
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_pool_size_is_clamped(monkeypatch, tmp_path, ps2_job, killed_after, started):
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(8)))
     straight = run_sweep(*ps2_job, 20)
@@ -1466,6 +1473,7 @@ class _BlockingSweep:
         return runner.ChunkResult(lo, hi, hi - lo, viol, viol or {"key": [lo], "weight": 1})
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_pool_stops_once_the_outcome_is_settled(tmp_path):
     serial = run_sweep(_BlockingSweep(), {"kind": "blocking"}, 1)
     assert (serial.checked, serial.viol, serial.completed) == (3, {"key": [2], "weight": 5}, True)
@@ -1496,6 +1504,7 @@ class _LateFirstSweep:
         return runner.ChunkResult(lo, hi, hi - lo, viol, viol or {"key": [lo], "weight": 1})
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_no_chunk_past_a_known_violation_is_sent(monkeypatch, tmp_path):
     monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
     ck = tmp_path / "ck.jsonl"
@@ -1504,6 +1513,41 @@ def test_no_chunk_past_a_known_violation_is_sent(monkeypatch, tmp_path):
     # the first four chunks are sent at once; while chunk 0 runs, the
     # worker that found chunk 1's violation gets no chunk past it
     assert {json.loads(x)["lo"] for x in ck.read_text().splitlines()[1:]} <= {0, 1, 2, 3}
+
+
+class _SlowStartSweep:
+    """Eight one-unit chunks of weight 1, of which the first two take
+    `nap` seconds each; each chunk appends its unit and the pid that ran it
+    to `log`."""
+
+    total_units = 8
+
+    def __init__(self, nap, log):
+        self.nap, self.log = nap, log
+
+    def run_units(self, lo, hi):
+        if lo < 2:
+            time.sleep(self.nap)
+        with open(self.log, "a") as f:
+            f.write(f"{lo} {os.getpid()}\n")
+        return runner.ChunkResult(lo, hi, hi - lo, None, {"key": [lo], "weight": 1})
+
+
+def test_chunks_past_the_pool_gate_run_in_a_pool(monkeypatch, tmp_path, started):
+    # the gate passes during chunk 1: chunks 0 and 1 run in this process,
+    # the six others in a pool of min(4 workers, 6 chunks, 2 CPUs), and the
+    # outcome and the checkpoint records are those of a serial run
+    monkeypatch.setattr(runner, "POOL_AFTER_S", 0.4)
+    monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 1})
+    serial_ck, ck, log = tmp_path / "serial.jsonl", tmp_path / "ck.jsonl", tmp_path / "ran"
+    serial = run_sweep(_SlowStartSweep(0, os.devnull), {"kind": "slow"}, 1, checkpoint=str(serial_ck))
+    assert (serial.checked, serial.viol, serial.completed) == (8, None, True)
+    assert run_sweep(_SlowStartSweep(0.25, log), {"kind": "slow"}, 1, workers=4, checkpoint=str(ck)) == serial
+    assert sorted(ck.read_text().splitlines()) == sorted(serial_ck.read_text().splitlines())
+    ran = {int(lo): int(pid) for lo, pid in (line.split() for line in log.read_text().splitlines())}
+    assert sorted(ran) == list(range(8)) and ran[0] == ran[1] == os.getpid()
+    workers = {ran[lo] for lo in range(2, 8)}
+    assert len(started) == 2 and workers <= {proc.pid for proc in started}
 
 
 def test_a_killed_run_keeps_every_chunk_it_recorded(tmp_path):
@@ -1552,6 +1596,7 @@ class _FailingSweep:
         return runner.ChunkResult(lo, hi, hi - lo, None, {"key": [lo], "weight": 1})
 
 
+@pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize("how, error, message", [
     ("dies", runner.WorkerError, r"worker process \d+ ended \(exit code -9\) without the result of chunk \[3, 4\)"),
     ("raises", _Broke, "chunk 3 broke"),
@@ -1598,10 +1643,13 @@ def test_import_and_a_one_worker_run_load_no_pool_module():
     import subprocess
     import sys
 
+    # and nor does a two-worker witness-span proof too short for a pool
     code = (
         "import sys; from rankscatter.cli import main; "
         "main(['verify-scattered', '--field', '2,1,4', '--system', 'pseudoregulus', '--h', '2', "
         "'--mode', 'exhaustive', '--chunk-size', '20', '--out', __import__('os').devnull]); "
+        "main(['verify-scattered', '--field', '2,1,4', '--system', 'family', '--m', '4', '--h', '2', "
+        "'--alphas', '1,1,1,1', '--mode', 'witness_span', '--workers', '2', '--out', __import__('os').devnull]); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
