@@ -43,7 +43,9 @@ has a large extension-linear part.  A level read
 from its kernels is sparse: every unit weighs wt(P) + 1 but the few in some
 kernel and the skipped ones, so a run of such levels travels as one
 `Levels`, which lists only those and each level's first plain unit; d = 1
-is one level per process.  A sweep picks its backend once
+is one level per process.  Every class kernel holds the skipped units, the
+u_j inside P's extension span, so a kernel of no larger dimension than
+wt(P) is that span and is not listed.  A sweep picks its backend once
 (`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
@@ -83,7 +85,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -802,8 +804,13 @@ class SpanSweep(_Sweep):
     # more elements than the level has units: then, as when U has a large
     # extension-linear part, `basis` weighs the span of every unit.
     # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
-    # q^wt(P) elements.  Eliminations run for a batch of levels at once, and
-    # so does the sorting of kernel elements into each level's exceptions.
+    # q^wt(P) elements.  Each K_lambda holds them, as lambda <P> = <P>, so a
+    # K_lambda of dimension wt(P) is that span: it holds no unit outside the
+    # skipped ones, changes no count and is not listed.  Most are such a
+    # span: all are on a level whose units weigh at most wt(P) + 1.
+    # Eliminations run for a batch of levels at once, and so does the
+    # sorting of kernel elements into each level's exceptions.  At d = 2 a
+    # batch of prefixes is a slice of the first indices.
 
     def _kernel_route(self, size, units):
         """The rule between the routes: enumerate kernels of `size`
@@ -847,27 +854,36 @@ class SpanSweep(_Sweep):
         in walk order, a batch of levels at a time."""
         kern = self.kernel
 
-        def walk(prefix):
-            if len(prefix) == d - 1:
-                yield prefix
+        def walk(prefix, lasts):
+            """The (d-1)-prefixes that extend `prefix` by one of `lasts`, in
+            walk order, as arrays: at d = 2 one, of the first indices."""
+            if len(prefix) == d - 2:
+                rows = np.empty((len(lasts), d - 1), dtype=np.int64)
+                rows[:, :-1], rows[:, -1] = prefix, lasts
+                yield rows
                 return
-            skip = set(self._spans(kern.basis(np.array([prefix]))[1])[1].tolist())
-            for j in range(prefix[-1] + 1, self.NU):
-                if j not in skip:
-                    yield from walk((*prefix, j))
+            for j in lasts.tolist():
+                skip = self._spans(kern.basis(np.array([(*prefix, j)]))[1])[1]
+                yield from walk((*prefix, j), np.setdiff1d(np.arange(j + 1, self.NU), skip))
 
-        prefixes = (p for i1 in firsts for p in walk((i1,)))
         # a prefix's levels take one map of P + dim U rows per class
         size = max(1, kern.block((d - 1) * self.n + self.U.dim, kern.w + self.U.dim) // len(kern.lambdas))
-        while batch := list(islice(prefixes, size)):
+        batch = np.zeros((0, d - 1), dtype=np.int64)
+        for rows in walk((), np.asarray(firsts, dtype=np.int64)):
+            batch = np.concatenate([batch, rows])
+            while len(batch) >= size:
+                yield from self._levels(d, batch[:size], 0, self.NU)
+                batch = batch[size:]
+        if len(batch):
             yield from self._levels(d, batch, 0, self.NU)
 
     def _prepare(self, prefixes, units):
         """What the levels of a batch of (d-1)-prefixes with `units` units
         each need: weights, the elements inside each prefix's span, the
         total size of each level's kernels (at least the class count when
-        none were computed) and, for levels that take the kernel route,
-        their elements, grouped by level as `_spans` does."""
+        none were computed) and, for levels that take the kernel route, the
+        elements of their kernels larger than the prefix's dependent span,
+        grouped by level as `_spans` does."""
         kern, q, L, C = self.kernel, self.tower.q, len(prefixes), len(self.kernel.lambdas)
         # the prefix rows are F_q-independent, so wt(P) tags span U n <P>
         basis, dependent = kern.basis(prefixes)
@@ -875,11 +891,14 @@ class SpanSweep(_Sweep):
         sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if self._kernel_route(C, units.max()):
             index = kern.kernels(basis)
-            # sums and a product map less numpy code than count_nonzero and a masked store
-            sizes = (q ** (index != 0).sum(axis=2)).sum(axis=1)
-            index *= self._kernel_route(sizes, units)[:, None, None]
-            bounds, elements = self._spans(index.reshape(L * C, -1))
-            hits = bounds[::C], elements
+            # a sum maps less numpy code than count_nonzero
+            kappa = (index != 0).sum(axis=2)
+            sizes = (q**kappa).sum(axis=1)
+            # only a kernel larger than the dependent span, of dimension
+            # wt(P), can hold an exception
+            rows = np.flatnonzero((kappa > weights[:, None]) & self._kernel_route(sizes, units)[:, None])
+            bounds, elements = self._spans(index.reshape(L * C, -1)[rows])
+            hits = bounds[np.searchsorted(rows, np.arange(L + 1) * C)], elements
         return weights, self._spans(dependent), sizes, hits
 
     @cached_property

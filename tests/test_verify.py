@@ -1214,6 +1214,79 @@ def test_mixed_routes_in_one_batch_equal_the_scalar_oracle(case, kernel):
     assert any(isinstance(b, Levels) and b.heads[0, 0] == 2 for b in blocks[:at])
 
 
+def _span_weight(sweep, key):
+    """The scalar oracle's weight of the span that a key [d, j_1..j_d]
+    names, or -1, as a level weighs a skipped unit, when u_{j_d} lies in
+    the extension span of the others."""
+    H = sweep.subspace(key)
+    return subspace_weight(sweep.U, H) if H.dim == key[0] else -1
+
+
+@pytest.mark.parametrize("case", ["F64-(1,1,2)", "C2-(1,1,1,1)"])
+def test_prepare_lists_only_class_kernels_larger_than_the_dependent_span(case):
+    # every class kernel holds D(P), the u_j in the prefix's extension span,
+    # of dimension wt(P); a kernel of that dimension is D(P) and is not
+    # listed.  The F_64 member is 2-scattered, so on its first 64 d = 2
+    # levels, all on the kernel route, every kernel is D(P) and none is
+    # listed (two elements for each of 31 classes were).  C2 level 4369
+    # holds the first weight-3 span, at j = 8738
+    if case == "F64-(1,1,2)":
+        U, firsts = family_subspace(ConstructionParams(create_field(2, 1, 6), 3, 2, (1, 1, 2))), range(1, 65)
+    else:
+        U, firsts = family_subspace(ConstructionParams(create_field(2, 1, 4), 4, 2, (1, 1, 1, 1))), [1, 2, 4369]
+    sweep = _sweep(U, "witness_span", 2)
+    prefixes = np.array(firsts)[:, None]
+    units = sweep.NU - prefixes[:, 0] - 1
+    weights, deps, sizes, (bounds, elements) = sweep._prepare(prefixes, units)
+    assert sweep._kernel_route(sizes, units).all() and (weights == 1).all()
+    if case == "F64-(1,1,2)":
+        assert not bounds.any() and not len(elements)
+    else:
+        assert 8738 in elements[bounds[-2] :].tolist()
+    # every listed element, every skipped unit and a few others of each
+    # level weigh as on the scalar oracle
+    levels, rng = _level_weights(sweep, firsts), np.random.default_rng(0)
+    for i, first in enumerate(firsts):
+        start, wts = levels[(2, first)]
+        picks = [elements[bounds[i] : bounds[i + 1]], deps[1][deps[0][i] : deps[0][i + 1]], rng.integers(start, sweep.NU, 4)]
+        for j in sorted(set(np.concatenate(picks).tolist())):
+            if j >= start:
+                assert wts[j - start] == _span_weight(sweep, [2, first, j]), (first, j)
+    assert levels[(2, firsts[-1])][1].max() == (2 if case == "F64-(1,1,2)" else 3)
+
+
+BATCH_CASES = {
+    # (q, n, generators in F_{q^n}^3): 31 and 40 first indices, whose d = 2
+    # spans weigh 2, 3 and 4, and 2 and 3
+    "F16": (2, 4, [(3, 8, 12), (5, 3, 7), (1, 3, 13), (10, 13, 13), (14, 4, 7)]),
+    "F27": MIXED_ROUTE_CASES["F27"],
+}
+
+
+@pytest.mark.parametrize("case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows")])
+@pytest.mark.parametrize("kernel_route", [True, False])
+def test_d2_batches_of_three_prefixes_equal_the_scalar_oracle(case, kernel, kernel_route):
+    # a kernel whose block holds 3 prefixes cuts the first indices of d = 2
+    # into batches of 3 and a last one of 1; every unit weighs as on the
+    # scalar oracle, on either route
+    from rankscatter import verify
+
+    q, n, gens = BATCH_CASES[case]
+    U = explicit_system(create_field(q, 1, n), 3, gens)
+    sweep = _force_route(_sweep(U, "witness_span", 2), kernel_route)
+    kern = sweep.kernel = getattr(verify, kernel)(sweep)
+    kern.block = lambda rows, width: 3 * len(kern.lambdas)
+    batches, prepare = [], sweep._prepare
+    sweep._prepare = lambda prefixes, units: batches.append(len(prefixes)) or prepare(prefixes, units)
+    R = sweep.R
+    firsts = [i for _, runs in sweep._firsts(R, 2 * R) for a, b in runs for i in range(a, b)]
+    assert len(firsts) == R >= 20
+    weights = _keyed_weights(sweep._tuples(2, firsts))
+    assert batches == [3] * (R // 3) + [1]
+    assert weights == _keyed_weights(sweep._oracle(R, 2 * R))
+    assert {w for _, w in weights} == ({2, 3, 4} if case == "F16" else {2, 3})
+
+
 def _stacked_kernels(sweep, basis):
     """The kernels of j -> lambda u_j mod U + prefix by one elimination of
     the stacked rows [prefix rows; map rows [lambda g_e mod U | tag e]] per
