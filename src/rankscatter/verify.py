@@ -36,17 +36,16 @@ mod U, of k n - t entries, or the (k - d) n rows of MU, of t entries, for
 the annihilator M of H (wt_U(H) = t - rank(MU)).
 Witness-span levels take their weights from those kernels: one map per
 F_q^*-class of a scalar lambda, eliminated once per sweep, not one rank per
-element.  A level weighs each of its spans [P, u_j] as it weighs its
-prefix P instead only when the kernels, whose sizes are known after
-elimination, add up to more elements than the level has units, as when U
-has a large extension-linear part.  A level read
-from its kernels is sparse: every unit weighs wt(P) + 1 but the few in some
-kernel and the skipped ones, so a run of such levels travels as one
-`Levels`, which lists only those and each level's first plain unit; d = 1
-is one level per process.  Every class kernel holds the skipped units, the
-u_j inside P's extension span, so a kernel of no larger dimension than
-wt(P) is that span and is not listed.  A sweep picks its backend once
-(`weight_backend`), which `run_units` runs:
+element.  Every class kernel holds the skipped units, the u_j inside P's
+extension span, so a kernel of no larger dimension than wt(P) is that span
+and is not listed.  A level weighs each of its spans [P, u_j] as it weighs
+its prefix P instead only when the kernels it would list add up to more
+elements than it has units, as on the d = 1 level of a U that holds an
+extension line.  A level read from its kernels is sparse: every unit
+weighs wt(P) + 1 but the few in some kernel and the skipped ones, so a run
+of such levels travels as one `Levels`, which lists only those and each
+level's first plain unit; d = 1 is one level per process.  A sweep picks
+its backend once (`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
@@ -800,21 +799,22 @@ class SpanSweep(_Sweep):
     # {j : lambda u_j in V} holds j.  Each K_lambda is the kernel of a map
     # linear in the index digits of j, so a level costs a reduction of its
     # prefix rows against each class's pivots, eliminated once per sweep,
-    # and a pass over the elements of the kernels, unless those add up to
-    # more elements than the level has units: then, as when U has a large
-    # extension-linear part, `basis` weighs the span of every unit.
+    # and a pass over the elements of the kernels it lists.
     # The u_j inside <P> are the kernel of j -> u_j mod <P>, which has
     # q^wt(P) elements.  Each K_lambda holds them, as lambda <P> = <P>, so a
     # K_lambda of dimension wt(P) is that span: it holds no unit outside the
     # skipped ones, changes no count and is not listed.  Most are such a
-    # span: all are on a level whose units weigh at most wt(P) + 1.
+    # span: all are on a level whose units weigh at most wt(P) + 1.  Where
+    # the kernels a level would list add up to more elements than it has
+    # units, as when U holds an extension line, `basis` weighs the span of
+    # every unit instead; `_prepare` picks each level's route.
     # Eliminations run for a batch of levels at once, and so does the
     # sorting of kernel elements into each level's exceptions.  At d = 2 a
     # batch of prefixes is a slice of the first indices.
 
     def _kernel_route(self, size, units):
-        """The rule between the routes: enumerate kernels of `size`
-        elements in all rather than rank `units` units."""
+        """The rule between the routes: list kernels of `size` elements in
+        all rather than rank `units` units."""
         return size <= units
 
     @cached_property
@@ -879,35 +879,33 @@ class SpanSweep(_Sweep):
 
     def _prepare(self, prefixes, units):
         """What the levels of a batch of (d-1)-prefixes with `units` units
-        each need: weights, the elements inside each prefix's span, the
-        total size of each level's kernels (at least the class count when
-        none were computed) and, for levels that take the kernel route, the
-        elements of their kernels larger than the prefix's dependent span,
-        grouped by level as `_spans` does."""
+        each need: weights, the elements inside each prefix's span, each
+        level's route and, for kernel-route levels, the elements of their
+        class kernels larger than the prefix's dependent span, grouped by
+        level as `_spans` does.  The class kernels are always computed, and
+        the kernel route is priced by the elements it lists."""
         kern, q, L, C = self.kernel, self.tower.q, len(prefixes), len(self.kernel.lambdas)
         # the prefix rows are F_q-independent, so wt(P) tags span U n <P>
         basis, dependent = kern.basis(prefixes)
         weights = (dependent != 0).sum(axis=1)
-        sizes, hits = np.full(L, C), (np.zeros(L + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        if self._kernel_route(C, units.max()):
-            index = kern.kernels(basis)
-            # a sum maps less numpy code than count_nonzero
-            kappa = (index != 0).sum(axis=2)
-            sizes = (q**kappa).sum(axis=1)
-            # only a kernel larger than the dependent span, of dimension
-            # wt(P), can hold an exception
-            rows = np.flatnonzero((kappa > weights[:, None]) & self._kernel_route(sizes, units)[:, None])
-            bounds, elements = self._spans(index.reshape(L * C, -1)[rows])
-            hits = bounds[np.searchsorted(rows, np.arange(L + 1) * C)], elements
-        return weights, self._spans(dependent), sizes, hits
+        index = kern.kernels(basis)
+        # a sum maps less numpy code than count_nonzero
+        kappa = (index != 0).sum(axis=2)
+        # only a kernel larger than the dependent span, of dimension wt(P),
+        # can hold an exception
+        larger = kappa > weights[:, None]
+        route = self._kernel_route(np.where(larger, q**kappa, 0).sum(axis=1), units)
+        rows = np.flatnonzero(larger & route[:, None])
+        bounds, elements = self._spans(index.reshape(L * C, -1)[rows])
+        return weights, self._spans(dependent), route, (bounds[np.searchsorted(rows, np.arange(L + 1) * C)], elements)
 
     @cached_property
     def _first_level(self):
-        """The d = 1 level, of the empty prefix over j in [1, NU): a
-        one-level Levels per process on the kernel route, else None."""
-        units = np.array([self.NU - 1])
-        if self._kernel_route(self._prepare(np.zeros((1, 0), dtype=np.int64), units)[2], units)[0]:
-            return next(self._levels(1, [()], 1, self.NU))
+        """The d = 1 level, of the empty prefix over j in [1, NU): the first
+        block `_levels` yields for it, kept once per process when it is a
+        Levels (the kernel route), else None."""
+        lv = next(self._levels(1, [()], 1, self.NU))
+        return lv if isinstance(lv, Levels) else None
 
     def _levels(self, d, prefixes, lo, hi):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
@@ -921,8 +919,7 @@ class SpanSweep(_Sweep):
         prefixes = np.array(prefixes, dtype=np.int64).reshape(L, d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(L, lo)
         units = hi - starts
-        weights, deps, sizes, hits = self._prepare(prefixes, units)
-        route = self._kernel_route(sizes, units) | (units == 0)
+        weights, deps, route, hits = self._prepare(prefixes, units)
 
         def keys(grouped):
             """Level * NU + j of the grouped elements j in range on a

@@ -1117,26 +1117,64 @@ def _force_route(sweep, kernel_route: bool):
 
 @pytest.mark.parametrize("q, n", [(2, 6), (3, 3)])
 def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
-    # U = F_{q^n} e_1: every kernel is all of U, so the kernels of a level
-    # add up to more elements than it has units, and each u_j ranks
+    # U = F_{q^n} e_1: every class kernel is all of U.  The d = 1 level's
+    # kernels are larger than its empty dependent span and add up to more
+    # elements than it has units, so each u_j ranks; a d = 2 prefix spans
+    # all of U, so every kernel is D(P) and its level lists every unit as
+    # skipped, with no span ranked
     F = create_field(q, 1, n)
     U = line_control_subspace(F, 2)
     sweep = _sweep(U, "witness_span", 2)
     kern = sweep.kernel
-    # `_prepare` passes `basis` one batch of prefixes; every other batch
+    # `_prepare` passes `basis` its batch of prefixes; every other batch
     # holds one span [P, u_j] per ranked unit
-    rows, prefixes, basis, prepare = [], [], kern.basis, sweep._prepare
-    kern.basis = lambda batch: rows.append(len(batch)) or basis(batch)
-    sweep._prepare = lambda batch, units: prefixes.append(len(batch)) or prepare(batch, units)
-    blocks = list(_expand(sweep._weights(0, sweep.total_units)))
-    assert sum(rows) - sum(prefixes) == sum(len(w) for *_, w in blocks) > 0
+    batches, prefixes, basis, prepare = [], [], kern.basis, sweep._prepare
+    kern.basis = lambda batch: batches.append(batch) or basis(batch)
+    sweep._prepare = lambda batch, units: prefixes.append(batch) or prepare(batch, units)
+    blocks = list(sweep._weights(0, sweep.total_units))
+    spans = [b for b in batches if not any(b is p for p in prefixes)]
+    assert {b.shape[1] for b in spans} == {1}
     weights = _keyed_weights(blocks)
+    firsts = {key[1] for key, _ in weights if key[0] == 1}
+    assert len(firsts) == sweep.R and firsts <= set(np.concatenate(spans)[:, 0].tolist())
+    pairs = [b for b in blocks if isinstance(b, Levels)]
+    assert pairs and all(isinstance(b, Levels) or b[0] == (1,) for b in blocks)
+    assert all((b.heads[:, 0] == 2).all() and (b.wts == -1).all() and len(b.wts) == b.sizes.sum() for b in pairs)
     assert weights == _keyed_weights(sweep._oracle(0, sweep.total_units))
     assert {w for _, w in weights} == {n} and len(weights) == sweep.R
     forced = _force_route(_sweep(U, "witness_span", 2), True)
     assert _keyed_weights(forced._weights(0, forced.total_units)) == weights
     v = verify_h_scattered(U, 1, mode="witness_span")
     assert (v.status, *_seen(v)) == ("violated", 1, [1, 1]) and _rederived(U, v) == (1, [1, 1])
+
+
+@pytest.mark.parametrize("q, n, kernel, ranked, units", [
+    (2, 4, "_GF2Rows", 120, 465), (2, 4, "_FpRows", 120, 465), (3, 3, "_FpRows", 1080, 1990)
+])
+def test_d2_levels_off_an_extension_line_take_the_rank_route(q, n, kernel, ranked, units):
+    # U = F_{q^n} e_1 + F_q e_2, with no route forced.  A prefix u_i off the
+    # line spans e_1 and e_2 with U, so each class kernel is all of U, larger
+    # than wt(P) = 1 and than the level: that level ranks each span.  A
+    # prefix on the line has wt(P) = n, and every class kernel is the line,
+    # D(P): that level lists its units and ranks none
+    from rankscatter import verify
+
+    F = create_field(q, 1, n)
+    U = explicit_system(F, 3, [(F.q_basis[j], 0, 0) for j in range(n)] + [(0, 1, 0)])
+    sweep = _sweep(U, "witness_span", 2)
+    kern = sweep.kernel = getattr(verify, kernel)(sweep)
+    # `basis` sees a d = 2 span batch with two columns, a prefix batch with one
+    spans, basis = [], kern.basis
+    kern.basis = lambda batch: (batch.shape[1] == 2 and spans.append(batch)) or basis(batch)
+    R, line = sweep.R, q**n
+    blocks = list(sweep._weights(R, 2 * R))
+    assert sum(len(w) for *_, w in _expand(blocks)) == units
+    ranks = np.concatenate(spans)
+    # the level of the last index, u_{NU-1}, has no unit to rank
+    assert len(ranks) == ranked and set(ranks[:, 0].tolist()) == set(range(line, 2 * line)) - {sweep.NU - 1}
+    listed = np.concatenate([b.heads[:, 1] for b in blocks if isinstance(b, Levels)])
+    assert listed.tolist() == [i for e in range(n) for i in range(q**e, 2 * q**e)]
+    assert _keyed_weights(blocks) == _keyed_weights(sweep._oracle(R, 2 * R))
 
 
 def test_span_routes_agree_past_a_subfield_line():
@@ -1192,14 +1230,14 @@ MIXED_ROUTE_CASES = {
 def test_mixed_routes_in_one_batch_equal_the_scalar_oracle(case, kernel):
     # a level takes the kernel route unless its unit count is a multiple of
     # 3, so a batch holds runs of kernel-route levels with rank-route levels
-    # between them; the batch-wide call in `_prepare` keeps the kernels
+    # between them
     from rankscatter import verify
 
     q, n, gens = MIXED_ROUTE_CASES[case]
     U = explicit_system(create_field(q, 1, n), 3, gens)
     p = plan(U, 2, 2, "witness_span", chunk_size=37)
     sweep = _build_sweep(U, p)[0]
-    sweep._kernel_route = lambda size, units: units % 3 != 0 if np.ndim(units) else True
+    sweep._kernel_route = lambda size, units: units % 3 != 0
     sweep.kernel = getattr(verify, kernel)(sweep)
     assert _keyed_weights(sweep._weights(0, p.total)) == _keyed_weights(sweep._oracle(0, p.total))
     results = [sweep.run_units(lo, min(lo + 37, p.total)) for lo in range(0, p.total, 37)]
@@ -1237,10 +1275,20 @@ def test_prepare_lists_only_class_kernels_larger_than_the_dependent_span(case):
     sweep = _sweep(U, "witness_span", 2)
     prefixes = np.array(firsts)[:, None]
     units = sweep.NU - prefixes[:, 0] - 1
-    weights, deps, sizes, (bounds, elements) = sweep._prepare(prefixes, units)
-    assert sweep._kernel_route(sizes, units).all() and (weights == 1).all()
+    weights, deps, route, (bounds, elements) = sweep._prepare(prefixes, units)
+    assert route.all() and (weights == 1).all()
     if case == "F64-(1,1,2)":
         assert not bounds.any() and not len(elements)
+        # the last 40 first indices: levels of 39 down to 0 units, against 31
+        # classes, whose kernels are all D(P), so they list nothing and take
+        # the kernel route
+        R, tail = sweep.R, np.arange(sweep.NU - 40, sweep.NU)[:, None]
+        tail_weights, _, tail_route, (tail_bounds, listed) = sweep._prepare(tail, sweep.NU - tail[:, 0] - 1)
+        assert tail_route.tolist() == [True] * 40 and (tail_weights == 1).all()
+        assert not tail_bounds.any() and not len(listed)
+        blocks = list(sweep._weights(2 * R - 40, 2 * R))
+        assert all(isinstance(b, Levels) for b in blocks)
+        assert _keyed_weights(blocks) == _keyed_weights(sweep._oracle(2 * R - 40, 2 * R))
     else:
         assert 8738 in elements[bounds[-2] :].tolist()
     # every listed element, every skipped unit and a few others of each
