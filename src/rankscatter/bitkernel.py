@@ -1,9 +1,15 @@
-"""Batched row reduction: GF(2) on packed uint64 words, F_p on uint8 arrays.
+"""Batched row reduction: GF(2) on packed uint64 words, GF(3) on pairs of
+them, F_p on uint8 arrays.
 
 A GF(2) batch is a list of R arrays of shape (B,): entry j of every array
 is one row of the j-th matrix in the batch, packed into at most 64 bits.
 Pivots are lowest set bits, matching the scalar BitRows convention, so
 batch and scalar sweeps agree bit for bit.
+
+A GF(3) batch is one uint64 array of shape (2, R, B), the same layout with
+each row split into two bit planes on the leading axis: entry e of a row is
+1 where bit e of plane 0 is set and 2 where bit e of plane 1 is.  Addition
+is seven word operations (`gf3_add`), and negation swaps the planes.
 
 An F_p batch, for a prime p < 256, is one uint8 array of shape (B, R, W):
 R rows of W residues mod p per matrix.  All F_p arithmetic is exact
@@ -67,6 +73,69 @@ def subset_xor_table(deltas: np.ndarray, bits: int) -> np.ndarray:
         half = 1 << i
         t[..., half : 2 * half] = t[..., :half] ^ groups[..., i, None]
     return t
+
+
+# --- GF(3) on pairs of bit planes ---
+
+
+def gf3_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b over GF(3), entry by entry, for word pairs with their planes on
+    the leading axis; b[::-1] is -b."""
+    u = a | b[::-1]
+    return (a | b)[::-1] ^ (u[0] ^ u[1])
+
+
+def gf3_table(deltas: np.ndarray, base: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Tables of GF(3) sums of the word pairs deltas[:, e] of a (2, m, ...)
+    array: entry [:, v] is the sum of c_e deltas[:, e] over the base-`base`
+    digits c_e of v, least significant first (base 2: subset sums; base 3:
+    every combination).  Written into `out` when given."""
+    m = deltas.shape[1]
+    if out is None:
+        out = np.empty((2, base**m, *deltas.shape[2:]), dtype=U64)
+    out[:, :1] = 0
+    size = 1
+    for e in range(m):
+        d = deltas[:, e : e + 1]
+        for c in range(1, base):
+            out[:, c * size : (c + 1) * size] = gf3_add(out[:, :size], d if c == 1 else d[::-1])
+        size *= base
+    return out
+
+
+def gf3_clear(rest: np.ndarray, cur: np.ndarray) -> None:
+    """Clear the entry at the lowest nonzero entry of each pair of `cur`,
+    of shape (2, B), from the rows of `rest`, of shape (2, R, B), by adding
+    a multiple of it in place; a zero `cur` changes nothing.
+
+    The pivot row, scaled to lead 1 and shifted down to its lowest entry,
+    times a row's pivot bit (0 or that power of two) is the scaled row
+    itself or 0, so a row whose pivot entry is a gets -a times it."""
+    nz = cur[0] | cur[1]
+    low = nz & (U64(0) - nz)
+    shifted = cur // np.maximum(low, U64(1))
+    norm = np.where(shifted[1] & U64(1), shifted[::-1], shifted)[:, None]
+    hit = rest & low
+    add = hit[0] * norm[::-1]
+    add |= hit[1] * norm
+    # gf3_add(rest, add), written into rest
+    u = rest | add[::-1]
+    add |= rest
+    np.bitwise_xor(add[::-1], u[0] ^ u[1], out=rest)
+
+
+def gf3_rank(rows: np.ndarray) -> np.ndarray:
+    """Rank over GF(3) of each matrix of a (2, R, B) batch, which is left in
+    `fp_rank`'s echelon form: row i's lowest nonzero entry is its pivot, and
+    it is cleared from the later rows only; a pivot row is never rescaled.
+    ROW_BLOCK words of later rows go to one `gf3_clear`, as in
+    `batch_rank`."""
+    nrows = rows.shape[1]
+    step = max(1, ROW_BLOCK // max(1, rows.shape[2]))
+    for i in range(nrows - 1):
+        for s in range(i + 1, nrows, step):
+            gf3_clear(rows[:, s : s + step], rows[:, i])
+    return np.count_nonzero(rows[0] | rows[1], axis=0)
 
 
 # --- F_p on uint8 arrays ---

@@ -99,46 +99,52 @@ def _add_system(p: argparse.ArgumentParser):
     p.add_argument("--ambient", type=int, default=2, help="ambient dimension of the line control")
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of `command`'s subcommand alone when it names one, else of
+    every subcommand: a subcommand parses alike either way."""
     parser = _Parser(prog="rankscatter", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in (*_HANDLERS, "recheck")
 
-    p = sub.add_parser("construct", help="build a system and report its dimensions")
-    _add_common(p, REPORT_ONLY)
-    _add_system(p)
+    def add(name, text):
+        return sub.add_parser(name, help=text) if every or name == command else None
 
-    p = sub.add_parser("verify-scattered", help="decide h-scatteredness")
-    _add_common(p, RESUMABLE)
-    _add_system(p)
-    p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="witness_span")
+    if p := add("construct", "build a system and report its dimensions"):
+        _add_common(p, REPORT_ONLY)
+        _add_system(p)
 
-    p = sub.add_parser("verify-evasive", help="decide (hdim, r)-evasiveness")
-    _add_common(p, RESUMABLE)
-    _add_system(p)
-    p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="sampled")
-    p.add_argument("--hdim", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    if p := add("verify-scattered", "decide h-scatteredness"):
+        _add_common(p, RESUMABLE)
+        _add_system(p)
+        p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="witness_span")
 
-    p = sub.add_parser("weights", help="generalized rank weights of a system")
-    _add_common(p, POOLED)
-    _add_system(p)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--rho", help="comma-separated indices (default: all)")
-    p.add_argument("--csv", help="also write the profile as CSV here")
+    if p := add("verify-evasive", "decide (hdim, r)-evasiveness"):
+        _add_common(p, RESUMABLE)
+        _add_system(p)
+        p.add_argument("--mode", choices=["exhaustive", "witness_span", "sampled"], default="sampled")
+        p.add_argument("--hdim", type=int, required=True)
+        p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("compare", help="family weight bounds vs the direct-sum baseline")
-    _add_common(p, REPORT_ONLY)
-    _add_system(p)
-    p.add_argument("--s-list", dest="s_list", help="comma-separated s values for rho = s(h+1)")
+    if p := add("weights", "generalized rank weights of a system"):
+        _add_common(p, POOLED)
+        _add_system(p)
+        p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
+        p.add_argument("--rho", help="comma-separated indices (default: all)")
+        p.add_argument("--csv", help="also write the profile as CSV here")
 
-    p = sub.add_parser("search", help="census of multiplier tuples by admissibility")
-    _add_common(p, SAMPLING)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--check-b", dest="check_strong", action="store_true",
-                   help="also count strongly admissible tuples")
+    if p := add("compare", "family weight bounds vs the direct-sum baseline"):
+        _add_common(p, REPORT_ONLY)
+        _add_system(p)
+        p.add_argument("--s-list", dest="s_list", help="comma-separated s values for rho = s(h+1)")
 
-    p = sub.add_parser("recheck", help="re-verify an emitted report file")
-    p.add_argument("report", help="path to a report JSON file")
+    if p := add("search", "census of multiplier tuples by admissibility"):
+        _add_common(p, SAMPLING)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--check-b", dest="check_strong", action="store_true",
+                       help="also count strongly admissible tuples")
+
+    if p := add("recheck", "re-verify an emitted report file"):
+        p.add_argument("report", help="path to a report JSON file")
     return parser
 
 
@@ -283,7 +289,8 @@ def main(argv=None) -> int:
     WorkerError is exit 5; any other exception is a broken invariant and
     propagates."""
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         if args.command != "recheck":
             return _run(args)
         try:

@@ -253,6 +253,8 @@ def _recheck_verdict(tower, report, problems, unchecked):
     result, counts = verify_result(tower, verdict)
     if "backend" not in res:  # written before verdicts named their backend
         del result["backend"]
+    elif (res["backend"], result["backend"]) == ("fp", "gf3"):  # written before q = 3 had its own kernel
+        result["backend"] = "fp"
     _reproduce(report, (result, counts), problems)
     if sweep is None:
         return

@@ -49,15 +49,19 @@ its backend once (`weight_backend`), which `run_units` runs:
 
 * "gf2" - `_GF2Rows`, packed uint64 words and `bitkernel.batch_rank`,
   when q = 2 and the expanded width k*n is at most 64 bits;
+* "gf3" - `_GF3Rows`, pairs of uint64 bit planes and
+  `bitkernel.gf3_rank`, when q = 3 and k*n is at most 64 trits;
 * "fp" - `_FpRows`, uint8 row arrays and `bitkernel.fp_rank`, for any
-  other prime q < 256 (odd q, and q = 2 with k*n > 64);
+  other prime q < 256 (p >= 5, and q = 2 or 3 with k*n > 64);
 * "scalar" - no kernel: the oracle, one weight per unit key, for q = p^s
   with s > 1 and for p > 255; `rederive` runs it on any sweep.
 
-Rows are linear over F_p in the base-p digits of the entries, so both
-kernels read them from tables with one entry per digit or digit group,
+Rows are linear over F_p in the base-p digits of the entries, so every
+kernel reads them from tables with one entry per digit or digit group,
 never one per field element: `_row_table` builds the F_p table of each
-kind of row, which "fp" uses as it is and "gf2" packs a row to a word.
+kind of row, which "fp" uses as it is, "gf2" packs a row to a word and
+"gf3" to a word pair.  "gf3" keeps fp's row order and echelon convention,
+so its echelon rows, kernel tags and weights are fp's.
 
 `_scan` alone applies the rules, in one fold over the listed units of
 `Levels` and of dense blocks, whose every unit is listed: weight -1 marks a
@@ -111,9 +115,11 @@ from .construction import QSystem, system_to_desc
 from .runner import ChunkResult, SweepOutcome, _merge_best, run_sweep
 
 SPAN_TABLE_CAP = 1 << 20  # max |U| of a witness-span sweep
+RESIDUE_TABLE_CAP = 1 << 28  # max bytes of a witness-span sweep's class residue table
 EXHAUSTIVE_CAP = 10**9    # max subspaces of an exhaustive sweep without a budget
 SAMPLE_BLOCK = 2048       # samples per draw in sampled sweeps
 GF2_BLOCK = 1 << 16       # matrices per batch of the GF(2) kernel
+GF3_BLOCK = 1 << 13       # words of rows per batch of the GF(3) kernel
 FP_BLOCK = 128 * 12 * 54  # bytes of rows per batch of the F_p kernel
 SAMPLE_STREAM = 2         # names the sample stream in checkpoint headers
 DEFAULT_CHUNKS = {"exhaustive": 1 << 14, "witness_span": 512, "sampled": 1 << 14}
@@ -224,11 +230,12 @@ def _scan(sweep, blocks, lo: int, hi: int) -> ChunkResult:
 
 def weight_backend(tower: FieldTower, k: int, dim: int) -> str:
     """The backend a sweep of dim-dimensional subspaces of F_{q^n}^k runs:
-    "gf2", "fp" or "scalar" (see the module docstring)."""
+    "gf2", "gf3", "fp" or "scalar" (see the module docstring), from the
+    field and the width alone."""
     if dim < 1 or tower.s > 1 or tower.p > 255:
         return "scalar"
-    if tower.q == 2 and k * tower.n <= bitkernel.MAX_WIDTH:
-        return "gf2"
+    if tower.q in (2, 3) and k * tower.n <= bitkernel.MAX_WIDTH:
+        return f"gf{tower.q}"
     return "fp"
 
 
@@ -292,7 +299,7 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
     return np.frombuffer(b"".join(row for per in rows for row in per), dtype=np.uint8).reshape(len(rows), n, width)
 
 
-# --- the row kernel: two batched implementations of the same calls ---
+# --- the row kernel: three batched implementations of the same calls ---
 #
 #   value_rows(vals, reduced)    rows of a (B, d, k) block of value matrices
 #   table_rows(vals, table)      the same through one table; through
@@ -308,10 +315,12 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #                                tag e] in echelon form, once per sweep: the
 #                                tags of its kernel, and its pivot rows as
 #                                `_residue_tags` reads them, fp as they are,
-#                                gf2 as a residue table (`_reducer`)
+#                                gf2 and gf3 as a residue table (`_reducer`,
+#                                whose size `plan` bounds)
 #   _residue_tags(basis, ...)    the tags of the prefix rows reduced by each
 #                                class's pivots and eliminated: on gf2, one
-#                                table lookup per byte of reduced part
+#                                table lookup per byte of reduced part, on
+#                                gf3 one per byte of each bit plane
 #   kernels(basis)               for each prefix of that batch and each
 #                                class, tag indices (0 for none) whose digits
 #                                span the kernel of j -> lambda u_j mod U +
@@ -323,21 +332,22 @@ def _row_table(tower: FieldTower, U: FqSubspace, k: int, kind: str) -> np.ndarra
 #
 # Rows are the F_q-expansions of b_l * v over the F_q-basis b_l, for every
 # vector v of a matrix; "reduced" rows are taken mod U and drop U's pivot
-# columns, where they are zero, on both kernels.  The rows of an element
-# u_j = sum_e j_e g_e of U are linear in its index digits j_e, so both
-# kernels build them from the generator rows alone.  Those are kept in mixed
+# columns, where they are zero, on every kernel.  The rows of an element
+# u_j = sum_e j_e g_e of U are linear in its index digits j_e, so every
+# kernel builds them from the generator rows alone.  Those are kept in mixed
 # coordinates: the reduced row first, then the entries at U's pivot
 # columns, which are the index digits of any element of U.  A change
 # of coordinates keeps ranks, and an echelon form of [image | index tag]
 # rows has the kernel of the map in the tags of its rows whose image is
 # zero; `basis` and `_class_echelon` read kernels so, from
-# `bitkernel.batch_rank` or `fp_rank`.  {y : f(y) in <b>} for a class map f
-# is ker f plus the tags of the prefix rows b reduced by f's pivots that are
-# zero after elimination, as a residue in the image of f is zero.
+# `bitkernel.batch_rank`, `gf3_rank` or `fp_rank`.  {y : f(y) in <b>} for a
+# class map f is ker f plus the tags of the prefix rows b reduced by f's
+# pivots that are zero after elimination, as a residue in the image of f is
+# zero.
 
 
 class _Rows:
-    """What both row kernels share: the sweep's field and U, the width w =
+    """What the row kernels share: the sweep's field and U, the width w =
     k * n - dim U of reduced rows, and one table per row kind, built on
     first use by `_table` from `_row_table`."""
 
@@ -393,9 +403,13 @@ class _Rows:
         they are."""
         return pivots
 
+    # bytes of one entry of `_reducer`'s residue table; fp builds none
+    residue_entry = 0
+
     def kernels(self, basis):
         pivots, own = self._class_echelon
-        return np.concatenate([self._residue_tags(basis, pivots), np.broadcast_to(own, (len(basis), *own.shape))], 2)
+        tags = self._residue_tags(basis, pivots)
+        return np.concatenate([tags, np.broadcast_to(own, (len(tags), *own.shape))], 2)
 
 
 class _GF2Rows(_Rows):
@@ -465,18 +479,25 @@ class _GF2Rows(_Rows):
         bitkernel.batch_rank(list(maps.T))
         return maps
 
+    residue_entry = 8
+
     def _reducer(self, pivots):
         """Each class's residue map as (w/8 byte groups, 256, C) subset-XOR
-        tables of words.  Reducing a reduced part by a class's pivots'
-        lowest bits in order adds each pivot times one bit of the row, so
-        it is F_2-linear, tags included: a row's residue is the XOR of the
-        residues of its bits."""
+        tables of words, built in that layout.  Reducing a reduced part by
+        a class's pivots' lowest bits in order adds each pivot times one
+        bit of the row, so it is F_2-linear, tags included: a row's residue
+        is the XOR of the residues of its bits."""
         rows = np.repeat((np.uint64(1) << np.arange(self.w, dtype=np.uint64))[:, None], len(pivots), axis=1)
         for piv in pivots.T:
             hit = rows & (piv & self.low & (np.uint64(0) - piv))
             np.minimum(hit, np.uint64(1), out=hit)
             rows ^= hit * piv
-        return np.ascontiguousarray(bitkernel.subset_xor_table(rows.T, 8).transpose(1, 2, 0))
+        table = np.zeros((-(-self.w // 8), 256, len(pivots)), dtype=np.uint64)
+        for b in range(8 * len(table)):
+            # bits past w are tag bits, with a zero residue
+            g, half = b // 8, 1 << b % 8
+            np.bitwise_xor(table[g, :half], rows[b] if b < self.w else np.uint64(0), out=table[g, half : 2 * half])
+        return table
 
     def _residue_tags(self, basis, table):
         """The (L, C, P) tag indices of the prefix rows' reduced parts, as
@@ -499,6 +520,162 @@ class _GF2Rows(_Rows):
     @staticmethod
     def cost(rows, width):
         """Word operations of an elimination: a row is one word."""
+        return rows * rows
+
+
+def _trit_groups(m: int) -> tuple[int, int]:
+    """The groups of at most 5 trits that m digits split into evenly: their
+    count and size."""
+    groups = -(-m // 5)
+    return groups, -(-m // max(groups, 1))
+
+
+class _GF3Rows(_Rows):
+    """GF(3) rows as pairs of uint64 bit planes, for `bitkernel.gf3_rank`:
+    a batch is a (2, R, B) array, plane c of row r of matrix j at [c, r, j].
+
+    A row of a `_row_table` is one word pair, entry e at bit e.  Rows are
+    F_3-linear in the base-3 digits of the entries, so they are sums of
+    tables over groups of at most 5 digits (`bitkernel.gf3_table`): one
+    per (coordinate, digit group) of values, and one per digit group of an
+    element index of U, of the generator rows.  A batch lists its rows in
+    `_FpRows`' order, and `gf3_rank` keeps `fp_rank`'s echelon convention,
+    so echelon rows and tag indices equal fp's.  Generator rows keep their
+    w reduced entries in the low bits, so an index tag fits above them.
+    Rows leave the kernel (`_class_maps`) and enter `_tag_index` with their
+    planes on the last axis.
+    """
+
+    residue_entry = 16
+
+    def __init__(self, sweep):
+        super().__init__(sweep)
+        self.low = np.uint64((1 << self.w) - 1)
+
+    def _table(self, kind):
+        """The packed `_row_table` of a kind as digit-group tables, entry
+        last: generator word pairs as (index digit groups, 2, n, 3^b),
+        others as (k, digit groups, 2, n, 3^b)."""
+        table = super()._table(kind)
+        digits, n, width = table.shape
+        shifts = np.arange(width, dtype=np.uint64)
+        words = np.stack([((table == c) << shifts).sum(axis=-1, dtype=np.uint64) for c in (1, 2)])
+        if kind == "generators":
+            return self._grouped(words)
+        # the digits of every coordinate at once: (2, digits j, k, rows l)
+        grouped = self._grouped(words.reshape(2, self.k, n, n).swapaxes(1, 2))
+        return np.ascontiguousarray(np.moveaxis(grouped, 2, 0))
+
+    @staticmethod
+    def _grouped(deltas):
+        """The (groups, 2, ..., 3^b) tables of the (2, m, ...) rows of m
+        digits, over `_trit_groups(m)`, every group built at once."""
+        (_, m, *rest), (groups, b) = deltas.shape, _trit_groups(deltas.shape[1])
+        padded = np.zeros((2, groups * b, *rest), dtype=np.uint64)
+        padded[:, :m] = deltas
+        out = np.empty((groups, 2, *rest, 3**b), dtype=np.uint64)
+        digits = padded.reshape(2, groups, b, *rest).swapaxes(1, 2)
+        bitkernel.gf3_table(digits, 3, out=np.moveaxis(out, (1, -1), (0, 1)))
+        return out
+
+    @staticmethod
+    def _sum(tabs, values):
+        """The sum over digit groups g of tabs[g] at digit group g of each
+        value, as (2, ..., *values.shape)."""
+        size = tabs.shape[-1]
+        rows = None
+        for g, tab in enumerate(tabs):
+            part = np.take(tab, (values // size**g % size).astype(np.intp, copy=False), axis=-1)
+            rows = part if rows is None else bitkernel.gf3_add(rows, part)
+        return rows
+
+    def table_rows(self, vals, tabs):
+        """The rows of a (B, d, k) block of values through one table: n
+        rows per vector."""
+        idx = vals.transpose(2, 1, 0)  # (k, d, B); a view, never written
+        rows = self._sum(tabs[0], idx[0])
+        for c in range(1, self.k):
+            rows = bitkernel.gf3_add(rows, self._sum(tabs[c], idx[c]))
+        return rows.reshape(2, -1, len(vals))
+
+    @cached_property
+    def _tag_powers(self):
+        """Byte tables of index tags: entry [g, byte] sums 3^(8 g + e) over
+        the set bits e of the byte, for tag digits below dim U."""
+        t = self.U.dim
+        powers = np.array([3**e if e < t else 0 for e in range(8 * -(-t // 8))], dtype=np.int64).reshape(-1, 8)
+        return powers @ ((np.arange(256)[:, None] >> np.arange(8)) & 1).T
+
+    def _tag_index(self, rows):
+        """The tag index of each row with a zero low part, 0 for others, of
+        rows with their planes on the last axis."""
+        index = np.zeros(rows.shape[:-1], dtype=np.int64)
+        for g, tab in enumerate(self._tag_powers):
+            for c in range(2):
+                index += (c + 1) * tab[(rows[..., c] >> np.uint64(self.w + 8 * g)) & np.uint64(255)]
+        return np.where((rows[..., 0] | rows[..., 1]) & self.low, 0, index)
+
+    def basis(self, prefixes):
+        # the rows of each prefix vector in turn, as fp lists them
+        rows = self._sum(self._generators, prefixes.T).swapaxes(1, 2)
+        rows = rows.reshape(2, -1, len(prefixes))
+        bitkernel.gf3_rank(rows)
+        return rows, self._tag_index(rows.T)
+
+    def _class_maps(self):
+        """Row e of the map of lambda = sum_l c_l b_l: the image of g_e, and
+        the tag of digit e above it, eliminated for every class at once."""
+        t = self.U.dim
+        e, b = np.arange(t), _trit_groups(t)[1]
+        gens = (self._generators[e // b, :, :, 3 ** (e % b)] & self.low).transpose(1, 0, 2)  # (2, t, n)
+        maps = np.zeros((2, t, len(self.lambdas)), dtype=np.uint64)
+        for l, c in enumerate(self.lambdas.T):
+            term = gens[:, :, l, None]
+            maps = bitkernel.gf3_add(maps, np.where(c == 1, term, np.where(c == 2, term[::-1], np.uint64(0))))
+        maps[0] |= (np.uint64(1) << np.arange(self.w, self.w + t, dtype=np.uint64))[:, None]
+        bitkernel.gf3_rank(maps)
+        return maps.T
+
+    def _reducer(self, pivots):
+        """Each class's residue map as (w/8 byte groups, 2, 256, C) tables
+        of subset sums of word pairs, built in that layout.  Reducing a
+        reduced part by a class's pivots in order is F_3-linear, tags
+        included, so a row's residue is the residue of its plane-0 bits
+        less that of its plane-1 bits."""
+        C, groups = len(pivots), -(-self.w // 8)
+        rows = np.zeros((2, groups * 8, C), dtype=np.uint64)
+        rows[0, : self.w] = (np.uint64(1) << np.arange(self.w, dtype=np.uint64))[:, None]
+        for piv in pivots.transpose(1, 2, 0):
+            bitkernel.gf3_clear(rows, piv)
+        table = np.empty((groups, 2, 256, C), dtype=np.uint64)
+        bitkernel.gf3_table(rows.reshape(2, groups, 8, C).swapaxes(1, 2), 2, out=table.transpose(1, 2, 0, 3))
+        return table
+
+    def _residue_tags(self, basis, table):
+        """The (L, C, P) tag indices of the prefix rows' reduced parts, as
+        (2, P, L, C) word pairs, reduced through each class's residue table
+        a byte of each plane at a time and then eliminated.  The table is
+        zero past bit w, so the tags above it add nothing."""
+        (_, P, L), C = basis.shape, table.shape[-1]
+        rows = np.zeros((2, P, L, C), dtype=np.uint64)
+        for g, tab in enumerate(table):
+            for c, plane in enumerate(basis):
+                part = np.take(tab, (plane >> np.uint64(8 * g)) & np.uint64(255), axis=1)
+                rows = bitkernel.gf3_add(rows, part[::-1] if c else part)
+        bitkernel.gf3_rank(rows.reshape(2, P, L * C))
+        return self._tag_index(np.moveaxis(rows, 0, -1)).transpose(1, 2, 0)
+
+    def rank(self, rows):
+        return bitkernel.gf3_rank(rows)
+
+    def block(self, rows, width):
+        """As many matrices as fill GF3_BLOCK words, and at least one: a
+        packed row is one word pair, whatever its width."""
+        return max(1, GF3_BLOCK // (2 * rows))
+
+    @staticmethod
+    def cost(rows, width):
+        """Word-pair operations of an elimination: a row is one word pair."""
         return rows * rows
 
 
@@ -568,7 +745,7 @@ class _FpRows(_Rows):
         return rows * rows * width
 
 
-_KERNELS = {"gf2": _GF2Rows, "fp": _FpRows}
+_KERNELS = {"gf2": _GF2Rows, "gf3": _GF3Rows, "fp": _FpRows}
 
 
 class _Sweep:
@@ -778,12 +955,13 @@ class SpanSweep(_Sweep):
         for d, runs in self._firsts(lo, hi):
             if d > 1:
                 yield from self._tuples(d, [i for a, b in runs for i in range(a, b)])
-            elif (lv := self._first_level) is None:
-                for a, b in runs:
-                    yield from self._levels(1, [()], a, b)
-            else:
-                # a run of first indices is a dense slice of the d = 1 level
-                for a, b in runs:
+                continue
+            prepared, lv = self._first_level
+            for a, b in runs:
+                if lv is None:
+                    yield from self._levels(1, [()], a, b, prepared)
+                else:
+                    # a run of first indices is a dense slice of the d = 1 level
                     i, j = np.searchsorted(lv.pos, [a - 1, b - 1]).tolist()
                     wts = np.full(b - a, lv.bases.item(0), dtype=np.int64)
                     wts[lv.pos[i:j] + 1 - a] = lv.wts[i:j]
@@ -901,17 +1079,18 @@ class SpanSweep(_Sweep):
 
     @cached_property
     def _first_level(self):
-        """The d = 1 level, of the empty prefix over j in [1, NU): the first
-        block `_levels` yields for it, kept once per process when it is a
-        Levels (the kernel route), else None."""
-        lv = next(self._levels(1, [()], 1, self.NU))
-        return lv if isinstance(lv, Levels) else None
+        """The d = 1 level, of the empty prefix over j in [1, NU), once per
+        process: its `_prepare`, which decides its route, and on the kernel
+        route its Levels, else None; nothing is ranked here."""
+        prepared = self._prepare(np.zeros((1, 0), dtype=np.int64), np.array([self.NU - 1]))
+        return prepared, next(self._levels(1, [()], 1, self.NU, prepared)) if prepared[2].item(0) else None
 
-    def _levels(self, d, prefixes, lo, hi):
+    def _levels(self, d, prefixes, lo, hi, prepared=None):
         """Weights of the spans of each (d-1)-prefix and u_j, for j in
         lo..hi-1 past the prefix's last index, with -1 for a u_j inside the
         prefix's extension span, in unit order: one Levels for each run of
-        kernel-route levels, and dense blocks for each rank-route level."""
+        kernel-route levels, and dense blocks for each rank-route level.
+        `prepared` is the batch's `_prepare` when the caller has it."""
         kern, n, L = self.kernel, self.n, len(prefixes)
         # a span is d n rows of w reduced entries and dim U tag entries; a
         # block of spans holds as many rows as one of n-row matrices
@@ -919,7 +1098,7 @@ class SpanSweep(_Sweep):
         prefixes = np.array(prefixes, dtype=np.int64).reshape(L, d - 1)
         starts = np.maximum(prefixes[:, -1] + 1, lo) if d > 1 else np.full(L, lo)
         units = hi - starts
-        weights, deps, route, hits = self._prepare(prefixes, units)
+        weights, deps, route, hits = prepared or self._prepare(prefixes, units)
 
         def keys(grouped):
             """Level * NU + j of the grouped elements j in range on a
@@ -1052,7 +1231,8 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
     whose span `defect` is a second way to fail, sweeps whatever its bound.
     A budget lets a sweep check units up to a chunk boundary.  `refusal` is
     an exhaustive sweep past EXHAUSTIVE_CAP without a budget, a witness-span
-    table past SPAN_TABLE_CAP, or samples over a field past 2^63 elements."""
+    table past SPAN_TABLE_CAP or class residue table past RESIDUE_TABLE_CAP,
+    or samples over a field past 2^63 elements."""
     Q, q, k, t = system.tower.order, system.tower.q, system.ambient, system.t
     if not 0 <= dim <= k:
         raise ValueError(f"need 0 <= dim <= {k}, got {dim}")
@@ -1093,10 +1273,23 @@ def plan(system: QSystem, dim: int, bound: int | None, mode: str, budget: int | 
                    f"the cap of {EXHAUSTIVE_CAP}; give a budget (--budget) or use sampled mode")
     elif known is None and mode == "witness_span" and q**t > SPAN_TABLE_CAP:
         refusal = f"witness-span sweep over {q**t} subspace elements exceeds the cap; use sampled mode"
+    elif known is None and mode == "witness_span" and (size := _residue_bytes(system, dim)) > RESIDUE_TABLE_CAP:
+        refusal = (f"witness-span class residue table of {size} bytes exceeds the cap of {RESIDUE_TABLE_CAP}; "
+                   "use sampled mode")
     elif known is None and mode == "sampled" and Q > 1 << 63:
         # samples are int64 residues of 64-bit words
         refusal = f"sampled mode needs a field of at most 2^63 elements, not {Q}"
     return Plan(mode, dim, bound, defect, budget, seed, known, total, chunk, units, subspaces, refusal)
+
+
+def _residue_bytes(system: QSystem, dim: int) -> int:
+    """Bytes of the class residue table that a witness-span sweep's kernel
+    builds, from the shapes alone: an entry per byte value of each byte
+    group of a reduced part of w = k n - t entries, for each F_q^*-class of
+    the complement of F_q in the extension."""
+    tower, k = system.tower, system.ambient
+    entry = _KERNELS.get(weight_backend(tower, k, dim), _Rows).residue_entry
+    return -(-(k * tower.n - system.t) // 8) * 256 * (tower.q ** (tower.n - 1) - 1) // (tower.q - 1) * entry
 
 
 def rederive(system: QSystem, p: Plan, units: int) -> SweepOutcome:

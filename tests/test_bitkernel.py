@@ -1,4 +1,5 @@
-"""The batched GF(2) and F_p rank kernels against the scalar row containers."""
+"""The batched GF(2), GF(3) and F_p rank kernels against the scalar row
+containers and each other."""
 
 from functools import lru_cache
 from unittest.mock import patch
@@ -130,3 +131,78 @@ def test_fp_rank_reduces_late_to_the_same_echelon_form(p, shape):
     assert bitkernel.fp_rank(work, p).tolist() == expected
     assert work.tobytes() == _reference_echelon(rows, p).tobytes()
     assert len(set(expected)) > 1
+
+
+# --- GF(3) on pairs of bit planes ---
+
+
+def _planes(rows):
+    """A (B, R, W) batch of residues mod 3 as a (2, R, B) batch of word
+    pairs: bit e of plane c - 1 is set where entry e is c."""
+    weights = np.uint64(1) << np.arange(rows.shape[2], dtype=np.uint64)
+    return np.stack([((rows == c) * weights).sum(axis=2, dtype=np.uint64).T for c in (1, 2)])
+
+
+def test_gf3_add_matches_its_truth_table():
+    # every pair of entries at once: entry 3 x + y holds x in a and y in b
+    a = np.array([[x for x in range(3) for _ in range(3)]], dtype=np.uint8)
+    b = np.array([[y for _ in range(3) for y in range(3)]], dtype=np.uint8)
+    total = bitkernel.gf3_add(_planes(a[None]), _planes(b[None]))
+    assert total.tobytes() == _planes(((a + b) % 3)[None]).tobytes()
+    assert not (total[0] & total[1]).any()
+
+
+def _gf3_batch(rng, nb, nrows, width, kind):
+    if kind == "zero-rows":
+        rows = rng.integers(0, 3, (nb, nrows, width))
+        rows[:, rng.random(nrows) < 0.5] = 0
+        rows[: nb // 2] = 0
+    elif kind == "deficient":
+        # rows spanning a random subspace of each matrix's own dimension
+        mats = []
+        for r in rng.integers(0, min(nrows, width) + 1, nb).tolist():
+            mats.append(rng.integers(0, 3, (nrows, r)) @ rng.integers(0, 3, (r, width)) % 3)
+        rows = np.array(mats)
+    else:
+        rows = rng.integers(0, 3, (nb, nrows, width))
+    return rows.astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "kind, shape",
+    [
+        ("random", (40, 12, 36)),
+        ("deficient", (60, 9, 20)),
+        ("zero-rows", (30, 8, 10)),
+        ("random", (25, 1, 17)),
+        ("deficient", (20, 70, 64)),
+        ("random", (5, 3, 64)),
+    ],
+    ids=["random", "deficient", "zero-rows", "one-row", "width-64", "width-64-short"],
+)
+def test_gf3_rank_equals_fp_rank_in_ranks_and_echelon_rows(kind, shape):
+    rows = _gf3_batch(np.random.default_rng(sum(shape)), *shape, kind)
+    fp, pairs = rows.copy(), _planes(rows)
+    ranks = bitkernel.fp_rank(fp, 3)
+    assert bitkernel.gf3_rank(pairs).tolist() == ranks.tolist()
+    # the same echelon form: pivots at lowest entries, cleared from later
+    # rows only, and pivot rows never rescaled
+    assert pairs.tobytes() == _planes(fp).tobytes()
+    if kind != "random":
+        assert len(set(ranks.tolist())) > 1
+    # a small block splits the later rows over several calls
+    again = _planes(rows)
+    with patch.object(bitkernel, "ROW_BLOCK", 1):
+        assert bitkernel.gf3_rank(again).tolist() == ranks.tolist()
+    assert again.tobytes() == pairs.tobytes()
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_gf3_tables_sum_their_rows_by_digit(base):
+    rng = np.random.default_rng(base)
+    deltas = rng.integers(0, 3, (1, 4, 10)).astype(np.uint8)  # 4 rows of 10 entries
+    table = bitkernel.gf3_table(_planes(deltas), base)  # (2, base^4, 1)
+    for v in range(base**4):
+        coeffs = [v // base**e % base for e in range(4)]
+        want = (np.array(coeffs) @ deltas[0].astype(np.int64)) % 3
+        assert table[:, v].tobytes() == _planes(want[None, None].astype(np.uint8))[:, 0].tobytes()

@@ -174,12 +174,13 @@ def test_recheck_resweeps_odd_q_proofs_through_the_scalar_oracle(tmp_path, monke
     out = str(tmp_path / "p.json")
     assert main(["verify-scattered", *argv, "--out", out]) == 0
     res = load(out)["result"]
-    assert (res["status"], res["subspaces_checked"], res["backend"]) == ("holds", checked, "fp")
+    assert (res["status"], res["subspaces_checked"], res["backend"]) == ("holds", checked, "gf3")
 
-    def fp_rank(rows, p):
-        raise AssertionError("recheck ran the F_p kernel")
+    def refuse(*args):
+        raise AssertionError("recheck ran a batched kernel")
 
-    monkeypatch.setattr(bitkernel, "fp_rank", fp_rank)
+    for name in ("gf3_rank", "fp_rank"):
+        monkeypatch.setattr(bitkernel, name, refuse)
     assert main(["recheck", out]) == 0
     # the re-sweep does run: a tampered count is caught
     rep = load(out)
@@ -203,7 +204,9 @@ def test_recheck_resweeps_primal_weights_through_the_scalar_oracle(tmp_path, mon
     def refuse(*args):
         raise AssertionError("recheck ran a batched kernel")
 
-    monkeypatch.setattr(bitkernel, kernel, refuse)
+    # q = 3 within 64 trits runs gf3 since it was added
+    for name in (kernel, "gf3_rank"):
+        monkeypatch.setattr(bitkernel, name, refuse)
     assert main(["recheck", out]) == 0
     rep["result"]["profile"][0]["value"] += 1
     with open(out, "w") as f:
@@ -218,8 +221,10 @@ def test_recheck_resweeps_primal_weights_through_the_scalar_oracle(tmp_path, mon
     [
         (["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2",
           "--mode", "exhaustive"], "gf2"),
-        (["verify-scattered", "--field", "3,1,2", "--system", "line-control",
+        (["verify-scattered", "--field", "5,1,2", "--system", "line-control",
           "--mode", "witness_span"], "fp"),
+        (["verify-scattered", "--field", "3,1,2", "--system", "line-control",
+          "--mode", "witness_span"], "gf3"),
         (["verify-scattered", "--field", "2,2,3", "--system", "line-control",
           "--mode", "exhaustive"], "scalar"),
         (["verify-scattered", "--field", "2,1,4", "--system", "family", "--m", "3", "--h", "2",
@@ -227,7 +232,7 @@ def test_recheck_resweeps_primal_weights_through_the_scalar_oracle(tmp_path, mon
         (["verify-evasive", "--field", "3,1,3", "--system", "pseudoregulus", "--h", "2",
           "--hdim", "1", "--r", "3", "--mode", "exhaustive"], None),
     ],
-    ids=["gf2", "fp", "scalar", "gf2-sampled", "vacuous"],
+    ids=["gf2", "fp", "gf3", "scalar", "gf2-sampled", "vacuous"],
 )
 def test_verify_reports_name_the_backend_that_ran(tmp_path, capsys, argv, backend):
     out = str(tmp_path / "b.json")
@@ -361,7 +366,9 @@ def test_report_bodies_are_deterministic(tmp_path):
 # sha256 of reports.body_bytes for each command, taken before the batched
 # backends shared one row kernel: each mode and verdict on the gf2, fp and
 # scalar backends, fp at q = 2 past one packed word and over a field past
-# 2^64 elements, and weights on one and two workers
+# 2^64 elements, and weights on one and two workers.  The "fp-" cases of
+# q = 3 within 64 trits run gf3 since it was added, and were re-pinned for
+# that backend name alone (FP_ERA_BODIES)
 PINNED_BODIES = {
     "gf2-exhaustive-holds": (
         ["verify-scattered", "--field", "2,1,4", "--system", "pseudoregulus", "--h", "2", "--mode", "exhaustive"],
@@ -393,36 +400,36 @@ PINNED_BODIES = {
     ),
     "fp-exhaustive-F81": (
         ["verify-scattered", "--field", "3,1,4", "--system", "pseudoregulus", "--h", "2", "--mode", "exhaustive"],
-        0, "5d248cd42938e918279a14e0ca7dfadc42ee4e1891c1277f88edfd512bd898ab",
+        0, "b837ab2578ee5966e507caa21910a0db7b0bfae02a71831b89656378ad3b01ee",
     ),
     "fp-span-F27": (
         ["verify-scattered", "--field", "3,1,3", "--system", "family", "--m", "3", "--h", "1",
          "--alphas", "1,1,3", "--mode", "witness_span"],
-        0, "09c5422d5ffdb5bf1a9f1c73379133845a5d9088120d5dea492805fe72fa712b",
+        0, "a7af01e7f35456f37120f52c5bc54c0c61a29460a3da046d5007e52c46db3f23",
     ),
     "fp-span-F27-pairs": (
         ["verify-scattered", "--field", "3,1,3", "--system", "pseudoregulus", "--h", "2", "--mode", "witness_span"],
-        0, "ea43ca327c3d6a8ebd1f49a51476c733dc41ed5efa346a79905737575ca52bc3",
+        0, "7e75ff972956c61f893117df42ba191bbe42e7ef7e34f8fd3085e216ae853a5e",
     ),
     "fp-span-F27-violated": (
         ["verify-evasive", "--field", "3,1,3", "--system", "family", "--m", "3", "--h", "1",
          "--alphas", "1,1,1", "--force", "--hdim", "2", "--r", "3", "--mode", "witness_span"],
-        1, "2e46bde220d6701ac64457a2dcbc7de81ac0085c74df95c4a32c9c630308f32d",
+        1, "81a4b0d0cbf6860ce312fa062ad24162107b036aa58dcf4f6ad095c6f37f0a6c",
     ),
     "fp-sampled-F729": (
         ["verify-scattered", "--field", "3,1,6", "--system", "family", "--m", "3", "--h", "2",
          "--alphas", "1,1,3", "--mode", "sampled", "--budget", "300", "--seed", "2"],
-        2, "a715f176fe6e94f5cf0142d0a537bc9bc66816961a90d2c730d0c43ddd620819",
+        2, "4d5bf404c92dbebbb506b63568179872eb53e20d28669dd08a280938c1b893d9",
     ),
     "fp-exhaustive-F9-violated": (
         ["verify-scattered", "--field", "3,1,2", "--system", "line-control", "--ambient", "3", "--h", "2",
          "--mode", "exhaustive"],
-        1, "81f3db722494af0b7e8accf07a15d614c3e3e1716beb4346fae033d2bf689c7f",
+        1, "e654a7510dc0b4ada3f7d5c09dc9e07c1c9f39fba53588e2b34fe4e4e1eb8cb6",
     ),
     "fp-sampled-F9-violated": (
         ["verify-scattered", "--field", "3,1,2", "--system", "line-control", "--mode", "sampled",
          "--budget", "100", "--seed", "1"],
-        1, "417e7d50d9012013d3e0c6f732d34aa56806bf8261df4d048bac111e9e4aa3d2",
+        1, "09468cee294ecf1035b7fac0b06f8a5411258748d1ec01e7789635e67239513c",
     ),
     "fp-q2-width72-exhaustive": (
         ["verify-scattered", "--field", "2,1,8", "--system", "family", "--m", "3", "--h", "2",
@@ -467,6 +474,17 @@ PINNED_BODIES = {
     ),
 }
 
+# the digests of those q = 3 cases as the fp backend wrote them
+FP_ERA_BODIES = {
+    "fp-exhaustive-F81": "5d248cd42938e918279a14e0ca7dfadc42ee4e1891c1277f88edfd512bd898ab",
+    "fp-span-F27": "09c5422d5ffdb5bf1a9f1c73379133845a5d9088120d5dea492805fe72fa712b",
+    "fp-span-F27-pairs": "ea43ca327c3d6a8ebd1f49a51476c733dc41ed5efa346a79905737575ca52bc3",
+    "fp-span-F27-violated": "2e46bde220d6701ac64457a2dcbc7de81ac0085c74df95c4a32c9c630308f32d",
+    "fp-sampled-F729": "a715f176fe6e94f5cf0142d0a537bc9bc66816961a90d2c730d0c43ddd620819",
+    "fp-exhaustive-F9-violated": "81f3db722494af0b7e8accf07a15d614c3e3e1716beb4346fae033d2bf689c7f",
+    "fp-sampled-F9-violated": "417e7d50d9012013d3e0c6f732d34aa56806bf8261df4d048bac111e9e4aa3d2",
+}
+
 
 @pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
@@ -478,6 +496,16 @@ def test_report_bodies_match_their_pinned_digests(tmp_path, name):
     assert main(argv + ["--out", out]) == rc
     assert hashlib.sha256(reports.body_bytes(load(out))).hexdigest() == digest
     assert main(["recheck", out]) == 0
+    if name in FP_ERA_BODIES:
+        # the body differs from the one fp wrote only in its backend name,
+        # and that body, as a report written before gf3, still rechecks
+        rep = load(out)
+        assert rep["result"]["backend"] == "gf3"
+        rep["result"]["backend"] = "fp"
+        assert hashlib.sha256(reports.body_bytes(rep)).hexdigest() == FP_ERA_BODIES[name]
+        with open(out, "w") as f:
+            json.dump(rep, f)
+        assert main(["recheck", out]) == 0
 
 
 def test_weights_command_with_csv(tmp_path):
@@ -1586,7 +1614,59 @@ def test_every_rederivation_runs_on_the_scalar_oracle(monkeypatch, tamper_source
     # the Wei check has re-derived on the oracle, runs the planned sweep
     dual = tamper_sources[source]["result"].get("route") == "dual"
     if not dual:
-        monkeypatch.setattr(bitkernel, "batch_rank", kernel)
-        monkeypatch.setattr(bitkernel, "fp_rank", kernel)
+        for name in ("batch_rank", "gf3_rank", "fp_rank"):
+            monkeypatch.setattr(bitkernel, name, kernel)
     assert reports.recheck_report(copy.deepcopy(tamper_sources[source]))[0] == []
     assert runs["rederive"] > 0 and (runs["run_units"] > 0) == dual
+
+
+# a valid command line and a usage error of each subcommand
+PARSER_CASES = {
+    "construct": (["--field", "2,1,4", "--system", "pseudoregulus", "--h", "2"], ["--field", "2,1,4", "--mode", "x"]),
+    "verify-scattered": (["--field", "3,1,4", "--h", "2", "--mode", "exhaustive", "--workers", "2"],
+                         ["--field", "3,1,4", "--mode", "nope"]),
+    "verify-evasive": (["--field", "2,1,4", "--hdim", "1", "--r", "2", "--checkpoint", "c"],
+                       ["--field", "2,1,4", "--hdim", "1"]),
+    "weights": (["--field", "2,1,3", "--rho", "1,2", "--csv", "w.csv"], ["--field", "2,1,3", "--checkpoint", "c"]),
+    "compare": (["--field", "2,1,4", "--m", "3", "--s-list", "1"], ["--m", "3"]),
+    "search": (["--field", "2,1,4", "--m", "3", "--check-b", "--budget", "5"], ["--field", "2,1,4", "--m", "x"]),
+    "recheck": (["r.json"], []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_CASES))
+def test_a_subcommand_parses_alike_on_its_own_parser_and_the_full_one(capsys, command):
+    from rankscatter import cli
+
+    own, full = cli.build_parser(command), cli.build_parser()
+    good, bad = PARSER_CASES[command]
+    assert vars(own.parse_args([command, *good])) == vars(full.parse_args([command, *good]))
+    errors, helps = [], []
+    for parser in (own, full):
+        with pytest.raises(cli.UsageError) as raised:
+            parser.parse_args([command, *bad])
+        errors.append(str(raised.value))
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert errors[0] == errors[1] and helps[0] == helps[1] and helps[0].startswith(f"usage: rankscatter {command} ")
+    # the subcommand's parser holds no other subcommand
+    other = "recheck" if command != "recheck" else "search"
+    with pytest.raises(cli.UsageError):
+        own.parse_args([other, "r.json"])
+
+
+def test_main_builds_every_subcommand_only_when_argv_names_none(monkeypatch, capsys):
+    from rankscatter import cli
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert main(["recheck", "no-such-report.json"]) == 3
+    assert main([]) == 4 and "required: command" in capsys.readouterr().err
+    assert main(["bogus"]) == 4
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    usage = capsys.readouterr().out
+    assert all(f"    {name} " in usage for name in PARSER_CASES)
+    assert built == ["recheck", None, "bogus", "-h"]

@@ -378,7 +378,7 @@ SHORT_MOD_U_CASES = {
 
 @pytest.mark.parametrize(
     "case, backend",
-    [(c, b) for c in SHORT_MOD_U_CASES for b in ("gf2", "fp") if c != "F27-forced" or b == "fp"],
+    [(c, b) for c in SHORT_MOD_U_CASES for b in (("fp", "gf3") if c == "F27-forced" else ("gf2", "fp"))],
 )
 def test_sampled_sweeps_rank_raw_rows_only_of_samples_short_mod_u(monkeypatch, case, backend):
     # rank mod U <= rank <= d n: a sample of full rank mod U is never ranked
@@ -394,7 +394,7 @@ def test_sampled_sweeps_rank_raw_rows_only_of_samples_short_mod_u(monkeypatch, c
         system = _sampled_systems()[which][0]
     sweep = _sweep(system, "sampled", d, budget=hi, seed=seed)
     if sweep.backend != backend:
-        sweep.backend, sweep.kernel = backend, verify._FpRows(sweep)
+        sweep.backend, sweep.kernel = backend, verify._KERNELS[backend](sweep)
     raw, reduced = _kernel_draws(monkeypatch, sweep, 0, hi)
     short, redrawn = _short_mod_u(system, d, seed, 0, hi)
     assert raw == short
@@ -714,9 +714,20 @@ def _skipped(sweep, lo, hi):
     return sum(int(np.count_nonzero(w < 0)) for _, _, w in _expand(sweep._weights(lo, hi)))
 
 
+def _force(sweep, backend):
+    """The sweep, run on `backend`'s row kernel whatever its plan picked."""
+    from rankscatter import verify
+
+    sweep.backend, sweep.kernel = backend, verify._KERNELS[backend](sweep)
+    return sweep
+
+
 def _kernel_and_oracle(sweep, lo, hi, backend="fp"):
     """The keyed weights of units [lo, hi) of one sweep on its `backend`
-    kernel and on its scalar oracle."""
+    kernel and on its scalar oracle.  A q = 3 sweep planned on gf3 runs fp
+    when asked, so fp keeps its q = 3 coverage."""
+    if (sweep.backend, backend) == ("gf3", "fp"):
+        _force(sweep, "fp")
     assert sweep.backend == backend
     return _keyed_weights(sweep._weights(lo, hi)), _keyed_weights(sweep._oracle(lo, hi))
 
@@ -820,7 +831,11 @@ def test_weight_backend_choice():
         ((2, 1, 4), 16, "gf2"),
         ((2, 1, 8), 8, "gf2"),
         ((2, 1, 8), 9, "fp"),
-        ((3, 1, 2), 3, "fp"),
+        ((3, 1, 2), 3, "gf3"),
+        ((3, 1, 4), 16, "gf3"),
+        ((3, 1, 4), 17, "fp"),
+        ((3, 1, 41), 2, "fp"),
+        ((5, 1, 2), 3, "fp"),
         ((251, 1, 2), 3, "fp"),
         ((257, 1, 2), 3, "scalar"),
         ((2, 2, 3), 2, "scalar"),
@@ -936,20 +951,24 @@ def test_sweeps_build_only_the_tables_they_read_before_the_pool(monkeypatch, F16
     max_weight_search(line_control_subspace(F27, 2), 1)
     verify_h_scattered(ps2, 2, mode="sampled", budget=100)
     verify_h_scattered(f27, 1, mode="sampled", budget=100)
+    verify_h_scattered(pseudoregulus_subspace(create_field(5, 1, 3), 2), 2, mode="witness_span")
     assert built == [
         ("gf2", "value", ["_class_echelon", "_generators"]),
-        ("fp", "value", ["_class_echelon", "_generators"]),
+        ("gf3", "value", ["_class_echelon", "_generators"]),
         ("gf2", "annihilator", ["annihilator"]),
-        ("fp", "annihilator", ["annihilator"]),
+        ("gf3", "annihilator", ["annihilator"]),
         ("gf2", "value", ["reduced"]),
-        ("fp", "value", ["reduced"]),
+        ("gf3", "value", ["reduced"]),
         ("gf2", "value", ["reduced"]),
-        ("fp", "value", ["reduced"]),
+        ("gf3", "value", ["reduced"]),
+        ("fp", "value", ["_class_echelon", "_generators"]),
     ]
     # the class pivots as `_residue_tags` reads them: the gf2 residue table
-    # of one byte of reduced part (w = 8), 256 entries and 7 classes, and
-    # the fp pivot rows as they are
-    assert echelons[0] == (1, 256, 7) and len(echelons[1]) == 3
+    # of one byte of reduced part (w = 8), 256 entries and 7 classes, the
+    # gf3 one of two bytes (w = 9), two planes and 4 classes, and the fp
+    # pivot rows (classes, rows, entries) as they are, 6 classes over F_125
+    assert echelons[0] == (1, 256, 7) and echelons[1] == (2, 2, 256, 4)
+    assert len(echelons[2]) == 3 and echelons[2][0] == 6
 
 
 def test_gf2_runs_call_no_fp_routine(monkeypatch, F16, ps2):
@@ -1017,8 +1036,8 @@ def test_annihilator_and_value_rows_agree_on_every_pivot_block(case):
     system = explicit_system(F, k, [tuple(int(x) for x in rng.integers(0, F.order, k)) for _ in range(gens)])
     assert system.t == gens
     p = plan(system, dim, None, "exhaustive", budget=1)
-    kernels = [verify._FpRows] + ([verify._GF2Rows] if n * k <= 64 and q == 2 else [])
-    assert _build_sweep(system, p)[0].backend == ("gf2" if len(kernels) == 2 else "fp")
+    kernels = [verify._FpRows] + ([verify._KERNELS[f"gf{q}"]] if n * k <= 64 else [])
+    assert _build_sweep(system, p)[0].backend == (f"gf{q}" if len(kernels) == 2 else "fp")
     sweeps = {(s, kern): _forced_shape(system, p, s, kern) for s in ("value", "annihilator") for kern in kernels}
     blocks = _build_sweep(system, p)[0].blocks
     assert len(blocks) == comb(k, dim)
@@ -1046,7 +1065,7 @@ def test_benchmark_instances_keep_their_rank_shapes(monkeypatch, F16):
 
     monkeypatch.setattr(verify, "_build_sweep", record)
     v = verify_h_scattered(pseudoregulus_subspace(create_field(3, 1, 4), 2), 2, mode="exhaustive")
-    assert (v.status, v.checked, built) == ("holds", 6643, [("exhaustive", 3, 2, "fp", "annihilator")])
+    assert (v.status, v.checked, built) == ("holds", 6643, [("exhaustive", 3, 2, "gf3", "annihilator")])
     built.clear()
     c2 = family_subspace(ConstructionParams(F16, 4, 2, (2, 1, 1, 1)))
     verify_h_scattered(c2, 2, mode="sampled", budget=50, seed=1)
@@ -1096,7 +1115,7 @@ def test_batched_weight_streams_equal_the_scalar_oracle(case):
     oracle = _keyed_weights(blocks)
     # the planned backend's run of the sweep folds to what the oracle's does
     assert sweep.run_units(0, p.total) == verify._scan(sweep, blocks, 0, p.total)
-    kernels = [verify._FpRows] + ([verify._GF2Rows] if F.q == 2 else [])
+    kernels = [verify._FpRows] + ([verify._KERNELS[f"gf{F.q}"]] if F.q in (2, 3) else [])
     routes = {"witness_span": (True, False), "exhaustive": ("value", "annihilator")}.get(mode, (None,))
     for kernel in kernels:
         for route in routes:
@@ -1149,7 +1168,8 @@ def test_span_levels_of_an_extension_line_take_the_rank_route(q, n):
 
 
 @pytest.mark.parametrize("q, n, kernel, ranked, units", [
-    (2, 4, "_GF2Rows", 120, 465), (2, 4, "_FpRows", 120, 465), (3, 3, "_FpRows", 1080, 1990)
+    (2, 4, "_GF2Rows", 120, 465), (2, 4, "_FpRows", 120, 465), (3, 3, "_FpRows", 1080, 1990),
+    (3, 3, "_GF3Rows", 1080, 1990),
 ])
 def test_d2_levels_off_an_extension_line_take_the_rank_route(q, n, kernel, ranked, units):
     # U = F_{q^n} e_1 + F_q e_2, with no route forced.  A prefix u_i off the
@@ -1226,7 +1246,9 @@ MIXED_ROUTE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows")])
+@pytest.mark.parametrize(
+    "case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows"), ("F27", "_GF3Rows")]
+)
 def test_mixed_routes_in_one_batch_equal_the_scalar_oracle(case, kernel):
     # a level takes the kernel route unless its unit count is a multiple of
     # 3, so a batch holds runs of kernel-route levels with rank-route levels
@@ -1311,7 +1333,9 @@ BATCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows")])
+@pytest.mark.parametrize(
+    "case, kernel", [("F16", "_GF2Rows"), ("F16", "_FpRows"), ("F27", "_FpRows"), ("F27", "_GF3Rows")]
+)
 @pytest.mark.parametrize("kernel_route", [True, False])
 def test_d2_batches_of_three_prefixes_equal_the_scalar_oracle(case, kernel, kernel_route):
     # a kernel whose block holds 3 prefixes cuts the first indices of d = 2
@@ -1345,9 +1369,16 @@ def _stacked_kernels(sweep, basis):
 
     fp = verify._FpRows(sweep)
     p, w, dim = fp.p, fp.w, sweep.U.dim
-    if basis.dtype == np.uint64:
+
+    def entries(words):
+        return (words[..., None] >> np.arange(w, dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
+
+    if basis.dtype == np.uint64 and basis.ndim == 3:
+        # gf3 (2, rows, prefixes) word pairs, entry e at bit e of a plane
+        basis = entries(basis[0].T) + 2 * entries(basis[1].T)
+    elif basis.dtype == np.uint64:
         # gf2 words, entry e at bit e
-        basis = (basis[..., None] >> np.arange(w, dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
+        basis = entries(basis)
     gens = fp._generators[..., :w].transpose(1, 0, 2).reshape(fp.n, -1)
     maps = bitkernel.fp_dot(fp.lambdas, gens, p).reshape(-1, dim, w)
     (L, P, _), C = basis.shape, len(maps)
@@ -1391,6 +1422,8 @@ SPAN_KERNEL_CASES = {
         lambda: explicit_system(create_field(5, 1, 2), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1), (7, 3, 1)]), 2, None
     ),
     "C2-(1,1,1,1)": (lambda: family_subspace(ConstructionParams(create_field(2, 1, 4), 4, 2, (1, 1, 1, 1))), 3, 200),
+    "F27-(1,1,3)": (lambda: family_subspace(ConstructionParams(create_field(3, 1, 3), 3, 1, (1, 1, 3))), 3, 100),
+    "F27-line": (lambda: line_control_subspace(create_field(3, 1, 3), 3), 3, None),
 }
 
 
@@ -1399,7 +1432,8 @@ def test_span_kernels_equal_the_stacked_elimination(case):
     # each class's map is eliminated once, and a prefix's rows are reduced
     # against its pivots: the kernels of j -> lambda u_j mod U + prefix span
     # what one elimination of the stacked rows gives, with independent tags,
-    # for the empty prefix (P = 0) and for prefixes of one and two vectors
+    # for the empty prefix (P = 0) and for prefixes of one and two vectors;
+    # gf2 and gf3 give the very tag index arrays that fp gives
     from rankscatter import verify
 
     build, d, drawn = SPAN_KERNEL_CASES[case]
@@ -1414,16 +1448,24 @@ def test_span_kernels_equal_the_stacked_elimination(case):
         singles = rng.integers(1, NU, (drawn, 1))
         pairs = np.sort([rng.choice(NU - 1, 2, replace=False) + 1 for _ in range(drawn)], axis=1)
     prefixes = [np.zeros((1, 0), dtype=np.int64), singles] + ([pairs] if d == 3 else [])
-    kernels = [verify._FpRows] + ([verify._GF2Rows] if q == 2 else [])
+    kernels = [verify._FpRows] + ([verify._KERNELS[f"gf{q}"]] if q in (2, 3) else [])
     zero_rows = class_kernels = 0
+    fp_index = []
     for kernel in kernels:
         kern = kernel(sweep)
         class_kernels += int(np.count_nonzero(kern._class_echelon[1]))
-        for pre in prefixes:
+        for at, pre in enumerate(prefixes):
             basis, dependent = kern.basis(pre)
-            low = basis != 0 if basis.dtype == np.uint64 else basis.any(axis=-1)
+            if basis.ndim == 3 and basis.dtype == np.uint64:
+                low = ((basis[0] | basis[1]) != 0).T
+            else:
+                low = basis != 0 if basis.dtype == np.uint64 else basis.any(axis=-1)
             zero_rows += int(np.count_nonzero(~low & (dependent == 0)))
             new, old = kern.kernels(basis), _stacked_kernels(sweep, basis)
+            if kernel is verify._FpRows:
+                fp_index.append((dependent, new))
+            else:
+                assert np.array_equal(dependent, fp_index[at][0]) and np.array_equal(new, fp_index[at][1])
             assert new.shape[:2] == old.shape[:2] == (len(pre), len(kern.lambdas))
             for i, c in np.ndindex(*new.shape[:2]):
                 span = _span(q, dim, new[i, c])
@@ -1441,6 +1483,7 @@ FIRST_LEVEL_CASES = {
     "gf2": (2, 4, [(1, 0, 0), (2, 0, 0), (1, 1, 0), (0, 1, 1), (3, 5, 7), (9, 1, 4)]),
     "fp": (3, 3, [(1, 0, 0), (3, 0, 0), (1, 1, 0), (0, 1, 1), (2, 5, 7)]),
 }
+FIRST_LEVEL_CASES["gf3"] = FIRST_LEVEL_CASES["fp"]
 
 
 @pytest.mark.parametrize("backend", sorted(FIRST_LEVEL_CASES))
@@ -1455,7 +1498,10 @@ def test_first_level_slices_equal_the_scalar_oracle(backend):
     F = create_field(q, 1, n)
     for U, dim, bound in ((pseudoregulus_subspace(F, 2), 2, None), (explicit_system(F, 3, gens), 1, 1)):
         sweep = _sweep(U, "witness_span", dim, bound)
-        assert sweep._first_level is not None and sweep._first_level.sizes.tolist() == [sweep.NU - 1]
+        if sweep.backend != backend:
+            _force(sweep, backend)
+        lv = sweep._first_level[1]
+        assert lv is not None and lv.sizes.tolist() == [sweep.NU - 1]
         starts, inside, viols = {q**e for e in range(U.t)}, 0, 0
         for chunk in (1, 5, 97):
             for lo in range(0, sweep.R, chunk):
@@ -1467,6 +1513,91 @@ def test_first_level_slices_equal_the_scalar_oracle(backend):
                 assert result == _scan(sweep, sweep._oracle(lo, hi), lo, hi), (chunk, lo)
                 viols += result.viol is not None
         assert inside > 0 and (viols > 0 if bound else viols == 0)
+
+
+@pytest.mark.parametrize("q, n, backend", [(2, 6, "gf2"), (3, 3, "fp"), (3, 3, "gf3")])
+def test_the_first_level_is_prepared_once_and_ranks_each_unit_once(q, n, backend):
+    # U = F_{q^n} e_1: the d = 1 level takes the rank route.  One `_prepare`
+    # of the empty prefix decides that for every chunk, and each d = 1 unit
+    # is ranked in exactly one span batch, none of them dropped
+    U = line_control_subspace(create_field(q, 1, n), 2)
+    sweep = _force(_sweep(U, "witness_span", 1), backend)
+    kern = sweep.kernel
+    spans, empty, basis, prepare = [], [], kern.basis, sweep._prepare
+    kern.basis = lambda batch: (batch.shape[1] == 1 and spans.append(batch)) or basis(batch)
+    sweep._prepare = lambda batch, units: (batch.shape[1] == 0 and empty.append(units)) or prepare(batch, units)
+    weights = []
+    for lo in range(0, sweep.R, 7):
+        weights += _keyed_weights(sweep._weights(lo, min(lo + 7, sweep.R)))
+    assert len(empty) == 1 and not sweep._first_level[0][2].item(0) and sweep._first_level[1] is None
+    ranked = np.concatenate(spans)[:, 0].tolist()
+    assert sorted(ranked) == [key[1] for key, _ in weights] and len(set(ranked)) == len(ranked) == sweep.R
+    assert weights == _keyed_weights(sweep._oracle(0, sweep.R))
+
+
+# --- the GF(3) backend against fp and the scalar oracle, unit by unit ---
+
+
+def _f27_family(h):
+    return family_subspace(ConstructionParams(create_field(3, 1, 3), 3, h, (1, 1, 3)))
+
+
+GF3_CASES = {
+    # (system, mode, dim, unit ranges or None for all, budget, seed)
+    "exhaustive-F27-pseudoregulus-d1": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), "exhaustive", 1,
+                                        None, None, None),
+    "exhaustive-F27-pseudoregulus-d2": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), "exhaustive", 2,
+                                        None, None, None),
+    "exhaustive-F9-line": (lambda: line_control_subspace(create_field(3, 1, 2), 3), "exhaustive", 2, None, None, None),
+    "sampled-F729-family": (lambda: family_subspace(ConstructionParams(create_field(3, 1, 6), 3, 2, (1, 1, 3))),
+                            "sampled", 2, None, 200, 2),
+    "sampled-F27-redraws": (lambda: explicit_system(create_field(3, 1, 3), 3, [(1, 2, 0), (0, 1, 3), (2, 0, 1),
+                                                                                 (5, 7, 1)]),
+                            "sampled", 2, None, 300, 11),
+    "span-F27-pseudoregulus": (lambda: pseudoregulus_subspace(create_field(3, 1, 3), 2), "witness_span", 2,
+                               None, None, None),
+    "span-F27-line": (lambda: line_control_subspace(create_field(3, 1, 3), 3), "witness_span", 2, None, None, None),
+    # d = 1 of the F_27 (1,1,3) member, and the last 4 levels of its d = 2,
+    # each of 6,561 to 6,564 spans, which the oracle samples
+    "span-F27-family": (lambda: _f27_family(1), "witness_span", 2, [(0, 300), (9541, 9841), (19678, 19682)],
+                        None, None),
+}
+GF3_VARIANTS = {"exhaustive": ("value", "annihilator"), "witness_span": (True, False), "sampled": (None,)}
+
+
+@pytest.mark.parametrize(
+    "case, variant", [(c, v) for c, spec in GF3_CASES.items() for v in GF3_VARIANTS[spec[1]]]
+)
+def test_gf3_weights_equal_fp_and_the_scalar_oracle_unit_by_unit(monkeypatch, case, variant):
+    # every q = 3 mode on gf3, as planned, and forced onto fp: exhaustive on
+    # both row shapes, sampled with rejected words redrawn, witness-span at
+    # d = 1 and 2 on both routes.  A unit range past 1,000 spans is checked
+    # on the oracle at 160 seeded spans
+    from rankscatter import linalg
+
+    build, mode, dim, ranges, budget, seed = GF3_CASES[case]
+    if case == "sampled-F27-redraws":
+        monkeypatch.setattr(linalg, "_word_limit", lambda Q: ((1 << 64) - (1 << 61)) // Q * Q)
+    system = build()
+    streams = []
+    for backend in ("gf3", "fp"):
+        sweep = _sweep(system, mode, dim, budget=budget, seed=seed)
+        assert sweep.backend == "gf3"
+        if mode == "exhaustive":
+            sweep.shape = variant
+        elif mode == "witness_span":
+            _force_route(sweep, variant)
+        _force(sweep, backend)
+        streams.append([_keyed_weights(sweep._weights(lo, hi)) for lo, hi in ranges or [(0, sweep.total_units)]])
+    assert streams[0] == streams[1] and all(streams[0])
+    rng = np.random.default_rng(0)
+    for (lo, hi), weights in zip(ranges or [(0, sweep.total_units)], streams[0]):
+        if len(weights) <= 1000:
+            assert weights == _keyed_weights(sweep._oracle(lo, hi)), (lo, hi)
+            continue
+        for i in rng.choice(len(weights), 160, replace=False).tolist():
+            key, w = weights[i]
+            assert _span_weight(sweep, list(key)) == w, key
 
 
 class _TableSweep:
@@ -1777,7 +1908,7 @@ def test_import_and_a_one_worker_run_load_no_pool_module():
     assert run.stdout == "[]\n", run.stderr
 
 
-PLAN_SYSTEMS = {"gf2": ((2, 1, 4), 2), "fp": ((3, 1, 3), 2), "scalar": ((2, 2, 2), 1)}
+PLAN_SYSTEMS = {"gf2": ((2, 1, 4), 2), "gf3": ((3, 1, 3), 2), "fp": ((5, 1, 2), 1), "scalar": ((2, 2, 2), 1)}
 
 
 @pytest.mark.parametrize(
@@ -1861,6 +1992,43 @@ def test_plans_refuse_a_span_table_or_a_sample_field_past_its_limit(monkeypatch)
         with pytest.raises(ValueError) as raised:
             verify_h_scattered(lc, 1, mode=mode, budget=budget)
         assert str(raised.value) == refusal
+
+
+def test_plans_refuse_a_class_residue_table_past_its_cap(monkeypatch):
+    # pseudoregulus h = 1 over F_{2^20} would build a 3 GiB gf2 residue
+    # table (3 byte groups of 20-bit reduced parts, 2^19 - 1 classes): the
+    # plan refuses it, and no sweep object is built.  The line control in
+    # F_{2^16}^3, 8 KiB under 256 MiB, is planned
+    from rankscatter import verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep was built")
+
+    for cls in ("ExhaustiveSweep", "SpanSweep", "SampledSweep"):
+        monkeypatch.setattr(verify, cls, no_sweep)
+    big = pseudoregulus_subspace(create_field(2, 1, 20), 1)
+    size = 3 * 256 * ((1 << 19) - 1) * 8
+    p = verify.plan(big, 1, 1, "witness_span", defect=verify.span_defect)
+    assert p.refusal == (f"witness-span class residue table of {size} bytes exceeds the cap of {1 << 28}; "
+                         "use sampled mode")
+    with pytest.raises(ValueError) as raised:
+        verify_h_scattered(big, 1)
+    assert str(raised.value) == p.refusal
+    line = line_control_subspace(create_field(2, 1, 16), 3)
+    assert verify._residue_bytes(line, 1) == 4 * 256 * ((1 << 15) - 1) * 8 <= verify.RESIDUE_TABLE_CAP
+    assert verify.plan(line, 1, 1, "witness_span").refusal is None
+
+
+def test_the_residue_table_size_is_what_the_kernel_builds(F16):
+    # gf2 (C2, 32-bit reduced parts, 7 classes), gf3 (F_27 (1,1,3), 9 trits,
+    # 4 classes) and fp, which builds no table
+    from rankscatter import verify
+
+    systems = [family_subspace(ConstructionParams(F16, 4, 2, (1, 1, 1, 1))), _f27_family(1),
+               pseudoregulus_subspace(create_field(5, 1, 2), 1)]
+    for system, size in zip(systems, (4 * 256 * 7 * 8, 2 * 256 * 4 * 16, 0)):
+        table = _sweep(system, "witness_span", 1).kernel._class_echelon[0]
+        assert verify._residue_bytes(system, 1) == size == (table.nbytes if size else 0)
 
 
 def test_every_entry_point_refuses_the_same_questions(F16, monkeypatch, capsys):
