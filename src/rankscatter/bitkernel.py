@@ -85,14 +85,12 @@ def gf3_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a | b)[::-1] ^ (u[0] ^ u[1])
 
 
-def gf3_table(deltas: np.ndarray, base: int, out: np.ndarray | None = None) -> np.ndarray:
+def gf3_table(deltas: np.ndarray, base: int, out: np.ndarray) -> np.ndarray:
     """Tables of GF(3) sums of the word pairs deltas[:, e] of a (2, m, ...)
-    array: entry [:, v] is the sum of c_e deltas[:, e] over the base-`base`
-    digits c_e of v, least significant first (base 2: subset sums; base 3:
-    every combination).  Written into `out` when given."""
+    array, written into `out`, of shape (2, base^m, ...): entry [:, v] is
+    the sum of c_e deltas[:, e] over the base-`base` digits c_e of v, least
+    significant first (base 2: subset sums; base 3: every combination)."""
     m = deltas.shape[1]
-    if out is None:
-        out = np.empty((2, base**m, *deltas.shape[2:]), dtype=U64)
     out[:, :1] = 0
     size = 1
     for e in range(m):
@@ -104,9 +102,9 @@ def gf3_table(deltas: np.ndarray, base: int, out: np.ndarray | None = None) -> n
 
 
 def gf3_clear(rest: np.ndarray, cur: np.ndarray) -> None:
-    """Clear the entry at the lowest nonzero entry of each pair of `cur`,
-    of shape (2, B), from the rows of `rest`, of shape (2, R, B), by adding
-    a multiple of it in place; a zero `cur` changes nothing.
+    """Clear from the rows of `rest`, of shape (2, R, B), their entry at
+    the lowest nonzero entry of each word pair of `cur`, of shape (2, B),
+    by adding a multiple of it in place; a zero `cur` changes nothing.
 
     The pivot row, scaled to lead 1 and shifted down to its lowest entry,
     times a row's pivot bit (0 or that power of two) is the scaled row
@@ -128,8 +126,8 @@ def gf3_rank(rows: np.ndarray) -> np.ndarray:
     """Rank over GF(3) of each matrix of a (2, R, B) batch, which is left in
     `fp_rank`'s echelon form: row i's lowest nonzero entry is its pivot, and
     it is cleared from the later rows only; a pivot row is never rescaled.
-    ROW_BLOCK words of later rows go to one `gf3_clear`, as in
-    `batch_rank`."""
+    ROW_BLOCK word pairs of later rows go to one `gf3_clear`, as ROW_BLOCK
+    words do in `batch_rank`."""
     nrows = rows.shape[1]
     step = max(1, ROW_BLOCK // max(1, rows.shape[2]))
     for i in range(nrows - 1):

@@ -201,7 +201,7 @@ def test_gf3_rank_equals_fp_rank_in_ranks_and_echelon_rows(kind, shape):
 def test_gf3_tables_sum_their_rows_by_digit(base):
     rng = np.random.default_rng(base)
     deltas = rng.integers(0, 3, (1, 4, 10)).astype(np.uint8)  # 4 rows of 10 entries
-    table = bitkernel.gf3_table(_planes(deltas), base)  # (2, base^4, 1)
+    table = bitkernel.gf3_table(_planes(deltas), base, np.empty((2, base**4, 1), dtype=np.uint64))
     for v in range(base**4):
         coeffs = [v // base**e % base for e in range(4)]
         want = (np.array(coeffs) @ deltas[0].astype(np.int64)) % 3
